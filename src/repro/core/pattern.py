@@ -8,12 +8,20 @@ regular node or a ``*``.
 
 Patterns are immutable.  Because they are *unordered*, two patterns that
 differ only in sibling order are equal; equality and hashing go through a
-canonical form that recursively sorts children.
+canonical key that recursively sorts children.  Patterns are built
+bottom-up, so each node computes its key once, at construction, from its
+children's already-computed keys, and no Python recursion follows the
+nesting depth.  The key is stored on the object, so ``==`` costs an
+identity check, then a cached-hash mismatch, then one tuple comparison;
+the hash is the key's, computed on first use and cached.  Where nesting
+is too deep for the interpreter to compare tuples, comparison falls back
+to an explicit-stack walk with the same order.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import cmp_to_key
+from typing import Iterable, Iterator
 
 from repro.core.labels import (
     DESCENDANT,
@@ -30,6 +38,52 @@ class PatternError(ValueError):
     """Raised when a structurally invalid tree pattern is constructed."""
 
 
+def _compare_keys(a: tuple, b: tuple) -> int:
+    """Three-way comparison of two canonical keys, without recursion.
+
+    The order of the keys' own ``<`` and ``==``, walked with an explicit
+    stack: comparing nested tuples recurses in C and raises
+    ``RecursionError`` a few hundred pattern levels down.
+    """
+    stack = [(a, b, 0)]
+    while stack:
+        x, y, i = stack.pop()
+        if i == len(x) or i == len(y):
+            if len(x) != len(y):
+                return -1 if len(x) < len(y) else 1
+            continue
+        stack.append((x, y, i + 1))
+        u, v = x[i], y[i]
+        if u is v:
+            continue
+        # Keys have one shape: a label, or a tuple of keys, per position.
+        if isinstance(u, tuple):
+            stack.append((u, v, 0))
+        elif u != v:
+            return -1 if u < v else 1
+    return 0
+
+
+def _sorted_keys(keys: Iterable[tuple]) -> tuple:
+    """*keys* in canonical (sorted) order, at any nesting depth."""
+    ordered = list(keys)
+    try:
+        ordered.sort()
+    except RecursionError:
+        ordered.sort(key=cmp_to_key(_compare_keys))
+    return tuple(ordered)
+
+
+def _same_key(a: "PatternNode | TreePattern", b: "PatternNode | TreePattern") -> bool:
+    """Canonical-key equality of two distinct patterns or nodes."""
+    if a._hash is not None and b._hash is not None and a._hash != b._hash:
+        return False
+    try:
+        return a._key == b._key
+    except RecursionError:
+        return _compare_keys(a._key, b._key) == 0
+
+
 class PatternNode:
     """One node of a tree pattern: a label plus zero or more children.
 
@@ -39,10 +93,11 @@ class PatternNode:
         last = PatternNode("last", (leaf,))
     """
 
-    __slots__ = ("label", "children", "_hash")
+    __slots__ = ("label", "children", "_key", "_hash")
 
     def __init__(self, label: str, children: tuple["PatternNode", ...] = ()) -> None:
         validate_label(label)
+        children = tuple(children)
         if label == DESCENDANT:
             if len(children) != 1:
                 raise PatternError(
@@ -57,7 +112,10 @@ class PatternNode:
                 "use TreePattern(children=...)"
             )
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "children", children)
+        object.__setattr__(
+            self, "_key", (label, _sorted_keys(child._key for child in children))
+        )
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -84,9 +142,13 @@ class PatternNode:
 
     def height(self) -> int:
         """Number of nodes on the longest root-to-leaf path of this subtree."""
-        if not self.children:
-            return 1
-        return 1 + max(child.height() for child in self.children)
+        best = 0
+        stack = [(self, 1)]
+        while stack:
+            node, depth = stack.pop()
+            best = max(best, depth)
+            stack.extend((child, depth + 1) for child in node.children)
+        return best
 
     def tags(self) -> frozenset[str]:
         """All plain tag names occurring in the subtree."""
@@ -96,18 +158,17 @@ class PatternNode:
 
     # -- canonical form / equality ------------------------------------------
 
-    def _canonical_key(self) -> tuple:
-        return (self.label, tuple(sorted(c._canonical_key() for c in self.children)))
-
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, PatternNode):
             return NotImplemented
-        return self._canonical_key() == other._canonical_key()
+        return _same_key(self, other)
 
     def __hash__(self) -> int:
         cached = self._hash
         if cached is None:
-            cached = hash(self._canonical_key())
+            cached = hash(self._key)
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -124,13 +185,16 @@ class TreePattern:
     anywhere in the document, including at the root.
     """
 
-    __slots__ = ("root_children", "_hash")
+    __slots__ = ("root_children", "_key", "_hash")
 
     def __init__(self, children: tuple[PatternNode, ...] | list[PatternNode]) -> None:
         children = tuple(children)
         if not children:
             raise PatternError("a tree pattern needs at least one constraint")
         object.__setattr__(self, "root_children", children)
+        object.__setattr__(
+            self, "_key", _sorted_keys(child._key for child in children)
+        )
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -177,18 +241,17 @@ class TreePattern:
 
     # -- equality ------------------------------------------------------------
 
-    def _canonical_key(self) -> tuple:
-        return tuple(sorted(c._canonical_key() for c in self.root_children))
-
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, TreePattern):
             return NotImplemented
-        return self._canonical_key() == other._canonical_key()
+        return _same_key(self, other)
 
     def __hash__(self) -> int:
         cached = self._hash
         if cached is None:
-            cached = hash(self._canonical_key())
+            cached = hash(self._key)
             object.__setattr__(self, "_hash", cached)
         return cached
 

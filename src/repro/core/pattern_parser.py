@@ -132,7 +132,13 @@ def parse_xpath(expression: str) -> TreePattern:
     expression = expression.strip()
     if not expression:
         raise XPathSyntaxError("empty pattern expression")
-    return _Parser(expression).parse_pattern()
+    try:
+        return _Parser(expression).parse_pattern()
+    except RecursionError:
+        # The descent recurses once per step and predicate level.
+        raise XPathSyntaxError(
+            f"expression nests too deeply to parse ({len(expression)} characters)"
+        ) from None
 
 
 def _serialize_node(node: PatternNode) -> str:

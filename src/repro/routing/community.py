@@ -19,12 +19,22 @@ Both accept any ``similarity(p, q)`` callable, including a
 :class:`~repro.core.similarity.SimilarityMatrix` or a live
 :class:`~repro.core.similarity.SimilarityIndex`, whose memos share the
 dominant joint-selectivity work across clustering runs (and with the
-overlay layer) — churn-facing brokers re-cluster through the same index
-they mutate, paying only for pairs involving changed patterns.
-:func:`agglomerative_clustering` additionally detects an engine aligned
-with its pattern population and reads the precomputed values directly;
-:func:`leader_clustering` stays lazy on purpose — it only ever needs
-O(n · #communities) of the n² pairs.
+overlay layer).  :func:`agglomerative_clustering` additionally detects an
+engine aligned with its pattern population and reads the precomputed
+values directly; :func:`leader_clustering` stays lazy on purpose — it
+only ever needs O(n · #communities) of the n² pairs.
+
+Churn-facing brokers do not re-run a clustering per event.  Leader
+clustering is first-fit in creation order and each decision depends only
+on the pair compared, so
+:class:`~repro.routing.policy.CommunityPolicy` keeps each broker's last
+leader clustering and updates it in place: a subscribe costs one
+first-fit placement against the current leaders (O(#communities)
+similarity lookups, fewer behind a candidate gate), an unsubscribe of a
+non-leader costs none, and an unsubscribe of a leader re-clusters only
+the members of the communities founded at or after it, through
+:func:`leader_clustering`.  Bursts, topology surgery and average linkage
+re-cluster the whole broker.
 
 Both also accept a ``candidates=`` template — a
 :class:`~repro.core.candidates.CandidateGenerator` such as

@@ -42,7 +42,9 @@ Every policy is maintained **incrementally under churn** through the
 subscription lifecycle: :meth:`BrokerOverlay.subscribe` returns a
 :class:`SubscriptionId` and immediately advertises the arrival (in
 aggregating policies, by re-aggregating only the home broker and diffing
-the advertisement state, reusing the index's memoised pairwise work);
+the advertisement state; under leader linkage the broker's clustering is
+updated in place, so the arrival costs one first-fit placement against
+its current community leaders);
 :meth:`BrokerOverlay.unsubscribe` retires it again with hop-by-hop
 unadvertise propagation, resurrecting and re-advertising the entries its
 advertisement had covered.  :meth:`BrokerOverlay.subscribe_many` /
@@ -78,6 +80,7 @@ from repro.routing.policy import (
     AdvertisementPolicy,
     AdvertisementSpec,
     CommunityPolicy,
+    LeaderClusters,
     PerSubscriptionPolicy,
     resolve_advertisement,
 )
@@ -152,6 +155,10 @@ class BrokerNode:
     index: Optional[SimilarityIndex] = None
     #: subscriber id -> similarity-index handle (community regime only).
     handles: dict[int, int] = field(default_factory=dict)
+    #: The last leader-linkage clustering of the advertised subscriptions,
+    #: which :class:`~repro.routing.policy.CommunityPolicy` updates in
+    #: place under churn.
+    clusters: LeaderClusters = field(default_factory=LeaderClusters)
 
     def degree(self) -> int:
         """Number of overlay neighbours."""
@@ -427,6 +434,7 @@ class BrokerOverlay:
             node.communities = []
             node.index = None
             node.handles = {}
+            node.clusters = LeaderClusters()
         self._advertised = set()
         self.advertisement_messages = 0
         self.mode = None
@@ -466,8 +474,10 @@ class BrokerOverlay:
           only the advertisement *diff* travels the overlay — a
           per-subscription policy floods exactly the new pattern, an
           aggregating policy re-advertises only the communities the
-          arrival touched, reusing the index's memoised pairwise work for
-          the untouched population.
+          arrival touched.  Under leader linkage the re-aggregation
+          places the arrival first-fit against the broker's current
+          community leaders — one similarity lookup per leader at most —
+          instead of re-clustering the broker.
         """
         subscription_id = self.attach(broker_id, pattern)
         if self.policy is None:
@@ -485,10 +495,13 @@ class BrokerOverlay:
         — under a per-subscription policy that unadvertises exactly the
         departing pattern, resurrecting (and re-advertising) entries it
         had covered; under an aggregating policy only the touched
-        communities are re-advertised.  A subscription that was never
-        advertised under the live policy (it :meth:`attach`\\ -ed after
-        the bulk :meth:`advertise` call) has nothing to withdraw and is
-        simply detached.  Returns the retired pattern.
+        communities are re-advertised.  Under leader linkage a departing
+        non-leader just leaves its community, with no similarity work;
+        a departing leader re-clusters only the members of the
+        communities founded at or after it.  A subscription that was
+        never advertised under the live policy (it :meth:`attach`\\ -ed
+        after the bulk :meth:`advertise` call) has nothing to withdraw
+        and is simply detached.  Returns the retired pattern.
         """
         if subscription_id not in self.subscriptions:
             raise ValueError(f"unknown subscription id {subscription_id}")
@@ -994,12 +1007,12 @@ class BrokerOverlay:
         """One broker's target advertisement state under the live policy.
 
         Hands the policy the broker's *advertised* subscriptions — for
-        similarity-based policies the live index population (every
-        pairwise value an aggregation needs is memoised there, so
-        re-aggregating after churn only pays for pairs involving changed
-        patterns), otherwise the overlay-wide advertised set.  Members
-        that merely :meth:`attach`\\ -ed after the bulk advertisement stay
-        out until it is rebuilt, whatever the policy.
+        similarity-based policies the live index population, with the
+        broker's :class:`~repro.routing.policy.LeaderClusters` record
+        for the policy to update in place, otherwise the overlay-wide
+        advertised set.  Members that merely :meth:`attach`\\ -ed after
+        the bulk advertisement stay out until it is rebuilt, whatever the
+        policy.
         """
         assert self.policy is not None
         if node.index is not None:
@@ -1019,16 +1032,17 @@ class BrokerOverlay:
             for subscriber_id in advertised_members
         ]
         return self.policy.aggregate(
-            advertised_members, local_patterns, node.index
+            advertised_members, local_patterns, node.index, node.clusters
         )
 
     def _reaggregate(self, broker_id: int) -> None:
         """Refresh one broker's advertisements after churn.
 
         Re-aggregates the broker's local subscriptions through the live
-        policy (cheap for similarity-based policies: the index memo
-        already holds every surviving pair) and applies two separate
-        diffs against the live aggregation:
+        policy (under leader linkage, one arrival or departure updates
+        the broker's last clustering in place rather than re-clustering
+        it; see :class:`~repro.routing.policy.CommunityPolicy`) and
+        applies two separate diffs against the live aggregation:
 
         * local delivery entries follow the full ``(pattern, members)``
           communities — a membership change swaps the home broker's

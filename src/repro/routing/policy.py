@@ -58,23 +58,20 @@ keep working unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Mapping, Optional, Protocol, Sequence, Union
 
 from repro.core.candidates import CandidateGenerator, resolve_candidates
 from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
-from repro.routing.community import (
-    Community,
-    agglomerative_clustering,
-    leader_clustering,
-)
+from repro.routing.community import agglomerative_clustering, leader_clustering
 
 __all__ = [
     "AdvertisementPolicy",
     "PerSubscriptionPolicy",
     "CommunityPolicy",
     "HybridPolicy",
+    "LeaderClusters",
     "resolve_advertisement",
     "SchedulingPolicy",
     "FifoScheduling",
@@ -94,6 +91,35 @@ __all__ = [
 Aggregate = tuple[TreePattern, tuple[int, ...]]
 
 LINKAGES = ("leader", "average")
+
+
+@dataclass
+class LeaderClusters:
+    """One broker's last leader-linkage clustering, kept across churn.
+
+    ``members`` is the subscriber sequence the clustering ran over;
+    ``communities`` holds its communities in creation order, each as
+    member subscriber ids with the leader first and joiners in placement
+    order.  The overlay keeps one per broker beside its similarity index
+    and hands it to :meth:`AdvertisementPolicy.aggregate`;
+    :class:`CommunityPolicy` brings it up to date in place, so a churn
+    event pays only for the placements it changes.  Policies never own
+    one: they are frozen and shared across brokers.
+    """
+
+    members: list[int] = field(default_factory=list)
+    communities: list[list[int]] = field(default_factory=list)
+
+
+def _departure(old: list[int], new: list[int]) -> Optional[int]:
+    """The member *new* lacks, when it is *old* with exactly one removed."""
+    if len(new) != len(old) - 1:
+        return None
+    position = next(
+        (i for i, (was, kept) in enumerate(zip(old, new)) if was != kept),
+        len(new),
+    )
+    return old[position] if old[position + 1 :] == new[position:] else None
 
 
 class AdvertisementPolicy:
@@ -132,12 +158,15 @@ class AdvertisementPolicy:
         members: Sequence[int],
         patterns: Sequence[TreePattern],
         index: Optional[SimilarityIndex],
+        clusters: Optional[LeaderClusters] = None,
     ) -> list[Aggregate]:
         """Turn one broker's advertised subscriptions into advertisements.
 
         ``members[i]`` subscribes with ``patterns[i]``; both follow the
         broker's home order.  Returns the full target advertisement state
-        for the broker — the overlay applies the diff.
+        for the broker — the overlay applies the diff.  *clusters* is the
+        broker's clustering record, which a clustering policy may read
+        and update in place; without one, it clusters from scratch.
         """
         raise NotImplementedError
 
@@ -158,6 +187,7 @@ class PerSubscriptionPolicy(AdvertisementPolicy):
         members: Sequence[int],
         patterns: Sequence[TreePattern],
         index: Optional[SimilarityIndex],
+        clusters: Optional[LeaderClusters] = None,
     ) -> list[Aggregate]:
         """One advertisement per subscription, in home order."""
         return [
@@ -199,7 +229,19 @@ class CommunityPolicy(AdvertisementPolicy):
     one leaders-only population inside each clustering pass — so
     LSH-backed community formation stays sublinear in the broker's
     subscription count.  ``None`` keeps the historical all-pairs
-    behaviour.
+    behaviour.  Placing one arrival against a broker's current leaders
+    asks the template's pairwise ``is_candidate`` per leader instead.
+
+    Churn is incremental under leader linkage: the broker's
+    :class:`LeaderClusters` record is updated in place, exactly as a
+    from-scratch clustering of the new member sequence would come out.
+    One subscribe costs a first-fit placement against the current
+    leaders; one unsubscribe costs nothing for a non-leader and, for a
+    leader, one :func:`~repro.routing.community.leader_clustering` over
+    the members of the communities founded at or after it.  Any other
+    change to the member sequence (bursts, topology surgery, a
+    :class:`HybridPolicy` regime flip) and average linkage re-cluster
+    the whole broker.
     """
 
     uses_similarity = True
@@ -262,41 +304,144 @@ class CommunityPolicy(AdvertisementPolicy):
             candidates=(generator.spawn() if generator is not None else None),
         )
 
-    def _cluster(
+    def _leader_groups(
         self,
-        patterns: Sequence[TreePattern],
+        members: Sequence[int],
+        pattern_of: Mapping[int, TreePattern],
         index: SimilarityIndex,
-    ) -> list[Community]:
-        if self.linkage == "average":
-            return agglomerative_clustering(
-                patterns,
+    ) -> list[list[int]]:
+        """:func:`leader_clustering` of *members*, as member-id lists."""
+        return [
+            [members[i] for i in community.members]
+            for community in leader_clustering(
+                [pattern_of[member] for member in members],
                 index,
-                1,
-                min_similarity=self.threshold,
+                self.threshold,
                 candidates=self._generator,
             )
-        return leader_clustering(
-            patterns, index, self.threshold, candidates=self._generator
+        ]
+
+    def _place(
+        self,
+        member: int,
+        pattern_of: Mapping[int, TreePattern],
+        index: SimilarityIndex,
+        clusters: LeaderClusters,
+    ) -> None:
+        """First-fit placement of one arrival against the current leaders.
+
+        The last step of :func:`leader_clustering`, candidate gate
+        included: a leader the generator rules out is never compared,
+        even where the threshold is 0.
+        """
+        pattern = pattern_of[member]
+        generator = self._generator
+        for group in clusters.communities:
+            leader = pattern_of[group[0]]
+            if (
+                generator is None or generator.is_candidate(leader, pattern)
+            ) and index(leader, pattern) >= self.threshold:
+                group.append(member)
+                return
+        clusters.communities.append([member])
+
+    def _depart(
+        self,
+        member: int,
+        members: list[int],
+        pattern_of: Mapping[int, TreePattern],
+        index: SimilarityIndex,
+        clusters: LeaderClusters,
+    ) -> None:
+        """Retire one member from the clustering it was part of.
+
+        Leader clustering is first-fit in creation order and each
+        decision depends only on the pair compared, so every placement
+        that never met the departed member decides as before.  A
+        non-leader just leaves its community.  A departing leader
+        dissolves the communities founded at or after it; every member
+        of those had failed all earlier leaders, so re-clustering them
+        in order, on their own, gives the communities that follow.
+        """
+        communities = clusters.communities
+        first = next(
+            position
+            for position, group in enumerate(communities)
+            if member in group
         )
+        if communities[first][0] != member:
+            communities[first].remove(member)
+            return
+        dissolved = {m for group in communities[first:] for m in group}
+        rest = [m for m in members if m in dissolved]
+        communities[first:] = self._leader_groups(rest, pattern_of, index)
+
+    def _recluster(
+        self,
+        members: list[int],
+        pattern_of: Mapping[int, TreePattern],
+        index: SimilarityIndex,
+        clusters: LeaderClusters,
+    ) -> None:
+        """Bring *clusters* to the leader clustering of *members*.
+
+        One arrival at the end of the recorded sequence or one departure
+        from it is applied in place; any other difference re-clusters
+        from scratch.
+        """
+        old = clusters.members
+        if len(members) == len(old) + 1 and members[:-1] == old:
+            self._place(members[-1], pattern_of, index, clusters)
+        elif (departed := _departure(old, members)) is not None:
+            self._depart(departed, members, pattern_of, index, clusters)
+        elif members != old:
+            clusters.communities = self._leader_groups(members, pattern_of, index)
+        clusters.members = members
 
     def aggregate(
         self,
         members: Sequence[int],
         patterns: Sequence[TreePattern],
         index: Optional[SimilarityIndex],
+        clusters: Optional[LeaderClusters] = None,
     ) -> list[Aggregate]:
-        """One advertisement per community over the broker's live index."""
+        """One advertisement per community over the broker's live index.
+
+        Under leader linkage with the broker's *clusters* record, one
+        subscribe costs one first-fit placement against the current
+        leaders, and one unsubscribe of a non-leader costs no similarity
+        evaluation at all; retiring a leader re-clusters only the
+        communities founded at or after it.  Average linkage, and any
+        change other than one arrival or one departure, re-cluster the
+        whole broker.
+        """
         assert index is not None, "community aggregation needs a live index"
+        pattern_of = dict(zip(members, patterns, strict=True))
+        if self.linkage == "average":
+            communities = [
+                (members[community.leader], [members[i] for i in community.members])
+                for community in agglomerative_clustering(
+                    patterns,
+                    index,
+                    1,
+                    min_similarity=self.threshold,
+                    candidates=self._generator,
+                )
+            ]
+        else:
+            if clusters is None:
+                clusters = LeaderClusters()
+            self._recluster(list(members), pattern_of, index, clusters)
+            communities = [(group[0], group) for group in clusters.communities]
         aggregated: list[Aggregate] = []
-        for community in self._cluster(patterns, index):
-            group = tuple(members[i] for i in community.members)
-            advertised = patterns[community.leader]
+        for leader, group in communities:
+            advertised = pattern_of[leader]
             if self.elect_by_selectivity:
                 advertised = max(
-                    (patterns[i] for i in community.members),
+                    (pattern_of[member] for member in group),
                     key=index.selectivity,
                 )
-            aggregated.append((advertised, group))
+            aggregated.append((advertised, tuple(group)))
         return aggregated
 
     def __repr__(self) -> str:
@@ -347,6 +492,7 @@ class HybridPolicy(CommunityPolicy):
         members: Sequence[int],
         patterns: Sequence[TreePattern],
         index: Optional[SimilarityIndex],
+        clusters: Optional[LeaderClusters] = None,
     ) -> list[Aggregate]:
         """Per-subscription under the cutoff, community aggregation above."""
         if len(members) <= self.aggregate_above:
@@ -354,7 +500,7 @@ class HybridPolicy(CommunityPolicy):
                 (pattern, (member,))
                 for member, pattern in zip(members, patterns, strict=True)
             ]
-        return super().aggregate(members, patterns, index)
+        return super().aggregate(members, patterns, index, clusters)
 
     def __repr__(self) -> str:
         return (

@@ -1,0 +1,249 @@
+"""Incremental re-clustering under subscription churn equals clustering
+from scratch.
+
+Under leader linkage, a broker keeps its last clustering and updates it
+in place: an arrival is placed first-fit against the current leaders, a
+departing non-leader just leaves its community, and a departing leader
+dissolves the communities founded at or after it and re-clusters their
+members.  Hypothesis drives random interleavings of ``subscribe`` /
+``unsubscribe`` (plus bursts, which take the full path) over a
+multi-broker overlay under every candidate gate, linkage and regime,
+and after every event checks that
+
+* each broker's advertised communities equal a from-scratch aggregation
+  of its current members through a fresh similarity index, and
+* the overlay's routing state equals a from-scratch rebuild.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.routing.policy as policy_module
+from repro.core.candidates import ExactCandidates, LSHCandidates
+from repro.core.pattern_parser import parse_xpath
+from repro.routing.overlay import BrokerOverlay
+from repro.routing.policy import CommunityPolicy, HybridPolicy
+from repro.xmltree.corpus import DocumentCorpus
+from repro.xmltree.tree import XMLTree
+from tests.strategies import property_max_examples, tree_patterns
+from tests.test_selectivity_properties import corpora
+
+POLICIES = {
+    "leader": lambda threshold, metric: CommunityPolicy(threshold, metric=metric),
+    "leader-exact-prefilter": lambda threshold, metric: CommunityPolicy(
+        threshold,
+        metric=metric,
+        candidates=ExactCandidates(prefilter_labels=True),
+    ),
+    "leader-lsh": lambda threshold, metric: CommunityPolicy(
+        threshold, metric=metric, candidates=LSHCandidates()
+    ),
+    "leader-lsh-degenerate": lambda threshold, metric: CommunityPolicy(
+        threshold, metric=metric, candidates=LSHCandidates.degenerate()
+    ),
+    "average": lambda threshold, metric: CommunityPolicy(
+        threshold, linkage="average", metric=metric
+    ),
+    "hybrid": lambda threshold, metric: HybridPolicy(
+        threshold, metric=metric, aggregate_above=2
+    ),
+}
+
+THRESHOLDS = (0.0, 0.3, 0.5, 0.7, 1.0)
+
+#: Five documents around a ring: document i holds tags i and i + 1, so
+#: ``//a`` and ``//b`` share a document, ``//b`` and ``//c`` share one,
+#: but ``//a`` and ``//c`` share none.  Similarity is then not
+#: transitive, and a departing leader's followers, and the communities
+#: founded after it, regroup differently without it.
+RING = ("a", "b", "c", "d", "e")
+RING_DOCUMENTS = [
+    XMLTree.from_nested(("r", [tag, RING[(i + 1) % len(RING)]]), doc_id=i)
+    for i, tag in enumerate(RING)
+]
+RING_PATTERNS = [
+    *(parse_xpath(f"//{tag}") for tag in RING),
+    parse_xpath("/r"),
+    parse_xpath("/.[//a][//b]"),
+    parse_xpath("/.[//c][//d]"),
+]
+
+
+@st.composite
+def workloads(draw):
+    """A corpus and a pattern pool: random, or around the ring."""
+    if draw(st.booleans(), label="ring?"):
+        pool = draw(
+            st.lists(st.sampled_from(RING_PATTERNS), min_size=2, max_size=6, unique=True)
+        )
+        return RING_DOCUMENTS, pool
+    return draw(corpora()), draw(st.lists(tree_patterns(), min_size=2, max_size=5))
+
+
+def from_scratch(overlay: BrokerOverlay, broker_id: int) -> list:
+    """The broker's aggregation recomputed with no clustering record and
+    a fresh index."""
+    node = overlay.brokers[broker_id]
+    members = [member for member in node.local_subscribers if member in node.handles]
+    patterns = [overlay.subscriptions[member][1] for member in members]
+    policy = overlay.policy
+    index = policy.make_index(overlay.provider)
+    for pattern in patterns:
+        index.add(pattern)
+    return policy.aggregate(members, patterns, index)
+
+
+def assert_matches_from_scratch(overlay: BrokerOverlay) -> None:
+    for broker_id, node in overlay.brokers.items():
+        assert node.communities == from_scratch(overlay, broker_id), broker_id
+    assert overlay.topology_signature() == overlay.rebuilt().topology_signature()
+
+
+def pick_victim(overlay: BrokerOverlay, data: st.DataObject) -> int:
+    """A live subscription: a broker's first or last member, one of its
+    community leaders, or any member."""
+    homes = [
+        broker_id
+        for broker_id in sorted(overlay.brokers)
+        if overlay.brokers[broker_id].local_subscribers
+    ]
+    node = overlay.brokers[data.draw(st.sampled_from(homes), label="home")]
+    members = node.local_subscribers
+    leaders = [group[0] for _, group in node.communities]
+    kind = data.draw(
+        st.sampled_from(("first", "last", "leader", "any")), label="victim kind"
+    )
+    if kind == "first":
+        return members[0]
+    if kind == "last":
+        return members[-1]
+    if kind == "leader" and leaders:
+        return data.draw(st.sampled_from(leaders), label="leader")
+    return data.draw(st.sampled_from(members), label="member")
+
+
+def churn(overlay: BrokerOverlay, pool: list, data: st.DataObject, steps: int):
+    """Apply *steps* random churn events, checking after each one."""
+    brokers = sorted(overlay.brokers)
+    for step in range(steps):
+        choices = ["subscribe", "subscribe_many"]
+        if overlay.subscriptions:
+            choices += ["unsubscribe", "unsubscribe", "unsubscribe_many"]
+        op = data.draw(st.sampled_from(choices), label=f"op{step}")
+        if op == "subscribe":
+            home = data.draw(st.sampled_from(brokers), label="home")
+            overlay.subscribe(home, data.draw(st.sampled_from(pool), label="pattern"))
+        elif op == "subscribe_many":
+            home = data.draw(st.sampled_from(brokers), label="home")
+            burst = data.draw(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=3),
+                label="burst",
+            )
+            overlay.subscribe_many(home, burst)
+        elif op == "unsubscribe":
+            overlay.unsubscribe(pick_victim(overlay, data))
+        else:
+            live = list(overlay.subscriptions)
+            overlay.unsubscribe_many(
+                data.draw(
+                    st.lists(
+                        st.sampled_from(live), min_size=1, max_size=3, unique=True
+                    ),
+                    label="departures",
+                )
+            )
+        assert_matches_from_scratch(overlay)
+
+
+class TestIncrementalEqualsFromScratch:
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @settings(max_examples=property_max_examples(30), deadline=None)
+    @given(
+        workloads(),
+        st.sampled_from(THRESHOLDS),
+        st.sampled_from(("M1", "M2", "M3")),
+        st.data(),
+    )
+    def test_every_churn_event(self, name, workload, threshold, metric, data):
+        docs, pool = workload
+        overlay = BrokerOverlay.chain(2)
+        overlay.attach_round_robin(
+            data.draw(
+                st.lists(st.sampled_from(pool), max_size=12), label="initial"
+            )
+        )
+        overlay.advertise(POLICIES[name](threshold, metric), DocumentCorpus(docs))
+        assert_matches_from_scratch(overlay)
+        churn(overlay, pool, data, data.draw(st.integers(1, 10), label="steps"))
+
+    @settings(max_examples=property_max_examples(30), deadline=None)
+    @given(workloads(), st.sampled_from(THRESHOLDS), st.data())
+    def test_hybrid_crossing_its_cutoff(self, workload, threshold, data):
+        # Two subscriptions per broker sit at the cutoff: every single
+        # event moves a broker across it in one direction or the other.
+        docs, pool = workload
+        overlay = BrokerOverlay.chain(2)
+        overlay.attach_round_robin(
+            [data.draw(st.sampled_from(pool), label="initial") for _ in range(4)]
+        )
+        overlay.advertise(HybridPolicy(threshold, aggregate_above=2), DocumentCorpus(docs))
+        churn(overlay, pool, data, data.draw(st.integers(2, 12), label="steps"))
+
+
+class TestChurnCost:
+    """What one churn event costs under leader linkage, in clusterings."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted: list[int] = []
+        original = policy_module.leader_clustering
+
+        def counting(patterns, *args, **kwargs):
+            counted.append(len(patterns))
+            return original(patterns, *args, **kwargs)
+
+        monkeypatch.setattr(policy_module, "leader_clustering", counting)
+        return counted
+
+    @pytest.fixture
+    def overlay(self, calls, figure2_documents):
+        overlay = BrokerOverlay.chain(2)
+        for expression in ("/a/b", "/a/b", "/a/d", "/a/d", "/a/b", "/a/d"):
+            overlay.attach(0, parse_xpath(expression))
+        overlay.advertise(CommunityPolicy(0.9), DocumentCorpus(figure2_documents))
+        return overlay
+
+    def groups(self, overlay):
+        return [list(group) for _, group in overlay.brokers[0].communities]
+
+    def test_advertise_clusters_the_populated_broker_once(self, calls, overlay):
+        assert calls == [6]
+        assert [len(group) for group in self.groups(overlay)] == [3, 3]
+
+    def test_subscribe_places_against_leaders_only(self, calls, overlay):
+        calls.clear()
+        fresh = overlay.subscribe(0, parse_xpath("/a/b"))
+        assert calls == []
+        assert fresh in self.groups(overlay)[0]
+
+    def test_non_leader_departure_reclusters_nothing(self, calls, overlay):
+        calls.clear()
+        overlay.unsubscribe(self.groups(overlay)[0][1])
+        assert calls == []
+
+    def test_leader_departure_reclusters_the_suffix(self, calls, overlay):
+        first, second = self.groups(overlay)
+        calls.clear()
+        overlay.unsubscribe(second[0])
+        assert calls == [len(second) - 1]
+        overlay.unsubscribe(first[0])
+        assert calls == [len(second) - 1, len(first) - 1 + len(second) - 1]
+        assert_matches_from_scratch(overlay)
+
+    def test_burst_reclusters_from_scratch(self, calls, overlay):
+        calls.clear()
+        overlay.subscribe_many(0, [parse_xpath("/a/b"), parse_xpath("/a/d")])
+        assert calls == [8]

@@ -107,6 +107,10 @@ class TestRootForm:
         labels = [c.label for c in pattern.root_children]
         assert labels == [DESCENDANT, DESCENDANT]
 
+    def test_too_deep_expression_raises_typed_error(self):
+        with pytest.raises(XPathSyntaxError, match="nests too deeply"):
+            parse_xpath("/" + "/".join(["a"] * 5_000))
+
     def test_root_form_requires_predicate(self):
         with pytest.raises(XPathSyntaxError):
             parse_xpath("/.")
