@@ -1167,17 +1167,17 @@ class DeliveryEngine:
         """Apply one job's completed filtering step: local deliveries
         and forwarded copies."""
         delivered = self._delivered[job.doc_index]
-        for subscriber_id in sorted(step.deliveries):
-            if subscriber_id in delivered:
-                # A document re-routed by topology churn may revisit a
-                # broker; only the first delivery to each subscriber
-                # counts — in the sets and in the latency samples.
-                continue
-            delivered.add(subscriber_id)
-            self._latencies.append(now - job.published_at)
+        # A document re-routed by topology churn may revisit a broker;
+        # only the first delivery to each subscriber counts — in the sets
+        # and in the latency samples, which all equal this job's latency.
+        fresh = step.deliveries - delivered
+        if fresh:
+            delivered |= fresh
+            samples = [now - job.published_at] * len(fresh)
+            self._latencies.extend(samples)
             self._latencies_by_class.setdefault(
                 job.priority_class, []
-            ).append(now - job.published_at)
+            ).extend(samples)
         for neighbor in step.forwards:
             self._forwards += 1
             # A filtering step computed before a leave event may still

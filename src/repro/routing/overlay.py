@@ -71,7 +71,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from itertools import chain
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
@@ -192,6 +193,86 @@ class BrokerStep:
     #: default merged-trie mode, pattern-vs-document evaluations in
     #: ``"linear"`` mode — the input of a service-time model.
     match_operations: int
+
+
+def _broker_step(
+    destinations: Sequence[Hashable], operations: int
+) -> BrokerStep:
+    """Split a broker's table-order destinations into its step: the
+    union of the matched deliver groups, and the forward links in
+    table order."""
+    return BrokerStep(
+        deliveries=frozenset(
+            chain.from_iterable(
+                [members for kind, members in destinations if kind == _DELIVER]
+            )
+        ),
+        forwards=tuple(
+            [link for kind, link in destinations if kind == _FORWARD]
+        ),
+        match_operations=operations,
+    )
+
+
+_Community = tuple[TreePattern, tuple[int, ...]]
+
+
+def _surplus_diff(
+    old: Sequence[_Community], fresh: Sequence[_Community]
+) -> tuple[list[_Community], list[_Community]]:
+    """Multiset diff in O(k): equal entries are interchangeable, so only
+    the per-entry surplus decides what departs (the first surplus
+    occurrences in *old*) or arrives (likewise in *fresh*)."""
+    old_counts = Counter(old)
+    fresh_counts = Counter(fresh)
+    surplus_old = old_counts - fresh_counts
+    surplus_fresh = fresh_counts - old_counts
+    departed: list[_Community] = []
+    for entry in old:
+        if surplus_old[entry] > 0:
+            surplus_old[entry] -= 1
+            departed.append(entry)
+    unmatched: list[_Community] = []
+    for entry in fresh:
+        if surplus_fresh[entry] > 0:
+            surplus_fresh[entry] -= 1
+            unmatched.append(entry)
+    return departed, unmatched
+
+
+def _community_diff(
+    old: list[_Community], fresh: list[_Community]
+) -> tuple[list[_Community], list[_Community]]:
+    """:func:`_surplus_diff` of a broker's old and fresh aggregation,
+    paid for the changed window only.
+
+    A churn event changes a few entries of a long, stably ordered list,
+    so the two lists share a long common prefix and suffix.  Matched
+    pairs never change a surplus, and the surplus entries of the window
+    are the first ones of the whole list too — unless an equal entry
+    also sits in the common prefix, which only duplicate entries allow;
+    then the full diff runs instead.  Either way the result equals the
+    full diff element for element.
+    """
+    limit = min(len(old), len(fresh))
+    head = 0
+    while head < limit and old[head] == fresh[head]:
+        head += 1
+    tail = 0
+    while tail < limit - head and old[-1 - tail] == fresh[-1 - tail]:
+        tail += 1
+    departed, unmatched = _surplus_diff(
+        old[head : len(old) - tail], fresh[head : len(fresh) - tail]
+    )
+    changed = departed + unmatched
+    if changed and head:
+        members = {group for _, group in changed}
+        if any(
+            group in members and (pattern, group) in changed
+            for pattern, group in old[:head]
+        ):
+            return _surplus_diff(old, fresh)
+    return departed, unmatched
 
 
 @dataclass(frozen=True)
@@ -1055,22 +1136,7 @@ class BrokerOverlay:
         """
         node = self.brokers[broker_id]
         fresh = self._aggregate_node(node)
-        # Multiset diff in O(k): equal entries are interchangeable, so
-        # only the per-entry surplus decides what departs or arrives.
-        old_counts = Counter(node.communities)
-        fresh_counts = Counter(fresh)
-        surplus_old = old_counts - fresh_counts
-        surplus_fresh = fresh_counts - old_counts
-        departed: list[tuple[TreePattern, tuple[int, ...]]] = []
-        for entry in node.communities:
-            if surplus_old[entry] > 0:
-                surplus_old[entry] -= 1
-                departed.append(entry)
-        unmatched: list[tuple[TreePattern, tuple[int, ...]]] = []
-        for entry in fresh:
-            if surplus_fresh[entry] > 0:
-                surplus_fresh[entry] -= 1
-                unmatched.append(entry)
+        departed, unmatched = _community_diff(node.communities, fresh)
         withdrawn = [advertised for advertised, _ in departed]
         for _advertised, members in departed:
             node.table.remove_destination((_DELIVER, members))
@@ -1217,18 +1283,7 @@ class BrokerOverlay:
         destinations, operations = node.table.destinations_for(
             document, exclude=exclude
         )
-        delivered: set[int] = set()
-        forwards: list[int] = []
-        for kind, payload in destinations:
-            if kind == _DELIVER:
-                delivered.update(payload)
-            else:
-                forwards.append(payload)
-        return BrokerStep(
-            deliveries=frozenset(delivered),
-            forwards=tuple(forwards),
-            match_operations=operations,
-        )
+        return _broker_step(destinations, operations)
 
     def process_batch_at(
         self,
@@ -1266,25 +1321,12 @@ class BrokerOverlay:
             for origin in origins
         ]
         batch = node.table.destinations_for_batch(documents, excludes)
-        steps: list[BrokerStep] = []
-        for destinations, operations in zip(
-            batch.destinations, batch.operations, strict=True
-        ):
-            delivered: set[int] = set()
-            forwards: list[int] = []
-            for kind, payload in destinations:
-                if kind == _DELIVER:
-                    delivered.update(payload)
-                else:
-                    forwards.append(payload)
-            steps.append(
-                BrokerStep(
-                    deliveries=frozenset(delivered),
-                    forwards=tuple(forwards),
-                    match_operations=operations,
-                )
+        return [
+            _broker_step(destinations, operations)
+            for destinations, operations in zip(
+                batch.destinations, batch.operations, strict=True
             )
-        return steps
+        ]
 
     def route(
         self, document: XMLTree, publish_at: int = 0

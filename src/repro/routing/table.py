@@ -41,6 +41,15 @@ and counts one match operation per pattern-vs-document evaluation; it is
 retained as the oracle the trie is pinned against.  The trie is maintained
 incrementally at every admission, eviction, restoration and surgery step —
 never rebuilt from scratch.
+
+The trie is keyed by each destination's *rank* — its position in table
+order — not by the destination itself (the trie stays generic over
+hashable destinations), so a match comes back as a set of ints and table
+order is one int sort plus a rank → destination lookup.  Ranks mirror
+the key order of the per-destination entry lists exactly: a new
+destination takes the next rank, a rename re-keys its trie entries from
+the old rank to a fresh last one, and a destination left without entries
+gives its rank up.  Ranks are never reused.
 """
 
 from __future__ import annotations
@@ -128,13 +137,14 @@ class RoutingTable:
         self._matchers: dict[TreePattern, PatternMatcher] = {}
         #: Destination → insertion rank, mirroring ``_by_destination``'s
         #: key order exactly (a renamed destination re-enters at the
-        #: end, like a dict pop + reinsert).  Lets trie-mode
-        #: ``destinations_for`` order its matches in
-        #: O(|matched| log |matched|) instead of scanning every
-        #: destination per call.
+        #: end, like a dict pop + reinsert).  Ranks are never reused.
         self._dest_rank: dict[Destination, int] = {}
+        #: The inverse of ``_dest_rank``.
+        self._dest_at: dict[int, Destination] = {}
         self._next_rank = 0
-        #: The merged matching structure over every *active* entry.
+        #: The merged matching structure over every *active* entry.  Its
+        #: destinations are the ranks of ours, so a match comes back as
+        #: a set of ints whose sort is table order.
         self._trie = PatternTrie()
         #: Per pattern: how many destinations hold it active — the
         #: refcount behind O(1) matcher-cache pruning.
@@ -154,7 +164,7 @@ class RoutingTable:
 
     def _activate(self, pattern: TreePattern, destination: Destination) -> None:
         self._active_counts[pattern] = self._active_counts.get(pattern, 0) + 1
-        self._trie.add(pattern, destination)
+        self._trie.add(pattern, self._dest_rank[destination])
 
     def _deactivate(
         self, pattern: TreePattern, destination: Destination
@@ -164,8 +174,20 @@ class RoutingTable:
             self._active_counts[pattern] = remaining
         else:
             del self._active_counts[pattern]
-        self._trie.discard(pattern, destination)
+        self._trie.discard(pattern, self._dest_rank[destination])
         self._prune_matcher(pattern)
+
+    def _rank(self, destination: Destination) -> None:
+        """Give *destination* the next (last) table-order rank."""
+        self._dest_rank[destination] = self._next_rank
+        self._dest_at[self._next_rank] = destination
+        self._next_rank += 1
+
+    def _unrank(self, destination: Destination) -> None:
+        """Retire *destination*'s rank (it holds no active entry)."""
+        rank = self._dest_rank.pop(destination, None)
+        if rank is not None:
+            del self._dest_at[rank]
 
     # ------------------------------------------------------------------
     # maintenance
@@ -195,8 +217,7 @@ class RoutingTable:
         patterns = self._by_destination.get(destination)
         if patterns is None:
             patterns = self._by_destination[destination] = []
-            self._dest_rank[destination] = self._next_rank
-            self._next_rank += 1
+            self._rank(destination)
         for existing in patterns:
             if contains(existing, pattern):
                 self.covered_inserts += 1
@@ -362,7 +383,7 @@ class RoutingTable:
         if not self._by_destination.get(destination):
             self._by_destination.pop(destination, None)
             self._absorbed.pop(destination, None)
-            self._dest_rank.pop(destination, None)
+            self._unrank(destination)
         return True, restored
 
     def remove_destination(self, destination: Destination) -> list[TreePattern]:
@@ -379,10 +400,10 @@ class RoutingTable:
         to a retiring neighbour).
         """
         self._absorbed.pop(destination, None)
-        self._dest_rank.pop(destination, None)
         removed = list(self._by_destination.pop(destination, ()))
         for pattern in removed:
             self._deactivate(pattern, destination)
+        self._unrank(destination)
         return removed
 
     def rename_destination(
@@ -409,12 +430,14 @@ class RoutingTable:
         self._by_destination[new] = self._by_destination.pop(old)
         # The pop + reinsert moved the entries to the end of the table's
         # iteration order; the rank index mirrors that exactly.
-        self._dest_rank.pop(old, None)
-        self._dest_rank[new] = self._next_rank
-        self._next_rank += 1
+        old_rank = self._dest_rank[old]
+        self._unrank(old)
+        self._rank(new)
         if old in self._absorbed:
             self._absorbed[new] = self._absorbed.pop(old)
-        self._trie.rename_destination(old, new, self._by_destination[new])
+        self._trie.rename_destination(
+            old_rank, self._dest_rank[new], self._by_destination[new]
+        )
         return True
 
     def seed(
@@ -520,6 +543,7 @@ class RoutingTable:
         self._absorbed.clear()
         self._matchers.clear()
         self._dest_rank.clear()
+        self._dest_at.clear()
         self._next_rank = 0
         self._trie.clear()
         self._active_counts.clear()
@@ -565,14 +589,14 @@ class RoutingTable:
         ``exclude`` destinations are skipped entirely (a broker never
         forwards a document back over the link it arrived on).
         """
-        skip = set(exclude)
-        found: list[Destination] = []
         mode = self.matching if matching is None else matching
         if mode == "trie":
             result = self._trie.match(document)
             operations = result.operations
-            found = self._ordered(result.destinations, skip)
+            found = self._ordered(result.destinations, exclude)
         else:
+            skip = set(exclude)
+            found = []
             operations = 0
             for destination, patterns in self._by_destination.items():
                 if destination in skip:
@@ -586,25 +610,22 @@ class RoutingTable:
         return found, operations
 
     def _ordered(
-        self, matched: set, skip: set[Destination]
+        self, ranks: set[int], exclude: Iterable[Destination]
     ) -> list[Destination]:
-        """*matched* in table order (first-advertised first).
+        """The destinations of matched *ranks* in table order
+        (first-advertised first), minus *exclude*.
 
-        Sorted on the maintained insertion-rank index — every matched
-        destination is active, hence ranked — so ordering costs
+        Every matched rank is live, so ordering is one int sort,
         O(|matched| log |matched|), not a scan of every destination.
         """
-        if not matched:
-            return []
-        rank = self._dest_rank
-        return sorted(
-            (
-                destination
-                for destination in matched
-                if destination not in skip
-            ),
-            key=rank.__getitem__,
-        )
+        skip = {
+            self._dest_rank[destination]
+            for destination in exclude
+            if destination in self._dest_rank
+        }
+        if skip:
+            ranks = ranks - skip
+        return list(map(self._dest_at.__getitem__, sorted(ranks)))
 
     def destinations_for_batch(
         self,
@@ -628,9 +649,9 @@ class RoutingTable:
         """
         documents = list(documents)
         if excludes is None:
-            skips: list[set[Destination]] = [set() for _ in documents]
+            skips: list[Iterable[Destination]] = [() for _ in documents]
         else:
-            skips = [set(exclude) for exclude in excludes]
+            skips = list(excludes)
             if len(skips) != len(documents):
                 raise ValueError(
                     f"{len(documents)} documents but {len(skips)} excludes"

@@ -53,18 +53,49 @@ of insertion history.
 Matching cost
 -------------
 
-``match`` counts one *trie operation* per sibling aliveness test, per
-anchor candidate examined — generated once per group of sibling trie
-nodes sharing the same (axis, label) step, since only their (memoised)
-branch constraints differ — per hash-consed subtree satisfaction
-computed (memo misses only; shared work is free), and per gate
-evaluated.  Every spine node carries the tags *all* patterns in its
-subtrie require, so a subtrie the document cannot satisfy is killed for
-one operation before any candidate scan; a prefix whose anchor set
-comes up empty likewise prunes everything below it.  The cost of a
-non-matching pattern therefore collapses into its shared prefix.  This
-count is the filtering-cost unit
+``match`` counts one *trie operation* per aliveness test computed (a
+memo miss: once per distinct required-tag set, or hash-consed
+constraint, and document tag set), per anchor candidate examined —
+generated once per group of sibling trie nodes sharing the same (axis,
+label) step, since only their (memoised) branch constraints differ —
+per hash-consed subtree satisfaction computed (memo misses only; shared
+work is free), and per gate evaluated.  Every spine node carries the
+tags *all* patterns in its subtrie require, so a subtrie the document
+cannot satisfy is killed for one operation before any candidate scan; a
+prefix whose anchor set comes up empty likewise prunes everything below
+it.  The cost of a non-matching pattern therefore collapses into its
+shared prefix.  This count is the filtering-cost unit
 :class:`~repro.routing.table.RoutingTable` reports in trie mode.
+
+An operation is a unit of filtering work, not of wall time.  The wall
+time around each one goes to interpreter bookkeeping — visiting a spine
+node, cutting its children into groups, ordering its accepting entries,
+building memo keys, collecting destinations — so the traversal keeps
+that bookkeeping out of its inner loops.  Each spine node caches its
+children cut into (axis, label) groups and its accepting entries in
+gate-key order; the ``add`` / ``discard`` that links or unlinks a child
+or an entry there drops the cache, and the next match rebuilds it, so
+it is paid once per mutation rather than once per visit.  A document's
+aliveness memos are looked up per tag set, keyed by the required-tag
+set or constraint id alone; a childless spine node is not visited; an
+accepted entry adds its whole destination set in one set update.  None
+of this changes which nodes are visited, in which order, or what is
+counted.
+
+Per-document index
+------------------
+
+Candidate generation reads the document through one
+:class:`~repro.xmltree.tree.TreeIndex`: its label positions, its label
+→ parent → children map, and a pre-order walk in which every node's
+subtree is one contiguous slice, so a descendant scope is the union of
+its anchors' slices.  The index is linear in the document size, built
+with an explicit stack from parents and children alone (it assumes no
+pre-order numbering), and cached on the
+:class:`~repro.xmltree.tree.XMLTree` next to its tag set on the first
+match, so every broker the document visits and every batch it is
+matched in share it.  Documents are immutable, so it is never
+invalidated.  Skeleton keys, interned per memo pool, stay per call.
 
 Batched matching
 ----------------
@@ -82,7 +113,7 @@ under the Zipfian generators) therefore hit the memo instead of being
 re-traversed; aliveness tests share per-tag-set entries, gates share
 per-root-key entries, and a document whose whole skeleton repeats
 costs zero trie operations.  Skeleton-key construction is document
-bookkeeping (like the label index), not trie work, so it is never
+bookkeeping (like the tree index), not trie work, so it is never
 counted as a trie operation — batched operations are guaranteed ≤ the
 sum of the per-document counts.  ``match`` is the batch machinery at
 batch size one (a fresh pool per call), so the two paths cannot
@@ -105,14 +136,16 @@ consistent under covering churn and topology surgery by refcounting:
 * ``rename_destination`` re-keys destination sets in place — trie shape,
   sharing and refcounts are untouched.
 
-``check()`` audits all of these invariants and is exercised by the
-property suite after every churn operation.
+``check()`` audits all of these invariants, and that every cached child
+grouping and accept order is current; the property suite runs it after
+every churn operation.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Hashable, Iterable, Sequence
 
 from repro.core.labels import DESCENDANT, WILDCARD, is_tag
@@ -219,6 +252,20 @@ def _step_rank(axis: str, label: str) -> int:
     return rank
 
 
+#: A run of sibling spine nodes sharing one (axis, label) step.
+_Group = tuple[str, str, tuple["_SpineNode", ...]]
+
+
+def _group_children(order: list[_SpineNode]) -> tuple[_Group, ...]:
+    """Cut a degree-sorted ``child_order`` into its (axis, label) runs."""
+    return tuple(
+        (axis, label, tuple(members))
+        for (axis, label), members in groupby(
+            order, key=lambda node: (node.axis, node.label)
+        )
+    )
+
+
 class _SpineNode:
     """One trie node: a shared spine prefix of one or more patterns."""
 
@@ -231,7 +278,9 @@ class _SpineNode:
         "parent",
         "children",
         "child_order",
+        "groups",
         "accepts",
+        "accept_order",
         "refs",
         "own_tags",
         "req_tags",
@@ -253,7 +302,14 @@ class _SpineNode:
         self.parent = parent
         self.children: dict[tuple, _SpineNode] = {}
         self.child_order: list[_SpineNode] = []
+        #: ``child_order`` cut into runs of one (axis, label) step, the
+        #: unit the candidate scan is generated for; None until the next
+        #: match after a child is linked or unlinked.
+        self.groups: tuple[_Group, ...] | None = ()
         self.accepts: dict[tuple, _Entry] = {}
+        #: ``accepts`` in gate-key order; None until the next match after
+        #: an entry is added or removed here.
+        self.accept_order: tuple[_Entry, ...] | None = ()
         self.refs = 0
         #: Tags this step itself demands of any matching document.
         own = frozenset([label]) if is_tag(label) else frozenset()
@@ -303,18 +359,18 @@ class _BatchMemo:
     """The shared evaluation pool of one batch (or one ``match`` call).
 
     Everything keyed here is a pure function of *document structure*
-    (skeleton keys, tag-set keys) and *trie constraints* (hash-consed
-    node ids), so entries are sound across every document of the batch.
-    ``stride`` is the trie's node-id horizon at pool creation; combined
-    with the densely interned skeleton/tag-set keys it packs every memo
-    key into one int.  A pool must not outlive a trie mutation — the
-    matching entry points create one per call, so they never do.
+    (skeleton keys, tag sets) and *trie constraints* (hash-consed node
+    ids, required-tag sets), so entries are sound across every document
+    of the batch.  ``stride`` is the trie's node-id horizon at pool
+    creation; combined with the densely interned skeleton keys it packs
+    every branch/gate memo key into one int.  A pool must not outlive a
+    trie mutation — the matching entry points create one per call, so
+    they never do.
     """
 
     __slots__ = (
         "stride",
         "skeleton_keys",
-        "tag_keys",
         "memo",
         "gate_cache",
         "alive",
@@ -329,68 +385,64 @@ class _BatchMemo:
         #: Interner: dedup-canonical ``(label, child skeleton keys)`` →
         #: dense skeleton key.
         self.skeleton_keys: dict[tuple, int] = {}
-        #: Interner: document tag set → dense key.
-        self.tag_keys: dict[frozenset, int] = {}
         #: ``skeleton_key * stride + constraint id`` → branch satisfied.
         self.memo: dict[int, bool] = {}
         #: ``root skeleton key * stride + gate id`` → gate satisfied.
         self.gate_cache: dict[int, bool] = {}
-        #: ``tag-set key * stride + constraint id`` → constraint alive.
-        self.alive: dict[int, bool] = {}
-        #: ``(required tags, tag-set key)`` → subtrie alive.
-        self.alive_req: dict[tuple[frozenset, int], bool] = {}
+        #: Document tag set → {constraint id → constraint alive}.
+        self.alive: dict[frozenset, dict[int, bool]] = {}
+        #: Document tag set → {required tags → subtrie alive}.
+        self.alive_req: dict[frozenset, dict[frozenset, bool]] = {}
         #: Root skeleton key → the whole document's match outcome.
-        self.results: dict[int, tuple[frozenset, frozenset]] = {}
+        self.results: dict[int, tuple[set, set]] = {}
         self.hits = 0
         self.misses = 0
-
-    def tag_key(self, tag_set: frozenset) -> int:
-        key = self.tag_keys.get(tag_set)
-        if key is None:
-            key = len(self.tag_keys)
-            self.tag_keys[tag_set] = key
-        return key
 
 
 class _MatchState:
     """Per-document evaluation state over a shared :class:`_BatchMemo`.
 
-    Holds what is genuinely per document — the tree, its skeleton keys,
-    the label/child indexes and the op counter — while every memo table
-    lives in the pool and is shared across the batch.
+    Holds what is genuinely per document — the tree, its cached
+    :class:`~repro.xmltree.tree.TreeIndex`, its skeleton keys, the
+    aliveness memos of its tag set and the op counter — while every
+    memo table lives in the pool and is shared across the batch.
     """
 
     __slots__ = (
         "tree",
-        "n",
+        "index",
         "tag_set",
         "pool",
         "skel",
         "root_key",
-        "tags_key",
+        "alive",
+        "alive_req",
         "ops",
-        "_by_label",
-        "_kids_by_label",
     )
 
     def __init__(self, tree: XMLTree, pool: _BatchMemo) -> None:
         self.tree = tree
-        self.n = len(tree.labels)
-        self.tag_set = tree.tag_set
+        self.index = tree.index
+        tag_set = self.tag_set = tree.tag_set
         self.pool = pool
-        self.tags_key = pool.tag_key(self.tag_set)
+        alive = pool.alive.get(tag_set)
+        if alive is None:
+            alive = pool.alive[tag_set] = {}
+            pool.alive_req[tag_set] = {}
+        self.alive = alive
+        self.alive_req = pool.alive_req[tag_set]
         # Skeleton keys, bottom-up: the builder appends parents before
         # children, so a reverse scan sees every child before its
         # parent.  Identical sibling subtrees intern to one key —
         # matching only ever quantifies document children existentially,
         # so the deduplication never changes satisfaction.  This is
-        # document bookkeeping (like the label index), not trie work:
-        # it is deliberately not counted as trie operations.
+        # document bookkeeping (like the tree index), not trie work: it
+        # is deliberately not counted as trie operations.
         skeleton_keys = pool.skeleton_keys
         children = tree.children
         labels = tree.labels
-        skel = [0] * self.n
-        for position in reversed(range(self.n)):
+        skel = [0] * len(labels)
+        for position in reversed(range(len(labels))):
             kids = children[position]
             shape = (
                 labels[position],
@@ -404,45 +456,18 @@ class _MatchState:
         self.skel = skel
         self.root_key = skel[tree.root]
         self.ops = 0
-        self._by_label: dict[str, list[int]] | None = None
-        self._kids_by_label: dict[tuple[int, str], list[int]] | None = None
 
     def is_alive(self, node: "_BranchNode") -> bool:
         """Does the document hold every tag *node* requires?  One memo
         entry per (constraint, document tag set) across the batch."""
-        pool = self.pool
-        key = self.tags_key * pool.stride + node.node_id
-        alive = pool.alive.get(key)
+        alive = self.alive.get(node.node_id)
         if alive is None:
-            pool.misses += 1
+            self.pool.misses += 1
             self.ops += 1
-            alive = node.tags <= self.tag_set
-            pool.alive[key] = alive
+            alive = self.alive[node.node_id] = node.tags <= self.tag_set
         else:
-            pool.hits += 1
+            self.pool.hits += 1
         return alive
-
-    def label_index(self) -> dict[str, list[int]]:
-        if self._by_label is None:
-            index: dict[str, list[int]] = {}
-            for position, label in enumerate(self.tree.labels):
-                index.setdefault(label, []).append(position)
-            self._by_label = index
-        return self._by_label
-
-    def child_index(self) -> dict[tuple[int, str], list[int]]:
-        """(parent, label) → children, built once per document like
-        :meth:`label_index` and amortised across the whole table."""
-        if self._kids_by_label is None:
-            index: dict[tuple[int, str], list[int]] = {}
-            labels = self.tree.labels
-            for position, parent in enumerate(self.tree.parents):
-                if parent >= 0:
-                    index.setdefault(
-                        (parent, labels[position]), []
-                    ).append(position)
-            self._kids_by_label = index
-        return self._kids_by_label
 
 
 @dataclass
@@ -511,6 +536,7 @@ class PatternTrie:
         gate_key = tuple(gate.key for gate in gates)
         entry = _Entry(pattern, node, gate_key, gates, {destination})
         node.accepts[gate_key] = entry
+        node.accept_order = None
         for spine_node in path:
             spine_node.refs += 1
         self._entries[pattern] = entry
@@ -527,6 +553,7 @@ class PatternTrie:
             return
         del self._entries[pattern]
         del entry.node.accepts[entry.gate_key]
+        entry.node.accept_order = None
         for gate in entry.gates:
             self._release(gate)
         node = entry.node
@@ -538,6 +565,7 @@ class PatternTrie:
             if node.refs == 0:
                 del parent.children[node.child_key]
                 parent.child_order.remove(node)
+                parent.groups = None
                 for branch in node.branches:
                     self._release(branch)
                 self._spine_count -= 1
@@ -584,6 +612,7 @@ class PatternTrie:
             child = _SpineNode(axis, label, interned, child_key, parent)
             parent.children[child_key] = child
             insort(parent.child_order, child, key=lambda n: n.order_key)
+            parent.groups = None
             self._spine_count += 1
         return child
 
@@ -684,10 +713,9 @@ class PatternTrie:
             self._visit_children(
                 self._root, (), state, destinations, patterns
             )
-            pool.results[state.root_key] = (
-                frozenset(destinations),
-                frozenset(patterns),
-            )
+            # Later documents of the batch copy these sets on a hit, all
+            # before any result leaves this call, so no copy is made here.
+            pool.results[state.root_key] = (destinations, patterns)
             total += state.ops
             results.append(TrieMatch(destinations, patterns, state.ops))
         return BatchMatch(results, total, pool.hits, pool.misses)
@@ -700,151 +728,135 @@ class PatternTrie:
         destinations: set,
         patterns: set,
     ) -> None:
-        # ``child_order`` keeps same-(axis, label) siblings adjacent, so
-        # the anchor-candidate scan is generated once per group and only
-        # the (memoised) branch constraints distinguish siblings.  The
-        # cache shares the descendant scope across all groups of this
-        # visit.
-        order = parent.child_order
-        index = 0
-        total = len(order)
-        cache: dict = {}
-        while index < total:
-            axis = order[index].axis
-            label = order[index].label
-            stop = index + 1
-            while (
-                stop < total
-                and order[stop].axis == axis
-                and order[stop].label == label
-            ):
-                stop += 1
+        groups = parent.groups
+        if groups is None:
+            groups = parent.groups = _group_children(parent.child_order)
+        alive_req = state.alive_req
+        tag_set = state.tag_set
+        # Aliveness lookups and their misses, settled once per visit.
+        lookups = misses = 0
+        # The descendant scope of these anchors, shared by every
+        # descendant group of this visit.
+        scope: set[int] | None = None
+        for axis, label, members in groups:
             # One op per distinct (requirement set, document tag set)
             # across the whole batch kills every subtrie whose required
             # tags the document lacks — before any candidate scan is
             # paid.
-            members: list[_SpineNode] = []
-            pool = state.pool
-            alive_req = pool.alive_req
-            tags_key = state.tags_key
-            for member in order[index:stop]:
-                req_key = (member.req_tags, tags_key)
-                alive = alive_req.get(req_key)
+            live: list[_SpineNode] = []
+            lookups += len(members)
+            for member in members:
+                required = member.req_tags
+                alive = alive_req.get(required)
                 if alive is None:
-                    pool.misses += 1
-                    state.ops += 1
-                    alive = member.req_tags <= state.tag_set
-                    alive_req[req_key] = alive
-                else:
-                    pool.hits += 1
+                    misses += 1
+                    alive = alive_req[required] = required <= tag_set
                 if alive:
-                    members.append(member)
-            if not members:
-                index = stop
+                    live.append(member)
+            if not live:
                 continue
-            candidates = self._candidates(axis, label, anchors, state, cache)
-            if candidates:
-                for member in members:
-                    if member.branches:
-                        member_anchors: Sequence[int] = [
-                            anchor
-                            for anchor in candidates
-                            if all(
-                                self._branch_sat(branch, anchor, state)
-                                for branch in member.branches
-                            )
-                        ]
-                    else:
-                        member_anchors = candidates
+            candidates: Sequence[int]
+            if axis == _DESCENDANT:
+                if scope is None:
+                    scope = state.index.scope(anchors)
+                candidates = self._descendants(label, scope, state)
+            else:
+                candidates = self._candidates(axis, label, anchors, state)
+            if not candidates:
+                continue
+            for member in live:
+                if member.branches:
+                    branches = member.branches
+                    member_anchors: Sequence[int] = [
+                        anchor
+                        for anchor in candidates
+                        if all(
+                            self._branch_sat(branch, anchor, state)
+                            for branch in branches
+                        )
+                    ]
                     if not member_anchors:
                         continue
-                    for gate_key in sorted(member.accepts):
-                        entry = member.accepts[gate_key]
-                        if all(
-                            self._gate_sat(gate, state)
-                            for gate in entry.gates
-                        ):
-                            destinations.update(entry.destinations)
-                            patterns.add(entry.pattern)
+                else:
+                    member_anchors = candidates
+                accept_order = member.accept_order
+                if accept_order is None:
+                    accept_order = member.accept_order = tuple(
+                        member.accepts[gate_key]
+                        for gate_key in sorted(member.accepts)
+                    )
+                for entry in accept_order:
+                    if not entry.gates or all(
+                        self._gate_sat(gate, state) for gate in entry.gates
+                    ):
+                        destinations.update(entry.destinations)
+                        patterns.add(entry.pattern)
+                if member.child_order:
                     self._visit_children(
                         member, member_anchors, state, destinations, patterns
                     )
-            index = stop
+        pool = state.pool
+        pool.hits += lookups - misses
+        pool.misses += misses
+        state.ops += misses
 
+    @staticmethod
     def _candidates(
-        self,
         axis: str,
         label: str,
         anchors: Sequence[int],
         state: _MatchState,
-        cache: dict,
     ) -> Sequence[int]:
+        """Document nodes a non-descendant step can anchor at."""
         tree = state.tree
-        doc_labels = tree.labels
         if axis == _SELF:
             state.ops += 1
             root = tree.root
-            if label != WILDCARD and doc_labels[root] != label:
+            if label != WILDCARD and tree.labels[root] != label:
                 return ()
             return (root,)
-        # An exact label is guaranteed present here: a member whose
-        # required tags include it survived the aliveness filter.
         if axis == _ANYWHERE:
             if label == WILDCARD:
-                candidates: Sequence[int] = range(state.n)
+                candidates: Sequence[int] = range(len(tree.labels))
             else:
-                candidates = state.label_index().get(label, ())
+                candidates = state.index.positions.get(label, ())
             state.ops += len(candidates)
             return candidates
-        if axis == _CHILD:
-            # One op per anchor looked up, one per candidate surfaced —
-            # the (parent, label) index is amortised across the table.
-            found: list[int] = []
-            if label == WILDCARD:
-                doc_children = tree.children
-                for anchor in anchors:
-                    state.ops += 1
-                    kids = doc_children[anchor]
-                    state.ops += len(kids)
-                    found.extend(kids)
+        # _CHILD: one op per anchor looked up, one per candidate surfaced
+        # — the (label, parent) index is shared by the whole table.
+        if label == WILDCARD:
+            children = tree.children
+            found = [kid for anchor in anchors for kid in children[anchor]]
+        else:
+            by_parent = state.index.children_by_label.get(label)
+            if by_parent is None:
+                found = []
             else:
-                child_index = state.child_index()
-                for anchor in anchors:
-                    state.ops += 1
-                    kids = child_index.get((anchor, label))
-                    if kids:
-                        state.ops += len(kids)
-                        found.extend(kids)
-            return found
-        # _DESCENDANT: child of any descendant-or-self of an anchor.  The
-        # scope is likewise computed once per visit and shared.
-        scope = cache.get("scope")
-        if scope is None:
-            scope = set()
-            stack = list(anchors)
-            doc_children = tree.children
-            while stack:
-                here = stack.pop()
-                if here in scope:
-                    continue
-                scope.add(here)
-                stack.extend(doc_children[here])
-            cache["scope"] = scope
-            cache["scope_sorted"] = sorted(scope)
-        parents = tree.parents
+                found = [
+                    kid
+                    for anchor in anchors
+                    for kid in by_parent.get(anchor, ())
+                ]
+        state.ops += len(anchors) + len(found)
+        return found
+
+    @staticmethod
+    def _descendants(
+        label: str, scope: set[int], state: _MatchState
+    ) -> list[int]:
+        """_DESCENDANT: children of any node in *scope* (the anchors'
+        descendant-or-self closure) carrying *label*, one op per node
+        examined."""
         if label == WILDCARD:
             # The scope is closed under children, so every child of a
             # scope node is itself in scope: scan the scope, not the
             # whole document.
-            pool: Sequence[int] = cache["scope_sorted"]
+            pool: Sequence[int] = sorted(scope)
         else:
-            pool = state.label_index().get(label, ())
-        found: list[int] = []
-        for position in pool:
-            state.ops += 1
-            if parents[position] in scope:
-                found.append(position)
-        return found
+            pool = state.index.positions.get(label, ())
+        state.ops += len(pool)
+        parents = state.tree.parents
+        return [position for position in pool if parents[position] in scope]
 
     def _branch_sat(self, node: _BranchNode, t: int, state: _MatchState) -> bool:
         """(T, t) ⊨ Subtree(node) — the exact :class:`PatternMatcher`
@@ -913,9 +925,9 @@ class PatternTrie:
         if label == DESCENDANT:
             target = gate.children[0]
             if target.label == WILDCARD:
-                pool: Sequence[int] = range(state.n)
+                pool: Sequence[int] = range(len(tree.labels))
             else:
-                pool = state.label_index().get(target.label, ())
+                pool = state.index.positions.get(target.label, ())
             result = False
             for position in pool:
                 state.ops += 1
@@ -978,6 +990,12 @@ class PatternTrie:
                 node.child_order
             ), "child_order not degree-sorted"
             assert set(node.children.values()) == set(node.child_order)
+            assert node.groups is None or node.groups == _group_children(
+                node.child_order
+            ), "cached child groups stale"
+            assert node.accept_order is None or node.accept_order == tuple(
+                node.accepts[gate_key] for gate_key in sorted(node.accepts)
+            ), "cached accept order stale"
             for key, child in node.children.items():
                 assert child.child_key == key and child.parent is node
                 stack.append(child)

@@ -40,15 +40,30 @@ def parse_xml(text: str, include_text: bool = True, doc_id: int = -1) -> XMLTree
         raise XMLParseError(str(exc)) from exc
 
     builder = XMLTreeBuilder()
+    add = builder.add
 
-    def walk(element: ET.Element, parent: int) -> None:
-        index = builder.add(_localname(element.tag), parent)
-        if include_text and element.text and element.text.strip():
-            builder.add(element.text.strip(), index)
-        for child in element:
-            walk(child, index)
+    def emit(element: ET.Element, parent: int) -> int:
+        index = add(_localname(element.tag), parent)
+        text = element.text
+        if include_text and text and text.strip():
+            add(text.strip(), index)
+        return index
 
-    walk(root, -1)
+    # Depth-first over a stack of child iterators, so any depth parses:
+    # an element, then its text leaf, then each child's subtree in
+    # document order — the pre-order numbering of a recursive walk.
+    iterators = [iter(root)]
+    parents = [emit(root, -1)]
+    while iterators:
+        for element in iterators[-1]:
+            index = emit(element, parents[-1])
+            if len(element):
+                iterators.append(iter(element))
+                parents.append(index)
+                break
+        else:
+            iterators.pop()
+            parents.pop()
     return builder.build(doc_id=doc_id)
 
 
@@ -60,17 +75,19 @@ def tree_to_xml(tree: XMLTree) -> str:
     and a best-effort inverse otherwise.
     """
     pieces: list[str] = []
-
-    def emit(node: int) -> None:
-        tag = tree.labels[node]
-        kids = tree.children[node]
+    labels, children = tree.labels, tree.children
+    # An explicit stack (any depth); a negative entry ~node closes node.
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node < 0:
+            pieces.append(f"</{labels[~node]}>")
+            continue
+        kids = children[node]
         if not kids:
-            pieces.append(f"<{tag}/>")
-            return
-        pieces.append(f"<{tag}>")
-        for kid in kids:
-            emit(kid)
-        pieces.append(f"</{tag}>")
-
-    emit(tree.root)
+            pieces.append(f"<{labels[node]}/>")
+            continue
+        pieces.append(f"<{labels[node]}>")
+        stack.append(~node)
+        stack.extend(reversed(kids))
     return "".join(pieces)

@@ -11,15 +11,16 @@ arrays over integer node indices:
 
 Node ``0`` is always the root.  Trees are built through
 :class:`XMLTreeBuilder` or :func:`XMLTree.from_nested` and are treated as
-immutable afterwards.
+immutable afterwards, which is what lets a tree cache derived lookups
+(:attr:`XMLTree.tag_set`, :attr:`XMLTree.index`) for every reader.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-__all__ = ["XMLTree", "XMLTreeBuilder", "NestedSpec"]
+__all__ = ["XMLTree", "XMLTreeBuilder", "TreeIndex", "NestedSpec"]
 
 #: Convenience type for literal tree construction:
 #: a tag, or a ``(tag, [children...])`` pair.
@@ -29,7 +30,14 @@ NestedSpec = "str | tuple[str, list]"
 class XMLTree:
     """A node-labeled document tree over integer node indices."""
 
-    __slots__ = ("labels", "parents", "children", "doc_id", "_tag_set")
+    __slots__ = (
+        "labels",
+        "parents",
+        "children",
+        "doc_id",
+        "_tag_set",
+        "_index",
+    )
 
     def __init__(
         self,
@@ -49,6 +57,7 @@ class XMLTree:
         self.children = children
         self.doc_id = doc_id
         self._tag_set: frozenset[str] | None = None
+        self._index: TreeIndex | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -111,6 +120,14 @@ class XMLTree:
         if self._tag_set is None:
             self._tag_set = frozenset(self.labels)
         return self._tag_set
+
+    @property
+    def index(self) -> "TreeIndex":
+        """Label and subtree lookups over this document (built once, on
+        first use, and shared by every reader of the tree)."""
+        if self._index is None:
+            self._index = TreeIndex(self)
+        return self._index
 
     # -- traversals ----------------------------------------------------------
 
@@ -180,6 +197,65 @@ class XMLTree:
 
     def __repr__(self) -> str:
         return f"XMLTree(doc_id={self.doc_id}, nodes={len(self.labels)})"
+
+
+class TreeIndex:
+    """Per-document lookups a filtering pass asks for over and over.
+
+    * ``positions[label]`` — the nodes carrying *label*, ascending;
+    * ``children_by_label[label][parent]`` — the children of *parent*
+      carrying *label*, ascending;
+    * ``preorder`` / ``start`` / ``end`` — one pre-order walk of the
+      tree, and per node the slice ``preorder[start[node]:end[node]]``
+      that holds exactly its subtree (descendant-or-self).
+
+    Everything is linear in the document size and derived from
+    ``parents``/``children`` with an explicit stack, so it is exact for
+    any node numbering (pre-order or not) and for any depth.
+    """
+
+    __slots__ = ("positions", "children_by_label", "preorder", "start", "end")
+
+    def __init__(self, tree: XMLTree) -> None:
+        labels = tree.labels
+        positions: dict[str, list[int]] = {}
+        children_by_label: dict[str, dict[int, list[int]]] = {}
+        for node, parent in enumerate(tree.parents):
+            label = labels[node]
+            positions.setdefault(label, []).append(node)
+            if parent >= 0:
+                children_by_label.setdefault(label, {}).setdefault(
+                    parent, []
+                ).append(node)
+        self.positions = positions
+        self.children_by_label = children_by_label
+        children = tree.children
+        preorder: list[int] = []
+        start = [0] * len(labels)
+        end = [0] * len(labels)
+        # A negative entry ~node closes node's subtree once every
+        # descendant has been emitted.
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node < 0:
+                end[~node] = len(preorder)
+                continue
+            start[node] = len(preorder)
+            preorder.append(node)
+            stack.append(~node)
+            stack.extend(reversed(children[node]))
+        self.preorder = preorder
+        self.start = start
+        self.end = end
+
+    def scope(self, anchors: Iterable[int]) -> set[int]:
+        """Every node in the subtree of some anchor (descendant-or-self)."""
+        preorder, start, end = self.preorder, self.start, self.end
+        scope: set[int] = set()
+        for anchor in anchors:
+            scope.update(preorder[start[anchor] : end[anchor]])
+        return scope
 
 
 class XMLTreeBuilder:

@@ -8,12 +8,13 @@ nothing.
 from __future__ import annotations
 
 import os
+from collections import deque
 
 from hypothesis import strategies as st
 
 from repro.core.labels import DESCENDANT, WILDCARD
 from repro.core.pattern import PatternNode, TreePattern
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import XMLTree, XMLTreeBuilder
 
 TAGS = ("a", "b", "c", "d", "e")
 
@@ -44,6 +45,31 @@ def xml_trees(draw, max_depth: int = 4, max_children: int = 3) -> XMLTree:
         return (tag, [subtree(depth + 1) for _ in range(n_children)])
 
     return XMLTree.from_nested(subtree(1), doc_id=draw(st.integers(0, 10_000)))
+
+
+def breadth_first(tree: XMLTree) -> XMLTree:
+    """*tree* renumbered breadth-first.
+
+    Parents still precede children, as :class:`XMLTreeBuilder` requires,
+    but a subtree's nodes are no longer numbered contiguously — the
+    numbering :meth:`XMLTree.from_nested` (pre-order) always produces.
+    """
+    builder = XMLTreeBuilder()
+    queue = deque([(tree.root, -1)])
+    while queue:
+        node, parent = queue.popleft()
+        index = builder.add(tree.labels[node], parent)
+        queue.extend((kid, index) for kid in tree.children[node])
+    return builder.build(doc_id=tree.doc_id)
+
+
+@st.composite
+def any_order_xml_trees(draw, max_depth: int = 4, max_children: int = 3):
+    """:func:`xml_trees`, numbered pre-order or breadth-first."""
+    tree = draw(xml_trees(max_depth=max_depth, max_children=max_children))
+    if draw(st.booleans(), label="breadth-first?"):
+        return breadth_first(tree)
+    return tree
 
 
 @st.composite

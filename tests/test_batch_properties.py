@@ -26,7 +26,11 @@ from repro.routing.overlay import BrokerOverlay
 from repro.routing.table import RoutingTable
 from repro.routing.trie import PatternTrie
 from repro.xmltree.corpus import DocumentCorpus
-from tests.strategies import property_max_examples, tree_patterns, xml_trees
+from tests.strategies import (
+    any_order_xml_trees,
+    property_max_examples,
+    tree_patterns,
+)
 from tests.test_selectivity_properties import corpora
 from tests.test_topology_properties import POLICIES, churn, seeded_overlay
 
@@ -70,7 +74,7 @@ class TestTrieBatchEquivalence:
     @settings(max_examples=property_max_examples(20), deadline=None)
     @given(
         st.lists(tree_patterns(), min_size=1, max_size=6),
-        st.lists(xml_trees(), min_size=1, max_size=5),
+        st.lists(any_order_xml_trees(), min_size=1, max_size=5),
         st.data(),
     )
     def test_match_batch_is_the_per_document_match(
@@ -95,7 +99,7 @@ class TestTrieBatchEquivalence:
     @settings(max_examples=property_max_examples(20), deadline=None)
     @given(
         st.lists(tree_patterns(), min_size=1, max_size=6),
-        xml_trees(),
+        any_order_xml_trees(),
         st.integers(2, 5),
     )
     def test_repeated_documents_cost_once(self, patterns, document, copies):
@@ -111,7 +115,7 @@ class TestTableBatchEquivalence:
     @settings(max_examples=property_max_examples(15), deadline=None)
     @given(
         st.lists(tree_patterns(), min_size=1, max_size=6),
-        st.lists(xml_trees(), min_size=1, max_size=4),
+        st.lists(any_order_xml_trees(), min_size=1, max_size=4),
         st.sampled_from(["trie", "linear"]),
         st.data(),
     )

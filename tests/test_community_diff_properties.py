@@ -1,0 +1,154 @@
+"""The windowed advertisement diff equals the full multiset diff.
+
+On every churn event ``BrokerOverlay._reaggregate`` diffs a broker's
+previous aggregation against a fresh one to decide which deliver entries
+and advertisements change.  It runs the multiset surplus diff on the
+window between the two lists' common prefix and suffix only.  This suite
+pins that the departed and arriving entries still equal, element for
+element and in order, the full ``Counter`` diff the window replaced:
+
+* on arbitrary edited lists with duplicate entries — the only case in
+  which the window alone would pick different occurrences — and
+* on every diff a live overlay computes under the per-subscription,
+  community and hybrid policies across subscribe, unsubscribe and burst
+  interleavings.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.routing.overlay as overlay_module
+from repro.core.pattern_parser import parse_xpath
+from repro.routing.overlay import BrokerOverlay
+from repro.xmltree.corpus import DocumentCorpus
+from tests.strategies import property_max_examples, tree_patterns
+from tests.test_selectivity_properties import corpora
+from tests.test_topology_properties import POLICIES
+
+
+def counter_diff(old, fresh):
+    """The full-list multiset diff (the reference)."""
+    surplus_old = Counter(old) - Counter(fresh)
+    surplus_fresh = Counter(fresh) - Counter(old)
+    departed = []
+    for entry in old:
+        if surplus_old[entry] > 0:
+            surplus_old[entry] -= 1
+            departed.append(entry)
+    unmatched = []
+    for entry in fresh:
+        if surplus_fresh[entry] > 0:
+            surplus_fresh[entry] -= 1
+            unmatched.append(entry)
+    return departed, unmatched
+
+
+ENTRIES = [
+    (parse_xpath(xpath), members)
+    for xpath in ("/a", "/a/b", "//c")
+    for members in ((0,), (1,), (0, 1))
+]
+
+
+@st.composite
+def edited_lists(draw):
+    """An aggregation and an edit of it, over few distinct entries."""
+    entry = st.sampled_from(ENTRIES)
+    old = draw(st.lists(entry, max_size=10), label="old")
+    fresh = list(old)
+    for step in range(draw(st.integers(0, 4), label="edits")):
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        position = draw(st.integers(0, len(fresh)), label=f"at{step}")
+        if kind == "insert":
+            fresh.insert(position, draw(entry, label=f"new{step}"))
+        elif position < len(fresh):
+            if kind == "delete":
+                del fresh[position]
+            else:
+                fresh[position] = draw(entry, label=f"new{step}")
+    return old, fresh
+
+
+def churn_ops(overlay, patterns, data):
+    """Subscribe, unsubscribe and burst events in a random interleaving."""
+    live = list(overlay.subscriptions)
+    homes = sorted(overlay.brokers)
+    for step in range(data.draw(st.integers(1, 6), label="ops")):
+        choices = ["subscribe", "burst-subscribe"]
+        if live:
+            choices += ["unsubscribe", "burst-unsubscribe"]
+        op = data.draw(st.sampled_from(choices), label=f"op{step}")
+        if op == "subscribe":
+            live.append(
+                overlay.subscribe(
+                    data.draw(st.sampled_from(homes), label="home"),
+                    data.draw(st.sampled_from(patterns), label="pattern"),
+                )
+            )
+        elif op == "burst-subscribe":
+            home = data.draw(st.sampled_from(homes), label="home")
+            arrivals = data.draw(
+                st.lists(st.sampled_from(patterns), min_size=1, max_size=3),
+                label="arrivals",
+            )
+            live.extend(overlay.subscribe_many(home, arrivals))
+        elif op == "unsubscribe":
+            victim = data.draw(st.sampled_from(live), label="victim")
+            live.remove(victim)
+            overlay.unsubscribe(victim)
+        else:
+            victims = data.draw(
+                st.lists(st.sampled_from(live), min_size=1, unique=True),
+                label="victims",
+            )
+            for victim in victims:
+                live.remove(victim)
+            overlay.unsubscribe_many(victims)
+
+
+class TestCommunityDiff:
+    @settings(max_examples=property_max_examples(200), deadline=None)
+    @given(edited_lists())
+    def test_window_diff_equals_counter_diff(self, lists):
+        old, fresh = lists
+        assert overlay_module._community_diff(old, fresh) == counter_diff(
+            old, fresh
+        )
+
+    @settings(max_examples=property_max_examples(15), deadline=None)
+    @given(
+        corpora(),
+        st.lists(tree_patterns(), min_size=1, max_size=5),
+        st.sampled_from([name for name, _ in POLICIES]),
+        st.data(),
+    )
+    def test_every_churn_diff_equals_counter_diff(
+        self, docs, patterns, policy_name, data
+    ):
+        corpus = DocumentCorpus(docs)
+        policy = dict(POLICIES)[policy_name]()
+        overlay = BrokerOverlay.build("random_tree", 3, seed=3)
+        seeds = data.draw(
+            st.lists(st.sampled_from(patterns), max_size=6), label="seeds"
+        )
+        for position, pattern in enumerate(seeds):
+            overlay.attach(position % 3, pattern)
+        overlay.advertise(policy, corpus if policy.uses_similarity else None)
+        diffs = []
+        windowed = overlay_module._community_diff
+
+        def recording(old, fresh):
+            result = windowed(old, fresh)
+            diffs.append((list(old), list(fresh), result))
+            return result
+
+        with mock.patch.object(overlay_module, "_community_diff", recording):
+            churn_ops(overlay, patterns, data)
+        assert diffs
+        for old, fresh, result in diffs:
+            assert result == counter_diff(old, fresh)

@@ -2,9 +2,10 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.xmltree.tree import XMLTree, XMLTreeBuilder
-from tests.strategies import xml_trees
+from tests.strategies import any_order_xml_trees, breadth_first, xml_trees
 
 
 class TestBuilder:
@@ -127,3 +128,48 @@ class TestProperties:
     @given(xml_trees())
     def test_approx_bytes_positive(self, tree):
         assert tree.approx_bytes() > 0
+
+
+class TestTreeIndex:
+    @given(any_order_xml_trees())
+    def test_index_matches_the_tree(self, tree):
+        index = tree.index
+        assert index is tree.index
+        labels = tree.labels
+        for label, nodes in index.positions.items():
+            assert nodes == [n for n in range(len(tree)) if labels[n] == label]
+        for label, by_parent in index.children_by_label.items():
+            for parent, kids in by_parent.items():
+                assert kids == [
+                    kid for kid in tree.children[parent] if labels[kid] == label
+                ]
+        assert sorted(index.preorder) == list(range(len(tree)))
+        for node in range(len(tree)):
+            subtree = index.preorder[index.start[node] : index.end[node]]
+            assert subtree == list(tree.iter_preorder(node))
+
+    @given(any_order_xml_trees(), st.data())
+    def test_scope_is_the_descendant_or_self_closure(self, tree, data):
+        anchors = data.draw(
+            st.lists(st.integers(0, len(tree) - 1), max_size=4), label="anchors"
+        )
+        expected = {
+            node for anchor in anchors for node in tree.iter_preorder(anchor)
+        }
+        assert tree.index.scope(anchors) == expected
+
+    def test_breadth_first_numbering_is_not_preorder(self):
+        tree = breadth_first(XMLTree.from_nested(("a", [("b", ["c"]), "d"])))
+        assert tree.labels == ["a", "b", "d", "c"]
+        index = tree.index
+        assert index.preorder == [0, 1, 3, 2]
+        assert index.scope([1]) == {1, 3}
+
+    def test_deep_chain_index(self):
+        builder = XMLTreeBuilder()
+        for node in range(10_000):
+            builder.add("a", node - 1)
+        index = builder.build().index
+        assert index.preorder == list(range(10_000))
+        assert index.end == [10_000] * 10_000
+        assert index.scope([9_998]) == {9_998, 9_999}

@@ -25,7 +25,11 @@ from repro.routing.table import RoutingTable
 from repro.routing.trie import PatternTrie
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.matcher import matches
-from tests.strategies import property_max_examples, tree_patterns, xml_trees
+from tests.strategies import (
+    any_order_xml_trees,
+    property_max_examples,
+    tree_patterns,
+)
 from tests.test_selectivity_properties import corpora
 from tests.test_topology_properties import (
     POLICIES,
@@ -39,7 +43,7 @@ class TestTrieVersusMatcher:
     @settings(max_examples=property_max_examples(30), deadline=None)
     @given(
         st.lists(tree_patterns(), min_size=1, max_size=8),
-        st.lists(xml_trees(), min_size=1, max_size=4),
+        st.lists(any_order_xml_trees(), min_size=1, max_size=4),
     )
     def test_match_set_equals_per_pattern_oracle(self, patterns, documents):
         trie = PatternTrie()
@@ -59,7 +63,7 @@ class TestTrieVersusMatcher:
     @settings(max_examples=property_max_examples(20), deadline=None)
     @given(
         st.lists(tree_patterns(), min_size=2, max_size=8),
-        st.lists(xml_trees(), min_size=1, max_size=3),
+        st.lists(any_order_xml_trees(), min_size=1, max_size=3),
         st.data(),
     )
     def test_churned_trie_stays_exact_and_consistent(
@@ -115,7 +119,7 @@ class TestTableModeEquality:
     @settings(max_examples=property_max_examples(20), deadline=None)
     @given(
         st.lists(tree_patterns(), min_size=1, max_size=6),
-        st.lists(xml_trees(), min_size=1, max_size=3),
+        st.lists(any_order_xml_trees(), min_size=1, max_size=3),
         st.data(),
     )
     def test_destinations_agree_across_modes_under_churn(

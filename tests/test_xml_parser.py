@@ -75,3 +75,27 @@ class TestTreeToXml:
 
     def test_single_node(self):
         assert tree_to_xml(XMLTree.from_nested("a")) == "<a/>"
+
+
+class TestDeepDocuments:
+    DEPTH = 10_000
+
+    def test_deep_chain_parses_and_round_trips(self):
+        depth = self.DEPTH
+        text = "<a>" * (depth - 1) + "<leaf/>" + "</a>" * (depth - 1)
+        tree = parse_xml(text)
+        assert tree.labels == ["a"] * (depth - 1) + ["leaf"]
+        assert tree.parents == [-1, *range(depth - 1)]
+        assert tree.children == [[node + 1] for node in range(depth - 1)] + [[]]
+        assert tree_to_xml(tree) == text
+
+    def test_deep_chain_keeps_text_leaves_in_preorder(self):
+        depth = self.DEPTH
+        tree = parse_xml("<a>x" * depth + "</a>" * depth)
+        # Each element is followed by its text leaf, then its child.
+        assert tree.labels == ["a", "x"] * depth
+        assert tree.parents == [
+            parent
+            for level in range(depth)
+            for parent in (2 * level - 2 if level else -1, 2 * level)
+        ]
