@@ -25,26 +25,64 @@ Two evaluation modes share this structure:
 Folded synopsis labels (``c[f][o[n]]``) are expanded transparently: each
 nested label component behaves as a virtual child whose matching set equals
 the folded node's, which is exactly the approximation the fold made when it
-unioned the samples.
+unioned the samples.  A synopsis position is therefore a *cursor*: a
+(synopsis node, label component) pair.
 
-Memoisation makes one evaluation ``O(|HS| · |p|)`` set operations; results
-per pattern are additionally cached on the estimator (call
-:meth:`SelectivityEstimator.clear_cache` after updating the synopsis).
+Shared work.  A pattern's ``SEL`` is the intersection, in order, of its
+*root constraints'* results — the subtrees below its ``/.`` root, each
+taking the union over the synopsis root's cursors (in counter mode the
+largest count, and the intersection becomes a product).  The estimator
+memoises each root constraint's result, keyed by its
+:class:`~repro.core.pattern.PatternNode`.  A single pattern costs one SEL
+evaluation per constraint not seen before, each ``O(|HS| · |constraint|)``
+set operations under a per-evaluation (cursor, sub-pattern) memo, plus one
+intersection per further constraint.  Root-merging only concatenates
+constraints, so the joint ``P(p ∧ q)`` of two estimated patterns costs one
+intersection (one product in counter mode), and :meth:`matching_view`
+after :meth:`selectivity` walks nothing.
+
+Subtree-tag pruning.  Every cursor carries a bitmask of the tag atoms at or
+below it — folded components and DAG children included — and every
+pattern node the bitmask of the tag labels in its subtree.  A pair whose
+cursor lacks a bit the pattern node requires returns the level-0 empty view
+(0.0 in counter mode) without recursing.  This is exact: by induction, the
+recursion of such a pair only ever reaches label mismatches and the
+empty-branch early exit, both of which return level-0 empties, so no hash
+level changes either.
+
+Memos follow :attr:`DocumentSynopsis.version
+<repro.synopsis.synopsis.DocumentSynopsis.version>`: once an insertion,
+fold, merge, deletion or compression has moved it, the next query drops
+every memo.  Callers therefore need not call
+:meth:`SelectivityEstimator.clear_cache` after updating the synopsis; it
+remains for timing cold estimates.
 """
 
 from __future__ import annotations
 
-from repro.core.labels import DESCENDANT, label_below
-from repro.core.pattern import TreePattern
+from repro.core.labels import DESCENDANT, is_tag, label_below
+from repro.core.pattern import PatternNode, TreePattern
 from repro.core.pattern_algebra import merge_patterns
 from repro.synopsis.node import LabelTree, SynopsisNode
 from repro.synopsis.setops import SampleView, intersect_views, union_views
-from repro.synopsis.synopsis import DocumentSynopsis
-from repro.xmltree.matcher import CompiledPattern
+from repro.synopsis.synopsis import DocumentSynopsis, post_order
 
 __all__ = ["SelectivityEstimator"]
 
 _Cursor = tuple[SynopsisNode, LabelTree]
+_CursorKey = tuple[int, int]
+#: Per-evaluation memo key: a cursor's key and ``id()`` of a pattern node.
+_MemoKey = tuple[_CursorKey, int]
+
+
+def _cursor_key(node: SynopsisNode, label: LabelTree) -> _CursorKey:
+    """Key of the cursor at *label*, a component of *node*'s label.
+
+    Label components are held by the synopsis and replaced only by
+    updates that move its version, which drops every memo keyed by them.
+    """
+    # reprolint: disable=RL003 -- in-process key, dropped with the version
+    return node.node_id, id(label)
 
 
 class SelectivityEstimator:
@@ -63,6 +101,15 @@ class SelectivityEstimator:
     def __init__(self, synopsis: DocumentSynopsis) -> None:
         self.synopsis = synopsis
         self._selectivity_cache: dict[TreePattern, float] = {}
+        # Root constraint -> its SEL union (set modes).
+        self._views: dict[PatternNode, SampleView] = {}
+        # Root constraint -> (the node evaluated, its best count) (counters).
+        self._counts: dict[PatternNode, tuple[PatternNode, float]] = {}
+        # Tag atom -> its bit in the cursor and pattern masks.
+        self._tag_bits: dict[str, int] = {}
+        # Cursor key -> tag mask; filled on first use at each version.
+        self._cursor_masks: dict[_CursorKey, int] = {}
+        self._version = synopsis.version
 
     # ------------------------------------------------------------------
     # public API
@@ -70,6 +117,7 @@ class SelectivityEstimator:
 
     def selectivity(self, pattern: TreePattern) -> float:
         """Estimated probability that a stream document matches *pattern*."""
+        self._follow_synopsis()
         cached = self._selectivity_cache.get(pattern)
         if cached is None:
             cached = self._estimate(pattern)
@@ -88,11 +136,25 @@ class SelectivityEstimator:
         """The raw ``SEL(rs, rp)`` sample (set modes only)."""
         if self.synopsis.mode == "counters":
             raise TypeError("counter mode has no matching-set view")
-        return self._sel_root_view(CompiledPattern(pattern))
+        self._follow_synopsis()
+        return self._root_view(pattern)
 
     def clear_cache(self) -> None:
-        """Forget per-pattern results after the synopsis has been updated."""
+        """Forget every memoised result, so the next estimate runs cold.
+
+        Memos already follow the synopsis's version; this is for timing.
+        """
         self._selectivity_cache.clear()
+        self._views.clear()
+        self._counts.clear()
+        self._tag_bits.clear()
+        self._cursor_masks = {}
+        self._version = self.synopsis.version
+
+    def _follow_synopsis(self) -> None:
+        """Drop every memo once the synopsis has been updated."""
+        if self._version != self.synopsis.version:
+            self.clear_cache()
 
     # ------------------------------------------------------------------
     # shared cursor plumbing
@@ -110,47 +172,113 @@ class SelectivityEstimator:
             result.append((node, component))
         return result
 
+    def _tag_bit(self, tag: str) -> int:
+        """The mask bit of *tag*, allocated on first sight."""
+        bits = self._tag_bits
+        bit = bits.get(tag)
+        if bit is None:
+            bit = bits[tag] = 1 << len(bits)
+        return bit
+
+    def _synopsis_masks(self) -> dict[_CursorKey, int]:
+        """Tag mask of every cursor: the bits of the tag atoms at or below
+        it, folded components and DAG children included.
+
+        Children come before parents (:func:`~repro.synopsis.synopsis.post_order`)
+        and nested components before the labels holding them, so each mask
+        ORs masks already computed.
+        """
+        masks: dict[_CursorKey, int] = {}
+        for node in post_order(self.synopsis.root):
+            labels = [node.label]
+            for label in labels:  # grows: breadth-first over the components
+                labels.extend(label.children)
+            for label in reversed(labels):
+                mask = self._tag_bit(label.tag)
+                for component in label.children:
+                    mask |= masks[_cursor_key(node, component)]
+                if label is node.label:
+                    for child in node.children:
+                        mask |= masks[_cursor_key(child, child.label)]
+                masks[_cursor_key(node, label)] = mask
+        return masks
+
+    def _pattern_masks(self, constraint: PatternNode) -> dict[int, int]:
+        """Tag mask of every node of *constraint* — the bits of the tag
+        labels in its subtree — keyed by ``id()`` of the node, which the
+        constraint keeps alive for the evaluation that uses them."""
+        masks: dict[int, int] = {}
+        # Reversed pre-order lists every node after its descendants.
+        for node in reversed(list(constraint.iter_subtree())):
+            mask = self._tag_bit(node.label) if is_tag(node.label) else 0
+            for child in node.children:
+                # reprolint: disable=RL003 -- per-evaluation key, never persisted
+                mask |= masks[id(child)]
+            # reprolint: disable=RL003 -- per-evaluation key, never persisted
+            masks[id(node)] = mask
+        return masks
+
+    def _masks_for(self, constraint: PatternNode) -> dict[int, int]:
+        """Masks for evaluating *constraint*: the synopsis's, computed once
+        per version, and the constraint's own (returned)."""
+        if not self._cursor_masks:
+            self._cursor_masks = self._synopsis_masks()
+        return self._pattern_masks(constraint)
+
     # ------------------------------------------------------------------
     # set mode (Sets / Hashes)
     # ------------------------------------------------------------------
 
-    def _sel_root_view(self, cp: CompiledPattern) -> SampleView:
-        synopsis = self.synopsis
-        memo: dict[tuple[int, int, int], SampleView] = {}
-        root = synopsis.root
-        kids = self._cursor_children(root, root.label)
+    def _root_view(self, pattern: TreePattern) -> SampleView:
+        """``SEL(rs, rp)``: the root constraints' views, intersected in order."""
         branch_views: list[SampleView] = []
-        for u in cp.root_children:
-            view = union_views(
-                [self._sel_view(cp, node, label, u, memo) for node, label in kids]
-            ) if kids else SampleView.empty(synopsis.hasher)
+        for constraint in pattern.root_children:
+            view = self._views.get(constraint)
+            if view is None:
+                view = self._constraint_view(constraint)
+                self._views[constraint] = view
             if view.is_empty():
-                return SampleView.empty(synopsis.hasher)
+                return SampleView.empty(self.synopsis.hasher)
             branch_views.append(view)
         return intersect_views(branch_views)
 
+    def _constraint_view(self, constraint: PatternNode) -> SampleView:
+        """One root constraint's SEL: the union over the root's cursors."""
+        root = self.synopsis.root
+        kids = self._cursor_children(root, root.label)
+        if not kids:
+            return SampleView.empty(self.synopsis.hasher)
+        masks = self._masks_for(constraint)
+        memo: dict[_MemoKey, SampleView] = {}
+        return union_views(
+            [self._sel_view(kn, kl, constraint, masks, memo) for kn, kl in kids]
+        )
+
     def _sel_view(
         self,
-        cp: CompiledPattern,
         node: SynopsisNode,
         label: LabelTree,
-        u: int,
-        memo: dict[tuple[int, int, int], SampleView],
+        u: PatternNode,
+        masks: dict[int, int],
+        memo: dict[_MemoKey, SampleView],
     ) -> SampleView:
-        if not label_below(label.tag, cp.labels[u]):
+        if not label_below(label.tag, u.label):
             return SampleView.empty(self.synopsis.hasher)
-        # Per-call memo over interned LabelTree nodes; keys die with this
-        # traversal and the view is id-independent.
-        # reprolint: disable=RL003 -- transient per-call memo key, never persisted
-        key = (node.node_id, id(label), u)
+        cursor = _cursor_key(node, label)
+        # reprolint: disable=RL003 -- per-evaluation key, never persisted
+        unit = id(u)
+        need = masks[unit]
+        if need & self._cursor_masks[cursor] != need:
+            return SampleView.empty(self.synopsis.hasher)
+        key = (cursor, unit)
         cached = memo.get(key)
         if cached is not None:
             return cached
 
-        pattern_kids = cp.children[u]
+        pattern_kids = u.children
         if not pattern_kids:
             result = self.synopsis.full_view(node)
-        elif cp.labels[u] != DESCENDANT:
+        elif u.label != DESCENDANT:
             kids = self._cursor_children(node, label)
             if not kids:
                 result = SampleView.empty(self.synopsis.hasher)
@@ -159,7 +287,7 @@ class SelectivityEstimator:
                 for child_u in pattern_kids:
                     view = union_views(
                         [
-                            self._sel_view(cp, kn, kl, child_u, memo)
+                            self._sel_view(kn, kl, child_u, masks, memo)
                             for kn, kl in kids
                         ]
                     )
@@ -176,11 +304,11 @@ class SelectivityEstimator:
             # '//': zero-length mapping evaluates the (single) pattern child
             # at this cursor; otherwise descend into each synopsis child.
             zero = intersect_views(
-                [self._sel_view(cp, node, label, cu, memo) for cu in pattern_kids]
+                [self._sel_view(node, label, cu, masks, memo) for cu in pattern_kids]
             )
             kids = self._cursor_children(node, label)
             deeper = union_views(
-                [self._sel_view(cp, kn, kl, u, memo) for kn, kl in kids]
+                [self._sel_view(kn, kl, u, masks, memo) for kn, kl in kids]
             )
             result = zero.union(deeper)
 
@@ -191,53 +319,61 @@ class SelectivityEstimator:
     # counter mode
     # ------------------------------------------------------------------
 
-    def _sel_root_count(self, cp: CompiledPattern) -> float:
-        synopsis = self.synopsis
-        total = float(synopsis.root.summary.count)
-        if total <= 0:
-            return 0.0
-        memo: dict[tuple[int, int, int], float] = {}
-        kids = self._cursor_children(synopsis.root, synopsis.root.label)
-        probability = 1.0
-        for u in cp.root_children:
-            best = max(
-                (self._sel_count(cp, kn, kl, u, memo, total) for kn, kl in kids),
-                default=0.0,
-            )
-            if best <= 0.0:
-                return 0.0
-            probability *= best / total
-        return probability * total
+    def _constraint_count(self, constraint: PatternNode, total: float) -> float:
+        """One root constraint's best count over the root's cursors, memoised.
+
+        Counter mode multiplies branch ratios in child order, so an equal
+        constraint that lists children in another order can round
+        differently: it is evaluated afresh rather than served from the
+        memo, keeping every estimate bit-identical to a one-off evaluation.
+        """
+        entry = self._counts.get(constraint)
+        if entry is not None and _same_order(entry[0], constraint):
+            return entry[1]
+        root = self.synopsis.root
+        kids = self._cursor_children(root, root.label)
+        masks = self._masks_for(constraint)
+        memo: dict[_MemoKey, float] = {}
+        counts = (
+            self._sel_count(kn, kl, constraint, masks, memo, total) for kn, kl in kids
+        )
+        best = max(counts, default=0.0)
+        if entry is None:
+            self._counts[constraint] = (constraint, best)
+        return best
 
     def _sel_count(
         self,
-        cp: CompiledPattern,
         node: SynopsisNode,
         label: LabelTree,
-        u: int,
-        memo: dict[tuple[int, int, int], float],
+        u: PatternNode,
+        masks: dict[int, int],
+        memo: dict[_MemoKey, float],
         total: float,
     ) -> float:
-        if not label_below(label.tag, cp.labels[u]):
+        if not label_below(label.tag, u.label):
             return 0.0
-        # Per-call memo over interned LabelTree nodes; keys die with this
-        # traversal and the count is id-independent.
-        # reprolint: disable=RL003 -- transient per-call memo key, never persisted
-        key = (node.node_id, id(label), u)
+        cursor = _cursor_key(node, label)
+        # reprolint: disable=RL003 -- per-evaluation key, never persisted
+        unit = id(u)
+        need = masks[unit]
+        if need & self._cursor_masks[cursor] != need:
+            return 0.0
+        key = (cursor, unit)
         cached = memo.get(key)
         if cached is not None:
             return cached
 
-        pattern_kids = cp.children[u]
+        pattern_kids = u.children
         if not pattern_kids:
             result = float(node.summary.count)
-        elif cp.labels[u] != DESCENDANT:
+        elif u.label != DESCENDANT:
             kids = self._cursor_children(node, label)
             result = 1.0 if kids else 0.0
             for child_u in pattern_kids:
                 best = max(
                     (
-                        self._sel_count(cp, kn, kl, child_u, memo, total)
+                        self._sel_count(kn, kl, child_u, masks, memo, total)
                         for kn, kl in kids
                     ),
                     default=0.0,
@@ -251,12 +387,13 @@ class SelectivityEstimator:
             zero = 1.0
             for child_u in pattern_kids:
                 zero *= (
-                    self._sel_count(cp, node, label, child_u, memo, total) / total
+                    self._sel_count(node, label, child_u, masks, memo, total)
+                    / total
                 )
             zero *= total
             kids = self._cursor_children(node, label)
             deeper = max(
-                (self._sel_count(cp, kn, kl, u, memo, total) for kn, kl in kids),
+                (self._sel_count(kn, kl, u, masks, memo, total) for kn, kl in kids),
                 default=0.0,
             )
             result = max(zero, deeper)
@@ -269,16 +406,21 @@ class SelectivityEstimator:
     # ------------------------------------------------------------------
 
     def _estimate(self, pattern: TreePattern) -> float:
-        cp = CompiledPattern(pattern)
         synopsis = self.synopsis
 
         if synopsis.mode == "counters":
             total = float(synopsis.root.summary.count)
             if total <= 0:
                 return 0.0
-            return _clamp(self._sel_root_count(cp) / total)
+            probability = 1.0
+            for constraint in pattern.root_children:
+                best = self._constraint_count(constraint, total)
+                if best <= 0.0:
+                    return 0.0
+                probability *= best / total
+            return _clamp(probability * total / total)
 
-        result = self._sel_root_view(cp)
+        result = self._root_view(pattern)
         if synopsis.mode == "sets":
             denominator = synopsis.represented_documents
             if denominator <= 0:
@@ -294,6 +436,20 @@ class SelectivityEstimator:
         if synopsis.n_documents <= 0:
             return 0.0
         return _clamp(result.estimate_cardinality() / synopsis.n_documents)
+
+
+def _same_order(first: PatternNode, second: PatternNode) -> bool:
+    """True when two equal pattern nodes also list every node's children in
+    the same order (equality ignores sibling order)."""
+    stack = [(first, second)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.label != b.label or len(a.children) != len(b.children):
+            return False
+        stack.extend(zip(a.children, b.children, strict=True))
+    return True
 
 
 def _clamp(value: float) -> float:

@@ -15,13 +15,15 @@ document's skeleton tree, walk/extend the synopsis and record the document id
 at the path's final node (counters instead increment every node on the path,
 once per document).  The *full* matching set of a node — needed by ``SEL`` —
 is the union of stored summaries over its descendants and is computed by a
-memoised freeze pass, invalidated by further updates.
+memoised freeze pass, invalidated by further updates.  Every update also
+moves :attr:`DocumentSynopsis.version`, which lets estimators drop their
+own memos without being told.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from typing import Container, Iterator, Optional
 
 from repro.core.labels import ROOT_LABEL
 from repro.synopsis.counters import CounterSummary
@@ -32,9 +34,36 @@ from repro.synopsis.setops import SampleView
 from repro.xmltree.skeleton import skeleton_paths
 from repro.xmltree.tree import XMLTree
 
-__all__ = ["DocumentSynopsis", "MODES"]
+__all__ = ["DocumentSynopsis", "MODES", "post_order"]
 
 MODES = ("counters", "sets", "hashes")
+
+
+def post_order(start: SynopsisNode, done: Container[int] = ()) -> list[SynopsisNode]:
+    """Nodes reachable from *start*, each listed after all its children.
+
+    DAG-safe: a node shared by several parents is listed once.  Nodes
+    whose ids are in *done* are skipped, and so is everything reachable
+    only through them.  The walk keeps an explicit stack, so a synopsis
+    as deep as its longest document path never meets the interpreter's
+    recursion limit; the order is that of the recursive depth-first walk.
+    """
+    order: list[SynopsisNode] = []
+    if start.node_id in done:
+        return order
+    seen = {start.node_id}
+    stack = [(start, iter(start.children))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child.node_id not in seen and child.node_id not in done:
+                seen.add(child.node_id)
+                stack.append((child, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
 
 
 class DocumentSynopsis:
@@ -51,6 +80,16 @@ class DocumentSynopsis:
     seed:
         Seeds the shared distinct-sampling hash and the reservoir RNG,
         making synopsis contents reproducible.
+
+    Attributes
+    ----------
+    version:
+        Update counter: moves on every document insertion and on every
+        :meth:`invalidate` (folds, merges, deletions, compression and
+        deserialisation of a pruned synopsis all reach it through
+        :meth:`mark_pruned`).  Anything derived from the synopsis's
+        contents and tagged with the version it was computed at is
+        current exactly while the version is unchanged.
     """
 
     def __init__(self, mode: str = "hashes", capacity: int = 1000, seed: int = 0):
@@ -74,6 +113,7 @@ class DocumentSynopsis:
         self._doc_index: dict[int, list[SynopsisNode]] = {}
         self._pruned = False
         self._full_cache: Optional[dict[int, SampleView]] = None
+        self.version = 0
 
     # ------------------------------------------------------------------
     # node management
@@ -128,6 +168,7 @@ class DocumentSynopsis:
         """Insert a document given its skeleton root-to-leaf label paths."""
         self.n_documents += 1
         self._full_cache = None
+        self.version += 1
 
         if self.mode == "sets":
             assert self.reservoir is not None
@@ -216,19 +257,7 @@ class DocumentSynopsis:
         if self._full_cache is None:
             self._full_cache = {}
         cache = self._full_cache
-        order: list[SynopsisNode] = []
-        seen: set[int] = set()
-
-        def collect(current: SynopsisNode) -> None:
-            if current.node_id in seen or current.node_id in cache:
-                return
-            seen.add(current.node_id)
-            for child in current.children:
-                collect(child)
-            order.append(current)
-
-        collect(node)
-        for current in order:
+        for current in post_order(node, cache):
             view = self.stored_view(current)
             for child in current.children:
                 view = view.union(cache[child.node_id])
@@ -243,8 +272,10 @@ class DocumentSynopsis:
         return self.full_view(node).estimate_cardinality()
 
     def invalidate(self) -> None:
-        """Drop memoised full views (pruning operations call this)."""
+        """Drop memoised full views and move :attr:`version` (pruning
+        operations call this)."""
         self._full_cache = None
+        self.version += 1
 
     @property
     def represented_documents(self) -> float:

@@ -141,3 +141,14 @@ class TestDocumentIdentityQuirks:
         synopsis.insert_document(XMLTree.from_nested(("a", ["c"]), doc_id=1))
         estimator.clear_cache()
         assert estimator.selectivity(pattern) == pytest.approx(0.5)
+
+    def test_interleaved_estimation_and_insertion_without_clear_cache(self):
+        # Memos follow the synopsis version, so no clear_cache() is needed.
+        synopsis = DocumentSynopsis(mode="sets", capacity=100, seed=1)
+        estimator = SelectivityEstimator(synopsis)
+        pattern = parse_xpath("/a/b")
+        synopsis.insert_document(XMLTree.from_nested(("a", ["b"]), doc_id=0))
+        assert estimator.selectivity(pattern) == pytest.approx(1.0)
+        synopsis.insert_document(XMLTree.from_nested(("a", ["c"]), doc_id=1))
+        assert estimator.selectivity(pattern) == pytest.approx(0.5)
+        assert estimator.matching_view(pattern).ids == frozenset({0})

@@ -4,8 +4,10 @@ all three matching-set representations."""
 import pytest
 
 from repro.core.labels import ROOT_LABEL
+from repro.core.pattern_parser import parse_xpath
+from repro.core.selectivity import SelectivityEstimator
 from repro.synopsis.synopsis import MODES, DocumentSynopsis
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import XMLTree, XMLTreeBuilder
 
 
 def find_node(synopsis, *path):
@@ -210,3 +212,56 @@ class TestStructuralSharing:
         after = set(synopsis.full_view(synopsis.root).ids)
         assert before == {0}
         assert after == {0, 1}
+
+
+class TestVersion:
+    def test_insertions_move_the_version(self):
+        synopsis = DocumentSynopsis(mode="sets", capacity=1, seed=1)
+        versions = [synopsis.version]
+        for doc_id in range(3):  # the reservoir turns two of these away
+            synopsis.insert_document(XMLTree.from_nested("a", doc_id=doc_id))
+            versions.append(synopsis.version)
+        assert versions == sorted(set(versions))
+
+    def test_pruning_moves_the_version(self):
+        synopsis = DocumentSynopsis(mode="sets", capacity=10)
+        synopsis.insert_document(XMLTree.from_nested(("a", ["b"]), doc_id=0))
+        before = synopsis.version
+        synopsis.mark_pruned()
+        assert synopsis.version > before
+
+    def test_queries_leave_the_version_alone(self):
+        synopsis = DocumentSynopsis(mode="hashes", capacity=10)
+        synopsis.insert_document(XMLTree.from_nested(("a", ["b"]), doc_id=0))
+        before = synopsis.version
+        synopsis.full_view(synopsis.root)
+        _ = synopsis.represented_documents
+        assert synopsis.version == before
+
+
+class TestDeepChain:
+    """A document nested far past the interpreter's recursion limit."""
+
+    DEPTH = 10_000
+
+    @staticmethod
+    def chain(depth: int) -> XMLTree:
+        """``<a>…<a><leaf/></a>…</a>`` with *depth* ``a`` elements."""
+        builder = XMLTreeBuilder()
+        parent = -1
+        for _ in range(depth):
+            parent = builder.add("a", parent)
+        builder.add("leaf", parent)
+        return builder.build(doc_id=0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chain_inserts_and_estimates(self, mode):
+        synopsis = DocumentSynopsis(mode=mode, capacity=10)
+        synopsis.insert_document(self.chain(self.DEPTH))
+        assert synopsis.n_nodes == self.DEPTH + 2
+        assert synopsis.represented_documents == 1.0
+        if mode != "counters":
+            assert synopsis.full_view(synopsis.root).ids == frozenset({0})
+        estimator = SelectivityEstimator(synopsis)
+        assert estimator.selectivity(parse_xpath("/a/a")) == 1.0
+        assert estimator.selectivity(parse_xpath("/a/b")) == 0.0
