@@ -158,6 +158,13 @@ class PatternNode:
 
     # -- canonical form / equality ------------------------------------------
 
+    @property
+    def canonical_key(self) -> tuple:
+        """The canonical key cached at construction: ``(label, sorted child
+        keys)``.  Structurally equal subtrees — equal up to sibling order —
+        have equal keys, and the keys' tuple order is the canonical order."""
+        return self._key
+
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True

@@ -42,14 +42,21 @@ retained as the oracle the trie is pinned against.  The trie is maintained
 incrementally at every admission, eviction, restoration and surgery step —
 never rebuilt from scratch.
 
-The trie is keyed by each destination's *rank* — its position in table
-order — not by the destination itself (the trie stays generic over
-hashable destinations), so a match comes back as a set of ints and table
-order is one int sort plus a rank → destination lookup.  Ranks mirror
-the key order of the per-destination entry lists exactly: a new
-destination takes the next rank, a rename re-keys its trie entries from
-the old rank to a fresh last one, and a destination left without entries
-gives its rank up.  Ranks are never reused.
+Table order is the trie's destination rank order.  The trie ranks a
+destination when an entry first holds it and retires the rank when the
+last entry lets go; each rank is one bit position, so a match comes back
+as one int — the OR of the accepted entries' rank masks — and the table
+clears the excluded link's bit and decodes the rest in ascending rank
+order in one C-level pass
+(:meth:`~repro.routing.trie.PatternTrie.destinations_in`).  Ranks mirror
+the key order of the per-destination entry lists exactly, because a
+destination holds an active trie entry exactly while it holds an entry
+list: a new destination's first pattern is activated as its list is
+created, a rename moves the entries to a fresh last rank, the list's
+last entry is deactivated only after the resurrections it releases have
+been re-admitted, and an emptied list is dropped.  When retired ranks
+outnumber live ones, the trie renumbers the live ranks densely in the
+same order, so a mask stays O(live destinations) bits wide under churn.
 """
 
 from __future__ import annotations
@@ -135,16 +142,9 @@ class RoutingTable:
             Destination, dict[TreePattern, list[tuple[TreePattern, bool]]]
         ] = {}
         self._matchers: dict[TreePattern, PatternMatcher] = {}
-        #: Destination → insertion rank, mirroring ``_by_destination``'s
-        #: key order exactly (a renamed destination re-enters at the
-        #: end, like a dict pop + reinsert).  Ranks are never reused.
-        self._dest_rank: dict[Destination, int] = {}
-        #: The inverse of ``_dest_rank``.
-        self._dest_at: dict[int, Destination] = {}
-        self._next_rank = 0
-        #: The merged matching structure over every *active* entry.  Its
-        #: destinations are the ranks of ours, so a match comes back as
-        #: a set of ints whose sort is table order.
+        #: The merged matching structure over every *active* entry; its
+        #: destination ranks follow table order (see the module
+        #: docstring).
         self._trie = PatternTrie()
         #: Per pattern: how many destinations hold it active — the
         #: refcount behind O(1) matcher-cache pruning.
@@ -164,7 +164,7 @@ class RoutingTable:
 
     def _activate(self, pattern: TreePattern, destination: Destination) -> None:
         self._active_counts[pattern] = self._active_counts.get(pattern, 0) + 1
-        self._trie.add(pattern, self._dest_rank[destination])
+        self._trie.add(pattern, destination)
 
     def _deactivate(
         self, pattern: TreePattern, destination: Destination
@@ -174,20 +174,8 @@ class RoutingTable:
             self._active_counts[pattern] = remaining
         else:
             del self._active_counts[pattern]
-        self._trie.discard(pattern, self._dest_rank[destination])
+        self._trie.discard(pattern, destination)
         self._prune_matcher(pattern)
-
-    def _rank(self, destination: Destination) -> None:
-        """Give *destination* the next (last) table-order rank."""
-        self._dest_rank[destination] = self._next_rank
-        self._dest_at[self._next_rank] = destination
-        self._next_rank += 1
-
-    def _unrank(self, destination: Destination) -> None:
-        """Retire *destination*'s rank (it holds no active entry)."""
-        rank = self._dest_rank.pop(destination, None)
-        if rank is not None:
-            del self._dest_at[rank]
 
     # ------------------------------------------------------------------
     # maintenance
@@ -217,7 +205,6 @@ class RoutingTable:
         patterns = self._by_destination.get(destination)
         if patterns is None:
             patterns = self._by_destination[destination] = []
-            self._rank(destination)
         for existing in patterns:
             if contains(existing, pattern):
                 self.covered_inserts += 1
@@ -372,7 +359,6 @@ class RoutingTable:
                     del dest_absorbed[active]
                 return instance[1] is False, []
         patterns.remove(active)
-        self._deactivate(active, destination)
         resurrected = dest_absorbed.pop(active, [])
         restored: list[TreePattern] = []
         for candidate, resume_flood in self._restore_order(resurrected):
@@ -380,10 +366,13 @@ class RoutingTable:
                 self.restored_entries += 1
                 if resume_flood:
                     restored.append(candidate)
+        # Deactivated after the re-admissions: a destination that keeps
+        # entries never lets its last trie entry go, so it keeps its rank
+        # (its table position) instead of re-ranking last.
+        self._deactivate(active, destination)
         if not self._by_destination.get(destination):
             self._by_destination.pop(destination, None)
             self._absorbed.pop(destination, None)
-            self._unrank(destination)
         return True, restored
 
     def remove_destination(self, destination: Destination) -> list[TreePattern]:
@@ -403,7 +392,6 @@ class RoutingTable:
         removed = list(self._by_destination.pop(destination, ()))
         for pattern in removed:
             self._deactivate(pattern, destination)
-        self._unrank(destination)
         return removed
 
     def rename_destination(
@@ -428,16 +416,11 @@ class RoutingTable:
                 f"cannot rename destination onto existing entries: {new!r}"
             )
         self._by_destination[new] = self._by_destination.pop(old)
-        # The pop + reinsert moved the entries to the end of the table's
-        # iteration order; the rank index mirrors that exactly.
-        old_rank = self._dest_rank[old]
-        self._unrank(old)
-        self._rank(new)
         if old in self._absorbed:
             self._absorbed[new] = self._absorbed.pop(old)
-        self._trie.rename_destination(
-            old_rank, self._dest_rank[new], self._by_destination[new]
-        )
+        # The pop + reinsert moved the entries to the end of the table's
+        # iteration order; *new* takes the trie's last rank to match.
+        self._trie.rename_destination(old, new, self._by_destination[new])
         return True
 
     def seed(
@@ -542,9 +525,6 @@ class RoutingTable:
         self._by_destination.clear()
         self._absorbed.clear()
         self._matchers.clear()
-        self._dest_rank.clear()
-        self._dest_at.clear()
-        self._next_rank = 0
         self._trie.clear()
         self._active_counts.clear()
         self.match_operations = 0
@@ -591,9 +571,9 @@ class RoutingTable:
         """
         mode = self.matching if matching is None else matching
         if mode == "trie":
-            result = self._trie.match(document)
-            operations = result.operations
-            found = self._ordered(result.destinations, exclude)
+            result = self._trie.match_masks((document,))
+            operations = result.operations[0]
+            found = self._trie.destinations_in(result.masks[0], exclude)
         else:
             skip = set(exclude)
             found = []
@@ -608,24 +588,6 @@ class RoutingTable:
                         break
         self.match_operations += operations
         return found, operations
-
-    def _ordered(
-        self, ranks: set[int], exclude: Iterable[Destination]
-    ) -> list[Destination]:
-        """The destinations of matched *ranks* in table order
-        (first-advertised first), minus *exclude*.
-
-        Every matched rank is live, so ordering is one int sort,
-        O(|matched| log |matched|), not a scan of every destination.
-        """
-        skip = {
-            self._dest_rank[destination]
-            for destination in exclude
-            if destination in self._dest_rank
-        }
-        if skip:
-            ranks = ranks - skip
-        return list(map(self._dest_at.__getitem__, sorted(ranks)))
 
     def destinations_for_batch(
         self,
@@ -660,14 +622,16 @@ class RoutingTable:
         per_document: list[list[Destination]] = []
         operations: list[int] = []
         if mode == "trie":
-            batch = self._trie.match_batch(documents)
-            for result, skip in zip(batch.results, skips, strict=True):
-                per_document.append(self._ordered(result.destinations, skip))
-                operations.append(result.operations)
-            self.match_operations += batch.operations
+            batch = self._trie.match_masks(documents)
+            decode = self._trie.destinations_in
+            per_document = [
+                decode(mask, skip)
+                for mask, skip in zip(batch.masks, skips, strict=True)
+            ]
+            self.match_operations += sum(batch.operations)
             return TableBatchMatch(
                 per_document,
-                operations,
+                batch.operations,
                 memo_hits=batch.memo_hits,
                 memo_misses=batch.memo_misses,
             )

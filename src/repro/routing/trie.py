@@ -54,7 +54,7 @@ Matching cost
 -------------
 
 ``match`` counts one *trie operation* per aliveness test computed (a
-memo miss: once per distinct required-tag set, or hash-consed
+memo miss: once per distinct requirement mask, or hash-consed
 constraint, and document tag set), per anchor candidate examined —
 generated once per group of sibling trie nodes sharing the same (axis,
 label) step, since only their (memoised) branch constraints differ —
@@ -67,20 +67,39 @@ it.  The cost of a non-matching pattern therefore collapses into its
 shared prefix.  This count is the filtering-cost unit
 :class:`~repro.routing.table.RoutingTable` reports in trie mode.
 
-An operation is a unit of filtering work, not of wall time.  The wall
-time around each one goes to interpreter bookkeeping — visiting a spine
-node, cutting its children into groups, ordering its accepting entries,
-building memo keys, collecting destinations — so the traversal keeps
-that bookkeeping out of its inner loops.  Each spine node caches its
-children cut into (axis, label) groups and its accepting entries in
-gate-key order; the ``add`` / ``discard`` that links or unlinks a child
-or an entry there drops the cache, and the next match rebuilds it, so
-it is paid once per mutation rather than once per visit.  A document's
-aliveness memos are looked up per tag set, keyed by the required-tag
-set or constraint id alone; a childless spine node is not visited; an
-accepted entry adds its whole destination set in one set update.  None
-of this changes which nodes are visited, in which order, or what is
-counted.
+An operation is a unit of filtering work, not of wall time, so the
+traversal keeps interpreter bookkeeping out of its inner loops and
+evaluates tag requirements bit-parallel, after the ternary match of
+"Similarity Search and Locality Sensitive Hashing using TCAMs" (Shinde,
+Goel, Gupta).  Each trie gives every tag a bit; a spine node's
+``req_mask``, a constraint's ``mask`` and an entry's ``gate_mask`` are
+ints of those bits, and a match builds one ``missing`` mask per
+document tag set (the complement of the document's tag bits).  A
+requirement is alive iff ``req & missing == 0``.  A visit to a spine
+node then costs:
+
+* its cached *plan* — children cut into (axis, label) groups, each with
+  the AND of its members' ``req_mask`` values, plus the set of the
+  children's distinct ``req_mask`` values — rebuilt only after a child is
+  linked or unlinked or a child's ``req_mask`` changes;
+* one AND per group: a group whose shared tags the document lacks is
+  dropped whole, otherwise one AND per member picks the live ones;
+* one set union of the plan's mask set into the tag set's pool of
+  tested requirements.  Every visit looks up every child, so its
+  aliveness lookups are the number of children and its misses are the
+  masks the union adds — exactly the counts the per-child memo lookups
+  of a dict-keyed test would give;
+* for each accepted entry, one append: the entries' ``dest_mask`` values are
+  ORed into the document's destination mask once, at the end.
+
+The spine is walked with an explicit stack, and a ``//`` constraint
+descends the document in a loop, so neither costs one Python frame per
+level.  The visit order cannot change a count: each memo key is
+computed once, what it computes (and hence which keys it asks for) is a
+function of the document and the constraint alone, and every visit
+adds the same lookups whenever it happens.  Only the order in which
+entries are collected differs, and the destination mask and pattern set
+are order-free.
 
 Per-document index
 ------------------
@@ -94,8 +113,8 @@ with an explicit stack from parents and children alone (it assumes no
 pre-order numbering), and cached on the
 :class:`~repro.xmltree.tree.XMLTree` next to its tag set on the first
 match, so every broker the document visits and every batch it is
-matched in share it.  Documents are immutable, so it is never
-invalidated.  Skeleton keys, interned per memo pool, stay per call.
+matched in share it.  Its skeleton keys (below) are cached beside it.
+Documents are immutable, so neither is ever invalidated.
 
 Batched matching
 ----------------
@@ -110,14 +129,31 @@ only existentially) — and branch satisfaction is memoised on
 ``(constraint id, skeleton key)`` instead of ``(constraint id, node
 position)``.  Structurally identical subtrees across the batch (common
 under the Zipfian generators) therefore hit the memo instead of being
-re-traversed; aliveness tests share per-tag-set entries, gates share
+re-traversed; aliveness tests share per-tag-set entries (a requirement
+mask set and a constraint memo per document tag set), gates share
 per-root-key entries, and a document whose whole skeleton repeats
-costs zero trie operations.  Skeleton-key construction is document
+costs zero trie operations.  A fresh pool adopts its first document's
+cached skeleton keys, whose own interning is exactly what the pool
+would compute, and copies their interner only when a later document of
+the batch interns into it.  Skeleton-key construction is document
 bookkeeping (like the tree index), not trie work, so it is never
 counted as a trie operation — batched operations are guaranteed ≤ the
 sum of the per-document counts.  ``match`` is the batch machinery at
 batch size one (a fresh pool per call), so the two paths cannot
-drift.
+drift, and ``match_masks`` is the same kernel returning destination
+masks instead of sets.
+
+Destination ranks
+-----------------
+
+Each destination gets a *rank* when an entry first holds it: the next
+bit position, so ascending rank is first-registered first.  An entry's
+``dest_mask`` ORs its destinations' bits, a match ORs the accepted
+entries' masks, and :meth:`PatternTrie.destinations_in` decodes a mask
+in rank order against the rank-indexed destination list in one C-level
+pass.  A rank retires when its last holder lets go, and once retired
+ranks outnumber live ones the live ranks are renumbered densely in the
+same order, so masks stay O(live destinations) bits wide under churn.
 
 Incremental-maintenance invariants
 ----------------------------------
@@ -132,27 +168,34 @@ consistent under covering churn and topology surgery by refcounting:
   store exactly when the last referer lets go;
 * equal patterns (canonically) share one entry whose destination set is
   the union of their destinations, so per-destination add/remove is a
-  set update;
-* ``rename_destination`` re-keys destination sets in place — trie shape,
-  sharing and refcounts are untouched.
+  set update — plus the same bit update of ``dest_mask`` and the
+  destination's holder count, in the same method;
+* ``req_mask`` values change only along the touched spine path: an
+  ``add`` narrows each path node's with one AND (the node gains exactly
+  one part), a ``discard`` re-derives them bottom-up with C-level ANDs
+  until one is unchanged, and a changed one drops its parent's plan;
+* ``rename_destination`` re-keys destination sets and masks in place —
+  trie shape, sharing and refcounts are untouched.
 
-``check()`` audits all of these invariants, and that every cached child
-grouping and accept order is current; the property suite runs it after
-every churn operation.
+``check()`` recomputes every mask, plan and rank from the patterns and
+destinations alone and audits all of these invariants; the property
+suite runs it after every churn operation.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Hashable, Iterable, Sequence
+from functools import reduce
+from itertools import compress, groupby
+from operator import and_, attrgetter, or_
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro.core.labels import DESCENDANT, WILDCARD, is_tag
 from repro.core.pattern import PatternNode, TreePattern
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import XMLTree, intern_skeleton_keys
 
-__all__ = ["PatternTrie", "TrieMatch", "BatchMatch"]
+__all__ = ["PatternTrie", "TrieMatch", "BatchMatch", "MaskBatch"]
 
 Destination = Hashable
 
@@ -165,38 +208,55 @@ _ANYWHERE = "anywhere"
 _CHILD = "child"
 _DESCENDANT = "descendant"
 
+#: The slot of a retired destination rank until the next compaction.
+_RETIRED: Hashable = object()
 
-def _canonical(node: PatternNode) -> tuple:
-    """The recursive canonical key of a pattern subtree (sorted children)."""
-    return (node.label, tuple(sorted(_canonical(c) for c in node.children)))
+#: ``bin(mask)`` digits → 0/1 bytes, the selectors of a rank decode.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+_REQ_MASK = attrgetter("req_mask")
+_DEST_MASK = attrgetter("dest_mask")
+_MASK = attrgetter("mask")
+_STEP = attrgetter("axis", "label")
+
+#: A subtree's degree-sorted canonical order: ``(degree, canonical key)``.
+_Order = tuple[int, tuple]
 
 
-def _degree(node: PatternNode) -> int:
-    """Number of ``*`` / ``//`` nodes in the subtree — the wildness order."""
-    return sum(
-        1
-        for sub in node.iter_subtree()
-        if sub.label == WILDCARD or sub.label == DESCENDANT
-    )
+def _subtree_orders(pattern: TreePattern) -> dict[PatternNode, _Order]:
+    """The order key of every subtree of *pattern*, for one decomposition.
 
-
-def _subtree_order(node: PatternNode) -> tuple:
-    """Degree-sorted canonical order: exact subtrees first."""
-    return (_degree(node), _canonical(node))
+    A subtree's *degree* — its number of ``*`` / ``//`` nodes, the
+    wildness order — is summed bottom-up in one pass (a reversed
+    pre-order sees every child before its parent), so sorting children
+    never re-walks a subtree; the canonical key is the one
+    :class:`~repro.core.pattern.PatternNode` cached at construction.
+    """
+    orders: dict[PatternNode, _Order] = {}
+    for node in reversed(list(pattern.iter_nodes())):
+        degree = int(node.label == WILDCARD or node.label == DESCENDANT)
+        for child in node.children:
+            degree += orders[child][0]
+        orders[node] = (degree, node.canonical_key)
+    return orders
 
 
 def _decompose(
-    pattern: TreePattern,
+    pattern: TreePattern, orders: dict[PatternNode, _Order] | None = None
 ) -> tuple[list[tuple[str, str, tuple[PatternNode, ...]]], tuple[PatternNode, ...]]:
     """Split *pattern* into its spine steps and its root gates.
 
     Deterministic: root children and every node's children are degree-
-    sorted, the spine follows the first child, everything else becomes a
-    branch (or, at the root, a gate).  The decomposition is a bijection
-    on canonical patterns, so one pattern maps to exactly one accepting
-    (node, gates) pair.
+    sorted (by *orders*, computed here unless the caller shares them, see
+    :func:`_subtree_orders`), the spine follows the first child,
+    everything else becomes a branch (or, at the root, a gate).  The
+    decomposition is a bijection on canonical patterns, so one pattern
+    maps to exactly one accepting (node, gates) pair.
     """
-    roots = sorted(pattern.root_children, key=_subtree_order)
+    if orders is None:
+        orders = _subtree_orders(pattern)
+    order = orders.__getitem__
+    roots = sorted(pattern.root_children, key=order)
     head, gates = roots[0], tuple(roots[1:])
     steps: list[tuple[str, str, tuple[PatternNode, ...]]] = []
     node, axis = head, _SELF
@@ -205,7 +265,7 @@ def _decompose(
             axis = _ANYWHERE if axis == _SELF else _DESCENDANT
             node = node.children[0]
             continue
-        kids = sorted(node.children, key=_subtree_order)
+        kids = sorted(node.children, key=order)
         steps.append((axis, node.label, tuple(kids[1:])))
         if not kids:
             return steps, gates
@@ -215,30 +275,22 @@ def _decompose(
 class _BranchNode:
     """One hash-consed pattern subtree (branch / gate constraint)."""
 
-    __slots__ = (
-        "label",
-        "children",
-        "key",
-        "degree",
-        "tags",
-        "node_id",
-        "refs",
-    )
+    __slots__ = ("label", "children", "key", "mask", "node_id", "refs")
 
     def __init__(
         self,
         label: str,
         children: tuple["_BranchNode", ...],
         key: tuple,
-        degree: int,
-        tags: frozenset,
+        mask: int,
         node_id: int,
     ) -> None:
         self.label = label
         self.children = children
         self.key = key
-        self.degree = degree
-        self.tags = tags
+        #: The tag bits of every tag the subtree names: a document missing
+        #: one of them cannot satisfy it.
+        self.mask = mask
         self.node_id = node_id
         self.refs = 0
 
@@ -252,17 +304,29 @@ def _step_rank(axis: str, label: str) -> int:
     return rank
 
 
-#: A run of sibling spine nodes sharing one (axis, label) step.
-_Group = tuple[str, str, tuple["_SpineNode", ...]]
+#: A run of sibling spine nodes sharing one (axis, label) step, with the
+#: AND of their ``req_mask`` values — the tags every member requires —
+#: and whether every member requires exactly that (then the group's AND
+#: decides each member's liveness too).
+_Group = tuple[str, str, int, tuple["_SpineNode", ...], bool]
+
+#: A spine node's cached visit plan: its children cut into groups, the
+#: set of its children's distinct ``req_mask`` values, and their number.
+_Plan = tuple[tuple[_Group, ...], frozenset[int], int]
 
 
-def _group_children(order: list[_SpineNode]) -> tuple[_Group, ...]:
+def _plan_of(node: _SpineNode) -> _Plan:
     """Cut a degree-sorted ``child_order`` into its (axis, label) runs."""
-    return tuple(
-        (axis, label, tuple(members))
-        for (axis, label), members in groupby(
-            order, key=lambda node: (node.axis, node.label)
-        )
+    groups: list[_Group] = []
+    for (axis, label), run in groupby(node.child_order, key=_STEP):
+        members = tuple(run)
+        shared: int = reduce(and_, map(_REQ_MASK, members))
+        uniform = all(member.req_mask == shared for member in members)
+        groups.append((axis, label, shared, members, uniform))
+    return (
+        tuple(groups),
+        frozenset(map(_REQ_MASK, node.child_order)),
+        len(node.child_order),
     )
 
 
@@ -278,12 +342,11 @@ class _SpineNode:
         "parent",
         "children",
         "child_order",
-        "groups",
+        "plan",
         "accepts",
-        "accept_order",
         "refs",
-        "own_tags",
-        "req_tags",
+        "own_mask",
+        "req_mask",
     )
 
     def __init__(
@@ -293,6 +356,7 @@ class _SpineNode:
         branches: tuple[_BranchNode, ...],
         child_key: tuple,
         parent: "_SpineNode | None",
+        own_mask: int,
     ) -> None:
         self.axis = axis
         self.label = label
@@ -302,27 +366,22 @@ class _SpineNode:
         self.parent = parent
         self.children: dict[tuple, _SpineNode] = {}
         self.child_order: list[_SpineNode] = []
-        #: ``child_order`` cut into runs of one (axis, label) step, the
-        #: unit the candidate scan is generated for; None until the next
-        #: match after a child is linked or unlinked.
-        self.groups: tuple[_Group, ...] | None = ()
+        #: The visit plan (:func:`_plan_of`); None until the next match
+        #: after a child is linked or unlinked or a child's ``req_mask``
+        #: changes.
+        self.plan: _Plan | None = None
         self.accepts: dict[tuple, _Entry] = {}
-        #: ``accepts`` in gate-key order; None until the next match after
-        #: an entry is added or removed here.
-        self.accept_order: tuple[_Entry, ...] | None = ()
         self.refs = 0
-        #: Tags this step itself demands of any matching document.
-        own = frozenset([label]) if is_tag(label) else frozenset()
-        for branch in branches:
-            own |= branch.tags
-        self.own_tags = own
-        #: Tags *every* pattern in this subtrie demands: ``own_tags``
-        #: plus the intersection of what each accepting entry's gates
-        #: and each child subtrie require.  A document missing one of
-        #: them cannot match anything below, so the whole subtrie is
-        #: killed for one operation.  Maintained by
-        #: :meth:`PatternTrie._recompute_req` on every add / discard.
-        self.req_tags = own
+        #: Tag bits this step itself demands of any matching document:
+        #: its label and its branch constraints.
+        self.own_mask = own_mask
+        #: Tag bits *every* pattern in this subtrie demands: ``own_mask``
+        #: plus the AND of what each accepting entry's gates and each
+        #: child subtrie require.  A document missing one of them cannot
+        #: match anything below, so the whole subtrie is killed for one
+        #: operation.  Maintained by :meth:`PatternTrie._set_req` on
+        #: every add / discard.
+        self.req_mask = own_mask
 
 
 class _Entry:
@@ -333,8 +392,9 @@ class _Entry:
         "node",
         "gate_key",
         "gates",
-        "gate_tags",
+        "gate_mask",
         "destinations",
+        "dest_mask",
     )
 
     def __init__(
@@ -344,15 +404,24 @@ class _Entry:
         gate_key: tuple,
         gates: tuple[_BranchNode, ...],
         destinations: set,
+        dest_mask: int,
     ) -> None:
         self.pattern = pattern
         self.node = node
         self.gate_key = gate_key
         self.gates = gates
-        self.gate_tags = frozenset().union(*(g.tags for g in gates)) if (
-            gates
-        ) else frozenset()
+        self.gate_mask: int = reduce(or_, map(_MASK, gates), 0)
         self.destinations = destinations
+        #: The rank bits of ``destinations`` (see
+        #: :meth:`PatternTrie.destinations_in`); edited by exactly the
+        #: methods that edit ``destinations``.
+        self.dest_mask = dest_mask
+
+
+#: Per document tag set: its missing-tag mask, its constraint aliveness
+#: memo (constraint id → alive) and the spine requirements already
+#: tested against it.
+_TagSetMemo = tuple[int, dict[int, bool], set[int]]
 
 
 class _BatchMemo:
@@ -360,7 +429,7 @@ class _BatchMemo:
 
     Everything keyed here is a pure function of *document structure*
     (skeleton keys, tag sets) and *trie constraints* (hash-consed node
-    ids, required-tag sets), so entries are sound across every document
+    ids, requirement masks), so entries are sound across every document
     of the batch.  ``stride`` is the trie's node-id horizon at pool
     creation; combined with the densely interned skeleton keys it packs
     every branch/gate memo key into one int.  A pool must not outlive a
@@ -370,31 +439,37 @@ class _BatchMemo:
 
     __slots__ = (
         "stride",
-        "skeleton_keys",
+        "tag_bits",
+        "all_tags",
+        "shapes",
+        "borrowed",
         "memo",
         "gate_cache",
-        "alive",
-        "alive_req",
+        "by_tags",
         "results",
         "hits",
         "misses",
     )
 
-    def __init__(self, stride: int) -> None:
+    def __init__(self, stride: int, tag_bits: dict[str, int]) -> None:
         self.stride = stride
-        #: Interner: dedup-canonical ``(label, child skeleton keys)`` →
-        #: dense skeleton key.
-        self.skeleton_keys: dict[tuple, int] = {}
+        self.tag_bits = tag_bits
+        self.all_tags = (1 << len(tag_bits)) - 1
+        #: Skeleton interner: dedup-canonical ``(label, child skeleton
+        #: keys)`` → dense skeleton key.  None until the first document,
+        #: whose own cached interning the pool adopts (``borrowed``) and
+        #: copies only when a second document must intern into it.
+        self.shapes: dict[tuple, int] | None = None
+        self.borrowed = False
         #: ``skeleton_key * stride + constraint id`` → branch satisfied.
         self.memo: dict[int, bool] = {}
         #: ``root skeleton key * stride + gate id`` → gate satisfied.
         self.gate_cache: dict[int, bool] = {}
-        #: Document tag set → {constraint id → constraint alive}.
-        self.alive: dict[frozenset, dict[int, bool]] = {}
-        #: Document tag set → {required tags → subtrie alive}.
-        self.alive_req: dict[frozenset, dict[frozenset, bool]] = {}
-        #: Root skeleton key → the whole document's match outcome.
-        self.results: dict[int, tuple[set, set]] = {}
+        #: Document tag set → its :data:`_TagSetMemo`.
+        self.by_tags: dict[frozenset, _TagSetMemo] = {}
+        #: Root skeleton key → the whole document's outcome: its
+        #: destination mask and accepted entries.
+        self.results: dict[int, tuple[int, list[_Entry]]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -404,67 +479,58 @@ class _MatchState:
 
     Holds what is genuinely per document — the tree, its cached
     :class:`~repro.xmltree.tree.TreeIndex`, its skeleton keys, the
-    aliveness memos of its tag set and the op counter — while every
-    memo table lives in the pool and is shared across the batch.
+    memos of its tag set and the op counter — while every memo table
+    lives in the pool and is shared across the batch.
     """
 
     __slots__ = (
         "tree",
         "index",
-        "tag_set",
         "pool",
         "skel",
         "root_key",
+        "missing",
         "alive",
-        "alive_req",
+        "seen",
         "ops",
     )
 
     def __init__(self, tree: XMLTree, pool: _BatchMemo) -> None:
         self.tree = tree
         self.index = tree.index
-        tag_set = self.tag_set = tree.tag_set
         self.pool = pool
-        alive = pool.alive.get(tag_set)
-        if alive is None:
-            alive = pool.alive[tag_set] = {}
-            pool.alive_req[tag_set] = {}
-        self.alive = alive
-        self.alive_req = pool.alive_req[tag_set]
-        # Skeleton keys, bottom-up: the builder appends parents before
-        # children, so a reverse scan sees every child before its
-        # parent.  Identical sibling subtrees intern to one key —
-        # matching only ever quantifies document children existentially,
-        # so the deduplication never changes satisfaction.  This is
-        # document bookkeeping (like the tree index), not trie work: it
-        # is deliberately not counted as trie operations.
-        skeleton_keys = pool.skeleton_keys
-        children = tree.children
-        labels = tree.labels
-        skel = [0] * len(labels)
-        for position in reversed(range(len(labels))):
-            kids = children[position]
-            shape = (
-                labels[position],
-                tuple(sorted({skel[kid] for kid in kids})) if kids else (),
-            )
-            key = skeleton_keys.get(shape)
-            if key is None:
-                key = len(skeleton_keys)
-                skeleton_keys[shape] = key
-            skel[position] = key
+        tag_set = tree.tag_set
+        memos = pool.by_tags.get(tag_set)
+        if memos is None:
+            # Distinct tags own distinct bits, so their sum is their OR.
+            bits = pool.tag_bits
+            present = sum(map(bits.__getitem__, bits.keys() & tag_set))
+            memos = pool.by_tags[tag_set] = (pool.all_tags ^ present, {}, set())
+        self.missing, self.alive, self.seen = memos
+        # Skeleton keys are document bookkeeping (like the tree index),
+        # not trie work: they are deliberately not counted as trie
+        # operations.  A fresh pool's interning of its first document
+        # equals the document's own, so it adopts the cached one.
+        if pool.shapes is None:
+            skel, pool.shapes = tree.skeleton_keys
+            pool.borrowed = True
+        else:
+            if pool.borrowed:
+                pool.shapes = dict(pool.shapes)
+                pool.borrowed = False
+            skel = intern_skeleton_keys(tree, pool.shapes)
         self.skel = skel
         self.root_key = skel[tree.root]
         self.ops = 0
 
-    def is_alive(self, node: "_BranchNode") -> bool:
+    def is_alive(self, node: _BranchNode) -> bool:
         """Does the document hold every tag *node* requires?  One memo
         entry per (constraint, document tag set) across the batch."""
         alive = self.alive.get(node.node_id)
         if alive is None:
             self.pool.misses += 1
             self.ops += 1
-            alive = self.alive[node.node_id] = node.tags <= self.tag_set
+            alive = self.alive[node.node_id] = not node.mask & self.missing
         else:
             self.pool.hits += 1
         return alive
@@ -504,15 +570,40 @@ class BatchMatch:
         return self.memo_hits / lookups if lookups else 0.0
 
 
+@dataclass
+class MaskBatch:
+    """:meth:`PatternTrie.match_masks`' result: per document of a batch,
+    in order, its destination mask (decode with
+    :meth:`PatternTrie.destinations_in`) and attributed operations, plus
+    the pool's memo hits and misses — the same traversal and counts as
+    :meth:`PatternTrie.match_batch`, without building sets."""
+
+    masks: list[int]
+    operations: list[int]
+    memo_hits: int
+    memo_misses: int
+
+
 class PatternTrie:
     """All of a broker's patterns merged into one matching structure."""
 
     def __init__(self) -> None:
-        self._root = _SpineNode(_SELF, "", (), (), None)
+        self._root = _SpineNode(_SELF, "", (), (), None, 0)
         self._entries: dict[TreePattern, _Entry] = {}
         self._interned: dict[tuple, _BranchNode] = {}
         self._next_node_id = 0
         self._spine_count = 0
+        #: Tag → its one-bit mask, allocated as tags first appear.
+        self._tag_bits: dict[str, int] = {}
+        #: Live destination → rank, its bit position in every destination
+        #: mask.  Ranks are allocated in registration order and never
+        #: reordered, so ascending rank is first-registered first.
+        self._ranks: dict[Destination, int] = {}
+        #: Rank → destination (:data:`_RETIRED` once it has no entry).
+        self._ranked: list[Destination] = []
+        #: Rank → number of entries holding that destination.
+        self._holders: list[int] = []
+        self._retired = 0
 
     # ------------------------------------------------------------------
     # maintenance
@@ -522,38 +613,57 @@ class PatternTrie:
         """Register *pattern* as active for *destination*."""
         entry = self._entries.get(pattern)
         if entry is not None:
-            entry.destinations.add(destination)
+            if destination not in entry.destinations:
+                entry.destinations.add(destination)
+                entry.dest_mask |= self._hold(destination)
             return
-        steps, gate_nodes = _decompose(pattern)
+        orders = _subtree_orders(pattern)
+        steps, gate_nodes = _decompose(pattern, orders)
         node = self._root
         path: list[_SpineNode] = []
         for axis, label, branches in steps:
-            node = self._step_child(node, axis, label, branches)
+            node = self._step_child(node, axis, label, branches, orders)
             path.append(node)
-        gates = tuple(self._intern(g) for g in gate_nodes)
+        gates = tuple(self._intern(g, orders) for g in gate_nodes)
         for gate in gates:
             gate.refs += 1
         gate_key = tuple(gate.key for gate in gates)
-        entry = _Entry(pattern, node, gate_key, gates, {destination})
+        entry = _Entry(
+            pattern, node, gate_key, gates, {destination}, self._hold(destination)
+        )
         node.accepts[gate_key] = entry
-        node.accept_order = None
         for spine_node in path:
             spine_node.refs += 1
         self._entries[pattern] = entry
-        # Unconditional bottom-up pass: freshly created parents were
-        # initialised before this child existed, so no early stop here.
+        # Bottom-up, each node gains one part (the entry's gates, or its
+        # path child's new requirement *part*), and a child's requirement
+        # only narrows, so the AND of its parts narrows to ``below &
+        # part`` — and ``own | (req & part)`` is exactly ``own | (below &
+        # part)``.  A node this add created (one ref) has that part alone.
+        part = entry.gate_mask
         for spine_node in reversed(path):
-            spine_node.req_tags = self._req_of(spine_node)
+            own = spine_node.own_mask
+            if spine_node.refs == 1:
+                req = own | part
+            else:
+                req = own | (spine_node.req_mask & part)
+            self._set_req(spine_node, req)
+            part = req
 
     def discard(self, pattern: TreePattern, destination: Destination) -> None:
         """Retire *pattern*'s active registration for *destination*."""
         entry = self._entries[pattern]
         entry.destinations.remove(destination)
-        if entry.destinations:
-            return
-        del self._entries[pattern]
+        entry.dest_mask &= ~self._let_go(destination)
+        if not entry.destinations:
+            self._drop_entry(entry)
+        self._compact_if_sparse()
+
+    def _drop_entry(self, entry: _Entry) -> None:
+        """Unlink an entry left without destinations, and every spine
+        node and interned constraint only it kept alive."""
+        del self._entries[entry.pattern]
         del entry.node.accepts[entry.gate_key]
-        entry.node.accept_order = None
         for gate in entry.gates:
             self._release(gate)
         node = entry.node
@@ -565,7 +675,7 @@ class PatternTrie:
             if node.refs == 0:
                 del parent.children[node.child_key]
                 parent.child_order.remove(node)
-                parent.groups = None
+                parent.plan = None
                 for branch in node.branches:
                     self._release(branch)
                 self._spine_count -= 1
@@ -582,18 +692,82 @@ class PatternTrie:
         patterns: Iterable[TreePattern],
     ) -> None:
         """Re-key *old* to *new* in the entries of *patterns* (the active
-        patterns of that destination); trie shape is untouched."""
+        patterns of that destination); trie shape is untouched.  *new*
+        takes the next (last) rank if it holds no entry yet."""
         for pattern in patterns:
-            destinations = self._entries[pattern].destinations
-            destinations.remove(old)
-            destinations.add(new)
+            entry = self._entries[pattern]
+            entry.destinations.remove(old)
+            entry.dest_mask &= ~self._let_go(old)
+            if new not in entry.destinations:
+                entry.destinations.add(new)
+                entry.dest_mask |= self._hold(new)
+        self._compact_if_sparse()
 
     def clear(self) -> None:
-        """Forget every entry and every shared node."""
-        self._root = _SpineNode(_SELF, "", (), (), None)
+        """Forget every entry, every shared node and every rank."""
+        self._root = _SpineNode(_SELF, "", (), (), None, 0)
         self._entries.clear()
         self._interned.clear()
         self._spine_count = 0
+        self._tag_bits.clear()
+        self._ranks.clear()
+        self._ranked.clear()
+        self._holders.clear()
+        self._retired = 0
+
+    # -- destination ranks ---------------------------------------------
+
+    def _hold(self, destination: Destination) -> int:
+        """Count one more entry holding *destination* and return its rank
+        bit, ranking it last if no entry held it."""
+        rank = self._ranks.get(destination)
+        if rank is None:
+            rank = self._ranks[destination] = len(self._ranked)
+            self._ranked.append(destination)
+            self._holders.append(0)
+        self._holders[rank] += 1
+        return 1 << rank
+
+    def _let_go(self, destination: Destination) -> int:
+        """Count one entry fewer holding *destination* and return its rank
+        bit; the rank retires with the last holder."""
+        rank = self._ranks[destination]
+        self._holders[rank] -= 1
+        if not self._holders[rank]:
+            del self._ranks[destination]
+            self._ranked[rank] = _RETIRED
+            self._retired += 1
+        return 1 << rank
+
+    def _compact_if_sparse(self) -> None:
+        """Renumber the live ranks densely, keeping their order, once
+        retired ranks outnumber them — so a mask stays O(live
+        destinations) wide however long the churn runs."""
+        if self._retired <= len(self._ranks):
+            return
+        self._ranked = [d for d in self._ranked if d is not _RETIRED]
+        self._holders = [count for count in self._holders if count]
+        self._ranks = {d: rank for rank, d in enumerate(self._ranked)}
+        self._retired = 0
+        for entry in self._entries.values():
+            entry.dest_mask = self._mask_of(entry.destinations)
+
+    def _mask_of(self, destinations: Iterable[Destination]) -> int:
+        """The rank bits of live *destinations* (distinct bits: sum = OR)."""
+        ranks = self._ranks
+        return sum(1 << ranks[d] for d in destinations)
+
+    # -- spine and constraints -----------------------------------------
+
+    def _tag_bit(self, label: str) -> int:
+        """The one-bit mask of a tag label (0 for ``*`` / ``//``),
+        allocating the next bit to a tag seen for the first time."""
+        if not is_tag(label):
+            return 0
+        bit = self._tag_bits.get(label)
+        if bit is None:
+            bit = self._tag_bits[label] = 1 << len(self._tag_bits)
+        return bit
 
     def _step_child(
         self,
@@ -601,60 +775,67 @@ class PatternTrie:
         axis: str,
         label: str,
         branches: tuple[PatternNode, ...],
+        orders: dict[PatternNode, _Order],
     ) -> _SpineNode:
-        branch_keys = tuple(_canonical(branch) for branch in branches)
+        branch_keys = tuple(branch.canonical_key for branch in branches)
         child_key = (axis, label, branch_keys)
         child = parent.children.get(child_key)
         if child is None:
-            interned = tuple(self._intern(branch) for branch in branches)
+            interned = tuple(self._intern(branch, orders) for branch in branches)
             for branch in interned:
                 branch.refs += 1
-            child = _SpineNode(axis, label, interned, child_key, parent)
+            own: int = reduce(or_, map(_MASK, interned), self._tag_bit(label))
+            child = _SpineNode(axis, label, interned, child_key, parent, own)
             parent.children[child_key] = child
             insort(parent.child_order, child, key=lambda n: n.order_key)
-            parent.groups = None
+            parent.plan = None
             self._spine_count += 1
         return child
 
     @staticmethod
-    def _req_of(node: _SpineNode) -> frozenset:
-        """The required-tag summary *node* should carry right now."""
-        parts = [entry.gate_tags for entry in node.accepts.values()]
-        parts.extend(child.req_tags for child in node.child_order)
-        below = frozenset.intersection(*parts) if parts else frozenset()
-        return node.own_tags | below
+    def _req_of(node: _SpineNode) -> int:
+        """The requirement mask *node* should carry right now: its own
+        tags, plus the tags its every entry and child subtrie require."""
+        below: int = reduce(
+            and_,
+            map(_REQ_MASK, node.child_order),
+            reduce(and_, map(attrgetter("gate_mask"), node.accepts.values()), -1),
+        )
+        return node.own_mask | below if below != -1 else node.own_mask
+
+    @staticmethod
+    def _set_req(node: _SpineNode, req: int) -> bool:
+        """Store *req* on *node*; a change drops the parent's plan, which
+        caches its children's masks.  Returns whether it changed."""
+        if req == node.req_mask:
+            return False
+        node.req_mask = req
+        assert node.parent is not None
+        node.parent.plan = None
+        return True
 
     def _recompute_req(self, node: _SpineNode | None) -> None:
-        """Re-derive ``req_tags`` from *node* upward, stopping at the
+        """Re-derive ``req_mask`` from *node* upward, stopping at the
         first ancestor whose requirement is unchanged.  Only valid when
         every ancestor was consistent beforehand (discard path)."""
         while node is not None and node is not self._root:
-            req = self._req_of(node)
-            if req == node.req_tags:
+            if not self._set_req(node, self._req_of(node)):
                 return
-            node.req_tags = req
             node = node.parent
 
-    def _intern(self, pnode: PatternNode) -> _BranchNode:
-        key = _canonical(pnode)
+    def _intern(
+        self, pnode: PatternNode, orders: dict[PatternNode, _Order]
+    ) -> _BranchNode:
+        key = pnode.canonical_key
         node = self._interned.get(key)
         if node is not None:
             return node
-        kids = sorted(pnode.children, key=_subtree_order)
-        children = tuple(self._intern(kid) for kid in kids)
+        kids = sorted(pnode.children, key=orders.__getitem__)
+        children = tuple(self._intern(kid, orders) for kid in kids)
         for child in children:
             child.refs += 1
-        tags = frozenset(
-            label
-            for label in [pnode.label]
-            if is_tag(label)
-        ).union(*(child.tags for child in children)) if children else (
-            frozenset([pnode.label]) if is_tag(pnode.label) else frozenset()
-        )
-        node = _BranchNode(
-            pnode.label, children, key, _degree(pnode), tags,
-            self._next_node_id,
-        )
+        mask: int = reduce(or_, map(_MASK, children), self._tag_bit(pnode.label))
+        node = _BranchNode(pnode.label, children, key, mask, self._next_node_id)
         self._next_node_id += 1
         self._interned[key] = node
         return node
@@ -692,122 +873,192 @@ class PatternTrie:
         evaluated (the pool is private to the call, so this only
         excludes mutation from within the iterable).
         """
-        results: list[TrieMatch] = []
+        outcomes, hits, misses = self._evaluate(trees)
+        results = [
+            TrieMatch(
+                set(self.destinations_in(mask)),
+                {entry.pattern for entry in accepted},
+                operations,
+            )
+            for mask, accepted, operations in outcomes
+        ]
+        return BatchMatch(
+            results, sum(result.operations for result in results), hits, misses
+        )
+
+    def match_masks(self, trees: Iterable[XMLTree]) -> MaskBatch:
+        """:meth:`match_batch` as destination masks: the same traversal,
+        operations and memo counts, but each document's destinations
+        stay one int of rank bits until :meth:`destinations_in` decodes
+        them — no per-document sets are built."""
+        outcomes, hits, misses = self._evaluate(trees)
+        return MaskBatch(
+            [mask for mask, _, _ in outcomes],
+            [operations for _, _, operations in outcomes],
+            hits,
+            misses,
+        )
+
+    def destinations_in(
+        self, mask: int, exclude: Iterable[Destination] = ()
+    ) -> list[Destination]:
+        """The destinations whose rank bits *mask* holds, minus *exclude*,
+        in ascending rank (first-registered first) order.
+
+        The excluded ranks' bits are cleared, then the rest decode in one
+        C-level pass: ``bin`` spells the mask out least significant bit
+        last, the reversed digits translate to 0/1 selectors, and
+        :func:`itertools.compress` picks the rank-indexed destinations
+        they select.  Only masks of the current ranks decode correctly:
+        a mutation may renumber them (see :meth:`_compact_if_sparse`).
+        """
+        ranks = self._ranks
+        for destination in exclude:
+            rank = ranks.get(destination)
+            if rank is not None:
+                mask &= ~(1 << rank)
+        if not mask:
+            return []
+        selectors = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+        return list(compress(self._ranked, selectors))
+
+    def _evaluate(
+        self, trees: Iterable[XMLTree]
+    ) -> tuple[list[tuple[int, list[_Entry], int]], int, int]:
+        """The matching kernel behind every entry point.
+
+        Per document, in order: its destination mask (the OR of its
+        accepted entries' ``dest_mask``), the accepted entries and the
+        operations attributed to it; then the pool's memo hits and
+        misses.  A document whose root skeleton key repeats within the
+        batch reuses the first one's outcome for zero operations.
+        """
         if not self._entries:
-            for _ in trees:
-                results.append(TrieMatch(set(), set(), 0))
-            return BatchMatch(results, 0, 0, 0)
-        pool = _BatchMemo(max(1, self._next_node_id))
-        total = 0
+            return [(0, [], 0) for _ in trees], 0, 0
+        pool = _BatchMemo(max(1, self._next_node_id), self._tag_bits)
+        outcomes: list[tuple[int, list[_Entry], int]] = []
         for tree in trees:
             state = _MatchState(tree, pool)
             cached = pool.results.get(state.root_key)
             if cached is not None:
                 pool.hits += 1
-                destinations, patterns = cached
-                results.append(TrieMatch(set(destinations), set(patterns), 0))
+                outcomes.append((cached[0], cached[1], 0))
                 continue
             pool.misses += 1
-            destinations = set()
-            patterns: set[TreePattern] = set()
-            self._visit_children(
-                self._root, (), state, destinations, patterns
-            )
-            # Later documents of the batch copy these sets on a hit, all
-            # before any result leaves this call, so no copy is made here.
-            pool.results[state.root_key] = (destinations, patterns)
-            total += state.ops
-            results.append(TrieMatch(destinations, patterns, state.ops))
-        return BatchMatch(results, total, pool.hits, pool.misses)
+            accepted: list[_Entry] = []
+            self._walk(state, accepted)
+            mask: int = reduce(or_, map(_DEST_MASK, accepted), 0)
+            pool.results[state.root_key] = (mask, accepted)
+            outcomes.append((mask, accepted, state.ops))
+        return outcomes, pool.hits, pool.misses
 
-    def _visit_children(
-        self,
-        parent: _SpineNode,
-        anchors: Sequence[int],
-        state: _MatchState,
-        destinations: set,
-        patterns: set,
-    ) -> None:
-        groups = parent.groups
-        if groups is None:
-            groups = parent.groups = _group_children(parent.child_order)
-        alive_req = state.alive_req
-        tag_set = state.tag_set
-        # Aliveness lookups and their misses, settled once per visit.
-        lookups = misses = 0
-        # The descendant scope of these anchors, shared by every
-        # descendant group of this visit.
-        scope: set[int] | None = None
-        for axis, label, members in groups:
-            # One op per distinct (requirement set, document tag set)
-            # across the whole batch kills every subtrie whose required
-            # tags the document lacks — before any candidate scan is
-            # paid.
-            live: list[_SpineNode] = []
-            lookups += len(members)
-            for member in members:
-                required = member.req_tags
-                alive = alive_req.get(required)
-                if alive is None:
-                    misses += 1
-                    alive = alive_req[required] = required <= tag_set
-                if alive:
-                    live.append(member)
-            if not live:
-                continue
-            candidates: Sequence[int]
-            if axis == _DESCENDANT:
-                if scope is None:
-                    scope = state.index.scope(anchors)
-                candidates = self._descendants(label, scope, state)
-            else:
-                candidates = self._candidates(axis, label, anchors, state)
-            if not candidates:
-                continue
-            for member in live:
-                if member.branches:
-                    branches = member.branches
-                    member_anchors: Sequence[int] = [
-                        anchor
-                        for anchor in candidates
-                        if all(
-                            self._branch_sat(branch, anchor, state)
-                            for branch in branches
+    def _walk(self, state: _MatchState, accepted: list[_Entry]) -> None:
+        """Traverse the spine for one document, appending every accepted
+        entry to *accepted* and counting operations into *state*.
+
+        An explicit stack of (spine node, anchors) visits replaces the
+        recursion; the counts cannot depend on the visit order because
+        every memo key is computed once (see the module docstring).
+        """
+        missing = state.missing
+        seen = state.seen
+        tree_children = state.tree.children
+        children_by_label = state.index.children_by_label
+        branch_sat = self._branch_sat
+        gate_sat = self._gate_sat
+        # Aliveness lookups and their misses, and the child steps'
+        # candidate operations, settled once per walk.
+        lookups = misses = ops = 0
+        stack: list[tuple[_SpineNode, Sequence[int]]] = [(self._root, ())]
+        while stack:
+            parent, anchors = stack.pop()
+            plan = parent.plan
+            if plan is None:
+                plan = parent.plan = _plan_of(parent)
+            groups, child_masks, width = plan
+            # Every child's requirement is looked up once per visit; the
+            # ones this tag set has not met yet in the pool are misses,
+            # one operation each.
+            lookups += width
+            before = len(seen)
+            seen |= child_masks
+            misses += len(seen) - before
+            # The descendant scope of these anchors, shared by every
+            # descendant group of this visit.
+            scope: set[int] | None = None
+            for axis, label, shared, members, uniform in groups:
+                # One AND kills a group whose shared tags are missing.
+                if shared & missing:
+                    continue
+                live = (
+                    members
+                    if uniform
+                    else [m for m in members if not m.req_mask & missing]
+                )
+                if not live:
+                    continue
+                candidates: Sequence[int]
+                if axis == _CHILD:
+                    # One op per anchor looked up, one per candidate
+                    # surfaced — the (label, parent) index is shared by
+                    # the whole table.
+                    if label == WILDCARD:
+                        candidates = [
+                            kid for anchor in anchors for kid in tree_children[anchor]
+                        ]
+                    else:
+                        by_parent = children_by_label.get(label)
+                        candidates = (
+                            [
+                                kid
+                                for anchor in anchors
+                                for kid in by_parent.get(anchor, ())
+                            ]
+                            if by_parent is not None
+                            else []
                         )
-                    ]
-                    if not member_anchors:
-                        continue
+                    ops += len(anchors) + len(candidates)
+                elif axis == _DESCENDANT:
+                    if scope is None:
+                        scope = state.index.scope(anchors)
+                    candidates = self._descendants(label, scope, state)
                 else:
-                    member_anchors = candidates
-                accept_order = member.accept_order
-                if accept_order is None:
-                    accept_order = member.accept_order = tuple(
-                        member.accepts[gate_key]
-                        for gate_key in sorted(member.accepts)
-                    )
-                for entry in accept_order:
-                    if not entry.gates or all(
-                        self._gate_sat(gate, state) for gate in entry.gates
-                    ):
-                        destinations.update(entry.destinations)
-                        patterns.add(entry.pattern)
-                if member.child_order:
-                    self._visit_children(
-                        member, member_anchors, state, destinations, patterns
-                    )
+                    candidates = self._root_candidates(axis, label, state)
+                if not candidates:
+                    continue
+                for member in live:
+                    member_anchors: Sequence[int] = candidates
+                    branches = member.branches
+                    if branches:
+                        kept: list[int] = []
+                        for anchor in candidates:
+                            for branch in branches:
+                                if not branch_sat(branch, anchor, state):
+                                    break
+                            else:
+                                kept.append(anchor)
+                        if not kept:
+                            continue
+                        member_anchors = kept
+                    for entry in member.accepts.values():
+                        for gate in entry.gates:
+                            if not gate_sat(gate, state):
+                                break
+                        else:
+                            accepted.append(entry)
+                    if member.child_order:
+                        stack.append((member, member_anchors))
         pool = state.pool
         pool.hits += lookups - misses
         pool.misses += misses
-        state.ops += misses
+        state.ops += misses + ops
 
     @staticmethod
-    def _candidates(
-        axis: str,
-        label: str,
-        anchors: Sequence[int],
-        state: _MatchState,
+    def _root_candidates(
+        axis: str, label: str, state: _MatchState
     ) -> Sequence[int]:
-        """Document nodes a non-descendant step can anchor at."""
+        """Document nodes a top-level (_SELF or _ANYWHERE) step can
+        anchor at, one op per node examined."""
         tree = state.tree
         if axis == _SELF:
             state.ops += 1
@@ -815,30 +1066,12 @@ class PatternTrie:
             if label != WILDCARD and tree.labels[root] != label:
                 return ()
             return (root,)
-        if axis == _ANYWHERE:
-            if label == WILDCARD:
-                candidates: Sequence[int] = range(len(tree.labels))
-            else:
-                candidates = state.index.positions.get(label, ())
-            state.ops += len(candidates)
-            return candidates
-        # _CHILD: one op per anchor looked up, one per candidate surfaced
-        # — the (label, parent) index is shared by the whole table.
         if label == WILDCARD:
-            children = tree.children
-            found = [kid for anchor in anchors for kid in children[anchor]]
+            candidates: Sequence[int] = range(len(tree.labels))
         else:
-            by_parent = state.index.children_by_label.get(label)
-            if by_parent is None:
-                found = []
-            else:
-                found = [
-                    kid
-                    for anchor in anchors
-                    for kid in by_parent.get(anchor, ())
-                ]
-        state.ops += len(anchors) + len(found)
-        return found
+            candidates = state.index.positions.get(label, ())
+        state.ops += len(candidates)
+        return candidates
 
     @staticmethod
     def _descendants(
@@ -862,10 +1095,8 @@ class PatternTrie:
         """(T, t) ⊨ Subtree(node) — the exact :class:`PatternMatcher`
         semantics, memoised on the document node's skeleton key: shared
         across every pattern in the trie *and* every structurally equal
-        subtree in the batch.  The cycle-safe placeholder below stays
-        sound under key sharing because a strict document descendant has
-        a strictly smaller dedup-canonical height than its ancestor, so
-        the two can never intern to the same skeleton key."""
+        subtree in the batch.  A ``//`` constraint descends the document
+        in :meth:`_descend`, without one Python frame per level."""
         pool = state.pool
         key = state.skel[t] * pool.stride + node.node_id
         memo = pool.memo
@@ -877,32 +1108,85 @@ class PatternTrie:
             return False
         pool.misses += 1
         state.ops += 1
-        tree = state.tree
         label = node.label
-        kids = node.children
-        result = False
         if label == DESCENDANT:
-            memo[key] = False  # cycle-safe placeholder; tree has no cycles
-            result = all(self._branch_sat(ku, t, state) for ku in kids)
-            if not result:
-                result = any(
-                    self._branch_sat(node, kid, state)
-                    for kid in tree.children[t]
-                )
-        elif label == WILDCARD:
-            result = any(
-                all(self._branch_sat(ku, kid, state) for ku in kids)
-                for kid in tree.children[t]
-            )
-        else:
-            doc_labels = tree.labels
-            result = any(
-                doc_labels[kid] == label
-                and all(self._branch_sat(ku, kid, state) for ku in kids)
-                for kid in tree.children[t]
-            )
+            return self._descend(node, t, key, state)
+        kids = node.children
+        tree = state.tree
+        doc_labels = tree.labels
+        wildcard = label == WILDCARD
+        result = False
+        for kid in tree.children[t]:
+            if wildcard or doc_labels[kid] == label:
+                for ku in kids:
+                    if not self._branch_sat(ku, kid, state):
+                        break
+                else:
+                    result = True
+                    break
         memo[key] = result
         return result
+
+    def _descend(
+        self, node: _BranchNode, t: int, key: int, state: _MatchState
+    ) -> bool:
+        """A ``//`` constraint at *t*, whose memo miss *key* is counted:
+        its child holds at *t*, or the constraint holds at some child of
+        *t* — the recursion ``sat(//, t) = sat(ku, t) or any(sat(//, kid))``
+        walked with an explicit stack of (position key, children left).
+
+        It looks up the same memo keys in the same order as the
+        recursion, stops at the first satisfied child and counts the
+        same hits, misses and operations (a fresh position costs the
+        recursion's aliveness hit, memo miss and operation).  Placeholder
+        False entries keep it cycle-safe under key sharing, because a
+        strict document descendant has a strictly smaller dedup-canonical
+        height than its ancestor, so the two never share a skeleton key.
+        """
+        pool = state.pool
+        memo = pool.memo
+        stride = pool.stride
+        skel = state.skel
+        children = state.tree.children
+        node_id = node.node_id
+        kids = node.children
+        frames: list[tuple[int, Iterator[int]]] = []
+        position = t
+        while True:
+            memo[key] = False  # cycle-safe placeholder
+            for ku in kids:
+                if not self._branch_sat(ku, position, state):
+                    break
+            else:
+                # Satisfied here, and so is every frame waiting on it.
+                memo[key] = True
+                for waiting, _ in reversed(frames):
+                    memo[waiting] = True
+                return True
+            frames.append((key, iter(children[position])))
+            # Find the next position to enter, closing exhausted frames
+            # (their placeholder False is their result).
+            while frames:
+                for kid in frames[-1][1]:
+                    kid_key = skel[kid] * stride + node_id
+                    cached = memo.get(kid_key)
+                    # A memo hit, or the aliveness hit of a fresh position.
+                    pool.hits += 1
+                    if cached is None:
+                        pool.misses += 1
+                        state.ops += 1
+                        position, key = kid, kid_key
+                        break
+                    if cached:
+                        for waiting, _ in reversed(frames):
+                            memo[waiting] = True
+                        return True
+                else:
+                    frames.pop()
+                    continue
+                break
+            else:
+                return False
 
     def _gate_sat(self, gate: _BranchNode, state: _MatchState) -> bool:
         """Root semantics for a non-spine root child, cached per root
@@ -922,29 +1206,30 @@ class PatternTrie:
         state.ops += 1
         tree = state.tree
         label = gate.label
+        result = False
         if label == DESCENDANT:
             target = gate.children[0]
+            positions: Sequence[int]
             if target.label == WILDCARD:
-                pool: Sequence[int] = range(len(tree.labels))
+                positions = range(len(tree.labels))
             else:
-                pool = state.index.positions.get(target.label, ())
-            result = False
-            for position in pool:
+                positions = state.index.positions.get(target.label, ())
+            for position in positions:
                 state.ops += 1
-                if all(
-                    self._branch_sat(ku, position, state)
-                    for ku in target.children
-                ):
+                for ku in target.children:
+                    if not self._branch_sat(ku, position, state):
+                        break
+                else:
                     result = True
                     break
         else:
             root = tree.root
-            if label != WILDCARD and tree.labels[root] != label:
-                result = False
-            else:
-                result = all(
-                    self._branch_sat(ku, root, state) for ku in gate.children
-                )
+            if label == WILDCARD or tree.labels[root] == label:
+                result = True
+                for ku in gate.children:
+                    if not self._branch_sat(ku, root, state):
+                        result = False
+                        break
         gate_cache[key] = result
         return result
 
@@ -978,7 +1263,14 @@ class PatternTrie:
 
     def check(self) -> None:
         """Audit every incremental-maintenance invariant; raises
-        AssertionError on any inconsistency (test support)."""
+        AssertionError on any inconsistency (test support).
+
+        Every mask — spine ``own_mask`` / ``req_mask``, constraint and
+        gate masks, each cached plan's group ANDs and child-mask set,
+        each entry's ``dest_mask`` — is recomputed from the patterns and
+        destinations alone and compared, as are the rank registry and
+        its rank-indexed destination list.
+        """
         # Walk the spine trie, collecting nodes and recomputing refcounts.
         reachable: list[_SpineNode] = []
         stack = [self._root]
@@ -990,18 +1282,12 @@ class PatternTrie:
                 node.child_order
             ), "child_order not degree-sorted"
             assert set(node.children.values()) == set(node.child_order)
-            assert node.groups is None or node.groups == _group_children(
-                node.child_order
-            ), "cached child groups stale"
-            assert node.accept_order is None or node.accept_order == tuple(
-                node.accepts[gate_key] for gate_key in sorted(node.accepts)
-            ), "cached accept order stale"
             for key, child in node.children.items():
                 assert child.child_key == key and child.parent is node
                 stack.append(child)
         assert len(reachable) == self._spine_count, "spine count drifted"
 
-        spine_refs: dict[int, int] = {}
+        spine_refs: dict[_SpineNode, int] = {}
         entries_seen: dict[TreePattern, _Entry] = {}
         for node in reachable + [self._root]:
             for gate_key, entry in node.accepts.items():
@@ -1011,17 +1297,11 @@ class PatternTrie:
                 entries_seen[entry.pattern] = entry
                 walk: _SpineNode | None = node
                 while walk is not None and walk is not self._root:
-                    # check() is an in-process diagnostic audit; ids index
-                    # live nodes for one pass.
-                    # reprolint: disable=RL003 -- one-pass in-process audit keys
-                    spine_refs[id(walk)] = spine_refs.get(id(walk), 0) + 1
+                    spine_refs[walk] = spine_refs.get(walk, 0) + 1
                     walk = walk.parent
         assert entries_seen == self._entries, "entry index out of sync"
         for node in reachable:
-            # reprolint: disable=RL003 -- same one-pass diagnostic audit.
-            assert node.refs == spine_refs.get(id(node), 0), (
-                "spine refcount drifted"
-            )
+            assert node.refs == spine_refs.get(node, 0), "spine refcount drifted"
             assert node.refs > 0, "orphan spine node"
 
         # Recompute branch/gate refcounts from every referer.
@@ -1039,30 +1319,100 @@ class PatternTrie:
             key: node.refs for key, node in self._interned.items()
         }, "interned refcounts drifted"
 
-        # Recompute required-tag summaries bottom-up and compare.
-        def expected_req(node: _SpineNode) -> frozenset:
-            own = (
-                frozenset([node.label])
-                if is_tag(node.label)
-                else frozenset()
-            )
-            for branch in node.branches:
-                own |= branch.tags
-            assert node.own_tags == own, "own_tags drifted"
-            parts = [entry.gate_tags for entry in node.accepts.values()]
-            parts.extend(expected_req(child) for child in node.child_order)
-            below = frozenset.intersection(*parts) if parts else frozenset()
-            req = own | below
-            assert node.req_tags == req, "req_tags drifted"
-            return req
+        # Tag masks, recomputed from each entry's pattern: the spine
+        # steps' own tags, every constraint and gate subtree's tags.
+        bits = self._tag_bits
+        assert sorted(bits.values()) == [1 << i for i in range(len(bits))], (
+            "tag bits are not distinct one-bit masks"
+        )
 
-        for top in self._root.child_order:
-            expected_req(top)
+        def mask_of(tags: frozenset[str]) -> int:
+            assert tags <= bits.keys(), "tag without a bit"
+            return sum(bits[tag] for tag in tags)
+
+        def audit_constraint(
+            top: _BranchNode,
+            pnode: PatternNode,
+            orders: dict[PatternNode, _Order],
+        ) -> frozenset[str]:
+            pairs = [(top, pnode)]
+            while pairs:
+                interned, subtree = pairs.pop()
+                assert interned.key == subtree.canonical_key
+                assert interned.mask == mask_of(subtree.tags()), (
+                    "constraint mask drifted"
+                )
+                kids = sorted(subtree.children, key=orders.__getitem__)
+                assert len(kids) == len(interned.children)
+                pairs.extend(zip(interned.children, kids, strict=True))
+            return pnode.tags()
+
+        own_tags: dict[_SpineNode, frozenset[str]] = {}
+        gate_tags: dict[TreePattern, frozenset[str]] = {}
         for entry in self._entries.values():
-            gate_tags = frozenset().union(
-                *(gate.tags for gate in entry.gates)
-            ) if entry.gates else frozenset()
-            assert entry.gate_tags == gate_tags, "gate_tags drifted"
+            orders = _subtree_orders(entry.pattern)
+            steps, gate_nodes = _decompose(entry.pattern, orders)
+            path: list[_SpineNode] = []
+            walk = entry.node
+            while walk is not None and walk is not self._root:
+                path.append(walk)
+                walk = walk.parent
+            path.reverse()
+            assert len(path) == len(steps), "spine path drifted"
+            for spine_node, (axis, label, branches) in zip(path, steps, strict=True):
+                assert (spine_node.axis, spine_node.label) == (axis, label)
+                assert len(spine_node.branches) == len(branches)
+                own = frozenset([label]) if is_tag(label) else frozenset()
+                for interned, branch in zip(
+                    spine_node.branches, branches, strict=True
+                ):
+                    own |= audit_constraint(interned, branch, orders)
+                assert spine_node.own_mask == mask_of(own), "own_mask drifted"
+                own_tags[spine_node] = own
+            assert len(entry.gates) == len(gate_nodes)
+            tags: frozenset[str] = frozenset()
+            for gate, gate_node in zip(entry.gates, gate_nodes, strict=True):
+                tags |= audit_constraint(gate, gate_node, orders)
+            assert entry.gate_mask == mask_of(tags), "gate_mask drifted"
+            gate_tags[entry.pattern] = tags
+
+        # Requirements bottom-up from those tag sets; once every
+        # ``req_mask`` is audited, a cached plan (group ANDs, child-mask
+        # set) is current iff a rebuild from them equals it.
+        required: dict[_SpineNode, frozenset[str]] = {}
+        for node in reversed(reachable):
+            parts = [gate_tags[entry.pattern] for entry in node.accepts.values()]
+            parts.extend(required[child] for child in node.child_order)
+            below = frozenset.intersection(*parts) if parts else frozenset()
+            required[node] = own_tags[node] | below
+            assert node.req_mask == mask_of(required[node]), "req_mask drifted"
+        for node in reachable + [self._root]:
+            assert node.plan is None or node.plan == _plan_of(node), (
+                "cached plan stale"
+            )
+
+        # Destination ranks: the rank-indexed list, the holder counts and
+        # every entry's destination mask.
+        holders: dict[Destination, int] = {}
+        for entry in self._entries.values():
+            for destination in entry.destinations:
+                holders[destination] = holders.get(destination, 0) + 1
+        assert holders.keys() == self._ranks.keys(), "live ranks drifted"
+        assert len(self._ranked) == len(self._holders)
+        assert len(self._ranked) == len(self._ranks) + self._retired
+        for destination, rank in self._ranks.items():
+            assert self._ranked[rank] == destination, "rank list drifted"
+            assert self._holders[rank] == holders[destination], (
+                "rank holders drifted"
+            )
+        assert (
+            sum(1 for slot in self._ranked if slot is _RETIRED) == self._retired
+        ), "retired ranks miscounted"
+        assert self._retired <= len(self._ranks), "sparse ranks not compacted"
+        for entry in self._entries.values():
+            assert entry.dest_mask == sum(
+                1 << self._ranks[d] for d in entry.destinations
+            ), "dest_mask drifted"
 
     def __repr__(self) -> str:
         return (

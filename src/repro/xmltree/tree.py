@@ -20,7 +20,13 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["XMLTree", "XMLTreeBuilder", "TreeIndex", "NestedSpec"]
+__all__ = [
+    "XMLTree",
+    "XMLTreeBuilder",
+    "TreeIndex",
+    "NestedSpec",
+    "intern_skeleton_keys",
+]
 
 #: Convenience type for literal tree construction:
 #: a tag, or a ``(tag, [children...])`` pair.
@@ -37,6 +43,7 @@ class XMLTree:
         "doc_id",
         "_tag_set",
         "_index",
+        "_skeleton",
     )
 
     def __init__(
@@ -58,6 +65,7 @@ class XMLTree:
         self.doc_id = doc_id
         self._tag_set: frozenset[str] | None = None
         self._index: TreeIndex | None = None
+        self._skeleton: tuple[list[int], dict[tuple, int]] | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -129,6 +137,17 @@ class XMLTree:
             self._index = TreeIndex(self)
         return self._index
 
+    @property
+    def skeleton_keys(self) -> tuple[list[int], dict[tuple, int]]:
+        """Every node's skeleton key and the interner that numbered them
+        (see :func:`intern_skeleton_keys`), computed once into a fresh
+        interner and shared by every reader of the tree.  Readers must
+        not mutate the interner: copy it to intern further documents."""
+        if self._skeleton is None:
+            shapes: dict[tuple, int] = {}
+            self._skeleton = (intern_skeleton_keys(self, shapes), shapes)
+        return self._skeleton
+
     # -- traversals ----------------------------------------------------------
 
     def iter_preorder(self, start: int = 0) -> Iterator[int]:
@@ -197,6 +216,37 @@ class XMLTree:
 
     def __repr__(self) -> str:
         return f"XMLTree(doc_id={self.doc_id}, nodes={len(self.labels)})"
+
+
+def intern_skeleton_keys(tree: XMLTree, shapes: dict[tuple, int]) -> list[int]:
+    """The skeleton key of every node of *tree*, interned into *shapes*.
+
+    A node's skeleton key names the canonical form of its subtree with
+    identical sibling subtrees deduplicated (unlike the Section 3.1
+    skeleton tree of :mod:`repro.xmltree.skeleton`, it never merges
+    distinct same-tag siblings): ``(label, sorted distinct child
+    skeleton keys)``.  *shapes* maps each skeleton to a dense key, so
+    structurally equal subtrees — within the tree and across every tree
+    interned into the same *shapes* — share one key.  Matching that only
+    quantifies children existentially (tree-pattern satisfaction) cannot
+    tell such subtrees apart.  Keys are assigned bottom-up by a reverse
+    scan, which sees every child before its parent because builders
+    append parents before children.
+    """
+    children = tree.children
+    labels = tree.labels
+    skel = [0] * len(labels)
+    for position in reversed(range(len(labels))):
+        kids = children[position]
+        shape = (
+            labels[position],
+            tuple(sorted({skel[kid] for kid in kids})) if kids else (),
+        )
+        key = shapes.get(shape)
+        if key is None:
+            key = shapes[shape] = len(shapes)
+        skel[position] = key
+    return skel
 
 
 class TreeIndex:

@@ -606,6 +606,7 @@ class TestTrieModeOrdering:
             table.add(parse_xpath("//e"), name)
         table.rename_destination("b", "z")
         table.remove_destination("a")
-        assert sorted(table._dest_rank) == sorted(table._by_destination)
-        ranked = sorted(table._dest_rank, key=table._dest_rank.__getitem__)
+        ranks = table._trie._ranks
+        assert sorted(ranks) == sorted(table._by_destination)
+        ranked = sorted(ranks, key=ranks.__getitem__)
         assert ranked == list(table._by_destination)
