@@ -114,7 +114,9 @@ def stats_digest(stats, delivered):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def legacy_scenario_engine(**engine_kwargs):
+def legacy_scenario_engine(
+    service=ServiceModel(base=0.3, per_match=0.07), **engine_kwargs
+):
     """The fixed pre-PR replay scenario the golden digest was cut on."""
     overlay = BrokerOverlay.chain(3)
     overlay.attach(0, parse_xpath("/a/b"))
@@ -135,7 +137,7 @@ def legacy_scenario_engine(**engine_kwargs):
     )
     engine = DeliveryEngine(
         overlay,
-        service=ServiceModel(base=0.3, per_match=0.07),
+        service=service,
         links=LinkModel(default=0.6, overrides={(0, 1): 1.1}),
         scheduling=PriorityScheduling(),
         **engine_kwargs,
@@ -172,6 +174,20 @@ class TestByteIdenticalDefault:
         assert stats.dropped_jobs == 0
         assert stats.nacked_jobs == 0
         assert stats.admitted_jobs == stats.offered_jobs
+
+    def test_batch_of_one_model_replays_the_affine_engine(self):
+        # The affine model is the batch-of-one case: no per-document
+        # charge, one document per service interval.
+        affine = legacy_scenario_engine()
+        batched = legacy_scenario_engine(
+            service=BatchServiceModel(0.3, 0.07, per_doc=0.0, max_batch=1)
+        )
+        affine_stats = affine.run()
+        batched_stats = batched.run()
+        assert stats_digest(
+            affine_stats, affine.delivered_sets()
+        ) == stats_digest(batched_stats, batched.delivered_sets())
+        assert affine.delivered_sets() == batched.delivered_sets()
 
     def test_explicit_unbounded_policy_equals_default(self):
         default = legacy_scenario_engine()
