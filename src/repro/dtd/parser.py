@@ -47,7 +47,7 @@ class _ContentParser:
     def parse_group(self) -> Particle:
         """Parse ``( item (sep item)* )occurs`` with a consistent separator."""
         self.skip_space()
-        if self.text[self.pos] != "(":
+        if self.pos >= len(self.text) or self.text[self.pos] != "(":
             raise self.error("expected '('")
         self.pos += 1
         items = [self.parse_item()]

@@ -78,17 +78,15 @@ class XMLTree:
         ['a', 'b', 'c', 'd']
         """
         builder = XMLTreeBuilder()
-
-        def add(node_spec, parent: int) -> None:
+        stack = [(spec, -1)]
+        while stack:
+            node_spec, parent = stack.pop()
             if isinstance(node_spec, str):
                 builder.add(node_spec, parent)
-                return
+                continue
             tag, kids = node_spec
             index = builder.add(tag, parent)
-            for kid in kids:
-                add(kid, index)
-
-        add(spec, -1)
+            stack.extend((kid, index) for kid in reversed(kids))
         return builder.build(doc_id=doc_id)
 
     # -- basic structure -----------------------------------------------------
@@ -209,10 +207,24 @@ class XMLTree:
 
     def to_nested(self, node: int = 0):
         """Inverse of :meth:`from_nested` (labels only)."""
-        kids = self.children[node]
-        if not kids:
-            return self.labels[node]
-        return (self.labels[node], [self.to_nested(kid) for kid in kids])
+        labels, children = self.labels, self.children
+        built: dict[int, object] = {}
+        # A negative entry ~n assembles n once its children are built.
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            if current < 0:
+                current = ~current
+                built[current] = (
+                    labels[current],
+                    [built.pop(kid) for kid in children[current]],
+                )
+            elif children[current]:
+                stack.append(~current)
+                stack.extend(children[current])
+            else:
+                built[current] = labels[current]
+        return built[node]
 
     def __repr__(self) -> str:
         return f"XMLTree(doc_id={self.doc_id}, nodes={len(self.labels)})"

@@ -1,6 +1,8 @@
 """DTD model, parser, and the built-in paper-scale document types."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dtd.builtin import (
     NITF_ELEMENT_COUNT,
@@ -126,6 +128,18 @@ class TestContentModelParser:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(DTDError):
             parse_content_model("(a) b")
+
+    @pytest.mark.parametrize("text", ["", "   ", "\t\n"])
+    def test_blank_model_rejected(self, text):
+        with pytest.raises(DTDError):
+            parse_content_model(text)
+
+    @given(st.text(alphabet="()|,?*+ #PCDATAab\t\n"))
+    def test_only_dtd_errors_escape(self, text):
+        try:
+            parse_content_model(text)
+        except DTDError:
+            pass
 
 
 class TestParseDtd:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.xmltree.parser import parse_xml
 from repro.xmltree.tree import XMLTree, XMLTreeBuilder
 from tests.strategies import any_order_xml_trees, breadth_first, xml_trees
 
@@ -49,6 +50,21 @@ class TestFromNested:
     def test_round_trip_with_to_nested(self):
         spec = ("a", ["b", ("c", ["d", "e"])])
         assert XMLTree.from_nested(spec).to_nested() == spec
+
+    @given(xml_trees())
+    def test_round_trip_keeps_preorder_sibling_order(self, tree):
+        rebuilt = XMLTree.from_nested(tree.to_nested())
+        assert rebuilt.labels == tree.labels
+        assert rebuilt.children == tree.children
+
+    def test_deep_chain_round_trips(self):
+        depth = 10_000
+        tree = parse_xml("<a>" * depth + "<leaf/>" + "</a>" * depth)
+        rebuilt = XMLTree.from_nested(tree.to_nested())
+        # The arrays, not the nested specs: == on 10^4-deep tuples
+        # recurses in C.
+        assert rebuilt.labels == tree.labels
+        assert rebuilt.children == tree.children
 
 
 class TestStructure:
