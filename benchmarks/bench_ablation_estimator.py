@@ -25,7 +25,7 @@ from repro.core.selectivity import SelectivityEstimator
 from repro.experiments.harness import build_synopsis, prepare
 from repro.xmltree.matcher import CompiledPattern
 
-from _bench_utils import RESULTS_DIR
+from common import RESULTS_DIR
 
 CAPACITY = 100  # 20% of the quick-scale stream
 

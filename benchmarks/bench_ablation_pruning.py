@@ -21,7 +21,7 @@ from repro.synopsis.pruning import (
 )
 from repro.synopsis.size import measure
 
-from _bench_utils import RESULTS_DIR
+from common import RESULTS_DIR
 
 TARGET_REDUCTION = 0.75  # shrink to 75% of the original size
 

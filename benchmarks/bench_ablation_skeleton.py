@@ -20,7 +20,7 @@ import pytest
 
 from repro.experiments.harness import evaluate, prepare
 
-from _bench_utils import RESULTS_DIR
+from common import RESULTS_DIR
 
 
 @pytest.mark.parametrize("dtd_name", ["nitf", "xcbl"])

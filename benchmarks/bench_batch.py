@@ -39,7 +39,7 @@ import argparse
 import random
 import time
 
-from common import overlay_argument_parser, run_with_profile
+from common import RESULTS_DIR, overlay_argument_parser, run_with_profile
 from repro.dtd.builtin import nitf_dtd
 from repro.generators.docgen import DocumentGenerator
 from repro.generators.querygen import PatternGenerator
@@ -230,7 +230,6 @@ def check_acceptance(rows: list[BatchPoint]) -> None:
 
 
 def test_batch_matching(benchmark):
-    from _bench_utils import RESULTS_DIR
 
     rows = benchmark.pedantic(
         lambda: run_sweep(

@@ -46,6 +46,7 @@ import argparse
 import random
 
 from common import (
+    RESULTS_DIR,
     TOPOLOGY,
     TOPOLOGY_SEED,
     build_overlay,
@@ -369,7 +370,6 @@ def check_batch_acceptance(rows: list[BatchCellResult]) -> None:
 
 
 def test_churn(benchmark, nitf_quick):
-    from _bench_utils import RESULTS_DIR
 
     prepared = prepare(nitf_quick)
     rows = benchmark.pedantic(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure5
 
-from _bench_utils import save_figure, series_map
+from common import save_figure, series_map
 
 
 def test_figure5(benchmark, quick_configs):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure6
 
-from _bench_utils import save_figure, series_map
+from common import save_figure, series_map
 
 
 def test_figure6(benchmark, xcbl_quick):

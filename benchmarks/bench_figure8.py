@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure7, figure8
 
-from _bench_utils import save_figure, series_map
+from common import save_figure, series_map
 
 
 def test_figure8(benchmark, quick_configs):

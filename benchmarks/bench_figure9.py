@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure9
 
-from _bench_utils import save_figure, series_map
+from common import save_figure, series_map
 
 
 def test_figure9(benchmark, quick_configs):

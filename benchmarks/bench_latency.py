@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 
 from common import (
+    RESULTS_DIR,
     overlay_argument_parser,
     run_with_profile,
     overlay_builder,
@@ -363,7 +364,6 @@ def scheduling_summary_line(rows: list[tuple[str, LatencyStats]]) -> str:
 
 
 def test_latency(benchmark, nitf_quick):
-    from _bench_utils import RESULTS_DIR
 
     prepared = prepare(nitf_quick)
     rows = benchmark.pedantic(

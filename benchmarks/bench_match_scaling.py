@@ -35,7 +35,7 @@ import argparse
 
 import time
 
-from common import overlay_argument_parser, run_with_profile
+from common import RESULTS_DIR, overlay_argument_parser, run_with_profile
 from repro.dtd.builtin import nitf_dtd
 from repro.generators.docgen import DocumentGenerator
 from repro.generators.querygen import PatternGenerator
@@ -153,7 +153,6 @@ def check_acceptance(rows: list[ScalePoint]) -> None:
 
 
 def test_match_scaling(benchmark):
-    from _bench_utils import RESULTS_DIR
 
     rows = benchmark.pedantic(
         lambda: run_sweep(sizes=(100, 1_000, 10_000)), rounds=1, iterations=1

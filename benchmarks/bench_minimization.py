@@ -14,7 +14,7 @@ from repro.core.pattern_algebra import merge_patterns
 from repro.core.selectivity import SelectivityEstimator
 from repro.experiments.harness import build_synopsis, prepare
 
-from _bench_utils import RESULTS_DIR
+from common import RESULTS_DIR
 
 
 def test_minimized_merge(benchmark, nitf_quick):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 
 from common import (
+    RESULTS_DIR,
     TOPOLOGY,
     overlay_argument_parser,
     run_with_profile,
@@ -118,7 +119,6 @@ def check_acceptance(rows: list[tuple[int, object, OverlayStats]]) -> None:
 
 
 def test_overlay_routing(benchmark, nitf_quick):
-    from _bench_utils import RESULTS_DIR
 
     prepared = prepare(nitf_quick)
     rows = benchmark.pedantic(

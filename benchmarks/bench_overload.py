@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 
 from common import (
+    RESULTS_DIR,
     overlay_argument_parser,
     run_with_profile,
     overlay_builder,
@@ -353,7 +354,6 @@ def summary_line(
 
 
 def test_overload(benchmark, nitf_quick):
-    from _bench_utils import RESULTS_DIR
 
     prepared = prepare(nitf_quick)
     rows = benchmark.pedantic(

@@ -15,7 +15,7 @@ from repro.experiments.harness import build_synopsis, prepare
 from repro.routing.broker import RoutingSimulator
 from repro.routing.community import leader_clustering
 
-from _bench_utils import RESULTS_DIR
+from common import RESULTS_DIR
 
 
 def test_community_routing(benchmark, nitf_quick):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.experiments.figures import setup_summary
 from repro.experiments.report import render_summary
 
-from _bench_utils import RESULTS_DIR
+from common import RESULTS_DIR
 
 
 def test_setup_summary(benchmark, quick_configs):

@@ -45,6 +45,7 @@ import argparse
 import random
 
 from common import (
+    RESULTS_DIR,
     build_overlay,
     overlay_argument_parser,
     run_with_profile,
@@ -256,7 +257,6 @@ def check_acceptance(rows: list[CellResult]) -> None:
 
 
 def test_topology_churn(benchmark, nitf_quick):
-    from _bench_utils import RESULTS_DIR
 
     prepared = prepare(nitf_quick)
     rows = benchmark.pedantic(

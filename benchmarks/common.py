@@ -11,22 +11,48 @@ Overlays are assembled through the
 :class:`~repro.routing.builder.OverlayBuilder` façade: one builder per
 sweep captures topology, placement and timing models, and each cell
 resolves its advertisement / scheduling policy object through it.
+
+It also holds the results directory and figure helpers every benchmark
+writes through (kept out of conftest so imports are unambiguous when
+tests/ and benchmarks/ load in one session).
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import pathlib
 import pstats
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.figures import FigureResult
 from repro.experiments.harness import PreparedExperiment, prepare
+from repro.experiments.report import figure_to_csv, render_figure
 from repro.routing.builder import OverlayBuilder
 from repro.routing.overlay import BrokerOverlay
+
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: The overlay shape every benchmark in the family routes over.
 TOPOLOGY = "random_tree"
 TOPOLOGY_SEED = 11
+
+
+def save_figure(figure: FigureResult) -> str:
+    """Persist a figure's table and CSV under benchmarks/results/ and echo
+    the table."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    table = render_figure(figure)
+    (RESULTS_DIR / f"{figure.figure_id}.txt").write_text(table)
+    (RESULTS_DIR / f"{figure.figure_id}.csv").write_text(figure_to_csv(figure))
+    print()
+    print(table)
+    return table
+
+
+def series_map(figure: FigureResult) -> dict[str, list[float]]:
+    """label -> ys, for curve-shape assertions."""
+    return {series.label: series.ys for series in figure.series}
 
 
 def overlay_argument_parser(description: str) -> argparse.ArgumentParser:
