@@ -8,7 +8,7 @@ departures + arrivals per epoch) through two maintenance regimes:
   absorbed through ``subscribe``/``unsubscribe``, re-aggregating only the
   home broker's touched communities over its live ``SimilarityIndex``;
 * **periodic** — membership changes are recorded but tables go stale, with
-  a full ``advertise_communities`` rebuild every ``REBUILD_PERIOD`` epochs
+  a full ``advertise(CommunityPolicy(...))`` rebuild every ``REBUILD_PERIOD`` epochs
   (the classic batch operating mode).
 
 Reported per cell: delivery quality (minimum and final recall/precision
@@ -57,6 +57,7 @@ from common import (
 )
 from repro.experiments.harness import prepare
 from repro.routing.overlay import BrokerOverlay
+from repro.routing.policy import CommunityPolicy
 
 N_BROKERS = 4
 CHURN_RATES = (0.05, 0.2, 0.4)
@@ -93,7 +94,7 @@ def rebuild(overlay: BrokerOverlay, corpus, threshold: float) -> BrokerOverlay:
     fresh = BrokerOverlay.build(TOPOLOGY, len(overlay.brokers), seed=TOPOLOGY_SEED)
     for home_id, pattern in overlay.subscriptions.values():
         fresh.attach(home_id, pattern)
-    fresh.advertise_communities(corpus, threshold=threshold)
+    fresh.advertise(CommunityPolicy(threshold), corpus)
     return fresh
 
 
@@ -140,8 +141,8 @@ def run_cell(
 
     incremental = build_overlay(n_brokers, initial)
     periodic = build_overlay(n_brokers, initial)
-    incremental.advertise_communities(corpus, threshold=threshold)
-    periodic.advertise_communities(corpus, threshold=threshold)
+    incremental.advertise(CommunityPolicy(threshold), corpus)
+    periodic.advertise(CommunityPolicy(threshold), corpus)
 
     result = CellResult(churn_rate, threshold)
     rng = random.Random(CHURN_SEED)
@@ -164,7 +165,7 @@ def run_cell(
         if epoch % rebuild_period == 0:
             # Periodic regime: pay a full re-flood, drop the stale tables.
             result.periodic_ads += periodic.advertisement_messages
-            periodic.advertise_communities(corpus, threshold=threshold)
+            periodic.advertise(CommunityPolicy(threshold), corpus)
             assert table_signature(periodic) == table_signature(incremental), (
                 "periodic rebuild must converge to the incremental tables",
                 churn_rate,
@@ -229,8 +230,8 @@ def run_batch_cell(
 
     per_event = build_overlay(n_brokers, initial)
     batched = build_overlay(n_brokers, initial)
-    per_event.advertise_communities(corpus, threshold=threshold)
-    batched.advertise_communities(corpus, threshold=threshold)
+    per_event.advertise(CommunityPolicy(threshold), corpus)
+    batched.advertise(CommunityPolicy(threshold), corpus)
 
     result = BatchCellResult(threshold)
     rng = random.Random(CHURN_SEED)

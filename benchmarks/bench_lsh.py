@@ -241,8 +241,7 @@ def run_end_to_end(size: int, n_brokers: int = N_BROKERS) -> float:
         .topology("random_tree", n_brokers=n_brokers, seed=11)
         .subscriptions(patterns)
         .provider(estimator)
-        .advertisement(CommunityPolicy(threshold=THRESHOLD))
-        .candidates(template)
+        .advertisement(CommunityPolicy(threshold=THRESHOLD, candidates=template))
         .build_overlay()
     )
     return time.perf_counter() - started

@@ -13,10 +13,9 @@ the same clustering twice over one NITF workload:
 
 Both clusterings are compared community by community, then the same
 generator is threaded through the deployment surface:
-``OverlayBuilder.candidates(...)`` →
-``advertise(CommunityPolicy(...))``, where every broker's live
-similarity index consults the generator before paying for a selectivity
-probe (``IndexStats.candidate_pruned`` counts the skips).
+``advertise(CommunityPolicy(..., candidates=generator))``, where every
+broker's live similarity index consults the generator before paying for
+a selectivity probe (``IndexStats.candidate_pruned`` counts the skips).
 
 Run:  PYTHONPATH=src python examples/lsh_communities.py
 """
@@ -110,8 +109,7 @@ def main() -> None:
         .topology("random_tree", n_brokers=N_BROKERS, seed=11)
         .subscriptions(patterns)
         .provider(estimator)
-        .advertisement(CommunityPolicy(threshold=THRESHOLD))
-        .candidates(generator)
+        .advertisement(CommunityPolicy(threshold=THRESHOLD, candidates=generator))
         .build_overlay()
     )
     print(f"overlay mode: {overlay.mode}")

@@ -7,21 +7,26 @@ Builds the full pub/sub scenario from Section 1:
    (a real broker never sees exact match sets in advance);
 3. cluster subscribers into semantic communities at several similarity
    thresholds;
-4. simulate routing and compare delivery precision/recall and filtering
-   cost against per-subscription matching and flooding.
+4. route the corpus through a one-broker overlay and compare delivery
+   precision/recall and filtering cost against per-subscription matching
+   and flooding.
 
 Run:  python examples/routing_communities.py
 """
 
 from __future__ import annotations
 
-from repro import DocumentSynopsis, SelectivityEstimator, SimilarityEstimator
+from repro import (
+    BrokerOverlay,
+    CommunityPolicy,
+    DocumentSynopsis,
+    PerSubscriptionPolicy,
+    SelectivityEstimator,
+)
 from repro.dtd.builtin import nitf_dtd
 from repro.experiments.config import DOC_GENERATOR_PRESETS
 from repro.generators.docgen import generate_documents
 from repro.generators.workload import WorkloadBuilder
-from repro.routing.broker import RoutingSimulator
-from repro.routing.community import leader_clustering
 from repro.xmltree.corpus import DocumentCorpus
 
 N_DOCUMENTS = 300
@@ -46,14 +51,15 @@ def main() -> None:
     synopsis = DocumentSynopsis(mode="hashes", capacity=64, seed=23)
     for document in documents:
         synopsis.insert_document(document)
-    similarity_estimator = SimilarityEstimator(SelectivityEstimator(synopsis))
+    estimator = SelectivityEstimator(synopsis)
 
-    def similarity(p, q):
-        return similarity_estimator.similarity(p, q, metric="M3")
-
-    simulator = RoutingSimulator(corpus, subscriptions)
-    exact = simulator.per_subscription()
-    flood = simulator.flooding()
+    # One broker matching pattern by pattern: one match operation per
+    # routing-table entry.
+    overlay = BrokerOverlay(1, [], matching="linear")
+    overlay.attach_round_robin(subscriptions)
+    overlay.advertise(PerSubscriptionPolicy())
+    exact = overlay.route_corpus(corpus)
+    flood = overlay.flooding_stats(corpus)
 
     print()
     header = (
@@ -63,28 +69,29 @@ def main() -> None:
     print(header)
     print("-" * len(header))
 
-    def show(stats, communities="-"):
+    def show(strategy, stats, communities="-"):
         print(
-            f"{stats.strategy:28s} {communities:>5} {stats.precision:9.3f} "
+            f"{strategy:28s} {communities:>5} {stats.precision:9.3f} "
             f"{stats.recall:7.3f} {stats.matches_per_document:11.1f}"
         )
 
-    show(exact)
-    show(flood)
+    show("per_subscription", exact)
+    show("flooding", flood)
     for threshold in (0.9, 0.7, 0.5, 0.3):
-        communities = leader_clustering(subscriptions, similarity, threshold)
-        stats = simulator.community(communities)
-        stats = type(stats)(
-            strategy=f"community(threshold={threshold})",
-            documents=stats.documents,
-            subscribers=stats.subscribers,
-            deliveries=stats.deliveries,
-            true_deliveries=stats.true_deliveries,
-            false_positives=stats.false_positives,
-            false_negatives=stats.false_negatives,
-            match_operations=stats.match_operations,
+        # Each community is filtered by its leader, the first member the
+        # greedy clustering placed.
+        overlay.advertise(
+            CommunityPolicy(
+                threshold, elect_by_selectivity=False, ratio_prefilter=False
+            ),
+            estimator,
         )
-        show(stats, str(len(communities)))
+        stats = overlay.route_corpus(corpus)
+        show(
+            f"community(threshold={threshold})",
+            stats,
+            str(len(overlay.brokers[0].communities)),
+        )
 
     print(
         "\nLower thresholds build fewer, larger communities: filtering cost\n"

@@ -23,10 +23,8 @@ from repro.core import (
     ExactCandidates,
     LSHCandidates,
     SelectivityEstimator,
-    ShardedExactCandidates,
     SimilarityEstimator,
     SimilarityIndex,
-    SimilarityMatrix,
     TreePattern,
     average_relative_error,
     merge_patterns,
@@ -71,10 +69,8 @@ __all__ = [
     "SelectivityEstimator",
     "SimilarityEstimator",
     "SimilarityIndex",
-    "SimilarityMatrix",
     "ExactCandidates",
     "LSHCandidates",
-    "ShardedExactCandidates",
     "BrokerId",
     "BrokerOverlay",
     "OverlayStats",

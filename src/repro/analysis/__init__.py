@@ -1,9 +1,8 @@
 """reprolint: the project's determinism/purity invariants as lint rules.
 
 The reproduction's headline guarantees (sync walk == event engine,
-trie == linear oracle, incremental churn == fresh rebuild, sharded
-candidates bit-identical across workers) presuppose source-level
-discipline — seeded randomness, no wall-clock reads, stable hashes,
+trie == linear oracle, incremental churn == fresh rebuild) presuppose
+source-level discipline — seeded randomness, no wall-clock reads, stable hashes,
 ordered iteration, frozen models, engine-agnostic broker steps.  This
 package checks that discipline mechanically::
 

@@ -2,8 +2,7 @@
 
 Every headline guarantee of the reproduction — synchronous walk equals
 event engine, trie equals linear oracle, incremental churn equals fresh
-rebuild, sharded candidate generation bit-identical across workers —
-rests on determinism and broker-local purity.  These rules encode the
+rebuild — rests on determinism and broker-local purity.  These rules encode the
 source-level discipline those guarantees assume:
 
 * :class:`UnseededRandomRule` (RL001) — all randomness flows through an

@@ -5,8 +5,6 @@ from repro.core.candidates import (
     CandidateGenerator,
     ExactCandidates,
     LSHCandidates,
-    ShardedExactCandidates,
-    resolve_candidates,
 )
 from repro.core.containment import containment_order, contains, equivalent
 from repro.core.errors import (
@@ -25,7 +23,6 @@ from repro.core.similarity import (
     IndexStats,
     SimilarityEstimator,
     SimilarityIndex,
-    SimilarityMatrix,
     m1_conditional,
     m2_mean_conditional,
     m3_joint_over_union,
@@ -54,13 +51,10 @@ __all__ = [
     "CandidateGenerator",
     "ExactCandidates",
     "LSHCandidates",
-    "ShardedExactCandidates",
-    "resolve_candidates",
     "METRICS",
     "IndexStats",
     "SimilarityEstimator",
     "SimilarityIndex",
-    "SimilarityMatrix",
     "m1_conditional",
     "m2_mean_conditional",
     "m3_joint_over_union",

@@ -19,11 +19,7 @@ first-class, swappable stage:
   colliding in at least one band become candidates.  Tunable
   ``bands × rows`` trades recall against candidate-set size, and the
   bucket tables are maintained incrementally under add/remove churn so
-  the generator composes with the subscription lifecycle;
-* :class:`ShardedExactCandidates` — the exact oracle with its pairwise
-  generation loop split across ``multiprocessing`` workers, for
-  mid-scale builds where the label-overlap prefilter over n²/2 pairs is
-  itself the bottleneck.
+  the generator composes with the subscription lifecycle.
 
 A generator instance doubles as its own *template*: :meth:`spawn` clones
 the configuration with an empty population (sharing the signature memo,
@@ -35,8 +31,8 @@ Consumers: ``SimilarityIndex(candidates=...)`` answers non-candidate
 pairs 0.0 without touching the provider (``IndexStats.candidate_pruned``
 accounts the skips), both clustering functions accept ``candidates=`` to
 restrict which pairs they evaluate at all, and
-``OverlayBuilder.candidates(...)`` threads a template through
-``advertise(CommunityPolicy)``.
+``CommunityPolicy(candidates=...)`` carries a template into every
+broker of an overlay.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ __all__ = [
     "CandidateGenerator",
     "ExactCandidates",
     "LSHCandidates",
-    "ShardedExactCandidates",
     "pattern_tokens",
 ]
 
@@ -246,114 +241,6 @@ class ExactCandidates:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(population={len(self._patterns)})"
-
-
-# -- sharded exact generation ------------------------------------------------
-
-#: Worker-global label table, installed once per worker by the pool
-#: initializer so each chunk task ships only its index range.
-_WORKER_LABELS: Optional[list[Optional[frozenset[str]]]] = None
-
-
-def _init_pair_worker(labels: list[Optional[frozenset[str]]]) -> None:
-    global _WORKER_LABELS
-    _WORKER_LABELS = labels
-
-
-def _pair_chunk(bounds: tuple[int, int]) -> list[tuple[int, int]]:
-    """Surviving (i, j) index pairs for rows ``start <= i < stop``."""
-    start, stop = bounds
-    labels = _WORKER_LABELS
-    assert labels is not None
-    n = len(labels)
-    out: list[tuple[int, int]] = []
-    for i in range(start, stop):
-        left = labels[i]
-        for j in range(i + 1, n):
-            right = labels[j]
-            if left is None or right is None or not left.isdisjoint(right):
-                out.append((i, j))
-    return out
-
-
-class ShardedExactCandidates(ExactCandidates):
-    """Exact candidate generation with the pairwise loop sharded.
-
-    Identical output to :class:`ExactCandidates` (property-tested), but
-    :meth:`pairs` splits its O(n²/2) row loop across ``workers``
-    ``multiprocessing`` processes — worthwhile for mid-scale exact
-    builds where the label-overlap prefilter over millions of pairs is
-    the bottleneck, pointless below ``min_parallel`` keys (the
-    sequential loop wins under fork overhead, so small populations fall
-    back automatically, as does any environment where worker processes
-    cannot be spawned).
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        prefilter_labels: bool = True,
-        min_parallel: int = 2048,
-    ) -> None:
-        super().__init__(prefilter_labels=prefilter_labels)
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        if min_parallel < 2:
-            raise ValueError("min_parallel must be >= 2")
-        self.workers = workers
-        self.min_parallel = min_parallel
-
-    def spawn(self) -> "ShardedExactCandidates":
-        """A fresh, empty generator with the same configuration."""
-        return ShardedExactCandidates(
-            workers=self.workers,
-            prefilter_labels=self.prefilter_labels,
-            min_parallel=self.min_parallel,
-        )
-
-    def _resolved_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        import os
-
-        return max(1, min(8, os.cpu_count() or 1))
-
-    def pairs(self) -> list[tuple]:
-        """Every unordered candidate pair, sharded across worker processes
-        above the ``min_parallel`` population threshold."""
-        keys = list(self._patterns)
-        n = len(keys)
-        workers = self._resolved_workers()
-        if workers <= 1 or n < self.min_parallel:
-            return super().pairs()
-        labels: list[Optional[frozenset[str]]]
-        if self.prefilter_labels:
-            # None marks match-everything rows: empty label sets, or the
-            # prefilter being off entirely.
-            labels = [_label_set(p) or None for p in self._patterns.values()]
-        else:
-            labels = [None] * n
-        chunk = max(1, (n + workers * 4 - 1) // (workers * 4))
-        bounds = [(start, min(start + chunk, n)) for start in range(0, n, chunk)]
-        try:
-            import multiprocessing
-
-            with multiprocessing.Pool(
-                workers, initializer=_init_pair_worker, initargs=(labels,)
-            ) as pool:
-                chunks = pool.map(_pair_chunk, bounds)
-        except (ImportError, OSError, PermissionError):
-            # Restricted environments (no fork/sem support): the oracle
-            # must still answer, just sequentially.
-            return super().pairs()
-        return [
-            (keys[i], keys[j]) for chunk_pairs in chunks for i, j in chunk_pairs
-        ]
-
-    def describe(self) -> str:
-        """Short configuration label for benchmark output."""
-        suffix = ", prefilter=labels" if self.prefilter_labels else ""
-        return f"sharded_exact(workers={self.workers or 'auto'}{suffix})"
 
 
 class LSHCandidates:
@@ -572,39 +459,6 @@ class LSHCandidates:
             f"LSHCandidates(bands={self.bands}, rows={self.rows}, "
             f"population={len(self._bucket_ids)}, buckets={len(self._buckets)})"
         )
-
-
-def resolve_candidates(
-    spec: "CandidateGenerator | str | None", **overrides: object
-) -> Optional[CandidateGenerator]:
-    """Resolve a generator instance or string spelling to a generator.
-
-    ``None`` passes through (no candidate stage); ``"exact"``, ``"lsh"``
-    and ``"sharded"`` map to the generator classes with keyword
-    overrides forwarded; an instance passes through unchanged, rejecting
-    overrides — it already carries its configuration.
-    """
-    if spec is None:
-        if overrides:
-            raise ValueError("candidate overrides need a generator spelling")
-        return None
-    if isinstance(spec, str):
-        if spec == "exact":
-            return ExactCandidates(**overrides)
-        if spec == "lsh":
-            return LSHCandidates(**overrides)
-        if spec == "sharded":
-            return ShardedExactCandidates(**overrides)
-        raise ValueError(
-            f"unknown candidate generator {spec!r}; choose from "
-            "('exact', 'lsh', 'sharded') or pass a CandidateGenerator"
-        )
-    if overrides:
-        raise ValueError(
-            "candidate overrides only apply to string spellings; "
-            f"configure {type(spec).__name__} directly instead"
-        )
-    return spec
 
 
 def candidate_pairs(

@@ -17,12 +17,10 @@ Canonically equal patterns short-circuit: their similarity is exactly 1.0
 under every metric whenever they match anything at all, without paying for
 a joint-selectivity evaluation.
 
-Two engines amortise the dominant joint-selectivity cost across queries:
-:class:`SimilarityIndex` maintains a *mutable* population under
-subscription churn (handle-based ``add``/``remove``, lazily evaluated
-rows, a tag-disjointness prefilter with :class:`IndexStats` accounting),
-and :class:`SimilarityMatrix` freezes a population for offline clustering
-as a thin positional view over the same machinery.
+:class:`SimilarityIndex` amortises the dominant joint-selectivity cost
+across queries over a *mutable* population under subscription churn
+(handle-based ``add``/``remove``, lazily evaluated rows, a
+tag-disjointness prefilter with :class:`IndexStats` accounting).
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "SimilarityEstimator",
     "IndexStats",
     "SimilarityIndex",
-    "SimilarityMatrix",
 ]
 
 
@@ -165,18 +162,6 @@ class SimilarityEstimator:
         # (descending similarity, ascending index).
         return heapq.nlargest(k, scored, key=lambda pair: (pair[1], -pair[0]))
 
-    def matrix(
-        self, patterns: list[TreePattern], metric: str = "M3"
-    ) -> list[list[float]]:
-        """Pairwise similarity matrix over *patterns*.
-
-        Delegates to the :class:`SimilarityMatrix` engine, so each distinct
-        pattern's selectivity and each unordered pair's joint selectivity
-        reach the provider at most once; symmetric metrics fill both
-        triangles from one evaluation, M1 is evaluated in both directions.
-        """
-        return SimilarityMatrix(self.provider, patterns, metric=metric).values
-
 
 @dataclass
 class IndexStats:
@@ -236,12 +221,11 @@ class IndexStats:
 class SimilarityIndex:
     """A mutable, incrementally maintained pairwise-similarity engine.
 
-    The fixed-population :class:`SimilarityMatrix` serves offline
-    re-organisation; a live broker instead sees a *churning* subscription
-    population — patterns arrive (:meth:`add`) and leave (:meth:`remove`)
-    one at a time, and rebuilding an n×n matrix per event would waste the
-    O(n²) joint-selectivity work that dominates the cost.  This index keeps
-    that work incremental:
+    A live broker sees a *churning* subscription population — patterns
+    arrive (:meth:`add`) and leave (:meth:`remove`) one at a time, and
+    rebuilding an n×n matrix per event would waste the O(n²)
+    joint-selectivity work that dominates the cost.  This index keeps that
+    work incremental:
 
     * **handles** — :meth:`add` returns a monotonically increasing integer
       handle; :meth:`remove` retires it.  The live population is the
@@ -279,9 +263,7 @@ class SimilarityIndex:
       bound (exact providers by construction); pairs whose joint value is
       already memoised return the exact value instead.  Accounted in
       ``stats.joint_ratio_pruned`` and per metric in
-      ``stats.ratio_pruned_by_metric``.  The legacy ``m3_prune_below=``
-      spelling keeps its historical meaning: it only arms the bound under
-      the M3 metric.
+      ``stats.ratio_pruned_by_metric``.
     * **memo eviction** — the pattern-keyed memos deliberately survive
       churn (a re-add is free), so under sustained churn dead patterns
       accumulate.  :meth:`compact` drops every memo row whose pattern no
@@ -332,7 +314,6 @@ class SimilarityIndex:
         patterns: Iterable[TreePattern] = (),
         metric: str = "M3",
         prune_disjoint: bool = True,
-        m3_prune_below: Optional[float] = None,
         evict_dead_memos: bool = False,
         prune_below: Optional[float] = None,
         memo_capacity: Optional[int] = None,
@@ -343,21 +324,13 @@ class SimilarityIndex:
             raise ValueError(
                 f"unknown metric {metric!r}; choose from {sorted(METRICS)}"
             )
-        for name, bound in (
-            ("m3_prune_below", m3_prune_below),
-            ("prune_below", prune_below),
-        ):
-            if bound is not None and not 0.0 <= bound <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        if prune_below is not None and not 0.0 <= prune_below <= 1.0:
+            raise ValueError("prune_below must be in [0, 1]")
         if memo_capacity is not None and memo_capacity < 1:
             raise ValueError("memo_capacity must be >= 1")
         self.provider = provider
         self.metric = metric
         self.prune_disjoint = prune_disjoint
-        # The legacy M3-only spelling arms the generic bound only when the
-        # index actually evaluates M3 (its historical behaviour).
-        if prune_below is None and metric == "M3":
-            prune_below = m3_prune_below
         self.prune_below = prune_below
         self.memo_capacity = memo_capacity
         self.evict_dead_memos = evict_dead_memos
@@ -491,16 +464,6 @@ class SimilarityIndex:
     def memo_size(self) -> int:
         """Memoised entries held: selectivities plus joint pairs."""
         return len(self._selectivity_memo) + len(self._joint_memo)
-
-    @property
-    def m3_prune_below(self) -> Optional[float]:
-        """The armed selectivity-ratio bound under M3 (legacy spelling).
-
-        None whenever the index evaluates a different metric, matching
-        the historical behaviour of the ``m3_prune_below=`` parameter;
-        read :attr:`prune_below` for the metric-generic bound.
-        """
-        return self.prune_below if self.metric == "M3" else None
 
     def _trim_joint_memo(self) -> None:
         """Enforce the LRU cap after a joint-memo insertion."""
@@ -702,9 +665,8 @@ class SimilarityIndex:
     def row(self, handle: int) -> dict[int, float]:
         """Similarity of *handle*'s pattern to every live pattern.
 
-        ``row(h)[g]`` is ``metric(pattern(h), pattern(g))`` — rows follow
-        the matrix orientation, so under M1 the row conditions on the
-        *other* pattern.  Only this row's never-seen pairs are evaluated.
+        ``row(h)[g]`` is ``metric(pattern(h), pattern(g))``, so under M1
+        the row conditions on the *other* pattern.  Only this row's never-seen pairs are evaluated.
         """
         pattern = self.pattern(handle)
         return {
@@ -752,159 +714,4 @@ class SimilarityIndex:
             f"metric={self.metric!r}, "
             f"joint_pairs={self.stats.joint_evaluated}, "
             f"pruned={self.stats.joint_pruned})"
-        )
-
-
-class SimilarityMatrix:
-    """A cached pairwise-similarity engine over a fixed pattern population.
-
-    Every proximity metric of Section 4 is an arithmetic combination of
-    ``P(p)``, ``P(q)`` and ``P(p ∧ q)``; the joint term dominates the cost
-    (it requires a root-merge match or a synopsis probe).  This engine
-    memoises both primitives so that **each distinct pattern's selectivity
-    and each unordered distinct pattern pair's joint selectivity reach the
-    underlying provider at most once**, no matter how many metric
-    evaluations, matrix builds or clustering passes consume the engine.
-
-    Since the lifecycle redesign this class is a thin frozen-population
-    view over a private :class:`SimilarityIndex`; mutation-free callers
-    (both clustering functions, the offline benchmarks, existing tests)
-    keep the familiar positional API while churn-facing callers hold the
-    index directly.  The tag-disjointness prefilter is off by default here
-    so estimator-backed matrices reproduce historical values bit-for-bit;
-    pass ``prune_disjoint=True`` to opt in.
-
-    The class itself implements the :class:`SelectivityProvider` protocol
-    (memoising pass-through), so the M1/M2/M3 callables evaluate through it
-    unchanged.  It is also directly usable as the ``similarity(p, q)``
-    callable expected by :mod:`repro.routing.community`;
-    ``agglomerative_clustering`` additionally detects an aligned matrix
-    and reads its precomputed values without re-dispatching, while
-    ``leader_clustering`` evaluates lazily through the memo.
-
-    >>> # matrix = SimilarityMatrix(corpus, subscriptions, metric="M3")
-    >>> # matrix.top_k(0, 3)          # closest communities for pattern 0
-    >>> # leader_clustering(subscriptions, matrix, threshold=0.5)
-    """
-
-    def __init__(
-        self,
-        provider: SelectivityProvider,
-        patterns: list[TreePattern],
-        metric: str = "M3",
-        prune_disjoint: bool = False,
-    ) -> None:
-        self._index = SimilarityIndex(
-            provider, patterns, metric=metric, prune_disjoint=prune_disjoint
-        )
-        self.provider = provider
-        self.patterns = list(patterns)
-        self.metric = metric
-        self._values: list[list[float]] | None = None
-
-    # -- memoised SelectivityProvider protocol ------------------------------
-
-    def selectivity(self, pattern: TreePattern) -> float:
-        """``P(p)`` from the provider, computed once per distinct pattern."""
-        return self._index.selectivity(pattern)
-
-    def joint_selectivity(self, p: TreePattern, q: TreePattern) -> float:
-        """``P(p ∧ q)``, computed once per unordered distinct pattern pair.
-
-        The memo key is the frozen *pair* ``{p, q}`` under canonical pattern
-        equality, so ``(p, q)`` and ``(q, p)`` — and any equal-by-canon
-        duplicates in the population — share one provider call.
-        """
-        return self._index.joint_selectivity(p, q)
-
-    # -- metric evaluation ---------------------------------------------------
-
-    def similarity(
-        self, p: TreePattern, q: TreePattern, metric: str | None = None
-    ) -> float:
-        """Proximity of two (arbitrary) patterns through the memo."""
-        return self._index.similarity(p, q, metric)
-
-    def __call__(self, p: TreePattern, q: TreePattern) -> float:
-        """Make the engine a drop-in ``SimilarityFn`` for the routing layer."""
-        return self._index(p, q)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-    # -- whole-population queries -------------------------------------------
-
-    @property
-    def values(self) -> list[list[float]]:
-        """The full pairwise matrix over the population (computed lazily,
-        once).  ``values[i][j]`` is the configured metric on patterns i, j;
-        asymmetric M1 fills both triangles in their respective directions."""
-        if self._values is None:
-            n = len(self.patterns)
-            symmetric = self.metric != "M1"
-            result = [[0.0] * n for _ in range(n)]
-            for i in range(n):
-                result[i][i] = self.similarity(
-                    self.patterns[i], self.patterns[i]
-                )
-                for j in range(i + 1, n):
-                    value = self.similarity(self.patterns[i], self.patterns[j])
-                    result[i][j] = value
-                    result[j][i] = value if symmetric else self.similarity(
-                        self.patterns[j], self.patterns[i]
-                    )
-            self._values = result
-        return self._values
-
-    def _normalize(self, index: int) -> int:
-        if not -len(self.patterns) <= index < len(self.patterns):
-            raise IndexError(f"pattern index {index} out of range")
-        return index % len(self.patterns)
-
-    def top_k(self, index: int, k: int) -> list[tuple[int, float]]:
-        """The *k* most similar population members to ``patterns[index]``
-        (excluding itself), as ``(index, similarity)`` in decreasing
-        similarity with index as tie-break."""
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        index = self._normalize(index)
-        scored = (
-            (other, score)
-            for other, score in enumerate(self.values[index])
-            if other != index
-        )
-        return heapq.nlargest(k, scored, key=lambda pair: (pair[1], -pair[0]))
-
-    def neighbors(self, index: int, threshold: float) -> list[tuple[int, float]]:
-        """All population members with similarity ``>= threshold`` to
-        ``patterns[index]`` (excluding itself), in decreasing similarity."""
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-        index = self._normalize(index)
-        found = [
-            (other, score)
-            for other, score in enumerate(self.values[index])
-            if other != index and score >= threshold
-        ]
-        found.sort(key=lambda pair: (-pair[1], pair[0]))
-        return found
-
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def stats(self) -> IndexStats:
-        """Provider-call accounting of the backing index."""
-        return self._index.stats
-
-    @property
-    def distinct_joint_pairs(self) -> int:
-        """Distinct unordered pattern pairs whose joint selectivity has been
-        computed so far — the number of provider calls the memo admitted."""
-        return self._index.distinct_joint_pairs
-
-    def __repr__(self) -> str:
-        return (
-            f"SimilarityMatrix(patterns={len(self.patterns)}, "
-            f"metric={self.metric!r}, "
-            f"joint_pairs={self.distinct_joint_pairs})"
         )

@@ -5,13 +5,12 @@ Module map:
 * :mod:`repro.routing.community` — semantic communities:
   :func:`leader_clustering` (online, greedy) and
   :func:`agglomerative_clustering` (offline, average-linkage with
-  incremental linkage maintenance), both able to read a precomputed
-  :class:`~repro.core.similarity.SimilarityMatrix` and both gateable
-  by a :class:`~repro.core.candidates.CandidateGenerator`
-  (``candidates=``) so only colliding pairs are ever evaluated;
-* :mod:`repro.routing.broker` — the single-broker routing simulation:
-  per-subscription / flooding / community strategies scored for delivery
-  precision, recall and filtering cost;
+  incremental linkage maintenance), both gateable by a
+  :class:`~repro.core.candidates.CandidateGenerator` (``candidates=``)
+  so only colliding pairs are ever evaluated;
+* :mod:`repro.routing.broker` — the stats records: per-document
+  routing precision/recall (:class:`RoutingStats`) and the engine's
+  :class:`LatencyStats`;
 * :mod:`repro.routing.table` — covering-aware broker routing tables:
   pattern → destination entries minimised through
   :mod:`repro.core.containment`, with reversible covering (absorbed
@@ -50,8 +49,7 @@ Module map:
   :class:`SchedulingPolicy` disciplines (FIFO, priority with optional
   aging, deadline, weighted-fair) consumed by the delivery engine, and
   :class:`QueuePolicy` bounding broker queues with drop-new /
-  drop-oldest / nack overflow — with string-spelling shims for the
-  legacy flag API;
+  drop-oldest / nack overflow;
 * :mod:`repro.routing.builder` — :class:`OverlayBuilder`, the fluent
   façade composing topology, membership, estimator provider,
   advertisement policy, candidate generator, service/link models and
@@ -69,8 +67,8 @@ Module map:
   :class:`SourceReport`), and :class:`LatencyStats` reporting latency
   percentiles — overall and per subscriber class — queue-depth peaks,
   admitted-vs-offered throughput and per-class drop counts — it
-  replays the same ``BrokerOverlay.process_at`` steps as the
-  synchronous path, so delivery sets are identical by construction;
+  filters through the same broker-local steps as the synchronous
+  path, so delivery sets are identical by construction;
 * :mod:`repro.routing.inclusion` — containment-based inclusion forests,
   the baseline structure the paper's introduction argues is the wrong
   proximity notion for communities.
@@ -79,7 +77,6 @@ Module map:
 from repro.routing.broker import (
     ClassLatency,
     LatencyStats,
-    RoutingSimulator,
     RoutingStats,
     ordered_percentile,
     percentile,
@@ -111,9 +108,6 @@ from repro.routing.policy import (
     QueuePolicy,
     SchedulingPolicy,
     WeightedFairScheduling,
-    resolve_advertisement,
-    resolve_queue_policy,
-    resolve_scheduling,
 )
 from repro.routing.overlay import (
     TOPOLOGIES,
@@ -131,7 +125,6 @@ __all__ = [
     "Community",
     "leader_clustering",
     "agglomerative_clustering",
-    "RoutingSimulator",
     "RoutingStats",
     "InclusionForest",
     "InclusionNode",
@@ -163,14 +156,11 @@ __all__ = [
     "PerSubscriptionPolicy",
     "CommunityPolicy",
     "HybridPolicy",
-    "resolve_advertisement",
     "SchedulingPolicy",
     "FifoScheduling",
     "PriorityScheduling",
     "DeadlineScheduling",
     "WeightedFairScheduling",
-    "resolve_scheduling",
     "QueuePolicy",
-    "resolve_queue_policy",
     "OverlayBuilder",
 ]

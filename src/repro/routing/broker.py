@@ -1,23 +1,12 @@
-"""Content-based routing simulation.
+"""Routing and delivery statistics.
 
-Quantifies the trade-off that motivates the paper: a broker receiving a
-document stream must deliver each document to the consumers whose
-subscriptions it matches.  Three strategies are simulated:
-
-* ``per_subscription`` — match every document against every subscription:
-  perfect delivery, maximal filtering cost (the "large routing tables,
-  complex filtering" baseline of Section 1);
-* ``flooding`` — deliver everything to everyone: zero filtering cost,
-  maximal spam;
-* ``community`` — match each document against one *leader* subscription per
-  semantic community and flood the community on a leader hit: filtering
-  cost proportional to the number of communities, with accuracy governed by
-  how semantically coherent the communities are — i.e. by the quality of
-  the similarity metric used to build them.
-
-Delivery quality is scored against exact matching: a *false positive* is a
-delivery to an uninterested consumer, a *false negative* a missed delivery
-to an interested one.
+:class:`RoutingStats` scores one document stream routed under one
+strategy against exact matching: a *false positive* is a delivery to an
+uninterested consumer, a *false negative* a missed delivery to an
+interested one.  :class:`LatencyStats` (per subscriber class,
+:class:`ClassLatency`) is the timing report of the discrete-event
+:class:`~repro.routing.engine.DeliveryEngine`; :func:`percentile` and
+:func:`ordered_percentile` are the nearest-rank quantiles it uses.
 """
 
 from __future__ import annotations
@@ -26,13 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.pattern import TreePattern
-from repro.routing.community import Community
-from repro.xmltree.corpus import DocumentCorpus
-
 __all__ = [
     "RoutingStats",
-    "RoutingSimulator",
     "ClassLatency",
     "LatencyStats",
     "percentile",
@@ -295,94 +279,3 @@ class LatencyStats:
             priority_class: count / self.completed_jobs
             for priority_class, count in self.completed_by_class.items()
         }
-
-
-class RoutingSimulator:
-    """Routes a corpus to subscribers under the three strategies."""
-
-    def __init__(
-        self,
-        corpus: DocumentCorpus,
-        subscriptions: Sequence[TreePattern],
-    ) -> None:
-        self.corpus = corpus
-        self.subscriptions = list(subscriptions)
-        # Exact interest sets; corpus memoises the match sets.
-        self._interest = [
-            corpus.match_set(pattern) for pattern in self.subscriptions
-        ]
-
-    # ------------------------------------------------------------------
-
-    def per_subscription(self) -> RoutingStats:
-        """Exact matching of every document against every subscription."""
-        deliveries = sum(len(interest) for interest in self._interest)
-        return RoutingStats(
-            strategy="per_subscription",
-            documents=len(self.corpus),
-            subscribers=len(self.subscriptions),
-            deliveries=deliveries,
-            true_deliveries=deliveries,
-            false_positives=0,
-            false_negatives=0,
-            match_operations=len(self.corpus) * len(self.subscriptions),
-        )
-
-    def flooding(self) -> RoutingStats:
-        """Deliver every document to every subscriber."""
-        total = len(self.corpus) * len(self.subscriptions)
-        wanted = sum(len(interest) for interest in self._interest)
-        return RoutingStats(
-            strategy="flooding",
-            documents=len(self.corpus),
-            subscribers=len(self.subscriptions),
-            deliveries=total,
-            true_deliveries=wanted,
-            false_positives=total - wanted,
-            false_negatives=0,
-            match_operations=0,
-        )
-
-    def community(self, communities: Sequence[Community]) -> RoutingStats:
-        """Leader-filtered community dissemination.
-
-        For each document, each community's leader subscription is matched
-        exactly; on a hit the document is delivered to all community
-        members.  Quality therefore reflects how well members' interests
-        agree with their leader's — the semantic coherence the similarity
-        metrics are meant to deliver.
-        """
-        indexed = set()
-        for community in communities:
-            indexed.update(community.members)
-        if indexed != set(range(len(self.subscriptions))):
-            raise ValueError("communities must cover every subscription exactly")
-
-        deliveries = 0
-        true_deliveries = 0
-        false_positives = 0
-        false_negatives = 0
-        for doc in self.corpus.documents:
-            doc_id = doc.doc_id
-            for community in communities:
-                leader_hit = doc_id in self._interest[community.leader]
-                for member in community.members:
-                    interested = doc_id in self._interest[member]
-                    if leader_hit:
-                        deliveries += 1
-                        if interested:
-                            true_deliveries += 1
-                        else:
-                            false_positives += 1
-                    elif interested:
-                        false_negatives += 1
-        return RoutingStats(
-            strategy="community",
-            documents=len(self.corpus),
-            subscribers=len(self.subscriptions),
-            deliveries=deliveries,
-            true_deliveries=true_deliveries,
-            false_positives=false_positives,
-            false_negatives=false_negatives,
-            match_operations=len(self.corpus) * len(communities),
-        )

@@ -6,7 +6,7 @@ provider similarity-based policies score patterns with), the broker
 service / link timing models, and the queueing discipline.  Before this
 module every benchmark and example re-threaded those decisions by hand
 through ``BrokerOverlay.build`` → ``attach_round_robin`` →
-``advertise_*`` → ``DeliveryEngine(...)``.  :class:`OverlayBuilder`
+``advertise(policy)`` → ``DeliveryEngine(...)``.  :class:`OverlayBuilder`
 composes them declaratively:
 
 >>> # overlay, engine = (
@@ -18,17 +18,14 @@ composes them declaratively:
 >>> #     .service(ServiceModel(base=0.2, per_match=0.05))
 >>> #     .links(LinkModel(default=1.0))
 >>> #     .scheduling(PriorityScheduling())
->>> #     .queue_policy(64, overflow="nack")         # bounded queues
+>>> #     .queue_policy(QueuePolicy(64, "nack"))     # bounded queues
 >>> #     .build()
 >>> # )
 
-Every policy argument also accepts the legacy string spellings
-(``"per_subscription"`` / ``"community"`` / ``"hybrid"``, ``"fifo"`` /
-``"priority"`` / ``"deadline"``), resolved through
-:mod:`repro.routing.policy`.  :meth:`OverlayBuilder.build_overlay`
-stops after advertisement for match-count workloads that never need a
-clock; :meth:`OverlayBuilder.build_engine` attaches a fresh engine with
-the configured timing models to an already-built overlay, which is how a
+:meth:`OverlayBuilder.build_overlay` stops after advertisement for
+match-count workloads that never need a clock;
+:meth:`OverlayBuilder.build_engine` attaches a fresh engine with the
+configured timing models to an already-built overlay, which is how a
 benchmark replays one advertisement state under several schedules.
 """
 
@@ -36,7 +33,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.core.candidates import CandidateGenerator, resolve_candidates
 from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider
 from repro.routing.engine import (
@@ -47,12 +43,11 @@ from repro.routing.engine import (
 )
 from repro.routing.overlay import TOPOLOGIES, BrokerOverlay
 from repro.routing.policy import (
-    AdvertisementSpec,
-    QueuePolicySpec,
-    SchedulingSpec,
-    resolve_advertisement,
-    resolve_queue_policy,
-    resolve_scheduling,
+    AdvertisementPolicy,
+    FifoScheduling,
+    PerSubscriptionPolicy,
+    QueuePolicy,
+    SchedulingPolicy,
 )
 
 __all__ = ["OverlayBuilder"]
@@ -76,13 +71,12 @@ class OverlayBuilder:
         #: Placement program, applied in call order: ("rr", patterns) or
         #: ("at", broker_id, pattern).
         self._placements: list[tuple] = []
-        self._advertisement = resolve_advertisement("per_subscription")
+        self._advertisement: AdvertisementPolicy = PerSubscriptionPolicy()
         self._provider: Optional[SelectivityProvider] = None
-        self._candidates: Optional[CandidateGenerator] = None
         self._service: Optional[ServiceModel] = None
         self._links: Optional[LinkModel] = None
-        self._scheduling = resolve_scheduling("fifo")
-        self._queue_policy = resolve_queue_policy(None)
+        self._scheduling: SchedulingPolicy = FifoScheduling()
+        self._queue_policy = QueuePolicy()
         self._sources: list[ClosedLoopSource] = []
         self._allow_topology_churn = False
         self._matching = "trie"
@@ -124,37 +118,19 @@ class OverlayBuilder:
     # policies and models
     # ------------------------------------------------------------------
 
-    def advertisement(
-        self, policy: AdvertisementSpec, **overrides: object
-    ) -> "OverlayBuilder":
-        """The advertisement policy (instance or legacy string spelling).
+    def advertisement(self, policy: AdvertisementPolicy) -> "OverlayBuilder":
+        """The advertisement policy.
 
         Defaults to :class:`~repro.routing.policy.PerSubscriptionPolicy`.
+        A :class:`~repro.routing.policy.CommunityPolicy` carries its own
+        candidate generator (``candidates=``).
         """
-        self._advertisement = resolve_advertisement(policy, **overrides)
+        self._advertisement = policy
         return self
 
     def provider(self, provider: SelectivityProvider) -> "OverlayBuilder":
         """The selectivity provider similarity-based policies score with."""
         self._provider = provider
-        return self
-
-    def candidates(
-        self, generator: "CandidateGenerator | str | None"
-    ) -> "OverlayBuilder":
-        """Gate similarity evaluation through a candidate generator.
-
-        *generator* is a
-        :class:`~repro.core.candidates.CandidateGenerator` template — for
-        example :class:`~repro.core.candidates.LSHCandidates` — or one of
-        the string spellings (``"exact"``, ``"lsh"``, ``"sharded"``)
-        accepted by :func:`~repro.core.candidates.resolve_candidates`;
-        ``None`` (the default) clears the gate.  Only meaningful together
-        with a similarity-based advertisement policy: community formation
-        then consults the generator before paying for a selectivity
-        probe, which is what takes clustering past the all-pairs wall.
-        """
-        self._candidates = resolve_candidates(generator)
         return self
 
     def service(self, model: ServiceModel) -> "OverlayBuilder":
@@ -173,25 +149,20 @@ class OverlayBuilder:
         self._links = model
         return self
 
-    def scheduling(self, policy: SchedulingSpec, **overrides: object) -> "OverlayBuilder":
-        """The queueing discipline (instance or legacy string spelling).
+    def scheduling(self, policy: SchedulingPolicy) -> "OverlayBuilder":
+        """The queueing discipline.
 
         Defaults to :class:`~repro.routing.policy.FifoScheduling`.
         """
-        self._scheduling = resolve_scheduling(policy, **overrides)
+        self._scheduling = policy
         return self
 
-    def queue_policy(
-        self, policy: QueuePolicySpec, **overrides: object
-    ) -> "OverlayBuilder":
-        """Queue admission at every broker (instance, capacity, or None).
+    def queue_policy(self, policy: QueuePolicy) -> "OverlayBuilder":
+        """Queue admission at every broker.
 
-        Accepts a :class:`~repro.routing.policy.QueuePolicy` instance, a
-        bare capacity (``queue_policy(64, overflow="nack")``), or
-        ``None`` for the unbounded default, resolved through
-        :func:`~repro.routing.policy.resolve_queue_policy`.
+        Defaults to the unbounded :class:`~repro.routing.policy.QueuePolicy`.
         """
-        self._queue_policy = resolve_queue_policy(policy, **overrides)
+        self._queue_policy = policy
         return self
 
     def sources(self, *sources: ClosedLoopSource) -> "OverlayBuilder":
@@ -263,9 +234,7 @@ class OverlayBuilder:
                 overlay.attach_round_robin(placement[1])
             else:
                 overlay.attach(placement[1], placement[2])
-        overlay.advertise(
-            self._advertisement, self._provider, candidates=self._candidates
-        )
+        overlay.advertise(self._advertisement, self._provider)
         return overlay
 
     def build_engine(self, overlay: BrokerOverlay) -> DeliveryEngine:

@@ -15,14 +15,13 @@ clusterings over a pattern similarity function:
   clustering down to a target community count; quadratic, but a better
   optimiser for offline re-organisation.
 
-Both accept any ``similarity(p, q)`` callable, including a
-:class:`~repro.core.similarity.SimilarityMatrix` or a live
+Both accept any ``similarity(p, q)`` callable, including a live
 :class:`~repro.core.similarity.SimilarityIndex`, whose memos share the
 dominant joint-selectivity work across clustering runs (and with the
 overlay layer).  :func:`agglomerative_clustering` additionally detects an
-engine aligned with its pattern population and reads the precomputed
-values directly; :func:`leader_clustering` stays lazy on purpose — it
-only ever needs O(n · #communities) of the n² pairs.
+index aligned with its pattern population and reads its rows through
+the memo; :func:`leader_clustering` stays lazy on purpose — it only ever
+needs O(n · #communities) of the n² pairs.
 
 Churn-facing brokers do not re-run a clustering per event.  Leader
 clustering is first-fit in creation order and each decision depends only
@@ -56,7 +55,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
-from repro.core.similarity import SimilarityIndex, SimilarityMatrix
+from repro.core.similarity import SimilarityIndex
 
 __all__ = ["Community", "leader_clustering", "agglomerative_clustering"]
 
@@ -70,10 +69,9 @@ def _pairwise_values(
 ) -> list[list[float]]:
     """The full symmetric similarity matrix over *patterns*.
 
-    An aligned :class:`SimilarityMatrix` (same population, in order) hands
-    over its cached values; an aligned :class:`SimilarityIndex` evaluates
-    through its memo (only never-seen pairs reach the provider); any other
-    callable is evaluated once per unordered pair.  With a candidate
+    An aligned :class:`SimilarityIndex` (same population, in order)
+    evaluates through its memo (only never-seen pairs reach the
+    provider); any other callable is evaluated once per unordered pair.  With a candidate
     generator, only candidate pairs are evaluated — every other entry is
     scored 0.0 without dispatching the similarity callable.
     """
@@ -90,10 +88,6 @@ def _pairwise_values(
             sims[i][j] = value
             sims[j][i] = value
         return sims
-    if isinstance(similarity, SimilarityMatrix) and similarity.patterns == list(
-        patterns
-    ):
-        return similarity.values
     if isinstance(similarity, SimilarityIndex) and similarity.patterns == list(
         patterns
     ):

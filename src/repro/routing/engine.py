@@ -17,8 +17,10 @@ through a deterministic discrete-event simulation:
 * per-link forwarding latencies (:class:`LinkModel`) between neighbouring
   brokers.
 
-Because the engine consumes ``process_at`` unchanged, it delivers exactly
-the subscriber sets the synchronous path delivers (the equivalence is
+Because the engine filters through
+:meth:`~repro.routing.overlay.BrokerOverlay.process_batch_at`, whose
+per-document steps equal ``process_at``'s, it delivers exactly the
+subscriber sets the synchronous path delivers (the equivalence is
 property-tested); what it adds is the timing dimension —
 publication-to-delivery latency percentiles, per-broker queue-depth peaks
 and utilisation, and end-to-end throughput, reported as a
@@ -47,20 +49,17 @@ in-service work restarts there, copies already on the wire are
 re-targeted — so no publication loses deliveries to topology churn
 (delivery sets deduplicate per publish).
 
-Batching at saturated brokers is first-class, not an extension point:
-constructing the engine with a :class:`BatchServiceModel` switches every
-broker to *batched queue drains* — when a broker frees up, the
-scheduling policy picks up to ``max_batch`` queued documents (one
-``select`` call per document, so priority/deadline disciplines shape the
-batch exactly as they shape the one-at-a-time schedule) and the whole
-batch is filtered in one
+Every service interval is a queue drain: when a broker frees up, the
+scheduling policy picks up to the service model's ``max_batch`` queued
+documents (one ``select`` call per document, so priority/deadline
+disciplines shape a batch exactly as they shape the one-at-a-time
+schedule) and the whole batch is filtered in one
 :meth:`~repro.routing.overlay.BrokerOverlay.process_batch_at` pass over
-a shared trie memo pool.  The service interval then costs
+a shared trie memo pool.  The affine :class:`ServiceModel` is the
+batch-of-one case.  Under a :class:`BatchServiceModel` an interval costs
 ``base + per_doc·documents + per_match·operations`` where *operations*
 is the **measured** memo-amortised batch count — the non-affine
 service curve is observed from the matching layer, never modelled.
-Under the default affine :class:`ServiceModel` the engine's schedule is
-unchanged, event for event.
 
 Overload is likewise first-class, not an open loop that silently
 diverges.  A :class:`~repro.routing.policy.QueuePolicy` bounds every
@@ -82,17 +81,6 @@ on the same deterministic ``(time, seq)`` event queue as every arrival.
 :class:`~repro.routing.policy.PriorityScheduling` with ``aging=`` keep
 low classes from starving while all of this saturates.
 
-Remaining extension points: subclass :class:`ServiceModel` /
-:class:`BatchServiceModel` for other service-time shapes (e.g.
-load-dependent coefficients), subclass :class:`LinkModel` for
-heterogeneous or load-dependent links, implement
-:class:`~repro.routing.policy.SchedulingPolicy` for bespoke disciplines
-(set ``uses_service_shares`` to receive per-class service history), and
-subclass or wrap :class:`ClosedLoopSource` semantics for other
-congestion responses (retransmitting sources, pacing, ECN-style early
-signals) — queue policy and closed-loop publishing themselves are now
-part of the engine, not extension points.
-
 >>> # engine = DeliveryEngine(overlay, scheduling=PriorityScheduling(),
 >>> #                         queue_policy=QueuePolicy(64, "nack"))
 >>> # engine.attach_source(ClosedLoopSource(corpus, at_broker=0))
@@ -110,14 +98,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.routing.broker import ClassLatency, LatencyStats, ordered_percentile
 from repro.routing.overlay import BrokerOverlay, BrokerStep
-from repro.routing.policy import (
-    QueuePolicy,
-    QueuePolicySpec,
-    SchedulingPolicy,
-    SchedulingSpec,
-    resolve_queue_policy,
-    resolve_scheduling,
-)
+from repro.routing.policy import FifoScheduling, QueuePolicy, SchedulingPolicy
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 
@@ -145,6 +126,9 @@ class ServiceModel:
     trie matching makes each table sublinear to filter, both of which
     shrink match operations, hence service time — exactly the knobs this
     model exposes to the latency benchmark.
+
+    It is the batch-of-one case of :class:`BatchServiceModel`: each
+    service interval drains one document, with no per-document charge.
     """
 
     base: float = 0.2
@@ -156,8 +140,17 @@ class ServiceModel:
         if self.base <= 0.0 and self.per_match <= 0.0:
             raise ValueError("service time must be positive")
 
+    @property
+    def max_batch(self) -> int:
+        """Most documents one service interval drains."""
+        return 1
+
     def service_time(self, match_operations: int) -> float:
         """Simulated time to service one document at one broker."""
+        return self.service_time_batch(match_operations, 1)
+
+    def service_time_batch(self, match_operations: int, documents: int) -> float:
+        """Simulated time to service *documents* jobs in one interval."""
         return self.base + self.per_match * match_operations
 
 
@@ -165,10 +158,8 @@ class ServiceModel:
 class BatchServiceModel(ServiceModel):
     """Batched broker service: one interval drains a whole batch.
 
-    Handing an engine this model (instead of the affine
-    :class:`ServiceModel`) enables batched queue drains: a freed broker
-    services up to ``max_batch`` scheduling-policy-selected documents in
-    one interval of
+    A freed broker services up to ``max_batch``
+    scheduling-policy-selected documents in one interval of
 
     ``base + per_doc * documents + per_match * match_operations``
 
@@ -183,8 +174,7 @@ class BatchServiceModel(ServiceModel):
 
     per_doc: float = 0.05
     #: Most documents one drain may service; 1 degrades to unbatched
-    #: drains (still paying ``per_doc``, still matched via the batch
-    #: pipeline).
+    #: drains (still paying ``per_doc``).
     max_batch: int = 8
 
     def __post_init__(self) -> None:
@@ -195,13 +185,7 @@ class BatchServiceModel(ServiceModel):
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
 
-    def service_time(self, match_operations: int) -> float:
-        """One document serviced alone — a batch of one."""
-        return self.service_time_batch(match_operations, 1)
-
-    def service_time_batch(
-        self, match_operations: int, documents: int
-    ) -> float:
+    def service_time_batch(self, match_operations: int, documents: int) -> float:
         """Simulated time to service *documents* jobs in one interval."""
         return (
             self.base
@@ -313,10 +297,8 @@ class _Job:
 class _Batch:
     """One in-service queue drain: the jobs and their filtering steps.
 
-    The completion payload of a batched service interval (only
-    :class:`BatchServiceModel` engines create these).  Jobs and steps
-    are aligned; deliveries and forwards apply per job at completion,
-    exactly as an unbatched job's single step would.
+    The completion payload of every service interval.  Jobs and steps
+    are aligned; deliveries and forwards apply per job at completion.
     """
 
     jobs: list[_Job]
@@ -447,9 +429,9 @@ class DeliveryEngine:
     """Deterministic discrete-event simulator of overlay delivery.
 
     Drives documents through *overlay*'s live routing state: publishes
-    schedule arrival events, each broker services its FIFO queue one
-    document at a time under *service*, and completed services deliver
-    locally and forward over *links*.  All state advances through the
+    schedule arrival events, each broker drains its queue under *service*
+    (one document per interval, or up to ``max_batch``), and completed
+    services deliver locally and forward over *links*.  All state advances through the
     event queue only — identical inputs replay identically.
     """
 
@@ -458,30 +440,22 @@ class DeliveryEngine:
         overlay: BrokerOverlay,
         service: Optional[ServiceModel] = None,
         links: Optional[LinkModel] = None,
-        scheduling: Optional[SchedulingSpec] = None,
-        queue_policy: QueuePolicySpec = None,
+        scheduling: Optional[SchedulingPolicy] = None,
+        queue_policy: Optional[QueuePolicy] = None,
         allow_topology_churn: bool = False,
     ) -> None:
         if overlay.mode is None:
             raise ValueError(
-                "no routing state: call advertise() (or the legacy "
-                "advertise_subscriptions()/advertise_communities()) "
-                "before building an engine"
+                "no routing state: call advertise() before building an engine"
             )
         self.overlay = overlay
         self.service = service or ServiceModel()
-        #: Batched queue drains activate only under a
-        #: :class:`BatchServiceModel`; the default affine path replays
-        #: event for event as it always has.
-        self._batching = isinstance(self.service, BatchServiceModel)
         self.links = links or LinkModel()
-        self.scheduling: SchedulingPolicy = resolve_scheduling(
-            scheduling if scheduling is not None else "fifo"
-        )
+        self.scheduling = scheduling or FifoScheduling()
         #: Queue admission: the default ``QueuePolicy()`` (unbounded)
         #: replays the pre-overload engine byte-identically; a capacity
         #: activates the drop-new / drop-oldest / nack overflow path.
-        self.queue_policy: QueuePolicy = resolve_queue_policy(queue_policy)
+        self.queue_policy = queue_policy or QueuePolicy()
         #: Whether :meth:`schedule_join` / :meth:`schedule_leave` are
         #: permitted.  Topology churn mid-simulation re-routes in-flight
         #: documents (their timing restarts at the merge target), so it
@@ -494,18 +468,10 @@ class DeliveryEngine:
         #: ``(time, event, resulting broker id)`` per applied topology
         #: event — the join entries record the id the overlay minted.
         self.topology_log: list[tuple[float, TopologyEvent, int]] = []
-        #: (time, seq, kind, broker_id, payload, step-at-completion);
-        #: the payload is the job/batch/topology-event/source-signal the
-        #: event applies.
+        #: (time, seq, kind, broker_id, payload); the payload is the
+        #: job/batch/topology-event/source-signal the event applies.
         self._events: list[
-            tuple[
-                float,
-                int,
-                str,
-                int,
-                Union[_Job, _Batch, TopologyEvent, _Signal, None],
-                Optional[BrokerStep],
-            ]
+            tuple[float, int, str, int, Union[_Job, _Batch, TopologyEvent, _Signal]]
         ] = []
         self._sequence = 0
         self._queues: dict[int, deque[_Job]] = {
@@ -909,7 +875,7 @@ class DeliveryEngine:
         self._class_service.pop(retiring, None)
         retained = []
         for entry in self._events:
-            time, seq, kind, broker_id, payload, step = entry
+            time, seq, kind, broker_id, payload = entry
             if isinstance(payload, _Job) and payload.origin == retiring:
                 payload.origin = target
             elif isinstance(payload, _Batch):
@@ -919,18 +885,13 @@ class DeliveryEngine:
             if kind == _TOPOLOGY or broker_id != retiring:
                 retained.append(entry)
             elif kind == _ARRIVAL:
-                retained.append(
-                    (time, seq, _ARRIVAL, target, payload, None)
-                )
+                retained.append((time, seq, _ARRIVAL, target, payload))
             else:
-                # The document (or whole batch) in service: the work is
-                # abandoned where it stood and the service restarts at
-                # the merge target.
+                # The batch in service: the work is abandoned where it
+                # stood and the service restarts at the merge target.
+                assert isinstance(payload, _Batch)
                 self._busy_time[retiring] -= time - now
-                if isinstance(payload, _Batch):
-                    reinject.extend(payload.jobs)
-                else:
-                    reinject.append(payload)
+                reinject.extend(payload.jobs)
         self._events = retained
         heapq.heapify(self._events)
         for queue in self._queues.values():
@@ -974,12 +935,9 @@ class DeliveryEngine:
         kind: str,
         broker_id: int,
         job: Union[_Job, _Batch, TopologyEvent, _Signal],
-        step: Optional[BrokerStep] = None,
     ) -> None:
         self._sequence += 1
-        heapq.heappush(
-            self._events, (time, self._sequence, kind, broker_id, job, step)
-        )
+        heapq.heappush(self._events, (time, self._sequence, kind, broker_id, job))
 
     def _next_job(self, broker_id: int, now: float) -> Optional[_Job]:
         """Pick the next queued document at *broker_id*.
@@ -1017,36 +975,24 @@ class DeliveryEngine:
         shares[job.priority_class] = shares.get(job.priority_class, 0) + 1
 
     def _next_batch(self, broker_id: int, now: float) -> list[_Job]:
-        """Drain up to ``max_batch`` jobs for one batched service
-        interval, one :meth:`_next_job` policy selection per job — the
-        scheduling discipline shapes the batch exactly as it shapes the
+        """Drain up to ``max_batch`` jobs for one service interval, one
+        :meth:`_next_job` policy selection per job — the scheduling
+        discipline shapes the batch exactly as it shapes the
         one-at-a-time schedule."""
-        limit = self.service.max_batch if self._batching else 1
         jobs: list[_Job] = []
-        while len(jobs) < limit:
+        while len(jobs) < self.service.max_batch:
             job = self._next_job(broker_id, now)
             if job is None:
                 break
             jobs.append(job)
         return jobs
 
-    def _start_service(self, broker_id: int, job: _Job, now: float) -> None:
-        self._busy[broker_id] = True
-        self._queue_delays.append(now - job.arrived_at)
-        self._serviced_documents += 1
-        self._service_batches += 1
-        step = self.overlay.process_at(broker_id, job.document, job.origin)
-        self._match_operations += step.match_operations
-        duration = self.service.service_time(step.match_operations)
-        self._busy_time[broker_id] += duration
-        self._schedule(now + duration, _COMPLETE, broker_id, job, step)
-
     def _start_batch(
         self, broker_id: int, jobs: list[_Job], now: float
     ) -> None:
-        """Service *jobs* in one batched interval: one shared-pool
-        filtering pass, one completion event, a duration read off the
-        measured batch op count."""
+        """Service *jobs* in one interval: one shared-pool filtering
+        pass, one completion event, a duration read off the measured
+        batch op count."""
         self._busy[broker_id] = True
         for job in jobs:
             self._queue_delays.append(now - job.arrived_at)
@@ -1080,12 +1026,9 @@ class DeliveryEngine:
             self._depth_peaks[broker_id] = depth
         if self._busy[broker_id]:
             self._queues[broker_id].append(job)
-        elif self._batching:
-            self._account_service(broker_id, job)
-            self._start_batch(broker_id, [job], now)
         else:
             self._account_service(broker_id, job)
-            self._start_service(broker_id, job, now)
+            self._start_batch(broker_id, [job], now)
 
     def _on_overflow(self, broker_id: int, job: _Job, now: float) -> None:
         """Resolve one arrival at a full queue per the queue policy.
@@ -1214,16 +1157,7 @@ class DeliveryEngine:
         self._busy[broker_id] = False
         pending = self._next_batch(broker_id, now)
         if pending:
-            if self._batching:
-                self._start_batch(broker_id, pending, now)
-            else:
-                self._start_service(broker_id, pending[0], now)
-
-    def _on_complete(
-        self, broker_id: int, job: _Job, step: BrokerStep, now: float
-    ) -> None:
-        self._deliver_and_forward(broker_id, job, step, now)
-        self._finish_service(broker_id, now)
+            self._start_batch(broker_id, pending, now)
 
     def _on_complete_batch(
         self, broker_id: int, batch: _Batch, now: float
@@ -1239,7 +1173,7 @@ class DeliveryEngine:
         again; stats always cover everything processed so far.
         """
         while self._events:
-            time, _, kind, broker_id, job, step = heapq.heappop(self._events)
+            time, _, kind, broker_id, job = heapq.heappop(self._events)
             self._last_event = max(self._last_event, time)
             if kind == _TOPOLOGY:
                 self._on_topology(job, time)
@@ -1247,11 +1181,8 @@ class DeliveryEngine:
                 self._on_signal(job, time)
             elif kind == _ARRIVAL:
                 self._on_arrival(broker_id, job, time)
-            elif isinstance(job, _Batch):
-                self._on_complete_batch(broker_id, job, time)
             else:
-                assert step is not None
-                self._on_complete(broker_id, job, step, time)
+                self._on_complete_batch(broker_id, job, time)
         return self.stats()
 
     # ------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Multi-broker overlay routing (the paper's target deployment).
 
-The single-broker simulation in :mod:`repro.routing.broker` measures
-filtering cost at one node; the scalability argument of Section 1 is about
-a *network* of brokers, each holding a routing table whose size and
-filtering cost grow with the subscription population.  This module builds
-that network:
+The scalability argument of Section 1 is about a *network* of brokers,
+each holding a routing table whose size and filtering cost grow with the
+subscription population.  This module builds that network (a one-broker
+overlay measures filtering cost at a single node):
 
 * :class:`BrokerNode` — one broker: neighbours, a covering-aware
   :class:`~repro.routing.table.RoutingTable`, and the subscriptions homed
@@ -31,12 +30,6 @@ policy:
   similarity metric;
 * :class:`~repro.routing.policy.HybridPolicy` — per-subscription precision
   at lightly loaded brokers, aggregation where state actually accumulates.
-
-The legacy spellings survive: ``advertise_subscriptions()`` /
-``advertise_communities(provider, threshold=...)`` delegate to
-:meth:`advertise`, which also accepts the string names
-``"per_subscription"`` / ``"community"`` and resolves them to policy
-instances.
 
 Every policy is maintained **incrementally under churn** through the
 subscription lifecycle: :meth:`BrokerOverlay.subscribe` returns a
@@ -74,17 +67,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
-from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
-from repro.routing.policy import (
-    AdvertisementPolicy,
-    AdvertisementSpec,
-    CommunityPolicy,
-    LeaderClusters,
-    PerSubscriptionPolicy,
-    resolve_advertisement,
-)
+from repro.routing.policy import AdvertisementPolicy, LeaderClusters
 from repro.routing.table import RoutingTable
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
@@ -151,8 +136,8 @@ class BrokerNode:
         default_factory=list
     )
     #: Live pairwise-similarity engine over the local subscriptions
-    #: (community regime only; populated by ``advertise_communities`` and
-    #: maintained by subscribe/unsubscribe).
+    #: (community regime only; populated by :meth:`BrokerOverlay.advertise`
+    #: and maintained by subscribe/unsubscribe).
     index: Optional[SimilarityIndex] = None
     #: subscriber id -> similarity-index handle (community regime only).
     handles: dict[int, int] = field(default_factory=dict)
@@ -460,7 +445,7 @@ class BrokerOverlay:
 
         Membership only: no advertisement is sent, even when a routing
         regime is live — the bulk-load path, followed by one
-        ``advertise_*`` call.  Use :meth:`subscribe` for the event-driven
+        :meth:`advertise` call.  Use :meth:`subscribe` for the event-driven
         path that keeps live routing state fresh.
         """
         if broker_id not in self.brokers:
@@ -974,7 +959,7 @@ class BrokerOverlay:
 
     def rebuilt(
         self,
-        policy: Optional[AdvertisementSpec] = None,
+        policy: Optional[AdvertisementPolicy] = None,
         provider: Optional[SelectivityProvider] = None,
     ) -> "BrokerOverlay":
         """A from-scratch overlay over this one's topology and
@@ -1154,29 +1139,14 @@ class BrokerOverlay:
 
     def advertise(
         self,
-        policy: AdvertisementSpec,
+        policy: AdvertisementPolicy,
         provider: Optional[SelectivityProvider] = None,
-        candidates: "CandidateGenerator | str | None" = None,
-        **overrides: object,
     ) -> None:
         """Install routing state for the whole overlay under *policy*.
 
-        *policy* is an :class:`~repro.routing.policy.AdvertisementPolicy`
-        instance, or one of the legacy string spellings
-        (``"per_subscription"``, ``"community"``, ``"hybrid"`` — keyword
-        overrides such as ``threshold=`` are forwarded to the resolved
-        policy's constructor).  Similarity-based policies additionally
-        need *provider*, the
+        Similarity-based policies additionally need *provider*, the
         :class:`~repro.core.similarity.SelectivityProvider` each broker's
         live index scores patterns with.
-
-        *candidates* — a
-        :class:`~repro.core.candidates.CandidateGenerator` template (or
-        the string spellings accepted by
-        :func:`~repro.core.candidates.resolve_candidates`) — gates which
-        pattern pairs the similarity machinery evaluates at all; it only
-        makes sense for similarity-based policies and replaces whatever
-        generator the policy was constructed with.
 
         Every broker aggregates its local subscriptions through the
         policy and floods the resulting advertisements hop-by-hop with
@@ -1185,14 +1155,6 @@ class BrokerOverlay:
         (and their batch variants) maintain the advertisement state
         incrementally instead of rebuilding it.
         """
-        policy = resolve_advertisement(policy, **overrides)
-        if candidates is not None:
-            if not policy.uses_similarity:
-                raise ValueError(
-                    f"{type(policy).__name__} does not evaluate pattern "
-                    "similarity; a candidate generator has nothing to gate"
-                )
-            policy = policy.with_candidates(candidates)
         if policy.uses_similarity and provider is None:
             raise ValueError(
                 f"{type(policy).__name__} clusters over pattern similarity "
@@ -1217,42 +1179,6 @@ class BrokerOverlay:
             for advertised, members in node.communities:
                 node.table.add(advertised, (_DELIVER, members))
                 self._propagate(node.broker_id, advertised)
-
-    def advertise_subscriptions(self) -> None:
-        """Per-subscription advertisement: exact routing, maximal state.
-
-        Legacy spelling of ``advertise(PerSubscriptionPolicy())``.
-        """
-        self.advertise(PerSubscriptionPolicy())
-
-    def advertise_communities(
-        self,
-        provider: SelectivityProvider,
-        threshold: float,
-        metric: str = "M3",
-        elect_by_selectivity: bool = True,
-        ratio_prefilter: bool = True,
-    ) -> None:
-        """Community-aggregated advertisement.
-
-        Legacy spelling of ``advertise(CommunityPolicy(...), provider)``:
-        each broker clusters its local subscriptions with
-        :func:`~repro.routing.community.leader_clustering` over a live
-        :class:`~repro.core.similarity.SimilarityIndex` (one
-        joint-selectivity computation per pattern pair, shared across all
-        queries and across later churn events), then advertises a single
-        pattern per community.  See :class:`CommunityPolicy` for the
-        ``elect_by_selectivity`` and ``ratio_prefilter`` knobs.
-        """
-        self.advertise(
-            CommunityPolicy(
-                threshold,
-                metric=metric,
-                elect_by_selectivity=elect_by_selectivity,
-                ratio_prefilter=ratio_prefilter,
-            ),
-            provider,
-        )
 
     # ------------------------------------------------------------------
     # routing
@@ -1369,10 +1295,7 @@ class BrokerOverlay:
         false positive, a missed interested subscriber a false negative.
         """
         if self.mode is None:
-            raise ValueError(
-                "no routing state: call advertise() (or the legacy "
-                "advertise_subscriptions()/advertise_communities()) first"
-            )
+            raise ValueError("no routing state: call advertise() first")
         interest = {
             subscriber_id: corpus.match_set(pattern)
             for subscriber_id, (_, pattern) in self.subscriptions.items()

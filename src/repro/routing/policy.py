@@ -1,14 +1,11 @@
 """First-class routing policies: advertisement aggregation and scheduling.
 
-The overlay's two behavioural axes used to be hardwired — the
-advertisement regime as a pair of ``advertise_*`` methods on
-:class:`~repro.routing.overlay.BrokerOverlay`, the queueing discipline as
-a private-method override on
-:class:`~repro.routing.engine.DeliveryEngine`.  This module turns both
-into composable strategy objects, so a deployment picks its point on the
-paper's precision-vs-state trade-off (and its fairness-vs-tail-latency
-trade-off under load) by *passing a policy*, not by calling a different
-method or subclassing the engine.
+The overlay's two behavioural axes — the advertisement regime of
+:class:`~repro.routing.overlay.BrokerOverlay` and the queueing discipline
+of :class:`~repro.routing.engine.DeliveryEngine` — are composable
+strategy objects, so a deployment picks its point on the paper's
+precision-vs-state trade-off (and its fairness-vs-tail-latency trade-off
+under load) by *passing a policy*.
 
 Advertisement policies (consumed by ``BrokerOverlay.advertise``):
 
@@ -44,24 +41,17 @@ reject the arrival with a NACK back-pressure signal to its publisher
 (``"nack"``).  ``capacity=None`` (the default) is the historical
 unbounded queue, byte-identical in replay.
 
-The legacy string spellings stay accepted everywhere policies are:
-:func:`resolve_advertisement` maps ``"per_subscription"`` /
-``"community"`` (plus keyword overrides) onto a policy instance, and
-:func:`resolve_scheduling` maps ``"fifo"`` / ``"priority"`` /
-``"deadline"`` likewise — so existing call sites and configuration files
-keep working unchanged.
-
 >>> # overlay.advertise(CommunityPolicy(threshold=0.5), provider=corpus)
->>> # overlay.advertise("per_subscription")       # string shim
+>>> # overlay.advertise(PerSubscriptionPolicy())
 >>> # DeliveryEngine(overlay, scheduling=PriorityScheduling({2: 10.0}))
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import ClassVar, Mapping, Optional, Protocol, Sequence, Union
+from dataclasses import dataclass, field
+from typing import ClassVar, Mapping, Optional, Protocol, Sequence
 
-from repro.core.candidates import CandidateGenerator, resolve_candidates
+from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
 from repro.routing.community import agglomerative_clustering, leader_clustering
@@ -72,16 +62,13 @@ __all__ = [
     "CommunityPolicy",
     "HybridPolicy",
     "LeaderClusters",
-    "resolve_advertisement",
     "SchedulingPolicy",
     "FifoScheduling",
     "PriorityScheduling",
     "DeadlineScheduling",
     "WeightedFairScheduling",
-    "resolve_scheduling",
     "QueuedJob",
     "QueuePolicy",
-    "resolve_queue_policy",
     "LINKAGES",
     "OVERFLOW_MODES",
 ]
@@ -223,8 +210,7 @@ class CommunityPolicy(AdvertisementPolicy):
     ``min(P(p), P(q))`` bound should pass ``ratio_prefilter=False``.
 
     ``candidates`` restricts which pattern pairs are evaluated at all: a
-    :class:`~repro.core.candidates.CandidateGenerator` template (or the
-    string spellings ``"exact"`` / ``"lsh"`` / ``"sharded"``) is spawned
+    :class:`~repro.core.candidates.CandidateGenerator` template is spawned
     per broker — one population inside the broker's similarity index,
     one leaders-only population inside each clustering pass — so
     LSH-backed community formation stays sublinear in the broker's
@@ -251,7 +237,7 @@ class CommunityPolicy(AdvertisementPolicy):
     metric: str = "M3"
     elect_by_selectivity: bool = True
     ratio_prefilter: bool = True
-    candidates: "CandidateGenerator | str | None" = None
+    candidates: Optional[CandidateGenerator] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
@@ -260,34 +246,15 @@ class CommunityPolicy(AdvertisementPolicy):
             raise ValueError(
                 f"unknown linkage {self.linkage!r}; choose from {LINKAGES}"
             )
-        object.__setattr__(self, "candidates", resolve_candidates(self.candidates))
-
-    @property
-    def _generator(self) -> Optional[CandidateGenerator]:
-        """The candidate template, narrowed past ``__post_init__``."""
-        candidates = self.candidates
-        assert not isinstance(candidates, str), "normalised in __post_init__"
-        return candidates
 
     def mode_label(self) -> str:
         """The ``BrokerOverlay.mode`` string advertised state reports."""
         parts = [f"threshold={self.threshold}"]
         if self.linkage != "leader":
             parts.append(f"linkage={self.linkage}")
-        if self._generator is not None:
-            parts.append(f"candidates={self._generator.describe()}")
+        if self.candidates is not None:
+            parts.append(f"candidates={self.candidates.describe()}")
         return f"community({', '.join(parts)})"
-
-    def with_candidates(
-        self, candidates: "CandidateGenerator | str | None"
-    ) -> "CommunityPolicy":
-        """A copy of this policy with its candidate template replaced.
-
-        The overlay and builder use this to thread a deployment-level
-        generator through without mutating a policy instance that may be
-        shared across sweeps.
-        """
-        return replace(self, candidates=resolve_candidates(candidates))
 
     def make_index(self, provider: SelectivityProvider) -> SimilarityIndex:
         """A fresh per-broker similarity index under this policy's knobs."""
@@ -296,12 +263,13 @@ class CommunityPolicy(AdvertisementPolicy):
             if self.ratio_prefilter and self.linkage == "leader"
             else None
         )
-        generator = self._generator
         return SimilarityIndex(
             provider,
             metric=self.metric,
             prune_below=prune,
-            candidates=(generator.spawn() if generator is not None else None),
+            candidates=(
+                self.candidates.spawn() if self.candidates is not None else None
+            ),
         )
 
     def _leader_groups(
@@ -317,7 +285,7 @@ class CommunityPolicy(AdvertisementPolicy):
                 [pattern_of[member] for member in members],
                 index,
                 self.threshold,
-                candidates=self._generator,
+                candidates=self.candidates,
             )
         ]
 
@@ -335,7 +303,7 @@ class CommunityPolicy(AdvertisementPolicy):
         even where the threshold is 0.
         """
         pattern = pattern_of[member]
-        generator = self._generator
+        generator = self.candidates
         for group in clusters.communities:
             leader = pattern_of[group[0]]
             if (
@@ -425,7 +393,7 @@ class CommunityPolicy(AdvertisementPolicy):
                     index,
                     1,
                     min_similarity=self.threshold,
-                    candidates=self._generator,
+                    candidates=self.candidates,
                 )
             ]
         else:
@@ -483,8 +451,8 @@ class HybridPolicy(CommunityPolicy):
             f"threshold={self.threshold}",
             f"aggregate_above={self.aggregate_above}",
         ]
-        if self._generator is not None:
-            parts.append(f"candidates={self._generator.describe()}")
+        if self.candidates is not None:
+            parts.append(f"candidates={self.candidates.describe()}")
         return f"hybrid({', '.join(parts)})"
 
     def aggregate(
@@ -507,46 +475,6 @@ class HybridPolicy(CommunityPolicy):
             f"{type(self).__name__}(threshold={self.threshold}, "
             f"aggregate_above={self.aggregate_above})"
         )
-
-
-#: Anything ``BrokerOverlay.advertise`` accepts as its policy argument.
-AdvertisementSpec = Union[AdvertisementPolicy, str]
-
-
-def resolve_advertisement(spec: AdvertisementSpec, **overrides: object) -> AdvertisementPolicy:
-    """Resolve a policy instance or legacy string spelling to a policy.
-
-    ``"per_subscription"`` maps to :class:`PerSubscriptionPolicy`,
-    ``"community"`` to :class:`CommunityPolicy` (keyword overrides such
-    as ``threshold=`` are forwarded; the threshold defaults to 0.5), and
-    ``"hybrid"`` to :class:`HybridPolicy`.  A policy instance passes
-    through unchanged — in which case overrides are rejected, because
-    the instance already carries its configuration.
-    """
-    if isinstance(spec, AdvertisementPolicy):
-        if overrides:
-            raise ValueError(
-                "policy overrides only apply to string spellings; "
-                f"configure {type(spec).__name__} directly instead"
-            )
-        return spec
-    if isinstance(spec, str):
-        if spec == "per_subscription":
-            if overrides:
-                raise ValueError("per_subscription advertisement takes no parameters")
-            return PerSubscriptionPolicy()
-        if spec == "community":
-            overrides.setdefault("threshold", 0.5)
-            return CommunityPolicy(**overrides)
-        if spec == "hybrid":
-            overrides.setdefault("threshold", 0.5)
-            return HybridPolicy(**overrides)
-        raise ValueError(
-            f"unknown advertisement policy {spec!r}; choose from "
-            "('per_subscription', 'community', 'hybrid') or pass an "
-            "AdvertisementPolicy instance"
-        )
-    raise TypeError(f"expected an AdvertisementPolicy or policy name, got {spec!r}")
 
 
 # ----------------------------------------------------------------------
@@ -802,44 +730,6 @@ class WeightedFairScheduling(SchedulingPolicy):
         )
 
 
-#: Anything ``DeliveryEngine`` accepts as its scheduling argument.
-SchedulingSpec = Union[SchedulingPolicy, str]
-
-_SCHEDULING_NAMES = {
-    "fifo": FifoScheduling,
-    "priority": PriorityScheduling,
-    "deadline": DeadlineScheduling,
-    "weighted_fair": WeightedFairScheduling,
-}
-
-
-def resolve_scheduling(spec: SchedulingSpec, **overrides: object) -> SchedulingPolicy:
-    """Resolve a policy instance or string spelling to a scheduling policy.
-
-    ``"fifo"``, ``"priority"`` and ``"deadline"`` map to their policy
-    classes (keyword overrides are forwarded to the constructor); an
-    instance passes through unchanged, rejecting overrides.
-    """
-    if isinstance(spec, SchedulingPolicy):
-        if overrides:
-            raise ValueError(
-                "scheduling overrides only apply to string spellings; "
-                f"configure {type(spec).__name__} directly instead"
-            )
-        return spec
-    if isinstance(spec, str):
-        try:
-            factory = _SCHEDULING_NAMES[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduling policy {spec!r}; choose from "
-                f"{tuple(sorted(_SCHEDULING_NAMES))} or pass a "
-                "SchedulingPolicy instance"
-            ) from None
-        return factory(**overrides)
-    raise TypeError(f"expected a SchedulingPolicy or policy name, got {spec!r}")
-
-
 # ----------------------------------------------------------------------
 # queue admission
 # ----------------------------------------------------------------------
@@ -905,45 +795,3 @@ class QueuePolicy:
             f"{type(self).__name__}(capacity={self.capacity}, "
             f"overflow={self.overflow!r})"
         )
-
-
-#: Anything ``DeliveryEngine`` accepts as its queue-policy argument: a
-#: policy instance, a bare capacity (``drop-new`` overflow), or None for
-#: the unbounded default.
-QueuePolicySpec = Union[QueuePolicy, int, None]
-
-
-def resolve_queue_policy(spec: QueuePolicySpec, **overrides: object) -> QueuePolicy:
-    """Resolve a queue-policy spelling to a :class:`QueuePolicy`.
-
-    ``None`` yields the unbounded default, a bare ``int`` is shorthand
-    for ``QueuePolicy(capacity=n)`` (keyword overrides such as
-    ``overflow=`` are forwarded), and an instance passes through
-    unchanged — rejecting overrides, since it already carries its
-    configuration.
-    """
-    if isinstance(spec, QueuePolicy):
-        if overrides:
-            raise ValueError(
-                "queue-policy overrides only apply to capacity shorthands; "
-                "configure QueuePolicy directly instead"
-            )
-        return spec
-    if spec is None:
-        if overrides:
-            raise ValueError(
-                "queue-policy overrides need a capacity; pass a "
-                "QueuePolicy instance instead"
-            )
-        return QueuePolicy()
-    if isinstance(spec, int) and not isinstance(spec, bool):
-        overflow = overrides.pop("overflow", "drop-new")
-        if overrides:
-            raise ValueError(
-                f"unknown queue-policy overrides {sorted(overrides)}; "
-                "only overflow= applies to a capacity shorthand"
-            )
-        return QueuePolicy(capacity=spec, overflow=str(overflow))
-    raise TypeError(
-        f"expected a QueuePolicy, a capacity int or None, got {spec!r}"
-    )

@@ -5,6 +5,7 @@ import pytest
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.engine import BatchServiceModel, DeliveryEngine, ServiceModel
 from repro.routing.overlay import BrokerOverlay
+from repro.routing.policy import PerSubscriptionPolicy
 from repro.routing.table import RoutingTable, TableBatchMatch
 from repro.routing.trie import PatternTrie
 from repro.xmltree.corpus import DocumentCorpus
@@ -134,7 +135,7 @@ class TestOverlayBatch:
         overlay.attach(0, parse_xpath("/a/b"))
         overlay.attach(1, parse_xpath("//e"))
         overlay.attach(2, parse_xpath("/q"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         for broker_id in overlay.brokers:
             expected = [
                 overlay.process_at(broker_id, document)
@@ -148,7 +149,7 @@ class TestOverlayBatch:
     def test_origin_excludes_reverse_link(self, documents):
         overlay = BrokerOverlay.chain(2)
         overlay.attach(1, parse_xpath("//e"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         # Arriving over the 0-1 link must not be forwarded back.
         steps = overlay.process_batch_at(
             1, documents[:2], arrived_from=[0, None]
@@ -185,7 +186,7 @@ def saturated_engine(service):
     """A one-broker overlay fed faster than it drains."""
     overlay = BrokerOverlay.chain(1)
     overlay.attach(0, parse_xpath("/a"))
-    overlay.advertise_subscriptions()
+    overlay.advertise(PerSubscriptionPolicy())
     corpus = DocumentCorpus(
         [doc("<a><b/></a>", doc_id) for doc_id in range(12)]
     )
@@ -232,7 +233,7 @@ class TestBatchedEngine:
     def test_idle_stats_batch_size_zero(self):
         overlay = BrokerOverlay.chain(1)
         overlay.attach(0, parse_xpath("/a"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         engine = DeliveryEngine(
             overlay, service=BatchServiceModel(max_batch=2)
         )

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.routing.engine import BatchServiceModel, DeliveryEngine, LinkModel
 from repro.routing.overlay import BrokerOverlay
+from repro.routing.policy import PerSubscriptionPolicy
 from repro.routing.table import RoutingTable
 from repro.routing.trie import PatternTrie
 from repro.xmltree.corpus import DocumentCorpus
@@ -205,7 +206,7 @@ class TestBatchedEngineEquivalence:
             )
             for pattern in patterns
         ]
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         wanted = {
             index: frozenset(
                 subscription

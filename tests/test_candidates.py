@@ -1,11 +1,11 @@
-"""The candidate-generation subsystem: exact oracle, sharded exact, LSH.
+"""The candidate-generation subsystem: exact oracle and LSH.
 
 Covers the generator contract (population lifecycle, symmetry,
 duplicate-key rejection), the label-overlap prefilter semantics (empty
-label sets are never pruned), the sharded oracle's output equality with
-the sequential one, the LSH bucket-table maintenance under churn, and
-the integration points: ``SimilarityIndex(candidates=...)`` accounting,
-the ``prune_label_overlap`` heuristic, and the heap-based ``top_k``.
+label sets are never pruned), the LSH bucket-table maintenance under
+churn, and the integration points: ``SimilarityIndex(candidates=...)``
+accounting, the ``prune_label_overlap`` heuristic, and the heap-based
+``top_k``.
 """
 
 import pytest
@@ -13,17 +13,11 @@ import pytest
 from repro.core.candidates import (
     ExactCandidates,
     LSHCandidates,
-    ShardedExactCandidates,
     candidate_pairs,
     pattern_tokens,
-    resolve_candidates,
 )
 from repro.core.pattern_parser import parse_xpath
-from repro.core.similarity import (
-    SimilarityEstimator,
-    SimilarityIndex,
-    SimilarityMatrix,
-)
+from repro.core.similarity import SimilarityEstimator, SimilarityIndex
 from repro.xmltree.corpus import DocumentCorpus
 from tests.test_similarity import CountingProvider
 
@@ -100,46 +94,6 @@ class TestExactCandidates:
     def test_describe(self):
         assert ExactCandidates().describe() == "exact"
         assert "prefilter" in ExactCandidates(prefilter_labels=True).describe()
-
-
-class TestShardedExactCandidates:
-    def assert_matches_sequential(self, patterns, **kwargs):
-        sharded = ShardedExactCandidates(
-            workers=2, min_parallel=2, **kwargs
-        )
-        sequential = ExactCandidates(
-            prefilter_labels=sharded.prefilter_labels
-        )
-        for key, pattern in enumerate(patterns):
-            sharded.add(key, pattern)
-            sequential.add(key, pattern)
-        assert sharded.pairs() == sequential.pairs()
-
-    def test_matches_sequential_with_prefilter(self):
-        self.assert_matches_sequential(PATTERNS, prefilter_labels=True)
-
-    def test_matches_sequential_without_prefilter(self):
-        self.assert_matches_sequential(PATTERNS, prefilter_labels=False)
-
-    def test_small_population_falls_back(self):
-        generator = ShardedExactCandidates(workers=2, min_parallel=10_000)
-        for key, pattern in enumerate(PATTERNS):
-            generator.add(key, pattern)
-        # Below min_parallel the sequential loop answers; output is the
-        # oracle's either way.
-        assert generator.pairs() == ExactCandidates(
-            prefilter_labels=True
-        ).pairs() or len(generator.pairs()) > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardedExactCandidates(workers=0)
-        with pytest.raises(ValueError):
-            ShardedExactCandidates(min_parallel=1)
-
-    def test_describe(self):
-        assert "sharded" in ShardedExactCandidates(workers=2).describe()
-        assert "auto" in ShardedExactCandidates().describe()
 
 
 class TestLSHCandidates:
@@ -278,30 +232,7 @@ class TestLSHCandidates:
         assert generator.is_candidate(P("/a"), P("/b"))
 
 
-class TestResolveCandidates:
-    def test_none_passes_through(self):
-        assert resolve_candidates(None) is None
-
-    def test_string_spellings(self):
-        assert isinstance(resolve_candidates("exact"), ExactCandidates)
-        assert isinstance(resolve_candidates("lsh", bands=4), LSHCandidates)
-        assert isinstance(
-            resolve_candidates("sharded"), ShardedExactCandidates
-        )
-        assert resolve_candidates("lsh", bands=4).bands == 4
-
-    def test_instance_passes_through(self):
-        generator = LSHCandidates()
-        assert resolve_candidates(generator) is generator
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            resolve_candidates("fuzzy")
-        with pytest.raises(ValueError):
-            resolve_candidates(LSHCandidates(), bands=4)
-        with pytest.raises(ValueError):
-            resolve_candidates(None, bands=4)
-
+class TestCandidatePairs:
     def test_candidate_pairs_convenience(self):
         template = ExactCandidates()
         template.add("pre", P("/zz"))
@@ -443,11 +374,3 @@ class TestHeapTopK:
         assert estimator.top_k(P("//b"), candidates, k=3) == self.baseline(
             scored, 3
         )
-
-    def test_matrix_top_k_matches_full_sort(self, corpus):
-        patterns = [P("//b"), P("//e"), P("/a/d"), P("//m")]
-        matrix = SimilarityMatrix(corpus, patterns)
-        scored = [
-            (j, matrix.values[0][j]) for j in range(len(patterns)) if j != 0
-        ]
-        assert matrix.top_k(0, 2) == self.baseline(scored, 2)

@@ -11,6 +11,7 @@ from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import (
     DeadlineScheduling,
     FifoScheduling,
+    PerSubscriptionPolicy,
     PriorityScheduling,
     SchedulingPolicy,
 )
@@ -27,7 +28,7 @@ def chain3():
     overlay = BrokerOverlay.chain(3)
     for broker_id in range(3):
         overlay.attach(broker_id, parse_xpath("/a/b"))
-    overlay.advertise_subscriptions()
+    overlay.advertise(PerSubscriptionPolicy())
     return overlay
 
 
@@ -193,7 +194,7 @@ class TestSchedulingPolicies:
         """One broker, one subscriber: every publish queues at broker 0."""
         overlay = BrokerOverlay.chain(1)
         overlay.attach(0, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         return overlay
 
     def publish_three(self, engine):
@@ -219,10 +220,6 @@ class TestSchedulingPolicies:
     def test_default_scheduling_is_fifo(self, single_broker):
         engine = DeliveryEngine(single_broker)
         assert isinstance(engine.scheduling, FifoScheduling)
-
-    def test_string_spelling_accepted(self, single_broker):
-        engine = DeliveryEngine(single_broker, scheduling="priority")
-        assert isinstance(engine.scheduling, PriorityScheduling)
 
     def test_fifo_services_in_arrival_order(self, single_broker):
         engine = DeliveryEngine(
@@ -434,7 +431,7 @@ class TestTopologyEvents:
         overlay = BrokerOverlay.chain(3)
         for broker_id in range(3):
             overlay.attach(broker_id, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         engine = self._churn_engine(
             overlay,
             service=ServiceModel(base=5.0, per_match=0.0),
@@ -459,7 +456,7 @@ class TestTopologyEvents:
         # merge chain instead of crashing on a dead id.
         overlay = BrokerOverlay.chain(3)
         overlay.attach(2, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         engine = self._churn_engine(
             overlay,
             service=ServiceModel(base=2.0, per_match=0.0),
@@ -497,7 +494,7 @@ class TestTopologyEvents:
             overlay = BrokerOverlay.chain(3)
             for broker_id in range(3):
                 overlay.attach(broker_id, parse_xpath("/a/b"))
-            overlay.advertise_subscriptions()
+            overlay.advertise(PerSubscriptionPolicy())
             engine = self._churn_engine(
                 overlay,
                 service=ServiceModel(base=0.4, per_match=0.1),
@@ -545,7 +542,7 @@ class TestOutOfBandTopologyChanges:
         # out-of-band newcomers lazily instead of crashing on arrival.
         overlay = BrokerOverlay.chain(2)
         overlay.attach(0, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         engine = DeliveryEngine(overlay)
         joined = overlay.add_broker(1)
         subscription = overlay.subscribe(joined, parse_xpath("/a/b"))
@@ -563,7 +560,7 @@ class TestStaleTopologyEvents:
         overlay = BrokerOverlay.chain(3)
         for broker_id in range(3):
             overlay.attach(broker_id, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         return overlay
 
     def test_join_under_retired_parent_lands_at_merge_target(
@@ -625,7 +622,7 @@ class TestStaleTopologyEvents:
         overlay = BrokerOverlay.chain(3)
         for broker_id in range(3):
             overlay.attach(broker_id, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         engine = DeliveryEngine(
             overlay,
             service=ServiceModel(base=1.0, per_match=0.0),

@@ -26,7 +26,12 @@ from repro.routing.engine import (
     ServiceModel,
 )
 from repro.routing.overlay import TOPOLOGIES, BrokerOverlay
-from repro.routing.policy import QueuePolicy, WeightedFairScheduling
+from repro.routing.policy import (
+    CommunityPolicy,
+    PerSubscriptionPolicy,
+    QueuePolicy,
+    WeightedFairScheduling,
+)
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
 from tests.strategies import tree_patterns
@@ -37,9 +42,9 @@ def build_routed_overlay(topology, n_brokers, patterns, regime, corpus):
     overlay = BrokerOverlay.build(topology, n_brokers, seed=5)
     overlay.attach_round_robin(patterns)
     if regime == "per_subscription":
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
     else:
-        overlay.advertise_communities(corpus, threshold=regime)
+        overlay.advertise(CommunityPolicy(regime), corpus)
     return overlay
 
 
@@ -134,7 +139,7 @@ def closed_loop_digest() -> str:
     overlay.attach(0, parse_xpath("/a/b"))
     overlay.attach(1, parse_xpath("//b"))
     overlay.attach(2, parse_xpath("/a"))
-    overlay.advertise_subscriptions()
+    overlay.advertise(PerSubscriptionPolicy())
     shapes = ("<a><b/></a>", "<a><c/></a>", "<b/>", "<a><a><b/></a></a>")
     corpus = DocumentCorpus(
         [parse_xml(shapes[i % len(shapes)], doc_id=i) for i in range(16)]

@@ -4,8 +4,8 @@ Two invariants anchor the incremental machinery to the batch machinery it
 replaced:
 
 * any interleaving of :meth:`SimilarityIndex.add` / ``remove`` yields the
-  same similarity values as a fresh :class:`SimilarityMatrix` built over
-  the surviving population alone (the index never pays for this: removed
+  same similarity values as a fresh index built over the surviving
+  population alone (the index never pays for this: removed
   pairs stay memoised, surviving pairs are never recomputed);
 * a ``subscribe`` → ``unsubscribe`` round trip restores every broker's
   routing table exactly — covering, eviction and resurrection bookkeeping
@@ -17,8 +17,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.similarity import METRICS, SimilarityIndex, SimilarityMatrix
+from repro.core.similarity import METRICS, SimilarityIndex
 from repro.routing.overlay import BrokerOverlay
+from repro.routing.policy import CommunityPolicy, PerSubscriptionPolicy
 from repro.xmltree.corpus import DocumentCorpus
 from tests.strategies import tree_patterns
 from tests.test_selectivity_properties import corpora
@@ -55,12 +56,14 @@ class TestIndexMatrixEquivalence:
                 )
                 index.remove(victim)
         survivors = index.patterns
-        matrix = SimilarityMatrix(corpus, survivors, metric=metric)
+        matrix = SimilarityIndex(
+            corpus, survivors, metric=metric, prune_disjoint=False
+        )
         handles = index.handles()
         for i, handle in enumerate(handles):
             row = index.row(handle)
             for j, other in enumerate(handles):
-                assert row[other] == matrix.values[i][j], (metric, i, j)
+                assert row[other] == matrix.row(i)[j], (metric, i, j)
 
     @settings(max_examples=40, deadline=None)
     @given(corpora(), st.lists(tree_patterns(), min_size=2, max_size=5))
@@ -96,7 +99,7 @@ class TestOverlayRoundTrip:
         # bookkeeping alone.
         overlay = BrokerOverlay.chain(3)
         overlay.attach_round_robin(base)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         before = overlay_snapshot(overlay)
         pending = [
             overlay.subscribe(position % 3, pattern)
@@ -120,7 +123,7 @@ class TestOverlayRoundTrip:
         corpus = DocumentCorpus(docs)
         overlay = BrokerOverlay.chain(3)
         overlay.attach_round_robin(base)
-        overlay.advertise_communities(corpus, threshold=threshold)
+        overlay.advertise(CommunityPolicy(threshold), corpus)
         before = overlay_snapshot(overlay)
         communities_before = {
             broker_id: list(node.communities)

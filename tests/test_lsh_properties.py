@@ -9,8 +9,7 @@ The headline guarantees of the LSH candidate-generation PR:
   identical to the un-gated historical code path;
 * :class:`~repro.core.candidates.LSHCandidates` maintained **under
   churn** (any interleaving of adds and removes) ends in exactly the
-  state of a fresh build over the survivors;
-* the sharded exact oracle emits exactly the sequential oracle's pairs.
+  state of a fresh build over the survivors.
 
 Similarity here is label-set Jaccard — deterministic, cheap, and enough
 to exercise every tie-break the clusterings make.
@@ -21,11 +20,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.candidates import (
-    ExactCandidates,
-    LSHCandidates,
-    ShardedExactCandidates,
-)
+from repro.core.candidates import ExactCandidates, LSHCandidates
 from repro.routing.community import agglomerative_clustering, leader_clustering
 from tests.strategies import property_max_examples, tree_patterns
 
@@ -177,20 +172,3 @@ class TestLshChurnEqualsRebuild:
         for key, pattern in enumerate(patterns):
             fresh.add(key, pattern)
         assert generator._buckets == fresh._buckets
-
-
-class TestShardedEqualsSequential:
-    @settings(max_examples=property_max_examples(15), deadline=None)
-    @given(
-        patterns=st.lists(tree_patterns(), min_size=0, max_size=12),
-        prefilter=st.booleans(),
-    )
-    def test_pairs_identical(self, patterns, prefilter):
-        sharded = ShardedExactCandidates(
-            workers=2, prefilter_labels=prefilter, min_parallel=2
-        )
-        sequential = ExactCandidates(prefilter_labels=prefilter)
-        for key, pattern in enumerate(patterns):
-            sharded.add(key, pattern)
-            sequential.add(key, pattern)
-        assert sharded.pairs() == sequential.pairs()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.overlay import TOPOLOGIES, BrokerOverlay, SubscriptionId
+from repro.routing.policy import CommunityPolicy, PerSubscriptionPolicy
 from repro.xmltree.corpus import DocumentCorpus
 
 
@@ -64,10 +65,10 @@ def rebuild_from_survivors(overlay, topology, n_brokers=3, community=None):
     for home_id, pattern in overlay.subscriptions.values():
         fresh.attach(home_id, pattern)
     if community is None:
-        fresh.advertise_subscriptions()
+        fresh.advertise(PerSubscriptionPolicy())
     else:
         provider, threshold = community
-        fresh.advertise_communities(provider, threshold=threshold)
+        fresh.advertise(CommunityPolicy(threshold), provider)
     return fresh
 
 
@@ -143,7 +144,7 @@ class TestPerSubscriptionRouting:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_exact_delivery_everywhere(self, corpus, subscriptions, topology):
         overlay = build_overlay(topology, subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         stats = overlay.route_corpus(corpus)
         assert stats.precision == 1.0
         assert stats.recall == 1.0
@@ -154,7 +155,7 @@ class TestPerSubscriptionRouting:
         self, corpus, subscriptions, publish_at
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         stats = overlay.route_corpus(corpus, publish_at=publish_at)
         assert stats.precision == 1.0
         assert stats.recall == 1.0
@@ -166,7 +167,7 @@ class TestPerSubscriptionRouting:
         overlay = BrokerOverlay.chain(6)
         for _ in range(10):
             overlay.attach(5, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         no_covering_flood = 10 * 5
         assert overlay.advertisement_messages == 5 + 9
         assert overlay.advertisement_messages < no_covering_flood
@@ -180,7 +181,7 @@ class TestPerSubscriptionRouting:
         overlay = BrokerOverlay.chain(3)
         overlay.attach(2, parse_xpath("/a"))
         overlay.attach(2, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         # Brokers 0 and 1 only need the maximal pattern /a per link.
         assert len(overlay.brokers[0].table) == 1
         assert len(overlay.brokers[1].table) == 1
@@ -196,7 +197,7 @@ class TestProcessAt:
         self, figure2_documents, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         document = figure2_documents[0]
         step = overlay.process_at(1, document)
         assert step.match_operations > 0
@@ -207,7 +208,7 @@ class TestProcessAt:
         self, figure2_documents, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         document = figure2_documents[0]
         step = overlay.process_at(1, document, arrived_from=0)
         assert 0 not in step.forwards
@@ -216,7 +217,7 @@ class TestProcessAt:
         self, figure2_documents, subscriptions
     ):
         overlay = build_overlay("random_tree", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         for document in figure2_documents:
             delivered, operations, forwards = overlay.route(document, 0)
             seen = set()
@@ -238,7 +239,7 @@ class TestProcessAt:
 
     def test_unknown_broker_rejected(self, figure2_documents, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         with pytest.raises(ValueError):
             overlay.process_at(9, figure2_documents[0])
 
@@ -249,9 +250,9 @@ class TestCommunityRouting:
         self, corpus, subscriptions, topology
     ):
         overlay = build_overlay(topology, subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         baseline = overlay.route_corpus(corpus)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         aggregated = overlay.route_corpus(corpus)
         assert aggregated.total_table_entries <= baseline.total_table_entries
         assert aggregated.match_operations <= baseline.match_operations
@@ -259,7 +260,7 @@ class TestCommunityRouting:
 
     def test_threshold_one_is_near_exact(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=1.0)
+        overlay.advertise(CommunityPolicy(1.0), corpus)
         stats = overlay.route_corpus(corpus)
         # Equivalence-class communities deliver exactly the right documents.
         assert stats.precision == 1.0
@@ -267,7 +268,7 @@ class TestCommunityRouting:
 
     def test_communities_recorded_per_broker(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         communities = [
             community
             for node in overlay.brokers.values()
@@ -282,27 +283,25 @@ class TestCommunityRouting:
 
     def test_mode_label_carries_threshold(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.7)
+        overlay.advertise(CommunityPolicy(0.7), corpus)
         assert overlay.route_corpus(corpus).mode == "community(threshold=0.7)"
 
     def test_cluster_threshold_feeds_ratio_prefilter(
         self, corpus, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         for node in overlay.brokers.values():
-            assert node.index.m3_prune_below == 0.5
+            assert node.index.prune_below == 0.5
 
     def test_ratio_prefilter_opt_out(self, corpus, subscriptions):
         # Estimator-backed callers can keep their provider's raw
         # clustering: no bound is installed and no pair is ratio-pruned.
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(
-            corpus, threshold=0.5, ratio_prefilter=False
-        )
+        overlay.advertise(CommunityPolicy(0.5, ratio_prefilter=False), corpus)
         overlay.route_corpus(corpus)
         for node in overlay.brokers.values():
-            assert node.index.m3_prune_below is None
+            assert node.index.prune_below is None
             assert node.index.stats.joint_ratio_pruned == 0
 
     def test_ratio_prefilter_never_changes_aggregation(
@@ -321,7 +320,7 @@ class TestCommunityRouting:
 
         for threshold in (0.3, 0.5, 0.7):
             overlay = build_overlay("chain", subscriptions)
-            overlay.advertise_communities(corpus, threshold=threshold)
+            overlay.advertise(CommunityPolicy(threshold), corpus)
             for node in overlay.brokers.values():
                 local = [
                     overlay.subscriptions[subscriber][1]
@@ -370,7 +369,7 @@ class TestSubscriptionLifecycle:
         self, corpus, subscriptions, topology
     ):
         overlay = build_overlay(topology, subscriptions[:4])
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         late = [overlay.subscribe(2, p) for p in subscriptions[4:]]
         stats = overlay.route_corpus(corpus)
         assert stats.subscribers == len(subscriptions)
@@ -382,7 +381,7 @@ class TestSubscriptionLifecycle:
 
     def test_subscribe_advertises_incrementally(self, subscriptions):
         overlay = BrokerOverlay.chain(3)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         before = overlay.advertisement_messages
         overlay.subscribe(0, subscriptions[0])
         # One advertisement travelled the two links of the chain.
@@ -396,7 +395,7 @@ class TestSubscriptionLifecycle:
         overlay = BrokerOverlay.chain(3)
         wide = overlay.attach(2, parse_xpath("/a"))
         overlay.attach(2, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         assert overlay.brokers[0].table.patterns_for(("forward", 1)) == [
             parse_xpath("/a")
         ]
@@ -415,7 +414,7 @@ class TestSubscriptionLifecycle:
         # departures are absorbed locally, the last clears the chain.
         overlay = BrokerOverlay.chain(6)
         ids = [overlay.attach(5, parse_xpath("/a/b")) for _ in range(10)]
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         for subscription in ids[:9]:
             overlay.unsubscribe(subscription)
             assert [len(overlay.brokers[i].table) for i in range(5)] == [1] * 5
@@ -429,7 +428,7 @@ class TestSubscriptionLifecycle:
         # The ISSUE acceptance: after unsubscribing, every broker's routing
         # table equals one built from the surviving subscriptions alone.
         overlay = build_overlay(topology, subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         for victim in (5, 1, 2):  # includes /a, which covers everything
             overlay.unsubscribe(victim)
             rebuilt = rebuild_from_survivors(overlay, topology)
@@ -440,7 +439,7 @@ class TestSubscriptionLifecycle:
         self, corpus, subscriptions, threshold
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=threshold)
+        overlay.advertise(CommunityPolicy(threshold), corpus)
         for victim in (0, 5, 3):
             overlay.unsubscribe(victim)
             rebuilt = rebuild_from_survivors(
@@ -453,7 +452,7 @@ class TestSubscriptionLifecycle:
         self, corpus, subscriptions, threshold
     ):
         overlay = build_overlay("chain", subscriptions[:3])
-        overlay.advertise_communities(corpus, threshold=threshold)
+        overlay.advertise(CommunityPolicy(threshold), corpus)
         for position, pattern in enumerate(subscriptions[3:]):
             overlay.subscribe(position % 3, pattern)
             rebuilt = rebuild_from_survivors(
@@ -465,7 +464,7 @@ class TestSubscriptionLifecycle:
         self, corpus, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         others_before = {
             broker_id: list(node.communities)
             for broker_id, node in overlay.brokers.items()
@@ -477,7 +476,7 @@ class TestSubscriptionLifecycle:
 
     def test_community_churn_reuses_index_memo(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         node = overlay.brokers[1]
         decided_before = node.index.stats.joint_evaluated
         population = len(node.local_subscribers)
@@ -496,7 +495,7 @@ class TestSubscriptionLifecycle:
         # of a surviving subscriber with the same pattern.
         overlay = BrokerOverlay.chain(3)
         overlay.attach(0, parse_xpath("/a/b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         late = overlay.attach(0, parse_xpath("/a/b"))
         overlay.unsubscribe(late)
         assert len(overlay.subscriptions) == 1
@@ -511,7 +510,7 @@ class TestSubscriptionLifecycle:
         self, corpus, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         before = {
             broker_id: frozenset(
                 (entry.pattern, entry.destination) for entry in node.table
@@ -536,7 +535,7 @@ class TestSubscriptionLifecycle:
         # re-flood traffic is spent.
         overlay = BrokerOverlay.chain(8)
         overlay.attach(0, parse_xpath("/a/b"))
-        overlay.advertise_communities(corpus, threshold=0.0)
+        overlay.advertise(CommunityPolicy(0.0), corpus)
         before = overlay.advertisement_messages
         joined = overlay.subscribe(0, parse_xpath("/a/b/e"))
         assert overlay.advertisement_messages == before
@@ -552,7 +551,7 @@ class TestSubscriptionLifecycle:
         # community advertisements by unrelated churn at its broker, or
         # its later unsubscribe could not withdraw it.
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         silent = overlay.attach(1, parse_xpath("/a/b"))
         churner = overlay.subscribe(1, parse_xpath("/a/b/e"))  # reaggregates
         members = {
@@ -570,7 +569,7 @@ class TestSubscriptionLifecycle:
 
     def test_detach_retires_community_index_entry(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         node = overlay.brokers[1]
         population_before = len(node.index)
         tables_before = {
@@ -593,7 +592,7 @@ class TestSubscriptionLifecycle:
 
     def test_detach_leaves_tables_stale(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         entries_before = table_signature(overlay)
         overlay.detach(0)
         # Membership shrank but no unadvertise happened: state is stale.
@@ -630,7 +629,7 @@ class TestBatchChurn:
 
     def test_empty_batches_are_no_ops(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         before = overlay.advertisement_messages
         assert overlay.subscribe_many(0, []) == []
         assert overlay.unsubscribe_many([]) == []
@@ -640,7 +639,7 @@ class TestBatchChurn:
         self, corpus, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         with pytest.raises(ValueError):
             overlay.unsubscribe_many([0, 99])
         with pytest.raises(ValueError):
@@ -653,7 +652,7 @@ class TestBatchChurn:
         self, corpus, subscriptions, threshold
     ):
         overlay = build_overlay("chain", subscriptions[:3])
-        overlay.advertise_communities(corpus, threshold=threshold)
+        overlay.advertise(CommunityPolicy(threshold), corpus)
         ids = overlay.subscribe_many(1, subscriptions[3:])
         rebuilt = rebuild_from_survivors(
             overlay, "chain", community=(corpus, threshold)
@@ -667,7 +666,7 @@ class TestBatchChurn:
 
     def test_batch_matches_rebuild_per_subscription(self, subscriptions):
         overlay = build_overlay("random_tree", subscriptions[:3])
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         ids = overlay.subscribe_many(2, subscriptions[3:])
         rebuilt = rebuild_from_survivors(overlay, "random_tree")
         assert table_signature(overlay) == table_signature(rebuilt)
@@ -677,7 +676,7 @@ class TestBatchChurn:
 
     def test_unsubscribe_many_spans_brokers(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         # One victim homed on each broker, retired in one batch.
         victims = [0, 1, 2]
         patterns = [overlay.subscriptions[v][1] for v in victims]
@@ -689,7 +688,7 @@ class TestBatchChurn:
 
     def test_batch_reaggregates_once_per_broker(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         node = overlay.brokers[1]
         adds_before = node.index.stats.adds
         burst = [parse_xpath("/a/b/e"), parse_xpath("/a/b/e/k")]
@@ -706,7 +705,7 @@ class TestBatchChurn:
         self, corpus, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         silent = overlay.attach(1, parse_xpath("/a/b"))
         before = {
             broker_id: frozenset(
@@ -735,7 +734,7 @@ class TestStats:
 
     def test_per_broker_accounting_sums_to_totals(self, corpus, subscriptions):
         overlay = build_overlay("star", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         stats = overlay.route_corpus(corpus)
         assert sum(stats.match_operations_by_broker.values()) == (
             stats.match_operations
@@ -750,7 +749,7 @@ class TestStats:
 
     def test_reset_routing_clears_state(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         overlay.reset_routing()
         assert overlay.mode is None
         assert all(len(n.table) == 0 for n in overlay.brokers.values())
@@ -802,7 +801,7 @@ class TestTopologyLifecycle:
 
     def test_graft_seeds_existing_advertisements(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         before = overlay.advertisement_messages
         joined = overlay.add_broker(2)
         # The newcomer learned the overlay's state over its single link
@@ -819,7 +818,7 @@ class TestTopologyLifecycle:
 
     def test_split_edge_rekeys_link_state(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         mid = overlay.add_broker(0, split=1)
         assert overlay.brokers[0].neighbors == [mid]
         assert overlay.brokers[1].neighbors == [2, mid]
@@ -835,7 +834,7 @@ class TestTopologyLifecycle:
         self, corpus, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         moved = list(overlay.brokers[1].local_subscribers)
         target = overlay.remove_broker(1, merge_into=2)
         assert target == 2
@@ -855,11 +854,10 @@ class TestTopologyLifecycle:
             rebuild,
             relabeled_signature,
         )
-        from repro.routing.policy import PerSubscriptionPolicy
 
         overlay = build_overlay(topology, subscriptions)
-        overlay.advertise_subscriptions()
         policy = PerSubscriptionPolicy()
+        overlay.advertise(policy)
         joined = overlay.add_broker(1)
         assert relabeled_signature(overlay) == relabeled_signature(
             rebuild(overlay, policy, None)
@@ -878,11 +876,10 @@ class TestTopologyLifecycle:
             rebuild,
             relabeled_signature,
         )
-        from repro.routing.policy import CommunityPolicy
 
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=threshold)
         policy = CommunityPolicy(threshold)
+        overlay.advertise(policy, corpus)
         mid = overlay.add_broker(1, split=2)
         overlay.subscribe(mid, parse_xpath("/a/d/e/m"))
         assert relabeled_signature(overlay) == relabeled_signature(
@@ -901,13 +898,12 @@ class TestTopologyLifecycle:
         self, corpus, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions, n_brokers=6)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         settled = overlay.advertisement_messages
         joined = overlay.add_broker(5)
         overlay.remove_broker(3)
         incremental = overlay.advertisement_messages - settled
         from tests.test_topology_properties import rebuild
-        from repro.routing.policy import CommunityPolicy
 
         fresh = rebuild(overlay, CommunityPolicy(0.5), corpus)
         assert incremental < fresh.advertisement_messages
@@ -917,7 +913,7 @@ class TestTopologyLifecycle:
         self, corpus, subscriptions
     ):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_communities(corpus, threshold=0.5)
+        overlay.advertise(CommunityPolicy(0.5), corpus)
         silent = overlay.attach(1, parse_xpath("/a/b"))
         overlay.remove_broker(1, merge_into=0)
         # Membership moved, but the never-advertised member stays out of
@@ -934,7 +930,7 @@ class TestTopologyLifecycle:
 
     def test_round_robin_skips_retired_ids(self, corpus, subscriptions):
         overlay = build_overlay("chain", subscriptions)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         overlay.remove_broker(1)
         # Round-robin now rotates over the surviving ids only.
         ids = overlay.attach_round_robin(

@@ -26,10 +26,10 @@ from repro.routing.engine import (
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import (
     OVERFLOW_MODES,
+    PerSubscriptionPolicy,
     PriorityScheduling,
     QueuePolicy,
     WeightedFairScheduling,
-    resolve_queue_policy,
 )
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
@@ -43,7 +43,7 @@ def single_broker():
     """One broker, one subscriber wanting //b."""
     overlay = BrokerOverlay.chain(1)
     overlay.attach(0, parse_xpath("//b"))
-    overlay.advertise_subscriptions()
+    overlay.advertise(PerSubscriptionPolicy())
     return overlay
 
 
@@ -75,25 +75,6 @@ class TestQueuePolicy:
         with pytest.raises(ValueError):
             QueuePolicy(4, "spill")
         assert set(OVERFLOW_MODES) == {"drop-new", "drop-oldest", "nack"}
-
-    def test_resolve_passthrough_and_shorthands(self):
-        policy = QueuePolicy(8, "nack")
-        assert resolve_queue_policy(policy) is policy
-        assert resolve_queue_policy(None) == QueuePolicy()
-        assert resolve_queue_policy(8) == QueuePolicy(8)
-        assert resolve_queue_policy(8, overflow="nack") == policy
-
-    def test_resolve_rejects_stray_overrides_and_types(self):
-        with pytest.raises(ValueError):
-            resolve_queue_policy(QueuePolicy(8), overflow="nack")
-        with pytest.raises(ValueError):
-            resolve_queue_policy(None, overflow="nack")
-        with pytest.raises(ValueError):
-            resolve_queue_policy(8, capacity=9)
-        with pytest.raises(TypeError):
-            resolve_queue_policy(True)
-        with pytest.raises(TypeError):
-            resolve_queue_policy("bounded")
 
 
 class TestBoundedQueues:
@@ -239,7 +220,7 @@ class TestNacks:
         overlay = BrokerOverlay.chain(3)
         overlay.attach(0, parse_xpath("//b"))
         overlay.attach(2, parse_xpath("//b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         engine = DeliveryEngine(
             overlay,
             service=ServiceModel(base=1.0, per_match=0.0),
@@ -318,7 +299,7 @@ class TestClosedLoopSource:
         overlay = BrokerOverlay.star(4)
         for leaf in (1, 2, 3):
             overlay.attach(leaf, parse_xpath("//b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         engine = DeliveryEngine(
             overlay,
             service=ServiceModel(base=1.0, per_match=0.0),
@@ -521,7 +502,7 @@ class TestZeroDenominatorGuards:
         # still be well-defined.
         overlay = BrokerOverlay.chain(1)
         overlay.attach(0, parse_xpath("/z"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         engine = DeliveryEngine(
             overlay,
             service=ServiceModel(base=1.0, per_match=0.0),
@@ -550,16 +531,16 @@ class TestBuilderFluency:
     def patterns(self):
         return [parse_xpath("//b"), parse_xpath("/a")]
 
-    def test_queue_policy_accepts_specs_and_overrides(self):
+    def test_queue_policy_reaches_every_built_engine(self):
+        policy = QueuePolicy(4, "nack")
         builder = (
             OverlayBuilder()
             .topology("chain", 3)
             .subscriptions(self.patterns())
-            .queue_policy(4, overflow="nack")
+            .queue_policy(policy)
         )
         overlay, engine = builder.build()
-        assert engine.queue_policy == QueuePolicy(4, "nack")
-        # And an instance passes through untouched.
+        assert engine.queue_policy is policy
         builder.queue_policy(QueuePolicy(2, "drop-oldest"))
         assert builder.build_engine(overlay).queue_policy == QueuePolicy(
             2, "drop-oldest"
@@ -572,7 +553,7 @@ class TestBuilderFluency:
             .topology("chain", 2)
             .subscriptions(self.patterns())
             .service(ServiceModel(base=0.5, per_match=0.0))
-            .queue_policy(1, overflow="nack")
+            .queue_policy(QueuePolicy(1, "nack"))
             .sources(ClosedLoopSource(corpus, at_broker=0, seed=3))
         )
         overlay = builder.build_overlay()

@@ -13,8 +13,6 @@ from repro.routing.policy import (
     HybridPolicy,
     PerSubscriptionPolicy,
     PriorityScheduling,
-    resolve_advertisement,
-    resolve_scheduling,
 )
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
@@ -52,37 +50,7 @@ def table_snapshot(overlay):
     }
 
 
-class TestAdvertisementResolution:
-    def test_strings_resolve_to_policies(self):
-        assert isinstance(
-            resolve_advertisement("per_subscription"), PerSubscriptionPolicy
-        )
-        community = resolve_advertisement("community", threshold=0.7)
-        assert isinstance(community, CommunityPolicy)
-        assert community.threshold == 0.7
-        hybrid = resolve_advertisement("hybrid", aggregate_above=3)
-        assert isinstance(hybrid, HybridPolicy)
-        assert hybrid.aggregate_above == 3
-
-    def test_community_string_defaults_threshold(self):
-        assert resolve_advertisement("community").threshold == 0.5
-
-    def test_instances_pass_through(self):
-        policy = CommunityPolicy(0.4)
-        assert resolve_advertisement(policy) is policy
-
-    def test_instance_with_overrides_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_advertisement(CommunityPolicy(0.4), threshold=0.5)
-        with pytest.raises(ValueError):
-            resolve_advertisement("per_subscription", threshold=0.5)
-
-    def test_unknown_spellings_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_advertisement("multicast")
-        with pytest.raises(TypeError):
-            resolve_advertisement(42)
-
+class TestAdvertise:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             CommunityPolicy(1.5)
@@ -104,18 +72,6 @@ class TestAdvertisementResolution:
             == "hybrid(threshold=0.5, aggregate_above=4)"
         )
 
-
-class TestAdvertise:
-    def test_advertise_accepts_policy_and_string(self, corpus, patterns):
-        by_policy = BrokerOverlay.chain(3)
-        by_policy.attach_round_robin(patterns)
-        by_policy.advertise(CommunityPolicy(0.5), provider=corpus)
-        by_string = BrokerOverlay.chain(3)
-        by_string.attach_round_robin(patterns)
-        by_string.advertise("community", provider=corpus, threshold=0.5)
-        assert by_policy.mode == by_string.mode
-        assert table_snapshot(by_policy) == table_snapshot(by_string)
-
     def test_similarity_policy_requires_provider(self, patterns):
         overlay = BrokerOverlay.chain(2)
         overlay.attach_round_robin(patterns)
@@ -131,19 +87,6 @@ class TestAdvertise:
         assert overlay.provider is corpus
         overlay.reset_routing()
         assert overlay.policy is None and overlay.provider is None
-
-    def test_per_subscription_policy_matches_legacy(self, patterns):
-        legacy = BrokerOverlay.chain(3)
-        legacy.attach_round_robin(patterns)
-        legacy.advertise_subscriptions()
-        modern = BrokerOverlay.chain(3)
-        modern.attach_round_robin(patterns)
-        modern.advertise(PerSubscriptionPolicy())
-        assert modern.mode == legacy.mode == "per_subscription"
-        assert table_snapshot(modern) == table_snapshot(legacy)
-        assert (
-            modern.advertisement_messages == legacy.advertisement_messages
-        )
 
     def test_average_linkage_clusters(self, corpus, patterns):
         overlay = BrokerOverlay.chain(1)
@@ -180,7 +123,7 @@ class TestHybridPolicy:
         )
         baseline = BrokerOverlay.chain(3)
         baseline.attach_round_robin(patterns)
-        baseline.advertise_subscriptions()
+        baseline.advertise(PerSubscriptionPolicy())
         assert table_snapshot(hybrid) == table_snapshot(baseline)
 
     def test_broker_flips_regime_crossing_cutoff(self, corpus, patterns):
@@ -203,31 +146,6 @@ class TestHybridPolicy:
         assert overlay.brokers[0].communities == [
             (patterns[0], (0,))
         ]
-
-
-class TestSchedulingResolution:
-    def test_strings_resolve(self):
-        assert isinstance(resolve_scheduling("fifo"), FifoScheduling)
-        assert isinstance(resolve_scheduling("priority"), PriorityScheduling)
-        deadline = resolve_scheduling("deadline", default_slack=5.0)
-        assert isinstance(deadline, DeadlineScheduling)
-        assert deadline.default_slack == 5.0
-
-    def test_instances_pass_through(self):
-        policy = PriorityScheduling({1: 3.0})
-        assert resolve_scheduling(policy) is policy
-        with pytest.raises(ValueError):
-            resolve_scheduling(policy, weights={})
-
-    def test_unknown_spellings_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_scheduling("lifo")
-        with pytest.raises(TypeError):
-            resolve_scheduling(3.5)
-
-    def test_deadline_validation(self):
-        with pytest.raises(ValueError):
-            DeadlineScheduling(default_slack=-1.0)
 
 
 class _StubJob:
@@ -309,23 +227,12 @@ class TestOverlayBuilder:
         )
         manual = BrokerOverlay.chain(3)
         manual.attach_round_robin(patterns)
-        manual.advertise_communities(corpus, threshold=0.5)
+        manual.advertise(CommunityPolicy(0.5), corpus)
         assert table_snapshot(overlay) == table_snapshot(manual)
         assert isinstance(engine, DeliveryEngine)
         assert isinstance(engine.scheduling, PriorityScheduling)
         assert engine.service.base == 0.3
         assert engine.links.latency(0, 1) == 2.0
-
-    def test_string_policies_accepted(self, corpus, patterns):
-        overlay, engine = (
-            self.build_base(patterns)
-            .provider(corpus)
-            .advertisement("community", threshold=0.3)
-            .scheduling("deadline", default_slack=4.0)
-            .build()
-        )
-        assert overlay.mode == "community(threshold=0.3)"
-        assert isinstance(engine.scheduling, DeadlineScheduling)
 
     def test_explicit_edges_and_placement(self, patterns):
         overlay = (
@@ -363,7 +270,7 @@ class TestOverlayBuilder:
             builder.build_overlay()
 
     def test_repr_mentions_policies(self, patterns):
-        builder = self.build_base(patterns).advertisement("community")
+        builder = self.build_base(patterns).advertisement(CommunityPolicy(0.5))
         assert "CommunityPolicy" in repr(builder)
 
 

@@ -1,12 +1,12 @@
-"""Property-based equivalence: policy objects vs the legacy flag API.
+"""Property-based equivalence of the policy layer's entry points.
 
-The api_redesign acceptance: for any random workload and topology, an
-overlay advertised through first-class policy objects (or their string
-spellings) must produce **identical routing tables and delivered
-subscriber sets** to one advertised through the legacy
-``advertise_subscriptions`` / ``advertise_communities`` methods — the
-redesign moved the regime into an object without moving the behaviour.
-The scheduling policies get the complementary guarantee: they reorder
+For any random workload and topology, an overlay assembled through
+:class:`~repro.routing.builder.OverlayBuilder` must produce **identical
+routing tables and delivered subscriber sets** to one advertised by hand
+(the "legacy" assembly), :class:`~repro.routing.policy.HybridPolicy` at
+its extreme cutoffs must recover both base regimes, and a churn burst
+must converge whether applied event by event or as one batch.  The
+scheduling policies get the complementary guarantee: they reorder
 service, never delivery membership.
 """
 
@@ -57,42 +57,6 @@ def membership_overlay(topology, n_brokers, patterns):
 
 
 class TestPolicyEqualsLegacy:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        corpora(),
-        st.lists(tree_patterns(), min_size=1, max_size=5),
-        st.sampled_from(sorted(TOPOLOGIES)),
-        st.integers(min_value=1, max_value=4),
-        st.sampled_from(["per_subscription", 0.3, 0.7]),
-    )
-    def test_policy_object_and_string_match_legacy(
-        self, docs, patterns, topology, n_brokers, regime
-    ):
-        corpus = DocumentCorpus(docs)
-
-        legacy = membership_overlay(topology, n_brokers, patterns)
-        policied = membership_overlay(topology, n_brokers, patterns)
-        stringed = membership_overlay(topology, n_brokers, patterns)
-        if regime == "per_subscription":
-            legacy.advertise_subscriptions()
-            policied.advertise(PerSubscriptionPolicy())
-            stringed.advertise("per_subscription")
-        else:
-            legacy.advertise_communities(corpus, threshold=regime)
-            policied.advertise(CommunityPolicy(regime), provider=corpus)
-            stringed.advertise(
-                "community", provider=corpus, threshold=regime
-            )
-        for other in (policied, stringed):
-            assert other.mode == legacy.mode
-            assert table_snapshot(other) == table_snapshot(legacy)
-            assert other.advertisement_messages == (
-                legacy.advertisement_messages
-            )
-            assert delivered_sets(other, corpus) == delivered_sets(
-                legacy, corpus
-            )
-
     @settings(max_examples=20, deadline=None)
     @given(
         corpora(),
@@ -106,7 +70,7 @@ class TestPolicyEqualsLegacy:
     ):
         corpus = DocumentCorpus(docs)
         legacy = membership_overlay(topology, n_brokers, patterns)
-        legacy.advertise_communities(corpus, threshold=threshold)
+        legacy.advertise(CommunityPolicy(threshold), corpus)
         built = (
             OverlayBuilder()
             .topology(topology, n_brokers, seed=5)
@@ -137,7 +101,7 @@ class TestPolicyEqualsLegacy:
             HybridPolicy(threshold, aggregate_above=0), provider=corpus
         )
         community = membership_overlay("chain", n_brokers, patterns)
-        community.advertise_communities(corpus, threshold=threshold)
+        community.advertise(CommunityPolicy(threshold), corpus)
         assert table_snapshot(aggregated) == table_snapshot(community)
 
         sparse = membership_overlay("chain", n_brokers, patterns)
@@ -146,7 +110,7 @@ class TestPolicyEqualsLegacy:
             provider=corpus,
         )
         baseline = membership_overlay("chain", n_brokers, patterns)
-        baseline.advertise_subscriptions()
+        baseline.advertise(PerSubscriptionPolicy())
         assert table_snapshot(sparse) == table_snapshot(baseline)
 
 
@@ -167,9 +131,9 @@ class TestBatchEqualsPerEvent:
         batched = membership_overlay("chain", 3, base)
         for overlay in (per_event, batched):
             if regime == "per_subscription":
-                overlay.advertise_subscriptions()
+                overlay.advertise(PerSubscriptionPolicy())
             else:
-                overlay.advertise_communities(corpus, threshold=regime)
+                overlay.advertise(CommunityPolicy(regime), corpus)
         home = data.draw(
             st.integers(min_value=0, max_value=2), label="home"
         )
@@ -245,9 +209,9 @@ class TestSchedulingNeverChangesDelivery:
         corpus = DocumentCorpus(docs)
         overlay = membership_overlay(topology, 3, patterns)
         if regime == "per_subscription":
-            overlay.advertise_subscriptions()
+            overlay.advertise(PerSubscriptionPolicy())
         else:
-            overlay.advertise_communities(corpus, threshold=regime)
+            overlay.advertise(CommunityPolicy(regime), corpus)
         expected = delivered_sets(overlay, corpus)
         for scheduling in (
             FifoScheduling(),
@@ -271,7 +235,7 @@ class TestSchedulingNeverChangesDelivery:
     @given(
         corpora(),
         st.lists(tree_patterns(), min_size=1, max_size=4),
-        st.sampled_from(["priority", "deadline"]),
+        st.sampled_from([PriorityScheduling(), DeadlineScheduling()]),
         st.floats(min_value=0.1, max_value=20.0, allow_nan=False),
     )
     def test_non_fifo_runs_replay_bit_for_bit(
@@ -279,7 +243,7 @@ class TestSchedulingNeverChangesDelivery:
     ):
         corpus = DocumentCorpus(docs)
         overlay = membership_overlay("chain", 3, patterns)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         outcomes = []
         for _ in range(2):
             engine = DeliveryEngine(
@@ -307,7 +271,7 @@ class TestSchedulingNeverChangesDelivery:
     def test_class_latencies_partition_overall(self, docs, patterns):
         corpus = DocumentCorpus(docs)
         overlay = membership_overlay("star", 3, patterns)
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         engine = DeliveryEngine(overlay, scheduling=PriorityScheduling())
         engine.publish_corpus(corpus, rate=2.0, classes=(0, 1))
         stats = engine.run()

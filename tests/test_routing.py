@@ -1,17 +1,19 @@
-"""Semantic communities and the content-based routing simulation."""
+"""Semantic communities and single-broker content-based routing."""
 
 from typing import Optional
 
 import pytest
 
 from repro.core.pattern_parser import parse_xpath
-from repro.core.similarity import SimilarityEstimator, SimilarityMatrix
-from repro.routing.broker import RoutingSimulator
+from repro.core.similarity import SimilarityEstimator, SimilarityIndex
+from repro.routing.broker import RoutingStats
 from repro.routing.community import (
     Community,
     agglomerative_clustering,
     leader_clustering,
 )
+from repro.routing.overlay import BrokerOverlay
+from repro.routing.policy import CommunityPolicy, PerSubscriptionPolicy
 from repro.xmltree.corpus import DocumentCorpus
 
 
@@ -173,7 +175,7 @@ def _reference_agglomerative(patterns, similarity, n_communities,
 
 class TestClusteringDeterminism:
     """Regression pins: identical communities across runs and across the
-    direct-callable / SimilarityMatrix-backed code paths."""
+    direct-callable / SimilarityIndex-backed code paths."""
 
     @pytest.fixture()
     def workload(self):
@@ -210,7 +212,7 @@ class TestClusteringDeterminism:
         def direct(p, q):
             return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
 
-        matrix = SimilarityMatrix(corpus, workload, metric="M3")
+        matrix = SimilarityIndex(corpus, workload, prune_disjoint=False)
         for threshold in (0.3, 0.5, 0.8, 1.0):
             assert _communities_as_tuples(
                 leader_clustering(workload, matrix, threshold)
@@ -222,7 +224,7 @@ class TestClusteringDeterminism:
         def direct(p, q):
             return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
 
-        matrix = SimilarityMatrix(corpus, workload, metric="M3")
+        matrix = SimilarityIndex(corpus, workload, prune_disjoint=False)
         for n_communities in (1, 4, 10):
             assert _communities_as_tuples(
                 agglomerative_clustering(workload, matrix, n_communities)
@@ -268,56 +270,54 @@ class TestIncrementalLinkage:
         )
 
 
-class TestRoutingSimulator:
+def one_broker(subscriptions, policy, provider=None):
+    """A single broker matching pattern by pattern: one match operation
+    per routing-table entry and document."""
+    overlay = BrokerOverlay(1, [], matching="linear")
+    overlay.attach_round_robin(subscriptions)
+    overlay.advertise(policy, provider)
+    return overlay
+
+
+class TestOneBrokerRouting:
+    """Delivery scored against the corpus' exact match sets."""
+
     def test_per_subscription_is_perfect(self, corpus, subscriptions):
-        simulator = RoutingSimulator(corpus, subscriptions)
-        stats = simulator.per_subscription()
+        overlay = one_broker(subscriptions, PerSubscriptionPolicy())
+        stats = overlay.route_corpus(corpus)
         assert stats.precision == 1.0
         assert stats.recall == 1.0
         assert stats.match_operations == len(corpus) * len(subscriptions)
 
     def test_flooding_full_recall_low_precision(self, corpus, subscriptions):
-        simulator = RoutingSimulator(corpus, subscriptions)
-        stats = simulator.flooding()
+        overlay = one_broker(subscriptions, PerSubscriptionPolicy())
+        stats = overlay.flooding_stats(corpus)
         assert stats.recall == 1.0
         assert stats.precision < 1.0
         assert stats.match_operations == 0
 
-    def test_singleton_communities_are_perfect(self, corpus, subscriptions):
-        simulator = RoutingSimulator(corpus, subscriptions)
-        singletons = [Community(leader=i) for i in range(len(subscriptions))]
-        stats = simulator.community(singletons)
-        assert stats.precision == 1.0
-        assert stats.recall == 1.0
-
-    def test_coherent_communities_good_quality(
-        self, corpus, subscriptions, similarity
-    ):
-        simulator = RoutingSimulator(corpus, subscriptions)
-        communities = leader_clustering(subscriptions, similarity, threshold=1.0)
-        stats = simulator.community(communities)
+    def test_coherent_communities_good_quality(self, corpus, subscriptions):
+        policy = CommunityPolicy(1.0, elect_by_selectivity=False)
+        stats = one_broker(subscriptions, policy, corpus).route_corpus(corpus)
         # Equivalence-class communities deliver exactly the right documents.
         assert stats.precision == 1.0
         assert stats.recall == 1.0
         assert stats.match_operations < len(corpus) * len(subscriptions)
 
     def test_incoherent_single_community(self, corpus, subscriptions):
-        simulator = RoutingSimulator(corpus, subscriptions)
-        one = [Community(leader=5, members=list(range(len(subscriptions))))]
-        stats = simulator.community(one)
-        # Leader /a matches everything: full recall, flooding-level precision.
+        # Threshold 0 puts everyone in one community, advertised by its
+        # most selective member: /a, which matches everything.
+        overlay = one_broker(subscriptions, CommunityPolicy(0.0), corpus)
+        ((advertised, members),) = overlay.brokers[0].communities
+        assert advertised == subscriptions[5]
+        assert len(members) == len(subscriptions)
+        stats = overlay.route_corpus(corpus)
+        # Full recall, flooding-level precision.
         assert stats.recall == 1.0
         assert stats.precision < 1.0
         assert stats.match_operations == len(corpus)
 
-    def test_community_must_cover_all(self, corpus, subscriptions):
-        simulator = RoutingSimulator(corpus, subscriptions)
-        with pytest.raises(ValueError):
-            simulator.community([Community(leader=0)])
-
     def test_stats_properties_on_empty(self):
-        from repro.routing.broker import RoutingStats
-
         stats = RoutingStats(
             strategy="x", documents=0, subscribers=0, deliveries=0,
             true_deliveries=0, false_positives=0, false_negatives=0,

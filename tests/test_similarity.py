@@ -8,7 +8,7 @@ from repro.core.selectivity import SelectivityEstimator
 from repro.core.similarity import (
     METRICS,
     SimilarityEstimator,
-    SimilarityMatrix,
+    SimilarityIndex,
     m1_conditional,
     m2_mean_conditional,
     m3_joint_over_union,
@@ -86,20 +86,6 @@ class TestSimilarityEstimatorWrapper:
                 parse_xpath("/a"), parse_xpath("/a"), metric="M9"
             )
 
-    def test_matrix_shape_and_symmetry(self, corpus):
-        patterns = [parse_xpath("//b"), parse_xpath("//o"), parse_xpath("//e")]
-        matrix = SimilarityEstimator(corpus).matrix(patterns, metric="M3")
-        assert len(matrix) == 3 and all(len(row) == 3 for row in matrix)
-        for i in range(3):
-            assert matrix[i][i] == pytest.approx(1.0)
-            for j in range(3):
-                assert matrix[i][j] == pytest.approx(matrix[j][i])
-
-    def test_matrix_m1_asymmetric(self, corpus):
-        patterns = [parse_xpath("//b"), parse_xpath("//e")]
-        matrix = SimilarityEstimator(corpus).matrix(patterns, metric="M1")
-        assert matrix[0][1] != matrix[1][0]
-
 
 class TestEstimatedVsExact:
     def test_lossless_sets_estimator_matches_exact(self, figure2_documents):
@@ -161,72 +147,32 @@ def _sixty_patterns():
     return patterns
 
 
-class TestSimilarityMatrix:
-    @pytest.fixture()
-    def patterns(self):
-        return [
-            parse_xpath("//b"),
-            parse_xpath("//o"),
-            parse_xpath("//e"),
-            parse_xpath("//q"),
-        ]
+class TestFixedPopulationIndex:
+    """A :class:`SimilarityIndex` built over a fixed population, as the
+    offline clusterings use it."""
 
-    def test_values_match_estimator_matrix(self, corpus, patterns):
-        for metric in METRICS:
-            engine = SimilarityMatrix(corpus, patterns, metric=metric)
-            assert engine.values == SimilarityEstimator(corpus).matrix(
-                patterns, metric=metric
-            )
-
-    def test_unknown_metric_rejected(self, corpus, patterns):
-        with pytest.raises(ValueError):
-            SimilarityMatrix(corpus, patterns, metric="M9")
-        with pytest.raises(ValueError):
-            SimilarityMatrix(corpus, patterns).similarity(
-                patterns[0], patterns[1], metric="M9"
-            )
-
-    def test_callable_protocol(self, corpus, patterns):
-        engine = SimilarityMatrix(corpus, patterns, metric="M3")
-        assert engine(patterns[0], patterns[2]) == m3_joint_over_union(
-            corpus, patterns[0], patterns[2]
-        )
-        assert len(engine) == 4
-
-    def test_top_k(self, corpus, patterns):
-        engine = SimilarityMatrix(corpus, patterns, metric="M3")
-        # //b: sim 1/4 with //o, 1/2 with //e, 0 with //q.
-        assert engine.top_k(0, 2) == [
-            (2, pytest.approx(0.5)),
-            (1, pytest.approx(0.25)),
-        ]
-        with pytest.raises(ValueError):
-            engine.top_k(0, 0)
-        with pytest.raises(IndexError):
-            engine.top_k(9, 1)
-
-    def test_neighbors(self, corpus, patterns):
-        engine = SimilarityMatrix(corpus, patterns, metric="M3")
-        assert [index for index, _ in engine.neighbors(0, 0.25)] == [2, 1]
-        assert engine.neighbors(0, 0.9) == []
-        with pytest.raises(ValueError):
-            engine.neighbors(0, 1.5)
+    def test_callable_protocol(self, corpus):
+        patterns = [parse_xpath("//b"), parse_xpath("//e")]
+        index = SimilarityIndex(corpus, patterns, prune_disjoint=False)
+        assert index(*patterns) == m3_joint_over_union(corpus, *patterns)
+        assert len(index) == 2
 
     def test_each_joint_pair_computed_at_most_once(self, corpus):
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        engine = SimilarityMatrix(counting, patterns, metric="M3")
-        engine.values
-        # Re-query everything; the memo must absorb all of it.
-        engine.values
-        engine.top_k(0, 10)
-        engine.neighbors(3, 0.2)
+        index = SimilarityIndex(counting, patterns, prune_disjoint=False)
+        # Query everything twice; the memo must absorb the second pass.
+        for _ in range(2):
+            for handle in index.handles():
+                index.row(handle)
+        index.top_k(0, 10)
+        index.neighbors(3, 0.2)
         for p in patterns[:10]:
             for q in patterns[:10]:
-                engine.similarity(p, q)
+                index.similarity(p, q)
         assert counting.max_joint_calls_per_pair == 1
         assert counting.max_selectivity_calls_per_pattern == 1
-        assert engine.distinct_joint_pairs == len(counting.joint_calls)
+        assert index.distinct_joint_pairs == len(counting.joint_calls)
 
     def test_agglomerative_over_60_patterns_no_duplicate_provider_calls(
         self, corpus
@@ -235,9 +181,9 @@ class TestSimilarityMatrix:
 
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        engine = SimilarityMatrix(counting, patterns, metric="M3")
+        index = SimilarityIndex(counting, patterns, prune_disjoint=False)
         communities = agglomerative_clustering(
-            patterns, engine, n_communities=8
+            patterns, index, n_communities=8
         )
         assert sorted(m for c in communities for m in c.members) == list(
             range(60)
@@ -245,14 +191,14 @@ class TestSimilarityMatrix:
         assert counting.max_joint_calls_per_pair == 1
         assert counting.max_selectivity_calls_per_pattern == 1
 
-    def test_leader_clustering_through_matrix_no_duplicate_calls(self, corpus):
+    def test_leader_clustering_through_index_no_duplicate_calls(self, corpus):
         from repro.routing.community import leader_clustering
 
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        engine = SimilarityMatrix(counting, patterns, metric="M3")
-        leader_clustering(patterns, engine, threshold=0.5)
-        leader_clustering(patterns, engine, threshold=0.3)
+        index = SimilarityIndex(counting, patterns, prune_disjoint=False)
+        leader_clustering(patterns, index, threshold=0.5)
+        leader_clustering(patterns, index, threshold=0.3)
         assert counting.max_joint_calls_per_pair == 1
         assert counting.max_selectivity_calls_per_pattern == 1
 

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.pattern_parser import parse_xpath
-from repro.core.similarity import (
-    METRICS,
-    SimilarityIndex,
-    SimilarityMatrix,
-)
+from repro.core.similarity import METRICS, SimilarityEstimator, SimilarityIndex
 from repro.xmltree.corpus import DocumentCorpus
 from tests.test_similarity import CountingProvider
 
@@ -91,12 +87,14 @@ class TestLazyRows:
         patterns = [parse_xpath("//b"), parse_xpath("//e"), parse_xpath("//o")]
         for metric in METRICS:
             index = SimilarityIndex(corpus, patterns, metric=metric)
-            matrix = SimilarityMatrix(corpus, patterns, metric=metric)
+            matrix = SimilarityIndex(
+                corpus, patterns, metric=metric, prune_disjoint=False
+            )
             handles = index.handles()
             for i, handle in enumerate(handles):
                 row = index.row(handle)
                 for j, other in enumerate(handles):
-                    assert row[other] == matrix.values[i][j], (metric, i, j)
+                    assert row[other] == matrix.row(i)[j], (metric, i, j)
 
     def test_top_k_and_neighbors_over_live_population(self, corpus):
         patterns = [
@@ -149,14 +147,12 @@ class TestClusteringIntegration:
         counting = CountingProvider(corpus)
         index = SimilarityIndex(counting, patterns)
         via_index = agglomerative_clustering(patterns, index, n_communities=2)
-        via_matrix = agglomerative_clustering(
-            patterns, SimilarityMatrix(corpus, patterns), n_communities=2
+        direct = agglomerative_clustering(
+            patterns, SimilarityEstimator(corpus).similarity, n_communities=2
         )
         assert [
             (community.leader, community.members) for community in via_index
-        ] == [
-            (community.leader, community.members) for community in via_matrix
-        ]
+        ] == [(community.leader, community.members) for community in direct]
         assert counting.max_joint_calls_per_pair == 1
 
     def test_leader_clustering_through_live_index_after_churn(self, corpus):
@@ -242,7 +238,7 @@ class TestRatioPrefilter:
 
     def test_bounded_pair_skips_joint_call(self, skewed_corpus):
         counting = CountingProvider(skewed_corpus)
-        index = SimilarityIndex(counting, m3_prune_below=0.5)
+        index = SimilarityIndex(counting, prune_below=0.5)
         p, q = parse_xpath("/a/b"), parse_xpath("/a/c")
         assert index(p, q) == 0.0
         assert counting.joint_calls == {}
@@ -255,7 +251,7 @@ class TestRatioPrefilter:
 
     def test_ratio_above_threshold_evaluates_exactly(self, skewed_corpus):
         counting = CountingProvider(skewed_corpus)
-        index = SimilarityIndex(counting, m3_prune_below=0.2)
+        index = SimilarityIndex(counting, prune_below=0.2)
         p, q = parse_xpath("/a/b"), parse_xpath("/a/c")
         raw = SimilarityIndex(skewed_corpus)
         assert index(p, q) == raw(p, q)
@@ -266,7 +262,7 @@ class TestRatioPrefilter:
         # The pruned answer and the exact answer fall on the same side of
         # the threshold the bound was configured with.
         threshold = 0.5
-        bounded = SimilarityIndex(skewed_corpus, m3_prune_below=threshold)
+        bounded = SimilarityIndex(skewed_corpus, prune_below=threshold)
         exact = SimilarityIndex(skewed_corpus)
         pairs = [
             (parse_xpath("/a/b"), parse_xpath("/a/c")),
@@ -278,7 +274,7 @@ class TestRatioPrefilter:
         assert bounded.stats.joint_ratio_pruned > 0
 
     def test_memoised_pair_returns_exact_value(self, skewed_corpus):
-        index = SimilarityIndex(skewed_corpus, m3_prune_below=0.5)
+        index = SimilarityIndex(skewed_corpus, prune_below=0.5)
         p, q = parse_xpath("/a/b"), parse_xpath("/a/c")
         expected = SimilarityIndex(skewed_corpus)(p, q)
         # Joint already decided (direct provider-protocol call): the bound
@@ -287,23 +283,15 @@ class TestRatioPrefilter:
         assert index(p, q) == expected
         assert index.stats.joint_ratio_pruned == 0
 
-    def test_bound_only_applies_to_m3(self, skewed_corpus):
-        counting = CountingProvider(skewed_corpus)
-        index = SimilarityIndex(counting, metric="M1", m3_prune_below=0.5)
-        assert index.m3_prune_below is None
-        index(parse_xpath("/a/b"), parse_xpath("/a/c"))
-        assert index.stats.joint_ratio_pruned == 0
-        assert len(counting.joint_calls) == 1
-
     def test_invalid_bound_rejected(self, skewed_corpus):
         with pytest.raises(ValueError):
-            SimilarityIndex(skewed_corpus, m3_prune_below=1.5)
+            SimilarityIndex(skewed_corpus, prune_below=1.5)
         with pytest.raises(ValueError):
             SimilarityIndex(skewed_corpus, prune_below=-0.1)
 
     def test_generic_bound_arms_any_metric(self, skewed_corpus):
-        # prune_below (unlike the legacy M3-only spelling) prunes under
-        # every metric, with the metric's own marginal bound.
+        # prune_below prunes under every metric, with the metric's own
+        # marginal bound.
         p, q = parse_xpath("/a/b"), parse_xpath("/a/c")
         # M2 <= (1 + 0.25) / 2 = 0.625 < 0.7: prunable.
         counting = CountingProvider(skewed_corpus)
@@ -467,12 +455,12 @@ class TestMemoEviction:
         assert index.memo_size == before - 3
         assert index.stats.memo_evicted == 3
         # Values over the survivors are unchanged.
-        fresh = SimilarityMatrix(corpus, index.patterns)
+        fresh = SimilarityIndex(corpus, index.patterns, prune_disjoint=False)
         handles = index.handles()
         for i, handle in enumerate(handles):
             row = index.row(handle)
             for j, other in enumerate(handles):
-                assert row[other] == fresh.values[i][j]
+                assert row[other] == fresh.row(i)[j]
 
     def test_duplicate_live_pattern_blocks_eviction(self, corpus):
         index = SimilarityIndex(
@@ -499,12 +487,12 @@ class TestMemoEviction:
         # for bounded memory)...
         assert counting.max_joint_calls_per_pair == 2
         # ...and agree with a fresh frozen build.
-        fresh = SimilarityMatrix(corpus, index.patterns)
+        fresh = SimilarityIndex(corpus, index.patterns, prune_disjoint=False)
         handles = index.handles()
         for i, handle in enumerate(handles):
             row = index.row(handle)
             for j, other in enumerate(handles):
-                assert row[other] == fresh.values[i][j]
+                assert row[other] == fresh.row(i)[j]
 
 
 class TestIncrementalCostAccounting:

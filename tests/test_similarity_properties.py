@@ -9,8 +9,8 @@ hence nonzero selectivities — likely):
 * ``M3(p, q) <= M1(p, q)`` (the Jaccard union dominates either marginal);
 * a pattern with nonzero selectivity is *exactly* perfectly similar to
   itself under every metric;
-* the :class:`SimilarityMatrix` engine agrees with direct metric
-  evaluation while reaching the provider at most once per pair.
+* a :class:`~repro.core.similarity.SimilarityIndex` agrees with direct
+  metric evaluation while reaching the provider at most once per pair.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 
 from repro.core.similarity import (
     METRICS,
-    SimilarityMatrix,
+    SimilarityIndex,
     m1_conditional,
     m2_mean_conditional,
     m3_joint_over_union,
@@ -90,11 +90,13 @@ class TestMatrixAgreement:
         corpus = DocumentCorpus(docs)
         patterns = [p, q, r]
         for name, metric in METRICS.items():
-            engine = SimilarityMatrix(corpus, patterns, metric=name)
-            values = engine.values
+            engine = SimilarityIndex(
+                corpus, patterns, metric=name, prune_disjoint=False
+            )
             for i in range(3):
+                row = engine.row(i)
                 for j in range(3):
-                    assert values[i][j] == metric(
+                    assert row[j] == metric(
                         corpus, patterns[i], patterns[j]
                     ), (name, i, j)
 
@@ -113,8 +115,9 @@ class TestMatrixAgreement:
                 calls[key] = calls.get(key, 0) + 1
                 return corpus.joint_selectivity(a, b)
 
-        engine = SimilarityMatrix(Counting(), [p, q], metric="M3")
-        engine.values
+        engine = SimilarityIndex(Counting(), [p, q], prune_disjoint=False)
+        for handle in engine.handles():
+            engine.row(handle)
         engine.similarity(p, q)
         engine.similarity(q, p)
         engine.top_k(0, 1)

@@ -262,7 +262,7 @@ class TestMidSimulationChurn:
             overlay.attach(home, pattern)
             for home, pattern in zip(homes, patterns, strict=True)
         ]
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         wanted = {
             index: frozenset(
                 subscription
