@@ -666,7 +666,8 @@ class SimilarityIndex:
         """Similarity of *handle*'s pattern to every live pattern.
 
         ``row(h)[g]`` is ``metric(pattern(h), pattern(g))``, so under M1
-        the row conditions on the *other* pattern.  Only this row's never-seen pairs are evaluated.
+        the row conditions on the *other* pattern.  Only this row's
+        never-seen pairs are evaluated.
         """
         pattern = self.pattern(handle)
         return {

@@ -71,9 +71,10 @@ def _pairwise_values(
 
     An aligned :class:`SimilarityIndex` (same population, in order)
     evaluates through its memo (only never-seen pairs reach the
-    provider); any other callable is evaluated once per unordered pair.  With a candidate
-    generator, only candidate pairs are evaluated — every other entry is
-    scored 0.0 without dispatching the similarity callable.
+    provider); any other callable is evaluated once per unordered pair.
+    With a candidate generator, only candidate pairs are evaluated —
+    every other entry is scored 0.0 without dispatching the similarity
+    callable.
     """
     if candidates is not None:
         generator = candidates.spawn()

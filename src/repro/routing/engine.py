@@ -150,7 +150,8 @@ class ServiceModel:
         return self.service_time_batch(match_operations, 1)
 
     def service_time_batch(self, match_operations: int, documents: int) -> float:
-        """Simulated time to service *documents* jobs in one interval."""
+        """Simulated time to service *documents* jobs in one interval
+        (with no per-document charge, *documents* does not enter)."""
         return self.base + self.per_match * match_operations
 
 
@@ -158,8 +159,8 @@ class ServiceModel:
 class BatchServiceModel(ServiceModel):
     """Batched broker service: one interval drains a whole batch.
 
-    A freed broker services up to ``max_batch``
-    scheduling-policy-selected documents in one interval of
+    A freed broker services up to ``max_batch`` scheduling-policy-selected
+    documents in one interval of
 
     ``base + per_doc * documents + per_match * match_operations``
 
