@@ -255,6 +255,15 @@ class TreePattern:
             return NotImplemented
         return _same_key(self, other)
 
+    def sorts_before(self, other: "TreePattern") -> bool:
+        """Whether this pattern's canonical key orders strictly before
+        *other*'s: a total order on patterns that ignores how either was
+        built, for picking one of several equivalent patterns."""
+        try:
+            return bool(self._key < other._key)
+        except RecursionError:
+            return _compare_keys(self._key, other._key) < 0
+
     def __hash__(self) -> int:
         cached = self._hash
         if cached is None:

@@ -8,7 +8,12 @@ using :mod:`repro.core.containment`:
 * an inserted pattern already contained in an existing same-destination
   entry is dropped — any document it matches is routed there anyway;
 * conversely, existing same-destination entries contained in the new
-  pattern are evicted, so the table keeps only the maximal patterns.
+  pattern are evicted, so the table keeps only the maximal patterns;
+* of two distinct but equivalent patterns (each contains the other) the
+  one whose canonical key sorts first keeps the active slot, whichever
+  arrived first — so the active set does not depend on insertion order,
+  and an overlay updated by churn holds the same entries as one rebuilt
+  from scratch.
 
 Because the homomorphism containment test is sound but not complete, a
 missed covering relation only costs table space, never correctness.
@@ -113,6 +118,13 @@ class TableBatchMatch:
         return self.memo_hits / lookups if lookups else 0.0
 
 
+def _supersedes(pattern: TreePattern, existing: TreePattern) -> bool:
+    """Whether *pattern* takes the active slot of an *existing* entry
+    that contains it: *pattern* sorts strictly first (so the two are
+    distinct) and contains *existing* too."""
+    return pattern.sorts_before(existing) and contains(pattern, existing)
+
+
 class RoutingTable:
     """Covering-aware pattern → destination table of one broker.
 
@@ -206,7 +218,7 @@ class RoutingTable:
         if patterns is None:
             patterns = self._by_destination[destination] = []
         for existing in patterns:
-            if contains(existing, pattern):
+            if contains(existing, pattern) and not _supersedes(pattern, existing):
                 self.covered_inserts += 1
                 self._absorbed.setdefault(destination, {}).setdefault(
                     existing, []
@@ -243,8 +255,10 @@ class RoutingTable:
 
         Inserting containers before containees guarantees a restoration
         never *evicts* a just-restored entry (which would scramble the
-        flood flags); among equal patterns the evicted-active instance
-        (False) goes first so it, not a duplicate, claims the active slot.
+        flood flags); of two distinct equivalent patterns the one that
+        sorts first is a container in this sense.  Among equal patterns
+        the evicted-active instance (False) goes first so it, not a
+        duplicate, claims the active slot.
 
         The strict-containment relation over the candidates is computed
         once — ``contains`` runs on each ordered pair of *distinct*
@@ -273,11 +287,16 @@ class RoutingTable:
             [a != b and contains(distinct[a], distinct[b]) for b in range(width)]
             for a in range(width)
         ]
-        # a strictly contains b: equal patterns hold each other and never
-        # block; strict containment is a partial order, so a zero-indegree
-        # position always exists.
+        # a goes before b: a strictly contains b, or the two are distinct
+        # equivalents and a sorts first (the one that keeps the active
+        # slot).  Equal patterns never block; the relation is acyclic, so
+        # a zero-indegree position always exists.
         strict = [
-            [held[a][b] and not held[b][a] for b in range(width)]
+            [
+                held[a][b]
+                and (not held[b][a] or distinct[a].sorts_before(distinct[b]))
+                for b in range(width)
+            ]
             for a in range(width)
         ]
         indegree = [0] * total
@@ -474,7 +493,7 @@ class RoutingTable:
         is evaluated exactly like :meth:`add` would.
         """
         return any(
-            contains(existing, pattern)
+            contains(existing, pattern) and not _supersedes(pattern, existing)
             for existing in self._by_destination.get(destination, ())
         )
 

@@ -179,6 +179,21 @@ class TestIncrementalEqualsFromScratch:
         assert_matches_from_scratch(overlay)
         churn(overlay, pool, data, data.draw(st.integers(1, 10), label="steps"))
 
+    def test_equivalent_advertisements_match_the_rebuild(self):
+        # /a and /.[a][a] contain each other.  The departure splits
+        # broker 1's community into both, and broker 0 hears /.[a][a]
+        # while /a is still installed; a rebuild sends them in the other
+        # order.  Both must leave the same entry for the link.
+        plain, doubled = parse_xpath("/a"), parse_xpath("/.[a][a]")
+        overlay = BrokerOverlay.chain(2)
+        overlay.attach_round_robin([plain, plain, plain, doubled, plain, plain])
+        overlay.advertise(
+            HybridPolicy(0.0, metric="M1", aggregate_above=2),
+            DocumentCorpus([XMLTree.from_nested(("r", []), doc_id=0)]),
+        )
+        overlay.unsubscribe(overlay.brokers[1].local_subscribers[0])
+        assert_matches_from_scratch(overlay)
+
     @settings(max_examples=property_max_examples(30), deadline=None)
     @given(workloads(), st.sampled_from(THRESHOLDS), st.data())
     def test_hybrid_crossing_its_cutoff(self, workload, threshold, data):

@@ -58,6 +58,19 @@ class TestCoveringInsert:
         assert table.add(parse_xpath("/a/d"), "link-1")
         assert len(table) == 2
 
+    def test_equivalent_patterns_keep_one_entry_in_either_order(self):
+        # /a and /.[a][a] contain each other: the table keeps the one
+        # that sorts first, whichever arrived first.
+        plain, doubled = parse_xpath("/a"), parse_xpath("/.[a][a]")
+        keeper = plain if plain.sorts_before(doubled) else doubled
+        for order in ((plain, doubled), (doubled, plain)):
+            table = RoutingTable()
+            for pattern in order:
+                table.add(pattern, "link-1")
+            assert table.patterns_for("link-1") == [keeper]
+            assert table.covers(plain, "link-1")
+            assert table.covers(doubled, "link-1")
+
 
 class TestMatching:
     def test_destinations_and_operation_count(self, document):
@@ -235,6 +248,21 @@ class TestRemovePattern:
             [parse_xpath("/a/b/e"), parse_xpath("/a/b/f")], key=repr
         )
         assert table.restored_entries == 2
+
+    def test_superseded_equivalent_returns_when_its_keeper_leaves(self):
+        plain, doubled = parse_xpath("/a"), parse_xpath("/.[a][a]")
+        keeper, other = (
+            (plain, doubled) if plain.sorts_before(doubled) else (doubled, plain)
+        )
+        table = RoutingTable()
+        table.add(other, "link-1")
+        assert table.add(keeper, "link-1")  # takes the active slot
+        assert table.evicted_entries == 1
+        removed, restored = table.remove_pattern(keeper, "link-1")
+        # The superseded entry had already flooded onward: it comes back
+        # active without being re-advertised.
+        assert removed and restored == []
+        assert table.patterns_for("link-1") == [other]
 
     def test_duplicate_instances_are_reference_counted(self):
         table = RoutingTable()
