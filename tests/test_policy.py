@@ -148,6 +148,16 @@ class TestHybridPolicy:
         ]
 
 
+class TestSchedulingResolution:
+    """A scheduling policy is an object that checks its own arguments
+    when it is built."""
+
+    def test_deadline_validation(self):
+        with pytest.raises(ValueError):
+            DeadlineScheduling(default_slack=-1.0)
+        assert DeadlineScheduling(default_slack=0.0).default_slack == 0.0
+
+
 class _StubJob:
     def __init__(self, priority_class=0, deadline=None, published_at=0.0):
         self.doc_index = 0

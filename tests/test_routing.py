@@ -13,7 +13,11 @@ from repro.routing.community import (
     leader_clustering,
 )
 from repro.routing.overlay import BrokerOverlay
-from repro.routing.policy import CommunityPolicy, PerSubscriptionPolicy
+from repro.routing.policy import (
+    CommunityPolicy,
+    HybridPolicy,
+    PerSubscriptionPolicy,
+)
 from repro.xmltree.corpus import DocumentCorpus
 
 
@@ -288,6 +292,18 @@ class TestOneBrokerRouting:
         assert stats.precision == 1.0
         assert stats.recall == 1.0
         assert stats.match_operations == len(corpus) * len(subscriptions)
+
+    def test_singleton_communities_are_perfect(self, corpus, subscriptions):
+        # At or under its cutoff a hybrid broker makes every subscription
+        # a community of its own.
+        policy = HybridPolicy(0.0, aggregate_above=len(subscriptions))
+        overlay = one_broker(subscriptions, policy, corpus)
+        assert [len(members) for _, members in overlay.brokers[0].communities] == [
+            1
+        ] * len(subscriptions)
+        stats = overlay.route_corpus(corpus)
+        assert stats.precision == 1.0
+        assert stats.recall == 1.0
 
     def test_flooding_full_recall_low_precision(self, corpus, subscriptions):
         overlay = one_broker(subscriptions, PerSubscriptionPolicy())
