@@ -65,7 +65,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Hashable, Iterable, Optional, Sequence, Union
+from typing import Collection, Hashable, Iterable, Optional, Sequence, Union
 
 from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
@@ -776,7 +776,9 @@ class BrokerOverlay:
           per-link destinations, so an inherited-True instance that
           comes out *active* in its new destination is flooded beyond
           the target right away — exactly the advertisement a fresh
-          rebuild of the new topology would have propagated.
+          rebuild of the new topology would have propagated.  The flood
+          skips every orphan: each already holds the instance through
+          the retiring broker, whose link to it was only renamed.
 
         Each transplanted instance costs one advertisement message (the
         state crosses the spliced link once); the extra floods are
@@ -811,7 +813,7 @@ class BrokerOverlay:
                     # all: the pending flood resumes into that subtree
                     # immediately, as a rebuild would have advertised it.
                     self._propagate(
-                        neighbor_id, pattern, skip=target.broker_id
+                        neighbor_id, pattern, skip=(target.broker_id,)
                     )
         for neighbor_id in orphans:
             destination = (_FORWARD, neighbor_id)
@@ -830,9 +832,7 @@ class BrokerOverlay:
                     pattern, destination, flag
                 )
                 if became_active and flag:
-                    self._propagate(
-                        target.broker_id, pattern, skip=neighbor_id
-                    )
+                    self._propagate(target.broker_id, pattern, skip=orphans)
 
     def remove_broker(
         self, broker_id: int, *, merge_into: Optional[int] = None
@@ -998,7 +998,10 @@ class BrokerOverlay:
     # ------------------------------------------------------------------
 
     def _propagate(
-        self, origin_id: int, pattern: TreePattern, skip: Optional[int] = None
+        self,
+        origin_id: int,
+        pattern: TreePattern,
+        skip: Collection[int] = (),
     ) -> None:
         """Flood one advertisement away from *origin_id*.
 
@@ -1008,14 +1011,16 @@ class BrokerOverlay:
         existing entry for the same link contains the pattern, every broker
         further out already routes the pattern's documents this way.
 
-        ``skip`` suppresses the flood towards one neighbour of the origin —
-        used when a resurrected advertisement resumes a flood mid-overlay
-        and must not travel back towards its home.
+        ``skip`` suppresses the flood towards those neighbours of the
+        origin — used when a resurrected advertisement resumes a flood
+        mid-overlay and must not travel back towards its home, or when a
+        merge target re-floods an instance its re-attached subtrees
+        already hold.
         """
         frontier = [
             (neighbor, origin_id)
             for neighbor in self.brokers[origin_id].neighbors
-            if neighbor != skip
+            if neighbor not in skip
         ]
         while frontier:
             broker_id, sender = frontier.pop(0)
@@ -1065,7 +1070,7 @@ class BrokerOverlay:
                     (broker_id, sender, entry) for entry in restored
                 )
         for broker_id, sender, entry in readvertise:
-            self._propagate(broker_id, entry, skip=sender)
+            self._propagate(broker_id, entry, skip=(sender,))
 
     def _aggregate_node(
         self, node: BrokerNode

@@ -23,6 +23,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pattern_parser import parse_xpath
 from repro.routing.engine import DeliveryEngine, LinkModel, ServiceModel
 from repro.routing.overlay import BrokerId, BrokerOverlay, SubscriptionId
 from repro.routing.policy import (
@@ -174,6 +175,29 @@ class TestRebuildEquality:
         assert isinstance(target, BrokerId)
         # The re-homed subscription is still retirable.
         assert overlay.unsubscribe(subscription) == patterns[0]
+
+
+class TestTransplantRegressions:
+    def test_leave_refloods_no_advertisement_into_sibling_subtrees(self):
+        # Broker 0 is the hub of a star and merges into broker 3.  The
+        # instance /a/a from broker 1 died at broker 3 (covered there by
+        # /a), so it comes out active in broker 3's re-keyed link to 1
+        # and must be flooded on.  Broker 2 already holds it through the
+        # retiring hub: a flood that reached it too would leave a
+        # duplicate behind, and retiring subscription 3 (/a) would then
+        # withdraw only that duplicate.
+        overlay = BrokerOverlay.build("star", 4, seed=3)
+        for position, xpath in enumerate(("/a/a", "/a/a", "/a", "/a")):
+            overlay.attach(position % 4, parse_xpath(xpath))
+        overlay.advertise(PerSubscriptionPolicy())
+        overlay.remove_broker(0)
+        assert relabeled_signature(overlay) == relabeled_signature(
+            overlay.rebuilt()
+        )
+        overlay.unsubscribe(SubscriptionId(3))
+        assert relabeled_signature(overlay) == relabeled_signature(
+            overlay.rebuilt()
+        )
 
 
 class TestDeliveryEquivalence:
