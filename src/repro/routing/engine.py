@@ -91,6 +91,7 @@ low classes from starving while all of this saturates.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -111,6 +112,14 @@ __all__ = [
     "DeliveryEngine",
     "TopologyEvent",
 ]
+
+
+def _require_finite(what: str, *values: float) -> None:
+    """Reject NaN and infinite timing inputs: each later check is a
+    comparison, which NaN passes silently, and one such value turns
+    every latency figure of a run into NaN."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -135,6 +144,7 @@ class ServiceModel:
     per_match: float = 0.05
 
     def __post_init__(self) -> None:
+        _require_finite("service-time coefficients", self.base, self.per_match)
         if self.base < 0.0 or self.per_match < 0.0:
             raise ValueError("service-time coefficients must be >= 0")
         if self.base <= 0.0 and self.per_match <= 0.0:
@@ -179,6 +189,9 @@ class BatchServiceModel(ServiceModel):
     max_batch: int = 8
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "service-time coefficients", self.base, self.per_match, self.per_doc
+        )
         if self.base < 0.0 or self.per_match < 0.0 or self.per_doc < 0.0:
             raise ValueError("service-time coefficients must be >= 0")
         if self.base <= 0.0 and self.per_match <= 0.0 and self.per_doc <= 0.0:
@@ -209,10 +222,12 @@ class LinkModel:
     overrides: Optional[dict[tuple[int, int], float]] = None
 
     def __post_init__(self) -> None:
+        _require_finite("link latency", self.default)
         if self.default < 0.0:
             raise ValueError("link latency must be >= 0")
         normalised: dict[tuple[int, int], float] = {}
         for (a, b), value in (self.overrides or {}).items():
+            _require_finite("link latency", value)
             if value < 0.0:
                 raise ValueError("link latency must be >= 0")
             normalised[(a, b) if a <= b else (b, a)] = value
@@ -363,6 +378,16 @@ class ClosedLoopSource:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "source timing and window parameters",
+            self.start,
+            self.initial_window,
+            self.max_window,
+            self.additive_increase,
+            self.feedback_delay,
+            self.jitter,
+            0.0 if self.deadline_slack is None else self.deadline_slack,
+        )
         if self.start < 0.0:
             raise ValueError("source start time must be >= 0")
         if self.initial_window < 1.0:
@@ -566,6 +591,11 @@ class DeliveryEngine:
     ) -> int:
         if at_broker not in self.overlay.brokers:
             raise ValueError(f"no broker {at_broker}")
+        _require_finite(
+            "publish time and deadline",
+            time,
+            time if deadline is None else deadline,
+        )
         if time < 0.0:
             raise ValueError("publish time must be >= 0")
         if deadline is not None and deadline < time:
@@ -622,6 +652,12 @@ class DeliveryEngine:
         position.  ``deadline_slack`` gives every publication the
         deadline ``publish time + slack``.  Returns the publish indices.
         """
+        _require_finite(
+            "publish rate, start and deadline slack",
+            rate,
+            start,
+            0.0 if deadline_slack is None else deadline_slack,
+        )
         if rate <= 0.0:
             raise ValueError("publish rate must be positive")
         if arrivals not in ("uniform", "poisson"):
@@ -783,6 +819,7 @@ class DeliveryEngine:
                 "it with allow_topology_churn=True (or via "
                 "OverlayBuilder.allow_topology_churn())"
             )
+        _require_finite("topology event time", time)
         if time < 0.0:
             raise ValueError("topology event time must be >= 0")
         self._schedule(time, _TOPOLOGY, -1, event)

@@ -1,12 +1,19 @@
 """The discrete-event delivery engine: models, scheduling, and stats."""
 
+import math
 from dataclasses import dataclass
 
 import pytest
 
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.broker import ClassLatency, ordered_percentile, percentile
-from repro.routing.engine import DeliveryEngine, LinkModel, ServiceModel
+from repro.routing.engine import (
+    BatchServiceModel,
+    ClosedLoopSource,
+    DeliveryEngine,
+    LinkModel,
+    ServiceModel,
+)
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import (
     DeadlineScheduling,
@@ -15,6 +22,7 @@ from repro.routing.policy import (
     PriorityScheduling,
     SchedulingPolicy,
 )
+from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
 
 
@@ -59,6 +67,76 @@ class TestLinkModel:
             LinkModel(default=-1.0)
         with pytest.raises(ValueError):
             LinkModel(overrides={(0, 1): -0.5})
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteTimingInputs:
+    """Every timing input is range-checked by comparison, which NaN
+    passes silently; each must reject NaN and both infinities."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["base", "per_match"])
+    def test_service_model(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ServiceModel(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["base", "per_match", "per_doc"])
+    def test_batch_service_model(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            BatchServiceModel(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("where", ["default", "override"])
+    def test_link_model(self, where, value):
+        with pytest.raises(ValueError, match="finite"):
+            if where == "default":
+                LinkModel(default=value)
+            else:
+                LinkModel(overrides={(0, 1): value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["time", "deadline"])
+    def test_publish(self, chain3, field, value):
+        engine = DeliveryEngine(chain3)
+        with pytest.raises(ValueError, match="finite"):
+            engine.publish(doc("<a><b/></a>"), **{field: value})
+        assert engine.run().documents == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["rate", "start", "deadline_slack"])
+    def test_publish_corpus(self, chain3, field, value):
+        engine = DeliveryEngine(chain3)
+        corpus = DocumentCorpus([doc("<a><b/></a>")])
+        with pytest.raises(ValueError, match="finite"):
+            engine.publish_corpus(corpus, **{"rate": 1.0, field: value})
+        assert engine.run().documents == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "start",
+            "initial_window",
+            "max_window",
+            "additive_increase",
+            "deadline_slack",
+            "feedback_delay",
+            "jitter",
+        ],
+    )
+    def test_closed_loop_source(self, field, value):
+        corpus = DocumentCorpus([doc("<a><b/></a>")])
+        with pytest.raises(ValueError, match="finite"):
+            ClosedLoopSource(corpus, **{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_topology_event_time(self, chain3, value):
+        engine = DeliveryEngine(chain3, allow_topology_churn=True)
+        with pytest.raises(ValueError, match="finite"):
+            engine.schedule_join(value, 0)
 
 
 class TestPercentile:
