@@ -115,9 +115,9 @@ def measure_sequential(table: RoutingTable, documents):
     operations = 0
     delivered = []
     for document in documents:
-        destinations, spent = table.destinations_for(document)
-        operations += spent
-        delivered.append(destinations)
+        match = table.destinations_for(document)
+        operations += match.operations
+        delivered.append(match.destinations)
     return operations, delivered
 
 

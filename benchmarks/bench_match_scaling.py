@@ -84,9 +84,9 @@ def measure(table: RoutingTable, documents, mode: str):
     delivered = []
     started = time.perf_counter()
     for document in documents:
-        destinations, spent = table.destinations_for(document, matching=mode)
-        operations += spent
-        delivered.append(frozenset(destinations))
+        match = table.destinations_for(document, matching=mode)
+        operations += match.operations
+        delivered.append(frozenset(match.destinations))
     return operations, time.perf_counter() - started, delivered
 
 

@@ -72,13 +72,12 @@ def table_modes() -> None:
     print(header)
     print("-" * len(header))
     for number, document in enumerate(documents):
-        via_trie, trie_ops = table.destinations_for(document)
-        via_linear, linear_ops = table.destinations_for(
-            document, matching="linear"
-        )
-        assert set(via_trie) == set(via_linear)
+        via_trie = table.destinations_for(document)
+        via_linear = table.destinations_for(document, matching="linear")
+        assert set(via_trie.destinations) == set(via_linear.destinations)
         print(
-            f"{number:4d} {trie_ops:9d} {linear_ops:11d} {len(via_trie):8d}"
+            f"{number:4d} {via_trie.operations:9d} "
+            f"{via_linear.operations:11d} {len(via_trie.destinations):8d}"
         )
     print()
     print(

@@ -19,7 +19,9 @@ Module map:
   runs on a merged :class:`~repro.routing.trie.PatternTrie` by default,
   with the per-pattern linear scan retained as the oracle, and batched
   (``destinations_for_batch``) so one memo pool is shared across a
-  queue drain;
+  queue drain; a match comes back as a :class:`TableMatch` carrying the
+  trie's destination-rank mask, decoded into a broker step or a
+  table-order list only when read;
 * :mod:`repro.routing.trie` — :class:`PatternTrie`, the merged pattern
   trie: every active pattern of a broker shares one degree-sorted
   structure, so one document traversal yields all matching destinations
@@ -118,7 +120,12 @@ from repro.routing.overlay import (
     OverlayStats,
     SubscriptionId,
 )
-from repro.routing.table import RoutingTable, TableBatchMatch, TableEntry
+from repro.routing.table import (
+    RoutingTable,
+    TableBatchMatch,
+    TableEntry,
+    TableMatch,
+)
 from repro.routing.trie import BatchMatch, PatternTrie, TrieMatch
 
 __all__ = [
@@ -130,6 +137,7 @@ __all__ = [
     "InclusionNode",
     "RoutingTable",
     "TableEntry",
+    "TableMatch",
     "TableBatchMatch",
     "PatternTrie",
     "TrieMatch",

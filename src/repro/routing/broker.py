@@ -12,8 +12,10 @@ interested one.  :class:`LatencyStats` (per subscriber class,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Sequence
 
 __all__ = [
     "RoutingStats",
@@ -103,16 +105,42 @@ class ClassLatency:
     max: float
 
     @classmethod
-    def of(cls, samples: Sequence[float]) -> "ClassLatency":
+    def of(cls, samples: Iterable[float]) -> "ClassLatency":
         """The digest of one class's latency samples."""
-        ordered = sorted(samples)
+        return cls.of_runs((sample, 1) for sample in samples)
+
+    @classmethod
+    def of_runs(cls, runs: Iterable[tuple[float, int]]) -> "ClassLatency":
+        """The digest of latency samples kept as ``(value, multiplicity)``
+        runs, each multiplicity ≥ 1 — every sample of a run is the same
+        value, as when one broker step delivers to several subscribers
+        at once.
+
+        Equal to :meth:`of` over the expanded samples, float for float:
+        the percentiles take the same nearest rank, found by bisecting
+        the runs' cumulative counts, and the mean sums the expanded
+        samples in the same ascending order.
+        """
+        ordered = sorted(runs)
+        if not ordered:
+            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        cumulative = list(accumulate(count for _, count in ordered))
+        total = cumulative[-1]
+
+        def nearest_rank(q: float) -> float:
+            rank = max(1, math.ceil(q / 100.0 * total))
+            return ordered[bisect_left(cumulative, rank)][0]
+
+        expanded = chain.from_iterable(
+            repeat(value, count) for value, count in ordered
+        )
         return cls(
-            deliveries=len(ordered),
-            p50=ordered_percentile(ordered, 50.0),
-            p95=ordered_percentile(ordered, 95.0),
-            p99=ordered_percentile(ordered, 99.0),
-            mean=sum(ordered) / len(ordered) if ordered else 0.0,
-            max=ordered[-1] if ordered else 0.0,
+            deliveries=total,
+            p50=nearest_rank(50.0),
+            p95=nearest_rank(95.0),
+            p99=nearest_rank(99.0),
+            mean=sum(expanded) / total,
+            max=ordered[-1][0],
         )
 
 

@@ -24,7 +24,11 @@ subscriber sets the synchronous path delivers (the equivalence is
 property-tested); what it adds is the timing dimension —
 publication-to-delivery latency percentiles, per-broker queue-depth peaks
 and utilisation, and end-to-end throughput, reported as a
-:class:`~repro.routing.broker.LatencyStats`.
+:class:`~repro.routing.broker.LatencyStats`.  Every subscriber one step
+reaches first hears at the same instant, so latency samples are kept as
+``(latency, deliveries)`` runs, one per delivering step rather than one
+per delivery; :meth:`~repro.routing.broker.ClassLatency.of_runs` reads
+the same nearest-rank percentiles and a float-identical mean off them.
 
 The queueing discipline is a first-class
 :class:`~repro.routing.policy.SchedulingPolicy`: the engine asks the
@@ -513,8 +517,11 @@ class DeliveryEngine:
             broker_id: 0.0 for broker_id in overlay.brokers
         }
         self._delivered: dict[int, set[int]] = {}
-        self._latencies: list[float] = []
-        self._latencies_by_class: dict[int, list[float]] = {}
+        #: Publication-to-delivery latency samples as ``(latency,
+        #: deliveries)`` runs, one per step that delivered: every
+        #: subscriber a step reaches first hears at the same instant.
+        self._latency_runs: list[tuple[float, int]] = []
+        self._latency_runs_by_class: dict[int, list[tuple[float, int]]] = {}
         self._queue_delays: list[float] = []
         self._first_publish: Optional[float] = None
         self._last_event = 0.0
@@ -1150,15 +1157,16 @@ class DeliveryEngine:
         delivered = self._delivered[job.doc_index]
         # A document re-routed by topology churn may revisit a broker;
         # only the first delivery to each subscriber counts — in the sets
-        # and in the latency samples, which all equal this job's latency.
+        # and in the latency samples, which all equal this job's latency
+        # and are kept as one run.
         fresh = step.deliveries - delivered
         if fresh:
             delivered |= fresh
-            samples = [now - job.published_at] * len(fresh)
-            self._latencies.extend(samples)
-            self._latencies_by_class.setdefault(
+            run = (now - job.published_at, len(fresh))
+            self._latency_runs.append(run)
+            self._latency_runs_by_class.setdefault(
                 job.priority_class, []
-            ).extend(samples)
+            ).append(run)
         for neighbor in step.forwards:
             self._forwards += 1
             # A filtering step computed before a leave event may still
@@ -1238,19 +1246,17 @@ class DeliveryEngine:
         """The :class:`LatencyStats` of everything processed so far."""
         start = self._first_publish or 0.0
         makespan = max(0.0, self._last_event - start)
-        latencies = sorted(self._latencies)
+        latency = ClassLatency.of_runs(self._latency_runs)
         delays = sorted(self._queue_delays)
         return LatencyStats(
             documents=self._documents,
-            deliveries=len(latencies),
+            deliveries=latency.deliveries,
             makespan=makespan,
-            latency_p50=ordered_percentile(latencies, 50.0),
-            latency_p95=ordered_percentile(latencies, 95.0),
-            latency_p99=ordered_percentile(latencies, 99.0),
-            latency_mean=(
-                sum(latencies) / len(latencies) if latencies else 0.0
-            ),
-            latency_max=latencies[-1] if latencies else 0.0,
+            latency_p50=latency.p50,
+            latency_p95=latency.p95,
+            latency_p99=latency.p99,
+            latency_mean=latency.mean,
+            latency_max=latency.max,
             queue_delay_mean=(
                 sum(delays) / len(delays) if delays else 0.0
             ),
@@ -1263,9 +1269,9 @@ class DeliveryEngine:
             service_batches=self._service_batches,
             serviced_documents=self._serviced_documents,
             latency_by_class={
-                priority_class: ClassLatency.of(samples)
-                for priority_class, samples in sorted(
-                    self._latencies_by_class.items()
+                priority_class: ClassLatency.of_runs(runs)
+                for priority_class, runs in sorted(
+                    self._latency_runs_by_class.items()
                 )
             },
             offered_jobs=self._offered_jobs,

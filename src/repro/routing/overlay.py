@@ -57,6 +57,15 @@ working across the splice.  The headline guarantee, property-tested in
 ``tests/test_topology_properties.py``: after any interleaving of
 join/leave and subscription churn, under any policy, every routing table
 equals a from-scratch rebuild of the final topology.
+
+Routing is a walk of broker steps (:class:`BrokerStep`).  A broker's
+table answers a document with one int of destination-rank bits
+(:class:`~repro.routing.table.TableMatch`), and the step is decoded from
+that mask through the table's per-rank delivery view: the members of the
+matched ``(DELIVER, members)`` groups united in one C-level pass, and
+the few matched ``(FORWARD, link)`` ranks in table order.  No list of
+destination tuples is built or split on the way.  The destination
+encoding itself is defined in :mod:`repro.routing.table`.
 """
 
 from __future__ import annotations
@@ -64,13 +73,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Collection, Hashable, Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
 from repro.routing.policy import AdvertisementPolicy, LeaderClusters
-from repro.routing.table import RoutingTable
+from repro.routing.table import DELIVER, FORWARD, RoutingTable
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 
@@ -83,10 +91,6 @@ __all__ = [
     "SubscriptionId",
     "TOPOLOGIES",
 ]
-
-#: Destination tags used in broker routing tables.
-_FORWARD = "forward"
-_DELIVER = "deliver"
 
 TOPOLOGIES = ("chain", "star", "random_tree")
 
@@ -167,6 +171,13 @@ class BrokerStep:
     :class:`~repro.routing.engine.DeliveryEngine` both apply it, so they
     deliver to identical subscriber sets by construction and differ only
     in *when* each step runs.
+
+    A step is decoded straight from the broker table's match mask
+    (:meth:`~repro.routing.table.TableMatch.split`), in C-level passes
+    over the table's per-rank delivery view, without building the
+    table-order destination list.  It is decoded as soon as the match is
+    made, so a step stays valid across later routing-state changes even
+    though the mask it came from does not.
     """
 
     #: Subscriber ids the document is delivered to at this broker.
@@ -178,25 +189,6 @@ class BrokerStep:
     #: default merged-trie mode, pattern-vs-document evaluations in
     #: ``"linear"`` mode — the input of a service-time model.
     match_operations: int
-
-
-def _broker_step(
-    destinations: Sequence[Hashable], operations: int
-) -> BrokerStep:
-    """Split a broker's table-order destinations into its step: the
-    union of the matched deliver groups, and the forward links in
-    table order."""
-    return BrokerStep(
-        deliveries=frozenset(
-            chain.from_iterable(
-                [members for kind, members in destinations if kind == _DELIVER]
-            )
-        ),
-        forwards=tuple(
-            [link for kind, link in destinations if kind == _FORWARD]
-        ),
-        match_operations=operations,
-    )
 
 
 _Community = tuple[TreePattern, tuple[int, ...]]
@@ -668,10 +660,10 @@ class BrokerOverlay:
         advertisement message (the state crosses the new link once).
         """
         for pattern in source.table.forwarded_instances(
-            exclude=((_FORWARD, node.broker_id),)
+            exclude=((FORWARD, node.broker_id),)
         ):
             self.advertisement_messages += 1
-            node.table.seed(pattern, (_FORWARD, source.broker_id))
+            node.table.seed(pattern, (FORWARD, source.broker_id))
 
     def add_broker(
         self, parent: int, *, split: Optional[int] = None
@@ -728,10 +720,10 @@ class BrokerOverlay:
         if split is not None:
             split_node = self.brokers[split]
             parent_node.table.rename_destination(
-                (_FORWARD, split), (_FORWARD, broker_id)
+                (FORWARD, split), (FORWARD, broker_id)
             )
             split_node.table.rename_destination(
-                (_FORWARD, parent), (_FORWARD, broker_id)
+                (FORWARD, parent), (FORWARD, broker_id)
             )
             self._seed_link(parent_node, node)
             self._seed_link(split_node, node)
@@ -786,10 +778,10 @@ class BrokerOverlay:
         """
         inherited: dict[TreePattern, list[bool]] = {}
         for pattern, resume_flood in target.table.export_destination(
-            (_FORWARD, node.broker_id)
+            (FORWARD, node.broker_id)
         ):
             inherited.setdefault(pattern, []).append(resume_flood)
-        target.table.remove_destination((_FORWARD, node.broker_id))
+        target.table.remove_destination((FORWARD, node.broker_id))
         # Advertisements from the target's side whose flood died at the
         # retiring broker: no orphan subtree has heard of them, and the
         # covering knowledge ("resurrect when the cover leaves") would
@@ -798,7 +790,7 @@ class BrokerOverlay:
         pending = [
             pattern
             for pattern, died_at_node in node.table.export_destination(
-                (_FORWARD, target.broker_id)
+                (FORWARD, target.broker_id)
             )
             if died_at_node
         ]
@@ -807,7 +799,7 @@ class BrokerOverlay:
             for pattern in pending:
                 self.advertisement_messages += 1
                 if orphan_table.seed(
-                    pattern, (_FORWARD, target.broker_id), True
+                    pattern, (FORWARD, target.broker_id), True
                 ):
                     # Nothing in the orphan's own record covers it after
                     # all: the pending flood resumes into that subtree
@@ -816,7 +808,7 @@ class BrokerOverlay:
                         neighbor_id, pattern, skip=(target.broker_id,)
                     )
         for neighbor_id in orphans:
-            destination = (_FORWARD, neighbor_id)
+            destination = (FORWARD, neighbor_id)
             for pattern, died_at_node in node.table.export_destination(
                 destination
             ):
@@ -882,7 +874,7 @@ class BrokerOverlay:
         live = self.policy is not None
         if live:
             for advertised, members in node.communities:
-                node.table.remove_destination((_DELIVER, members))
+                node.table.remove_destination((DELIVER, members))
                 self._unadvertise(broker_id, advertised)
             node.communities = []
         orphans = [
@@ -895,7 +887,7 @@ class BrokerOverlay:
             neighbor.neighbors.sort()
             if live:
                 neighbor.table.rename_destination(
-                    (_FORWARD, broker_id), (_FORWARD, merge_into)
+                    (FORWARD, broker_id), (FORWARD, merge_into)
                 )
         target.neighbors.remove(broker_id)
         target.neighbors.extend(orphans)
@@ -947,7 +939,7 @@ class BrokerOverlay:
             entries = set()
             for entry in node.table:
                 kind, payload = entry.destination
-                if kind == _DELIVER:
+                if kind == DELIVER:
                     payload = tuple(
                         sorted(sub_rank[member] for member in payload)
                     )
@@ -1026,7 +1018,7 @@ class BrokerOverlay:
             broker_id, sender = frontier.pop(0)
             self.advertisement_messages += 1
             node = self.brokers[broker_id]
-            if node.table.add(pattern, (_FORWARD, sender)):
+            if node.table.add(pattern, (FORWARD, sender)):
                 frontier.extend(
                     (neighbor, broker_id)
                     for neighbor in node.neighbors
@@ -1058,7 +1050,7 @@ class BrokerOverlay:
             self.advertisement_messages += 1
             node = self.brokers[broker_id]
             removed, restored = node.table.remove_pattern(
-                pattern, (_FORWARD, sender)
+                pattern, (FORWARD, sender)
             )
             if removed:
                 frontier.extend(
@@ -1129,9 +1121,9 @@ class BrokerOverlay:
         departed, unmatched = _community_diff(node.communities, fresh)
         withdrawn = [advertised for advertised, _ in departed]
         for _advertised, members in departed:
-            node.table.remove_destination((_DELIVER, members))
+            node.table.remove_destination((DELIVER, members))
         for advertised, members in unmatched:
-            node.table.add(advertised, (_DELIVER, members))
+            node.table.add(advertised, (DELIVER, members))
             if advertised in withdrawn:
                 # Same advertised pattern, new membership: the overlay-wide
                 # state is already in place.
@@ -1182,7 +1174,7 @@ class BrokerOverlay:
                 self._advertised.update(node.local_subscribers)
             node.communities = self._aggregate_node(node)
             for advertised, members in node.communities:
-                node.table.add(advertised, (_DELIVER, members))
+                node.table.add(advertised, (DELIVER, members))
                 self._propagate(node.broker_id, advertised)
 
     # ------------------------------------------------------------------
@@ -1203,18 +1195,19 @@ class BrokerOverlay:
         document never travels back the way it arrived.  The step is pure
         with respect to delivery semantics — it reads routing state and
         counts match operations, but schedules nothing — which is what
-        lets the synchronous walk and the event engine share it.
+        lets the synchronous walk and the event engine share it.  It is
+        decoded from the match's rank mask right away
+        (:meth:`~repro.routing.table.TableMatch.split`).
         """
         if broker_id not in self.brokers:
             raise ValueError(f"no broker {broker_id}")
         node = self.brokers[broker_id]
         exclude = (
-            () if arrived_from is None else ((_FORWARD, arrived_from),)
+            () if arrived_from is None else ((FORWARD, arrived_from),)
         )
-        destinations, operations = node.table.destinations_for(
-            document, exclude=exclude
-        )
-        return _broker_step(destinations, operations)
+        match = node.table.destinations_for(document, exclude=exclude)
+        deliveries, forwards = match.split()
+        return BrokerStep(deliveries, forwards, match.operations)
 
     def process_batch_at(
         self,
@@ -1248,14 +1241,14 @@ class BrokerOverlay:
                     f"{len(documents)} documents but {len(origins)} origins"
                 )
         excludes = [
-            () if origin is None else ((_FORWARD, origin),)
+            () if origin is None else ((FORWARD, origin),)
             for origin in origins
         ]
         batch = node.table.destinations_for_batch(documents, excludes)
         return [
-            _broker_step(destinations, operations)
-            for destinations, operations in zip(
-                batch.destinations, batch.operations, strict=True
+            BrokerStep(deliveries, forwards, operations)
+            for (deliveries, forwards), operations in zip(
+                batch.splits(), batch.operations, strict=True
             )
         ]
 

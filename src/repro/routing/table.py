@@ -50,10 +50,7 @@ never rebuilt from scratch.
 Table order is the trie's destination rank order.  The trie ranks a
 destination when an entry first holds it and retires the rank when the
 last entry lets go; each rank is one bit position, so a match comes back
-as one int — the OR of the accepted entries' rank masks — and the table
-clears the excluded link's bit and decodes the rest in ascending rank
-order in one C-level pass
-(:meth:`~repro.routing.trie.PatternTrie.destinations_in`).  Ranks mirror
+as one int — the OR of the accepted entries' rank masks.  Ranks mirror
 the key order of the per-destination entry lists exactly, because a
 destination holds an active trie entry exactly while it holds an entry
 list: a new destination's first pattern is activated as its list is
@@ -62,23 +59,61 @@ last entry is deactivated only after the resurrections it releases have
 been re-admitted, and an emptied list is dropped.  When retired ranks
 outnumber live ones, the trie renumbers the live ranks densely in the
 same order, so a mask stays O(live destinations) bits wide under churn.
+
+A match result carries that mask, not a list: :class:`TableMatch` (and
+:class:`TableBatchMatch`, per document) holds the rank bits of the
+matched destinations with the excluded links' bits already cleared, and
+the same mask is built from the destinations the linear scan finds, so
+one result type serves both modes.  Its table-order ``destinations``
+list is decoded on first read, and :meth:`TableMatch.split` decodes the
+broker step an overlay takes — the members of every matched deliver
+group and the matched forward links — in C-level passes over the
+table's *delivery view*: per rank, the members of a deliver destination
+or ``()``, plus the few forward ranks.  The view is rebuilt whenever
+the trie's :attr:`~repro.routing.trie.PatternTrie.rank_epoch` moves,
+and a decoded view is valid only until the next rank change: decoding a
+result after its epoch has moved raises :class:`ValueError` instead of
+naming the wrong destinations.
+
+The destination encoding of an overlay broker lives here, as its only
+definition: ``(FORWARD, neighbour broker id)`` sends a copy over a link
+and ``(DELIVER, member subscriber ids)`` delivers to a local group.
+Any other hashable is a valid destination too; it simply takes no part
+in a split.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.containment import contains
 from repro.core.pattern import TreePattern
-from repro.routing.trie import PatternTrie
+from repro.routing.trie import PatternTrie, rank_selectors
 from repro.xmltree.matcher import CompiledPattern, PatternMatcher
 from repro.xmltree.tree import XMLTree
 
-__all__ = ["TableEntry", "RoutingTable", "TableBatchMatch"]
+__all__ = [
+    "DELIVER",
+    "FORWARD",
+    "TableEntry",
+    "RoutingTable",
+    "TableMatch",
+    "TableBatchMatch",
+]
 
 Destination = Hashable
+
+#: Destination kind of a link: ``(FORWARD, neighbour broker id)``.
+FORWARD = "forward"
+#: Destination kind of a local group: ``(DELIVER, member subscriber ids)``.
+DELIVER = "deliver"
+
+#: A decoded broker step: delivered member ids and forward links.
+Split = tuple[frozenset[int], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -90,21 +125,128 @@ class TableEntry:
     destination: Destination
 
 
-@dataclass
+class _DeliveryView:
+    """A table's destination ranks laid out for decoding masks of one
+    rank epoch.
+
+    ``ranked`` is the rank-indexed destination list; ``members`` holds,
+    per rank, the member ids of a ``(DELIVER, members)`` destination and
+    ``()`` for any other rank; ``forwards`` pairs the rank bit of each
+    ``(FORWARD, link)`` destination with its link, in rank order.  Every
+    decode first checks that the trie is still in the view's epoch.
+    """
+
+    __slots__ = ("_trie", "epoch", "ranked", "members", "forwards")
+
+    def __init__(self, trie: PatternTrie) -> None:
+        self._trie = trie
+        self.epoch = trie.rank_epoch
+        self.ranked = trie.ranked_destinations()
+        members: list[tuple[int, ...]] = []
+        forwards: list[tuple[int, int]] = []
+        for rank, destination in enumerate(self.ranked):
+            group: tuple[int, ...] = ()
+            if isinstance(destination, tuple) and len(destination) == 2:
+                kind, payload = destination
+                if kind == DELIVER:
+                    group = payload
+                elif kind == FORWARD:
+                    forwards.append((1 << rank, payload))
+            members.append(group)
+        self.members = tuple(members)
+        self.forwards = tuple(forwards)
+
+    def _selectors(self, mask: int) -> bytes:
+        if self._trie.rank_epoch != self.epoch:
+            raise ValueError(
+                "stale match: the table's destination ranks changed after "
+                "it was computed, so its mask no longer decodes"
+            )
+        return rank_selectors(mask)
+
+    def destinations(self, mask: int) -> list[Destination]:
+        """The destinations of *mask*, in table (rank) order."""
+        return list(compress(self.ranked, self._selectors(mask)))
+
+    def split(self, mask: int) -> Split:
+        """The members of every deliver group in *mask*, united, and its
+        forward links in rank order."""
+        selectors = self._selectors(mask)
+        return (
+            frozenset(chain.from_iterable(compress(self.members, selectors))),
+            tuple([link for bit, link in self.forwards if mask & bit]),
+        )
+
+
+@dataclass(frozen=True)
+class TableMatch:
+    """Outcome of one :meth:`RoutingTable.destinations_for` call.
+
+    ``mask`` holds the rank bits of the matched destinations, with the
+    excluded links' bits already cleared; ``operations`` is the
+    filtering work spent deciding.  The table-order ``destinations``
+    list is decoded from the mask on first read, and :meth:`split`
+    decodes the broker step.  Both decodes are valid only while the
+    table's destination ranks stay as they were when the match was
+    computed: after a rank change they raise :class:`ValueError`.
+    """
+
+    mask: int
+    operations: int
+    _view: _DeliveryView = field(repr=False, compare=False)
+
+    @cached_property
+    def destinations(self) -> list[Destination]:
+        """The matched destinations in table order, decoded on first
+        read."""
+        return self._view.destinations(self.mask)
+
+    def split(self) -> Split:
+        """The match as a broker step: the member ids of every matched
+        ``(DELIVER, members)`` destination, united, and the links of the
+        matched ``(FORWARD, link)`` destinations in table order."""
+        return self._view.split(self.mask)
+
+
+@dataclass(frozen=True)
 class TableBatchMatch:
     """Outcome of one :meth:`RoutingTable.destinations_for_batch` call.
 
-    ``destinations`` / ``operations`` are aligned with the input batch:
-    one table-order destination list and one attributed operation count
-    per document.  ``memo_hits`` / ``memo_misses`` report the shared
-    trie pool's amortisation (both zero in linear mode, which has no
-    cross-document sharing).
+    ``masks`` / ``operations`` are aligned with the input batch: one
+    rank mask (excluded links cleared) and one attributed operation
+    count per document.  ``destinations`` decodes every mask into its
+    table-order list on first read and :meth:`splits` into broker steps,
+    under the same rule as :class:`TableMatch`: only until the table's
+    destination ranks change.  ``memo_hits`` / ``memo_misses`` report
+    the shared trie pool's amortisation (both zero in linear mode, which
+    has no cross-document sharing).
     """
 
-    destinations: list[list[Destination]]
+    masks: list[int]
     operations: list[int]
     memo_hits: int = 0
     memo_misses: int = 0
+    _view: Optional[_DeliveryView] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def _decoder(self) -> _DeliveryView:
+        if self._view is None:
+            raise ValueError("a batch built outside a table has no ranks")
+        return self._view
+
+    @cached_property
+    def destinations(self) -> list[list[Destination]]:
+        """Per document, the matched destinations in table order,
+        decoded on first read."""
+        view = self._decoder()
+        return [view.destinations(mask) for mask in self.masks]
+
+    def splits(self) -> list[Split]:
+        """Per document, the match as a broker step (see
+        :meth:`TableMatch.split`)."""
+        view = self._decoder()
+        return [view.split(mask) for mask in self.masks]
 
     @property
     def total_operations(self) -> int:
@@ -161,6 +303,9 @@ class RoutingTable:
         #: Per pattern: how many destinations hold it active — the
         #: refcount behind O(1) matcher-cache pruning.
         self._active_counts: dict[TreePattern, int] = {}
+        #: The delivery view of the trie's current rank epoch, rebuilt on
+        #: first use after the epoch moves.
+        self._view: Optional[_DeliveryView] = None
         self.match_operations = 0
         self.covered_inserts = 0
         self.evicted_entries = 0
@@ -555,6 +700,14 @@ class RoutingTable:
     # matching
     # ------------------------------------------------------------------
 
+    def _delivery_view(self) -> _DeliveryView:
+        """The delivery view of the current rank epoch, rebuilt when the
+        epoch has moved since the last one was built."""
+        view = self._view
+        if view is None or view.epoch != self._trie.rank_epoch:
+            view = self._view = _DeliveryView(self._trie)
+        return view
+
     def _matcher(self, pattern: TreePattern) -> PatternMatcher:
         matcher = self._matchers.get(pattern)
         if matcher is None:
@@ -567,9 +720,9 @@ class RoutingTable:
         document: XMLTree,
         exclude: Iterable[Destination] = (),
         matching: Optional[str] = None,
-    ) -> tuple[list[Destination], int]:
+    ) -> TableMatch:
         """Destinations *document* must be sent to, plus the filtering
-        operations spent deciding.
+        operations spent deciding, as a :class:`TableMatch`.
 
         In trie mode (the default) one merged-trie traversal answers all
         destinations at once and the count is *trie operations*; in
@@ -579,11 +732,13 @@ class RoutingTable:
         call — both structures are always maintained, which is how the
         property suite pins ``trie == per-pattern`` on the same table.
 
-        Destinations are returned in table order (first-advertised first),
-        which is deterministic across runs — unlike a set of destinations,
-        whose iteration order follows the per-process string hash seed.
-        The event engine relies on this to replay identical schedules
-        under a fixed seed.
+        The result carries the matched destinations as the trie's rank
+        mask; both modes build it (linear mode from the destinations its
+        scan finds), and its ``destinations`` list decodes in table order
+        (first-advertised first), which is deterministic across runs —
+        unlike a set of destinations, whose iteration order follows the
+        per-process string hash seed.  The event engine relies on this
+        to replay identical schedules under a fixed seed.
 
         ``exclude`` destinations are skipped entirely (a broker never
         forwards a document back over the link it arrived on).
@@ -592,7 +747,9 @@ class RoutingTable:
         if mode == "trie":
             result = self._trie.match_masks((document,))
             operations = result.operations[0]
-            found = self._trie.destinations_in(result.masks[0], exclude)
+            mask = result.masks[0]
+            if mask:
+                mask &= ~self._trie.rank_mask(exclude)
         else:
             skip = set(exclude)
             found = []
@@ -605,8 +762,9 @@ class RoutingTable:
                     if self._matcher(pattern).matches(document):
                         found.append(destination)
                         break
+            mask = self._trie.rank_mask(found)
         self.match_operations += operations
-        return found, operations
+        return TableMatch(mask, operations, self._delivery_view())
 
     def destinations_for_batch(
         self,
@@ -638,29 +796,30 @@ class RoutingTable:
                     f"{len(documents)} documents but {len(skips)} excludes"
                 )
         mode = self.matching if matching is None else matching
-        per_document: list[list[Destination]] = []
-        operations: list[int] = []
         if mode == "trie":
             batch = self._trie.match_masks(documents)
-            decode = self._trie.destinations_in
-            per_document = [
-                decode(mask, skip)
+            rank_mask = self._trie.rank_mask
+            masks = [
+                mask & ~rank_mask(skip) if mask else 0
                 for mask, skip in zip(batch.masks, skips, strict=True)
             ]
             self.match_operations += sum(batch.operations)
             return TableBatchMatch(
-                per_document,
+                masks,
                 batch.operations,
-                memo_hits=batch.memo_hits,
-                memo_misses=batch.memo_misses,
+                batch.memo_hits,
+                batch.memo_misses,
+                self._delivery_view(),
             )
-        for document, skip in zip(documents, skips, strict=True):
-            found, spent = self.destinations_for(
-                document, exclude=skip, matching=mode
-            )
-            per_document.append(found)
-            operations.append(spent)
-        return TableBatchMatch(per_document, operations)
+        matches = [
+            self.destinations_for(document, exclude=skip, matching=mode)
+            for document, skip in zip(documents, skips, strict=True)
+        ]
+        return TableBatchMatch(
+            [match.mask for match in matches],
+            [match.operations for match in matches],
+            _view=self._delivery_view(),
+        )
 
     # ------------------------------------------------------------------
     # introspection

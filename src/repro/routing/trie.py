@@ -154,6 +154,11 @@ in rank order against the rank-indexed destination list in one C-level
 pass.  A rank retires when its last holder lets go, and once retired
 ranks outnumber live ones the live ranks are renumbered densely in the
 same order, so masks stay O(live destinations) bits wide under churn.
+Every change to the rank list — a new rank, a retired one, a compaction
+or a ``clear`` — bumps :attr:`PatternTrie.rank_epoch`: a mask decodes
+correctly only against the ranks of the epoch it was computed in, and
+callers that keep masks (the routing table's match results) compare
+epochs to fail loudly instead of decoding the wrong destinations.
 
 Incremental-maintenance invariants
 ----------------------------------
@@ -195,7 +200,13 @@ from repro.core.labels import DESCENDANT, WILDCARD, is_tag
 from repro.core.pattern import PatternNode, TreePattern
 from repro.xmltree.tree import XMLTree, intern_skeleton_keys
 
-__all__ = ["PatternTrie", "TrieMatch", "BatchMatch", "MaskBatch"]
+__all__ = [
+    "PatternTrie",
+    "TrieMatch",
+    "BatchMatch",
+    "MaskBatch",
+    "rank_selectors",
+]
 
 Destination = Hashable
 
@@ -221,6 +232,17 @@ _STEP = attrgetter("axis", "label")
 
 #: A subtree's degree-sorted canonical order: ``(degree, canonical key)``.
 _Order = tuple[int, tuple]
+
+
+def rank_selectors(mask: int) -> bytes:
+    """*mask* as one 0/1 selector byte per rank, lowest rank first —
+    the :func:`itertools.compress` selectors of a rank-indexed sequence.
+
+    ``bin`` spells the mask out least significant bit last, so the
+    reversed digits are in rank order; one ``translate`` turns them into
+    selector bytes.
+    """
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def _subtree_orders(pattern: TreePattern) -> dict[PatternNode, _Order]:
@@ -604,6 +626,8 @@ class PatternTrie:
         #: Rank → number of entries holding that destination.
         self._holders: list[int] = []
         self._retired = 0
+        #: Bumped whenever the rank list changes (see ``rank_epoch``).
+        self._rank_epoch = 0
 
     # ------------------------------------------------------------------
     # maintenance
@@ -714,6 +738,7 @@ class PatternTrie:
         self._ranked.clear()
         self._holders.clear()
         self._retired = 0
+        self._rank_epoch += 1
 
     # -- destination ranks ---------------------------------------------
 
@@ -725,6 +750,7 @@ class PatternTrie:
             rank = self._ranks[destination] = len(self._ranked)
             self._ranked.append(destination)
             self._holders.append(0)
+            self._rank_epoch += 1
         self._holders[rank] += 1
         return 1 << rank
 
@@ -737,6 +763,7 @@ class PatternTrie:
             del self._ranks[destination]
             self._ranked[rank] = _RETIRED
             self._retired += 1
+            self._rank_epoch += 1
         return 1 << rank
 
     def _compact_if_sparse(self) -> None:
@@ -749,13 +776,33 @@ class PatternTrie:
         self._holders = [count for count in self._holders if count]
         self._ranks = {d: rank for rank, d in enumerate(self._ranked)}
         self._retired = 0
+        self._rank_epoch += 1
         for entry in self._entries.values():
-            entry.dest_mask = self._mask_of(entry.destinations)
+            entry.dest_mask = self.rank_mask(entry.destinations)
 
-    def _mask_of(self, destinations: Iterable[Destination]) -> int:
-        """The rank bits of live *destinations* (distinct bits: sum = OR)."""
+    @property
+    def rank_epoch(self) -> int:
+        """A counter bumped by every change to the rank list: a new
+        rank, a retired rank, a compaction or :meth:`clear`.  A mask is
+        only valid in the epoch it was computed in."""
+        return self._rank_epoch
+
+    def ranked_destinations(self) -> tuple[Destination, ...]:
+        """The rank-indexed destination list of the current epoch: the
+        destination holding rank *r* at position *r*, and a placeholder
+        that equals no destination in each retired slot."""
+        return tuple(self._ranked)
+
+    def rank_mask(self, destinations: Iterable[Destination]) -> int:
+        """The rank bits of those *destinations* that hold a rank;
+        unranked ones are ignored."""
         ranks = self._ranks
-        return sum(1 << ranks[d] for d in destinations)
+        mask = 0
+        for destination in destinations:
+            rank = ranks.get(destination)
+            if rank is not None:
+                mask |= 1 << rank
+        return mask
 
     # -- spine and constraints -----------------------------------------
 
@@ -899,28 +946,19 @@ class PatternTrie:
             misses,
         )
 
-    def destinations_in(
-        self, mask: int, exclude: Iterable[Destination] = ()
-    ) -> list[Destination]:
-        """The destinations whose rank bits *mask* holds, minus *exclude*,
-        in ascending rank (first-registered first) order.
+    def destinations_in(self, mask: int) -> list[Destination]:
+        """The destinations whose rank bits *mask* holds, in ascending
+        rank (first-registered first) order.
 
-        The excluded ranks' bits are cleared, then the rest decode in one
-        C-level pass: ``bin`` spells the mask out least significant bit
-        last, the reversed digits translate to 0/1 selectors, and
-        :func:`itertools.compress` picks the rank-indexed destinations
-        they select.  Only masks of the current ranks decode correctly:
-        a mutation may renumber them (see :meth:`_compact_if_sparse`).
+        One C-level pass: :func:`rank_selectors` spells the mask out as
+        0/1 bytes and :func:`itertools.compress` picks the rank-indexed
+        destinations they select.  Only masks of the current
+        :attr:`rank_epoch` decode correctly: a mutation may renumber the
+        ranks (see :meth:`_compact_if_sparse`).
         """
-        ranks = self._ranks
-        for destination in exclude:
-            rank = ranks.get(destination)
-            if rank is not None:
-                mask &= ~(1 << rank)
         if not mask:
             return []
-        selectors = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-        return list(compress(self._ranked, selectors))
+        return list(compress(self._ranked, rank_selectors(mask)))
 
     def _evaluate(
         self, trees: Iterable[XMLTree]

@@ -90,7 +90,7 @@ class TestTableBatch:
         table.add(parse_xpath("/a/b"), "link-1")
         table.add(parse_xpath("//e"), "link-2")
         table.add(parse_xpath("/a"), "link-3")
-        expected = [table.destinations_for(d)[0] for d in documents]
+        expected = [table.destinations_for(d).destinations for d in documents]
         batch = table.destinations_for_batch(documents)
         assert batch.destinations == expected
 
@@ -117,7 +117,7 @@ class TestTableBatch:
             table.destinations_for_batch(documents, excludes=[()])
 
     def test_stats_fields(self):
-        stats = TableBatchMatch([["x"], []], [3, 1], memo_hits=2, memo_misses=6)
+        stats = TableBatchMatch([0b1, 0], [3, 1], memo_hits=2, memo_misses=6)
         assert stats.total_operations == 4
         assert stats.hit_rate == 0.25
         assert TableBatchMatch([], []).hit_rate == 0.0

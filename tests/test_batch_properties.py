@@ -125,10 +125,12 @@ class TestTableBatchEquivalence:
     ):
         table = churned_table(patterns, data, matching)
         expected = [
-            table.destinations_for(document)[0] for document in documents
+            table.destinations_for(document).destinations
+            for document in documents
         ]
         sequential_ops = sum(
-            table.destinations_for(document)[1] for document in documents
+            table.destinations_for(document).operations
+            for document in documents
         )
         batch = table.destinations_for_batch(documents)
         assert batch.destinations == expected

@@ -207,7 +207,7 @@ class TestEngineBasics:
         engine.publish(doc("<a><b/></a>"), at_broker=0, time=0.0)
         stats = engine.run()
         assert engine.delivered_sets() == {0: frozenset({0, 1, 2})}
-        assert sorted(engine._latencies) == [1.0, 2.5, 4.0]
+        assert sorted(engine._latency_runs) == [(1.0, 1), (2.5, 1), (4.0, 1)]
         assert stats.latency_max == 4.0
         assert stats.makespan == 4.0
         assert stats.deliveries == 3

@@ -5,7 +5,9 @@ The engine consumes the same broker-local step
 workload, topology and advertisement regime it must deliver *exactly* the
 same subscriber sets — timing may differ, delivery semantics may not.
 The sweep also pins determinism: every run is replayed and must reproduce
-its stats and schedule bit for bit.
+its stats and schedule bit for bit.  The engine keeps its latency samples
+as ``(value, multiplicity)`` runs; the digest it computes from runs must
+equal the sorted-sample computation float for float.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pattern_parser import parse_xpath
+from repro.routing.broker import ClassLatency, ordered_percentile
 from repro.routing.engine import (
     ClosedLoopSource,
     DeliveryEngine,
@@ -34,7 +37,7 @@ from repro.routing.policy import (
 )
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
-from tests.strategies import tree_patterns
+from tests.strategies import property_max_examples, tree_patterns
 from tests.test_selectivity_properties import corpora
 
 
@@ -197,3 +200,54 @@ class TestClosedLoopDeterminism:
             check=True,
         )
         assert result.stdout.strip() == local
+
+
+def sample_digest(samples):
+    """The latency digest of expanded samples, computed the way the
+    engine did before it kept runs: sort once, read nearest ranks, sum
+    the sorted samples."""
+    ordered = sorted(samples)
+    if not ordered:
+        return (0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return (
+        len(ordered),
+        ordered_percentile(ordered, 50.0),
+        ordered_percentile(ordered, 95.0),
+        ordered_percentile(ordered, 99.0),
+        sum(ordered) / len(ordered),
+        ordered[-1],
+    )
+
+
+#: A few fixed values make ties between runs likely.
+LATENCIES = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.5, 2.5, 7.25]),
+    st.floats(
+        min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
+    ),
+)
+
+
+class TestLatencyRunsEqualSamples:
+    @settings(max_examples=property_max_examples(60), deadline=None)
+    @given(
+        st.lists(
+            st.tuples(LATENCIES, st.integers(min_value=1, max_value=6)),
+            max_size=40,
+        ),
+        st.one_of(st.none(), st.tuples(LATENCIES, st.just(100_000))),
+    )
+    def test_digest_of_runs_equals_digest_of_samples(self, runs, large):
+        if large is not None:
+            runs.append(large)
+        samples = [value for value, count in runs for _ in range(count)]
+        digest = ClassLatency.of_runs(runs)
+        assert (
+            digest.deliveries,
+            digest.p50,
+            digest.p95,
+            digest.p99,
+            digest.mean,
+            digest.max,
+        ) == sample_digest(samples)
+        assert ClassLatency.of(samples) == digest

@@ -60,7 +60,8 @@ def churn_kernel_digest() -> str:
         document = documents[step % len(documents)]
         for broker_id in sorted(overlay.brokers):
             table = overlay.brokers[broker_id].table
-            outcomes.append(table.destinations_for(document))
+            match = table.destinations_for(document)
+            outcomes.append((match.destinations, match.operations))
         if step % 10 == 9:
             start = (step // 10 * BATCH) % len(documents)
             batch_documents = documents[start : start + BATCH]

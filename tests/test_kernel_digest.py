@@ -36,7 +36,8 @@ def kernel_digest() -> str:
     for broker_id in sorted(overlay.brokers):
         table = overlay.brokers[broker_id].table
         for document in documents:
-            outcomes.append(table.destinations_for(document))
+            match = table.destinations_for(document)
+            outcomes.append((match.destinations, match.operations))
         for start in range(0, len(documents), BATCH):
             batch = table.destinations_for_batch(
                 documents[start : start + BATCH]

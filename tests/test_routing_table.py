@@ -78,9 +78,9 @@ class TestMatching:
         table = RoutingTable(matching="linear")
         table.add(parse_xpath("/a/b"), "link-1")
         table.add(parse_xpath("/a/q"), "link-2")
-        destinations, operations = table.destinations_for(document)
-        assert destinations == ["link-1"]
-        assert operations == 2
+        match = table.destinations_for(document)
+        assert match.destinations == ["link-1"]
+        assert match.operations == 2
         assert table.match_operations == 2
 
     def test_trie_mode_counts_trie_operations(self, document):
@@ -88,19 +88,23 @@ class TestMatching:
         assert table.matching == "trie"
         table.add(parse_xpath("/a/b"), "link-1")
         table.add(parse_xpath("/a/q"), "link-2")
-        destinations, operations = table.destinations_for(document)
-        assert destinations == ["link-1"]
-        assert operations > 0
-        assert table.match_operations == operations
+        match = table.destinations_for(document)
+        assert match.destinations == ["link-1"]
+        assert match.operations > 0
+        assert table.match_operations == match.operations
 
     def test_trie_and_linear_agree_per_call(self, document):
         table = RoutingTable()
         table.add(parse_xpath("/a/b"), "link-1")
         table.add(parse_xpath("/a/q"), "link-2")
         table.add(parse_xpath("//e"), "link-3")
-        via_trie, _ = table.destinations_for(document, matching="trie")
-        via_linear, _ = table.destinations_for(document, matching="linear")
-        assert via_trie == via_linear == ["link-1", "link-3"]
+        via_trie = table.destinations_for(document, matching="trie")
+        via_linear = table.destinations_for(document, matching="linear")
+        assert (
+            via_trie.destinations
+            == via_linear.destinations
+            == ["link-1", "link-3"]
+        )
 
     def test_unknown_matching_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -111,33 +115,32 @@ class TestMatching:
         # Both match; one evaluation suffices to decide the destination.
         table.add(parse_xpath("/a/b"), "link-1")
         table.add(parse_xpath("/a/d"), "link-1")
-        destinations, operations = table.destinations_for(document)
-        assert destinations == ["link-1"]
-        assert operations == 1
+        match = table.destinations_for(document)
+        assert match.destinations == ["link-1"]
+        assert match.operations == 1
 
     def test_exclude_skips_without_counting(self, document):
         table = RoutingTable(matching="linear")
         table.add(parse_xpath("/a/b"), "link-1")
         table.add(parse_xpath("/a/b"), "link-2")
-        destinations, operations = table.destinations_for(
-            document, exclude=["link-1"]
-        )
-        assert destinations == ["link-2"]
-        assert operations == 1
+        match = table.destinations_for(document, exclude=["link-1"])
+        assert match.destinations == ["link-2"]
+        assert match.operations == 1
 
     def test_exclude_skips_in_trie_mode(self, document):
         table = RoutingTable()
         table.add(parse_xpath("/a/b"), "link-1")
         table.add(parse_xpath("/a/b"), "link-2")
-        destinations, _ = table.destinations_for(document, exclude=["link-1"])
+        match = table.destinations_for(document, exclude=["link-1"])
+        destinations = match.destinations
         assert destinations == ["link-2"]
 
     def test_no_match_empty(self, document):
         table = RoutingTable(matching="linear")
         table.add(parse_xpath("/z"), "link-1")
-        destinations, operations = table.destinations_for(document)
-        assert destinations == []
-        assert operations == 1
+        match = table.destinations_for(document)
+        assert match.destinations == []
+        assert match.operations == 1
 
     def test_destinations_in_table_order(self, document):
         # Deterministic dispatch: destinations come back in the order the
@@ -148,7 +151,7 @@ class TestMatching:
             table.add(parse_xpath("/a/b"), "link-2")
             table.add(parse_xpath("/a/d"), "link-1")
             table.add(parse_xpath("/a"), "link-3")
-            destinations, _ = table.destinations_for(document)
+            destinations = table.destinations_for(document).destinations
             assert destinations == ["link-2", "link-1", "link-3"], matching
 
 
@@ -611,7 +614,7 @@ class TestTrieModeOrdering:
         table.add(parse_xpath("/a/b"), "link-2")
         table.add(parse_xpath("/a"), "link-5")
         table.add(parse_xpath("/a/d"), "link-0")
-        found, _ = table.destinations_for(document)
+        found = table.destinations_for(document).destinations
         assert found == self.legacy_order(table, set(found))
         assert found == ["link-9", "link-2", "link-5", "link-0"]
 
@@ -624,7 +627,7 @@ class TestTrieModeOrdering:
         table.rename_destination("link-4", "link-9")  # rename: moves last
         table.remove_pattern(parse_xpath("//e"), "link-2")
         table.add(parse_xpath("/a"), "link-2")  # emptied, re-admitted last
-        found, _ = table.destinations_for(document)
+        found = table.destinations_for(document).destinations
         assert found == self.legacy_order(table, set(found))
         assert found == ["link-3", "link-1", "link-9", "link-2"]
 

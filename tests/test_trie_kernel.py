@@ -208,20 +208,22 @@ class TestRanksUnderLongChurn:
                 widest = max(widest, allocated)
                 ranks = trie._ranks
                 assert sorted(ranks, key=ranks.__getitem__) == table.destinations()
-                via_trie, _ = table.destinations_for(document, matching="trie")
-                via_linear, _ = table.destinations_for(
+                via_trie = table.destinations_for(
+                    document, matching="trie"
+                ).destinations
+                via_linear = table.destinations_for(
                     document, matching="linear"
-                )
+                ).destinations
                 assert via_trie == via_linear, step
             if step % 1000 == 999:
                 for broker_id in brokers:
                     table = overlay.brokers[broker_id].table
                     table._trie.check()
                     for other in documents:
-                        via_trie, _ = table.destinations_for(other)
-                        via_linear, _ = table.destinations_for(
+                        via_trie = table.destinations_for(other).destinations
+                        via_linear = table.destinations_for(
                             other, matching="linear"
-                        )
+                        ).destinations
                         assert via_trie == via_linear, step
         # Without compaction the deliver ranks alone would reach
         # thousands; with it the widest mask stays near the live count.
@@ -237,9 +239,10 @@ class TestRanksUnderLongChurn:
         table.remove_pattern(parse_xpath("/a"), "mid")
         table._trie.check()
         document = XMLTree.from_nested(("a", [("b", ["c"]), "d"]))
-        via_trie, _ = table.destinations_for(document)
+        via_trie = table.destinations_for(document).destinations
         assert via_trie == ["early", "mid", "late"]
-        assert via_trie == table.destinations_for(document, matching="linear")[0]
+        via_linear = table.destinations_for(document, matching="linear")
+        assert via_trie == via_linear.destinations
 
 
 class TestDeepDocuments:
@@ -263,7 +266,11 @@ class TestDeepDocuments:
             table.add(parse_xpath(xpath), f"d{index}")
         for depth in (1, 2, 300):
             document = chain(depth)
-            via_trie, _ = table.destinations_for(document, matching="trie")
-            via_linear, _ = table.destinations_for(document, matching="linear")
+            via_trie = table.destinations_for(
+                document, matching="trie"
+            ).destinations
+            via_linear = table.destinations_for(
+                document, matching="linear"
+            ).destinations
             assert via_trie == via_linear, depth
         assert via_trie == ["d0", "d1", "d3", "d4"]

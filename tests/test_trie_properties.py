@@ -166,12 +166,12 @@ class TestTableModeEquality:
                     table.rename_destination(spare, source)
             table._trie.check()
             for document in documents:
-                via_trie, _ = table.destinations_for(
+                via_trie = table.destinations_for(
                     document, matching="trie"
-                )
-                via_linear, _ = table.destinations_for(
+                ).destinations
+                via_linear = table.destinations_for(
                     document, matching="linear"
-                )
+                ).destinations
                 assert via_trie == via_linear, op
 
 
@@ -196,12 +196,12 @@ class TestOverlaySweep:
             for node in overlay.brokers.values():
                 node.table._trie.check()
                 for document in corpus.documents:
-                    via_trie, _ = node.table.destinations_for(
+                    via_trie = node.table.destinations_for(
                         document, matching="trie"
-                    )
-                    via_linear, _ = node.table.destinations_for(
+                    ).destinations
+                    via_linear = node.table.destinations_for(
                         document, matching="linear"
-                    )
+                    ).destinations
                     assert via_trie == via_linear, (op, policy_name)
         order = sorted(overlay.brokers)
         for index, document in enumerate(corpus.documents):
