@@ -11,6 +11,12 @@ departures + arrivals per epoch) through two maintenance regimes:
   a full ``advertise(CommunityPolicy(...))`` rebuild every ``REBUILD_PERIOD`` epochs
   (the classic batch operating mode).
 
+A threshold of ``None`` runs the cell under ``PerSubscriptionPolicy``
+instead (printed as ``persub``): every event then takes the
+single-change path, where the policy names the one entry it adds or
+retires and nothing is re-aggregated.  The smoke sweep runs one such
+cell beside its community cell.
+
 Reported per cell: delivery quality (minimum and final recall/precision
 across epochs) for both regimes, cumulative advertisement traffic, and the
 similarity engine's prune ratio (joint-selectivity provider calls skipped
@@ -44,6 +50,7 @@ from __future__ import annotations
 import argparse
 
 import random
+from typing import Optional
 
 from common import (
     RESULTS_DIR,
@@ -57,7 +64,11 @@ from common import (
 )
 from repro.experiments.harness import prepare
 from repro.routing.overlay import BrokerOverlay
-from repro.routing.policy import CommunityPolicy
+from repro.routing.policy import (
+    AdvertisementPolicy,
+    CommunityPolicy,
+    PerSubscriptionPolicy,
+)
 
 N_BROKERS = 4
 CHURN_RATES = (0.05, 0.2, 0.4)
@@ -89,12 +100,26 @@ def table_signature(overlay: BrokerOverlay) -> dict:
     return signature
 
 
-def rebuild(overlay: BrokerOverlay, corpus, threshold: float) -> BrokerOverlay:
+def policy_for(threshold: Optional[float]) -> AdvertisementPolicy:
+    """The cell's policy: communities at *threshold*, or one
+    advertisement per subscription for ``None``."""
+    if threshold is None:
+        return PerSubscriptionPolicy()
+    return CommunityPolicy(threshold)
+
+
+def threshold_label(threshold: Optional[float]) -> str:
+    return "persub" if threshold is None else f"{threshold:.2f}"
+
+
+def rebuild(
+    overlay: BrokerOverlay, corpus, threshold: Optional[float]
+) -> BrokerOverlay:
     """A fresh overlay fully re-aggregated from *overlay*'s membership."""
     fresh = BrokerOverlay.build(TOPOLOGY, len(overlay.brokers), seed=TOPOLOGY_SEED)
     for home_id, pattern in overlay.subscriptions.values():
         fresh.attach(home_id, pattern)
-    fresh.advertise(CommunityPolicy(threshold), corpus)
+    fresh.advertise(policy_for(threshold), corpus)
     return fresh
 
 
@@ -112,7 +137,7 @@ def prune_ratio(overlay: BrokerOverlay) -> float:
 class CellResult:
     """Outcome of one (churn rate, threshold) trajectory."""
 
-    def __init__(self, churn_rate: float, threshold: float):
+    def __init__(self, churn_rate: float, threshold: Optional[float]):
         self.churn_rate = churn_rate
         self.threshold = threshold
         self.incremental_recalls: list[float] = []
@@ -128,7 +153,7 @@ class CellResult:
 def run_cell(
     prepared,
     churn_rate: float,
-    threshold: float,
+    threshold: Optional[float],
     n_subscribers: int,
     n_epochs: int,
     n_brokers: int,
@@ -141,8 +166,8 @@ def run_cell(
 
     incremental = build_overlay(n_brokers, initial)
     periodic = build_overlay(n_brokers, initial)
-    incremental.advertise(CommunityPolicy(threshold), corpus)
-    periodic.advertise(CommunityPolicy(threshold), corpus)
+    incremental.advertise(policy_for(threshold), corpus)
+    periodic.advertise(policy_for(threshold), corpus)
 
     result = CellResult(churn_rate, threshold)
     rng = random.Random(CHURN_SEED)
@@ -165,7 +190,7 @@ def run_cell(
         if epoch % rebuild_period == 0:
             # Periodic regime: pay a full re-flood, drop the stale tables.
             result.periodic_ads += periodic.advertisement_messages
-            periodic.advertise(CommunityPolicy(threshold), corpus)
+            periodic.advertise(policy_for(threshold), corpus)
             assert table_signature(periodic) == table_signature(incremental), (
                 "periodic rebuild must converge to the incremental tables",
                 churn_rate,
@@ -325,7 +350,7 @@ def render(rows: list[CellResult]) -> str:
     lines = [header, "-" * len(header)]
     for cell in rows:
         lines.append(
-            f"{cell.churn_rate:5.2f} {cell.threshold:6.2f} "
+            f"{cell.churn_rate:5.2f} {threshold_label(cell.threshold):>6s} "
             f"{cell.incremental_recalls[-1]:8.3f} "
             f"{cell.periodic_recalls[-1]:9.3f} "
             f"{min(cell.periodic_recalls):9.3f} "
@@ -400,7 +425,7 @@ def _run(args: argparse.Namespace) -> None:
         rows = run_sweep(
             prepared,
             churn_rates=(0.25,),
-            thresholds=(0.5,),
+            thresholds=(0.5, None),
             n_subscribers=12,
             n_epochs=2,
             n_brokers=3,

@@ -33,18 +33,31 @@ policy:
 
 Every policy is maintained **incrementally under churn** through the
 subscription lifecycle: :meth:`BrokerOverlay.subscribe` returns a
-:class:`SubscriptionId` and immediately advertises the arrival (in
-aggregating policies, by re-aggregating only the home broker and diffing
-the advertisement state; under leader linkage the broker's clustering is
-updated in place, so the arrival costs one first-fit placement against
-its current community leaders);
+:class:`SubscriptionId` and immediately advertises the arrival;
 :meth:`BrokerOverlay.unsubscribe` retires it again with hop-by-hop
 unadvertise propagation, resurrecting and re-advertising the entries its
-advertisement had covered.  :meth:`BrokerOverlay.subscribe_many` /
+advertisement had covered.  What one such event costs at the home
+broker depends on the policy:
+
+* per subscription (and hybrid while the broker stays at or under its
+  cutoff) — O(1): the policy names the one ``(pattern, (member,))``
+  entry the event adds or retires, and the broker installs or withdraws
+  it without building or diffing its aggregation.  Each hop of the
+  flood then pays one covering test per active entry of the link, and
+  each hop of an unadvertise finds the instance it retires through the
+  table's retirement index;
+* community — the broker re-aggregates and diffs the result against its
+  live aggregation, over the changed window only.  Under leader linkage
+  the clustering is updated in place, so an arrival costs one first-fit
+  placement against the current community leaders.
+
+:meth:`BrokerOverlay.subscribe_many` /
 :meth:`BrokerOverlay.unsubscribe_many` coalesce a churn burst into one
-re-aggregation and one advertisement diff per touched broker.  The bulk
-path (:meth:`BrokerOverlay.attach` followed by one :meth:`advertise`
-call) and the event path converge to the same routing state.
+re-aggregation and one advertisement diff per touched broker, under
+every policy, as do topology surgery and a hybrid broker crossing its
+cutoff.  The bulk path (:meth:`BrokerOverlay.attach` followed by one
+:meth:`advertise` call) and the event path converge to the same routing
+state.
 
 The *topology* is dynamic too: :meth:`BrokerOverlay.add_broker` grafts a
 new broker (as a leaf, or splitting an existing edge) and seeds it with
@@ -134,11 +147,17 @@ class BrokerNode:
     table: RoutingTable = field(default_factory=RoutingTable)
     #: Global subscriber ids homed on this broker.
     local_subscribers: list[int] = field(default_factory=list)
-    #: Communities advertised in the last aggregation, as
-    #: ``(advertised_pattern, member subscriber ids)``.
-    communities: list[tuple[TreePattern, tuple[int, ...]]] = field(
-        default_factory=list
+    #: The live aggregation as ``member subscriber ids -> advertised
+    #: pattern``, in the policy's order, so that one entry is added or
+    #: removed in O(1).  :attr:`communities` reads it as a list.
+    aggregation: dict[tuple[int, ...], TreePattern] = field(
+        default_factory=dict
     )
+    #: Set when :meth:`BrokerOverlay.detach` left an advertised
+    #: subscriber's entry installed: until the next full re-aggregation
+    #: withdraws it, :attr:`aggregation` is not the policy's aggregation
+    #: of the advertised subscriptions, so no single-event change applies.
+    stale: bool = False
     #: Live pairwise-similarity engine over the local subscriptions
     #: (community regime only; populated by :meth:`BrokerOverlay.advertise`
     #: and maintained by subscribe/unsubscribe).
@@ -149,6 +168,15 @@ class BrokerNode:
     #: which :class:`~repro.routing.policy.CommunityPolicy` updates in
     #: place under churn.
     clusters: LeaderClusters = field(default_factory=LeaderClusters)
+
+    @property
+    def communities(self) -> list[tuple[TreePattern, tuple[int, ...]]]:
+        """Communities advertised in the live aggregation, as
+        ``(advertised_pattern, member subscriber ids)`` in the policy's
+        order."""
+        return [
+            (pattern, members) for members, pattern in self.aggregation.items()
+        ]
 
     def degree(self) -> int:
         """Number of overlay neighbours."""
@@ -250,6 +278,21 @@ def _community_diff(
         ):
             return _surplus_diff(old, fresh)
     return departed, unmatched
+
+
+def _aggregation_record(
+    aggregation: list[_Community],
+) -> dict[tuple[int, ...], TreePattern]:
+    """A policy's aggregation as a :attr:`BrokerNode.aggregation` record.
+
+    Each subscriber belongs to one aggregate, so every member group
+    keys exactly one entry; a policy that repeats one is rejected
+    before any routing state changes.
+    """
+    record = {members: pattern for pattern, members in aggregation}
+    if len(record) != len(aggregation):
+        raise ValueError("the policy aggregated one member group twice")
+    return record
 
 
 @dataclass(frozen=True)
@@ -471,6 +514,20 @@ class BrokerOverlay:
         does not grow the index without bound.  Use :meth:`unsubscribe`
         for the event-driven path.  Returns the forgotten pattern.
         """
+        home_id, pattern, advertised = self._forget(subscription_id)
+        if advertised:
+            # Its entry stays installed; the home broker's next
+            # re-aggregation diffs the full aggregation and withdraws it.
+            self.brokers[home_id].stale = True
+        return pattern
+
+    def _forget(self, subscription_id: int) -> tuple[int, TreePattern, bool]:
+        """Drop a subscriber from its home's membership and from the live
+        policy's advertised set (and index).
+
+        Returns its home broker id, its pattern and whether the live
+        policy had advertised it.
+        """
         try:
             home_id, pattern = self.subscriptions.pop(subscription_id)
         except KeyError:
@@ -479,17 +536,20 @@ class BrokerOverlay:
             ) from None
         node = self.brokers[home_id]
         node.local_subscribers.remove(subscription_id)
+        advertised = subscription_id in self._advertised
         self._advertised.discard(subscription_id)
         handle = node.handles.pop(subscription_id, None)
         if handle is not None:
             node.index.remove(handle)
-        return pattern
+            advertised = True
+        return home_id, pattern, advertised
 
     def reset_routing(self) -> None:
         """Drop all routing state (tables, communities, ad counters)."""
         for node in self.brokers.values():
             node.table.clear()
-            node.communities = []
+            node.aggregation = {}
+            node.stale = False
             node.index = None
             node.handles = {}
             node.clusters = LeaderClusters()
@@ -512,13 +572,6 @@ class BrokerOverlay:
         else:
             self._advertised.add(subscription_id)
 
-    def _is_advertised(self, node: BrokerNode, subscription_id: int) -> bool:
-        """Whether the live policy ever advertised this subscription."""
-        return (
-            subscription_id in node.handles
-            or subscription_id in self._advertised
-        )
-
     def subscribe(
         self, broker_id: int, pattern: TreePattern
     ) -> SubscriptionId:
@@ -529,19 +582,25 @@ class BrokerOverlay:
         * otherwise the arrival joins the home broker's advertised set
           (and its live :class:`~repro.core.similarity.SimilarityIndex`,
           for similarity-based policies), the broker re-aggregates, and
-          only the advertisement *diff* travels the overlay — a
-          per-subscription policy floods exactly the new pattern, an
-          aggregating policy re-advertises only the communities the
-          arrival touched.  Under leader linkage the re-aggregation
-          places the arrival first-fit against the broker's current
-          community leaders — one similarity lookup per leader at most —
-          instead of re-clustering the broker.
+          only the advertisement *diff* travels the overlay.
+
+        What the home broker pays depends on the policy.  Under
+        :class:`~repro.routing.policy.PerSubscriptionPolicy` (and
+        :class:`~repro.routing.policy.HybridPolicy` while the broker
+        stays at or under its cutoff) the policy names the one new
+        entry, which is installed and flooded with no aggregation built
+        or diffed: O(1) at the broker, plus one covering test per active
+        entry of each link the flood crosses.  Under leader linkage the
+        re-aggregation places the arrival first-fit against the broker's
+        current community leaders — one similarity lookup per leader at
+        most — instead of re-clustering the broker, and the diff
+        re-advertises only the communities the arrival touched.
         """
         subscription_id = self.attach(broker_id, pattern)
         if self.policy is None:
             return subscription_id
         self._register(self.brokers[broker_id], subscription_id, pattern)
-        self._reaggregate(broker_id)
+        self._reaggregate(broker_id, (subscription_id, pattern, True))
         return subscription_id
 
     def unsubscribe(self, subscription_id: int) -> TreePattern:
@@ -553,22 +612,28 @@ class BrokerOverlay:
         — under a per-subscription policy that unadvertises exactly the
         departing pattern, resurrecting (and re-advertising) entries it
         had covered; under an aggregating policy only the touched
-        communities are re-advertised.  Under leader linkage a departing
+        communities are re-advertised.  A subscription that was never
+        advertised under the live policy (it :meth:`attach`\\ -ed after
+        the bulk :meth:`advertise` call) has nothing to withdraw and is
+        simply detached.  Returns the retired pattern.
+
+        What the home broker pays depends on the policy.  Under
+        :class:`~repro.routing.policy.PerSubscriptionPolicy` (and
+        :class:`~repro.routing.policy.HybridPolicy` while the broker
+        stays at or under its cutoff) the policy names the one departing
+        entry, which is withdrawn with no aggregation built or diffed:
+        O(1) at the broker.  Each hop finds the instance it retires
+        through its table's retirement index, not by a scan
+        (:meth:`~repro.routing.table.RoutingTable.remove_pattern`);
+        only an active cover leaving costs more, because what it had
+        absorbed is re-admitted.  Under leader linkage a departing
         non-leader just leaves its community, with no similarity work;
         a departing leader re-clusters only the members of the
-        communities founded at or after it.  A subscription that was
-        never advertised under the live policy (it :meth:`attach`\\ -ed
-        after the bulk :meth:`advertise` call) has nothing to withdraw
-        and is simply detached.  Returns the retired pattern.
+        communities founded at or after it.
         """
-        if subscription_id not in self.subscriptions:
-            raise ValueError(f"unknown subscription id {subscription_id}")
-        home_id, pattern = self.subscriptions[subscription_id]
-        node = self.brokers[home_id]
-        was_advertised = self._is_advertised(node, subscription_id)
-        self.detach(subscription_id)  # also retires any index entry
-        if self.policy is not None and was_advertised:
-            self._reaggregate(home_id)
+        home_id, pattern, advertised = self._forget(subscription_id)
+        if self.policy is not None and advertised:
+            self._reaggregate(home_id, (subscription_id, pattern, False))
         return pattern
 
     def subscribe_many(
@@ -630,11 +695,9 @@ class BrokerOverlay:
         touched: set[int] = set()
         patterns: list[TreePattern] = []
         for subscription_id in subscription_ids:
-            home_id, pattern = self.subscriptions[subscription_id]
-            node = self.brokers[home_id]
-            if self._is_advertised(node, subscription_id):
+            home_id, pattern, advertised = self._forget(subscription_id)
+            if advertised:
                 touched.add(home_id)
-            self.detach(subscription_id)
             patterns.append(pattern)
         if self.policy is not None:
             for home_id in sorted(touched):
@@ -876,7 +939,7 @@ class BrokerOverlay:
             for advertised, members in node.communities:
                 node.table.remove_destination((DELIVER, members))
                 self._unadvertise(broker_id, advertised)
-            node.communities = []
+            node.aggregation = {}
         orphans = [
             neighbor for neighbor in node.neighbors if neighbor != merge_into
         ]
@@ -1098,14 +1161,27 @@ class BrokerOverlay:
             advertised_members, local_patterns, node.index, node.clusters
         )
 
-    def _reaggregate(self, broker_id: int) -> None:
+    def _reaggregate(
+        self,
+        broker_id: int,
+        change: Optional[tuple[int, TreePattern, bool]] = None,
+    ) -> None:
         """Refresh one broker's advertisements after churn.
 
-        Re-aggregates the broker's local subscriptions through the live
-        policy (under leader linkage, one arrival or departure updates
-        the broker's last clustering in place rather than re-clustering
-        it; see :class:`~repro.routing.policy.CommunityPolicy`) and
-        applies two separate diffs against the live aggregation:
+        *change* names a single event, ``(member, pattern, arrived)``,
+        when the caller made exactly one; bursts and topology surgery
+        pass none.  For a single event the policy may name the one
+        aggregate it changes (its ``single_change``), and that entry
+        alone is installed or withdrawn: the same calls, in the same
+        order, as the full diff below would make, at O(1) instead of
+        O(broker).  A record left stale by :meth:`detach` always takes
+        the full path.
+
+        Otherwise the broker re-aggregates through the live policy (under
+        leader linkage, one arrival or departure updates the broker's
+        last clustering in place rather than re-clustering it; see
+        :class:`~repro.routing.policy.CommunityPolicy`) and applies two
+        separate diffs against the live aggregation:
 
         * local delivery entries follow the full ``(pattern, members)``
           communities — a membership change swaps the home broker's
@@ -1116,14 +1192,45 @@ class BrokerOverlay:
           unadvertise/re-flood messages, because the rest of the overlay
           routes on the pattern, not on the membership.
         """
+        assert self.policy is not None
         node = self.brokers[broker_id]
+        if change is not None and not node.stale:
+            member, pattern, arrived = change
+            entry = self.policy.single_change(
+                member, pattern, arrived, node.index
+            )
+            if entry is not None:
+                advertised, members = entry
+                if arrived:
+                    node.aggregation[members] = advertised
+                    self._apply_change(broker_id, [], [entry])
+                else:
+                    del node.aggregation[members]
+                    self._apply_change(broker_id, [entry], [])
+                return
         fresh = self._aggregate_node(node)
+        record = _aggregation_record(fresh)
         departed, unmatched = _community_diff(node.communities, fresh)
+        self._apply_change(broker_id, departed, unmatched)
+        node.aggregation = record
+        node.stale = False
+
+    def _apply_change(
+        self,
+        broker_id: int,
+        departed: Sequence[_Community],
+        unmatched: Sequence[_Community],
+    ) -> None:
+        """Install one change of a broker's aggregation: drop the deliver
+        entries of *departed* and add those of *unmatched*, flood each
+        advertised pattern that is new and withdraw each one that is
+        gone."""
+        table = self.brokers[broker_id].table
         withdrawn = [advertised for advertised, _ in departed]
         for _advertised, members in departed:
-            node.table.remove_destination((DELIVER, members))
+            table.remove_destination((DELIVER, members))
         for advertised, members in unmatched:
-            node.table.add(advertised, (DELIVER, members))
+            table.add(advertised, (DELIVER, members))
             if advertised in withdrawn:
                 # Same advertised pattern, new membership: the overlay-wide
                 # state is already in place.
@@ -1132,7 +1239,6 @@ class BrokerOverlay:
                 self._propagate(broker_id, advertised)
         for advertised in withdrawn:
             self._unadvertise(broker_id, advertised)
-        node.communities = fresh
 
     def advertise(
         self,
@@ -1172,7 +1278,7 @@ class BrokerOverlay:
                 }
             else:
                 self._advertised.update(node.local_subscribers)
-            node.communities = self._aggregate_node(node)
+            node.aggregation = _aggregation_record(self._aggregate_node(node))
             for advertised, members in node.communities:
                 node.table.add(advertised, (DELIVER, members))
                 self._propagate(node.broker_id, advertised)

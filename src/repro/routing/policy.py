@@ -157,17 +157,53 @@ class AdvertisementPolicy:
         """
         raise NotImplementedError
 
+    def single_change(
+        self,
+        member: int,
+        pattern: TreePattern,
+        arrived: bool,
+        index: Optional[SimilarityIndex],
+    ) -> Optional[Aggregate]:
+        """The one aggregate a single arrival or departure changes.
+
+        *member*, subscribing with *pattern*, has just joined
+        (*arrived*) or left the broker's advertised subscriptions;
+        *index* is the broker's live index, already updated.  A policy
+        that aggregates the populations before and after the change into
+        one ``(pattern, (member,))`` entry per subscription, in home
+        order, returns the entry the change adds or retires: the overlay
+        installs or withdraws it directly, with exactly the calls the
+        diff of the two full aggregations would make, and never builds
+        either.  ``None`` (the default) asks for that full
+        aggregate-and-diff.
+        """
+        return None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
 @dataclass(frozen=True)
 class PerSubscriptionPolicy(AdvertisementPolicy):
-    """Advertise every subscription individually (the exact baseline)."""
+    """Advertise every subscription individually (the exact baseline).
+
+    A single subscribe or unsubscribe changes exactly one aggregate, so
+    :meth:`single_change` hands it over and the event costs O(1) here.
+    """
 
     def mode_label(self) -> str:
         """The ``BrokerOverlay.mode`` string advertised state reports."""
         return "per_subscription"
+
+    def single_change(
+        self,
+        member: int,
+        pattern: TreePattern,
+        arrived: bool,
+        index: Optional[SimilarityIndex],
+    ) -> Optional[Aggregate]:
+        """Always the member's own entry."""
+        return (pattern, (member,))
 
     def aggregate(
         self,
@@ -469,6 +505,22 @@ class HybridPolicy(CommunityPolicy):
                 for member, pattern in zip(members, patterns, strict=True)
             ]
         return super().aggregate(members, patterns, index, clusters)
+
+    def single_change(
+        self,
+        member: int,
+        pattern: TreePattern,
+        arrived: bool,
+        index: Optional[SimilarityIndex],
+    ) -> Optional[Aggregate]:
+        """The member's own entry while the broker stays at or under the
+        cutoff on both sides of the change; ``None`` when either side is
+        aggregated, so a regime flip takes the full path."""
+        assert index is not None, "hybrid aggregation needs a live index"
+        larger = len(index) if arrived else len(index) + 1
+        if larger > self.aggregate_above:
+            return None
+        return (pattern, (member,))
 
     def __repr__(self) -> str:
         return (

@@ -26,6 +26,18 @@ advertisements when the last covering instance leaves.  The restored
 entries are returned to the caller, which is exactly what a broker's
 unadvertise protocol needs to re-announce them downstream.
 
+Retiring an absorbed instance costs O(1) in the number of instances a
+destination holds: each record keeps its instances under numbers that
+are never reused, so one leaves without disturbing the others' order,
+and a per-destination *retirement index* maps each absorbed pattern to
+its instance numbers, so the instance to retire is looked up, not
+scanned for with pattern equality.  The index is built by a
+destination's first retirement, O(instances) once, rather than while a
+deployment advertises; covered inserts keep it current, and an eviction
+or resurrection, which moves instances between records, drops it to be
+rebuilt at the next retirement.  Retiring an *active* entry still costs
+what re-admitting its absorbed instances costs.
+
 The same instance bookkeeping powers *topology surgery*: when the broker
 tree itself changes, :meth:`RoutingTable.rename_destination` re-keys a
 link's state to its new next hop, :meth:`RoutingTable.export_destination`
@@ -69,11 +81,13 @@ list is decoded on first read, and :meth:`TableMatch.split` decodes the
 broker step an overlay takes — the members of every matched deliver
 group and the matched forward links — in C-level passes over the
 table's *delivery view*: per rank, the members of a deliver destination
-or ``()``, plus the few forward ranks.  The view is rebuilt whenever
-the trie's :attr:`~repro.routing.trie.PatternTrie.rank_epoch` moves,
-and a decoded view is valid only until the next rank change: decoding a
-result after its epoch has moved raises :class:`ValueError` instead of
-naming the wrong destinations.
+or ``()``, plus the few forward ranks.  A new view is made whenever the
+trie's :attr:`~repro.routing.trie.PatternTrie.rank_epoch` moves:
+derived from the previous one by the ranks the trie logged as appended
+or retired (a tuple copy plus the changes), or read rank by rank after a
+compaction.  A view is valid only until the next rank change: decoding
+a result after its epoch has moved raises :class:`ValueError` instead
+of naming the wrong destinations.
 
 The destination encoding of an overlay broker lives here, as its only
 definition: ``(FORWARD, neighbour broker id)`` sends a copy over a link
@@ -87,7 +101,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, count
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.containment import contains
@@ -125,6 +139,26 @@ class TableEntry:
     destination: Destination
 
 
+def _lay_out(
+    rank: int,
+    destination: Destination,
+    members: list[tuple[int, ...]],
+    forwards: list[tuple[int, int]],
+) -> None:
+    """Append rank *rank*'s part in a split: the members of a
+    ``(DELIVER, members)`` destination (``()`` for any other) to
+    *members*, and the rank bit and link of a ``(FORWARD, link)`` one to
+    *forwards*."""
+    group: tuple[int, ...] = ()
+    if isinstance(destination, tuple) and len(destination) == 2:
+        kind, payload = destination
+        if kind == DELIVER:
+            group = payload
+        elif kind == FORWARD:
+            forwards.append((1 << rank, payload))
+    members.append(group)
+
+
 class _DeliveryView:
     """A table's destination ranks laid out for decoding masks of one
     rank epoch.
@@ -134,27 +168,69 @@ class _DeliveryView:
     ``()`` for any other rank; ``forwards`` pairs the rank bit of each
     ``(FORWARD, link)`` destination with its link, in rank order.  Every
     decode first checks that the trie is still in the view's epoch.
+
+    A view is never changed: :meth:`updated` makes the next epoch's view
+    as a new object, so a match keeps decoding against the view of its
+    own epoch (and refusing once that epoch has passed).
     """
 
     __slots__ = ("_trie", "epoch", "ranked", "members", "forwards")
 
-    def __init__(self, trie: PatternTrie) -> None:
+    def __init__(
+        self,
+        trie: PatternTrie,
+        epoch: int,
+        ranked: tuple[Destination, ...],
+        members: tuple[tuple[int, ...], ...],
+        forwards: tuple[tuple[int, int], ...],
+    ) -> None:
         self._trie = trie
-        self.epoch = trie.rank_epoch
-        self.ranked = trie.ranked_destinations()
+        self.epoch = epoch
+        self.ranked = ranked
+        self.members = members
+        self.forwards = forwards
+
+    @classmethod
+    def build(cls, trie: PatternTrie) -> "_DeliveryView":
+        """The view of the trie's current ranks, read rank by rank."""
+        ranked = trie.ranked_destinations()
         members: list[tuple[int, ...]] = []
         forwards: list[tuple[int, int]] = []
-        for rank, destination in enumerate(self.ranked):
-            group: tuple[int, ...] = ()
-            if isinstance(destination, tuple) and len(destination) == 2:
-                kind, payload = destination
-                if kind == DELIVER:
-                    group = payload
-                elif kind == FORWARD:
-                    forwards.append((1 << rank, payload))
-            members.append(group)
-        self.members = tuple(members)
-        self.forwards = tuple(forwards)
+        for rank, destination in enumerate(ranked):
+            _lay_out(rank, destination, members, forwards)
+        return cls(
+            trie, trie.rank_epoch, ranked, tuple(members), tuple(forwards)
+        )
+
+    def updated(self) -> "_DeliveryView":
+        """The view of the trie's current epoch, derived from this one.
+
+        The trie's rank log names the ranks appended or retired since
+        this view's epoch, and the new view copies this one's tuples and
+        patches those ranks: O(ranks) C-level copying plus O(changes),
+        instead of laying out every rank again.  After a compaction or
+        a ``clear`` the log cannot bridge the gap and the view is
+        rebuilt.
+        """
+        trie = self._trie
+        changes = trie.rank_changes(self.epoch)
+        if changes is None:
+            return _DeliveryView.build(trie)
+        ranked = list(self.ranked)
+        members = list(self.members)
+        forwards = list(self.forwards)
+        for rank, slot in changes:
+            if rank == len(ranked):
+                ranked.append(slot)
+                _lay_out(rank, slot, members, forwards)
+            else:
+                ranked[rank] = slot
+                members[rank] = ()
+                bit = 1 << rank
+                forwards = [entry for entry in forwards if entry[0] != bit]
+        return _DeliveryView(
+            trie, trie.rank_epoch, tuple(ranked), tuple(members), tuple(forwards)
+        )
 
     def _selectors(self, mask: int) -> bytes:
         if self._trie.rank_epoch != self.epoch:
@@ -284,17 +360,29 @@ class RoutingTable:
         self.matching = matching
         self._by_destination: dict[Destination, list[TreePattern]] = {}
         #: Per destination: active entry -> the advertisement instances it
-        #: absorbed, as ``(pattern, resume_flood)`` tuples (duplicates
-        #: kept).  ``resume_flood`` is decided once, when the instance is
-        #: first absorbed: True for a covered *insert* (its flood died in
-        #: this table, so downstream brokers never heard of it and a later
-        #: restoration must re-advertise it), False for an *evicted* active
-        #: entry (its flood had already passed through, so downstream state
-        #: exists and restoring it is purely local).  The flag travels with
-        #: the instance through any number of re-absorptions.
+        #: absorbed, in absorption order, as ``instance number ->
+        #: (pattern, resume_flood)`` (duplicates kept; a number is never
+        #: reused in this table, so one instance leaves in O(1) and the
+        #: rest keep their order).  ``resume_flood`` is decided once, when
+        #: the instance is first absorbed: True for a covered *insert* (its
+        #: flood died in this table, so downstream brokers never heard of
+        #: it and a later restoration must re-advertise it), False for an
+        #: *evicted* active entry (its flood had already passed through, so
+        #: downstream state exists and restoring it is purely local).  The
+        #: flag and the number travel with the instance through any number
+        #: of re-absorptions.
         self._absorbed: dict[
-            Destination, dict[TreePattern, list[tuple[TreePattern, bool]]]
+            Destination, dict[TreePattern, dict[int, tuple[TreePattern, bool]]]
         ] = {}
+        #: Per destination: absorbed pattern -> the numbers of its
+        #: instances, each cover's in absorption order — the retirement
+        #: index :meth:`remove_pattern` looks instances up in.  Built on a
+        #: destination's first retirement and kept up to date as covered
+        #: inserts arrive; dropped when covering moves instances between
+        #: covers (an eviction or a resurrection), to be rebuilt on the
+        #: next retirement.
+        self._instances: dict[Destination, dict[TreePattern, list[int]]] = {}
+        self._numbers = count()
         self._matchers: dict[TreePattern, PatternMatcher] = {}
         #: The merged matching structure over every *active* entry; its
         #: destination ranks follow table order (see the module
@@ -303,8 +391,8 @@ class RoutingTable:
         #: Per pattern: how many destinations hold it active — the
         #: refcount behind O(1) matcher-cache pruning.
         self._active_counts: dict[TreePattern, int] = {}
-        #: The delivery view of the trie's current rank epoch, rebuilt on
-        #: first use after the epoch moves.
+        #: The delivery view of the trie's current rank epoch, brought up
+        #: to date on first use after the epoch moves.
         self._view: Optional[_DeliveryView] = None
         self.match_operations = 0
         self.covered_inserts = 0
@@ -365,19 +453,23 @@ class RoutingTable:
         for existing in patterns:
             if contains(existing, pattern) and not _supersedes(pattern, existing):
                 self.covered_inserts += 1
+                number = next(self._numbers)
                 self._absorbed.setdefault(destination, {}).setdefault(
-                    existing, []
-                ).append((pattern, resume_flood))
+                    existing, {}
+                )[number] = (pattern, resume_flood)
+                index = self._instances.get(destination)
+                if index is not None:
+                    index.setdefault(pattern, []).append(number)
                 return False
         survivors: list[TreePattern] = []
         evicted_active: list[TreePattern] = []
-        absorbed_here: list[tuple[TreePattern, bool]] = []
+        absorbed_here: dict[int, tuple[TreePattern, bool]] = {}
         dest_absorbed = self._absorbed.get(destination, {})
         for existing in patterns:
             if contains(pattern, existing):
                 evicted_active.append(existing)
-                absorbed_here.append((existing, False))
-                absorbed_here.extend(dest_absorbed.pop(existing, ()))
+                absorbed_here[next(self._numbers)] = (existing, False)
+                absorbed_here.update(dest_absorbed.pop(existing, {}))
             else:
                 survivors.append(existing)
         self.evicted_entries += len(evicted_active)
@@ -388,8 +480,9 @@ class RoutingTable:
             self._deactivate(evicted, destination)
         if absorbed_here:
             self._absorbed.setdefault(destination, {}).setdefault(
-                pattern, []
-            ).extend(absorbed_here)
+                pattern, {}
+            ).update(absorbed_here)
+            self._instances.pop(destination, None)
         return True
 
     @staticmethod
@@ -476,6 +569,52 @@ class RoutingTable:
             )
         return ordered
 
+    def _retire_instance(
+        self,
+        pattern: TreePattern,
+        destination: Destination,
+        cover: Optional[TreePattern],
+    ) -> Optional[bool]:
+        """Retire the first absorbed instance of *pattern* for
+        *destination* and return its flood flag (None when there is
+        none).
+
+        "First" is the instance a scan of the cover records in table
+        order would meet first: under *cover* alone when one is given,
+        else under the first cover holding one.  It is found through the
+        destination's retirement index, so no record is scanned: the
+        index names the pattern's instance numbers, and only those are
+        looked up in the covers' records.
+        """
+        dest_absorbed = self._absorbed.get(destination)
+        if not dest_absorbed:
+            return None
+        index = self._instances.get(destination)
+        if index is None:
+            index = self._instances[destination] = {}
+            for instances in dest_absorbed.values():
+                for number, (absorbed, _) in instances.items():
+                    index.setdefault(absorbed, []).append(number)
+        numbers = index.get(pattern)
+        if numbers is None:
+            return None
+        covers = (
+            dest_absorbed.items()
+            if cover is None
+            else [(cover, dest_absorbed.get(cover, {}))]
+        )
+        for holder, instances in covers:
+            for position, number in enumerate(numbers):
+                if number in instances:
+                    del numbers[position]
+                    if not numbers:
+                        del index[pattern]
+                    _, resume_flood = instances.pop(number)
+                    if not instances:
+                        del dest_absorbed[holder]
+                    return resume_flood
+        return None
+
     def remove_pattern(
         self, pattern: TreePattern, destination: Destination
     ) -> tuple[bool, list[TreePattern]]:
@@ -494,38 +633,36 @@ class RoutingTable:
         * ``(False, [])`` — a covered duplicate instance was discarded
           without touching the active set (its flood died here, nothing
           propagated), or no such advertisement is known.
+
+        An absorbed instance is found through the retirement index (see
+        :meth:`_retire_instance`), so retiring one costs O(1) in the
+        number of absorbed instances; only removing an active entry
+        re-admits what it had absorbed.
         """
         patterns = self._by_destination.get(destination)
         if not patterns:
             return False, []
-        dest_absorbed = self._absorbed.get(destination, {})
         active = next((p for p in patterns if p == pattern), None)
+        # A duplicate advertisement of an active entry dies first and the
+        # active entry survives on the remaining instances.  Without an
+        # active entry the instance was absorbed here: retiring a covered
+        # insert is purely local (its flood died here), while retiring an
+        # evicted active must keep the unadvertise walking, because its
+        # flood passed through before the eviction.
+        resume_flood = self._retire_instance(pattern, destination, active)
+        if resume_flood is not None:
+            return resume_flood is False, []
         if active is None:
-            # The instance was absorbed here: retiring a covered insert is
-            # purely local (its flood died here), while retiring an evicted
-            # active must keep the unadvertise walking, because its flood
-            # passed through before the eviction.
-            for cover, absorbed in dest_absorbed.items():
-                for instance in absorbed:
-                    if instance[0] == pattern:
-                        absorbed.remove(instance)
-                        if not absorbed:
-                            del dest_absorbed[cover]
-                        return instance[1] is False, []
             return False, []
-        own_absorbed = dest_absorbed.get(active, [])
-        for instance in own_absorbed:
-            if instance[0] == pattern:
-                # A duplicate advertisement of the active entry dies first;
-                # the active entry survives on the remaining instances.
-                own_absorbed.remove(instance)
-                if not own_absorbed:
-                    del dest_absorbed[active]
-                return instance[1] is False, []
         patterns.remove(active)
-        resurrected = dest_absorbed.pop(active, [])
+        dest_absorbed = self._absorbed.get(destination, {})
+        resurrected = dest_absorbed.pop(active, {})
+        if resurrected:
+            self._instances.pop(destination, None)
         restored: list[TreePattern] = []
-        for candidate, resume_flood in self._restore_order(resurrected):
+        for candidate, resume_flood in self._restore_order(
+            list(resurrected.values())
+        ):
             if self._admit(candidate, destination, resume_flood):
                 self.restored_entries += 1
                 if resume_flood:
@@ -537,6 +674,7 @@ class RoutingTable:
         if not self._by_destination.get(destination):
             self._by_destination.pop(destination, None)
             self._absorbed.pop(destination, None)
+            self._instances.pop(destination, None)
         return True, restored
 
     def remove_destination(self, destination: Destination) -> list[TreePattern]:
@@ -553,6 +691,7 @@ class RoutingTable:
         to a retiring neighbour).
         """
         self._absorbed.pop(destination, None)
+        self._instances.pop(destination, None)
         removed = list(self._by_destination.pop(destination, ()))
         for pattern in removed:
             self._deactivate(pattern, destination)
@@ -582,6 +721,8 @@ class RoutingTable:
         self._by_destination[new] = self._by_destination.pop(old)
         if old in self._absorbed:
             self._absorbed[new] = self._absorbed.pop(old)
+        if old in self._instances:
+            self._instances[new] = self._instances.pop(old)
         # The pop + reinsert moved the entries to the end of the table's
         # iteration order; *new* takes the trie's last rank to match.
         self._trie.rename_destination(old, new, self._by_destination[new])
@@ -627,7 +768,7 @@ class RoutingTable:
             for pattern in self._by_destination.get(destination, ())
         ]
         for instances in self._absorbed.get(destination, {}).values():
-            exported.extend(instances)
+            exported.extend(instances.values())
         return exported
 
     def covers(self, pattern: TreePattern, destination: Destination) -> bool:
@@ -666,7 +807,7 @@ class RoutingTable:
             for instances in self._absorbed.get(destination, {}).values():
                 forwarded.extend(
                     pattern
-                    for pattern, resume_flood in instances
+                    for pattern, resume_flood in instances.values()
                     if not resume_flood
                 )
         return forwarded
@@ -688,6 +829,7 @@ class RoutingTable:
         """Drop all entries, bookkeeping, and cost counters."""
         self._by_destination.clear()
         self._absorbed.clear()
+        self._instances.clear()
         self._matchers.clear()
         self._trie.clear()
         self._active_counts.clear()
@@ -701,11 +843,13 @@ class RoutingTable:
     # ------------------------------------------------------------------
 
     def _delivery_view(self) -> _DeliveryView:
-        """The delivery view of the current rank epoch, rebuilt when the
-        epoch has moved since the last one was built."""
+        """The delivery view of the current rank epoch, derived from the
+        last one when the epoch has moved since it was made."""
         view = self._view
-        if view is None or view.epoch != self._trie.rank_epoch:
-            view = self._view = _DeliveryView(self._trie)
+        if view is None:
+            view = self._view = _DeliveryView.build(self._trie)
+        elif view.epoch != self._trie.rank_epoch:
+            view = self._view = view.updated()
         return view
 
     def _matcher(self, pattern: TreePattern) -> PatternMatcher:

@@ -1,17 +1,21 @@
-"""The windowed advertisement diff equals the full multiset diff.
+"""Every change the overlay applies equals the full multiset diff.
 
-On every churn event ``BrokerOverlay._reaggregate`` diffs a broker's
-previous aggregation against a fresh one to decide which deliver entries
-and advertisements change.  It runs the multiset surplus diff on the
-window between the two lists' common prefix and suffix only.  This suite
-pins that the departed and arriving entries still equal, element for
-element and in order, the full ``Counter`` diff the window replaced:
+On every churn event ``BrokerOverlay._reaggregate`` changes a broker's
+deliver entries and advertisements by the difference between its
+aggregation before and after the event.  It gets that difference one of
+two ways: a single per-subscription event has its policy name the one
+entry it adds or retires, and any other event diffs the previous
+aggregation against a fresh one on the window between the two lists'
+common prefix and suffix only.  This suite pins that the departed and
+arriving entries still equal, element for element and in order, the
+full ``Counter`` diff both shortcuts replace:
 
 * on arbitrary edited lists with duplicate entries — the only case in
   which the window alone would pick different occurrences — and
-* on every diff a live overlay computes under the per-subscription,
+* on every change a live overlay applies under the per-subscription,
   community and hybrid policies across subscribe, unsubscribe and burst
-  interleavings.
+  interleavings, against the diff of each broker's aggregation
+  recomputed from scratch before and after the event.
 """
 
 from __future__ import annotations
@@ -74,8 +78,37 @@ def edited_lists(draw):
     return old, fresh
 
 
+def full_aggregation(overlay, broker_id):
+    """The broker's aggregation recomputed from scratch: the live policy
+    over its advertised subscriptions in home order, with a fresh index
+    and no clustering record."""
+    node = overlay.brokers[broker_id]
+    members = [
+        member
+        for member in node.local_subscribers
+        if member in node.handles or member in overlay._advertised
+    ]
+    patterns = [overlay.subscriptions[member][1] for member in members]
+    index = None
+    if overlay.policy.uses_similarity:
+        index = overlay.policy.make_index(overlay.provider)
+        for pattern in patterns:
+            index.add(pattern)
+    return overlay.policy.aggregate(members, patterns, index)
+
+
+def full_aggregations(overlay):
+    return {
+        broker_id: full_aggregation(overlay, broker_id)
+        for broker_id in overlay.brokers
+    }
+
+
 def churn_ops(overlay, patterns, data):
-    """Subscribe, unsubscribe and burst events in a random interleaving."""
+    """Subscribe, unsubscribe and burst events in a random interleaving.
+
+    Yields after every event.
+    """
     live = list(overlay.subscriptions)
     homes = sorted(overlay.brokers)
     for step in range(data.draw(st.integers(1, 6), label="ops")):
@@ -109,6 +142,7 @@ def churn_ops(overlay, patterns, data):
             for victim in victims:
                 live.remove(victim)
             overlay.unsubscribe_many(victims)
+        yield op
 
 
 class TestCommunityDiff:
@@ -140,15 +174,31 @@ class TestCommunityDiff:
             overlay.attach(position % 3, pattern)
         overlay.advertise(policy, corpus if policy.uses_similarity else None)
         diffs = []
-        windowed = overlay_module._community_diff
+        applied = []
+        apply_change = BrokerOverlay._apply_change
 
-        def recording(old, fresh):
-            result = windowed(old, fresh)
-            diffs.append((list(old), list(fresh), result))
-            return result
+        def recording(self, broker_id, departed, unmatched):
+            applied.append((broker_id, list(departed), list(unmatched)))
+            return apply_change(self, broker_id, departed, unmatched)
 
-        with mock.patch.object(overlay_module, "_community_diff", recording):
-            churn_ops(overlay, patterns, data)
+        before = full_aggregations(overlay)
+        with mock.patch.object(BrokerOverlay, "_apply_change", recording):
+            for op in churn_ops(overlay, patterns, data):
+                after = full_aggregations(overlay)
+                changed = {
+                    broker_id
+                    for broker_id, aggregation in after.items()
+                    if aggregation != before[broker_id]
+                }
+                touched = [broker_id for broker_id, _, _ in applied]
+                # One change per broker the event moved, applied once.
+                assert len(set(touched)) == len(touched), op
+                assert changed <= set(touched), op
+                for broker_id, departed, unmatched in applied:
+                    assert (departed, unmatched) == counter_diff(
+                        before[broker_id], after[broker_id]
+                    ), (op, broker_id)
+                diffs.extend(applied)
+                applied.clear()
+                before = after
         assert diffs
-        for old, fresh, result in diffs:
-            assert result == counter_diff(old, fresh)

@@ -615,6 +615,31 @@ class TestSubscriptionLifecycle:
         }
         assert now == stale
 
+    @pytest.mark.parametrize("event", ["subscribe", "unsubscribe"])
+    def test_single_event_after_detach_withdraws_the_stale_entry(
+        self, event
+    ):
+        # A detached subscriber's entry stays installed.  The next event
+        # at its home diffs the full aggregation, exactly as a burst
+        # would, instead of applying only its own single change.
+        overlay = BrokerOverlay.chain(2)
+        silent = overlay.attach(0, parse_xpath("/a/b"))
+        other = overlay.attach(0, parse_xpath("/a/c"))
+        overlay.attach(1, parse_xpath("/a"))
+        overlay.advertise(PerSubscriptionPolicy())
+        overlay.detach(silent)
+        node = overlay.brokers[0]
+        assert node.stale and (silent,) in node.aggregation
+        if event == "subscribe":
+            overlay.subscribe(0, parse_xpath("/a/d"))
+        else:
+            overlay.unsubscribe(other)
+        assert not node.stale and (silent,) not in node.aggregation
+        assert (
+            overlay.topology_signature()
+            == overlay.rebuilt().topology_signature()
+        )
+
 
 class TestBatchChurn:
     """subscribe_many / unsubscribe_many: one diff per touched broker."""

@@ -363,7 +363,10 @@ class TestTopologySurgery:
         table = RoutingTable()
         table.add(parse_xpath("/a"), "link-1")
         table.add(parse_xpath("/a/b"), "link-1")  # absorbed under /a
+        table.add(parse_xpath("/a/c"), "link-1")  # absorbed under /a
+        table.remove_pattern(parse_xpath("/a/c"), "link-1")  # builds the index
         assert table.rename_destination("link-1", "link-9")
+        assert list(table._instances) == ["link-9"]
         assert table.destinations() == ["link-9"]
         assert table.patterns_for("link-9") == [parse_xpath("/a")]
         # The reversible-covering record travelled with the rename.
@@ -463,10 +466,14 @@ class TestTopologySurgery:
         table.add(parse_xpath("/a/b"), "link-1")
         table.add(parse_xpath("/a"), "link-1")      # evicts /a/b
         table.add(parse_xpath("/a/d"), "link-1")    # covered insert
+        table.add(parse_xpath("/a/e"), "link-1")    # covered insert
+        table.remove_pattern(parse_xpath("/a/e"), "link-1")
+        assert "link-1" in table._instances         # retirement index built
         table.add(parse_xpath("/a"), "link-2")
         table.destinations_for(document)            # compile matchers
         assert table.remove_destination("link-1") == [parse_xpath("/a")]
         assert table._absorbed == {}
+        assert table._instances == {}
         assert "link-1" not in table._by_destination
         # /a stays cached (active for link-2); nothing else survives.
         assert set(table._matchers) <= {parse_xpath("/a")}
