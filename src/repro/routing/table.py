@@ -192,7 +192,12 @@ class _DeliveryView:
 
     @classmethod
     def build(cls, trie: PatternTrie) -> "_DeliveryView":
-        """The view of the trie's current ranks, read rank by rank."""
+        """The view of the trie's current ranks, read rank by rank.
+
+        The trie's rank log up to now is dropped: the next view derives
+        from this one.
+        """
+        trie.take_rank_changes(trie.rank_epoch)
         ranked = trie.ranked_destinations()
         members: list[tuple[int, ...]] = []
         forwards: list[tuple[int, int]] = []
@@ -213,7 +218,7 @@ class _DeliveryView:
         rebuilt.
         """
         trie = self._trie
-        changes = trie.rank_changes(self.epoch)
+        changes = trie.take_rank_changes(self.epoch)
         if changes is None:
             return _DeliveryView.build(trie)
         ranked = list(self.ranked)
@@ -457,9 +462,10 @@ class RoutingTable:
                 self._absorbed.setdefault(destination, {}).setdefault(
                     existing, {}
                 )[number] = (pattern, resume_flood)
-                index = self._instances.get(destination)
-                if index is not None:
-                    index.setdefault(pattern, []).append(number)
+                if self._instances:  # empty until a retirement builds one
+                    index = self._instances.get(destination)
+                    if index is not None:
+                        index.setdefault(pattern, []).append(number)
                 return False
         survivors: list[TreePattern] = []
         evicted_active: list[TreePattern] = []

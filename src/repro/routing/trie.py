@@ -162,11 +162,13 @@ epochs to fail loudly instead of decoding the wrong destinations.
 
 The trie also logs each new or retired rank, one entry per epoch, so a
 caller holding a layout of an older rank list can bring it up to date
-change by change (:meth:`PatternTrie.rank_changes`) instead of
-re-reading every rank.  Compaction and ``clear`` renumber or drop every
-rank; they empty the log, and a layout older than that is rebuilt.  The
-log holds at most one entry per rank slot plus one per retirement, so
-it never outgrows the rank list it describes.
+change by change (:meth:`PatternTrie.take_rank_changes`) instead of
+re-reading every rank.  The log serves one reader that only moves
+forward, so each take forgets the changes before the epoch it asks
+from.  Compaction and ``clear`` renumber or drop every rank; they empty
+the log, and a layout older than that is rebuilt.  The log holds at
+most one entry per rank slot plus one per retirement, so it never
+outgrows the rank list it describes.
 
 Incremental-maintenance invariants
 ----------------------------------
@@ -812,22 +814,28 @@ class PatternTrie:
         only valid in the epoch it was computed in."""
         return self._rank_epoch
 
-    def rank_changes(self, epoch: int) -> list[tuple[int, Destination]] | None:
+    def take_rank_changes(
+        self, epoch: int
+    ) -> list[tuple[int, Destination]] | None:
         """The changes that bring the rank list of *epoch* to the
         current one, oldest first, or None when a compaction or
-        :meth:`clear` came between.
+        :meth:`clear` came between or the log has already forgotten
+        *epoch*.
 
         Each change is ``(rank, slot)``: with *rank* equal to the list's
         length a new rank was appended and *slot* is its destination;
         otherwise rank *rank* retired and *slot* is the placeholder
         :meth:`ranked_destinations` shows in retired slots.  Epochs move
-        by one per change, so the log holds at most one entry per rank
-        slot and one per retirement until the next compaction.
+        by one per change.  The changes before *epoch* are forgotten:
+        the log has one reader (a routing table's delivery view), which
+        never asks for an epoch older than its last one.
         """
         start = epoch - self._log_base
         if start < 0:
             return None
-        return self._rank_log[start:]
+        del self._rank_log[:start]
+        self._log_base = epoch
+        return list(self._rank_log)
 
     def ranked_destinations(self) -> tuple[Destination, ...]:
         """The rank-indexed destination list of the current epoch: the

@@ -215,7 +215,7 @@ class TestRankChanges:
         fresh = overlay.subscribe(0, parse_xpath("/a/b"))
         overlay.unsubscribe(victims[0])
         # One rank appended, one retired: the log bridges the two epochs.
-        changes = table._trie.rank_changes(old.epoch)
+        changes = table._trie.take_rank_changes(old.epoch)
         assert [rank for rank, _ in changes] == [4, 0]
         assert changes[0][1] == (DELIVER, (fresh,))
         view = table._delivery_view()
@@ -237,15 +237,19 @@ class TestRankChanges:
         trie = table._trie
         old = table._delivery_view()
         overlay.unsubscribe(victims[0])
-        assert trie.rank_changes(old.epoch) == [(0, trie.ranked_destinations()[0])]
+        retired = trie.ranked_destinations()[0]
+        assert trie.take_rank_changes(old.epoch) == [(0, retired)]
+        # The log forgets what it was asked past.
+        assert trie.take_rank_changes(old.epoch + 1) == []
+        assert trie.take_rank_changes(old.epoch) is None
         overlay.unsubscribe(victims[1])  # 2 retired > 1 live: compaction
         assert len(trie.ranked_destinations()) == 1
-        assert trie.rank_changes(old.epoch) is None
-        assert trie.rank_changes(trie.rank_epoch) == []
+        assert trie.take_rank_changes(old.epoch + 1) is None
+        assert trie.take_rank_changes(trie.rank_epoch) == []
         view = table._delivery_view()
         assert view_fields(view) == view_fields(_DeliveryView.build(trie))
         table.clear()
-        assert trie.rank_changes(view.epoch) is None
+        assert trie.take_rank_changes(view.epoch) is None
         assert table._delivery_view().ranked == ()
 
     def test_forwards_keep_table_order_across_a_rename(self):
