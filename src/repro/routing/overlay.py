@@ -584,17 +584,13 @@ class BrokerOverlay:
           for similarity-based policies), the broker re-aggregates, and
           only the advertisement *diff* travels the overlay.
 
-        What the home broker pays depends on the policy.  Under
-        :class:`~repro.routing.policy.PerSubscriptionPolicy` (and
-        :class:`~repro.routing.policy.HybridPolicy` while the broker
-        stays at or under its cutoff) the policy names the one new
-        entry, which is installed and flooded with no aggregation built
-        or diffed: O(1) at the broker, plus one covering test per active
-        entry of each link the flood crosses.  Under leader linkage the
-        re-aggregation places the arrival first-fit against the broker's
+        Cost at the home broker: per subscription (and hybrid at or
+        under its cutoff) the policy names the one new entry, installed
+        and flooded in O(1) with no aggregation built or diffed; under
+        leader linkage the arrival is placed first-fit against the
         current community leaders — one similarity lookup per leader at
-        most — instead of re-clustering the broker, and the diff
-        re-advertises only the communities the arrival touched.
+        most — and the diff re-advertises only the communities it
+        touched.
         """
         subscription_id = self.attach(broker_id, pattern)
         if self.policy is None:
@@ -617,19 +613,14 @@ class BrokerOverlay:
         the bulk :meth:`advertise` call) has nothing to withdraw and is
         simply detached.  Returns the retired pattern.
 
-        What the home broker pays depends on the policy.  Under
-        :class:`~repro.routing.policy.PerSubscriptionPolicy` (and
-        :class:`~repro.routing.policy.HybridPolicy` while the broker
-        stays at or under its cutoff) the policy names the one departing
-        entry, which is withdrawn with no aggregation built or diffed:
-        O(1) at the broker.  Each hop finds the instance it retires
-        through its table's retirement index, not by a scan
-        (:meth:`~repro.routing.table.RoutingTable.remove_pattern`);
-        only an active cover leaving costs more, because what it had
-        absorbed is re-admitted.  Under leader linkage a departing
-        non-leader just leaves its community, with no similarity work;
-        a departing leader re-clusters only the members of the
-        communities founded at or after it.
+        Cost at the home broker: per subscription (and hybrid at or
+        under its cutoff) the policy names the one departing entry,
+        withdrawn in O(1) with no aggregation built or diffed, and each
+        hop looks up the instance it retires in its table's retirement
+        index (:meth:`~repro.routing.table.RoutingTable.remove_pattern`);
+        under leader linkage a departing non-leader just leaves its
+        community, with no similarity work, and a departing leader
+        re-clusters only the communities founded at or after it.
         """
         home_id, pattern, advertised = self._forget(subscription_id)
         if self.policy is not None and advertised:

@@ -30,8 +30,8 @@ Retiring an absorbed instance costs O(1) in the number of instances a
 destination holds: each record keeps its instances under numbers that
 are never reused, so one leaves without disturbing the others' order,
 and a per-destination *retirement index* maps each absorbed pattern to
-its instance numbers, so the instance to retire is looked up, not
-scanned for with pattern equality.  The index is built by a
+its instance numbers (keyed by the pattern's hash), so the instance to
+retire is looked up, not scanned for with pattern equality.  The index is built by a
 destination's first retirement, O(instances) once, rather than while a
 deployment advertises; covered inserts keep it current, and an eviction
 or resurrection, which moves instances between records, drops it to be
@@ -379,14 +379,16 @@ class RoutingTable:
         self._absorbed: dict[
             Destination, dict[TreePattern, dict[int, tuple[TreePattern, bool]]]
         ] = {}
-        #: Per destination: absorbed pattern -> the numbers of its
-        #: instances, each cover's in absorption order — the retirement
-        #: index :meth:`remove_pattern` looks instances up in.  Built on a
+        #: Per destination: absorbed pattern's hash -> the numbers of the
+        #: instances with that hash, each cover's in absorption order —
+        #: the retirement index :meth:`remove_pattern` looks instances up
+        #: in.  Keyed by hash, so building it compares no patterns; a
+        #: lookup compares only the instances it picks.  Built on a
         #: destination's first retirement and kept up to date as covered
         #: inserts arrive; dropped when covering moves instances between
         #: covers (an eviction or a resurrection), to be rebuilt on the
         #: next retirement.
-        self._instances: dict[Destination, dict[TreePattern, list[int]]] = {}
+        self._instances: dict[Destination, dict[int, list[int]]] = {}
         self._numbers = count()
         self._matchers: dict[TreePattern, PatternMatcher] = {}
         #: The merged matching structure over every *active* entry; its
@@ -465,7 +467,8 @@ class RoutingTable:
                 if self._instances:  # empty until a retirement builds one
                     index = self._instances.get(destination)
                     if index is not None:
-                        index.setdefault(pattern, []).append(number)
+                        # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
+                        index.setdefault(hash(pattern), []).append(number)
                 return False
         survivors: list[TreePattern] = []
         evicted_active: list[TreePattern] = []
@@ -589,8 +592,9 @@ class RoutingTable:
         order would meet first: under *cover* alone when one is given,
         else under the first cover holding one.  It is found through the
         destination's retirement index, so no record is scanned: the
-        index names the pattern's instance numbers, and only those are
-        looked up in the covers' records.
+        index names the numbers of the instances whose pattern hashes
+        like *pattern*, only those are looked up in the covers' records,
+        and only the ones found are compared with *pattern*.
         """
         dest_absorbed = self._absorbed.get(destination)
         if not dest_absorbed:
@@ -600,8 +604,13 @@ class RoutingTable:
             index = self._instances[destination] = {}
             for instances in dest_absorbed.values():
                 for number, (absorbed, _) in instances.items():
-                    index.setdefault(absorbed, []).append(number)
-        numbers = index.get(pattern)
+                    # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
+                    index.setdefault(hash(absorbed), []).append(number)
+        # Which instance is retired depends on absorption order and
+        # pattern equality alone: a hash only narrows the candidates.
+        # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
+        key = hash(pattern)
+        numbers = index.get(key)
         if numbers is None:
             return None
         covers = (
@@ -611,14 +620,15 @@ class RoutingTable:
         )
         for holder, instances in covers:
             for position, number in enumerate(numbers):
-                if number in instances:
+                instance = instances.get(number)
+                if instance is not None and instance[0] == pattern:
                     del numbers[position]
                     if not numbers:
-                        del index[pattern]
-                    _, resume_flood = instances.pop(number)
+                        del index[key]
+                    del instances[number]
                     if not instances:
                         del dest_absorbed[holder]
-                    return resume_flood
+                    return instance[1]
         return None
 
     def remove_pattern(

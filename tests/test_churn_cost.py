@@ -8,9 +8,13 @@ no aggregation is built or diffed, and each hop of the unadvertise finds
 the instance it retires through the routing table's retirement index
 instead of comparing the pattern with every absorbed instance.  Wall
 time is too noisy to pin that in a tier-1 test, so these tests count
-calls — of ``aggregate``, of the windowed diff and of
-``TreePattern.__eq__`` — for one pair on brokers holding 300 and 3,000
-subscribers each, drawn from a few patterns.
+calls — of ``aggregate``, of the windowed diff, of ``TreePattern.__eq__``
+and of ``TreePattern.__hash__`` — for resubscribe pairs on brokers
+holding 300 and 3,000 subscribers each, drawn from a few patterns.
+
+The first retirement on a link builds that link's retirement index,
+hashing each absorbed instance once, so the first pair's hash count
+grows with the broker; from the second pair on, nothing does.
 
 The probe subscription is the last one homed on broker 0, so its
 instance sits last under the cover that absorbed it on the neighbouring
@@ -21,6 +25,7 @@ other one first.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
@@ -59,32 +64,33 @@ def deployed(population: int, shared: bool) -> tuple[BrokerOverlay, int]:
     return overlay, probe
 
 
+def counting(calls: Counter, name: str, wrapped):
+    """*wrapped*, counting its calls in ``calls[name]``."""
+
+    def count(*args, **kwargs):
+        calls[name] += 1
+        return wrapped(*args, **kwargs)
+
+    return count
+
+
 def pair_calls(overlay: BrokerOverlay, probe: int) -> tuple[Counter, int]:
     """Calls one resubscribe pair of the probe makes; returns them and
     the fresh probe's id."""
     calls: Counter = Counter()
-    aggregate = PerSubscriptionPolicy.aggregate
-    community_diff = overlay_module._community_diff
-    equal = TreePattern.__eq__
-
-    def counting_aggregate(self, *args, **kwargs):
-        calls["aggregate"] += 1
-        return aggregate(self, *args, **kwargs)
-
-    def counting_diff(*args):
-        calls["_community_diff"] += 1
-        return community_diff(*args)
-
-    def counting_eq(self, other):
-        calls["__eq__"] += 1
-        return equal(self, other)
-
     pattern = parse_xpath(PROBE)
-    with mock.patch.object(
-        PerSubscriptionPolicy, "aggregate", counting_aggregate
-    ), mock.patch.object(
-        overlay_module, "_community_diff", counting_diff
-    ), mock.patch.object(TreePattern, "__eq__", counting_eq):
+    with ExitStack() as stack:
+        for owner, name in (
+            (PerSubscriptionPolicy, "aggregate"),
+            (overlay_module, "_community_diff"),
+            (TreePattern, "__eq__"),
+            (TreePattern, "__hash__"),
+        ):
+            stack.enter_context(
+                mock.patch.object(
+                    owner, name, counting(calls, name, getattr(owner, name))
+                )
+            )
         overlay.unsubscribe(probe)
         fresh = overlay.subscribe(0, pattern)
     return calls, fresh
@@ -95,20 +101,16 @@ POPULATIONS = (300, 3_000)
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
 def test_resubscribe_pair_cost_does_not_grow_with_the_broker(shared):
-    equality_calls = {}
+    first: dict[int, Counter] = {}
+    steady: dict[int, Counter] = {}
     for population in POPULATIONS:
         overlay, probe = deployed(population, shared)
-        if not shared:
-            # The first retirement on a link builds its retirement
-            # index, hashing every absorbed instance once; with equal
-            # but distinct pattern objects that is one equality test
-            # each.  The pair measured is the next one.
-            _, probe = pair_calls(overlay, probe)
-        calls, fresh = pair_calls(overlay, probe)
-        assert calls["aggregate"] == 0, population
-        assert calls["_community_diff"] == 0, population
-        equality_calls[population] = calls["__eq__"]
-        # The pair did its work: the fresh probe is advertised and the
+        first[population], probe = pair_calls(overlay, probe)
+        steady[population], fresh = pair_calls(overlay, probe)
+        for calls in (first[population], steady[population]):
+            assert calls["aggregate"] == 0, population
+            assert calls["_community_diff"] == 0, population
+        # The pairs did their work: the fresh probe is advertised and the
         # routing state is the one a rebuild would install.
         assert overlay.brokers[0].aggregation[(fresh,)] == parse_xpath(PROBE)
         assert probe not in overlay.subscriptions
@@ -117,21 +119,19 @@ def test_resubscribe_pair_cost_does_not_grow_with_the_broker(shared):
                 overlay.topology_signature()
                 == overlay.rebuilt().topology_signature()
             )
-    assert equality_calls[POPULATIONS[1]] == equality_calls[POPULATIONS[0]]
+    small, large = POPULATIONS
+    assert first[large]["__eq__"] == first[small]["__eq__"]
+    assert steady[large]["__eq__"] == steady[small]["__eq__"]
+    assert steady[large]["__hash__"] == steady[small]["__hash__"]
+    # The index build is the one part that grows, and only once.
+    assert first[large]["__hash__"] > first[small]["__hash__"]
 
 
 def test_a_burst_still_takes_the_full_path():
     overlay, probe = deployed(8, shared=True)
     calls: Counter = Counter()
-    aggregate = PerSubscriptionPolicy.aggregate
-
-    def counting_aggregate(self, *args, **kwargs):
-        calls["aggregate"] += 1
-        return aggregate(self, *args, **kwargs)
-
-    with mock.patch.object(
-        PerSubscriptionPolicy, "aggregate", counting_aggregate
-    ):
+    aggregate = counting(calls, "aggregate", PerSubscriptionPolicy.aggregate)
+    with mock.patch.object(PerSubscriptionPolicy, "aggregate", aggregate):
         overlay.unsubscribe_many([probe])
         overlay.subscribe_many(0, [parse_xpath(PROBE)])
     assert calls["aggregate"] == 2
