@@ -138,6 +138,10 @@ class SubscriptionId(int):
         return f"SubscriptionId({int(self)})"
 
 
+#: One aggregate: ``(advertised_pattern, member subscriber ids)``.
+_Community = tuple[TreePattern, tuple[int, ...]]
+
+
 @dataclass
 class BrokerNode:
     """One broker of the overlay."""
@@ -147,10 +151,11 @@ class BrokerNode:
     table: RoutingTable = field(default_factory=RoutingTable)
     #: Global subscriber ids homed on this broker.
     local_subscribers: list[int] = field(default_factory=list)
-    #: The live aggregation as ``member subscriber ids -> advertised
-    #: pattern``, in the policy's order, so that one entry is added or
-    #: removed in O(1).  :attr:`communities` reads it as a list.
-    aggregation: dict[tuple[int, ...], TreePattern] = field(
+    #: The live aggregation keyed by member group: ``member subscriber
+    #: ids -> (advertised_pattern, member subscriber ids)``, in the
+    #: policy's order, so that one entry is added or removed in O(1).
+    #: :attr:`communities` reads it as a list.
+    aggregation: dict[tuple[int, ...], _Community] = field(
         default_factory=dict
     )
     #: Set when :meth:`BrokerOverlay.detach` left an advertised
@@ -170,13 +175,11 @@ class BrokerNode:
     clusters: LeaderClusters = field(default_factory=LeaderClusters)
 
     @property
-    def communities(self) -> list[tuple[TreePattern, tuple[int, ...]]]:
+    def communities(self) -> list[_Community]:
         """Communities advertised in the live aggregation, as
         ``(advertised_pattern, member subscriber ids)`` in the policy's
         order."""
-        return [
-            (pattern, members) for members, pattern in self.aggregation.items()
-        ]
+        return list(self.aggregation.values())
 
     def degree(self) -> int:
         """Number of overlay neighbours."""
@@ -217,9 +220,6 @@ class BrokerStep:
     #: default merged-trie mode, pattern-vs-document evaluations in
     #: ``"linear"`` mode — the input of a service-time model.
     match_operations: int
-
-
-_Community = tuple[TreePattern, tuple[int, ...]]
 
 
 def _surplus_diff(
@@ -282,14 +282,14 @@ def _community_diff(
 
 def _aggregation_record(
     aggregation: list[_Community],
-) -> dict[tuple[int, ...], TreePattern]:
+) -> dict[tuple[int, ...], _Community]:
     """A policy's aggregation as a :attr:`BrokerNode.aggregation` record.
 
     Each subscriber belongs to one aggregate, so every member group
     keys exactly one entry; a policy that repeats one is rejected
     before any routing state changes.
     """
-    record = {members: pattern for pattern, members in aggregation}
+    record = {aggregate[1]: aggregate for aggregate in aggregation}
     if len(record) != len(aggregation):
         raise ValueError("the policy aggregated one member group twice")
     return record
@@ -1191,12 +1191,11 @@ class BrokerOverlay:
                 member, pattern, arrived, node.index
             )
             if entry is not None:
-                advertised, members = entry
                 if arrived:
-                    node.aggregation[members] = advertised
+                    node.aggregation[entry[1]] = entry
                     self._apply_change(broker_id, [], [entry])
                 else:
-                    del node.aggregation[members]
+                    del node.aggregation[entry[1]]
                     self._apply_change(broker_id, [entry], [])
                 return
         fresh = self._aggregate_node(node)

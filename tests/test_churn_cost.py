@@ -112,7 +112,10 @@ def test_resubscribe_pair_cost_does_not_grow_with_the_broker(shared):
             assert calls["_community_diff"] == 0, population
         # The pairs did their work: the fresh probe is advertised and the
         # routing state is the one a rebuild would install.
-        assert overlay.brokers[0].aggregation[(fresh,)] == parse_xpath(PROBE)
+        assert overlay.brokers[0].aggregation[(fresh,)] == (
+            parse_xpath(PROBE),
+            (fresh,),
+        )
         assert probe not in overlay.subscriptions
         if population == POPULATIONS[0]:
             assert (
