@@ -651,9 +651,10 @@ class RoutingTable:
           propagated), or no such advertisement is known.
 
         An absorbed instance is found through the retirement index (see
-        :meth:`_retire_instance`), so retiring one costs O(1) in the
-        number of absorbed instances; only removing an active entry
-        re-admits what it had absorbed.
+        :meth:`_retire_instance`), so once the destination's index is
+        built, retiring one costs O(1) in the number of absorbed
+        instances; only removing an active entry re-admits what it had
+        absorbed.
         """
         patterns = self._by_destination.get(destination)
         if not patterns:

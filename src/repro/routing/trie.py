@@ -819,8 +819,8 @@ class PatternTrie:
     ) -> list[tuple[int, Destination]] | None:
         """The changes that bring the rank list of *epoch* to the
         current one, oldest first, or None when a compaction or
-        :meth:`clear` came between or the log has already forgotten
-        *epoch*.
+        :meth:`clear` came between, the log has already forgotten
+        *epoch*, or *epoch* has not happened yet.
 
         Each change is ``(rank, slot)``: with *rank* equal to the list's
         length a new rank was appended and *slot* is its destination;
@@ -831,7 +831,7 @@ class PatternTrie:
         never asks for an epoch older than its last one.
         """
         start = epoch - self._log_base
-        if start < 0:
+        if not 0 <= start <= len(self._rank_log):
             return None
         del self._rank_log[:start]
         self._log_base = epoch
