@@ -246,6 +246,7 @@ class TestRankChanges:
         assert len(trie.ranked_destinations()) == 1
         assert trie.take_rank_changes(old.epoch + 1) is None
         assert trie.take_rank_changes(trie.rank_epoch) == []
+        assert trie.take_rank_changes(trie.rank_epoch + 1) is None
         view = table._delivery_view()
         assert view_fields(view) == view_fields(_DeliveryView.build(trie))
         table.clear()
