@@ -39,25 +39,24 @@ unadvertise propagation, resurrecting and re-advertising the entries its
 advertisement had covered.  What one such event costs at the home
 broker depends on the policy:
 
-* per subscription (and hybrid while the broker stays at or under its
-  cutoff) — O(1): the policy names the one ``(pattern, (member,))``
-  entry the event adds or retires, and the broker installs or withdraws
-  it without building or diffing its aggregation.  Each hop of the
-  flood then pays one covering test per active entry of the link, and
-  each hop of an unadvertise finds the instance it retires through the
-  table's retirement index;
-* community — the broker re-aggregates and diffs the result against its
-  live aggregation, over the changed window only.  Under leader linkage
-  the clustering is updated in place, so an arrival costs one first-fit
-  placement against the current community leaders.
+* per subscription — O(1): the policy names the one
+  ``(pattern, (member,))`` entry the event adds or retires, and the
+  broker installs or withdraws it without building or diffing its
+  aggregation.  Each hop of the flood then pays one covering test per
+  active entry of the link, and each hop of an unadvertise finds the
+  instance it retires through the table's retirement index;
+* community and hybrid — the broker re-aggregates and diffs the result
+  against its live aggregation, over the changed window only; a hybrid
+  broker takes this path at or under its cutoff too.  Under leader
+  linkage the clustering is updated in place, so an arrival costs one
+  first-fit placement against the current community leaders.
 
 :meth:`BrokerOverlay.subscribe_many` /
 :meth:`BrokerOverlay.unsubscribe_many` coalesce a churn burst into one
 re-aggregation and one advertisement diff per touched broker, under
-every policy, as do topology surgery and a hybrid broker crossing its
-cutoff.  The bulk path (:meth:`BrokerOverlay.attach` followed by one
-:meth:`advertise` call) and the event path converge to the same routing
-state.
+every policy, as does topology surgery.  The bulk path
+(:meth:`BrokerOverlay.attach` followed by one :meth:`advertise` call)
+and the event path converge to the same routing state.
 
 The *topology* is dynamic too: :meth:`BrokerOverlay.add_broker` grafts a
 new broker (as a leaf, or splitting an existing edge) and seeds it with
@@ -287,7 +286,7 @@ def _aggregation_record(
 
     Each subscriber belongs to one aggregate, so every member group
     keys exactly one entry; a policy that repeats one is rejected
-    before any routing state changes.
+    before the broker's routing state changes.
     """
     record = {aggregate[1]: aggregate for aggregate in aggregation}
     if len(record) != len(aggregation):
@@ -584,13 +583,13 @@ class BrokerOverlay:
           for similarity-based policies), the broker re-aggregates, and
           only the advertisement *diff* travels the overlay.
 
-        Cost at the home broker: per subscription (and hybrid at or
-        under its cutoff) the policy names the one new entry, installed
-        and flooded in O(1) with no aggregation built or diffed; under
-        leader linkage the arrival is placed first-fit against the
-        current community leaders — one similarity lookup per leader at
-        most — and the diff re-advertises only the communities it
-        touched.
+        Cost at the home broker: per subscription the policy names the
+        one new entry, installed and flooded in O(1) with no aggregation
+        built or diffed; community and hybrid brokers re-aggregate and
+        diff, and under leader linkage the arrival is placed first-fit
+        against the current community leaders — one similarity lookup
+        per leader at most — and the diff re-advertises only the
+        communities it touched.
         """
         subscription_id = self.attach(broker_id, pattern)
         if self.policy is None:
@@ -613,12 +612,13 @@ class BrokerOverlay:
         the bulk :meth:`advertise` call) has nothing to withdraw and is
         simply detached.  Returns the retired pattern.
 
-        Cost at the home broker: per subscription (and hybrid at or
-        under its cutoff) the policy names the one departing entry,
-        withdrawn in O(1) with no aggregation built or diffed, and each
-        hop looks up the instance it retires in its table's retirement
-        index (:meth:`~repro.routing.table.RoutingTable.remove_pattern`);
-        under leader linkage a departing non-leader just leaves its
+        Cost at the home broker: per subscription the policy names the
+        one departing entry, withdrawn in O(1) with no aggregation built
+        or diffed, and each hop looks up the instance it retires in its
+        table's retirement index
+        (:meth:`~repro.routing.table.RoutingTable.remove_pattern`);
+        community and hybrid brokers re-aggregate and diff, and under
+        leader linkage a departing non-leader just leaves its
         community, with no similarity work, and a departing leader
         re-clusters only the communities founded at or after it.
         """
@@ -1187,9 +1187,7 @@ class BrokerOverlay:
         node = self.brokers[broker_id]
         if change is not None and not node.stale:
             member, pattern, arrived = change
-            entry = self.policy.single_change(
-                member, pattern, arrived, node.index
-            )
+            entry = self.policy.single_change(member, pattern)
             if entry is not None:
                 if arrived:
                     node.aggregation[entry[1]] = entry

@@ -154,24 +154,22 @@ class AdvertisementPolicy:
         for the broker — the overlay applies the diff.  *clusters* is the
         broker's clustering record, which a clustering policy may read
         and update in place; without one, it clusters from scratch.
+
+        Each member group may appear in at most one aggregate: the
+        overlay records a broker's aggregation keyed by member group and
+        raises :class:`ValueError` for a list that repeats one, before it
+        changes that broker's routing state.
         """
         raise NotImplementedError
 
-    def single_change(
-        self,
-        member: int,
-        pattern: TreePattern,
-        arrived: bool,
-        index: Optional[SimilarityIndex],
-    ) -> Optional[Aggregate]:
+    def single_change(self, member: int, pattern: TreePattern) -> Optional[Aggregate]:
         """The one aggregate a single arrival or departure changes.
 
-        *member*, subscribing with *pattern*, has just joined
-        (*arrived*) or left the broker's advertised subscriptions;
-        *index* is the broker's live index, already updated.  A policy
-        that aggregates the populations before and after the change into
-        one ``(pattern, (member,))`` entry per subscription, in home
-        order, returns the entry the change adds or retires: the overlay
+        *member*, subscribing with *pattern*, has just joined or left the
+        broker's advertised subscriptions.  A policy that aggregates the
+        populations before and after the change into one
+        ``(pattern, (member,))`` entry per subscription, in home order,
+        returns the entry the change adds or retires: the overlay
         installs or withdraws it directly, with exactly the calls the
         diff of the two full aggregations would make, and never builds
         either.  ``None`` (the default) asks for that full
@@ -195,13 +193,7 @@ class PerSubscriptionPolicy(AdvertisementPolicy):
         """The ``BrokerOverlay.mode`` string advertised state reports."""
         return "per_subscription"
 
-    def single_change(
-        self,
-        member: int,
-        pattern: TreePattern,
-        arrived: bool,
-        index: Optional[SimilarityIndex],
-    ) -> Optional[Aggregate]:
+    def single_change(self, member: int, pattern: TreePattern) -> Optional[Aggregate]:
         """Always the member's own entry."""
         return (pattern, (member,))
 
@@ -505,22 +497,6 @@ class HybridPolicy(CommunityPolicy):
                 for member, pattern in zip(members, patterns, strict=True)
             ]
         return super().aggregate(members, patterns, index, clusters)
-
-    def single_change(
-        self,
-        member: int,
-        pattern: TreePattern,
-        arrived: bool,
-        index: Optional[SimilarityIndex],
-    ) -> Optional[Aggregate]:
-        """The member's own entry while the broker stays at or under the
-        cutoff on both sides of the change; ``None`` when either side is
-        aggregated, so a regime flip takes the full path."""
-        assert index is not None, "hybrid aggregation needs a live index"
-        larger = len(index) if arrived else len(index) + 1
-        if larger > self.aggregate_above:
-            return None
-        return (pattern, (member,))
 
     def __repr__(self) -> str:
         return (

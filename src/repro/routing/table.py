@@ -29,14 +29,16 @@ unadvertise protocol needs to re-announce them downstream.
 Retiring an absorbed instance costs O(1) in the number of instances a
 destination holds: each record keeps its instances under numbers that
 are never reused, so one leaves without disturbing the others' order,
-and a per-destination *retirement index* maps each absorbed pattern to
-its instance numbers (keyed by the pattern's hash), so the instance to
-retire is looked up, not scanned for with pattern equality.  The index is built by a
-destination's first retirement, O(instances) once, rather than while a
-deployment advertises; covered inserts keep it current, and an eviction
-or resurrection, which moves instances between records, drops it to be
-rebuilt at the next retirement.  Retiring an *active* entry still costs
-what re-admitting its absorbed instances costs.
+and each record has a *retirement index* from pattern hash to instance
+numbers, so the instance to retire is looked up, not scanned for with
+pattern equality.  A record's index is built by the first retirement
+that looks in it, one hash per instance, rather than while a deployment
+advertises; covered inserts keep it current, and it goes with its record
+when the cover leaves or is evicted.  A duplicate of an active entry is
+looked up in that entry's record alone; any other instance is looked up
+in each cover's record in turn, one lookup per cover.  Retiring an
+*active* entry still costs what re-admitting its absorbed instances
+costs.
 
 The same instance bookkeeping powers *topology surgery*: when the broker
 tree itself changes, :meth:`RoutingTable.rename_destination` re-keys a
@@ -81,13 +83,11 @@ list is decoded on first read, and :meth:`TableMatch.split` decodes the
 broker step an overlay takes — the members of every matched deliver
 group and the matched forward links — in C-level passes over the
 table's *delivery view*: per rank, the members of a deliver destination
-or ``()``, plus the few forward ranks.  A new view is made whenever the
-trie's :attr:`~repro.routing.trie.PatternTrie.rank_epoch` moves:
-derived from the previous one by the ranks the trie logged as appended
-or retired (a tuple copy plus the changes), or read rank by rank after a
-compaction.  A view is valid only until the next rank change: decoding
-a result after its epoch has moved raises :class:`ValueError` instead
-of naming the wrong destinations.
+or ``()``, plus the few forward ranks.  The view is rebuilt whenever
+the trie's :attr:`~repro.routing.trie.PatternTrie.rank_epoch` moves,
+and a decoded view is valid only until the next rank change: decoding a
+result after its epoch has moved raises :class:`ValueError` instead of
+naming the wrong destinations.
 
 The destination encoding of an overlay broker lives here, as its only
 definition: ``(FORWARD, neighbour broker id)`` sends a copy over a link
@@ -139,26 +139,6 @@ class TableEntry:
     destination: Destination
 
 
-def _lay_out(
-    rank: int,
-    destination: Destination,
-    members: list[tuple[int, ...]],
-    forwards: list[tuple[int, int]],
-) -> None:
-    """Append rank *rank*'s part in a split: the members of a
-    ``(DELIVER, members)`` destination (``()`` for any other) to
-    *members*, and the rank bit and link of a ``(FORWARD, link)`` one to
-    *forwards*."""
-    group: tuple[int, ...] = ()
-    if isinstance(destination, tuple) and len(destination) == 2:
-        kind, payload = destination
-        if kind == DELIVER:
-            group = payload
-        elif kind == FORWARD:
-            forwards.append((1 << rank, payload))
-    members.append(group)
-
-
 class _DeliveryView:
     """A table's destination ranks laid out for decoding masks of one
     rank epoch.
@@ -168,74 +148,27 @@ class _DeliveryView:
     ``()`` for any other rank; ``forwards`` pairs the rank bit of each
     ``(FORWARD, link)`` destination with its link, in rank order.  Every
     decode first checks that the trie is still in the view's epoch.
-
-    A view is never changed: :meth:`updated` makes the next epoch's view
-    as a new object, so a match keeps decoding against the view of its
-    own epoch (and refusing once that epoch has passed).
     """
 
     __slots__ = ("_trie", "epoch", "ranked", "members", "forwards")
 
-    def __init__(
-        self,
-        trie: PatternTrie,
-        epoch: int,
-        ranked: tuple[Destination, ...],
-        members: tuple[tuple[int, ...], ...],
-        forwards: tuple[tuple[int, int], ...],
-    ) -> None:
+    def __init__(self, trie: PatternTrie) -> None:
         self._trie = trie
-        self.epoch = epoch
-        self.ranked = ranked
-        self.members = members
-        self.forwards = forwards
-
-    @classmethod
-    def build(cls, trie: PatternTrie) -> "_DeliveryView":
-        """The view of the trie's current ranks, read rank by rank.
-
-        The trie's rank log up to now is dropped: the next view derives
-        from this one.
-        """
-        trie.take_rank_changes(trie.rank_epoch)
-        ranked = trie.ranked_destinations()
+        self.epoch = trie.rank_epoch
+        self.ranked = trie.ranked_destinations()
         members: list[tuple[int, ...]] = []
         forwards: list[tuple[int, int]] = []
-        for rank, destination in enumerate(ranked):
-            _lay_out(rank, destination, members, forwards)
-        return cls(
-            trie, trie.rank_epoch, ranked, tuple(members), tuple(forwards)
-        )
-
-    def updated(self) -> "_DeliveryView":
-        """The view of the trie's current epoch, derived from this one.
-
-        The trie's rank log names the ranks appended or retired since
-        this view's epoch, and the new view copies this one's tuples and
-        patches those ranks: O(ranks) C-level copying plus O(changes),
-        instead of laying out every rank again.  After a compaction or
-        a ``clear`` the log cannot bridge the gap and the view is
-        rebuilt.
-        """
-        trie = self._trie
-        changes = trie.take_rank_changes(self.epoch)
-        if changes is None:
-            return _DeliveryView.build(trie)
-        ranked = list(self.ranked)
-        members = list(self.members)
-        forwards = list(self.forwards)
-        for rank, slot in changes:
-            if rank == len(ranked):
-                ranked.append(slot)
-                _lay_out(rank, slot, members, forwards)
-            else:
-                ranked[rank] = slot
-                members[rank] = ()
-                bit = 1 << rank
-                forwards = [entry for entry in forwards if entry[0] != bit]
-        return _DeliveryView(
-            trie, trie.rank_epoch, tuple(ranked), tuple(members), tuple(forwards)
-        )
+        for rank, destination in enumerate(self.ranked):
+            group: tuple[int, ...] = ()
+            if isinstance(destination, tuple) and len(destination) == 2:
+                kind, payload = destination
+                if kind == DELIVER:
+                    group = payload
+                elif kind == FORWARD:
+                    forwards.append((1 << rank, payload))
+            members.append(group)
+        self.members = tuple(members)
+        self.forwards = tuple(forwards)
 
     def _selectors(self, mask: int) -> bytes:
         if self._trie.rank_epoch != self.epoch:
@@ -379,16 +312,17 @@ class RoutingTable:
         self._absorbed: dict[
             Destination, dict[TreePattern, dict[int, tuple[TreePattern, bool]]]
         ] = {}
-        #: Per destination: absorbed pattern's hash -> the numbers of the
-        #: instances with that hash, each cover's in absorption order —
-        #: the retirement index :meth:`remove_pattern` looks instances up
-        #: in.  Keyed by hash, so building it compares no patterns; a
-        #: lookup compares only the instances it picks.  Built on a
-        #: destination's first retirement and kept up to date as covered
-        #: inserts arrive; dropped when covering moves instances between
-        #: covers (an eviction or a resurrection), to be rebuilt on the
-        #: next retirement.
-        self._instances: dict[Destination, dict[int, list[int]]] = {}
+        #: Per destination: cover -> absorbed pattern's hash -> the
+        #: numbers of the cover's instances with that hash, in the cover's
+        #: order — the retirement indexes :meth:`remove_pattern` looks
+        #: instances up in.  Keyed by hash, so building one compares no
+        #: patterns; a lookup compares only the instances it picks.  A
+        #: cover's index is built from its record on first use, kept up to
+        #: date as covered inserts arrive, and dropped with the record
+        #: when the cover leaves or is evicted.
+        self._instances: dict[
+            Destination, dict[TreePattern, dict[int, list[int]]]
+        ] = {}
         self._numbers = count()
         self._matchers: dict[TreePattern, PatternMatcher] = {}
         #: The merged matching structure over every *active* entry; its
@@ -398,8 +332,8 @@ class RoutingTable:
         #: Per pattern: how many destinations hold it active — the
         #: refcount behind O(1) matcher-cache pruning.
         self._active_counts: dict[TreePattern, int] = {}
-        #: The delivery view of the trie's current rank epoch, brought up
-        #: to date on first use after the epoch moves.
+        #: The delivery view of the trie's current rank epoch, rebuilt on
+        #: first use after the epoch moves.
         self._view: Optional[_DeliveryView] = None
         self.match_operations = 0
         self.covered_inserts = 0
@@ -465,7 +399,7 @@ class RoutingTable:
                     existing, {}
                 )[number] = (pattern, resume_flood)
                 if self._instances:  # empty until a retirement builds one
-                    index = self._instances.get(destination)
+                    index = self._instances.get(destination, {}).get(existing)
                     if index is not None:
                         # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
                         index.setdefault(hash(pattern), []).append(number)
@@ -491,7 +425,10 @@ class RoutingTable:
             self._absorbed.setdefault(destination, {}).setdefault(
                 pattern, {}
             ).update(absorbed_here)
-            self._instances.pop(destination, None)
+            indexes = self._instances.get(destination)
+            if indexes:
+                for evicted in evicted_active:
+                    indexes.pop(evicted, None)
         return True
 
     @staticmethod
@@ -578,6 +515,19 @@ class RoutingTable:
             )
         return ordered
 
+    @staticmethod
+    def _record_index(
+        instances: dict[int, tuple[TreePattern, bool]],
+    ) -> dict[int, list[int]]:
+        """The retirement index of one cover record: each absorbed
+        pattern's hash -> the numbers of its instances, in record order.
+        One hash per instance."""
+        index: dict[int, list[int]] = {}
+        for number, (absorbed, _) in instances.items():
+            # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
+            index.setdefault(hash(absorbed), []).append(number)
+        return index
+
     def _retire_instance(
         self,
         pattern: TreePattern,
@@ -588,46 +538,48 @@ class RoutingTable:
         *destination* and return its flood flag (None when there is
         none).
 
-        "First" is the instance a scan of the cover records in table
-        order would meet first: under *cover* alone when one is given,
-        else under the first cover holding one.  It is found through the
-        destination's retirement index, so no record is scanned: the
-        index names the numbers of the instances whose pattern hashes
-        like *pattern*, only those are looked up in the covers' records,
-        and only the ones found are compared with *pattern*.
+        "First" is the instance a scan of the destination's cover
+        records, in record order, would meet first: under *cover* alone
+        when one is given, else under the first cover holding one.  No
+        record is scanned: each cover's retirement index names the
+        numbers of its instances whose pattern hashes like *pattern*,
+        and only those are compared with it.  Without *cover* that is
+        one index lookup per cover, in record order.
         """
         dest_absorbed = self._absorbed.get(destination)
         if not dest_absorbed:
             return None
-        index = self._instances.get(destination)
-        if index is None:
-            index = self._instances[destination] = {}
-            for instances in dest_absorbed.values():
-                for number, (absorbed, _) in instances.items():
-                    # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
-                    index.setdefault(hash(absorbed), []).append(number)
-        # Which instance is retired depends on absorption order and
-        # pattern equality alone: a hash only narrows the candidates.
+        if cover is None:
+            holders: Iterable[
+                tuple[TreePattern, dict[int, tuple[TreePattern, bool]]]
+            ] = dest_absorbed.items()
+        else:
+            own = dest_absorbed.get(cover)
+            if own is None:
+                return None
+            holders = ((cover, own),)
+        # Which instance is retired depends on record order and pattern
+        # equality alone: a hash only narrows the candidates.
         # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
         key = hash(pattern)
-        numbers = index.get(key)
-        if numbers is None:
-            return None
-        covers = (
-            dest_absorbed.items()
-            if cover is None
-            else [(cover, dest_absorbed.get(cover, {}))]
-        )
-        for holder, instances in covers:
+        indexes = self._instances.setdefault(destination, {})
+        for holder, instances in holders:
+            index = indexes.get(holder)
+            if index is None:
+                index = indexes[holder] = self._record_index(instances)
+            numbers = index.get(key)
+            if numbers is None:
+                continue
             for position, number in enumerate(numbers):
-                instance = instances.get(number)
-                if instance is not None and instance[0] == pattern:
+                instance = instances[number]
+                if instance[0] == pattern:
                     del numbers[position]
                     if not numbers:
                         del index[key]
                     del instances[number]
                     if not instances:
                         del dest_absorbed[holder]
+                        del indexes[holder]
                     return instance[1]
         return None
 
@@ -650,11 +602,11 @@ class RoutingTable:
           without touching the active set (its flood died here, nothing
           propagated), or no such advertisement is known.
 
-        An absorbed instance is found through the retirement index (see
-        :meth:`_retire_instance`), so once the destination's index is
-        built, retiring one costs O(1) in the number of absorbed
-        instances; only removing an active entry re-admits what it had
-        absorbed.
+        An absorbed instance is found through the covers' retirement
+        indexes (see :meth:`_retire_instance`), so once they are built,
+        retiring one costs O(1) in the number of absorbed instances (one
+        lookup per cover when no active entry equals *pattern*); only
+        removing an active entry re-admits what it had absorbed.
         """
         patterns = self._by_destination.get(destination)
         if not patterns:
@@ -674,8 +626,7 @@ class RoutingTable:
         patterns.remove(active)
         dest_absorbed = self._absorbed.get(destination, {})
         resurrected = dest_absorbed.pop(active, {})
-        if resurrected:
-            self._instances.pop(destination, None)
+        self._instances.get(destination, {}).pop(active, None)
         restored: list[TreePattern] = []
         for candidate, resume_flood in self._restore_order(
             list(resurrected.values())
@@ -860,13 +811,11 @@ class RoutingTable:
     # ------------------------------------------------------------------
 
     def _delivery_view(self) -> _DeliveryView:
-        """The delivery view of the current rank epoch, derived from the
-        last one when the epoch has moved since it was made."""
+        """The delivery view of the current rank epoch, rebuilt when the
+        epoch has moved since the last one was built."""
         view = self._view
-        if view is None:
-            view = self._view = _DeliveryView.build(self._trie)
-        elif view.epoch != self._trie.rank_epoch:
-            view = self._view = view.updated()
+        if view is None or view.epoch != self._trie.rank_epoch:
+            view = self._view = _DeliveryView(self._trie)
         return view
 
     def _matcher(self, pattern: TreePattern) -> PatternMatcher:

@@ -160,16 +160,6 @@ correctly only against the ranks of the epoch it was computed in, and
 callers that keep masks (the routing table's match results) compare
 epochs to fail loudly instead of decoding the wrong destinations.
 
-The trie also logs each new or retired rank, one entry per epoch, so a
-caller holding a layout of an older rank list can bring it up to date
-change by change (:meth:`PatternTrie.take_rank_changes`) instead of
-re-reading every rank.  The log serves one reader that only moves
-forward, so each take forgets the changes before the epoch it asks
-from.  Compaction and ``clear`` renumber or drop every rank; they empty
-the log, and a layout older than that is rebuilt.  The log holds at
-most one entry per rank slot plus one per retirement, so it never
-outgrows the rank list it describes.
-
 Incremental-maintenance invariants
 ----------------------------------
 
@@ -638,12 +628,6 @@ class PatternTrie:
         self._retired = 0
         #: Bumped whenever the rank list changes (see ``rank_epoch``).
         self._rank_epoch = 0
-        #: One ``(rank, slot)`` per rank change since epoch
-        #: ``_log_base``: a rank appended (the slot holds its
-        #: destination) or retired (the slot holds :data:`_RETIRED`).
-        #: Compaction and ``clear`` empty it and move its base.
-        self._rank_log: list[tuple[int, Destination]] = []
-        self._log_base = 0
 
     # ------------------------------------------------------------------
     # maintenance
@@ -755,7 +739,6 @@ class PatternTrie:
         self._holders.clear()
         self._retired = 0
         self._rank_epoch += 1
-        self._restart_rank_log()
 
     # -- destination ranks ---------------------------------------------
 
@@ -768,7 +751,6 @@ class PatternTrie:
             self._ranked.append(destination)
             self._holders.append(0)
             self._rank_epoch += 1
-            self._rank_log.append((rank, destination))
         self._holders[rank] += 1
         return 1 << rank
 
@@ -782,7 +764,6 @@ class PatternTrie:
             self._ranked[rank] = _RETIRED
             self._retired += 1
             self._rank_epoch += 1
-            self._rank_log.append((rank, _RETIRED))
         return 1 << rank
 
     def _compact_if_sparse(self) -> None:
@@ -796,16 +777,8 @@ class PatternTrie:
         self._ranks = {d: rank for rank, d in enumerate(self._ranked)}
         self._retired = 0
         self._rank_epoch += 1
-        self._restart_rank_log()
         for entry in self._entries.values():
             entry.dest_mask = self.rank_mask(entry.destinations)
-
-    def _restart_rank_log(self) -> None:
-        """Start the rank log afresh at the current epoch: every rank
-        was just renumbered or dropped, so no earlier rank list can be
-        brought up to date change by change."""
-        self._rank_log = []
-        self._log_base = self._rank_epoch
 
     @property
     def rank_epoch(self) -> int:
@@ -813,29 +786,6 @@ class PatternTrie:
         rank, a retired rank, a compaction or :meth:`clear`.  A mask is
         only valid in the epoch it was computed in."""
         return self._rank_epoch
-
-    def take_rank_changes(
-        self, epoch: int
-    ) -> list[tuple[int, Destination]] | None:
-        """The changes that bring the rank list of *epoch* to the
-        current one, oldest first, or None when a compaction or
-        :meth:`clear` came between, the log has already forgotten
-        *epoch*, or *epoch* has not happened yet.
-
-        Each change is ``(rank, slot)``: with *rank* equal to the list's
-        length a new rank was appended and *slot* is its destination;
-        otherwise rank *rank* retired and *slot* is the placeholder
-        :meth:`ranked_destinations` shows in retired slots.  Epochs move
-        by one per change.  The changes before *epoch* are forgotten:
-        the log has one reader (a routing table's delivery view), which
-        never asks for an epoch older than its last one.
-        """
-        start = epoch - self._log_base
-        if not 0 <= start <= len(self._rank_log):
-            return None
-        del self._rank_log[:start]
-        self._log_base = epoch
-        return list(self._rank_log)
 
     def ranked_destinations(self) -> tuple[Destination, ...]:
         """The rank-indexed destination list of the current epoch: the
@@ -1497,19 +1447,6 @@ class PatternTrie:
             sum(1 for slot in self._ranked if slot is _RETIRED) == self._retired
         ), "retired ranks miscounted"
         assert self._retired <= len(self._ranks), "sparse ranks not compacted"
-        # The rank log: one entry per epoch since its base, each an
-        # append at the end of the list so far or a retirement.
-        assert len(self._rank_log) == self._rank_epoch - self._log_base, (
-            "rank log lost an epoch"
-        )
-        for rank, slot in self._rank_log:
-            assert rank < len(self._ranked), "rank log past the rank list"
-            if slot is _RETIRED:
-                assert self._ranked[rank] is _RETIRED, "retired rank revived"
-            else:
-                assert self._ranked[rank] == slot or (
-                    self._ranked[rank] is _RETIRED
-                ), "rank log names the wrong destination"
         for entry in self._entries.values():
             assert entry.dest_mask == sum(
                 1 << self._ranks[d] for d in entry.destinations

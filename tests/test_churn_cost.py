@@ -16,16 +16,27 @@ The first retirement on a link builds that link's retirement index,
 hashing each absorbed instance once, so the first pair's hash count
 grows with the broker; from the second pair on, nothing does.
 
-The probe subscription is the last one homed on broker 0, so its
-instance sits last under the cover that absorbed it on the neighbouring
-broker: a scan of the cover's instances would compare it with every
-other one first.
+The probe subscription is the last one homed on broker 0, behind the
+population, in three layouts of the neighbouring broker's table:
+
+* ``unique`` — the probe's pattern is held by no one else, and its
+  instance sits last under the cover that absorbed it;
+* ``active-cover`` — the probe duplicates the active cover whose record
+  holds the population, and the duplicate to retire sits last in it;
+* ``several-covers`` — instances of the probe's pattern sit under two
+  covers, and the one to retire sits behind the population in the older
+  record.
+
+In each, a scan of the cover records would compare the probe's pattern
+with every instance of the population before reaching the one it
+retires.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from contextlib import ExitStack
+from dataclasses import dataclass
 from unittest import mock
 
 import pytest
@@ -36,30 +47,69 @@ from repro.core.pattern_parser import parse_xpath
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import PerSubscriptionPolicy
 
-#: The patterns subscribers draw from, round-robin: ``/a`` covers the
-#: two below it on every link, ``//d`` stands on its own.
-PATTERNS = ("/a", "/a/b", "/a/c", "//d")
-#: The probe's pattern, absorbed under ``/a`` and held by no one else.
-PROBE = "/a/e"
+
+@dataclass(frozen=True)
+class Layout:
+    """Who the brokers home: every broker a population drawn round-robin
+    from *body*; broker 0 homes *before* ahead of it, *after* behind it
+    and the *probe* last."""
+
+    body: tuple[str, ...]
+    probe: str
+    before: tuple[str, ...] = ()
+    after: tuple[str, ...] = ()
 
 
-def deployed(population: int, shared: bool) -> tuple[BrokerOverlay, int]:
-    """A three-broker chain with *population* subscribers per broker,
-    advertised per subscription, and the probe homed last on broker 0.
+LAYOUTS = {
+    # /a covers /a/b and /a/c on every link; /a/e is the probe's alone.
+    "unique": Layout(body=("/a", "/a/b", "/a/c", "//d"), probe="/a/e"),
+    # The first /a is the active cover of the population's /a/b and /a/c,
+    # and the probe, another /a, is its one duplicate.
+    "active-cover": Layout(
+        body=("/a/b", "/a/c", "//d"), probe="/a", before=("/a",)
+    ),
+    # /a/b covers the population's /a/b/d and three /a/b/c; //c arrives,
+    # then /a evicts /a/b and takes over its record, and the probe's
+    # /a/b/c lands under //c, ahead of /a in table order.  /a's record is
+    # the older one, so its first /a/b/c goes.
+    "several-covers": Layout(
+        body=("/a/b/d", "//e"),
+        probe="/a/b/c",
+        before=("/a/b",),
+        after=("/a/b/c",) * 3 + ("//c", "/a"),
+    ),
+}
+
+
+def deployed(
+    layout: Layout, population: int, shared: bool
+) -> tuple[BrokerOverlay, int]:
+    """A three-broker chain homing *layout* with *population*
+    subscribers per broker, advertised per subscription.
 
     With *shared*, subscribers holding one pattern share one pattern
     object; otherwise each parses its own, equal but distinct.
     """
     overlay = BrokerOverlay.chain(3)
-    parsed = [parse_xpath(xpath) for xpath in PATTERNS]
+    parsed: dict[str, TreePattern] = {}
+
+    def pattern(xpath: str) -> TreePattern:
+        if not shared:
+            return parse_xpath(xpath)
+        return parsed.setdefault(xpath, parse_xpath(xpath))
+
     for broker_id in sorted(overlay.brokers):
+        if broker_id == 0:
+            for xpath in layout.before:
+                overlay.attach(0, pattern(xpath))
         for position in range(population):
-            slot = position % len(PATTERNS)
             overlay.attach(
-                broker_id,
-                parsed[slot] if shared else parse_xpath(PATTERNS[slot]),
+                broker_id, pattern(layout.body[position % len(layout.body)])
             )
-    probe = overlay.attach(0, parse_xpath(PROBE))
+        if broker_id == 0:
+            for xpath in layout.after:
+                overlay.attach(0, pattern(xpath))
+    probe = overlay.attach(0, parse_xpath(layout.probe))
     overlay.advertise(PerSubscriptionPolicy())
     return overlay, probe
 
@@ -74,11 +124,13 @@ def counting(calls: Counter, name: str, wrapped):
     return count
 
 
-def pair_calls(overlay: BrokerOverlay, probe: int) -> tuple[Counter, int]:
+def pair_calls(
+    overlay: BrokerOverlay, probe: int, xpath: str
+) -> tuple[Counter, int]:
     """Calls one resubscribe pair of the probe makes; returns them and
     the fresh probe's id."""
     calls: Counter = Counter()
-    pattern = parse_xpath(PROBE)
+    pattern = parse_xpath(xpath)
     with ExitStack() as stack:
         for owner, name in (
             (PerSubscriptionPolicy, "aggregate"),
@@ -100,20 +152,21 @@ POPULATIONS = (300, 3_000)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
-def test_resubscribe_pair_cost_does_not_grow_with_the_broker(shared):
+@pytest.mark.parametrize("layout", list(LAYOUTS.values()), ids=list(LAYOUTS))
+def test_resubscribe_pair_cost_does_not_grow_with_the_broker(layout, shared):
     first: dict[int, Counter] = {}
     steady: dict[int, Counter] = {}
     for population in POPULATIONS:
-        overlay, probe = deployed(population, shared)
-        first[population], probe = pair_calls(overlay, probe)
-        steady[population], fresh = pair_calls(overlay, probe)
+        overlay, probe = deployed(layout, population, shared)
+        first[population], probe = pair_calls(overlay, probe, layout.probe)
+        steady[population], fresh = pair_calls(overlay, probe, layout.probe)
         for calls in (first[population], steady[population]):
             assert calls["aggregate"] == 0, population
             assert calls["_community_diff"] == 0, population
         # The pairs did their work: the fresh probe is advertised and the
         # routing state is the one a rebuild would install.
         assert overlay.brokers[0].aggregation[(fresh,)] == (
-            parse_xpath(PROBE),
+            parse_xpath(layout.probe),
             (fresh,),
         )
         assert probe not in overlay.subscriptions
@@ -131,12 +184,13 @@ def test_resubscribe_pair_cost_does_not_grow_with_the_broker(shared):
 
 
 def test_a_burst_still_takes_the_full_path():
-    overlay, probe = deployed(8, shared=True)
+    layout = LAYOUTS["unique"]
+    overlay, probe = deployed(layout, 8, shared=True)
     calls: Counter = Counter()
     aggregate = counting(calls, "aggregate", PerSubscriptionPolicy.aggregate)
     with mock.patch.object(PerSubscriptionPolicy, "aggregate", aggregate):
         overlay.unsubscribe_many([probe])
-        overlay.subscribe_many(0, [parse_xpath(PROBE)])
+        overlay.subscribe_many(0, [parse_xpath(layout.probe)])
     assert calls["aggregate"] == 2
     assert (
         overlay.topology_signature() == overlay.rebuilt().topology_signature()

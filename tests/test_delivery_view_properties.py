@@ -1,9 +1,8 @@
 """Property suite for the delivery view: broker steps decoded from masks.
 
 A broker step is decoded straight from its table match's rank mask,
-through a per-rank delivery view the table brings up to date whenever
-the trie's destination ranks change: derived from the previous view and
-the trie's rank log, or rebuilt after a compaction.  This suite pins that decode against the split
+through a per-rank delivery view the table rebuilds whenever the trie's
+destination ranks change.  This suite pins that decode against the split
 the overlay made before, kept here as :func:`reference_step`: the union
 of the matched deliver groups and the forward links, read off the
 table-order destination list.
@@ -19,9 +18,7 @@ broker, in trie and in linear mode:
   the reference steps;
 * a match computed before the event whose table's rank list the event
   changed refuses to decode (``ValueError``) instead of naming the wrong
-  destinations;
-* every table's view, first read after the event (so derived from the
-  view of the event before), equals a view built from scratch.
+  destinations.
 """
 
 from __future__ import annotations
@@ -35,12 +32,7 @@ from hypothesis import strategies as st
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.overlay import BrokerOverlay, BrokerStep
 from repro.routing.policy import PerSubscriptionPolicy
-from repro.routing.table import (
-    DELIVER,
-    FORWARD,
-    TableBatchMatch,
-    _DeliveryView,
-)
+from repro.routing.table import DELIVER, FORWARD, TableBatchMatch
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
 from tests.strategies import property_max_examples, tree_patterns
@@ -128,18 +120,6 @@ def pending_matches(overlay, document):
     ]
 
 
-def view_fields(view):
-    return (view.epoch, view.ranked, view.members, view.forwards)
-
-
-def assert_views_equal_rebuilds(overlay):
-    for broker_id, node in overlay.brokers.items():
-        table = node.table
-        assert view_fields(table._delivery_view()) == view_fields(
-            _DeliveryView.build(table._trie)
-        ), broker_id
-
-
 def assert_stale_matches_refuse(pending):
     for table, ranked, match in pending:
         if table._trie.ranked_destinations() != ranked:
@@ -172,7 +152,6 @@ class TestDeliveryViewEqualsReferenceSplit:
         pending = pending_matches(overlay, corpus.documents[0])
         for _ in churn(overlay, patterns, data, max_ops=12):
             assert_stale_matches_refuse(pending)
-            assert_views_equal_rebuilds(overlay)
             assert_steps_match_reference(overlay, corpus.documents)
             pending = pending_matches(overlay, corpus.documents[0])
 
@@ -203,55 +182,6 @@ class TestRankChanges:
             assert overlay.process_at(0, document) == expected
         assert compacted
         assert overlay.process_at(0, document).deliveries == {keep}
-
-    def test_view_is_derived_from_the_rank_log(self):
-        overlay = BrokerOverlay(1, [])
-        victims = [overlay.attach(0, parse_xpath("/a")) for _ in range(4)]
-        overlay.advertise(PerSubscriptionPolicy())
-        table = overlay.brokers[0].table
-        document = parse_xml("<a><b/></a>")
-        before = table.destinations_for(document)
-        old = table._delivery_view()
-        fresh = overlay.subscribe(0, parse_xpath("/a/b"))
-        overlay.unsubscribe(victims[0])
-        # One rank appended, one retired: the log bridges the two epochs.
-        changes = table._trie.take_rank_changes(old.epoch)
-        assert [rank for rank, _ in changes] == [4, 0]
-        assert changes[0][1] == (DELIVER, (fresh,))
-        view = table._delivery_view()
-        assert view is not old and view.epoch == old.epoch + 2
-        assert view_fields(view) == view_fields(_DeliveryView.build(table._trie))
-        # The old view is untouched, so its match still refuses.
-        assert view_fields(old)[1][0] == (DELIVER, (victims[0],))
-        with pytest.raises(ValueError):
-            before.split()
-        assert table.destinations_for(document).split()[0] == set(
-            victims[1:] + [fresh]
-        )
-
-    def test_compaction_and_clear_restart_the_rank_log(self):
-        overlay = BrokerOverlay(1, [])
-        victims = [overlay.attach(0, parse_xpath("/a")) for _ in range(3)]
-        overlay.advertise(PerSubscriptionPolicy())
-        table = overlay.brokers[0].table
-        trie = table._trie
-        old = table._delivery_view()
-        overlay.unsubscribe(victims[0])
-        retired = trie.ranked_destinations()[0]
-        assert trie.take_rank_changes(old.epoch) == [(0, retired)]
-        # The log forgets what it was asked past.
-        assert trie.take_rank_changes(old.epoch + 1) == []
-        assert trie.take_rank_changes(old.epoch) is None
-        overlay.unsubscribe(victims[1])  # 2 retired > 1 live: compaction
-        assert len(trie.ranked_destinations()) == 1
-        assert trie.take_rank_changes(old.epoch + 1) is None
-        assert trie.take_rank_changes(trie.rank_epoch) == []
-        assert trie.take_rank_changes(trie.rank_epoch + 1) is None
-        view = table._delivery_view()
-        assert view_fields(view) == view_fields(_DeliveryView.build(trie))
-        table.clear()
-        assert trie.take_rank_changes(view.epoch) is None
-        assert table._delivery_view().ranked == ()
 
     def test_forwards_keep_table_order_across_a_rename(self):
         # The hub ranks its links as their advertisements arrive; the

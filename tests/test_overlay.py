@@ -1,5 +1,7 @@
 """Multi-broker overlay routing over the Figure 2 corpus."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.pattern_parser import parse_xpath
@@ -639,6 +641,48 @@ class TestSubscriptionLifecycle:
             overlay.topology_signature()
             == overlay.rebuilt().topology_signature()
         )
+
+    def test_a_policy_repeating_a_member_group_is_refused(self):
+        # A broker's aggregation is recorded by member group, so a policy
+        # that returns two aggregates of one group is refused before the
+        # broker's routing state changes.
+        repeated = parse_xpath("/a/d")
+
+        @dataclass(frozen=True)
+        class Repeating(PerSubscriptionPolicy):
+            def single_change(self, member, pattern):
+                return None  # always re-aggregate
+
+            def aggregate(self, members, patterns, index, clusters=None):
+                aggregates = super().aggregate(
+                    members, patterns, index, clusters
+                )
+                if repeated in patterns:
+                    aggregates.append(aggregates[0])
+                return aggregates
+
+        overlay = BrokerOverlay.chain(2)
+        overlay.attach(0, parse_xpath("/a/b"))
+        overlay.attach(1, parse_xpath("/a"))
+        overlay.advertise(Repeating())
+
+        def state():
+            return (
+                {
+                    broker_id: (list(node.table), dict(node.aggregation))
+                    for broker_id, node in overlay.brokers.items()
+                },
+                overlay.advertisement_messages,
+            )
+
+        before = state()
+        with pytest.raises(ValueError, match="member group"):
+            overlay.subscribe(0, repeated)
+        assert state() == before
+        fresh = BrokerOverlay.chain(2)
+        fresh.attach(0, repeated)
+        with pytest.raises(ValueError, match="member group"):
+            fresh.advertise(Repeating())
 
 
 class TestBatchChurn:

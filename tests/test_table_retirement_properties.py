@@ -1,10 +1,11 @@
 """Property suite for the routing table's retirement index.
 
 ``RoutingTable.remove_pattern`` finds the absorbed advertisement
-instance it retires through a per-destination index keyed by pattern,
+instance it retires through per-cover indexes keyed by pattern hash,
 instead of comparing the pattern with every instance the destination's
-covers absorbed.  This suite pins that it retires exactly the instance
-that comparison scan would have, and answers exactly as it did.
+covers absorbed.  This suite pins that it retires
+exactly the instance that comparison scan would have, and answers
+exactly as it did.
 
 Hypothesis interleaves inserts, seeds with either flood flag,
 retirements, renames and destination removals over a small pattern
@@ -13,16 +14,16 @@ distinct objects; covering, eviction, duplicate instances and
 resurrection all occur.  Before every retirement the expected outcome is
 read off the cover records alone, the way the scan worked: a duplicate
 of the active entry under that entry's own record, otherwise the first
-instance with an equal pattern under the first cover, in table order,
-holding one.  After every operation:
+instance with an equal pattern under the first cover, in the order the
+cover records were made, holding one.  After every operation:
 
 * a retired absorbed instance returns ``removed`` exactly when its flood
   flag is False, and the cover records equal the records before with
   that one instance gone, in order;
 * a retirement with nothing to retire changes nothing;
-* a built retirement index lists, per pattern hash, exactly the
-  numbers of the instances with that hash, each cover's in that cover's
-  order.
+* every built retirement index belongs to a cover record and lists,
+  per pattern hash, exactly the numbers of the record's instances with
+  that hash, in record order.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ operations = st.lists(
 
 
 def records(table, destination):
-    """The cover records of *destination*: per active cover, in table
-    order, its absorbed ``(pattern, flood flag)`` instances in order."""
+    """The cover records of *destination*: per active cover, in the
+    order the records were made, its absorbed ``(pattern, flood flag)``
+    instances in order."""
     return [
         (cover, list(instances.values()))
         for cover, instances in table._absorbed.get(destination, {}).items()
@@ -93,17 +95,13 @@ def scanned(table, pattern, destination):
 
 
 def assert_index_consistent(table):
-    for destination, index in table._instances.items():
-        numbers_of: dict = {}
-        for instances in table._absorbed.get(destination, {}).values():
-            for number, (pattern, _) in instances.items():
-                numbers_of.setdefault(hash(pattern), []).append(number)
-        assert index.keys() == numbers_of.keys(), destination
-        for key, numbers in index.items():
-            assert sorted(numbers) == sorted(numbers_of[key])
-            for instances in table._absorbed[destination].values():
-                held = [number for number in numbers if number in instances]
-                assert held == [n for n in instances if n in held], key
+    for destination, indexes in table._instances.items():
+        records = table._absorbed.get(destination, {})
+        for cover, index in indexes.items():
+            expected: dict = {}
+            for number, (pattern, _) in records[cover].items():
+                expected.setdefault(hash(pattern), []).append(number)
+            assert index == expected, (destination, cover)
 
 
 class TestRetirementIndex:
@@ -179,17 +177,51 @@ class TestRetirementIndex:
 
     def test_patterns_sharing_a_hash_are_told_apart(self):
         # The index is keyed by hash; two patterns that share one (forced
-        # here) share its number list, and a lookup compares the
+        # here) share its number lists, and a lookup compares the
         # instances it finds with the pattern before retiring one.
         table = RoutingTable()
-        table.add(parse_xpath("/a"), "x")
+        cover = parse_xpath("/a")
+        table.add(cover, "x")
         table.add(parse_xpath("/a/b"), "x")  # absorbed under /a
         table.add(parse_xpath("/a/c"), "x")  # absorbed under /a
         assert table.remove_pattern(parse_xpath("/a/d"), "x") == (False, [])
-        index = table._instances["x"]
+        index = table._instances["x"][cover]
         shared = hash(parse_xpath("/a/b"))
         index[shared] = index.pop(hash(parse_xpath("/a/c"))) + index[shared]
         assert table.remove_pattern(parse_xpath("/a/b"), "x") == (False, [])
         assert records(table, "x") == [
             (parse_xpath("/a"), [(parse_xpath("/a/c"), True)])
         ]
+
+    def test_a_departing_cover_takes_only_its_own_index(self):
+        # A retirement with no active entry to match looks in every
+        # cover's record, building each one's index; a cover that leaves
+        # or is evicted takes its own index with it, and the other covers
+        # keep theirs.
+        table = RoutingTable()
+        table.add(parse_xpath("/a"), "x")
+        table.add(parse_xpath("/a/b"), "x")  # under /a
+        table.add(parse_xpath("//c"), "x")
+        table.add(parse_xpath("/d/c"), "x")  # under //c
+        table.add(parse_xpath("/d/c"), "x")  # under //c
+        table.add(parse_xpath("/e"), "x")
+        table.add(parse_xpath("/e/f"), "x")  # under /e
+        assert table.remove_pattern(parse_xpath("/g"), "x") == (False, [])
+        indexes = table._instances["x"]
+        kept = indexes[parse_xpath("//c")]
+        assert list(indexes) == [
+            parse_xpath("/a"),
+            parse_xpath("//c"),
+            parse_xpath("/e"),
+        ]
+        assert table.remove_pattern(parse_xpath("/a"), "x") == (
+            True,
+            [parse_xpath("/a/b")],
+        )
+        table.add(parse_xpath("/*"), "x")  # evicts /e with its record
+        assert table._instances["x"] is indexes
+        assert list(indexes) == [parse_xpath("//c")]
+        assert indexes[parse_xpath("//c")] is kept
+        assert_index_consistent(table)
+        assert table.remove_pattern(parse_xpath("/d/c"), "x") == (False, [])
+        assert indexes[parse_xpath("//c")] is kept
