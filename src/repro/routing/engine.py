@@ -99,6 +99,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
 from repro.routing.broker import ClassLatency, LatencyStats, ordered_percentile
@@ -516,28 +517,25 @@ class DeliveryEngine:
         self._busy_time: dict[int, float] = {
             broker_id: 0.0 for broker_id in overlay.brokers
         }
+        #: Per publish index (one per published document), the
+        #: subscriber ids delivered to so far.
         self._delivered: dict[int, set[int]] = {}
-        #: Publication-to-delivery latency samples as ``(latency,
-        #: deliveries)`` runs, one per step that delivered: every
-        #: subscriber a step reaches first hears at the same instant.
-        self._latency_runs: list[tuple[float, int]] = []
+        #: Per priority class, publication-to-delivery latency samples as
+        #: ``(latency, deliveries)`` runs, one per step that delivered:
+        #: every subscriber a step reaches first hears at the same
+        #: instant.
         self._latency_runs_by_class: dict[int, list[tuple[float, int]]] = {}
+        #: One queue delay per serviced document.
         self._queue_delays: list[float] = []
         self._first_publish: Optional[float] = None
         self._last_event = 0.0
-        self._documents = 0
         self._match_operations = 0
         self._forwards = 0
         self._service_batches = 0
-        self._serviced_documents = 0
-        # -- conservation ledger: every document copy is counted once at
-        # birth (publish or forward) and once at death (completion,
-        # drop, or nack), so offered == completed + dropped + nacked +
-        # in-flight at every drain point, bounded queues or not.
-        self._offered_jobs = 0
-        self._completed_jobs = 0
-        self._dropped_jobs = 0
-        self._nacked_jobs = 0
+        # -- conservation ledger, per priority class: every document copy
+        # is counted once at birth (publish or forward) and once at death
+        # (completion, drop, or nack), so offered == completed + dropped +
+        # nacked + in-flight at every drain point, bounded queues or not.
         self._offered_by_class: dict[int, int] = {}
         self._completed_by_class: dict[int, int] = {}
         self._dropped_by_class: dict[int, int] = {}
@@ -607,8 +605,7 @@ class DeliveryEngine:
             raise ValueError("publish time must be >= 0")
         if deadline is not None and deadline < time:
             raise ValueError("deadline must not precede the publish time")
-        index = self._documents
-        self._documents += 1
+        index = len(self._delivered)
         self._delivered[index] = set()
         if self._first_publish is None or time < self._first_publish:
             self._first_publish = time
@@ -628,7 +625,6 @@ class DeliveryEngine:
     def _offer(self, job: _Job) -> None:
         """Record the birth of one document copy in the conservation
         ledger."""
-        self._offered_jobs += 1
         self._offered_by_class[job.priority_class] = (
             self._offered_by_class.get(job.priority_class, 0) + 1
         )
@@ -1041,7 +1037,6 @@ class DeliveryEngine:
         self._busy[broker_id] = True
         for job in jobs:
             self._queue_delays.append(now - job.arrived_at)
-        self._serviced_documents += len(jobs)
         self._service_batches += 1
         steps = self.overlay.process_batch_at(
             broker_id,
@@ -1099,7 +1094,6 @@ class DeliveryEngine:
     def _record_drop(self, broker_id: int, job: _Job, now: float) -> None:
         """Account the silent death of one document copy at
         *broker_id*."""
-        self._dropped_jobs += 1
         self._dropped_by_class[job.priority_class] = (
             self._dropped_by_class.get(job.priority_class, 0) + 1
         )
@@ -1110,7 +1104,6 @@ class DeliveryEngine:
 
     def _record_nack(self, broker_id: int, job: _Job, now: float) -> None:
         """Account one rejected copy and signal its source, if any."""
-        self._nacked_jobs += 1
         self._nacked_by_class[job.priority_class] = (
             self._nacked_by_class.get(job.priority_class, 0) + 1
         )
@@ -1162,11 +1155,9 @@ class DeliveryEngine:
         fresh = step.deliveries - delivered
         if fresh:
             delivered |= fresh
-            run = (now - job.published_at, len(fresh))
-            self._latency_runs.append(run)
             self._latency_runs_by_class.setdefault(
                 job.priority_class, []
-            ).append(run)
+            ).append((now - job.published_at, len(fresh)))
         for neighbor in step.forwards:
             self._forwards += 1
             # A filtering step computed before a leave event may still
@@ -1192,7 +1183,6 @@ class DeliveryEngine:
                 destination,
                 forwarded,
             )
-        self._completed_jobs += 1
         self._completed_by_class[job.priority_class] = (
             self._completed_by_class.get(job.priority_class, 0) + 1
         )
@@ -1246,10 +1236,14 @@ class DeliveryEngine:
         """The :class:`LatencyStats` of everything processed so far."""
         start = self._first_publish or 0.0
         makespan = max(0.0, self._last_event - start)
-        latency = ClassLatency.of_runs(self._latency_runs)
+        # of_runs sorts its runs, so chaining the classes' runs gives the
+        # digest of all samples, float for float.
+        latency = ClassLatency.of_runs(
+            chain.from_iterable(self._latency_runs_by_class.values())
+        )
         delays = sorted(self._queue_delays)
         return LatencyStats(
-            documents=self._documents,
+            documents=len(self._delivered),
             deliveries=latency.deliveries,
             makespan=makespan,
             latency_p50=latency.p50,
@@ -1267,17 +1261,17 @@ class DeliveryEngine:
             match_operations=self._match_operations,
             forwards=self._forwards,
             service_batches=self._service_batches,
-            serviced_documents=self._serviced_documents,
+            serviced_documents=len(self._queue_delays),
             latency_by_class={
                 priority_class: ClassLatency.of_runs(runs)
                 for priority_class, runs in sorted(
                     self._latency_runs_by_class.items()
                 )
             },
-            offered_jobs=self._offered_jobs,
-            completed_jobs=self._completed_jobs,
-            dropped_jobs=self._dropped_jobs,
-            nacked_jobs=self._nacked_jobs,
+            offered_jobs=sum(self._offered_by_class.values()),
+            completed_jobs=sum(self._completed_by_class.values()),
+            dropped_jobs=sum(self._dropped_by_class.values()),
+            nacked_jobs=sum(self._nacked_by_class.values()),
             offered_by_class=dict(sorted(self._offered_by_class.items())),
             completed_by_class=dict(
                 sorted(self._completed_by_class.items())
@@ -1292,5 +1286,5 @@ class DeliveryEngine:
     def __repr__(self) -> str:
         return (
             f"DeliveryEngine(brokers={len(self.overlay.brokers)}, "
-            f"documents={self._documents}, pending={len(self._events)})"
+            f"documents={len(self._delivered)}, pending={len(self._events)})"
         )

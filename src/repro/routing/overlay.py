@@ -46,10 +46,11 @@ broker depends on the policy:
   active entry of the link, and each hop of an unadvertise finds the
   instance it retires through the table's retirement index;
 * community and hybrid — the broker re-aggregates and diffs the result
-  against its live aggregation, over the changed window only; a hybrid
-  broker takes this path at or under its cutoff too.  Under leader
-  linkage the clustering is updated in place, so an arrival costs one
-  first-fit placement against the current community leaders.
+  against its live aggregation, entry by entry under each member group,
+  with no pattern hashed; a hybrid broker takes this path at or under
+  its cutoff too.  Under leader linkage the clustering is updated in
+  place, so an arrival costs one first-fit placement against the
+  current community leaders.
 
 :meth:`BrokerOverlay.subscribe_many` /
 :meth:`BrokerOverlay.unsubscribe_many` coalesce a churn burst into one
@@ -150,6 +151,11 @@ class BrokerNode:
     table: RoutingTable = field(default_factory=RoutingTable)
     #: Global subscriber ids homed on this broker.
     local_subscribers: list[int] = field(default_factory=list)
+    #: The subscriptions the live policy aggregates here: subscriber id
+    #: -> pattern, in home order (ascending id).  Members that merely
+    #: :meth:`BrokerOverlay.attach`\ -ed after the bulk advertisement
+    #: stay out until it is rebuilt.
+    advertised: dict[int, TreePattern] = field(default_factory=dict)
     #: The live aggregation keyed by member group: ``member subscriber
     #: ids -> (advertised_pattern, member subscriber ids)``, in the
     #: policy's order, so that one entry is added or removed in O(1).
@@ -221,61 +227,25 @@ class BrokerStep:
     match_operations: int
 
 
-def _surplus_diff(
-    old: Sequence[_Community], fresh: Sequence[_Community]
+def _aggregation_diff(
+    old: dict[tuple[int, ...], _Community],
+    fresh: dict[tuple[int, ...], _Community],
 ) -> tuple[list[_Community], list[_Community]]:
-    """Multiset diff in O(k): equal entries are interchangeable, so only
-    the per-entry surplus decides what departs (the first surplus
-    occurrences in *old*) or arrives (likewise in *fresh*)."""
-    old_counts = Counter(old)
-    fresh_counts = Counter(fresh)
-    surplus_old = old_counts - fresh_counts
-    surplus_fresh = fresh_counts - old_counts
-    departed: list[_Community] = []
-    for entry in old:
-        if surplus_old[entry] > 0:
-            surplus_old[entry] -= 1
-            departed.append(entry)
-    unmatched: list[_Community] = []
-    for entry in fresh:
-        if surplus_fresh[entry] > 0:
-            surplus_fresh[entry] -= 1
-            unmatched.append(entry)
-    return departed, unmatched
+    """The entries of *old* that *fresh* lacks (departed) and those of
+    *fresh* that *old* lacks (unmatched), each in its record's order.
 
-
-def _community_diff(
-    old: list[_Community], fresh: list[_Community]
-) -> tuple[list[_Community], list[_Community]]:
-    """:func:`_surplus_diff` of a broker's old and fresh aggregation,
-    paid for the changed window only.
-
-    A churn event changes a few entries of a long, stably ordered list,
-    so the two lists share a long common prefix and suffix.  Matched
-    pairs never change a surplus, and the surplus entries of the window
-    are the first ones of the whole list too — unless an equal entry
-    also sits in the common prefix, which only duplicate entries allow;
-    then the full diff runs instead.  Either way the result equals the
-    full diff element for element.
+    Both records key each entry by its member group, and neither repeats
+    a group, so an entry is in the other record exactly when that record
+    holds it under its group: this is the multiset diff of the two
+    aggregations, element for element and in order, without hashing a
+    pattern.
     """
-    limit = min(len(old), len(fresh))
-    head = 0
-    while head < limit and old[head] == fresh[head]:
-        head += 1
-    tail = 0
-    while tail < limit - head and old[-1 - tail] == fresh[-1 - tail]:
-        tail += 1
-    departed, unmatched = _surplus_diff(
-        old[head : len(old) - tail], fresh[head : len(fresh) - tail]
-    )
-    changed = departed + unmatched
-    if changed and head:
-        members = {group for _, group in changed}
-        if any(
-            group in members and (pattern, group) in changed
-            for pattern, group in old[:head]
-        ):
-            return _surplus_diff(old, fresh)
+    departed = [
+        entry for group, entry in old.items() if fresh.get(group) != entry
+    ]
+    unmatched = [
+        entry for group, entry in fresh.items() if old.get(group) != entry
+    ]
     return departed, unmatched
 
 
@@ -382,10 +352,6 @@ class BrokerOverlay:
         #: ids are never reused across unsubscribes.
         self.subscriptions: dict[int, tuple[int, TreePattern]] = {}
         self._next_subscriber = 0
-        #: Subscriber ids whose advertisement is installed in the live
-        #: per-subscription regime (the community regime tracks this via
-        #: each broker's ``handles`` map instead).
-        self._advertised: set[int] = set()
         self.advertisement_messages = 0
         self.mode: Optional[str] = None
         #: The live advertisement policy (None before :meth:`advertise`);
@@ -522,7 +488,7 @@ class BrokerOverlay:
 
     def _forget(self, subscription_id: int) -> tuple[int, TreePattern, bool]:
         """Drop a subscriber from its home's membership and from the live
-        policy's advertised set (and index).
+        policy's advertised record (and index).
 
         Returns its home broker id, its pattern and whether the live
         policy had advertised it.
@@ -535,24 +501,22 @@ class BrokerOverlay:
             ) from None
         node = self.brokers[home_id]
         node.local_subscribers.remove(subscription_id)
-        advertised = subscription_id in self._advertised
-        self._advertised.discard(subscription_id)
+        advertised = node.advertised.pop(subscription_id, None) is not None
         handle = node.handles.pop(subscription_id, None)
         if handle is not None:
             node.index.remove(handle)
-            advertised = True
         return home_id, pattern, advertised
 
     def reset_routing(self) -> None:
         """Drop all routing state (tables, communities, ad counters)."""
         for node in self.brokers.values():
             node.table.clear()
+            node.advertised = {}
             node.aggregation = {}
             node.stale = False
             node.index = None
             node.handles = {}
             node.clusters = LeaderClusters()
-        self._advertised = set()
         self.advertisement_messages = 0
         self.mode = None
         self.policy = None
@@ -565,11 +529,11 @@ class BrokerOverlay:
     def _register(
         self, node: BrokerNode, subscription_id: int, pattern: TreePattern
     ) -> None:
-        """Admit one subscription into the live policy's advertised set."""
+        """Admit one subscription into the live policy's advertised
+        record (and index)."""
+        node.advertised[subscription_id] = pattern
         if node.index is not None:
             node.handles[subscription_id] = node.index.add(pattern)
-        else:
-            self._advertised.add(subscription_id)
 
     def subscribe(
         self, broker_id: int, pattern: TreePattern
@@ -578,7 +542,7 @@ class BrokerOverlay:
 
         * no policy yet (``mode is None``) — membership only, exactly like
           :meth:`attach`;
-        * otherwise the arrival joins the home broker's advertised set
+        * otherwise the arrival joins the home broker's advertised record
           (and its live :class:`~repro.core.similarity.SimilarityIndex`,
           for similarity-based policies), the broker re-aggregates, and
           only the advertisement *diff* travels the overlay.
@@ -602,7 +566,7 @@ class BrokerOverlay:
         """Retire a subscription and withdraw its advertisements.
 
         The inverse of :meth:`subscribe`: the home broker drops the
-        subscription from its advertised set (and index), re-aggregates,
+        subscription from its advertised record (and index), re-aggregates,
         and the advertisement diff walks the reverse advertisement paths
         — under a per-subscription policy that unadvertises exactly the
         departing pattern, resurrecting (and re-advertising) entries it
@@ -633,7 +597,7 @@ class BrokerOverlay:
         """Home a burst of subscribers on one broker in a single batch.
 
         The batch equivalent of looping :meth:`subscribe`: all arrivals
-        join the broker's membership (and advertised set) first, then the
+        join the broker's membership (and advertised record) first, then the
         broker re-aggregates **once** and advertises one diff — so a
         burst costs one re-clustering and never floods the transient
         community shapes the per-event loop would have announced and
@@ -948,23 +912,21 @@ class BrokerOverlay:
         target.neighbors.sort()
         if live:
             self._transplant(node, target, orphans)
-        adopted_advertised = False
         for subscription_id in node.local_subscribers:
             _, pattern = self.subscriptions[subscription_id]
             self.subscriptions[subscription_id] = (merge_into, pattern)
-            if subscription_id in node.handles:
-                adopted_advertised = True
-                if target.index is not None:
-                    target.handles[subscription_id] = target.index.add(
-                        pattern
-                    )
-            elif subscription_id in self._advertised:
-                adopted_advertised = True
         target.local_subscribers = sorted(
             target.local_subscribers + node.local_subscribers
         )
+        adopted = node.advertised
+        if target.index is not None:
+            for subscription_id, pattern in adopted.items():
+                target.handles[subscription_id] = target.index.add(pattern)
+        target.advertised = dict(
+            sorted({**target.advertised, **adopted}.items())
+        )
         del self.brokers[broker_id]
-        if live and adopted_advertised:
+        if live and adopted:
             self._reaggregate(merge_into)
         return BrokerId(merge_into)
 
@@ -1123,33 +1085,19 @@ class BrokerOverlay:
     ) -> list[tuple[TreePattern, tuple[int, ...]]]:
         """One broker's target advertisement state under the live policy.
 
-        Hands the policy the broker's *advertised* subscriptions — for
-        similarity-based policies the live index population, with the
-        broker's :class:`~repro.routing.policy.LeaderClusters` record
-        for the policy to update in place, otherwise the overlay-wide
-        advertised set.  Members that merely :meth:`attach`\\ -ed after
-        the bulk advertisement stay out until it is rebuilt, whatever the
-        policy.
+        Hands the policy the broker's :attr:`BrokerNode.advertised`
+        record in home order, with its live index and its
+        :class:`~repro.routing.policy.LeaderClusters` record for a
+        similarity-based policy to update in place.  Members that merely
+        :meth:`attach`\\ -ed after the bulk advertisement are not in the
+        record, whatever the policy.
         """
         assert self.policy is not None
-        if node.index is not None:
-            advertised_members = [
-                subscriber_id
-                for subscriber_id in node.local_subscribers
-                if subscriber_id in node.handles
-            ]
-        else:
-            advertised_members = [
-                subscriber_id
-                for subscriber_id in node.local_subscribers
-                if subscriber_id in self._advertised
-            ]
-        local_patterns = [
-            self.subscriptions[subscriber_id][1]
-            for subscriber_id in advertised_members
-        ]
         return self.policy.aggregate(
-            advertised_members, local_patterns, node.index, node.clusters
+            list(node.advertised),
+            list(node.advertised.values()),
+            node.index,
+            node.clusters,
         )
 
     def _reaggregate(
@@ -1171,8 +1119,10 @@ class BrokerOverlay:
         Otherwise the broker re-aggregates through the live policy (under
         leader linkage, one arrival or departure updates the broker's
         last clustering in place rather than re-clustering it; see
-        :class:`~repro.routing.policy.CommunityPolicy`) and applies two
-        separate diffs against the live aggregation:
+        :class:`~repro.routing.policy.CommunityPolicy`) and diffs the
+        fresh record against the live one under each member group
+        (:func:`_aggregation_diff`).  The change is applied at two
+        levels:
 
         * local delivery entries follow the full ``(pattern, members)``
           communities — a membership change swaps the home broker's
@@ -1196,11 +1146,10 @@ class BrokerOverlay:
                     del node.aggregation[entry[1]]
                     self._apply_change(broker_id, [entry], [])
                 return
-        fresh = self._aggregate_node(node)
-        record = _aggregation_record(fresh)
-        departed, unmatched = _community_diff(node.communities, fresh)
+        fresh = _aggregation_record(self._aggregate_node(node))
+        departed, unmatched = _aggregation_diff(node.aggregation, fresh)
         self._apply_change(broker_id, departed, unmatched)
-        node.aggregation = record
+        node.aggregation = fresh
         node.stale = False
 
     def _apply_change(
@@ -1256,16 +1205,16 @@ class BrokerOverlay:
         self.provider = provider if policy.uses_similarity else None
         self.mode = policy.mode_label()
         for node in self.brokers.values():
+            node.advertised = {
+                subscriber_id: self.subscriptions[subscriber_id][1]
+                for subscriber_id in node.local_subscribers
+            }
             if policy.uses_similarity:
                 node.index = policy.make_index(provider)
                 node.handles = {
-                    subscriber_id: node.index.add(
-                        self.subscriptions[subscriber_id][1]
-                    )
-                    for subscriber_id in node.local_subscribers
+                    subscriber_id: node.index.add(pattern)
+                    for subscriber_id, pattern in node.advertised.items()
                 }
-            else:
-                self._advertised.update(node.local_subscribers)
             node.aggregation = _aggregation_record(self._aggregate_node(node))
             for advertised, members in node.communities:
                 node.table.add(advertised, (DELIVER, members))

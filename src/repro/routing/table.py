@@ -19,26 +19,27 @@ Because the homomorphism containment test is sound but not complete, a
 missed covering relation only costs table space, never correctness.
 
 Covering is *reversible*: every advertisement a covering entry absorbed
-(a dropped insert or an evicted entry) is remembered under that entry, so
-:meth:`RoutingTable.remove_pattern` can retire one advertisement instance
-at a time — removing a duplicate silently, and resurrecting the absorbed
-advertisements when the last covering instance leaves.  The restored
-entries are returned to the caller, which is exactly what a broker's
-unadvertise protocol needs to re-announce them downstream.
+(a dropped insert or an evicted entry) is remembered in that entry's
+*cover record*, so :meth:`RoutingTable.remove_pattern` can retire one
+advertisement instance at a time — removing a duplicate silently, and
+resurrecting the absorbed advertisements when the last covering
+instance leaves.  The restored entries are returned to the caller,
+which is exactly what a broker's unadvertise protocol needs to
+re-announce them downstream.
 
 Retiring an absorbed instance costs O(1) in the number of instances a
-destination holds: each record keeps its instances under numbers that
-are never reused, so one leaves without disturbing the others' order,
-and each record has a *retirement index* from pattern hash to instance
+destination holds: each cover record keeps its instances under numbers
+that are never reused, so one leaves without disturbing the others'
+order, and carries a *retirement index* from pattern hash to instance
 numbers, so the instance to retire is looked up, not scanned for with
 pattern equality.  A record's index is built by the first retirement
 that looks in it, one hash per instance, rather than while a deployment
-advertises; covered inserts keep it current, and it goes with its record
-when the cover leaves or is evicted.  A duplicate of an active entry is
-looked up in that entry's record alone; any other instance is looked up
-in each cover's record in turn, one lookup per cover.  Retiring an
-*active* entry still costs what re-admitting its absorbed instances
-costs.
+advertises; covered inserts keep it current, and being part of the
+record it moves with a rename and leaves when the cover leaves or is
+evicted.  A duplicate of an active entry is looked up in that entry's
+record alone; any other instance is looked up in each cover's record in
+turn, one lookup per cover.  Retiring an *active* entry still costs
+what re-admitting its absorbed instances costs.
 
 The same instance bookkeeping powers *topology surgery*: when the broker
 tree itself changes, :meth:`RoutingTable.rename_destination` re-keys a
@@ -281,6 +282,20 @@ def _supersedes(pattern: TreePattern, existing: TreePattern) -> bool:
     return pattern.sorts_before(existing) and contains(pattern, existing)
 
 
+class _CoverRecord(dict[int, tuple[TreePattern, bool]]):
+    """The advertisement instances one active entry absorbed, in
+    absorption order, as ``instance number -> (pattern, resume_flood)``.
+
+    ``index`` is the record's retirement index: each absorbed pattern's
+    hash -> the numbers of its instances, in record order.  Keyed by
+    hash, so building it compares no patterns; a lookup compares only
+    the instances it picks.  None until the first retirement that looks
+    in the record builds it; covered inserts keep it current after that.
+    """
+
+    index: Optional[dict[int, list[int]]] = None
+
+
 class RoutingTable:
     """Covering-aware pattern → destination table of one broker.
 
@@ -297,41 +312,26 @@ class RoutingTable:
             raise ValueError(f"unknown matching mode: {matching!r}")
         self.matching = matching
         self._by_destination: dict[Destination, list[TreePattern]] = {}
-        #: Per destination: active entry -> the advertisement instances it
-        #: absorbed, in absorption order, as ``instance number ->
-        #: (pattern, resume_flood)`` (duplicates kept; a number is never
-        #: reused in this table, so one instance leaves in O(1) and the
-        #: rest keep their order).  ``resume_flood`` is decided once, when
-        #: the instance is first absorbed: True for a covered *insert* (its
-        #: flood died in this table, so downstream brokers never heard of
-        #: it and a later restoration must re-advertise it), False for an
-        #: *evicted* active entry (its flood had already passed through, so
+        #: Per destination: active entry -> its :class:`_CoverRecord`, the
+        #: advertisement instances it absorbed (duplicates kept; a number
+        #: is never reused in this table, so one instance leaves in O(1)
+        #: and the rest keep their order) with their retirement index.
+        #: ``resume_flood`` is decided once, when the instance is first
+        #: absorbed: True for a covered *insert* (its flood died in this
+        #: table, so downstream brokers never heard of it and a later
+        #: restoration must re-advertise it), False for an *evicted*
+        #: active entry (its flood had already passed through, so
         #: downstream state exists and restoring it is purely local).  The
         #: flag and the number travel with the instance through any number
         #: of re-absorptions.
-        self._absorbed: dict[
-            Destination, dict[TreePattern, dict[int, tuple[TreePattern, bool]]]
-        ] = {}
-        #: Per destination: cover -> absorbed pattern's hash -> the
-        #: numbers of the cover's instances with that hash, in the cover's
-        #: order — the retirement indexes :meth:`remove_pattern` looks
-        #: instances up in.  Keyed by hash, so building one compares no
-        #: patterns; a lookup compares only the instances it picks.  A
-        #: cover's index is built from its record on first use, kept up to
-        #: date as covered inserts arrive, and dropped with the record
-        #: when the cover leaves or is evicted.
-        self._instances: dict[
-            Destination, dict[TreePattern, dict[int, list[int]]]
-        ] = {}
+        self._absorbed: dict[Destination, dict[TreePattern, _CoverRecord]] = {}
         self._numbers = count()
         self._matchers: dict[TreePattern, PatternMatcher] = {}
         #: The merged matching structure over every *active* entry; its
         #: destination ranks follow table order (see the module
-        #: docstring).
+        #: docstring).  It holds a pattern exactly while some destination
+        #: holds it active.
         self._trie = PatternTrie()
-        #: Per pattern: how many destinations hold it active — the
-        #: refcount behind O(1) matcher-cache pruning.
-        self._active_counts: dict[TreePattern, int] = {}
         #: The delivery view of the trie's current rank epoch, rebuilt on
         #: first use after the epoch moves.
         self._view: Optional[_DeliveryView] = None
@@ -345,21 +345,14 @@ class RoutingTable:
     # ------------------------------------------------------------------
     #
     # Every mutation of the active entry sets goes through this pair, so
-    # the merged trie and the matcher-cache refcounts can never drift
-    # from ``_by_destination``.
+    # the merged trie can never drift from ``_by_destination``.
 
     def _activate(self, pattern: TreePattern, destination: Destination) -> None:
-        self._active_counts[pattern] = self._active_counts.get(pattern, 0) + 1
         self._trie.add(pattern, destination)
 
     def _deactivate(
         self, pattern: TreePattern, destination: Destination
     ) -> None:
-        remaining = self._active_counts[pattern] - 1
-        if remaining:
-            self._active_counts[pattern] = remaining
-        else:
-            del self._active_counts[pattern]
         self._trie.discard(pattern, destination)
         self._prune_matcher(pattern)
 
@@ -395,18 +388,17 @@ class RoutingTable:
             if contains(existing, pattern) and not _supersedes(pattern, existing):
                 self.covered_inserts += 1
                 number = next(self._numbers)
-                self._absorbed.setdefault(destination, {}).setdefault(
-                    existing, {}
-                )[number] = (pattern, resume_flood)
-                if self._instances:  # empty until a retirement builds one
-                    index = self._instances.get(destination, {}).get(existing)
-                    if index is not None:
-                        # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
-                        index.setdefault(hash(pattern), []).append(number)
+                record = self._absorbed.setdefault(destination, {}).setdefault(
+                    existing, _CoverRecord()
+                )
+                record[number] = (pattern, resume_flood)
+                if record.index is not None:
+                    # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
+                    record.index.setdefault(hash(pattern), []).append(number)
                 return False
         survivors: list[TreePattern] = []
         evicted_active: list[TreePattern] = []
-        absorbed_here: dict[int, tuple[TreePattern, bool]] = {}
+        absorbed_here = _CoverRecord()
         dest_absorbed = self._absorbed.get(destination, {})
         for existing in patterns:
             if contains(pattern, existing):
@@ -422,13 +414,9 @@ class RoutingTable:
         for evicted in evicted_active:
             self._deactivate(evicted, destination)
         if absorbed_here:
-            self._absorbed.setdefault(destination, {}).setdefault(
-                pattern, {}
-            ).update(absorbed_here)
-            indexes = self._instances.get(destination)
-            if indexes:
-                for evicted in evicted_active:
-                    indexes.pop(evicted, None)
+            # *pattern* was not active here, so it has no record yet; the
+            # evicted covers' records, indexes included, are gone.
+            self._absorbed.setdefault(destination, {})[pattern] = absorbed_here
         return True
 
     @staticmethod
@@ -515,19 +503,6 @@ class RoutingTable:
             )
         return ordered
 
-    @staticmethod
-    def _record_index(
-        instances: dict[int, tuple[TreePattern, bool]],
-    ) -> dict[int, list[int]]:
-        """The retirement index of one cover record: each absorbed
-        pattern's hash -> the numbers of its instances, in record order.
-        One hash per instance."""
-        index: dict[int, list[int]] = {}
-        for number, (absorbed, _) in instances.items():
-            # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
-            index.setdefault(hash(absorbed), []).append(number)
-        return index
-
     def _retire_instance(
         self,
         pattern: TreePattern,
@@ -541,7 +516,7 @@ class RoutingTable:
         "First" is the instance a scan of the destination's cover
         records, in record order, would meet first: under *cover* alone
         when one is given, else under the first cover holding one.  No
-        record is scanned: each cover's retirement index names the
+        record is scanned: each record's retirement index names the
         numbers of its instances whose pattern hashes like *pattern*,
         and only those are compared with it.  Without *cover* that is
         one index lookup per cover, in record order.
@@ -550,9 +525,9 @@ class RoutingTable:
         if not dest_absorbed:
             return None
         if cover is None:
-            holders: Iterable[
-                tuple[TreePattern, dict[int, tuple[TreePattern, bool]]]
-            ] = dest_absorbed.items()
+            holders: Iterable[tuple[TreePattern, _CoverRecord]] = (
+                dest_absorbed.items()
+            )
         else:
             own = dest_absorbed.get(cover)
             if own is None:
@@ -562,24 +537,25 @@ class RoutingTable:
         # equality alone: a hash only narrows the candidates.
         # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
         key = hash(pattern)
-        indexes = self._instances.setdefault(destination, {})
-        for holder, instances in holders:
-            index = indexes.get(holder)
+        for holder, record in holders:
+            index = record.index
             if index is None:
-                index = indexes[holder] = self._record_index(instances)
+                index = record.index = {}
+                for number, (absorbed, _) in record.items():
+                    # reprolint: disable=RL003 -- in-process index key; outcomes never depend on its value
+                    index.setdefault(hash(absorbed), []).append(number)
             numbers = index.get(key)
             if numbers is None:
                 continue
             for position, number in enumerate(numbers):
-                instance = instances[number]
+                instance = record[number]
                 if instance[0] == pattern:
                     del numbers[position]
                     if not numbers:
                         del index[key]
-                    del instances[number]
-                    if not instances:
+                    del record[number]
+                    if not record:
                         del dest_absorbed[holder]
-                        del indexes[holder]
                     return instance[1]
         return None
 
@@ -624,9 +600,7 @@ class RoutingTable:
         if active is None:
             return False, []
         patterns.remove(active)
-        dest_absorbed = self._absorbed.get(destination, {})
-        resurrected = dest_absorbed.pop(active, {})
-        self._instances.get(destination, {}).pop(active, None)
+        resurrected = self._absorbed.get(destination, {}).pop(active, {})
         restored: list[TreePattern] = []
         for candidate, resume_flood in self._restore_order(
             list(resurrected.values())
@@ -642,7 +616,6 @@ class RoutingTable:
         if not self._by_destination.get(destination):
             self._by_destination.pop(destination, None)
             self._absorbed.pop(destination, None)
-            self._instances.pop(destination, None)
         return True, restored
 
     def remove_destination(self, destination: Destination) -> list[TreePattern]:
@@ -659,7 +632,6 @@ class RoutingTable:
         to a retiring neighbour).
         """
         self._absorbed.pop(destination, None)
-        self._instances.pop(destination, None)
         removed = list(self._by_destination.pop(destination, ()))
         for pattern in removed:
             self._deactivate(pattern, destination)
@@ -689,8 +661,6 @@ class RoutingTable:
         self._by_destination[new] = self._by_destination.pop(old)
         if old in self._absorbed:
             self._absorbed[new] = self._absorbed.pop(old)
-        if old in self._instances:
-            self._instances[new] = self._instances.pop(old)
         # The pop + reinsert moved the entries to the end of the table's
         # iteration order; *new* takes the trie's last rank to match.
         self._trie.rename_destination(old, new, self._by_destination[new])
@@ -785,22 +755,20 @@ class RoutingTable:
 
         Matchers are a pure cache keyed by pattern; without this, a
         long-running churn workload would accumulate one compiled matcher
-        per pattern ever routed.  The activity refcount kept by
-        ``_activate``/``_deactivate`` makes the liveness probe O(1) — no
-        scan over the destination lists.  A resurrected pattern simply
-        recompiles.
+        per pattern ever routed.  The trie holds a pattern exactly while
+        some destination holds it active, so the liveness probe is one
+        lookup — no scan over the destination lists.  A resurrected
+        pattern simply recompiles.
         """
-        if pattern not in self._active_counts:
+        if pattern not in self._trie:
             self._matchers.pop(pattern, None)
 
     def clear(self) -> None:
         """Drop all entries, bookkeeping, and cost counters."""
         self._by_destination.clear()
         self._absorbed.clear()
-        self._instances.clear()
         self._matchers.clear()
         self._trie.clear()
-        self._active_counts.clear()
         self.match_operations = 0
         self.covered_inserts = 0
         self.evicted_entries = 0

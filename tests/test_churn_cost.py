@@ -8,9 +8,10 @@ no aggregation is built or diffed, and each hop of the unadvertise finds
 the instance it retires through the routing table's retirement index
 instead of comparing the pattern with every absorbed instance.  Wall
 time is too noisy to pin that in a tier-1 test, so these tests count
-calls — of ``aggregate``, of the windowed diff, of ``TreePattern.__eq__``
-and of ``TreePattern.__hash__`` — for resubscribe pairs on brokers
-holding 300 and 3,000 subscribers each, drawn from a few patterns.
+calls — of ``aggregate``, of the aggregation diff, of
+``TreePattern.__eq__`` and of ``TreePattern.__hash__`` — for resubscribe
+pairs on brokers holding 300 and 3,000 subscribers each, drawn from a
+few patterns.
 
 The first retirement on a link builds that link's retirement index,
 hashing each absorbed instance once, so the first pair's hash count
@@ -134,7 +135,7 @@ def pair_calls(
     with ExitStack() as stack:
         for owner, name in (
             (PerSubscriptionPolicy, "aggregate"),
-            (overlay_module, "_community_diff"),
+            (overlay_module, "_aggregation_diff"),
             (TreePattern, "__eq__"),
             (TreePattern, "__hash__"),
         ):
@@ -162,7 +163,7 @@ def test_resubscribe_pair_cost_does_not_grow_with_the_broker(layout, shared):
         steady[population], fresh = pair_calls(overlay, probe, layout.probe)
         for calls in (first[population], steady[population]):
             assert calls["aggregate"] == 0, population
-            assert calls["_community_diff"] == 0, population
+            assert calls["_aggregation_diff"] == 0, population
         # The pairs did their work: the fresh probe is advertised and the
         # routing state is the one a rebuild would install.
         assert overlay.brokers[0].aggregation[(fresh,)] == (

@@ -4,14 +4,15 @@ On every churn event ``BrokerOverlay._reaggregate`` changes a broker's
 deliver entries and advertisements by the difference between its
 aggregation before and after the event.  It gets that difference one of
 two ways: a single per-subscription event has its policy name the one
-entry it adds or retires, and any other event diffs the previous
-aggregation against a fresh one on the window between the two lists'
-common prefix and suffix only.  This suite pins that the departed and
+entry it adds or retires, and any other event compares the previous
+aggregation record with a fresh one under each member group
+(``_aggregation_diff``).  This suite pins that the departed and
 arriving entries still equal, element for element and in order, the
-full ``Counter`` diff both shortcuts replace:
+full ``Counter`` diff of the two aggregations as lists:
 
-* on arbitrary edited lists with duplicate entries — the only case in
-  which the window alone would pick different occurrences — and
+* on arbitrary pairs of records, each with unique member groups, where
+  edits add, drop and reorder groups and keep a group while changing its
+  pattern — the case a diff that looked at the groups alone would miss;
 * on every change a live overlay applies under the per-subscription,
   community and hybrid policies across subscribe, unsubscribe and burst
   interleavings, against the diff of each broker's aggregation
@@ -52,29 +53,36 @@ def counter_diff(old, fresh):
     return departed, unmatched
 
 
-ENTRIES = [
-    (parse_xpath(xpath), members)
-    for xpath in ("/a", "/a/b", "//c")
-    for members in ((0,), (1,), (0, 1))
-]
+XPATHS = ("/a", "/a/b", "//c")
+GROUPS = ((0,), (1,), (2,), (0, 1), (1, 2))
 
 
 @st.composite
-def edited_lists(draw):
-    """An aggregation and an edit of it, over few distinct entries."""
-    entry = st.sampled_from(ENTRIES)
-    old = draw(st.lists(entry, max_size=10), label="old")
-    fresh = list(old)
+def edited_records(draw):
+    """An aggregation record and an edit of it, over few member groups.
+
+    Each pattern is parsed afresh, so equal patterns are distinct
+    objects.
+    """
+
+    def entry(group, label):
+        return parse_xpath(draw(st.sampled_from(XPATHS), label=label)), group
+
+    groups = draw(st.lists(st.sampled_from(GROUPS), unique=True), label="old")
+    old = {group: entry(group, f"old{group}") for group in groups}
+    fresh = dict(old)
     for step in range(draw(st.integers(0, 4), label="edits")):
-        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
-        position = draw(st.integers(0, len(fresh)), label=f"at{step}")
-        if kind == "insert":
-            fresh.insert(position, draw(entry, label=f"new{step}"))
-        elif position < len(fresh):
-            if kind == "delete":
-                del fresh[position]
-            else:
-                fresh[position] = draw(entry, label=f"new{step}")
+        kind = draw(st.sampled_from(["set", "drop", "shuffle"]))
+        group = draw(st.sampled_from(GROUPS), label=f"group{step}")
+        if kind == "set":
+            # A kept group keeps its place and may change its pattern.
+            fresh[group] = entry(group, f"new{step}")
+        elif kind == "drop":
+            fresh.pop(group, None)
+        else:
+            fresh = dict(
+                draw(st.permutations(list(fresh.items())), label=f"order{step}")
+            )
     return old, fresh
 
 
@@ -82,12 +90,9 @@ def full_aggregation(overlay, broker_id):
     """The broker's aggregation recomputed from scratch: the live policy
     over its advertised subscriptions in home order, with a fresh index
     and no clustering record."""
-    node = overlay.brokers[broker_id]
-    members = [
-        member
-        for member in node.local_subscribers
-        if member in node.handles or member in overlay._advertised
-    ]
+    # Every subscription of this suite is advertised: the seeds before
+    # the bulk advertisement, the rest through the live policy.
+    members = list(overlay.brokers[broker_id].local_subscribers)
     patterns = [overlay.subscriptions[member][1] for member in members]
     index = None
     if overlay.policy.uses_similarity:
@@ -147,11 +152,11 @@ def churn_ops(overlay, patterns, data):
 
 class TestCommunityDiff:
     @settings(max_examples=property_max_examples(200), deadline=None)
-    @given(edited_lists())
-    def test_window_diff_equals_counter_diff(self, lists):
-        old, fresh = lists
-        assert overlay_module._community_diff(old, fresh) == counter_diff(
-            old, fresh
+    @given(edited_records())
+    def test_keyed_diff_equals_counter_diff(self, records):
+        old, fresh = records
+        assert overlay_module._aggregation_diff(old, fresh) == counter_diff(
+            list(old.values()), list(fresh.values())
         )
 
     @settings(max_examples=property_max_examples(15), deadline=None)

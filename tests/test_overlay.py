@@ -978,6 +978,28 @@ class TestTopologyLifecycle:
         assert incremental < fresh.advertisement_messages
         assert joined in overlay.brokers
 
+    @pytest.mark.parametrize("community", [False, True], ids=["persub", "community"])
+    def test_leave_merges_advertised_records_in_id_order(
+        self, corpus, subscriptions, community
+    ):
+        from tests.test_topology_properties import relabeled_signature
+
+        # Round-robin over two brokers homes ids 0, 2, 4 on broker 0 and
+        # 1, 3, 5 on broker 1: the merged record interleaves them.
+        overlay = build_overlay("chain", subscriptions, n_brokers=2)
+        if community:
+            overlay.advertise(CommunityPolicy(0.5), corpus)
+        else:
+            overlay.advertise(PerSubscriptionPolicy())
+        overlay.remove_broker(0, merge_into=1)
+        target = overlay.brokers[1]
+        assert list(target.advertised) == sorted(overlay.subscriptions)
+        for subscription_id, pattern in target.advertised.items():
+            assert pattern == overlay.subscriptions[subscription_id][1]
+        assert relabeled_signature(overlay) == relabeled_signature(
+            overlay.rebuilt()
+        )
+
     def test_attach_only_members_survive_rehoming_unadvertised(
         self, corpus, subscriptions
     ):

@@ -366,7 +366,8 @@ class TestTopologySurgery:
         table.add(parse_xpath("/a/c"), "link-1")  # absorbed under /a
         table.remove_pattern(parse_xpath("/a/c"), "link-1")  # builds the index
         assert table.rename_destination("link-1", "link-9")
-        assert list(table._instances) == ["link-9"]
+        assert list(table._absorbed) == ["link-9"]
+        assert table._absorbed["link-9"][parse_xpath("/a")].index is not None
         assert table.destinations() == ["link-9"]
         assert table.patterns_for("link-9") == [parse_xpath("/a")]
         # The reversible-covering record travelled with the rename.
@@ -468,12 +469,14 @@ class TestTopologySurgery:
         table.add(parse_xpath("/a/d"), "link-1")    # covered insert
         table.add(parse_xpath("/a/e"), "link-1")    # covered insert
         table.remove_pattern(parse_xpath("/a/e"), "link-1")
-        assert "link-1" in table._instances         # retirement index built
+        # The retirement index is built, inside /a's cover record.
+        assert table._absorbed["link-1"][parse_xpath("/a")].index is not None
         table.add(parse_xpath("/a"), "link-2")
         table.destinations_for(document)            # compile matchers
         assert table.remove_destination("link-1") == [parse_xpath("/a")]
+        # Retirement indexes live in the cover records, so no index
+        # outlives them either.
         assert table._absorbed == {}
-        assert table._instances == {}
         assert "link-1" not in table._by_destination
         # /a stays cached (active for link-2); nothing else survives.
         assert set(table._matchers) <= {parse_xpath("/a")}
@@ -560,7 +563,7 @@ class TestRestoreOrderRegression:
 
 
 class TestPruneMatcherRegression:
-    """Matcher-cache pruning is refcounted, not a destination scan."""
+    """Matcher-cache pruning asks the trie, not a destination scan."""
 
     def test_remove_destination_leaves_no_matcher_residue(self, document):
         table = RoutingTable(matching="linear")
@@ -574,7 +577,7 @@ class TestPruneMatcherRegression:
         assert len(table._matchers) == 20
         table.remove_destination("link-2")
         assert table._matchers == {}
-        assert table._active_counts == {}
+        assert len(table._trie) == 0
 
     def test_pruning_never_scans_destination_lists(self, document):
         class ScanGuard(dict):
@@ -601,12 +604,15 @@ class TestPruneMatcherRegression:
         table.add(parse_xpath("/a/b"), "link-2")
         table.add(parse_xpath("/a"), "link-1")   # evicts /a/b for link-1
         expected = {}
-        for patterns in table._by_destination.values():
+        for destination, patterns in table._by_destination.items():
             for pattern in patterns:
-                expected[pattern] = expected.get(pattern, 0) + 1
-        assert table._active_counts == expected
+                expected.setdefault(pattern, set()).add(destination)
+        assert len(table._trie) == len(expected)
+        for pattern, destinations in expected.items():
+            assert table._trie.destinations_of(pattern) == destinations
         table.remove_destination("link-2")
-        assert table._active_counts == {parse_xpath("/a"): 1}
+        assert len(table._trie) == 1
+        assert table._trie.destinations_of(parse_xpath("/a")) == {"link-1"}
 
 
 class TestTrieModeOrdering:

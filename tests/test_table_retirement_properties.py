@@ -21,9 +21,9 @@ cover records were made, holding one.  After every operation:
   flag is False, and the cover records equal the records before with
   that one instance gone, in order;
 * a retirement with nothing to retire changes nothing;
-* every built retirement index belongs to a cover record and lists,
-  per pattern hash, exactly the numbers of the record's instances with
-  that hash, in record order.
+* every cover record's built retirement index lists, per pattern hash,
+  exactly the numbers of the record's instances with that hash, in
+  record order.
 """
 
 from __future__ import annotations
@@ -94,14 +94,24 @@ def scanned(table, pattern, destination):
     return "active" if active is not None else None
 
 
+def indexed(table, destination):
+    """The covers of *destination* whose record has built its index."""
+    return [
+        cover
+        for cover, record in table._absorbed.get(destination, {}).items()
+        if record.index is not None
+    ]
+
+
 def assert_index_consistent(table):
-    for destination, indexes in table._instances.items():
-        records = table._absorbed.get(destination, {})
-        for cover, index in indexes.items():
+    for destination, covers in table._absorbed.items():
+        for cover, record in covers.items():
+            if record.index is None:
+                continue
             expected: dict = {}
-            for number, (pattern, _) in records[cover].items():
+            for number, (pattern, _) in record.items():
                 expected.setdefault(hash(pattern), []).append(number)
-            assert index == expected, (destination, cover)
+            assert record.index == expected, (destination, cover)
 
 
 class TestRetirementIndex:
@@ -158,7 +168,8 @@ class TestRetirementIndex:
         table.add(parse_xpath("/d/c"), "x")
         table.add(parse_xpath("/a"), "x")  # evicts /a/b with /a/b/c
         assert table.remove_pattern(parse_xpath("/d/c"), "x") == (False, [])
-        assert "x" in table._instances  # the index is built
+        # //c's record met it first, so its index is built.
+        assert table._absorbed["x"][parse_xpath("//c")].index is not None
         table.add(parse_xpath("/a/b/c"), "x")  # under //c
         assert [cover for cover, _ in records(table, "x")] == [
             parse_xpath("//c"),
@@ -185,7 +196,7 @@ class TestRetirementIndex:
         table.add(parse_xpath("/a/b"), "x")  # absorbed under /a
         table.add(parse_xpath("/a/c"), "x")  # absorbed under /a
         assert table.remove_pattern(parse_xpath("/a/d"), "x") == (False, [])
-        index = table._instances["x"][cover]
+        index = table._absorbed["x"][cover].index
         shared = hash(parse_xpath("/a/b"))
         index[shared] = index.pop(hash(parse_xpath("/a/c"))) + index[shared]
         assert table.remove_pattern(parse_xpath("/a/b"), "x") == (False, [])
@@ -207,9 +218,9 @@ class TestRetirementIndex:
         table.add(parse_xpath("/e"), "x")
         table.add(parse_xpath("/e/f"), "x")  # under /e
         assert table.remove_pattern(parse_xpath("/g"), "x") == (False, [])
-        indexes = table._instances["x"]
-        kept = indexes[parse_xpath("//c")]
-        assert list(indexes) == [
+        covers = table._absorbed["x"]
+        kept = covers[parse_xpath("//c")].index
+        assert indexed(table, "x") == [
             parse_xpath("/a"),
             parse_xpath("//c"),
             parse_xpath("/e"),
@@ -219,9 +230,9 @@ class TestRetirementIndex:
             [parse_xpath("/a/b")],
         )
         table.add(parse_xpath("/*"), "x")  # evicts /e with its record
-        assert table._instances["x"] is indexes
-        assert list(indexes) == [parse_xpath("//c")]
-        assert indexes[parse_xpath("//c")] is kept
+        assert table._absorbed["x"] is covers
+        assert indexed(table, "x") == [parse_xpath("//c")]
+        assert covers[parse_xpath("//c")].index is kept
         assert_index_consistent(table)
         assert table.remove_pattern(parse_xpath("/d/c"), "x") == (False, [])
-        assert indexes[parse_xpath("//c")] is kept
+        assert covers[parse_xpath("//c")].index is kept

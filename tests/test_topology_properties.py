@@ -8,7 +8,8 @@ topology churn safe:
 * **rebuild equality** — after every operation, each broker's routing
   table equals one of a from-scratch rebuild of the final topology over
   the surviving subscriptions (broker and subscriber ids relabelled by
-  rank, since the lived-in overlay mints fresh ids);
+  rank, since the lived-in overlay mints fresh ids), and each broker's
+  advertised record lists its subscriptions in home order;
 * **flat matching** — routed delivery equals flat evaluation of the
   per-broker aggregation state: multi-hop forwarding with covering
   loses nothing and invents nothing;
@@ -65,6 +66,17 @@ def flat_delivered(overlay, corpus, document):
             if document.doc_id in corpus.match_set(advertised):
                 delivered.update(members)
     return delivered
+
+
+def assert_advertised_records(overlay):
+    """Each broker's advertised record lists its advertised subscribers
+    in home order, each with its pattern.  Every subscription of this
+    suite is advertised: seeded before the bulk advertisement, or
+    subscribed under the live policy."""
+    for broker_id, node in overlay.brokers.items():
+        assert list(node.advertised) == node.local_subscribers, broker_id
+        for subscription_id, pattern in node.advertised.items():
+            assert pattern == overlay.subscriptions[subscription_id][1]
 
 
 def churn(overlay, patterns, data, max_ops=6):
@@ -148,6 +160,7 @@ class TestRebuildEquality:
             topology, n_brokers, patterns, policy, provider, data
         )
         for op in churn(overlay, patterns, data):
+            assert_advertised_records(overlay)
             fresh = rebuild(overlay, policy, provider)
             assert relabeled_signature(overlay) == relabeled_signature(
                 fresh
