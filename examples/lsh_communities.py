@@ -16,6 +16,10 @@ generator is threaded through the deployment surface:
 ``advertise(CommunityPolicy(..., candidates=generator))``, where every
 broker's live similarity index consults the generator before paying for
 a selectivity probe (``IndexStats.candidate_pruned`` counts the skips).
+Finally the overlay is churned: resubscribe pairs retire a community
+leader, an elected member (the one whose pattern its community
+advertises) and an ordinary member, and the churned routing state must
+equal a from-scratch rebuild.
 
 Run:  PYTHONPATH=src python examples/lsh_communities.py
 """
@@ -39,6 +43,29 @@ N_DOCUMENTS = 120
 N_SUBSCRIBERS = 3_000
 N_BROKERS = 5
 THRESHOLD = 0.5
+
+
+def pick(overlay, kind: str) -> int:
+    """A subscription to retire from a community of three or more: its
+    ``leader`` (first member), its ``elected`` member (the first whose
+    pattern the community advertises) where that is not the leader, or
+    an ``ordinary`` member that is neither."""
+    for broker_id in sorted(overlay.brokers):
+        for advertised, members in overlay.brokers[broker_id].communities:
+            if len(members) < 3:
+                continue
+            elected = next(
+                member
+                for member in members
+                if overlay.subscriptions[member][1] == advertised
+            )
+            if kind == "leader":
+                return members[0]
+            if kind == "elected" and elected != members[0]:
+                return elected
+            if kind == "ordinary":
+                return next(member for member in members[1:] if member != elected)
+    raise LookupError(f"no {kind} member to retire")
 
 
 class CountingSimilarity:
@@ -120,6 +147,19 @@ def main() -> None:
             f"subscriptions -> {len(node.communities):3d} advertisements "
             f"(candidate-pruned pairs: {stats.candidate_pruned})"
         )
+
+    print("\nchurning the overlay: one resubscribe pair per kind of member ...")
+    for kind in ("leader", "elected", "ordinary"):
+        victim = pick(overlay, kind)
+        home, pattern = overlay.subscriptions[victim]
+        overlay.unsubscribe(victim)
+        fresh = overlay.subscribe(home, pattern)
+        print(
+            f"  retired {kind} {victim:d} on broker {home}, subscribed {fresh:d}: "
+            f"{len(overlay.brokers[home].communities)} advertisements"
+        )
+    assert overlay.topology_signature() == overlay.rebuilt().topology_signature()
+    print("churned routing state == from-scratch rebuild")
 
     print(
         "\nThe LSH gate makes placement cost per subscription independent\n"

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import random
 from hashlib import blake2b
+from operator import eq
 from typing import Callable, Hashable, Iterable, Optional, Protocol, Sequence
 
 from repro.core.pattern import TreePattern
@@ -405,14 +406,10 @@ class LSHCandidates:
         """Whether at least one signature band of *p* and *q* agrees."""
         if p == q:
             return True
-        sig_p = self.signature(p)
-        sig_q = self.signature(q)
-        rows = self.rows
-        return any(
-            sig_p[band * rows : (band + 1) * rows]
-            == sig_q[band * rows : (band + 1) * rows]
-            for band in range(self.bands)
-        )
+        # Row agreements, grouped into bands of ``rows`` by zipping one
+        # iterator with itself: every pass runs in C.
+        agreements = iter(map(eq, self.signature(p), self.signature(q)))
+        return any(map(all, zip(*[agreements] * self.rows, strict=True)))
 
     def candidates_of(self, pattern: TreePattern) -> set:
         """Keys sharing at least one band bucket with *pattern*."""

@@ -48,9 +48,11 @@ broker depends on the policy:
 * community and hybrid — the broker re-aggregates and diffs the result
   against its live aggregation, entry by entry under each member group,
   with no pattern hashed; a hybrid broker takes this path at or under
-  its cutoff too.  Under leader linkage the clustering is updated in
-  place, so an arrival costs one first-fit placement against the
-  current community leaders.
+  its cutoff too.  Under leader linkage the clustering and each
+  community's elected representative are updated in place, so an
+  arrival costs one first-fit placement against the current community
+  leaders, and only the communities the event changed are elected
+  again.
 
 :meth:`BrokerOverlay.subscribe_many` /
 :meth:`BrokerOverlay.unsubscribe_many` coalesce a churn burst into one
@@ -84,6 +86,7 @@ encoding itself is defined in :mod:`repro.routing.table`.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence, Union
@@ -149,7 +152,7 @@ class BrokerNode:
     broker_id: int
     neighbors: list[int] = field(default_factory=list)
     table: RoutingTable = field(default_factory=RoutingTable)
-    #: Global subscriber ids homed on this broker.
+    #: Global subscriber ids homed on this broker, in ascending order.
     local_subscribers: list[int] = field(default_factory=list)
     #: The subscriptions the live policy aggregates here: subscriber id
     #: -> pattern, in home order (ascending id).  Members that merely
@@ -174,9 +177,10 @@ class BrokerNode:
     index: Optional[SimilarityIndex] = None
     #: subscriber id -> similarity-index handle (community regime only).
     handles: dict[int, int] = field(default_factory=dict)
-    #: The last leader-linkage clustering of the advertised subscriptions,
-    #: which :class:`~repro.routing.policy.CommunityPolicy` updates in
-    #: place under churn.
+    #: The last leader-linkage clustering of the advertised subscriptions
+    #: and each community's elected member, which
+    #: :class:`~repro.routing.policy.CommunityPolicy` updates in place
+    #: under churn.
     clusters: LeaderClusters = field(default_factory=LeaderClusters)
 
     @property
@@ -491,7 +495,9 @@ class BrokerOverlay:
         policy's advertised record (and index).
 
         Returns its home broker id, its pattern and whether the live
-        policy had advertised it.
+        policy had advertised it.  :attr:`BrokerNode.local_subscribers`
+        ascends (:meth:`attach` appends the next id, :meth:`remove_broker`
+        sorts the merge), so the id's slot is found by bisection.
         """
         try:
             home_id, pattern = self.subscriptions.pop(subscription_id)
@@ -500,7 +506,14 @@ class BrokerOverlay:
                 f"unknown subscription id {subscription_id}"
             ) from None
         node = self.brokers[home_id]
-        node.local_subscribers.remove(subscription_id)
+        subscribers = node.local_subscribers
+        slot = bisect_left(subscribers, subscription_id)
+        if subscribers[slot : slot + 1] != [subscription_id]:
+            raise RuntimeError(
+                f"broker {home_id} does not list subscriber "
+                f"{subscription_id} in ascending id order"
+            )
+        del subscribers[slot]
         advertised = node.advertised.pop(subscription_id, None) is not None
         handle = node.handles.pop(subscription_id, None)
         if handle is not None:
@@ -552,8 +565,10 @@ class BrokerOverlay:
         built or diffed; community and hybrid brokers re-aggregate and
         diff, and under leader linkage the arrival is placed first-fit
         against the current community leaders — one similarity lookup
-        per leader at most — and the diff re-advertises only the
-        communities it touched.
+        per leader at most — an arrival joining a community is compared
+        with its elected member by selectivity, no other community is
+        elected again, and the diff re-advertises only the communities
+        it touched.
         """
         subscription_id = self.attach(broker_id, pattern)
         if self.policy is None:
@@ -583,8 +598,10 @@ class BrokerOverlay:
         (:meth:`~repro.routing.table.RoutingTable.remove_pattern`);
         community and hybrid brokers re-aggregate and diff, and under
         leader linkage a departing non-leader just leaves its
-        community, with no similarity work, and a departing leader
-        re-clusters only the communities founded at or after it.
+        community, with no similarity work beyond electing that
+        community again when the departure was its elected member, and
+        a departing leader re-clusters and re-elects only the
+        communities founded at or after it.
         """
         home_id, pattern, advertised = self._forget(subscription_id)
         if self.policy is not None and advertised:
@@ -1118,7 +1135,8 @@ class BrokerOverlay:
 
         Otherwise the broker re-aggregates through the live policy (under
         leader linkage, one arrival or departure updates the broker's
-        last clustering in place rather than re-clustering it; see
+        last clustering and its elections in place rather than
+        re-clustering and re-electing; see
         :class:`~repro.routing.policy.CommunityPolicy`) and diffs the
         fresh record against the live one under each member group
         (:func:`_aggregation_diff`).  The change is applied at two

@@ -87,15 +87,20 @@ class LeaderClusters:
     ``members`` is the subscriber sequence the clustering ran over;
     ``communities`` holds its communities in creation order, each as
     member subscriber ids with the leader first and joiners in placement
-    order.  The overlay keeps one per broker beside its similarity index
-    and hands it to :meth:`AdvertisementPolicy.aggregate`;
-    :class:`CommunityPolicy` brings it up to date in place, so a churn
-    event pays only for the placements it changes.  Policies never own
-    one: they are frozen and shared across brokers.
+    order.  ``elected`` maps a community's leader to the member it
+    advertises under ``elect_by_selectivity``: the first member, in
+    placement order, with the highest selectivity.  A community without
+    an entry is elected at the next aggregation.  The overlay keeps one
+    record per broker beside its similarity index and hands it to
+    :meth:`AdvertisementPolicy.aggregate`; :class:`CommunityPolicy`
+    brings it up to date in place, so a churn event pays only for the
+    placements and elections it changes.  Policies never own one: they
+    are frozen and shared across brokers.
     """
 
     members: list[int] = field(default_factory=list)
     communities: list[list[int]] = field(default_factory=list)
+    elected: dict[int, int] = field(default_factory=dict)
 
 
 def _departure(old: list[int], new: list[int]) -> Optional[int]:
@@ -247,15 +252,20 @@ class CommunityPolicy(AdvertisementPolicy):
     asks the template's pairwise ``is_candidate`` per leader instead.
 
     Churn is incremental under leader linkage: the broker's
-    :class:`LeaderClusters` record is updated in place, exactly as a
-    from-scratch clustering of the new member sequence would come out.
-    One subscribe costs a first-fit placement against the current
-    leaders; one unsubscribe costs nothing for a non-leader and, for a
-    leader, one :func:`~repro.routing.community.leader_clustering` over
-    the members of the communities founded at or after it.  Any other
-    change to the member sequence (bursts, topology surgery, a
-    :class:`HybridPolicy` regime flip) and average linkage re-cluster
-    the whole broker.
+    :class:`LeaderClusters` record, elected members included, is updated
+    in place, exactly as a from-scratch clustering and election over the
+    new member sequence would come out.  One subscribe costs a first-fit
+    placement against the current leaders and, if it joins a community,
+    one selectivity comparison with that community's elected member.
+    One unsubscribe of a non-leader costs no similarity evaluation, and
+    one election of its community if it was the elected member; one
+    unsubscribe of a leader costs one
+    :func:`~repro.routing.community.leader_clustering` over the members
+    of the communities founded at or after it, and one election of each
+    community that clustering returns.  Any other change to the member
+    sequence (bursts, topology surgery, a :class:`HybridPolicy` regime
+    flip) re-clusters and re-elects the whole broker, and average
+    linkage does so on every call.
     """
 
     uses_similarity = True
@@ -328,7 +338,9 @@ class CommunityPolicy(AdvertisementPolicy):
 
         The last step of :func:`leader_clustering`, candidate gate
         included: a leader the generator rules out is never compared,
-        even where the threshold is 0.
+        even where the threshold is 0.  A joiner takes over its
+        community's election only with a strictly higher selectivity:
+        it is the last member, and ``max`` keeps the first of equals.
         """
         pattern = pattern_of[member]
         generator = self.candidates
@@ -338,6 +350,11 @@ class CommunityPolicy(AdvertisementPolicy):
                 generator is None or generator.is_candidate(leader, pattern)
             ) and index(leader, pattern) >= self.threshold:
                 group.append(member)
+                elected = clusters.elected.get(group[0])
+                if elected is not None:
+                    standing = index.selectivity(pattern_of[elected])
+                    if index.selectivity(pattern) > standing:
+                        clusters.elected[group[0]] = member
                 return
         clusters.communities.append([member])
 
@@ -354,20 +371,28 @@ class CommunityPolicy(AdvertisementPolicy):
         Leader clustering is first-fit in creation order and each
         decision depends only on the pair compared, so every placement
         that never met the departed member decides as before.  A
-        non-leader just leaves its community.  A departing leader
-        dissolves the communities founded at or after it; every member
-        of those had failed all earlier leaders, so re-clustering them
-        in order, on their own, gives the communities that follow.
+        non-leader just leaves its community, which loses its election
+        only if it was the elected member.  A departing leader dissolves
+        the communities founded at or after it, and their elections;
+        every member of those had failed all earlier leaders, so
+        re-clustering them in order, on their own, gives the communities
+        that follow.
         """
         communities = clusters.communities
+        elected = clusters.elected
         first = next(
             position
             for position, group in enumerate(communities)
             if member in group
         )
-        if communities[first][0] != member:
-            communities[first].remove(member)
+        group = communities[first]
+        if group[0] != member:
+            group.remove(member)
+            if elected.get(group[0]) == member:
+                del elected[group[0]]
             return
+        for group in communities[first:]:
+            elected.pop(group[0], None)
         dissolved = {m for group in communities[first:] for m in group}
         rest = [m for m in members if m in dissolved]
         communities[first:] = self._leader_groups(rest, pattern_of, index)
@@ -383,7 +408,7 @@ class CommunityPolicy(AdvertisementPolicy):
 
         One arrival at the end of the recorded sequence or one departure
         from it is applied in place; any other difference re-clusters
-        from scratch.
+        from scratch and drops every election.
         """
         old = clusters.members
         if len(members) == len(old) + 1 and members[:-1] == old:
@@ -392,7 +417,17 @@ class CommunityPolicy(AdvertisementPolicy):
             self._depart(departed, members, pattern_of, index, clusters)
         elif members != old:
             clusters.communities = self._leader_groups(members, pattern_of, index)
+            clusters.elected = {}
         clusters.members = members
+
+    def _elect(
+        self,
+        group: Sequence[int],
+        pattern_of: Mapping[int, TreePattern],
+        index: SimilarityIndex,
+    ) -> int:
+        """The first member of *group* with the highest selectivity."""
+        return max(group, key=lambda member: index.selectivity(pattern_of[member]))
 
     def aggregate(
         self,
@@ -405,10 +440,13 @@ class CommunityPolicy(AdvertisementPolicy):
 
         Under leader linkage with the broker's *clusters* record, one
         subscribe costs one first-fit placement against the current
-        leaders, and one unsubscribe of a non-leader costs no similarity
-        evaluation at all; retiring a leader re-clusters only the
-        communities founded at or after it.  Average linkage, and any
-        change other than one arrival or one departure, re-cluster the
+        leaders and at most one selectivity comparison; one unsubscribe
+        of a non-leader costs no similarity evaluation, and a new
+        election of its community only if it was the elected member;
+        retiring a leader re-clusters and re-elects only the communities
+        founded at or after it.  Only communities without an election
+        on record are elected.  Average linkage, and any change other
+        than one arrival or one departure, re-cluster and re-elect the
         whole broker.
         """
         assert index is not None, "community aggregation needs a live index"
@@ -424,20 +462,21 @@ class CommunityPolicy(AdvertisementPolicy):
                     candidates=self.candidates,
                 )
             ]
+            elected: dict[int, int] = {}
         else:
             if clusters is None:
                 clusters = LeaderClusters()
             self._recluster(list(members), pattern_of, index, clusters)
             communities = [(group[0], group) for group in clusters.communities]
+            elected = clusters.elected
         aggregated: list[Aggregate] = []
         for leader, group in communities:
-            advertised = pattern_of[leader]
+            chosen = leader
             if self.elect_by_selectivity:
-                advertised = max(
-                    (pattern_of[member] for member in group),
-                    key=index.selectivity,
-                )
-            aggregated.append((advertised, tuple(group)))
+                if leader not in elected:
+                    elected[leader] = self._elect(group, pattern_of, index)
+                chosen = elected[leader]
+            aggregated.append((pattern_of[chosen], tuple(group)))
         return aggregated
 
     def __repr__(self) -> str:

@@ -1,14 +1,18 @@
 """Incremental re-clustering under subscription churn equals clustering
 from scratch.
 
-Under leader linkage, a broker keeps its last clustering and updates it
-in place: an arrival is placed first-fit against the current leaders, a
-departing non-leader just leaves its community, and a departing leader
-dissolves the communities founded at or after it and re-clusters their
+Under leader linkage, a broker keeps its last clustering, with the
+member each community elected to advertise, and updates both in place:
+an arrival is placed first-fit against the current leaders and takes
+over its community's election only with a strictly higher selectivity,
+a departing non-leader just leaves its community (which elects again if
+it was the elected member), and a departing leader dissolves the
+communities founded at or after it and re-clusters and re-elects their
 members.  Hypothesis drives random interleavings of ``subscribe`` /
 ``unsubscribe`` (plus bursts, which take the full path) over a
 multi-broker overlay under every candidate gate, linkage and regime,
-and after every event checks that
+and resubscribe pairs over one broker holding every ring pattern, and
+after every event checks that
 
 * each broker's advertised communities equal a from-scratch aggregation
   of its current members through a fresh similarity index, and
@@ -262,3 +266,59 @@ class TestChurnCost:
         calls.clear()
         overlay.subscribe_many(0, [parse_xpath("/a/b"), parse_xpath("/a/d")])
         assert calls == [8]
+
+
+def elected_members(overlay: BrokerOverlay, broker_id: int) -> list[int]:
+    """Each community's elected member: the first whose pattern the
+    community advertises."""
+    return [
+        next(
+            member
+            for member in group
+            if overlay.subscriptions[member][1] == advertised
+        )
+        for advertised, group in overlay.brokers[broker_id].communities
+    ]
+
+
+class TestRingOnOneBroker:
+    """Every ring pattern homed on one broker, then resubscribe pairs.
+
+    ``//a`` … ``//e`` have equal selectivities, ``/r`` a higher one and
+    the two conjunctions a lower one, so an arrival often ties with its
+    community's elected member, and a departing leader often leaves a
+    later community with a different best member: the cases where a
+    broker's record of elected members must change or must stand.
+    """
+
+    @settings(max_examples=property_max_examples(30), deadline=None)
+    @given(
+        st.permutations(RING_PATTERNS),
+        st.sampled_from(THRESHOLDS),
+        st.sampled_from(("M1", "M2", "M3")),
+        st.data(),
+    )
+    def test_resubscribe_pairs(self, order, threshold, metric, data):
+        overlay = BrokerOverlay.chain(2)
+        for pattern in order:
+            overlay.attach(0, pattern)
+        overlay.advertise(
+            CommunityPolicy(threshold, metric=metric),
+            DocumentCorpus(RING_DOCUMENTS),
+        )
+        assert_matches_from_scratch(overlay)
+        for step in range(data.draw(st.integers(1, 8), label="pairs")):
+            node = overlay.brokers[0]
+            victims = {
+                "leader": [group[0] for _, group in node.communities],
+                "elected": elected_members(overlay, 0),
+                "any": node.local_subscribers,
+            }
+            kind = data.draw(st.sampled_from(sorted(victims)), label=f"kind{step}")
+            overlay.unsubscribe(
+                data.draw(st.sampled_from(victims[kind]), label="victim")
+            )
+            overlay.subscribe(
+                0, data.draw(st.sampled_from(RING_PATTERNS), label="arrival")
+            )
+            assert_matches_from_scratch(overlay)

@@ -1,5 +1,5 @@
-"""Per-event churn cost under the per-subscription policy, pinned by
-call counts.
+"""Per-event churn cost under the per-subscription and community
+policies, pinned by call counts.
 
 Under :class:`~repro.routing.policy.PerSubscriptionPolicy` one
 resubscribe pair — an unsubscribe and a subscribe — costs O(change), not
@@ -31,6 +31,13 @@ population, in three layouts of the neighbouring broker's table:
 In each, a scan of the cover records would compare the probe's pattern
 with every instance of the population before reaching the one it
 retires.
+
+Under leader-linkage :class:`~repro.routing.policy.CommunityPolicy` a
+broker keeps each community's elected representative across events, so
+a pair that neither retires a leader or an elected member nor founds a
+community makes as many ``SimilarityIndex.selectivity`` calls at 3,000
+subscribers per broker as at 300, and a pair that retires the elected
+member elects its community again and no other.
 """
 
 from __future__ import annotations
@@ -45,8 +52,11 @@ import pytest
 import repro.routing.overlay as overlay_module
 from repro.core.pattern import TreePattern
 from repro.core.pattern_parser import parse_xpath
+from repro.core.similarity import SimilarityIndex
 from repro.routing.overlay import BrokerOverlay
-from repro.routing.policy import PerSubscriptionPolicy
+from repro.routing.policy import CommunityPolicy, PerSubscriptionPolicy
+from repro.xmltree.corpus import DocumentCorpus
+from repro.xmltree.tree import XMLTree
 
 
 @dataclass(frozen=True)
@@ -193,6 +203,112 @@ def test_a_burst_still_takes_the_full_path():
         overlay.unsubscribe_many([probe])
         overlay.subscribe_many(0, [parse_xpath(layout.probe)])
     assert calls["aggregate"] == 2
+    assert (
+        overlay.topology_signature() == overlay.rebuilt().topology_signature()
+    )
+
+
+# ----------------------------------------------------------------------
+# community elections
+# ----------------------------------------------------------------------
+
+#: ``//a`` matches three of the four documents and ``//b`` two of them,
+#: both inside ``//a``'s, so M3(//a, //b) = 2/3 puts them in one
+#: community at threshold 0.5, which advertises ``//a``; ``//c`` shares
+#: no document with either and founds its own.
+ELECTION_DOCUMENTS = [
+    XMLTree.from_nested(("r", tags), doc_id=position)
+    for position, tags in enumerate((["a"], ["a", "b"], ["a", "b"], ["c"]))
+]
+
+#: A broker's population round-robin from these: ``//b`` leads the
+#: first community and its first ``//a`` is the elected member.
+ELECTION_BODY = ("//b", "//a", "//c")
+
+
+def community_deployed(population: int) -> tuple[BrokerOverlay, int]:
+    """A two-broker chain homing *population* subscribers per broker
+    under leader-linkage :class:`CommunityPolicy`, and a ``//b`` probe
+    homed last on broker 0: neither a leader nor the elected member."""
+    overlay = BrokerOverlay.chain(2)
+    parsed = {xpath: parse_xpath(xpath) for xpath in ELECTION_BODY}
+    for broker_id in sorted(overlay.brokers):
+        for position in range(population):
+            overlay.attach(
+                broker_id, parsed[ELECTION_BODY[position % len(ELECTION_BODY)]]
+            )
+    probe = overlay.attach(0, parse_xpath("//b"))
+    overlay.advertise(
+        CommunityPolicy(0.5), DocumentCorpus(ELECTION_DOCUMENTS)
+    )
+    return overlay, probe
+
+
+def community_pair_calls(
+    overlay: BrokerOverlay, victim: int, xpath: str
+) -> tuple[Counter, list[tuple[int, ...]], int]:
+    """Selectivity calls and the groups elected in one resubscribe pair
+    of *victim* on broker 0; returns them and the fresh id."""
+    calls: Counter = Counter()
+    elections: list[tuple[int, ...]] = []
+    elect = CommunityPolicy._elect
+
+    def recording(policy, group, pattern_of, index):
+        elections.append(tuple(group))
+        return elect(policy, group, pattern_of, index)
+
+    selectivity = counting(calls, "selectivity", SimilarityIndex.selectivity)
+    with mock.patch.object(
+        SimilarityIndex, "selectivity", selectivity
+    ), mock.patch.object(CommunityPolicy, "_elect", recording):
+        overlay.unsubscribe(victim)
+        fresh = overlay.subscribe(0, parse_xpath(xpath))
+    return calls, elections, fresh
+
+
+def first_community(overlay: BrokerOverlay) -> tuple[TreePattern, tuple[int, ...]]:
+    """Broker 0's ``//b``-led community, as ``(advertised, members)``."""
+    node = overlay.brokers[0]
+    return next(
+        community
+        for community in node.communities
+        if overlay.subscriptions[community[1][0]][1] == parse_xpath("//b")
+    )
+
+
+def test_community_pair_pays_for_its_community_only():
+    counts: dict[int, int] = {}
+    for population in POPULATIONS:
+        overlay, probe = community_deployed(population)
+        calls, elections, fresh = community_pair_calls(overlay, probe, "//b")
+        # The fresh //b joined the first community and the election stood.
+        advertised, members = first_community(overlay)
+        assert fresh in members
+        assert advertised == parse_xpath("//a")
+        assert elections == []
+        counts[population] = calls["selectivity"]
+        if population == POPULATIONS[0]:
+            assert (
+                overlay.topology_signature()
+                == overlay.rebuilt().topology_signature()
+            )
+    small, large = POPULATIONS
+    assert counts[large] == counts[small]
+
+
+def test_retiring_the_elected_member_reelects_its_community_alone():
+    overlay, _ = community_deployed(POPULATIONS[0])
+    advertised, members = first_community(overlay)
+    elected = next(
+        member
+        for member in members
+        if overlay.subscriptions[member][1] == advertised
+    )
+    assert elected != members[0]
+    _, elections, fresh = community_pair_calls(overlay, elected, "//a")
+    remaining = tuple(member for member in members if member != elected)
+    assert elections == [remaining]
+    assert fresh in first_community(overlay)[1]
     assert (
         overlay.topology_signature() == overlay.rebuilt().topology_signature()
     )

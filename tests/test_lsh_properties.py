@@ -9,7 +9,9 @@ The headline guarantees of the LSH candidate-generation PR:
   identical to the un-gated historical code path;
 * :class:`~repro.core.candidates.LSHCandidates` maintained **under
   churn** (any interleaving of adds and removes) ends in exactly the
-  state of a fresh build over the survivors.
+  state of a fresh build over the survivors;
+* its pairwise gate ``is_candidate`` answers exactly as comparing the
+  two signatures band slice by band slice.
 
 Similarity here is label-set Jaccard — deterministic, cheap, and enough
 to exercise every tie-break the clusterings make.
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidates import ExactCandidates, LSHCandidates
+from repro.core.pattern_parser import parse_xpath
 from repro.routing.community import agglomerative_clustering, leader_clustering
 from tests.strategies import property_max_examples, tree_patterns
 
@@ -172,3 +175,42 @@ class TestLshChurnEqualsRebuild:
         for key, pattern in enumerate(patterns):
             fresh.add(key, pattern)
         assert generator._buckets == fresh._buckets
+
+
+def band_slice_candidate(sig_p, sig_q, bands, rows) -> bool:
+    """The pairwise gate as band slices: some band's rows all agree."""
+    return any(
+        sig_p[band * rows : (band + 1) * rows]
+        == sig_q[band * rows : (band + 1) * rows]
+        for band in range(bands)
+    )
+
+
+@st.composite
+def signature_pairs(draw):
+    """A band and row count and two signatures of that length, over a
+    small alphabet so that rows and whole bands often agree."""
+    bands = draw(st.integers(min_value=1, max_value=6), label="bands")
+    rows = draw(st.integers(min_value=1, max_value=4), label="rows")
+    values = st.lists(
+        st.integers(min_value=0, max_value=2),
+        min_size=bands * rows,
+        max_size=bands * rows,
+    )
+    return bands, rows, tuple(draw(values)), tuple(draw(values))
+
+
+class TestPairwiseGate:
+    P, Q = parse_xpath("/a"), parse_xpath("/b")
+
+    @settings(max_examples=property_max_examples(100), deadline=None)
+    @given(signature_pairs())
+    def test_is_candidate_equals_band_slices(self, drawn):
+        bands, rows, sig_p, sig_q = drawn
+        signatures = {self.P: sig_p, self.Q: sig_q}
+        generator = LSHCandidates(
+            bands=bands, rows=rows, signature_fn=signatures.__getitem__
+        )
+        expected = band_slice_candidate(sig_p, sig_q, bands, rows)
+        assert generator.is_candidate(self.P, self.Q) is expected
+        assert generator.is_candidate(self.Q, self.P) is expected

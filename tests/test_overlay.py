@@ -360,6 +360,15 @@ class TestSubscriptionLifecycle:
         with pytest.raises(ValueError):
             overlay.unsubscribe(subscription)
 
+    def test_unsubscribe_refuses_a_home_list_out_of_id_order(self, subscriptions):
+        # The home broker finds the id by bisection, so a list that has
+        # lost its ascending order is reported instead of searched.
+        overlay = BrokerOverlay.chain(2)
+        ids = [overlay.subscribe(0, pattern) for pattern in subscriptions[:3]]
+        overlay.brokers[0].local_subscribers.reverse()
+        with pytest.raises(RuntimeError, match="ascending"):
+            overlay.unsubscribe(ids[0])
+
     def test_unsubscribe_accepts_plain_int(self, subscriptions):
         overlay = BrokerOverlay.chain(2)
         subscription = overlay.subscribe(1, subscriptions[0])

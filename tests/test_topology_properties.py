@@ -69,11 +69,13 @@ def flat_delivered(overlay, corpus, document):
 
 
 def assert_advertised_records(overlay):
-    """Each broker's advertised record lists its advertised subscribers
-    in home order, each with its pattern.  Every subscription of this
-    suite is advertised: seeded before the bulk advertisement, or
-    subscribed under the live policy."""
+    """Each broker lists its subscribers in ascending id order, and its
+    advertised record lists its advertised subscribers in that order,
+    each with its pattern.  Every subscription of this suite is
+    advertised: seeded before the bulk advertisement, or subscribed
+    under the live policy."""
     for broker_id, node in overlay.brokers.items():
+        assert node.local_subscribers == sorted(node.local_subscribers), broker_id
         assert list(node.advertised) == node.local_subscribers, broker_id
         for subscription_id, pattern in node.advertised.items():
             assert pattern == overlay.subscriptions[subscription_id][1]
