@@ -28,16 +28,9 @@ clustering is first-fit in creation order and each decision depends only
 on the pair compared, so
 :class:`~repro.routing.policy.CommunityPolicy` keeps each broker's last
 leader clustering, with the member each community elected to advertise,
-and updates both in place: a subscribe costs one first-fit placement
-against the current leaders (O(#communities) similarity lookups, fewer
-behind a candidate gate) and, when it joins a community, one selectivity
-comparison with that community's elected member; an unsubscribe of a
-non-leader costs no similarity lookup, and one election of its community
-if it was the elected member; and an unsubscribe of a leader re-clusters
-only the members of the communities founded at or after it, through
-:func:`leader_clustering`, and elects those communities again.  Bursts,
-topology surgery and average linkage re-cluster and re-elect the whole
-broker.
+and updates both in place; bursts, topology surgery and average linkage
+re-cluster and re-elect the whole broker.  The churn table in
+:mod:`repro.routing.overlay` states what each event costs.
 
 Both also accept a ``candidates=`` template — a
 :class:`~repro.core.candidates.CandidateGenerator` such as

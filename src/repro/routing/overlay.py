@@ -36,30 +36,60 @@ subscription lifecycle: :meth:`BrokerOverlay.subscribe` returns a
 :class:`SubscriptionId` and immediately advertises the arrival;
 :meth:`BrokerOverlay.unsubscribe` retires it again with hop-by-hop
 unadvertise propagation, resurrecting and re-advertising the entries its
-advertisement had covered.  What one such event costs at the home
-broker depends on the policy:
-
-* per subscription — O(1): the policy names the one
-  ``(pattern, (member,))`` entry the event adds or retires, and the
-  broker installs or withdraws it without building or diffing its
-  aggregation.  Each hop of the flood then pays one covering test per
-  active entry of the link, and each hop of an unadvertise finds the
-  instance it retires through the table's retirement index;
-* community and hybrid — the broker re-aggregates and diffs the result
-  against its live aggregation, entry by entry under each member group,
-  with no pattern hashed; a hybrid broker takes this path at or under
-  its cutoff too.  Under leader linkage the clustering and each
-  community's elected representative are updated in place, so an
-  arrival costs one first-fit placement against the current community
-  leaders, and only the communities the event changed are elected
-  again.
-
+advertisement had covered.
 :meth:`BrokerOverlay.subscribe_many` /
 :meth:`BrokerOverlay.unsubscribe_many` coalesce a churn burst into one
 re-aggregation and one advertisement diff per touched broker, under
 every policy, as does topology surgery.  The bulk path
 (:meth:`BrokerOverlay.attach` followed by one :meth:`advertise` call)
 and the event path converge to the same routing state.
+
+**Churn cost.**  What one event costs at its home broker, by policy;
+the last column names the ``tests/test_churn_cost.py`` case that pins
+it by call counts at 300 and 3,000 subscribers per broker, and
+``TestChurnCost`` in ``tests/test_churn_clustering_properties.py``
+counts the ``leader_clustering`` calls of each event.  Away from
+the home broker, each hop of a flood pays one covering test per active
+entry of the link, and each hop of an unadvertise finds the instance it
+retires through the table's retirement index.
+
+=============  ============  =====================================  ==========================================================
+event          policy        cost at the home broker                pinned by
+=============  ============  =====================================  ==========================================================
+subscribe,     per           O(1): the policy names the one         ``test_resubscribe_pair_cost_does_not_grow_with_the_broker``
+unsubscribe    subscription  ``(pattern, (member,))`` entry,
+                             installed or withdrawn without an
+                             aggregation built or diffed
+subscribe      community,    one first-fit placement against the    ``test_community_pair_pays_for_its_community_only``
+               leader        current leaders, a gate test and at
+                             most one similarity lookup each; a
+                             joiner is compared by selectivity
+                             with its community's elected member
+unsubscribe,   community,    no similarity lookup; its community    ``test_community_pair_pays_for_its_community_only``,
+non-leader     leader        is elected again only if it was the    ``test_retiring_the_elected_member_reelects_its_community_alone``
+                             elected member
+unsubscribe,   community,    a local repair: its followers are      ``test_leader_departure_pays_for_the_members_it_moves``
+leader         leader        placed again, and a leader founded
+                             on the way tests the later members
+                             the gate admits; only communities
+                             whose membership changed are elected
+                             again
+any single     community,    the whole broker is clustered and      none
+event          average       elected again
+any single     hybrid        per subscription's aggregation,        none
+event                        diffed in full, at or under the
+                             cutoff; community leader linkage
+                             above it
+burst,         every         one aggregation and one diff; under    ``test_a_burst_still_takes_the_full_path``
+topology       policy        leader linkage, one
+surgery                      ``leader_clustering`` of the broker
+                             and an election of every community
+=============  ============  =====================================  ==========================================================
+
+Every single event under the community and hybrid policies also hands
+the policy the broker's advertised record and diffs the aggregation it
+returns against the live one, entry by entry under each member group,
+with no pattern hashed: O(broker) work, but no similarity lookup.
 
 The *topology* is dynamic too: :meth:`BrokerOverlay.add_broker` grafts a
 new broker (as a leaf, or splitting an existing edge) and seeds it with
@@ -180,7 +210,7 @@ class BrokerNode:
     #: The last leader-linkage clustering of the advertised subscriptions
     #: and each community's elected member, which
     #: :class:`~repro.routing.policy.CommunityPolicy` updates in place
-    #: under churn.
+    #: under churn at the costs of the module docstring's churn table.
     clusters: LeaderClusters = field(default_factory=LeaderClusters)
 
     @property
@@ -560,15 +590,8 @@ class BrokerOverlay:
           for similarity-based policies), the broker re-aggregates, and
           only the advertisement *diff* travels the overlay.
 
-        Cost at the home broker: per subscription the policy names the
-        one new entry, installed and flooded in O(1) with no aggregation
-        built or diffed; community and hybrid brokers re-aggregate and
-        diff, and under leader linkage the arrival is placed first-fit
-        against the current community leaders — one similarity lookup
-        per leader at most — an arrival joining a community is compared
-        with its elected member by selectivity, no other community is
-        elected again, and the diff re-advertises only the communities
-        it touched.
+        Its cost at the home broker, by policy, is the churn cost table
+        in this module's docstring.
         """
         subscription_id = self.attach(broker_id, pattern)
         if self.policy is None:
@@ -591,17 +614,8 @@ class BrokerOverlay:
         the bulk :meth:`advertise` call) has nothing to withdraw and is
         simply detached.  Returns the retired pattern.
 
-        Cost at the home broker: per subscription the policy names the
-        one departing entry, withdrawn in O(1) with no aggregation built
-        or diffed, and each hop looks up the instance it retires in its
-        table's retirement index
-        (:meth:`~repro.routing.table.RoutingTable.remove_pattern`);
-        community and hybrid brokers re-aggregate and diff, and under
-        leader linkage a departing non-leader just leaves its
-        community, with no similarity work beyond electing that
-        community again when the departure was its elected member, and
-        a departing leader re-clusters and re-elects only the
-        communities founded at or after it.
+        Its cost at the home broker, by policy, is the churn cost table
+        in this module's docstring.
         """
         home_id, pattern, advertised = self._forget(subscription_id)
         if self.policy is not None and advertised:
@@ -1133,13 +1147,10 @@ class BrokerOverlay:
         O(broker).  A record left stale by :meth:`detach` always takes
         the full path.
 
-        Otherwise the broker re-aggregates through the live policy (under
-        leader linkage, one arrival or departure updates the broker's
-        last clustering and its elections in place rather than
-        re-clustering and re-electing; see
-        :class:`~repro.routing.policy.CommunityPolicy`) and diffs the
-        fresh record against the live one under each member group
-        (:func:`_aggregation_diff`).  The change is applied at two
+        Otherwise the broker re-aggregates through the live policy (what
+        that costs is the churn cost table in this module's docstring)
+        and diffs the fresh record against the live one under each member
+        group (:func:`_aggregation_diff`).  The change is applied at two
         levels:
 
         * local delivery entries follow the full ``(pattern, members)``

@@ -48,8 +48,11 @@ unbounded queue, byte-identical in replay.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Optional, Protocol, Sequence
+from heapq import heappop, heappush
+from itertools import islice, takewhile
+from typing import ClassVar, Iterable, Mapping, Optional, Protocol, Sequence
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
@@ -93,9 +96,9 @@ class LeaderClusters:
     an entry is elected at the next aggregation.  The overlay keeps one
     record per broker beside its similarity index and hands it to
     :meth:`AdvertisementPolicy.aggregate`; :class:`CommunityPolicy`
-    brings it up to date in place, so a churn event pays only for the
-    placements and elections it changes.  Policies never own one: they
-    are frozen and shared across brokers.
+    brings it up to date in place, at the costs of the churn table in
+    :mod:`repro.routing.overlay`.  Policies never own one: they are
+    frozen and shared across brokers.
     """
 
     members: list[int] = field(default_factory=list)
@@ -254,18 +257,14 @@ class CommunityPolicy(AdvertisementPolicy):
     Churn is incremental under leader linkage: the broker's
     :class:`LeaderClusters` record, elected members included, is updated
     in place, exactly as a from-scratch clustering and election over the
-    new member sequence would come out.  One subscribe costs a first-fit
-    placement against the current leaders and, if it joins a community,
-    one selectivity comparison with that community's elected member.
-    One unsubscribe of a non-leader costs no similarity evaluation, and
-    one election of its community if it was the elected member; one
-    unsubscribe of a leader costs one
-    :func:`~repro.routing.community.leader_clustering` over the members
-    of the communities founded at or after it, and one election of each
-    community that clustering returns.  Any other change to the member
-    sequence (bursts, topology surgery, a :class:`HybridPolicy` regime
-    flip) re-clusters and re-elects the whole broker, and average
-    linkage does so on every call.
+    new member sequence would come out.  One arrival is placed first-fit
+    against the current leaders, one departing non-leader leaves its
+    community, and one departing leader's community is repaired locally
+    (:meth:`_repair`).  Any other change to the member sequence (bursts,
+    topology surgery, a :class:`HybridPolicy` regime flip) re-clusters
+    and re-elects the whole broker, and average linkage does so on every
+    call.  What each event costs is the churn table in
+    :mod:`repro.routing.overlay`.
     """
 
     uses_similarity = True
@@ -327,6 +326,28 @@ class CommunityPolicy(AdvertisementPolicy):
             )
         ]
 
+    def _first_fit(
+        self,
+        pattern: TreePattern,
+        groups: Iterable[list[int]],
+        pattern_of: Mapping[int, TreePattern],
+        index: SimilarityIndex,
+    ) -> Optional[list[int]]:
+        """The first of *groups* whose leader *pattern* joins.
+
+        The placement step of :func:`leader_clustering`, candidate gate
+        included: a leader the generator rules out is never compared,
+        even where the threshold is 0.
+        """
+        generator = self.candidates
+        for group in groups:
+            leader = pattern_of[group[0]]
+            if generator is not None and not generator.is_candidate(leader, pattern):
+                continue
+            if index(leader, pattern) >= self.threshold:
+                return group
+        return None
+
     def _place(
         self,
         member: int,
@@ -336,47 +357,35 @@ class CommunityPolicy(AdvertisementPolicy):
     ) -> None:
         """First-fit placement of one arrival against the current leaders.
 
-        The last step of :func:`leader_clustering`, candidate gate
-        included: a leader the generator rules out is never compared,
-        even where the threshold is 0.  A joiner takes over its
-        community's election only with a strictly higher selectivity:
-        it is the last member, and ``max`` keeps the first of equals.
+        A joiner takes over its community's election only with a
+        strictly higher selectivity: it is the last member, and ``max``
+        keeps the first of equals.
         """
         pattern = pattern_of[member]
-        generator = self.candidates
-        for group in clusters.communities:
-            leader = pattern_of[group[0]]
-            if (
-                generator is None or generator.is_candidate(leader, pattern)
-            ) and index(leader, pattern) >= self.threshold:
-                group.append(member)
-                elected = clusters.elected.get(group[0])
-                if elected is not None:
-                    standing = index.selectivity(pattern_of[elected])
-                    if index.selectivity(pattern) > standing:
-                        clusters.elected[group[0]] = member
-                return
-        clusters.communities.append([member])
+        group = self._first_fit(pattern, clusters.communities, pattern_of, index)
+        if group is None:
+            clusters.communities.append([member])
+            return
+        group.append(member)
+        elected = clusters.elected.get(group[0])
+        if elected is not None:
+            standing = index.selectivity(pattern_of[elected])
+            if index.selectivity(pattern) > standing:
+                clusters.elected[group[0]] = member
 
     def _depart(
         self,
         member: int,
-        members: list[int],
         pattern_of: Mapping[int, TreePattern],
         index: SimilarityIndex,
         clusters: LeaderClusters,
     ) -> None:
         """Retire one member from the clustering it was part of.
 
-        Leader clustering is first-fit in creation order and each
-        decision depends only on the pair compared, so every placement
-        that never met the departed member decides as before.  A
-        non-leader just leaves its community, which loses its election
-        only if it was the elected member.  A departing leader dissolves
-        the communities founded at or after it, and their elections;
-        every member of those had failed all earlier leaders, so
-        re-clustering them in order, on their own, gives the communities
-        that follow.
+        A non-leader just leaves its community, which loses its election
+        only if it was the elected member.  A departing leader's
+        community dissolves, with its election, and :meth:`_repair`
+        places its followers again.
         """
         communities = clusters.communities
         elected = clusters.elected
@@ -391,11 +400,103 @@ class CommunityPolicy(AdvertisementPolicy):
             if elected.get(group[0]) == member:
                 del elected[group[0]]
             return
-        for group in communities[first:]:
-            elected.pop(group[0], None)
-        dissolved = {m for group in communities[first:] for m in group}
-        rest = [m for m in members if m in dissolved]
-        communities[first:] = self._leader_groups(rest, pattern_of, index)
+        del communities[first]
+        elected.pop(member, None)
+        self._repair(group, pattern_of, index, clusters)
+
+    def _repair(
+        self,
+        orphaned: list[int],
+        pattern_of: Mapping[int, TreePattern],
+        index: SimilarityIndex,
+        clusters: LeaderClusters,
+    ) -> None:
+        """Bring *clusters* to the clustering without *orphaned*'s leader.
+
+        Leader clustering is first-fit in creation order and each
+        decision depends only on the pair compared, so without that
+        leader a member's placement can change in two cases only:
+
+        * it is *lost*: its leader no longer leads, being the departed
+          one or captured.  It is placed first-fit again against the
+          leaders ahead of it, skipping the old leaders ahead of its old
+          one, which failed it before and still do; if none fits, it
+          founds a community;
+        * a leader founded here, ahead of its own leader, fits it: it is
+          *captured*, and a captured leader's followers are lost.
+
+        A worklist visits those members in placement order, so every
+        earlier placement is final when one is decided.  *orphaned*'s
+        followers seed it, and each new leader adds the later members
+        that the candidate gate admits and whose community was founded
+        after it.  A moved member joins its group in placement order, and
+        every community whose membership changed is elected again.
+        """
+        position = {member: at for at, member in enumerate(clusters.members)}
+        communities = clusters.communities
+        elected = clusters.elected
+        generator = self.candidates
+
+        def rank(group: list[int]) -> int:
+            return position[group[0]]
+
+        def first_fit(
+            member: int, groups: Iterable[list[int]], stop: int
+        ) -> Optional[list[int]]:
+            """The first of *groups* led ahead of *stop* that *member*
+            joins."""
+            ahead = takewhile(lambda group: rank(group) < stop, groups)
+            return self._first_fit(pattern_of[member], ahead, pattern_of, index)
+
+        worklist: list[tuple[int, int, list[int]]] = []
+        queued: set[int] = set()
+        dissolved = {orphaned[0]}
+        founded: list[list[int]] = []
+
+        def enqueue(member: int, group: list[int]) -> None:
+            """Queue *member*, which sits in *group*, once."""
+            if member not in queued:
+                queued.add(member)
+                heappush(worklist, (position[member], member, group))
+
+        def found(member: int) -> None:
+            """Make *member* a leader and queue the later members the gate
+            admits for it."""
+            later = bisect_right(communities, position[member], key=rank)
+            communities.insert(later, [member])
+            founded.append(communities[later])
+            pattern = pattern_of[member]
+            for group in communities[later + 1 :]:
+                for candidate in group:
+                    other = pattern_of[candidate]
+                    if generator is None or generator.is_candidate(pattern, other):
+                        enqueue(candidate, group)
+
+        for follower in orphaned[1:]:
+            enqueue(follower, orphaned)
+        while worklist:
+            at, member, group = heappop(worklist)
+            leader = group[0]
+            target = first_fit(member, founded, position[leader])
+            if leader not in dissolved:
+                if target is None:
+                    continue
+                if leader == member:
+                    del communities[bisect_left(communities, at, key=rank)]
+                    dissolved.add(member)
+                    for follower in group[1:]:
+                        enqueue(follower, group)
+                else:
+                    group.remove(member)
+                elected.pop(leader, None)
+            elif target is None:
+                resume = bisect_right(communities, position[leader], key=rank)
+                target = first_fit(member, islice(communities, resume, None), at)
+                if target is None:
+                    found(member)
+                    continue
+            insort(target, member, key=position.__getitem__)
+            elected.pop(target[0], None)
 
     def _recluster(
         self,
@@ -414,7 +515,7 @@ class CommunityPolicy(AdvertisementPolicy):
         if len(members) == len(old) + 1 and members[:-1] == old:
             self._place(members[-1], pattern_of, index, clusters)
         elif (departed := _departure(old, members)) is not None:
-            self._depart(departed, members, pattern_of, index, clusters)
+            self._depart(departed, pattern_of, index, clusters)
         elif members != old:
             clusters.communities = self._leader_groups(members, pattern_of, index)
             clusters.elected = {}
@@ -438,16 +539,10 @@ class CommunityPolicy(AdvertisementPolicy):
     ) -> list[Aggregate]:
         """One advertisement per community over the broker's live index.
 
-        Under leader linkage with the broker's *clusters* record, one
-        subscribe costs one first-fit placement against the current
-        leaders and at most one selectivity comparison; one unsubscribe
-        of a non-leader costs no similarity evaluation, and a new
-        election of its community only if it was the elected member;
-        retiring a leader re-clusters and re-elects only the communities
-        founded at or after it.  Only communities without an election
-        on record are elected.  Average linkage, and any change other
-        than one arrival or one departure, re-cluster and re-elect the
-        whole broker.
+        Under leader linkage the broker's *clusters* record is brought up
+        to date in place, and only communities without an election on
+        record are elected; the churn table in
+        :mod:`repro.routing.overlay` states what each event costs.
         """
         assert index is not None, "community aggregation needs a live index"
         pattern_of = dict(zip(members, patterns, strict=True))

@@ -6,13 +6,14 @@ member each community elected to advertise, and updates both in place:
 an arrival is placed first-fit against the current leaders and takes
 over its community's election only with a strictly higher selectivity,
 a departing non-leader just leaves its community (which elects again if
-it was the elected member), and a departing leader dissolves the
-communities founded at or after it and re-clusters and re-elects their
-members.  Hypothesis drives random interleavings of ``subscribe`` /
-``unsubscribe`` (plus bursts, which take the full path) over a
-multi-broker overlay under every candidate gate, linkage and regime,
-and resubscribe pairs over one broker holding every ring pattern, and
-after every event checks that
+it was the elected member), and a departing leader's community
+dissolves and is repaired locally: its followers are placed again, a
+leader founded on the way may capture later members, and every
+community whose membership changed elects again.  Hypothesis drives
+random interleavings of ``subscribe`` / ``unsubscribe`` (plus bursts,
+which take the full path) over a multi-broker overlay under every
+candidate gate, linkage and regime, and resubscribe pairs over one
+broker holding every ring pattern, and after every event checks that
 
 * each broker's advertised communities equal a from-scratch aggregation
   of its current members through a fresh similarity index, and
@@ -253,13 +254,13 @@ class TestChurnCost:
         overlay.unsubscribe(self.groups(overlay)[0][1])
         assert calls == []
 
-    def test_leader_departure_reclusters_the_suffix(self, calls, overlay):
+    def test_leader_departure_reclusters_nothing(self, calls, overlay):
         first, second = self.groups(overlay)
         calls.clear()
         overlay.unsubscribe(second[0])
-        assert calls == [len(second) - 1]
         overlay.unsubscribe(first[0])
-        assert calls == [len(second) - 1, len(first) - 1 + len(second) - 1]
+        assert calls == []
+        assert self.groups(overlay) == [first[1:], second[1:]]
         assert_matches_from_scratch(overlay)
 
     def test_burst_reclusters_from_scratch(self, calls, overlay):
@@ -322,3 +323,27 @@ class TestRingOnOneBroker:
                 0, data.draw(st.sampled_from(RING_PATTERNS), label="arrival")
             )
             assert_matches_from_scratch(overlay)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            # The lost /r joins //c's community, which elected //c.
+            ("//a", "//c", "/r"),
+            # The lost //b founds a community and captures the leader //c.
+            ("//a", "//b", "//c"),
+            # ... and captures //c, a follower of //d.
+            ("//a", "//b", "//d", "//c"),
+            # ... and captures //c, the member the conjunction's community
+            # elected.
+            ("//a", "//b", "/.[//c][//d]", "//c"),
+            # The lost //b joins //c's community ahead of //d.
+            ("//a", "//c", "//b", "//d"),
+        ],
+    )
+    def test_retiring_the_first_leader(self, order):
+        overlay = BrokerOverlay.chain(2)
+        for xpath in order:
+            overlay.attach(0, parse_xpath(xpath))
+        overlay.advertise(CommunityPolicy(0.3), DocumentCorpus(RING_DOCUMENTS))
+        overlay.unsubscribe(overlay.brokers[0].local_subscribers[0])
+        assert_matches_from_scratch(overlay)

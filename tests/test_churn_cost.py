@@ -37,7 +37,10 @@ broker keeps each community's elected representative across events, so
 a pair that neither retires a leader or an elected member nor founds a
 community makes as many ``SimilarityIndex.selectivity`` calls at 3,000
 subscribers per broker as at 300, and a pair that retires the elected
-member elects its community again and no other.
+member elects its community again and no other.  A pair that retires a
+leader ahead of the population re-places only the members that leader's
+departure can move, so its ``SimilarityIndex`` calls do not grow with
+the broker either.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from unittest import mock
 import pytest
 
 import repro.routing.overlay as overlay_module
+from repro.core.candidates import ExactCandidates
 from repro.core.pattern import TreePattern
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityIndex
@@ -247,8 +251,9 @@ def community_deployed(population: int) -> tuple[BrokerOverlay, int]:
 def community_pair_calls(
     overlay: BrokerOverlay, victim: int, xpath: str
 ) -> tuple[Counter, list[tuple[int, ...]], int]:
-    """Selectivity calls and the groups elected in one resubscribe pair
-    of *victim* on broker 0; returns them and the fresh id."""
+    """``SimilarityIndex`` calls (``selectivity`` and ``__call__``) and
+    the groups elected in one resubscribe pair of *victim* on broker 0;
+    returns them and the fresh id."""
     calls: Counter = Counter()
     elections: list[tuple[int, ...]] = []
     elect = CommunityPolicy._elect
@@ -257,10 +262,11 @@ def community_pair_calls(
         elections.append(tuple(group))
         return elect(policy, group, pattern_of, index)
 
-    selectivity = counting(calls, "selectivity", SimilarityIndex.selectivity)
-    with mock.patch.object(
-        SimilarityIndex, "selectivity", selectivity
-    ), mock.patch.object(CommunityPolicy, "_elect", recording):
+    with ExitStack() as stack:
+        for name in ("selectivity", "__call__"):
+            wrapped = counting(calls, name, getattr(SimilarityIndex, name))
+            stack.enter_context(mock.patch.object(SimilarityIndex, name, wrapped))
+        stack.enter_context(mock.patch.object(CommunityPolicy, "_elect", recording))
         overlay.unsubscribe(victim)
         fresh = overlay.subscribe(0, parse_xpath(xpath))
     return calls, elections, fresh
@@ -312,3 +318,62 @@ def test_retiring_the_elected_member_reelects_its_community_alone():
     assert (
         overlay.topology_signature() == overlay.rebuilt().topology_signature()
     )
+
+
+# ----------------------------------------------------------------------
+# leader departures
+# ----------------------------------------------------------------------
+
+#: ``/r/a`` matches documents 0 and 3, ``/r/b`` 0 and 1 and ``/r/c`` 1
+#: and 2, so at threshold 0.3 M3 puts ``/r/b`` with either of the others
+#: (1/3) and never ``/r/a`` with ``/r/c`` (0).  The population's
+#: ``/s/x`` shares no label with them, so the label prefilter never
+#: pairs it with one.
+CASCADE_DOCUMENTS = [
+    XMLTree.from_nested(("r", tags), doc_id=position)
+    for position, tags in enumerate((["a", "b"], ["b", "c"], ["c"], ["a"]))
+] + [XMLTree.from_nested(("s", ["x"]), doc_id=4)]
+
+
+def cascade_deployed(population: int) -> tuple[BrokerOverlay, list[int]]:
+    """A two-broker chain under leader-linkage :class:`CommunityPolicy`
+    with the label prefilter.  Broker 0 homes ``/r/a`` and ``/r/b``,
+    then *population* ``/s/x``, then ``/r/c``; broker 1 homes
+    *population* ``/s/x``.  ``/r/b`` follows ``/r/a`` and ``/r/c`` leads
+    a community of its own.  Returns the overlay and broker 0's three
+    ``/r`` subscribers in home order."""
+    overlay = BrokerOverlay.chain(2)
+    body = parse_xpath("/s/x")
+    probes = [overlay.attach(0, parse_xpath(xpath)) for xpath in ("/r/a", "/r/b")]
+    for broker_id in sorted(overlay.brokers):
+        for _ in range(population):
+            overlay.attach(broker_id, body)
+    probes.append(overlay.attach(0, parse_xpath("/r/c")))
+    overlay.advertise(
+        CommunityPolicy(0.3, candidates=ExactCandidates(prefilter_labels=True)),
+        DocumentCorpus(CASCADE_DOCUMENTS),
+    )
+    return overlay, probes
+
+
+def test_leader_departure_pays_for_the_members_it_moves():
+    counts: dict[int, Counter] = {}
+    for population in POPULATIONS:
+        overlay, (leader, follower, later_leader) = cascade_deployed(population)
+        groups = [members for _, members in overlay.brokers[0].communities]
+        assert (leader, follower) in groups
+        assert (later_leader,) in groups
+        calls, _, fresh = community_pair_calls(overlay, leader, "/r/a")
+        # Without /r/a, /r/b founded a community that captured /r/c, and
+        # the fresh /r/a joined it.
+        groups = [members for _, members in overlay.brokers[0].communities]
+        assert (follower, later_leader, fresh) in groups
+        counts[population] = calls
+        if population == POPULATIONS[0]:
+            assert (
+                overlay.topology_signature()
+                == overlay.rebuilt().topology_signature()
+            )
+    small, large = POPULATIONS
+    for name in ("__call__", "selectivity"):
+        assert counts[large][name] == counts[small][name], name
