@@ -11,11 +11,13 @@ departures + arrivals per epoch) through two maintenance regimes:
   a full ``advertise(CommunityPolicy(...))`` rebuild every ``REBUILD_PERIOD`` epochs
   (the classic batch operating mode).
 
-A threshold of ``None`` runs the cell under ``PerSubscriptionPolicy``
-instead (printed as ``persub``): every event then takes the
-single-change path, where the policy names the one entry it adds or
-retires and nothing is re-aggregated.  The smoke sweep runs one such
-cell beside its community cell.
+Every event of the incremental regime takes the single-change path:
+the policy names the aggregates the event changes (under
+``CommunityPolicy`` those of the communities it touched) and the broker
+is never re-aggregated or diffed as a whole.  A threshold of ``None``
+runs the cell under ``PerSubscriptionPolicy`` instead (printed as
+``persub``), where each event changes the one entry it adds or retires.
+The smoke sweep runs one such cell beside its community cell.
 
 Reported per cell: delivery quality (minimum and final recall/precision
 across epochs) for both regimes, cumulative advertisement traffic, and the

@@ -8,8 +8,7 @@ Module map:
   incremental linkage maintenance), both gateable by a
   :class:`~repro.core.candidates.CandidateGenerator` (``candidates=``)
   so only colliding pairs are ever evaluated;
-* :mod:`repro.routing.broker` — the stats records: per-document
-  routing precision/recall (:class:`RoutingStats`) and the engine's
+* :mod:`repro.routing.broker` — the engine's latency report,
   :class:`LatencyStats`;
 * :mod:`repro.routing.table` — covering-aware broker routing tables:
   pattern → destination entries minimised through
@@ -70,16 +69,12 @@ Module map:
   percentiles — overall and per subscriber class — queue-depth peaks,
   admitted-vs-offered throughput and per-class drop counts — it
   filters through the same broker-local steps as the synchronous
-  path, so delivery sets are identical by construction;
-* :mod:`repro.routing.inclusion` — containment-based inclusion forests,
-  the baseline structure the paper's introduction argues is the wrong
-  proximity notion for communities.
+  path, so delivery sets are identical by construction.
 """
 
 from repro.routing.broker import (
     ClassLatency,
     LatencyStats,
-    RoutingStats,
     ordered_percentile,
     percentile,
 )
@@ -98,7 +93,6 @@ from repro.routing.engine import (
     SourceReport,
     TopologyEvent,
 )
-from repro.routing.inclusion import InclusionForest, InclusionNode
 from repro.routing.policy import (
     AdvertisementPolicy,
     CommunityPolicy,
@@ -132,9 +126,6 @@ __all__ = [
     "Community",
     "leader_clustering",
     "agglomerative_clustering",
-    "RoutingStats",
-    "InclusionForest",
-    "InclusionNode",
     "RoutingTable",
     "TableEntry",
     "TableMatch",

@@ -1,10 +1,7 @@
-"""Routing and delivery statistics.
+"""Delivery latency statistics.
 
-:class:`RoutingStats` scores one document stream routed under one
-strategy against exact matching: a *false positive* is a delivery to an
-uninterested consumer, a *false negative* a missed delivery to an
-interested one.  :class:`LatencyStats` (per subscriber class,
-:class:`ClassLatency`) is the timing report of the discrete-event
+:class:`LatencyStats` (per subscriber class, :class:`ClassLatency`) is
+the timing report of the discrete-event
 :class:`~repro.routing.engine.DeliveryEngine`; :func:`percentile` and
 :func:`ordered_percentile` are the nearest-rank quantiles it uses.
 """
@@ -18,7 +15,6 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 __all__ = [
-    "RoutingStats",
     "ClassLatency",
     "LatencyStats",
     "percentile",
@@ -49,42 +45,6 @@ def ordered_percentile(ordered: Sequence[float], q: float) -> float:
         return 0.0
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
-
-
-@dataclass(frozen=True)
-class RoutingStats:
-    """Outcome of routing one document stream under one strategy."""
-
-    strategy: str
-    documents: int
-    subscribers: int
-    deliveries: int
-    true_deliveries: int
-    false_positives: int
-    false_negatives: int
-    match_operations: int
-
-    @property
-    def precision(self) -> float:
-        """Fraction of deliveries that were wanted."""
-        if self.deliveries == 0:
-            return 1.0
-        return self.true_deliveries / self.deliveries
-
-    @property
-    def recall(self) -> float:
-        """Fraction of wanted deliveries that happened."""
-        wanted = self.true_deliveries + self.false_negatives
-        if wanted == 0:
-            return 1.0
-        return self.true_deliveries / wanted
-
-    @property
-    def matches_per_document(self) -> float:
-        """Average filtering cost per routed document."""
-        if self.documents == 0:
-            return 0.0
-        return self.match_operations / self.documents
 
 
 @dataclass(frozen=True)

@@ -64,32 +64,43 @@ subscribe      community,    one first-fit placement against the    ``test_commu
                leader        current leaders, a gate test and at
                              most one similarity lookup each; a
                              joiner is compared by selectivity
-                             with its community's elected member
-unsubscribe,   community,    no similarity lookup; its community    ``test_community_pair_pays_for_its_community_only``,
-non-leader     leader        is elected again only if it was the    ``test_retiring_the_elected_member_reelects_its_community_alone``
-                             elected member
+                             with its community's elected member,
+                             and that community's aggregate alone
+                             is rebuilt and replaced
+unsubscribe,   community,    no similarity lookup; its community,   ``test_community_pair_pays_for_its_community_only``,
+non-leader     leader        found by bisection, is elected again   ``test_retiring_the_elected_member_reelects_its_community_alone``
+                             only if it was the elected member,
+                             and its aggregate alone is rebuilt
+                             and replaced
 unsubscribe,   community,    a local repair: its followers are      ``test_leader_departure_pays_for_the_members_it_moves``
 leader         leader        placed again, and a leader founded
                              on the way tests the later members
                              the gate admits; only communities
                              whose membership changed are elected
-                             again
+                             again, and only the aggregates of the
+                             communities dissolved, founded or
+                             changed are withdrawn or installed;
+                             a community founded ahead of the last
+                             one re-sorts the aggregation record
 any single     community,    the whole broker is clustered and      none
 event          average       elected again
-any single     hybrid        per subscription's aggregation,        none
-event                        diffed in full, at or under the
-                             cutoff; community leader linkage
-                             above it
+any single     hybrid        at or under the cutoff, the per-       none
+event                        subscription aggregation; above it,
+                             leader linkage's placement or
+                             repair; either way the aggregation
+                             is built and diffed in full
 burst,         every         one aggregation and one diff; under    ``test_a_burst_still_takes_the_full_path``
 topology       policy        leader linkage, one
 surgery                      ``leader_clustering`` of the broker
                              and an election of every community
 =============  ============  =====================================  ==========================================================
 
-Every single event under the community and hybrid policies also hands
-the policy the broker's advertised record and diffs the aggregation it
-returns against the live one, entry by entry under each member group,
-with no pattern hashed: O(broker) work, but no similarity lookup.
+None of the per-subscription and leader-linkage rows builds or diffs an
+aggregation of the broker.  The full path does: the policy aggregates
+the broker's whole advertised record and the overlay diffs that against
+the live aggregation, entry by entry under each leader, with no pattern
+hashed.  It serves average linkage, the hybrid policy, a broker left
+stale by :meth:`BrokerOverlay.detach`, bursts and topology surgery.
 
 The *topology* is dynamic too: :meth:`BrokerOverlay.add_broker` grafts a
 new broker (as a leaf, or splitting an existing edge) and seeds it with
@@ -119,7 +130,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
@@ -189,13 +200,13 @@ class BrokerNode:
     #: :meth:`BrokerOverlay.attach`\ -ed after the bulk advertisement
     #: stay out until it is rebuilt.
     advertised: dict[int, TreePattern] = field(default_factory=dict)
-    #: The live aggregation keyed by member group: ``member subscriber
-    #: ids -> (advertised_pattern, member subscriber ids)``, in the
-    #: policy's order, so that one entry is added or removed in O(1).
-    #: :attr:`communities` reads it as a list.
-    aggregation: dict[tuple[int, ...], _Community] = field(
-        default_factory=dict
-    )
+    #: The live aggregation keyed by leader, each group's first member:
+    #: ``leader -> (advertised_pattern, member subscriber ids)``, in the
+    #: policy's order, which is ascending leader under every policy, so
+    #: that a single event replaces a changed aggregate in its own slot
+    #: and adds or removes one in O(1).  :attr:`communities` reads it as
+    #: a list.
+    aggregation: dict[int, _Community] = field(default_factory=dict)
     #: Set when :meth:`BrokerOverlay.detach` left an advertised
     #: subscriber's entry installed: until the next full re-aggregation
     #: withdraws it, :attr:`aggregation` is not the policy's aggregation
@@ -262,17 +273,16 @@ class BrokerStep:
 
 
 def _aggregation_diff(
-    old: dict[tuple[int, ...], _Community],
-    fresh: dict[tuple[int, ...], _Community],
+    old: dict[int, _Community],
+    fresh: dict[int, _Community],
 ) -> tuple[list[_Community], list[_Community]]:
     """The entries of *old* that *fresh* lacks (departed) and those of
     *fresh* that *old* lacks (unmatched), each in its record's order.
 
-    Both records key each entry by its member group, and neither repeats
-    a group, so an entry is in the other record exactly when that record
-    holds it under its group: this is the multiset diff of the two
-    aggregations, element for element and in order, without hashing a
-    pattern.
+    Both records key each entry by its leader, and neither repeats one,
+    so an entry is in the other record exactly when that record holds it
+    under its leader: this is the multiset diff of the two aggregations,
+    element for element and in order, without hashing a pattern.
     """
     departed = [
         entry for group, entry in old.items() if fresh.get(group) != entry
@@ -285,17 +295,54 @@ def _aggregation_diff(
 
 def _aggregation_record(
     aggregation: list[_Community],
-) -> dict[tuple[int, ...], _Community]:
+) -> dict[int, _Community]:
     """A policy's aggregation as a :attr:`BrokerNode.aggregation` record.
 
-    Each subscriber belongs to one aggregate, so every member group
-    keys exactly one entry; a policy that repeats one is rejected
-    before the broker's routing state changes.
+    Each subscriber belongs to one aggregate, so every leader keys
+    exactly one entry; a policy that repeats one is rejected before the
+    broker's routing state changes.
     """
-    record = {aggregate[1]: aggregate for aggregate in aggregation}
+    record = {aggregate[1][0]: aggregate for aggregate in aggregation}
     if len(record) != len(aggregation):
-        raise ValueError("the policy aggregated one member group twice")
+        raise ValueError("the policy led two member groups with one member")
     return record
+
+
+def _edited_record(
+    record: dict[int, _Community],
+    edit: Mapping[int, Optional[_Community]],
+) -> tuple[dict[int, _Community], list[_Community], list[_Community]]:
+    """*record* after a policy's single-event *edit*, applied in place,
+    with the entries that left it (departed) and those that arrived
+    (unmatched).
+
+    The record ascends by leader before the event and after it, the
+    edit lists its leaders in ascending order, and every leader the edit
+    leaves out keeps its entry, so visiting the edit in its order lists
+    both kinds exactly as :func:`_aggregation_diff` of the two whole
+    records would.  A changed entry keeps its slot and a dropped one
+    leaves; only an entry that arrives ahead of the last one forces the
+    record to be re-ordered, into a new dict.
+    """
+    departed: list[_Community] = []
+    unmatched: list[_Community] = []
+    ordered = True
+    for leader, new in edit.items():
+        old = record.get(leader)
+        if old == new:
+            continue
+        if old is not None:
+            departed.append(old)
+        if new is None:
+            del record[leader]
+            continue
+        unmatched.append(new)
+        if old is None and record and leader < next(reversed(record)):
+            ordered = False
+        record[leader] = new
+    if not ordered:
+        record = dict(sorted(record.items()))
+    return record, departed, unmatched
 
 
 @dataclass(frozen=True)
@@ -597,7 +644,7 @@ class BrokerOverlay:
         if self.policy is None:
             return subscription_id
         self._register(self.brokers[broker_id], subscription_id, pattern)
-        self._reaggregate(broker_id, (subscription_id, pattern, True))
+        self._reaggregate(broker_id, (subscription_id, True))
         return subscription_id
 
     def unsubscribe(self, subscription_id: int) -> TreePattern:
@@ -619,7 +666,7 @@ class BrokerOverlay:
         """
         home_id, pattern, advertised = self._forget(subscription_id)
         if self.policy is not None and advertised:
-            self._reaggregate(home_id, (subscription_id, pattern, False))
+            self._reaggregate(home_id, (subscription_id, False))
         return pattern
 
     def subscribe_many(
@@ -1134,23 +1181,23 @@ class BrokerOverlay:
     def _reaggregate(
         self,
         broker_id: int,
-        change: Optional[tuple[int, TreePattern, bool]] = None,
+        change: Optional[tuple[int, bool]] = None,
     ) -> None:
         """Refresh one broker's advertisements after churn.
 
-        *change* names a single event, ``(member, pattern, arrived)``,
-        when the caller made exactly one; bursts and topology surgery
-        pass none.  For a single event the policy may name the one
-        aggregate it changes (its ``single_change``), and that entry
-        alone is installed or withdrawn: the same calls, in the same
-        order, as the full diff below would make, at O(1) instead of
-        O(broker).  A record left stale by :meth:`detach` always takes
-        the full path.
+        *change* names a single event, ``(member, arrived)``, when the
+        caller made exactly one; bursts and topology surgery pass none.
+        For a single event the policy may name the aggregates it changes
+        (its ``single_change``), and only those are installed or
+        withdrawn (:func:`_edited_record`): the same calls, in the same
+        order, as the full diff below would make, at the cost of the
+        change instead of O(broker).  A record left stale by
+        :meth:`detach` always takes the full path.
 
         Otherwise the broker re-aggregates through the live policy (what
         that costs is the churn cost table in this module's docstring)
-        and diffs the fresh record against the live one under each member
-        group (:func:`_aggregation_diff`).  The change is applied at two
+        and diffs the fresh record against the live one under each leader
+        (:func:`_aggregation_diff`).  The change is applied at two
         levels:
 
         * local delivery entries follow the full ``(pattern, members)``
@@ -1165,15 +1212,15 @@ class BrokerOverlay:
         assert self.policy is not None
         node = self.brokers[broker_id]
         if change is not None and not node.stale:
-            member, pattern, arrived = change
-            entry = self.policy.single_change(member, pattern)
-            if entry is not None:
-                if arrived:
-                    node.aggregation[entry[1]] = entry
-                    self._apply_change(broker_id, [], [entry])
-                else:
-                    del node.aggregation[entry[1]]
-                    self._apply_change(broker_id, [entry], [])
+            member, arrived = change
+            edit = self.policy.single_change(
+                member, arrived, node.advertised, node.index, node.clusters
+            )
+            if edit is not None:
+                node.aggregation, departed, unmatched = _edited_record(
+                    node.aggregation, edit
+                )
+                self._apply_change(broker_id, departed, unmatched)
                 return
         fresh = _aggregation_record(self._aggregate_node(node))
         departed, unmatched = _aggregation_diff(node.aggregation, fresh)

@@ -52,6 +52,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import islice, takewhile
+from operator import itemgetter
 from typing import ClassVar, Iterable, Mapping, Optional, Protocol, Sequence
 
 from repro.core.candidates import CandidateGenerator
@@ -80,29 +81,48 @@ __all__ = [
 #: local subscriber ids it delivers for.
 Aggregate = tuple[TreePattern, tuple[int, ...]]
 
+#: What one churn event changes in a broker's aggregation: each member
+#: that led an aggregate before the event or leads one after it, and
+#: whose aggregate the event may have changed, in ascending order,
+#: mapped to its aggregate after the event, or to None where it no
+#: longer leads one.  An aggregate's leader is its first member.
+Edit = dict[int, Optional[Aggregate]]
+
+#: The communities one event touched under leader linkage: each leader,
+#: mapped to its community's member list after the event, or to None
+#: where its community dissolved.
+_Touched = dict[int, Optional[list[int]]]
+
 LINKAGES = ("leader", "average")
+
+_leader = itemgetter(0)
 
 
 @dataclass
 class LeaderClusters:
     """One broker's last leader-linkage clustering, kept across churn.
 
-    ``members`` is the subscriber sequence the clustering ran over;
     ``communities`` holds its communities in creation order, each as
     member subscriber ids with the leader first and joiners in placement
-    order.  ``elected`` maps a community's leader to the member it
-    advertises under ``elect_by_selectivity``: the first member, in
-    placement order, with the highest selectivity.  A community without
-    an entry is elected at the next aggregation.  The overlay keeps one
-    record per broker beside its similarity index and hands it to
+    order.  Placement follows the broker's home order, ascending
+    subscriber id, so a member's id is its position: each community
+    ascends, and the communities ascend by leader.  ``leader_of`` maps
+    each member, in placement order, to its community's leader, so one
+    departure finds its community by bisection.  ``elected`` maps a
+    community's leader to the member it advertises under
+    ``elect_by_selectivity``: the first member, in placement order, with
+    the highest selectivity.  A community without an entry is elected
+    when its aggregate is next built.  The overlay keeps one record per
+    broker beside its similarity index and hands it to
+    :meth:`AdvertisementPolicy.single_change` and
     :meth:`AdvertisementPolicy.aggregate`; :class:`CommunityPolicy`
     brings it up to date in place, at the costs of the churn table in
     :mod:`repro.routing.overlay`.  Policies never own one: they are
     frozen and shared across brokers.
     """
 
-    members: list[int] = field(default_factory=list)
     communities: list[list[int]] = field(default_factory=list)
+    leader_of: dict[int, int] = field(default_factory=dict)
     elected: dict[int, int] = field(default_factory=dict)
 
 
@@ -163,24 +183,34 @@ class AdvertisementPolicy:
         broker's clustering record, which a clustering policy may read
         and update in place; without one, it clusters from scratch.
 
-        Each member group may appear in at most one aggregate: the
-        overlay records a broker's aggregation keyed by member group and
+        Each member may lead (come first in) at most one aggregate: the
+        overlay records a broker's aggregation keyed by leader and
         raises :class:`ValueError` for a list that repeats one, before it
         changes that broker's routing state.
         """
         raise NotImplementedError
 
-    def single_change(self, member: int, pattern: TreePattern) -> Optional[Aggregate]:
-        """The one aggregate a single arrival or departure changes.
+    def single_change(
+        self,
+        member: int,
+        arrived: bool,
+        advertised: Mapping[int, TreePattern],
+        index: Optional[SimilarityIndex],
+        clusters: LeaderClusters,
+    ) -> Optional[Edit]:
+        """What a single arrival or departure changes, or None.
 
-        *member*, subscribing with *pattern*, has just joined or left the
-        broker's advertised subscriptions.  A policy that aggregates the
-        populations before and after the change into one
-        ``(pattern, (member,))`` entry per subscription, in home order,
-        returns the entry the change adds or retires: the overlay
-        installs or withdraws it directly, with exactly the calls the
-        diff of the two full aggregations would make, and never builds
-        either.  ``None`` (the default) asks for that full
+        *member* has just joined (*arrived*) or left *advertised*, the
+        broker's live member -> pattern record in home order, which
+        already includes or lacks it, as does *index*, the broker's live
+        similarity index; *clusters*, the broker's clustering record, is
+        up to date for everything but the event.  A policy whose
+        :meth:`aggregate` lists its aggregates in ascending leader order
+        may bring its own state up to date and return the :data:`Edit`
+        from the aggregation before the event to the one after it: the
+        overlay installs and withdraws those aggregates with exactly the
+        calls the diff of the two full aggregations would make, and
+        never builds either.  ``None`` (the default) asks for that full
         aggregate-and-diff.
         """
         return None
@@ -201,9 +231,16 @@ class PerSubscriptionPolicy(AdvertisementPolicy):
         """The ``BrokerOverlay.mode`` string advertised state reports."""
         return "per_subscription"
 
-    def single_change(self, member: int, pattern: TreePattern) -> Optional[Aggregate]:
-        """Always the member's own entry."""
-        return (pattern, (member,))
+    def single_change(
+        self,
+        member: int,
+        arrived: bool,
+        advertised: Mapping[int, TreePattern],
+        index: Optional[SimilarityIndex],
+        clusters: LeaderClusters,
+    ) -> Edit:
+        """Always the member's own entry, arriving or leaving."""
+        return {member: (advertised[member], (member,)) if arrived else None}
 
     def aggregate(
         self,
@@ -260,11 +297,12 @@ class CommunityPolicy(AdvertisementPolicy):
     new member sequence would come out.  One arrival is placed first-fit
     against the current leaders, one departing non-leader leaves its
     community, and one departing leader's community is repaired locally
-    (:meth:`_repair`).  Any other change to the member sequence (bursts,
-    topology surgery, a :class:`HybridPolicy` regime flip) re-clusters
-    and re-elects the whole broker, and average linkage does so on every
-    call.  What each event costs is the churn table in
-    :mod:`repro.routing.overlay`.
+    (:meth:`_repair`); :meth:`single_change` then elects and aggregates
+    only the communities the event touched.  Any other change to the
+    member sequence (bursts, topology surgery, a :class:`HybridPolicy`
+    regime flip) re-clusters and re-elects the whole broker, and average
+    linkage does so on every call.  What each event costs is the churn
+    table in :mod:`repro.routing.overlay`.
     """
 
     uses_similarity = True
@@ -354,24 +392,28 @@ class CommunityPolicy(AdvertisementPolicy):
         pattern_of: Mapping[int, TreePattern],
         index: SimilarityIndex,
         clusters: LeaderClusters,
-    ) -> None:
+    ) -> _Touched:
         """First-fit placement of one arrival against the current leaders.
 
         A joiner takes over its community's election only with a
         strictly higher selectivity: it is the last member, and ``max``
-        keeps the first of equals.
+        keeps the first of equals.  Returns the community it joined or
+        founded.
         """
         pattern = pattern_of[member]
         group = self._first_fit(pattern, clusters.communities, pattern_of, index)
         if group is None:
-            clusters.communities.append([member])
-            return
-        group.append(member)
-        elected = clusters.elected.get(group[0])
-        if elected is not None:
-            standing = index.selectivity(pattern_of[elected])
-            if index.selectivity(pattern) > standing:
-                clusters.elected[group[0]] = member
+            group = [member]
+            clusters.communities.append(group)
+        else:
+            group.append(member)
+            elected = clusters.elected.get(group[0])
+            if elected is not None:
+                standing = index.selectivity(pattern_of[elected])
+                if index.selectivity(pattern) > standing:
+                    clusters.elected[group[0]] = member
+        clusters.leader_of[member] = group[0]
+        return {group[0]: group}
 
     def _depart(
         self,
@@ -379,30 +421,27 @@ class CommunityPolicy(AdvertisementPolicy):
         pattern_of: Mapping[int, TreePattern],
         index: SimilarityIndex,
         clusters: LeaderClusters,
-    ) -> None:
+    ) -> _Touched:
         """Retire one member from the clustering it was part of.
 
         A non-leader just leaves its community, which loses its election
         only if it was the elected member.  A departing leader's
         community dissolves, with its election, and :meth:`_repair`
-        places its followers again.
+        places its followers again.  Returns the communities touched.
         """
         communities = clusters.communities
         elected = clusters.elected
-        first = next(
-            position
-            for position, group in enumerate(communities)
-            if member in group
-        )
-        group = communities[first]
-        if group[0] != member:
+        leader = clusters.leader_of.pop(member)
+        at = bisect_left(communities, leader, key=_leader)
+        group = communities[at]
+        if leader != member:
             group.remove(member)
-            if elected.get(group[0]) == member:
-                del elected[group[0]]
-            return
-        del communities[first]
+            if elected.get(leader) == member:
+                del elected[leader]
+            return {leader: group}
+        del communities[at]
         elected.pop(member, None)
-        self._repair(group, pattern_of, index, clusters)
+        return self._repair(group, pattern_of, index, clusters)
 
     def _repair(
         self,
@@ -410,7 +449,7 @@ class CommunityPolicy(AdvertisementPolicy):
         pattern_of: Mapping[int, TreePattern],
         index: SimilarityIndex,
         clusters: LeaderClusters,
-    ) -> None:
+    ) -> _Touched:
         """Bring *clusters* to the clustering without *orphaned*'s leader.
 
         Leader clustering is first-fit in creation order and each
@@ -425,46 +464,48 @@ class CommunityPolicy(AdvertisementPolicy):
         * a leader founded here, ahead of its own leader, fits it: it is
           *captured*, and a captured leader's followers are lost.
 
-        A worklist visits those members in placement order, so every
-        earlier placement is final when one is decided.  *orphaned*'s
-        followers seed it, and each new leader adds the later members
-        that the candidate gate admits and whose community was founded
-        after it.  A moved member joins its group in placement order, and
-        every community whose membership changed is elected again.
+        A worklist visits those members in placement order (ascending
+        id), so every earlier placement is final when one is decided.
+        *orphaned*'s followers seed it, and each new leader adds the
+        later members that the candidate gate admits and whose community
+        was founded after it.  A moved member joins its group in
+        placement order, and every community whose membership changed is
+        elected again.  Returns the communities touched: the dissolved
+        ones, the founded ones and those whose membership changed.
         """
-        position = {member: at for at, member in enumerate(clusters.members)}
         communities = clusters.communities
         elected = clusters.elected
+        leader_of = clusters.leader_of
         generator = self.candidates
-
-        def rank(group: list[int]) -> int:
-            return position[group[0]]
 
         def first_fit(
             member: int, groups: Iterable[list[int]], stop: int
         ) -> Optional[list[int]]:
             """The first of *groups* led ahead of *stop* that *member*
             joins."""
-            ahead = takewhile(lambda group: rank(group) < stop, groups)
+            ahead = takewhile(lambda group: group[0] < stop, groups)
             return self._first_fit(pattern_of[member], ahead, pattern_of, index)
 
-        worklist: list[tuple[int, int, list[int]]] = []
+        worklist: list[tuple[int, list[int]]] = []
         queued: set[int] = set()
         dissolved = {orphaned[0]}
         founded: list[list[int]] = []
+        touched: _Touched = {}
 
         def enqueue(member: int, group: list[int]) -> None:
             """Queue *member*, which sits in *group*, once."""
             if member not in queued:
                 queued.add(member)
-                heappush(worklist, (position[member], member, group))
+                heappush(worklist, (member, group))
 
         def found(member: int) -> None:
             """Make *member* a leader and queue the later members the gate
             admits for it."""
-            later = bisect_right(communities, position[member], key=rank)
+            later = bisect_right(communities, member, key=_leader)
             communities.insert(later, [member])
             founded.append(communities[later])
+            touched[member] = communities[later]
+            leader_of[member] = member
             pattern = pattern_of[member]
             for group in communities[later + 1 :]:
                 for candidate in group:
@@ -475,28 +516,33 @@ class CommunityPolicy(AdvertisementPolicy):
         for follower in orphaned[1:]:
             enqueue(follower, orphaned)
         while worklist:
-            at, member, group = heappop(worklist)
+            member, group = heappop(worklist)
             leader = group[0]
-            target = first_fit(member, founded, position[leader])
+            target = first_fit(member, founded, leader)
             if leader not in dissolved:
                 if target is None:
                     continue
                 if leader == member:
-                    del communities[bisect_left(communities, at, key=rank)]
+                    del communities[bisect_left(communities, member, key=_leader)]
                     dissolved.add(member)
                     for follower in group[1:]:
                         enqueue(follower, group)
                 else:
                     group.remove(member)
+                    touched[leader] = group
                 elected.pop(leader, None)
             elif target is None:
-                resume = bisect_right(communities, position[leader], key=rank)
-                target = first_fit(member, islice(communities, resume, None), at)
+                resume = bisect_right(communities, leader, key=_leader)
+                target = first_fit(member, islice(communities, resume, None), member)
                 if target is None:
                     found(member)
                     continue
-            insort(target, member, key=position.__getitem__)
+            insort(target, member)
+            leader_of[member] = target[0]
+            touched[target[0]] = target
             elected.pop(target[0], None)
+        touched.update(dict.fromkeys(dissolved))
+        return touched
 
     def _recluster(
         self,
@@ -511,15 +557,19 @@ class CommunityPolicy(AdvertisementPolicy):
         from it is applied in place; any other difference re-clusters
         from scratch and drops every election.
         """
-        old = clusters.members
+        old = list(clusters.leader_of)
         if len(members) == len(old) + 1 and members[:-1] == old:
             self._place(members[-1], pattern_of, index, clusters)
         elif (departed := _departure(old, members)) is not None:
             self._depart(departed, pattern_of, index, clusters)
         elif members != old:
-            clusters.communities = self._leader_groups(members, pattern_of, index)
+            communities = self._leader_groups(members, pattern_of, index)
+            leader_of = dict.fromkeys(members, 0)
+            for group in communities:
+                leader_of.update(dict.fromkeys(group, group[0]))
+            clusters.communities = communities
+            clusters.leader_of = leader_of
             clusters.elected = {}
-        clusters.members = members
 
     def _elect(
         self,
@@ -529,6 +579,51 @@ class CommunityPolicy(AdvertisementPolicy):
     ) -> int:
         """The first member of *group* with the highest selectivity."""
         return max(group, key=lambda member: index.selectivity(pattern_of[member]))
+
+    def _aggregate(
+        self,
+        leader: int,
+        group: list[int],
+        pattern_of: Mapping[int, TreePattern],
+        index: SimilarityIndex,
+        elected: dict[int, int],
+    ) -> Aggregate:
+        """*group*'s advertisement: its elected member's pattern, elected
+        now if *elected* holds none for *leader*, or else its leader's."""
+        chosen = leader
+        if self.elect_by_selectivity:
+            if leader not in elected:
+                elected[leader] = self._elect(group, pattern_of, index)
+            chosen = elected[leader]
+        return pattern_of[chosen], tuple(group)
+
+    def single_change(
+        self,
+        member: int,
+        arrived: bool,
+        advertised: Mapping[int, TreePattern],
+        index: Optional[SimilarityIndex],
+        clusters: LeaderClusters,
+    ) -> Optional[Edit]:
+        """The aggregates of the communities one event touched.
+
+        Under leader linkage the broker's *clusters* record is brought up
+        to date in place (:meth:`_place`, :meth:`_depart`), and only the
+        communities the event touched are elected, if they lack an
+        election, and aggregated; average linkage answers None.
+        """
+        if self.linkage != "leader":
+            return None
+        assert index is not None, "community aggregation needs a live index"
+        event = self._place if arrived else self._depart
+        touched = event(member, advertised, index, clusters)
+        edit: Edit = dict.fromkeys(sorted(touched))
+        for leader, group in touched.items():
+            if group is not None:
+                edit[leader] = self._aggregate(
+                    leader, group, advertised, index, clusters.elected
+                )
+        return edit
 
     def aggregate(
         self,
@@ -547,8 +642,14 @@ class CommunityPolicy(AdvertisementPolicy):
         assert index is not None, "community aggregation needs a live index"
         pattern_of = dict(zip(members, patterns, strict=True))
         if self.linkage == "average":
-            communities = [
-                (members[community.leader], [members[i] for i in community.members])
+            return [
+                self._aggregate(
+                    members[community.leader],
+                    [members[i] for i in community.members],
+                    pattern_of,
+                    index,
+                    {},
+                )
                 for community in agglomerative_clustering(
                     patterns,
                     index,
@@ -557,22 +658,13 @@ class CommunityPolicy(AdvertisementPolicy):
                     candidates=self.candidates,
                 )
             ]
-            elected: dict[int, int] = {}
-        else:
-            if clusters is None:
-                clusters = LeaderClusters()
-            self._recluster(list(members), pattern_of, index, clusters)
-            communities = [(group[0], group) for group in clusters.communities]
-            elected = clusters.elected
-        aggregated: list[Aggregate] = []
-        for leader, group in communities:
-            chosen = leader
-            if self.elect_by_selectivity:
-                if leader not in elected:
-                    elected[leader] = self._elect(group, pattern_of, index)
-                chosen = elected[leader]
-            aggregated.append((pattern_of[chosen], tuple(group)))
-        return aggregated
+        if clusters is None:
+            clusters = LeaderClusters()
+        self._recluster(list(members), pattern_of, index, clusters)
+        return [
+            self._aggregate(group[0], group, pattern_of, index, clusters.elected)
+            for group in clusters.communities
+        ]
 
     def __repr__(self) -> str:
         return (
@@ -616,6 +708,18 @@ class HybridPolicy(CommunityPolicy):
         if self.candidates is not None:
             parts.append(f"candidates={self.candidates.describe()}")
         return f"hybrid({', '.join(parts)})"
+
+    def single_change(
+        self,
+        member: int,
+        arrived: bool,
+        advertised: Mapping[int, TreePattern],
+        index: Optional[SimilarityIndex],
+        clusters: LeaderClusters,
+    ) -> Optional[Edit]:
+        """Always None: an event may carry the broker across its cutoff,
+        and under it the broker keeps no clustering to edit."""
+        return None
 
     def aggregate(
         self,

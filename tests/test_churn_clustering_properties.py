@@ -22,6 +22,8 @@ broker holding every ring pattern, and after every event checks that
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from repro.routing.policy import CommunityPolicy, HybridPolicy
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 from tests.strategies import property_max_examples, tree_patterns
+from tests.test_community_diff_properties import counter_diff
 from tests.test_selectivity_properties import corpora
 
 POLICIES = {
@@ -345,5 +348,18 @@ class TestRingOnOneBroker:
         for xpath in order:
             overlay.attach(0, parse_xpath(xpath))
         overlay.advertise(CommunityPolicy(0.3), DocumentCorpus(RING_DOCUMENTS))
-        overlay.unsubscribe(overlay.brokers[0].local_subscribers[0])
+        before = overlay.brokers[0].communities
+        applied = []
+        apply_change = BrokerOverlay._apply_change
+
+        def recording(self, broker_id, departed, unmatched):
+            applied.append((list(departed), list(unmatched)))
+            return apply_change(self, broker_id, departed, unmatched)
+
+        with mock.patch.object(BrokerOverlay, "_apply_change", recording):
+            overlay.unsubscribe(overlay.brokers[0].local_subscribers[0])
         assert_matches_from_scratch(overlay)
+        # The entries of the communities the repair touched leave and
+        # arrive in the order the diff of the two full aggregations lists
+        # them.
+        assert applied == [counter_diff(before, overlay.brokers[0].communities)]

@@ -33,14 +33,18 @@ with every instance of the population before reaching the one it
 retires.
 
 Under leader-linkage :class:`~repro.routing.policy.CommunityPolicy` a
-broker keeps each community's elected representative across events, so
-a pair that neither retires a leader or an elected member nor founds a
-community makes as many ``SimilarityIndex.selectivity`` calls at 3,000
-subscribers per broker as at 300, and a pair that retires the elected
-member elects its community again and no other.  A pair that retires a
-leader ahead of the population re-places only the members that leader's
-departure can move, so its ``SimilarityIndex`` calls do not grow with
-the broker either.
+broker keeps its clustering and each community's elected representative
+across events, and a single event hands the overlay the aggregates of
+the communities it touched, so neither a pair that retires an ordinary
+member nor one that retires a leader ahead of the population calls
+``CommunityPolicy.aggregate`` or the aggregation diff, at 300
+subscribers per broker or at 3,000.  A pair that neither retires a
+leader or an elected member nor founds a community makes as many
+``SimilarityIndex.selectivity`` calls at 3,000 subscribers per broker as
+at 300, and a pair that retires the elected member elects its community
+again and no other.  A pair that retires a leader ahead of the
+population re-places only the members that leader's departure can move,
+so its ``SimilarityIndex`` calls do not grow with the broker either.
 """
 
 from __future__ import annotations
@@ -180,7 +184,7 @@ def test_resubscribe_pair_cost_does_not_grow_with_the_broker(layout, shared):
             assert calls["_aggregation_diff"] == 0, population
         # The pairs did their work: the fresh probe is advertised and the
         # routing state is the one a rebuild would install.
-        assert overlay.brokers[0].aggregation[(fresh,)] == (
+        assert overlay.brokers[0].aggregation[fresh] == (
             parse_xpath(layout.probe),
             (fresh,),
         )
@@ -251,9 +255,10 @@ def community_deployed(population: int) -> tuple[BrokerOverlay, int]:
 def community_pair_calls(
     overlay: BrokerOverlay, victim: int, xpath: str
 ) -> tuple[Counter, list[tuple[int, ...]], int]:
-    """``SimilarityIndex`` calls (``selectivity`` and ``__call__``) and
-    the groups elected in one resubscribe pair of *victim* on broker 0;
-    returns them and the fresh id."""
+    """Calls one resubscribe pair of *victim* on broker 0 makes — of
+    ``SimilarityIndex`` (``selectivity`` and ``__call__``), of
+    ``CommunityPolicy.aggregate`` and of the aggregation diff — and the
+    groups it elects; returns them and the fresh id."""
     calls: Counter = Counter()
     elections: list[tuple[int, ...]] = []
     elect = CommunityPolicy._elect
@@ -263,9 +268,14 @@ def community_pair_calls(
         return elect(policy, group, pattern_of, index)
 
     with ExitStack() as stack:
-        for name in ("selectivity", "__call__"):
-            wrapped = counting(calls, name, getattr(SimilarityIndex, name))
-            stack.enter_context(mock.patch.object(SimilarityIndex, name, wrapped))
+        for owner, name in (
+            (SimilarityIndex, "selectivity"),
+            (SimilarityIndex, "__call__"),
+            (CommunityPolicy, "aggregate"),
+            (overlay_module, "_aggregation_diff"),
+        ):
+            wrapped = counting(calls, name, getattr(owner, name))
+            stack.enter_context(mock.patch.object(owner, name, wrapped))
         stack.enter_context(mock.patch.object(CommunityPolicy, "_elect", recording))
         overlay.unsubscribe(victim)
         fresh = overlay.subscribe(0, parse_xpath(xpath))
@@ -292,6 +302,8 @@ def test_community_pair_pays_for_its_community_only():
         assert fresh in members
         assert advertised == parse_xpath("//a")
         assert elections == []
+        # Neither event aggregated the broker or diffed its aggregation.
+        assert calls["aggregate"] == calls["_aggregation_diff"] == 0
         counts[population] = calls["selectivity"]
         if population == POPULATIONS[0]:
             assert (
@@ -368,6 +380,7 @@ def test_leader_departure_pays_for_the_members_it_moves():
         # the fresh /r/a joined it.
         groups = [members for _, members in overlay.brokers[0].communities]
         assert (follower, later_leader, fresh) in groups
+        assert calls["aggregate"] == calls["_aggregation_diff"] == 0
         counts[population] = calls
         if population == POPULATIONS[0]:
             assert (

@@ -3,16 +3,18 @@
 On every churn event ``BrokerOverlay._reaggregate`` changes a broker's
 deliver entries and advertisements by the difference between its
 aggregation before and after the event.  It gets that difference one of
-two ways: a single per-subscription event has its policy name the one
-entry it adds or retires, and any other event compares the previous
-aggregation record with a fresh one under each member group
-(``_aggregation_diff``).  This suite pins that the departed and
+two ways: a single event under the per-subscription policy or under
+leader-linkage communities has its policy name the aggregates it
+changes (``_edited_record``), and any other event compares the previous
+aggregation record with a fresh one under each leader, a group's first
+member (``_aggregation_diff``).  This suite pins that the departed and
 arriving entries still equal, element for element and in order, the
 full ``Counter`` diff of the two aggregations as lists:
 
-* on arbitrary pairs of records, each with unique member groups, where
-  edits add, drop and reorder groups and keep a group while changing its
-  pattern — the case a diff that looked at the groups alone would miss;
+* on arbitrary pairs of records, each with unique leaders, where edits
+  add, drop and reorder groups and keep a leader while changing its
+  group or its pattern — the case a diff that looked at the leaders
+  alone would miss;
 * on every change a live overlay applies under the per-subscription,
   community and hybrid policies across subscribe, unsubscribe and burst
   interleavings, against the diff of each broker's aggregation
@@ -61,24 +63,29 @@ GROUPS = ((0,), (1,), (2,), (0, 1), (1, 2))
 def edited_records(draw):
     """An aggregation record and an edit of it, over few member groups.
 
-    Each pattern is parsed afresh, so equal patterns are distinct
-    objects.
+    Each record keys its entries by leader, so ``(0,)`` and ``(0, 1)``
+    compete for one key.  Each pattern is parsed afresh, so equal
+    patterns are distinct objects.
     """
 
     def entry(group, label):
         return parse_xpath(draw(st.sampled_from(XPATHS), label=label)), group
 
-    groups = draw(st.lists(st.sampled_from(GROUPS), unique=True), label="old")
-    old = {group: entry(group, f"old{group}") for group in groups}
+    groups = draw(
+        st.lists(st.sampled_from(GROUPS), unique_by=lambda group: group[0]),
+        label="old",
+    )
+    old = {group[0]: entry(group, f"old{group}") for group in groups}
     fresh = dict(old)
     for step in range(draw(st.integers(0, 4), label="edits")):
         kind = draw(st.sampled_from(["set", "drop", "shuffle"]))
         group = draw(st.sampled_from(GROUPS), label=f"group{step}")
         if kind == "set":
-            # A kept group keeps its place and may change its pattern.
-            fresh[group] = entry(group, f"new{step}")
+            # A kept leader keeps its place and may change its group or
+            # its pattern.
+            fresh[group[0]] = entry(group, f"new{step}")
         elif kind == "drop":
-            fresh.pop(group, None)
+            fresh.pop(group[0], None)
         else:
             fresh = dict(
                 draw(st.permutations(list(fresh.items())), label=f"order{step}")
@@ -156,6 +163,27 @@ class TestCommunityDiff:
     def test_keyed_diff_equals_counter_diff(self, records):
         old, fresh = records
         assert overlay_module._aggregation_diff(old, fresh) == counter_diff(
+            list(old.values()), list(fresh.values())
+        )
+
+    @settings(max_examples=property_max_examples(200), deadline=None)
+    @given(edited_records(), st.data())
+    def test_single_event_edit_equals_counter_diff(self, records, data):
+        # Both records ascend by leader, as every policy's aggregation
+        # does; the edit names, in ascending order, each leader whose
+        # entry changed, and maybe some whose entry stands.
+        old, fresh = (dict(sorted(record.items())) for record in records)
+        edit = {
+            leader: fresh.get(leader)
+            for leader in sorted(old.keys() | fresh.keys())
+            if old.get(leader) != fresh.get(leader)
+            or data.draw(st.booleans(), label=f"names {leader}")
+        }
+        record, departed, unmatched = overlay_module._edited_record(
+            dict(old), edit
+        )
+        assert list(record.items()) == list(fresh.items())
+        assert (departed, unmatched) == counter_diff(
             list(old.values()), list(fresh.values())
         )
 

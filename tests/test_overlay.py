@@ -640,26 +640,26 @@ class TestSubscriptionLifecycle:
         overlay.advertise(PerSubscriptionPolicy())
         overlay.detach(silent)
         node = overlay.brokers[0]
-        assert node.stale and (silent,) in node.aggregation
+        assert node.stale and silent in node.aggregation
         if event == "subscribe":
             overlay.subscribe(0, parse_xpath("/a/d"))
         else:
             overlay.unsubscribe(other)
-        assert not node.stale and (silent,) not in node.aggregation
+        assert not node.stale and silent not in node.aggregation
         assert (
             overlay.topology_signature()
             == overlay.rebuilt().topology_signature()
         )
 
     def test_a_policy_repeating_a_member_group_is_refused(self):
-        # A broker's aggregation is recorded by member group, so a policy
-        # that returns two aggregates of one group is refused before the
-        # broker's routing state changes.
+        # A broker's aggregation is recorded by leader, each group's first
+        # member, so a policy that returns two aggregates of one group is
+        # refused before the broker's routing state changes.
         repeated = parse_xpath("/a/d")
 
         @dataclass(frozen=True)
         class Repeating(PerSubscriptionPolicy):
-            def single_change(self, member, pattern):
+            def single_change(self, *event):
                 return None  # always re-aggregate
 
             def aggregate(self, members, patterns, index, clusters=None):

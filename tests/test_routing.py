@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityEstimator, SimilarityIndex
-from repro.routing.broker import RoutingStats
 from repro.routing.community import (
     Community,
     agglomerative_clustering,
@@ -333,12 +332,12 @@ class TestOneBrokerRouting:
         assert stats.precision < 1.0
         assert stats.match_operations == len(corpus)
 
-    def test_stats_properties_on_empty(self):
-        stats = RoutingStats(
-            strategy="x", documents=0, subscribers=0, deliveries=0,
-            true_deliveries=0, false_positives=0, false_negatives=0,
-            match_operations=0,
-        )
+    def test_stats_properties_on_empty(self, subscriptions):
+        # An empty stream delivers nothing and misses nothing.
+        overlay = one_broker(subscriptions, PerSubscriptionPolicy())
+        stats = overlay.route_corpus(DocumentCorpus([]))
+        assert stats.documents == stats.deliveries == 0
         assert stats.precision == 1.0
         assert stats.recall == 1.0
         assert stats.matches_per_document == 0.0
+        assert stats.forwards_per_document == 0.0
