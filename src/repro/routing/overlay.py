@@ -56,10 +56,12 @@ retires through the table's retirement index.
 =============  ============  =====================================  ==========================================================
 event          policy        cost at the home broker                pinned by
 =============  ============  =====================================  ==========================================================
-subscribe,     per           O(1): the policy names the one         ``test_resubscribe_pair_cost_does_not_grow_with_the_broker``
-unsubscribe    subscription  ``(pattern, (member,))`` entry,
+subscribe,     per           O(1): the policy names the one         ``test_resubscribe_pair_cost_does_not_grow_with_the_broker``,
+unsubscribe    subscription  ``(pattern, (member,))`` entry,        ``test_resubscribe_pair_updates_one_member_set_each_way``
                              installed or withdrawn without an
-                             aggregation built or diffed
+                             aggregation built or diffed, and one
+                             trie entry's member set gains or
+                             loses the member
 subscribe      community,    one first-fit placement against the    ``test_community_pair_pays_for_its_community_only``
                leader        current leaders, a gate test and at
                              most one similarity lookup each; a
@@ -115,13 +117,14 @@ join/leave and subscription churn, under any policy, every routing table
 equals a from-scratch rebuild of the final topology.
 
 Routing is a walk of broker steps (:class:`BrokerStep`).  A broker's
-table answers a document with one int of destination-rank bits
-(:class:`~repro.routing.table.TableMatch`), and the step is decoded from
-that mask through the table's per-rank delivery view: the members of the
-matched ``(DELIVER, members)`` groups united in one C-level pass, and
-the few matched ``(FORWARD, link)`` ranks in table order.  No list of
-destination tuples is built or split on the way.  The destination
-encoding itself is defined in :mod:`repro.routing.table`.
+table answers a document with one int of destination-rank bits and the
+member ids it delivers (:class:`~repro.routing.table.TableMatch`): the
+table keeps each trie entry's deliver members, and the match unites
+those of its accepted entries in one C-level pass, so a step costs what
+it delivers, not the broker's count of deliver groups.  The few matched
+``(FORWARD, link)`` ranks are read off the mask in table order.  No
+list of destination tuples is built or split on the way.  The
+destination encoding itself is defined in :mod:`repro.routing.table`.
 """
 
 from __future__ import annotations
@@ -253,12 +256,13 @@ class BrokerStep:
     deliver to identical subscriber sets by construction and differ only
     in *when* each step runs.
 
-    A step is decoded straight from the broker table's match mask
-    (:meth:`~repro.routing.table.TableMatch.split`), in C-level passes
-    over the table's per-rank delivery view, without building the
-    table-order destination list.  It is decoded as soon as the match is
-    made, so a step stays valid across later routing-state changes even
-    though the mask it came from does not.
+    A step is the broker table's match split
+    (:meth:`~repro.routing.table.TableMatch.split`): the deliveries the
+    match united from its accepted entries' member sets, and the forward
+    links read off its rank mask, without building the table-order
+    destination list.  It is taken as soon as the match is made, so a
+    step stays valid across later routing-state changes even though the
+    mask it came from does not.
     """
 
     #: Subscriber ids the document is delivered to at this broker.
@@ -1315,8 +1319,9 @@ class BrokerOverlay:
         with respect to delivery semantics — it reads routing state and
         counts match operations, but schedules nothing — which is what
         lets the synchronous walk and the event engine share it.  It is
-        decoded from the match's rank mask right away
-        (:meth:`~repro.routing.table.TableMatch.split`).
+        taken from the match right away
+        (:meth:`~repro.routing.table.TableMatch.split`): the members the
+        match united, and the forward links of its rank mask.
         """
         if broker_id not in self.brokers:
             raise ValueError(f"no broker {broker_id}")

@@ -75,20 +75,36 @@ been re-admitted, and an emptied list is dropped.  When retired ranks
 outnumber live ones, the trie renumbers the live ranks densely in the
 same order, so a mask stays O(live destinations) bits wide under churn.
 
-A match result carries that mask, not a list: :class:`TableMatch` (and
-:class:`TableBatchMatch`, per document) holds the rank bits of the
-matched destinations with the excluded links' bits already cleared, and
-the same mask is built from the destinations the linear scan finds, so
-one result type serves both modes.  Its table-order ``destinations``
-list is decoded on first read, and :meth:`TableMatch.split` decodes the
-broker step an overlay takes — the members of every matched deliver
-group and the matched forward links — in C-level passes over the
-table's *delivery view*: per rank, the members of a deliver destination
-or ``()``, plus the few forward ranks.  The view is rebuilt whenever
-the trie's :attr:`~repro.routing.trie.PatternTrie.rank_epoch` moves,
-and a decoded view is valid only until the next rank change: decoding a
-result after its epoch has moved raises :class:`ValueError` instead of
-naming the wrong destinations.
+A match result carries that mask and the members it delivers:
+:class:`TableMatch` (and :class:`TableBatchMatch`, per document) holds
+the rank bits of the matched destinations, with the excluded
+destinations' bits already cleared, and the member ids of every matched
+deliver group, united when the match is made.  The table keeps, in
+each trie entry's ``members`` slot, the member ids of the entry's
+active ``(DELIVER, members)`` destinations — the one destination's own
+member tuple, or, once a second arrives, each member's count of the
+destinations naming it — and updates them beside the trie wherever an
+entry gains or loses a deliver destination, at the cost of that
+destination's members alone.
+A trie match unites its accepted entries' members in one C-level
+``frozenset().union``, and the linear scan unites the members of the
+deliver destinations it found, so both modes build the same result, at
+a cost that follows what is delivered rather than how many deliver
+destinations the table holds.  An excluded deliver destination's
+members are not delivered: when ``exclude`` names one (an overlay step
+never does), the groups left in the mask are united as the linear scan
+unites them.
+
+The table-order ``destinations`` list is decoded from the mask against
+the trie's rank list on first read, and :meth:`TableMatch.split` adds
+the matched forward links to the step, read off the table's *delivery
+view*: the rank bit of each ``(FORWARD, link)`` destination, in rank
+order, built from the table's forward destinations in O(links).  The
+view is rebuilt whenever the trie's
+:attr:`~repro.routing.trie.PatternTrie.rank_epoch` moves, and a mask
+decodes only in its own epoch: decoding a result after its epoch has
+moved raises :class:`ValueError` instead of naming the wrong
+destinations.
 
 The destination encoding of an overlay broker lives here, as its only
 definition: ``(FORWARD, neighbour broker id)`` sends a copy over a link
@@ -102,12 +118,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from itertools import count
+from operator import attrgetter
+from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.containment import contains
 from repro.core.pattern import TreePattern
-from repro.routing.trie import PatternTrie, rank_selectors
+from repro.routing.trie import PatternTrie, _Entry
 from repro.xmltree.matcher import CompiledPattern, PatternMatcher
 from repro.xmltree.tree import XMLTree
 
@@ -130,6 +147,70 @@ DELIVER = "deliver"
 #: A decoded broker step: delivered member ids and forward links.
 Split = tuple[frozenset[int], tuple[int, ...]]
 
+_MEMBERS = attrgetter("members")
+
+
+def _parts(destination: Destination) -> tuple[Any, Any]:
+    """A ``(kind, payload)`` destination's two parts; ``(None, None)``
+    for any other destination."""
+    if isinstance(destination, tuple) and len(destination) == 2:
+        return destination[0], destination[1]
+    return None, None
+
+
+def _group(destination: Destination) -> Optional[tuple[int, ...]]:
+    """The member ids of a ``(DELIVER, members)`` destination; None for
+    any other destination."""
+    if (
+        isinstance(destination, tuple)
+        and len(destination) == 2
+        and destination[0] == DELIVER
+    ):
+        return tuple(destination[1])
+    return None
+
+
+def _united(destinations: Iterable[Destination]) -> frozenset[int]:
+    """The member ids of the deliver destinations among *destinations*,
+    united."""
+    return frozenset().union(*filter(None, map(_group, destinations)))
+
+
+def _add_members(entry: _Entry, group: tuple[int, ...]) -> None:
+    """Count the ids of *group*, a deliver destination *entry* just
+    gained, into *entry*'s members: the group's own tuple while it is
+    the entry's only one, else member -> number of the entry's deliver
+    destinations naming it."""
+    held = entry.members
+    if held is None:
+        entry.members = group
+        return
+    if isinstance(held, tuple):
+        counts: dict[int, int] = {}
+        for member in held:
+            counts[member] = counts.get(member, 0) + 1
+        held = entry.members = counts
+    for member in group:
+        held[member] = held.get(member, 0) + 1
+
+
+def _remove_members(entry: _Entry, group: tuple[int, ...]) -> None:
+    """Count the ids of *group*, a deliver destination *entry* just
+    lost, out of *entry*'s members (None once none is left)."""
+    held = entry.members
+    if isinstance(held, tuple):
+        # Held as a tuple, *group* was the entry's one destination.
+        entry.members = None
+        return
+    for member in group:
+        left = held[member] - 1
+        if left:
+            held[member] = left
+        else:
+            del held[member]
+    if not held:
+        entry.members = None
+
 
 @dataclass(frozen=True)
 class TableEntry:
@@ -141,56 +222,44 @@ class TableEntry:
 
 
 class _DeliveryView:
-    """A table's destination ranks laid out for decoding masks of one
-    rank epoch.
+    """A table's forward ranks laid out for decoding masks of one rank
+    epoch.
 
-    ``ranked`` is the rank-indexed destination list; ``members`` holds,
-    per rank, the member ids of a ``(DELIVER, members)`` destination and
-    ``()`` for any other rank; ``forwards`` pairs the rank bit of each
-    ``(FORWARD, link)`` destination with its link, in rank order.  Every
-    decode first checks that the trie is still in the view's epoch.
+    ``links`` pairs the rank bit of each ``(FORWARD, link)`` destination
+    with its link, in rank order; it is built from the table's forward
+    destinations, so its cost follows the links, not the deliver
+    destinations.  Every decode first checks that the trie is still in
+    the view's epoch.
     """
 
-    __slots__ = ("_trie", "epoch", "ranked", "members", "forwards")
+    __slots__ = ("_trie", "epoch", "links")
 
-    def __init__(self, trie: PatternTrie) -> None:
+    def __init__(self, trie: PatternTrie, links: dict[Destination, int]) -> None:
         self._trie = trie
         self.epoch = trie.rank_epoch
-        self.ranked = trie.ranked_destinations()
-        members: list[tuple[int, ...]] = []
-        forwards: list[tuple[int, int]] = []
-        for rank, destination in enumerate(self.ranked):
-            group: tuple[int, ...] = ()
-            if isinstance(destination, tuple) and len(destination) == 2:
-                kind, payload = destination
-                if kind == DELIVER:
-                    group = payload
-                elif kind == FORWARD:
-                    forwards.append((1 << rank, payload))
-            members.append(group)
-        self.members = tuple(members)
-        self.forwards = tuple(forwards)
+        self.links = tuple(
+            sorted(
+                (trie.rank_mask((destination,)), link)
+                for destination, link in links.items()
+            )
+        )
 
-    def _selectors(self, mask: int) -> bytes:
+    def _check(self) -> None:
         if self._trie.rank_epoch != self.epoch:
             raise ValueError(
                 "stale match: the table's destination ranks changed after "
                 "it was computed, so its mask no longer decodes"
             )
-        return rank_selectors(mask)
 
     def destinations(self, mask: int) -> list[Destination]:
         """The destinations of *mask*, in table (rank) order."""
-        return list(compress(self.ranked, self._selectors(mask)))
+        self._check()
+        return self._trie.destinations_in(mask)
 
-    def split(self, mask: int) -> Split:
-        """The members of every deliver group in *mask*, united, and its
-        forward links in rank order."""
-        selectors = self._selectors(mask)
-        return (
-            frozenset(chain.from_iterable(compress(self.members, selectors))),
-            tuple([link for bit, link in self.forwards if mask & bit]),
-        )
+    def forwards(self, mask: int) -> tuple[int, ...]:
+        """The forward links of *mask*, in rank order."""
+        self._check()
+        return tuple([link for bit, link in self.links if mask & bit])
 
 
 @dataclass(frozen=True)
@@ -198,15 +267,18 @@ class TableMatch:
     """Outcome of one :meth:`RoutingTable.destinations_for` call.
 
     ``mask`` holds the rank bits of the matched destinations, with the
-    excluded links' bits already cleared; ``operations`` is the
-    filtering work spent deciding.  The table-order ``destinations``
-    list is decoded from the mask on first read, and :meth:`split`
-    decodes the broker step.  Both decodes are valid only while the
+    excluded destinations' bits already cleared; ``deliveries`` the
+    member ids of every matched ``(DELIVER, members)`` destination,
+    united when the match was made; ``operations`` is the filtering work
+    spent deciding.  The table-order ``destinations`` list is decoded
+    from the mask on first read, and :meth:`split` decodes the forward
+    links of the broker step.  Both decodes are valid only while the
     table's destination ranks stay as they were when the match was
     computed: after a rank change they raise :class:`ValueError`.
     """
 
     mask: int
+    deliveries: frozenset[int]
     operations: int
     _view: _DeliveryView = field(repr=False, compare=False)
 
@@ -217,30 +289,32 @@ class TableMatch:
         return self._view.destinations(self.mask)
 
     def split(self) -> Split:
-        """The match as a broker step: the member ids of every matched
-        ``(DELIVER, members)`` destination, united, and the links of the
-        matched ``(FORWARD, link)`` destinations in table order."""
-        return self._view.split(self.mask)
+        """The match as a broker step: its ``deliveries``, and the links
+        of the matched ``(FORWARD, link)`` destinations in table
+        order."""
+        return self.deliveries, self._view.forwards(self.mask)
 
 
 @dataclass(frozen=True)
 class TableBatchMatch:
     """Outcome of one :meth:`RoutingTable.destinations_for_batch` call.
 
-    ``masks`` / ``operations`` are aligned with the input batch: one
-    rank mask (excluded links cleared) and one attributed operation
-    count per document.  ``destinations`` decodes every mask into its
-    table-order list on first read and :meth:`splits` into broker steps,
-    under the same rule as :class:`TableMatch`: only until the table's
-    destination ranks change.  ``memo_hits`` / ``memo_misses`` report
-    the shared trie pool's amortisation (both zero in linear mode, which
-    has no cross-document sharing).
+    ``masks`` / ``deliveries`` / ``operations`` are aligned with the
+    input batch: one rank mask (excluded destinations cleared), one
+    united member set and one attributed operation count per document.
+    ``destinations`` decodes every mask into its table-order list on
+    first read and :meth:`splits` into broker steps, under the same
+    rule as :class:`TableMatch`: only until the table's destination
+    ranks change.  ``memo_hits`` / ``memo_misses`` report the shared
+    trie pool's amortisation (both zero in linear mode, which has no
+    cross-document sharing).
     """
 
     masks: list[int]
     operations: list[int]
     memo_hits: int = 0
     memo_misses: int = 0
+    deliveries: list[frozenset[int]] = field(default_factory=list)
     _view: Optional[_DeliveryView] = field(
         default=None, repr=False, compare=False
     )
@@ -261,7 +335,10 @@ class TableBatchMatch:
         """Per document, the match as a broker step (see
         :meth:`TableMatch.split`)."""
         view = self._decoder()
-        return [view.split(mask) for mask in self.masks]
+        return [
+            (delivered, view.forwards(mask))
+            for delivered, mask in zip(self.deliveries, self.masks, strict=True)
+        ]
 
     @property
     def total_operations(self) -> int:
@@ -332,6 +409,8 @@ class RoutingTable:
         #: docstring).  It holds a pattern exactly while some destination
         #: holds it active.
         self._trie = PatternTrie()
+        #: Each ``(FORWARD, link)`` destination holding entries -> its link.
+        self._links: dict[Destination, int] = {}
         #: The delivery view of the trie's current rank epoch, rebuilt on
         #: first use after the epoch moves.
         self._view: Optional[_DeliveryView] = None
@@ -345,15 +424,22 @@ class RoutingTable:
     # ------------------------------------------------------------------
     #
     # Every mutation of the active entry sets goes through this pair, so
-    # the merged trie can never drift from ``_by_destination``.
+    # neither the merged trie nor the entries' deliver members can drift
+    # from ``_by_destination``.
 
     def _activate(self, pattern: TreePattern, destination: Destination) -> None:
-        self._trie.add(pattern, destination)
+        entry = self._trie.add(pattern, destination)
+        group = _group(destination)
+        if group:
+            _add_members(entry, group)
 
     def _deactivate(
         self, pattern: TreePattern, destination: Destination
     ) -> None:
-        self._trie.discard(pattern, destination)
+        entry = self._trie.discard(pattern, destination)
+        group = _group(destination)
+        if group:
+            _remove_members(entry, group)
         self._prune_matcher(pattern)
 
     # ------------------------------------------------------------------
@@ -384,6 +470,9 @@ class RoutingTable:
         patterns = self._by_destination.get(destination)
         if patterns is None:
             patterns = self._by_destination[destination] = []
+            kind, link = _parts(destination)
+            if kind == FORWARD:
+                self._links[destination] = link
         for existing in patterns:
             if contains(existing, pattern) and not _supersedes(pattern, existing):
                 self.covered_inserts += 1
@@ -616,6 +705,7 @@ class RoutingTable:
         if not self._by_destination.get(destination):
             self._by_destination.pop(destination, None)
             self._absorbed.pop(destination, None)
+            self._links.pop(destination, None)
         return True, restored
 
     def remove_destination(self, destination: Destination) -> list[TreePattern]:
@@ -632,6 +722,7 @@ class RoutingTable:
         to a retiring neighbour).
         """
         self._absorbed.pop(destination, None)
+        self._links.pop(destination, None)
         removed = list(self._by_destination.pop(destination, ()))
         for pattern in removed:
             self._deactivate(pattern, destination)
@@ -661,9 +752,21 @@ class RoutingTable:
         self._by_destination[new] = self._by_destination.pop(old)
         if old in self._absorbed:
             self._absorbed[new] = self._absorbed.pop(old)
+        self._links.pop(old, None)
+        kind, link = _parts(new)
+        if kind == FORWARD:
+            self._links[new] = link
         # The pop + reinsert moved the entries to the end of the table's
         # iteration order; *new* takes the trie's last rank to match.
-        self._trie.rename_destination(old, new, self._by_destination[new])
+        entries = self._trie.rename_destination(
+            old, new, self._by_destination[new]
+        )
+        left, joined = _group(old), _group(new)
+        for entry in entries:
+            if left:
+                _remove_members(entry, left)
+            if joined:
+                _add_members(entry, joined)
         return True
 
     def seed(
@@ -769,6 +872,7 @@ class RoutingTable:
         self._absorbed.clear()
         self._matchers.clear()
         self._trie.clear()
+        self._links.clear()
         self.match_operations = 0
         self.covered_inserts = 0
         self.evicted_entries = 0
@@ -783,8 +887,23 @@ class RoutingTable:
         epoch has moved since the last one was built."""
         view = self._view
         if view is None or view.epoch != self._trie.rank_epoch:
-            view = self._view = _DeliveryView(self._trie)
+            view = self._view = _DeliveryView(self._trie, self._links)
         return view
+
+    def _trie_step(
+        self, mask: int, accepted: list[_Entry], exclude: Iterable[Destination]
+    ) -> tuple[int, frozenset[int]]:
+        """A trie match's mask with *exclude*'s bits cleared, and the
+        member ids it delivers: its *accepted* entries' members, united
+        in one C-level pass — or, when *exclude* names a deliver
+        destination, the deliver destinations left in the mask, united
+        as the linear scan unites the ones it finds."""
+        skip = tuple(exclude)
+        if mask:
+            mask &= ~self._trie.rank_mask(skip)
+        if any(map(_group, skip)):
+            return mask, _united(self._trie.destinations_in(mask))
+        return mask, frozenset().union(*filter(None, map(_MEMBERS, accepted)))
 
     def _matcher(self, pattern: TreePattern) -> PatternMatcher:
         matcher = self._matchers.get(pattern)
@@ -811,8 +930,10 @@ class RoutingTable:
         property suite pins ``trie == per-pattern`` on the same table.
 
         The result carries the matched destinations as the trie's rank
-        mask; both modes build it (linear mode from the destinations its
-        scan finds), and its ``destinations`` list decodes in table order
+        mask and the member ids they deliver to; both modes build both
+        (linear mode from the destinations its scan finds, trie mode
+        from the accepted entries' members), and its ``destinations``
+        list decodes in table order
         (first-advertised first), which is deterministic across runs —
         unlike a set of destinations, whose iteration order follows the
         per-process string hash seed.  The event engine relies on this
@@ -825,9 +946,9 @@ class RoutingTable:
         if mode == "trie":
             result = self._trie.match_masks((document,))
             operations = result.operations[0]
-            mask = result.masks[0]
-            if mask:
-                mask &= ~self._trie.rank_mask(exclude)
+            mask, deliveries = self._trie_step(
+                result.masks[0], result.accepted[0], exclude
+            )
         else:
             skip = set(exclude)
             found = []
@@ -841,8 +962,9 @@ class RoutingTable:
                         found.append(destination)
                         break
             mask = self._trie.rank_mask(found)
+            deliveries = _united(found)
         self.match_operations += operations
-        return TableMatch(mask, operations, self._delivery_view())
+        return TableMatch(mask, deliveries, operations, self._delivery_view())
 
     def destinations_for_batch(
         self,
@@ -876,17 +998,19 @@ class RoutingTable:
         mode = self.matching if matching is None else matching
         if mode == "trie":
             batch = self._trie.match_masks(documents)
-            rank_mask = self._trie.rank_mask
-            masks = [
-                mask & ~rank_mask(skip) if mask else 0
-                for mask, skip in zip(batch.masks, skips, strict=True)
+            steps = [
+                self._trie_step(mask, accepted, skip)
+                for mask, accepted, skip in zip(
+                    batch.masks, batch.accepted, skips, strict=True
+                )
             ]
             self.match_operations += sum(batch.operations)
             return TableBatchMatch(
-                masks,
+                [mask for mask, _ in steps],
                 batch.operations,
                 batch.memo_hits,
                 batch.memo_misses,
+                [deliveries for _, deliveries in steps],
                 self._delivery_view(),
             )
         matches = [
@@ -896,6 +1020,7 @@ class RoutingTable:
         return TableBatchMatch(
             [match.mask for match in matches],
             [match.operations for match in matches],
+            deliveries=[match.deliveries for match in matches],
             _view=self._delivery_view(),
         )
 

@@ -141,7 +141,7 @@ counted as a trie operation — batched operations are guaranteed ≤ the
 sum of the per-document counts.  ``match`` is the batch machinery at
 batch size one (a fresh pool per call), so the two paths cannot
 drift, and ``match_masks`` is the same kernel returning destination
-masks instead of sets.
+masks and accepted entries instead of sets.
 
 Destination ranks
 -----------------
@@ -182,6 +182,12 @@ consistent under covering churn and topology surgery by refcounting:
 * ``rename_destination`` re-keys destination sets and masks in place —
   trie shape, sharing and refcounts are untouched.
 
+``add``, ``discard`` and ``rename_destination`` hand back the entries
+they touched, the same handles ``match_masks`` reports a document's
+accepted entries by, so an owner keeps per-entry state in an entry's
+``members`` slot, which the trie never reads, without looking a pattern
+up again (the routing table keeps each entry's deliver members there).
+
 ``check()`` recomputes every mask, plan and rank from the patterns and
 destinations alone and audits all of these invariants; the property
 suite runs it after every churn operation.
@@ -194,7 +200,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, groupby
 from operator import and_, attrgetter, or_
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.labels import DESCENDANT, WILDCARD, is_tag
 from repro.core.pattern import PatternNode, TreePattern
@@ -417,6 +423,7 @@ class _Entry:
         "gate_mask",
         "destinations",
         "dest_mask",
+        "members",
     )
 
     def __init__(
@@ -438,6 +445,10 @@ class _Entry:
         #: :meth:`PatternTrie.destinations_in`); edited by exactly the
         #: methods that edit ``destinations``.
         self.dest_mask = dest_mask
+        #: Left to the trie's owner, which the trie never reads: the
+        #: routing table keeps the member ids of the entry's deliver
+        #: destinations here (None while it has none).
+        self.members: Any = None
 
 
 #: Per document tag set: its missing-tag mask, its constraint aliveness
@@ -596,11 +607,14 @@ class BatchMatch:
 class MaskBatch:
     """:meth:`PatternTrie.match_masks`' result: per document of a batch,
     in order, its destination mask (decode with
-    :meth:`PatternTrie.destinations_in`) and attributed operations, plus
-    the pool's memo hits and misses — the same traversal and counts as
-    :meth:`PatternTrie.match_batch`, without building sets."""
+    :meth:`PatternTrie.destinations_in`), its accepted entries (the
+    handles :meth:`PatternTrie.add` returned) and its attributed
+    operations, plus the pool's memo hits and misses — the same
+    traversal and counts as :meth:`PatternTrie.match_batch`, without
+    building sets."""
 
     masks: list[int]
+    accepted: list[list[_Entry]]
     operations: list[int]
     memo_hits: int
     memo_misses: int
@@ -633,14 +647,15 @@ class PatternTrie:
     # maintenance
     # ------------------------------------------------------------------
 
-    def add(self, pattern: TreePattern, destination: Destination) -> None:
-        """Register *pattern* as active for *destination*."""
+    def add(self, pattern: TreePattern, destination: Destination) -> _Entry:
+        """Register *pattern* as active for *destination*; returns the
+        pattern's entry, the handle :meth:`match_masks` reports it by."""
         entry = self._entries.get(pattern)
         if entry is not None:
             if destination not in entry.destinations:
                 entry.destinations.add(destination)
                 entry.dest_mask |= self._hold(destination)
-            return
+            return entry
         orders = _subtree_orders(pattern)
         steps, gate_nodes = _decompose(pattern, orders)
         node = self._root
@@ -673,15 +688,18 @@ class PatternTrie:
                 req = own | (spine_node.req_mask & part)
             self._set_req(spine_node, req)
             part = req
+        return entry
 
-    def discard(self, pattern: TreePattern, destination: Destination) -> None:
-        """Retire *pattern*'s active registration for *destination*."""
+    def discard(self, pattern: TreePattern, destination: Destination) -> _Entry:
+        """Retire *pattern*'s active registration for *destination*;
+        returns the pattern's entry, dropped if that was its last."""
         entry = self._entries[pattern]
         entry.destinations.remove(destination)
         entry.dest_mask &= ~self._let_go(destination)
         if not entry.destinations:
             self._drop_entry(entry)
         self._compact_if_sparse()
+        return entry
 
     def _drop_entry(self, entry: _Entry) -> None:
         """Unlink an entry left without destinations, and every spine
@@ -714,18 +732,20 @@ class PatternTrie:
         old: Destination,
         new: Destination,
         patterns: Iterable[TreePattern],
-    ) -> None:
+    ) -> list[_Entry]:
         """Re-key *old* to *new* in the entries of *patterns* (the active
-        patterns of that destination); trie shape is untouched.  *new*
-        takes the next (last) rank if it holds no entry yet."""
-        for pattern in patterns:
-            entry = self._entries[pattern]
+        patterns of that destination) and return those entries; trie
+        shape is untouched.  *new* takes the next (last) rank if it
+        holds no entry yet."""
+        entries = [self._entries[pattern] for pattern in patterns]
+        for entry in entries:
             entry.destinations.remove(old)
             entry.dest_mask &= ~self._let_go(old)
             if new not in entry.destinations:
                 entry.destinations.add(new)
                 entry.dest_mask |= self._hold(new)
         self._compact_if_sparse()
+        return entries
 
     def clear(self) -> None:
         """Forget every entry, every shared node and every rank."""
@@ -937,10 +957,12 @@ class PatternTrie:
         """:meth:`match_batch` as destination masks: the same traversal,
         operations and memo counts, but each document's destinations
         stay one int of rank bits until :meth:`destinations_in` decodes
-        them — no per-document sets are built."""
+        them, and its patterns stay the accepted entries — no
+        per-document sets are built."""
         outcomes, hits, misses = self._evaluate(trees)
         return MaskBatch(
             [mask for mask, _, _ in outcomes],
+            [accepted for _, accepted, _ in outcomes],
             [operations for _, _, operations in outcomes],
             hits,
             misses,

@@ -1,10 +1,13 @@
 """Covering-aware broker routing tables."""
 
+from itertools import compress
+
 import pytest
 
 from repro.core.containment import contains
 from repro.core.pattern_parser import parse_xpath
-from repro.routing.table import RoutingTable, TableEntry
+from repro.routing.table import DELIVER, FORWARD, RoutingTable, TableEntry
+from repro.routing.trie import rank_selectors
 from repro.xmltree.tree import XMLTree
 
 
@@ -654,3 +657,94 @@ class TestTrieModeOrdering:
         assert sorted(ranks) == sorted(table._by_destination)
         ranked = sorted(ranks, key=ranks.__getitem__)
         assert ranked == list(table._by_destination)
+
+
+def mask_decode(table, match):
+    """The broker step read off *match*'s rank mask rank by rank — every
+    matched deliver group's members united, the matched forward links in
+    rank order — the reference the per-entry member sets are held to."""
+    deliveries, forwards = set(), []
+    ranked = table._trie.ranked_destinations()
+    for kind, payload in compress(ranked, rank_selectors(match.mask)):
+        if kind == DELIVER:
+            deliveries.update(payload)
+        elif kind == FORWARD:
+            forwards.append(payload)
+    return frozenset(deliveries), tuple(forwards)
+
+
+@pytest.mark.parametrize("mode", ["trie", "linear"])
+class TestDeliverMembers:
+    """Broker steps of deliver groups at the edges of member upkeep, in
+    both matching modes, against the rank-by-rank mask decode."""
+
+    DOCUMENT = XMLTree.from_nested(("a", ["b"]), doc_id=0)
+
+    def step(self, table, mode, exclude=()):
+        match = table.destinations_for(
+            self.DOCUMENT, exclude=exclude, matching=mode
+        )
+        step = match.split()
+        assert step == mask_decode(table, match)
+        return step
+
+    def test_an_excluded_deliver_group_delivers_none_of_its_members(
+        self, mode
+    ):
+        table = RoutingTable()
+        table.add(parse_xpath("/a"), (DELIVER, (1, 2)))
+        table.add(parse_xpath("/a"), (DELIVER, (2, 3)))
+        table.add(parse_xpath("/a/b"), (DELIVER, (4,)))
+        table.add(parse_xpath("/a"), (FORWARD, 9))
+        assert self.step(table, mode) == (frozenset({1, 2, 3, 4}), (9,))
+        # Member 2 stays: the group it shares is not excluded.
+        assert self.step(table, mode, [(DELIVER, (1, 2))]) == (
+            frozenset({2, 3, 4}),
+            (9,),
+        )
+        assert self.step(
+            table, mode, [(DELIVER, (1, 2)), (DELIVER, (2, 3)), (FORWARD, 9)]
+        ) == (frozenset({4}), ())
+
+    def test_one_of_two_groups_on_a_pattern_leaves(self, mode):
+        table = RoutingTable()
+        pattern = parse_xpath("/a")
+        table.add(pattern, (DELIVER, (1, 2)))
+        table.add(pattern, (DELIVER, (2, 3)))
+        assert self.step(table, mode) == (frozenset({1, 2, 3}), ())
+        assert table.remove_pattern(pattern, (DELIVER, (2, 3)))[0]
+        # Member 2 is still named by the group that stays.
+        assert self.step(table, mode) == (frozenset({1, 2}), ())
+        assert table.remove_pattern(pattern, (DELIVER, (1, 2)))[0]
+        assert self.step(table, mode) == (frozenset(), ())
+
+    def test_a_renamed_deliver_group_delivers_its_new_members(self, mode):
+        table = RoutingTable()
+        table.add(parse_xpath("/a"), (DELIVER, (1, 2)))
+        table.add(parse_xpath("/a/b"), (DELIVER, (1, 2)))
+        table.add(parse_xpath("/a/b"), (DELIVER, (3,)))
+        table.add(parse_xpath("/a"), (FORWARD, 9))
+        assert table.rename_destination((DELIVER, (1, 2)), (DELIVER, (5,)))
+        assert self.step(table, mode) == (frozenset({3, 5}), (9,))
+        assert table.rename_destination((FORWARD, 9), (DELIVER, (6,)))
+        assert self.step(table, mode) == (frozenset({3, 5, 6}), ())
+        assert table.rename_destination((DELIVER, (3,)), (FORWARD, 7))
+        assert self.step(table, mode) == (frozenset({5, 6}), (7,))
+
+    def test_compaction_keeps_every_group_its_members(self, mode):
+        table = RoutingTable()
+        table.add(parse_xpath("/a"), (FORWARD, 9))
+        for member in range(8):
+            table.add(parse_xpath("/a/b"), (DELIVER, (member,)))
+        table.add(parse_xpath("/a"), (DELIVER, (8, 9)))
+        epoch = table._trie.rank_epoch
+        allocated = len(table._trie.ranked_destinations())
+        for member in range(1, 7):
+            table.remove_pattern(parse_xpath("/a/b"), (DELIVER, (member,)))
+            assert self.step(table, mode)[0] == frozenset(
+                {0, *range(member + 1, 10)}
+            )
+        assert table._trie.rank_epoch != epoch
+        # Retired ranks outnumbered the live ones, so they were renumbered.
+        assert len(table._trie.ranked_destinations()) < allocated
+        assert self.step(table, mode) == (frozenset({0, 7, 8, 9}), (9,))

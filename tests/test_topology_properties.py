@@ -10,6 +10,11 @@ topology churn safe:
   the surviving subscriptions (broker and subscriber ids relabelled by
   rank, since the lived-in overlay mints fresh ids), and each broker's
   advertised record lists its subscriptions in home order;
+* **member upkeep** — before the first operation of a churn run and
+  after every one, each table's per-entry deliver members equal the
+  members of that pattern's active deliver destinations, recomputed
+  from the table's entry lists (:func:`assert_member_sets`, which every
+  suite driving :func:`churn` runs);
 * **flat matching** — routed delivery equals flat evaluation of the
   per-broker aggregation state: multi-hop forwarding with covering
   loses nothing and invents nothing;
@@ -20,6 +25,8 @@ topology churn safe:
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +39,7 @@ from repro.routing.policy import (
     HybridPolicy,
     PerSubscriptionPolicy,
 )
+from repro.routing.table import DELIVER
 from repro.xmltree.corpus import DocumentCorpus
 from tests.strategies import property_max_examples, tree_patterns
 from tests.test_selectivity_properties import corpora
@@ -81,12 +89,38 @@ def assert_advertised_records(overlay):
             assert pattern == overlay.subscriptions[subscription_id][1]
 
 
+def assert_member_sets(overlay):
+    """Each table keeps, in every trie entry, the members of that
+    pattern's active ``(DELIVER, members)`` destinations, each counted
+    once per destination naming it — recomputed here from the table's
+    per-destination entry lists."""
+    for broker_id, node in overlay.brokers.items():
+        table = node.table
+        expected = {}
+        for destination, patterns in table._by_destination.items():
+            kind, members = destination
+            if kind == DELIVER:
+                for pattern in patterns:
+                    expected.setdefault(pattern, Counter()).update(members)
+        # A tuple lists each member once per naming destination; a dict
+        # maps each member to that count.
+        kept = {
+            pattern: Counter(entry.members)
+            for pattern, entry in table._trie._entries.items()
+            if entry.members is not None
+        }
+        assert kept == {p: c for p, c in expected.items() if c}, broker_id
+
+
 def churn(overlay, patterns, data, max_ops=6):
     """Drive one random interleaving of the four lifecycle operations.
 
     Yields after every operation so callers can assert invariants at
-    each step, not just at the end.
+    each step, not just at the end; the tables' deliver members are
+    audited (:func:`assert_member_sets`) before the first operation and
+    after every one.
     """
+    assert_member_sets(overlay)
     live = list(overlay.subscriptions)
     for step in range(data.draw(st.integers(1, max_ops), label="ops")):
         choices = ["subscribe", "join"]
@@ -125,6 +159,7 @@ def churn(overlay, patterns, data, max_ops=6):
                     label="merge_into",
                 )
             overlay.remove_broker(retiring, merge_into=merge_into)
+        assert_member_sets(overlay)
         yield op
 
 
