@@ -18,11 +18,11 @@ Module map:
   runs on a merged :class:`~repro.routing.trie.PatternTrie` by default,
   with the per-pattern linear scan retained as the oracle, and batched
   (``destinations_for_batch``) so one memo pool is shared across a
-  queue drain; a match comes back as a :class:`TableMatch` carrying the
-  trie's destination-rank mask and the member ids it delivers, united
-  from the accepted entries' member sets when the match is made; its
-  forward links and its table-order list are decoded from the mask only
-  when read;
+  queue drain; a match comes back as a :class:`TableMatch`, the broker
+  step set from the trie's accepted entries when the match is made —
+  the member ids their member sets name, united, and the matched
+  forward links in table order — whose table-order destination list is
+  decoded only when read;
 * :mod:`repro.routing.trie` — :class:`PatternTrie`, the merged pattern
   trie: every active pattern of a broker shares one degree-sorted
   structure, so one document traversal yields all matching destinations

@@ -117,14 +117,16 @@ join/leave and subscription churn, under any policy, every routing table
 equals a from-scratch rebuild of the final topology.
 
 Routing is a walk of broker steps (:class:`BrokerStep`).  A broker's
-table answers a document with one int of destination-rank bits and the
-member ids it delivers (:class:`~repro.routing.table.TableMatch`): the
-table keeps each trie entry's deliver members, and the match unites
-those of its accepted entries in one C-level pass, so a step costs what
-it delivers, not the broker's count of deliver groups.  The few matched
-``(FORWARD, link)`` ranks are read off the mask in table order.  No
-list of destination tuples is built or split on the way.  The
-destination encoding itself is defined in :mod:`repro.routing.table`.
+trie answers a document with its accepted entries, and the table turns
+them into the step when the match is made
+(:class:`~repro.routing.table.TableMatch`): the table keeps each trie
+entry's deliver members, and the match unites those of its accepted
+entries in one C-level pass, so a step costs what it delivers, not the
+broker's count of deliver groups; each of the broker's few
+``(FORWARD, link)`` destinations is tested against the accepted
+entries' destination sets, in table order.  No list of destination
+tuples is built on the way.  The destination encoding itself is
+defined in :mod:`repro.routing.table`.
 """
 
 from __future__ import annotations
@@ -256,13 +258,12 @@ class BrokerStep:
     deliver to identical subscriber sets by construction and differ only
     in *when* each step runs.
 
-    A step is the broker table's match split
-    (:meth:`~repro.routing.table.TableMatch.split`): the deliveries the
-    match united from its accepted entries' member sets, and the forward
-    links read off its rank mask, without building the table-order
-    destination list.  It is taken as soon as the match is made, so a
-    step stays valid across later routing-state changes even though the
-    mask it came from does not.
+    A step is the broker table's match
+    (:class:`~repro.routing.table.TableMatch`), whose two halves are set
+    when the match is made: the deliveries united from its accepted
+    entries' member sets, and the forward links some accepted entry
+    holds, without building the table-order destination list.  So a
+    step stays valid across later routing-state changes.
     """
 
     #: Subscriber ids the document is delivered to at this broker.
@@ -1319,9 +1320,9 @@ class BrokerOverlay:
         with respect to delivery semantics — it reads routing state and
         counts match operations, but schedules nothing — which is what
         lets the synchronous walk and the event engine share it.  It is
-        taken from the match right away
-        (:meth:`~repro.routing.table.TableMatch.split`): the members the
-        match united, and the forward links of its rank mask.
+        the table match's two halves, set when the match was made
+        (:class:`~repro.routing.table.TableMatch`): the members its
+        accepted entries name, and the matched forward links.
         """
         if broker_id not in self.brokers:
             raise ValueError(f"no broker {broker_id}")
@@ -1330,8 +1331,7 @@ class BrokerOverlay:
             () if arrived_from is None else ((FORWARD, arrived_from),)
         )
         match = node.table.destinations_for(document, exclude=exclude)
-        deliveries, forwards = match.split()
-        return BrokerStep(deliveries, forwards, match.operations)
+        return BrokerStep(match.deliveries, match.forwards, match.operations)
 
     def process_batch_at(
         self,
@@ -1371,8 +1371,8 @@ class BrokerOverlay:
         batch = node.table.destinations_for_batch(documents, excludes)
         return [
             BrokerStep(deliveries, forwards, operations)
-            for (deliveries, forwards), operations in zip(
-                batch.splits(), batch.operations, strict=True
+            for deliveries, forwards, operations in zip(
+                batch.deliveries, batch.forwards, batch.operations, strict=True
             )
         ]
 

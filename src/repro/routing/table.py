@@ -62,65 +62,56 @@ retained as the oracle the trie is pinned against.  The trie is maintained
 incrementally at every admission, eviction, restoration and surgery step —
 never rebuilt from scratch.
 
-Table order is the trie's destination rank order.  The trie ranks a
-destination when an entry first holds it and retires the rank when the
-last entry lets go; each rank is one bit position, so a match comes back
-as one int — the OR of the accepted entries' rank masks.  Ranks mirror
-the key order of the per-destination entry lists exactly, because a
-destination holds an active trie entry exactly while it holds an entry
-list: a new destination's first pattern is activated as its list is
-created, a rename moves the entries to a fresh last rank, the list's
-last entry is deactivated only after the resurrections it releases have
-been re-admitted, and an emptied list is dropped.  When retired ranks
-outnumber live ones, the trie renumbers the live ranks densely in the
-same order, so a mask stays O(live destinations) bits wide under churn.
-
-A match result carries that mask and the members it delivers:
-:class:`TableMatch` (and :class:`TableBatchMatch`, per document) holds
-the rank bits of the matched destinations, with the excluded
-destinations' bits already cleared, and the member ids of every matched
-deliver group, united when the match is made.  The table keeps, in
+A trie match is its accepted entries, and a match result is a broker
+step set when the match is made: :class:`TableMatch` (and
+:class:`TableBatchMatch`, per document) holds the member ids of every
+matched deliver group, united, and the links of the matched
+``(FORWARD, link)`` destinations in table order.  The table keeps, in
 each trie entry's ``members`` slot, the member ids of the entry's
 active ``(DELIVER, members)`` destinations — the one destination's own
 member tuple, or, once a second arrives, each member's count of the
 destinations naming it — and updates them beside the trie wherever an
 entry gains or loses a deliver destination, at the cost of that
-destination's members alone.
-A trie match unites its accepted entries' members in one C-level
-``frozenset().union``, and the linear scan unites the members of the
-deliver destinations it found, so both modes build the same result, at
-a cost that follows what is delivered rather than how many deliver
-destinations the table holds.  An excluded deliver destination's
-members are not delivered: when ``exclude`` names one (an overlay step
-never does), the groups left in the mask are united as the linear scan
-unites them.
+destination's members alone.  A trie match unites its accepted
+entries' members in one C-level ``frozenset().union``, and tests each
+of the table's few forward destinations against the accepted entries'
+destination sets; the linear scan unites the members of the deliver
+destinations it found and keeps the forward ones.  Both modes build the
+same result, at a cost that follows what matched and the broker's
+links rather than how many deliver destinations the table holds.
+Excluded destinations take part in neither half: when ``exclude`` names
+a deliver destination (an overlay step never does), the matched deliver
+destinations other than it are united, as the linear scan unites the
+ones it finds.
 
-The table-order ``destinations`` list is decoded from the mask against
-the trie's rank list on first read, and :meth:`TableMatch.split` adds
-the matched forward links to the step, read off the table's *delivery
-view*: the rank bit of each ``(FORWARD, link)`` destination, in rank
-order, built from the table's forward destinations in O(links).  The
-view is rebuilt whenever the trie's
-:attr:`~repro.routing.trie.PatternTrie.rank_epoch` moves, and a mask
-decodes only in its own epoch: decoding a result after its epoch has
-moved raises :class:`ValueError` instead of naming the wrong
-destinations.
+Table order is the key order of the per-destination entry lists:
+first-advertised first, and a renamed destination goes last.  The
+linear scan walks that order; the trie gives none, so each destination
+is given the next position when its list is created, and the
+table-order ``destinations`` list of a trie match is decoded on first
+read by sorting the matched destinations by position, at a cost that
+follows what matched.  That decode reads the table as it is, so every
+activation, deactivation, rename and ``clear`` moves the table's
+change counter, and decoding a match after it moved raises
+:class:`ValueError` instead of naming the wrong destinations.  The
+step halves were set when the match was made and stay valid.
 
 The destination encoding of an overlay broker lives here, as its only
 definition: ``(FORWARD, neighbour broker id)`` sends a copy over a link
 and ``(DELIVER, member subscriber ids)`` delivers to a local group.
 Any other hashable is a valid destination too; it simply takes no part
-in a split.
+in a broker step.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import count
+from functools import cached_property, partial
+from itertools import count, repeat
 from operator import attrgetter
-from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
+from operator import contains as _holds
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.containment import contains
 from repro.core.pattern import TreePattern
@@ -144,10 +135,11 @@ FORWARD = "forward"
 #: Destination kind of a local group: ``(DELIVER, member subscriber ids)``.
 DELIVER = "deliver"
 
-#: A decoded broker step: delivered member ids and forward links.
-Split = tuple[frozenset[int], tuple[int, ...]]
-
 _MEMBERS = attrgetter("members")
+_DESTINATIONS = attrgetter("destinations")
+
+#: A match's table-order destination list, decoded when first called.
+_Decode = Callable[[], list[Destination]]
 
 
 def _parts(destination: Destination) -> tuple[Any, Any]:
@@ -174,6 +166,13 @@ def _united(destinations: Iterable[Destination]) -> frozenset[int]:
     """The member ids of the deliver destinations among *destinations*,
     united."""
     return frozenset().union(*filter(None, map(_group, destinations)))
+
+
+def _matched(
+    accepted: list[_Entry], skip: tuple[Destination, ...]
+) -> set[Destination]:
+    """The destinations the *accepted* trie entries hold, less *skip*'s."""
+    return set().union(*map(_DESTINATIONS, accepted)).difference(skip)
 
 
 def _add_members(entry: _Entry, group: tuple[int, ...]) -> None:
@@ -221,124 +220,60 @@ class TableEntry:
     destination: Destination
 
 
-class _DeliveryView:
-    """A table's forward ranks laid out for decoding masks of one rank
-    epoch.
-
-    ``links`` pairs the rank bit of each ``(FORWARD, link)`` destination
-    with its link, in rank order; it is built from the table's forward
-    destinations, so its cost follows the links, not the deliver
-    destinations.  Every decode first checks that the trie is still in
-    the view's epoch.
-    """
-
-    __slots__ = ("_trie", "epoch", "links")
-
-    def __init__(self, trie: PatternTrie, links: dict[Destination, int]) -> None:
-        self._trie = trie
-        self.epoch = trie.rank_epoch
-        self.links = tuple(
-            sorted(
-                (trie.rank_mask((destination,)), link)
-                for destination, link in links.items()
-            )
-        )
-
-    def _check(self) -> None:
-        if self._trie.rank_epoch != self.epoch:
-            raise ValueError(
-                "stale match: the table's destination ranks changed after "
-                "it was computed, so its mask no longer decodes"
-            )
-
-    def destinations(self, mask: int) -> list[Destination]:
-        """The destinations of *mask*, in table (rank) order."""
-        self._check()
-        return self._trie.destinations_in(mask)
-
-    def forwards(self, mask: int) -> tuple[int, ...]:
-        """The forward links of *mask*, in rank order."""
-        self._check()
-        return tuple([link for bit, link in self.links if mask & bit])
-
-
 @dataclass(frozen=True)
 class TableMatch:
-    """Outcome of one :meth:`RoutingTable.destinations_for` call.
+    """Outcome of one :meth:`RoutingTable.destinations_for` call, as a
+    broker step set when the match was made.
 
-    ``mask`` holds the rank bits of the matched destinations, with the
-    excluded destinations' bits already cleared; ``deliveries`` the
-    member ids of every matched ``(DELIVER, members)`` destination,
-    united when the match was made; ``operations`` is the filtering work
-    spent deciding.  The table-order ``destinations`` list is decoded
-    from the mask on first read, and :meth:`split` decodes the forward
-    links of the broker step.  Both decodes are valid only while the
-    table's destination ranks stay as they were when the match was
-    computed: after a rank change they raise :class:`ValueError`.
+    ``deliveries`` holds the member ids of every matched ``(DELIVER,
+    members)`` destination, united; ``forwards`` the links of the
+    matched ``(FORWARD, link)`` destinations in table order;
+    ``operations`` the filtering work spent deciding.  Excluded
+    destinations take part in neither.  The table-order
+    ``destinations`` list of a trie match is decoded on first read, and
+    only while the table is unchanged since the match: after a change a
+    first read raises :class:`ValueError`.  A linear scan finds the list
+    in table order when it matches, so it has nothing left to decode.
     """
 
-    mask: int
     deliveries: frozenset[int]
+    forwards: tuple[int, ...]
     operations: int
-    _view: _DeliveryView = field(repr=False, compare=False)
+    _decode: _Decode = field(repr=False, compare=False)
 
     @cached_property
     def destinations(self) -> list[Destination]:
         """The matched destinations in table order, decoded on first
         read."""
-        return self._view.destinations(self.mask)
-
-    def split(self) -> Split:
-        """The match as a broker step: its ``deliveries``, and the links
-        of the matched ``(FORWARD, link)`` destinations in table
-        order."""
-        return self.deliveries, self._view.forwards(self.mask)
+        return self._decode()
 
 
 @dataclass(frozen=True)
 class TableBatchMatch:
     """Outcome of one :meth:`RoutingTable.destinations_for_batch` call.
 
-    ``masks`` / ``deliveries`` / ``operations`` are aligned with the
-    input batch: one rank mask (excluded destinations cleared), one
-    united member set and one attributed operation count per document.
-    ``destinations`` decodes every mask into its table-order list on
-    first read and :meth:`splits` into broker steps, under the same
-    rule as :class:`TableMatch`: only until the table's destination
-    ranks change.  ``memo_hits`` / ``memo_misses`` report the shared
-    trie pool's amortisation (both zero in linear mode, which has no
-    cross-document sharing).
+    ``deliveries`` / ``forwards`` / ``operations`` are aligned with the
+    input batch: one broker step per document, as in
+    :class:`TableMatch`, and its attributed operation count.
+    ``destinations`` decodes each document's table-order list on first
+    read, under the same rule as :class:`TableMatch` (a batch built
+    outside a table has none).  ``memo_hits`` / ``memo_misses`` report
+    the shared trie pool's amortisation (both zero in linear mode, which
+    has no cross-document sharing).
     """
 
-    masks: list[int]
+    deliveries: list[frozenset[int]]
+    forwards: list[tuple[int, ...]]
     operations: list[int]
     memo_hits: int = 0
     memo_misses: int = 0
-    deliveries: list[frozenset[int]] = field(default_factory=list)
-    _view: Optional[_DeliveryView] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def _decoder(self) -> _DeliveryView:
-        if self._view is None:
-            raise ValueError("a batch built outside a table has no ranks")
-        return self._view
+    _decodes: Sequence[_Decode] = field(default=(), repr=False, compare=False)
 
     @cached_property
     def destinations(self) -> list[list[Destination]]:
         """Per document, the matched destinations in table order,
         decoded on first read."""
-        view = self._decoder()
-        return [view.destinations(mask) for mask in self.masks]
-
-    def splits(self) -> list[Split]:
-        """Per document, the match as a broker step (see
-        :meth:`TableMatch.split`)."""
-        view = self._decoder()
-        return [
-            (delivered, view.forwards(mask))
-            for delivered, mask in zip(self.deliveries, self.masks, strict=True)
-        ]
+        return [decode() for decode in self._decodes]
 
     @property
     def total_operations(self) -> int:
@@ -404,16 +339,19 @@ class RoutingTable:
         self._absorbed: dict[Destination, dict[TreePattern, _CoverRecord]] = {}
         self._numbers = count()
         self._matchers: dict[TreePattern, PatternMatcher] = {}
-        #: The merged matching structure over every *active* entry; its
-        #: destination ranks follow table order (see the module
-        #: docstring).  It holds a pattern exactly while some destination
-        #: holds it active.
+        #: The merged matching structure over every *active* entry.  It
+        #: holds a pattern exactly while some destination holds it active.
         self._trie = PatternTrie()
-        #: Each ``(FORWARD, link)`` destination holding entries -> its link.
+        #: Each destination holding entries -> its table position, which
+        #: ascends in table order (see the module docstring).
+        self._positions: dict[Destination, int] = {}
+        self._next_position = count()
+        #: Each ``(FORWARD, link)`` destination holding entries -> its
+        #: link, in table order.
         self._links: dict[Destination, int] = {}
-        #: The delivery view of the trie's current rank epoch, rebuilt on
-        #: first use after the epoch moves.
-        self._view: Optional[_DeliveryView] = None
+        #: Moved by every change to the active entries; a match decodes
+        #: its destinations only while it has not moved.
+        self._version = 0
         self.match_operations = 0
         self.covered_inserts = 0
         self.evicted_entries = 0
@@ -425,13 +363,15 @@ class RoutingTable:
     #
     # Every mutation of the active entry sets goes through this pair, so
     # neither the merged trie nor the entries' deliver members can drift
-    # from ``_by_destination``.
+    # from ``_by_destination``; and every new or dropped entry list goes
+    # through ``_place`` / ``_unplace``, so positions and links cannot.
 
     def _activate(self, pattern: TreePattern, destination: Destination) -> None:
         entry = self._trie.add(pattern, destination)
         group = _group(destination)
         if group:
             _add_members(entry, group)
+        self._version += 1
 
     def _deactivate(
         self, pattern: TreePattern, destination: Destination
@@ -440,7 +380,21 @@ class RoutingTable:
         group = _group(destination)
         if group:
             _remove_members(entry, group)
+        self._version += 1
         self._prune_matcher(pattern)
+
+    def _place(self, destination: Destination) -> None:
+        """Put *destination*, whose entry list was just created, last in
+        table order."""
+        self._positions[destination] = next(self._next_position)
+        kind, link = _parts(destination)
+        if kind == FORWARD:
+            self._links[destination] = link
+
+    def _unplace(self, destination: Destination) -> None:
+        """Forget the position (and link) of a dropped entry list."""
+        self._positions.pop(destination, None)
+        self._links.pop(destination, None)
 
     # ------------------------------------------------------------------
     # maintenance
@@ -470,9 +424,7 @@ class RoutingTable:
         patterns = self._by_destination.get(destination)
         if patterns is None:
             patterns = self._by_destination[destination] = []
-            kind, link = _parts(destination)
-            if kind == FORWARD:
-                self._links[destination] = link
+            self._place(destination)
         for existing in patterns:
             if contains(existing, pattern) and not _supersedes(pattern, existing):
                 self.covered_inserts += 1
@@ -698,14 +650,11 @@ class RoutingTable:
                 self.restored_entries += 1
                 if resume_flood:
                     restored.append(candidate)
-        # Deactivated after the re-admissions: a destination that keeps
-        # entries never lets its last trie entry go, so it keeps its rank
-        # (its table position) instead of re-ranking last.
         self._deactivate(active, destination)
         if not self._by_destination.get(destination):
             self._by_destination.pop(destination, None)
             self._absorbed.pop(destination, None)
-            self._links.pop(destination, None)
+            self._unplace(destination)
         return True, restored
 
     def remove_destination(self, destination: Destination) -> list[TreePattern]:
@@ -722,7 +671,7 @@ class RoutingTable:
         to a retiring neighbour).
         """
         self._absorbed.pop(destination, None)
-        self._links.pop(destination, None)
+        self._unplace(destination)
         removed = list(self._by_destination.pop(destination, ()))
         for pattern in removed:
             self._deactivate(pattern, destination)
@@ -749,15 +698,12 @@ class RoutingTable:
             raise ValueError(
                 f"cannot rename destination onto existing entries: {new!r}"
             )
+        # The pop + reinsert moves the entries to the end of table order.
         self._by_destination[new] = self._by_destination.pop(old)
         if old in self._absorbed:
             self._absorbed[new] = self._absorbed.pop(old)
-        self._links.pop(old, None)
-        kind, link = _parts(new)
-        if kind == FORWARD:
-            self._links[new] = link
-        # The pop + reinsert moved the entries to the end of the table's
-        # iteration order; *new* takes the trie's last rank to match.
+        self._unplace(old)
+        self._place(new)
         entries = self._trie.rename_destination(
             old, new, self._by_destination[new]
         )
@@ -767,6 +713,7 @@ class RoutingTable:
                 _remove_members(entry, left)
             if joined:
                 _add_members(entry, joined)
+        self._version += 1
         return True
 
     def seed(
@@ -872,7 +819,9 @@ class RoutingTable:
         self._absorbed.clear()
         self._matchers.clear()
         self._trie.clear()
+        self._positions.clear()
         self._links.clear()
+        self._version += 1
         self.match_operations = 0
         self.covered_inserts = 0
         self.evicted_entries = 0
@@ -882,28 +831,47 @@ class RoutingTable:
     # matching
     # ------------------------------------------------------------------
 
-    def _delivery_view(self) -> _DeliveryView:
-        """The delivery view of the current rank epoch, rebuilt when the
-        epoch has moved since the last one was built."""
-        view = self._view
-        if view is None or view.epoch != self._trie.rank_epoch:
-            view = self._view = _DeliveryView(self._trie, self._links)
-        return view
-
     def _trie_step(
-        self, mask: int, accepted: list[_Entry], exclude: Iterable[Destination]
-    ) -> tuple[int, frozenset[int]]:
-        """A trie match's mask with *exclude*'s bits cleared, and the
-        member ids it delivers: its *accepted* entries' members, united
-        in one C-level pass — or, when *exclude* names a deliver
-        destination, the deliver destinations left in the mask, united
-        as the linear scan unites the ones it finds."""
+        self, accepted: list[_Entry], exclude: Iterable[Destination]
+    ) -> tuple[frozenset[int], tuple[int, ...], _Decode]:
+        """A trie match's broker step and its destination decode.
+
+        The member ids its *accepted* entries deliver, united in one
+        C-level pass — or, when *exclude* names a deliver destination,
+        the matched deliver destinations other than *exclude*'s, united
+        as the linear scan unites the ones it finds — and the link of
+        each forward destination not excluded that some accepted entry
+        holds, in table order.
+        """
         skip = tuple(exclude)
-        if mask:
-            mask &= ~self._trie.rank_mask(skip)
+        forwards = tuple(
+            [
+                link
+                for destination, link in self._links.items()
+                if destination not in skip
+                and any(
+                    map(_holds, map(_DESTINATIONS, accepted), repeat(destination))
+                )
+            ]
+        )
         if any(map(_group, skip)):
-            return mask, _united(self._trie.destinations_in(mask))
-        return mask, frozenset().union(*filter(None, map(_MEMBERS, accepted)))
+            deliveries = _united(_matched(accepted, skip))
+        else:
+            deliveries = frozenset().union(*filter(None, map(_MEMBERS, accepted)))
+        decode = partial(self._decode, self._version, accepted, skip)
+        return deliveries, forwards, decode
+
+    def _decode(
+        self, version: int, accepted: list[_Entry], skip: tuple[Destination, ...]
+    ) -> list[Destination]:
+        """The destinations a trie match made at *version* names: those
+        its *accepted* entries hold, less *skip*'s, in table order."""
+        if version != self._version:
+            raise ValueError(
+                "stale match: the table changed after it was computed, so "
+                "its destinations no longer decode"
+            )
+        return sorted(_matched(accepted, skip), key=self._positions.__getitem__)
 
     def _matcher(self, pattern: TreePattern) -> PatternMatcher:
         matcher = self._matchers.get(pattern)
@@ -929,13 +897,13 @@ class RoutingTable:
         call — both structures are always maintained, which is how the
         property suite pins ``trie == per-pattern`` on the same table.
 
-        The result carries the matched destinations as the trie's rank
-        mask and the member ids they deliver to; both modes build both
-        (linear mode from the destinations its scan finds, trie mode
-        from the accepted entries' members), and its ``destinations``
-        list decodes in table order
-        (first-advertised first), which is deterministic across runs —
-        unlike a set of destinations, whose iteration order follows the
+        The result is the broker step — the member ids the matched
+        deliver destinations name and the matched forward links — which
+        both modes build (linear mode from the destinations its scan
+        finds, trie mode from the accepted entries), and its
+        ``destinations`` list decodes in table order (first-advertised
+        first).  Both orders are deterministic across runs — unlike a
+        set of destinations, whose iteration order follows the
         per-process string hash seed.  The event engine relies on this
         to replay identical schedules under a fixed seed.
 
@@ -944,10 +912,10 @@ class RoutingTable:
         """
         mode = self.matching if matching is None else matching
         if mode == "trie":
-            result = self._trie.match_masks((document,))
+            result = self._trie.match_entries((document,))
             operations = result.operations[0]
-            mask, deliveries = self._trie_step(
-                result.masks[0], result.accepted[0], exclude
+            deliveries, forwards, decode = self._trie_step(
+                result.accepted[0], exclude
             )
         else:
             skip = set(exclude)
@@ -961,10 +929,12 @@ class RoutingTable:
                     if self._matcher(pattern).matches(document):
                         found.append(destination)
                         break
-            mask = self._trie.rank_mask(found)
             deliveries = _united(found)
+            links = self._links
+            forwards = tuple([links[d] for d in found if d in links])
+            decode = found.copy
         self.match_operations += operations
-        return TableMatch(mask, deliveries, operations, self._delivery_view())
+        return TableMatch(deliveries, forwards, operations, decode)
 
     def destinations_for_batch(
         self,
@@ -975,7 +945,7 @@ class RoutingTable:
         """Destinations per document of a batch, filtered in one pass.
 
         In trie mode the whole batch shares one
-        :meth:`~repro.routing.trie.PatternTrie.match_batch` memo pool, so
+        :meth:`~repro.routing.trie.PatternTrie.match_entries` memo pool, so
         constraint satisfactions, aliveness tests and whole-document
         outcomes repeated across the batch are paid once — the batch's
         total operations are always ≤ the sum of per-document
@@ -997,31 +967,29 @@ class RoutingTable:
                 )
         mode = self.matching if matching is None else matching
         if mode == "trie":
-            batch = self._trie.match_masks(documents)
+            batch = self._trie.match_entries(documents)
             steps = [
-                self._trie_step(mask, accepted, skip)
-                for mask, accepted, skip in zip(
-                    batch.masks, batch.accepted, skips, strict=True
-                )
+                self._trie_step(accepted, skip)
+                for accepted, skip in zip(batch.accepted, skips, strict=True)
             ]
             self.match_operations += sum(batch.operations)
             return TableBatchMatch(
-                [mask for mask, _ in steps],
+                [deliveries for deliveries, _, _ in steps],
+                [forwards for _, forwards, _ in steps],
                 batch.operations,
                 batch.memo_hits,
                 batch.memo_misses,
-                [deliveries for _, deliveries in steps],
-                self._delivery_view(),
+                [decode for _, _, decode in steps],
             )
         matches = [
             self.destinations_for(document, exclude=skip, matching=mode)
             for document, skip in zip(documents, skips, strict=True)
         ]
         return TableBatchMatch(
-            [match.mask for match in matches],
+            [match.deliveries for match in matches],
+            [match.forwards for match in matches],
             [match.operations for match in matches],
-            deliveries=[match.deliveries for match in matches],
-            _view=self._delivery_view(),
+            _decodes=[match._decode for match in matches],
         )
 
     # ------------------------------------------------------------------
@@ -1035,13 +1003,10 @@ class RoutingTable:
         """True when *pattern* is an active entry for any destination.
 
         Covered advertisements absorbed into a broader entry are not
-        reported: they do not take part in matching.
+        reported: they do not take part in matching.  The trie holds a
+        pattern exactly while some destination holds it active.
         """
-        if not isinstance(pattern, TreePattern):
-            return False
-        return any(
-            pattern in patterns for patterns in self._by_destination.values()
-        )
+        return pattern in self._trie
 
     def __iter__(self) -> Iterator[TableEntry]:
         for destination, patterns in self._by_destination.items():

@@ -89,8 +89,7 @@ node then costs:
   aliveness lookups are the number of children and its misses are the
   masks the union adds — exactly the counts the per-child memo lookups
   of a dict-keyed test would give;
-* for each accepted entry, one append: the entries' ``dest_mask`` values are
-  ORed into the document's destination mask once, at the end.
+* for each accepted entry, one append.
 
 The spine is walked with an explicit stack, and a ``//`` constraint
 descends the document in a loop, so neither costs one Python frame per
@@ -98,8 +97,9 @@ level.  The visit order cannot change a count: each memo key is
 computed once, what it computes (and hence which keys it asks for) is a
 function of the document and the constraint alone, and every visit
 adds the same lookups whenever it happens.  Only the order in which
-entries are collected differs, and the destination mask and pattern set
-are order-free.
+entries are collected differs, and what a match reports of them — the
+union of their destination sets, the set of their patterns — is
+order-free.
 
 Per-document index
 ------------------
@@ -140,25 +140,19 @@ bookkeeping (like the tree index), not trie work, so it is never
 counted as a trie operation — batched operations are guaranteed ≤ the
 sum of the per-document counts.  ``match`` is the batch machinery at
 batch size one (a fresh pool per call), so the two paths cannot
-drift, and ``match_masks`` is the same kernel returning destination
-masks and accepted entries instead of sets.
+drift.
 
-Destination ranks
------------------
+Match results
+-------------
 
-Each destination gets a *rank* when an entry first holds it: the next
-bit position, so ascending rank is first-registered first.  An entry's
-``dest_mask`` ORs its destinations' bits, a match ORs the accepted
-entries' masks, and :meth:`PatternTrie.destinations_in` decodes a mask
-in rank order against the rank-indexed destination list in one C-level
-pass.  A rank retires when its last holder lets go, and once retired
-ranks outnumber live ones the live ranks are renumbered densely in the
-same order, so masks stay O(live destinations) bits wide under churn.
-Every change to the rank list — a new rank, a retired one, a compaction
-or a ``clear`` — bumps :attr:`PatternTrie.rank_epoch`: a mask decodes
-correctly only against the ranks of the epoch it was computed in, and
-callers that keep masks (the routing table's match results) compare
-epochs to fail loudly instead of decoding the wrong destinations.
+A document's match *is* its accepted entries and the operations
+attributed to it: :meth:`PatternTrie.match_entries` returns exactly
+that, per document of a batch, with the pool's memo hits and misses.
+``match`` and ``match_batch`` build sets from it — the union of the
+accepted entries' destination sets and the set of their patterns.  An
+owner that needs something else reads it off the entries: the routing
+table unites their deliver members and tests its few forward links
+against their destination sets, without building either set.
 
 Incremental-maintenance invariants
 ----------------------------------
@@ -173,24 +167,23 @@ consistent under covering churn and topology surgery by refcounting:
   store exactly when the last referer lets go;
 * equal patterns (canonically) share one entry whose destination set is
   the union of their destinations, so per-destination add/remove is a
-  set update — plus the same bit update of ``dest_mask`` and the
-  destination's holder count, in the same method;
+  set update;
 * ``req_mask`` values change only along the touched spine path: an
   ``add`` narrows each path node's with one AND (the node gains exactly
   one part), a ``discard`` re-derives them bottom-up with C-level ANDs
   until one is unchanged, and a changed one drops its parent's plan;
-* ``rename_destination`` re-keys destination sets and masks in place —
-  trie shape, sharing and refcounts are untouched.
+* ``rename_destination`` re-keys destination sets in place — trie
+  shape, sharing and refcounts are untouched.
 
 ``add``, ``discard`` and ``rename_destination`` hand back the entries
-they touched, the same handles ``match_masks`` reports a document's
+they touched, the same handles ``match_entries`` reports a document's
 accepted entries by, so an owner keeps per-entry state in an entry's
 ``members`` slot, which the trie never reads, without looking a pattern
 up again (the routing table keeps each entry's deliver members there).
 
-``check()`` recomputes every mask, plan and rank from the patterns and
-destinations alone and audits all of these invariants; the property
-suite runs it after every churn operation.
+``check()`` recomputes every mask and plan from the patterns alone and
+audits all of these invariants; the property suite runs it after every
+churn operation.
 """
 
 from __future__ import annotations
@@ -198,7 +191,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, groupby
+from itertools import groupby
 from operator import and_, attrgetter, or_
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
@@ -210,8 +203,7 @@ __all__ = [
     "PatternTrie",
     "TrieMatch",
     "BatchMatch",
-    "MaskBatch",
-    "rank_selectors",
+    "EntryBatch",
 ]
 
 Destination = Hashable
@@ -225,30 +217,13 @@ _ANYWHERE = "anywhere"
 _CHILD = "child"
 _DESCENDANT = "descendant"
 
-#: The slot of a retired destination rank until the next compaction.
-_RETIRED: Hashable = object()
-
-#: ``bin(mask)`` digits → 0/1 bytes, the selectors of a rank decode.
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
 _REQ_MASK = attrgetter("req_mask")
-_DEST_MASK = attrgetter("dest_mask")
+_DESTINATIONS = attrgetter("destinations")
 _MASK = attrgetter("mask")
 _STEP = attrgetter("axis", "label")
 
 #: A subtree's degree-sorted canonical order: ``(degree, canonical key)``.
 _Order = tuple[int, tuple]
-
-
-def rank_selectors(mask: int) -> bytes:
-    """*mask* as one 0/1 selector byte per rank, lowest rank first —
-    the :func:`itertools.compress` selectors of a rank-indexed sequence.
-
-    ``bin`` spells the mask out least significant bit last, so the
-    reversed digits are in rank order; one ``translate`` turns them into
-    selector bytes.
-    """
-    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def _subtree_orders(pattern: TreePattern) -> dict[PatternNode, _Order]:
@@ -413,7 +388,9 @@ class _SpineNode:
 
 
 class _Entry:
-    """One canonical pattern's accepting record."""
+    """One canonical pattern's accepting record: what a match reports
+    when the pattern matches.  ``destinations`` is the set of
+    destinations the pattern is active for."""
 
     __slots__ = (
         "pattern",
@@ -422,7 +399,6 @@ class _Entry:
         "gates",
         "gate_mask",
         "destinations",
-        "dest_mask",
         "members",
     )
 
@@ -433,7 +409,6 @@ class _Entry:
         gate_key: tuple,
         gates: tuple[_BranchNode, ...],
         destinations: set,
-        dest_mask: int,
     ) -> None:
         self.pattern = pattern
         self.node = node
@@ -441,10 +416,6 @@ class _Entry:
         self.gates = gates
         self.gate_mask: int = reduce(or_, map(_MASK, gates), 0)
         self.destinations = destinations
-        #: The rank bits of ``destinations`` (see
-        #: :meth:`PatternTrie.destinations_in`); edited by exactly the
-        #: methods that edit ``destinations``.
-        self.dest_mask = dest_mask
         #: Left to the trie's owner, which the trie never reads: the
         #: routing table keeps the member ids of the entry's deliver
         #: destinations here (None while it has none).
@@ -500,9 +471,8 @@ class _BatchMemo:
         self.gate_cache: dict[int, bool] = {}
         #: Document tag set → its :data:`_TagSetMemo`.
         self.by_tags: dict[frozenset, _TagSetMemo] = {}
-        #: Root skeleton key → the whole document's outcome: its
-        #: destination mask and accepted entries.
-        self.results: dict[int, tuple[int, list[_Entry]]] = {}
+        #: Root skeleton key → the whole document's accepted entries.
+        self.results: dict[int, list[_Entry]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -571,7 +541,9 @@ class _MatchState:
 
 @dataclass
 class TrieMatch:
-    """Result of one trie traversal over one document."""
+    """Result of one trie traversal over one document: the union of the
+    accepted entries' destination sets, their patterns and the
+    operations spent."""
 
     destinations: set
     patterns: set
@@ -604,16 +576,13 @@ class BatchMatch:
 
 
 @dataclass
-class MaskBatch:
-    """:meth:`PatternTrie.match_masks`' result: per document of a batch,
-    in order, its destination mask (decode with
-    :meth:`PatternTrie.destinations_in`), its accepted entries (the
-    handles :meth:`PatternTrie.add` returned) and its attributed
-    operations, plus the pool's memo hits and misses — the same
-    traversal and counts as :meth:`PatternTrie.match_batch`, without
-    building sets."""
+class EntryBatch:
+    """:meth:`PatternTrie.match_entries`' result: per document of a
+    batch, in order, its accepted entries (the handles
+    :meth:`PatternTrie.add` returned) and its attributed operations,
+    plus the pool's memo hits and misses — the traversal and counts of
+    :meth:`PatternTrie.match_batch`, without building sets."""
 
-    masks: list[int]
     accepted: list[list[_Entry]]
     operations: list[int]
     memo_hits: int
@@ -631,17 +600,6 @@ class PatternTrie:
         self._spine_count = 0
         #: Tag → its one-bit mask, allocated as tags first appear.
         self._tag_bits: dict[str, int] = {}
-        #: Live destination → rank, its bit position in every destination
-        #: mask.  Ranks are allocated in registration order and never
-        #: reordered, so ascending rank is first-registered first.
-        self._ranks: dict[Destination, int] = {}
-        #: Rank → destination (:data:`_RETIRED` once it has no entry).
-        self._ranked: list[Destination] = []
-        #: Rank → number of entries holding that destination.
-        self._holders: list[int] = []
-        self._retired = 0
-        #: Bumped whenever the rank list changes (see ``rank_epoch``).
-        self._rank_epoch = 0
 
     # ------------------------------------------------------------------
     # maintenance
@@ -649,12 +607,10 @@ class PatternTrie:
 
     def add(self, pattern: TreePattern, destination: Destination) -> _Entry:
         """Register *pattern* as active for *destination*; returns the
-        pattern's entry, the handle :meth:`match_masks` reports it by."""
+        pattern's entry, the handle :meth:`match_entries` reports it by."""
         entry = self._entries.get(pattern)
         if entry is not None:
-            if destination not in entry.destinations:
-                entry.destinations.add(destination)
-                entry.dest_mask |= self._hold(destination)
+            entry.destinations.add(destination)
             return entry
         orders = _subtree_orders(pattern)
         steps, gate_nodes = _decompose(pattern, orders)
@@ -667,9 +623,7 @@ class PatternTrie:
         for gate in gates:
             gate.refs += 1
         gate_key = tuple(gate.key for gate in gates)
-        entry = _Entry(
-            pattern, node, gate_key, gates, {destination}, self._hold(destination)
-        )
+        entry = _Entry(pattern, node, gate_key, gates, {destination})
         node.accepts[gate_key] = entry
         for spine_node in path:
             spine_node.refs += 1
@@ -695,10 +649,8 @@ class PatternTrie:
         returns the pattern's entry, dropped if that was its last."""
         entry = self._entries[pattern]
         entry.destinations.remove(destination)
-        entry.dest_mask &= ~self._let_go(destination)
         if not entry.destinations:
             self._drop_entry(entry)
-        self._compact_if_sparse()
         return entry
 
     def _drop_entry(self, entry: _Entry) -> None:
@@ -735,94 +687,20 @@ class PatternTrie:
     ) -> list[_Entry]:
         """Re-key *old* to *new* in the entries of *patterns* (the active
         patterns of that destination) and return those entries; trie
-        shape is untouched.  *new* takes the next (last) rank if it
-        holds no entry yet."""
+        shape is untouched."""
         entries = [self._entries[pattern] for pattern in patterns]
         for entry in entries:
             entry.destinations.remove(old)
-            entry.dest_mask &= ~self._let_go(old)
-            if new not in entry.destinations:
-                entry.destinations.add(new)
-                entry.dest_mask |= self._hold(new)
-        self._compact_if_sparse()
+            entry.destinations.add(new)
         return entries
 
     def clear(self) -> None:
-        """Forget every entry, every shared node and every rank."""
+        """Forget every entry and every shared node."""
         self._root = _SpineNode(_SELF, "", (), (), None, 0)
         self._entries.clear()
         self._interned.clear()
         self._spine_count = 0
         self._tag_bits.clear()
-        self._ranks.clear()
-        self._ranked.clear()
-        self._holders.clear()
-        self._retired = 0
-        self._rank_epoch += 1
-
-    # -- destination ranks ---------------------------------------------
-
-    def _hold(self, destination: Destination) -> int:
-        """Count one more entry holding *destination* and return its rank
-        bit, ranking it last if no entry held it."""
-        rank = self._ranks.get(destination)
-        if rank is None:
-            rank = self._ranks[destination] = len(self._ranked)
-            self._ranked.append(destination)
-            self._holders.append(0)
-            self._rank_epoch += 1
-        self._holders[rank] += 1
-        return 1 << rank
-
-    def _let_go(self, destination: Destination) -> int:
-        """Count one entry fewer holding *destination* and return its rank
-        bit; the rank retires with the last holder."""
-        rank = self._ranks[destination]
-        self._holders[rank] -= 1
-        if not self._holders[rank]:
-            del self._ranks[destination]
-            self._ranked[rank] = _RETIRED
-            self._retired += 1
-            self._rank_epoch += 1
-        return 1 << rank
-
-    def _compact_if_sparse(self) -> None:
-        """Renumber the live ranks densely, keeping their order, once
-        retired ranks outnumber them — so a mask stays O(live
-        destinations) wide however long the churn runs."""
-        if self._retired <= len(self._ranks):
-            return
-        self._ranked = [d for d in self._ranked if d is not _RETIRED]
-        self._holders = [count for count in self._holders if count]
-        self._ranks = {d: rank for rank, d in enumerate(self._ranked)}
-        self._retired = 0
-        self._rank_epoch += 1
-        for entry in self._entries.values():
-            entry.dest_mask = self.rank_mask(entry.destinations)
-
-    @property
-    def rank_epoch(self) -> int:
-        """A counter bumped by every change to the rank list: a new
-        rank, a retired rank, a compaction or :meth:`clear`.  A mask is
-        only valid in the epoch it was computed in."""
-        return self._rank_epoch
-
-    def ranked_destinations(self) -> tuple[Destination, ...]:
-        """The rank-indexed destination list of the current epoch: the
-        destination holding rank *r* at position *r*, and a placeholder
-        that equals no destination in each retired slot."""
-        return tuple(self._ranked)
-
-    def rank_mask(self, destinations: Iterable[Destination]) -> int:
-        """The rank bits of those *destinations* that hold a rank;
-        unranked ones are ignored."""
-        ranks = self._ranks
-        mask = 0
-        for destination in destinations:
-            rank = ranks.get(destination)
-            if rank is not None:
-                mask |= 1 << rank
-        return mask
 
     # -- spine and constraints -----------------------------------------
 
@@ -940,77 +818,50 @@ class PatternTrie:
         evaluated (the pool is private to the call, so this only
         excludes mutation from within the iterable).
         """
-        outcomes, hits, misses = self._evaluate(trees)
+        batch = self.match_entries(trees)
         results = [
             TrieMatch(
-                set(self.destinations_in(mask)),
+                set().union(*map(_DESTINATIONS, accepted)),
                 {entry.pattern for entry in accepted},
                 operations,
             )
-            for mask, accepted, operations in outcomes
+            for accepted, operations in zip(
+                batch.accepted, batch.operations, strict=True
+            )
         ]
         return BatchMatch(
-            results, sum(result.operations for result in results), hits, misses
+            results, sum(batch.operations), batch.memo_hits, batch.memo_misses
         )
 
-    def match_masks(self, trees: Iterable[XMLTree]) -> MaskBatch:
-        """:meth:`match_batch` as destination masks: the same traversal,
-        operations and memo counts, but each document's destinations
-        stay one int of rank bits until :meth:`destinations_in` decodes
-        them, and its patterns stay the accepted entries — no
-        per-document sets are built."""
-        outcomes, hits, misses = self._evaluate(trees)
-        return MaskBatch(
-            [mask for mask, _, _ in outcomes],
-            [accepted for _, accepted, _ in outcomes],
-            [operations for _, _, operations in outcomes],
-            hits,
-            misses,
-        )
+    def match_entries(self, trees: Iterable[XMLTree]) -> EntryBatch:
+        """The matching kernel behind every entry point: per document,
+        in order, its accepted entries and the operations attributed to
+        it, and the pool's memo hits and misses.
 
-    def destinations_in(self, mask: int) -> list[Destination]:
-        """The destinations whose rank bits *mask* holds, in ascending
-        rank (first-registered first) order.
-
-        One C-level pass: :func:`rank_selectors` spells the mask out as
-        0/1 bytes and :func:`itertools.compress` picks the rank-indexed
-        destinations they select.  Only masks of the current
-        :attr:`rank_epoch` decode correctly: a mutation may renumber the
-        ranks (see :meth:`_compact_if_sparse`).
-        """
-        if not mask:
-            return []
-        return list(compress(self._ranked, rank_selectors(mask)))
-
-    def _evaluate(
-        self, trees: Iterable[XMLTree]
-    ) -> tuple[list[tuple[int, list[_Entry], int]], int, int]:
-        """The matching kernel behind every entry point.
-
-        Per document, in order: its destination mask (the OR of its
-        accepted entries' ``dest_mask``), the accepted entries and the
-        operations attributed to it; then the pool's memo hits and
-        misses.  A document whose root skeleton key repeats within the
-        batch reuses the first one's outcome for zero operations.
+        A document whose root skeleton key repeats within the batch
+        reuses the first one's entries for zero operations.
         """
         if not self._entries:
-            return [(0, [], 0) for _ in trees], 0, 0
+            trees = list(trees)
+            return EntryBatch([[] for _ in trees], [0] * len(trees), 0, 0)
         pool = _BatchMemo(max(1, self._next_node_id), self._tag_bits)
-        outcomes: list[tuple[int, list[_Entry], int]] = []
+        accepted_lists: list[list[_Entry]] = []
+        operations: list[int] = []
         for tree in trees:
             state = _MatchState(tree, pool)
             cached = pool.results.get(state.root_key)
             if cached is not None:
                 pool.hits += 1
-                outcomes.append((cached[0], cached[1], 0))
+                accepted_lists.append(cached)
+                operations.append(0)
                 continue
             pool.misses += 1
             accepted: list[_Entry] = []
             self._walk(state, accepted)
-            mask: int = reduce(or_, map(_DEST_MASK, accepted), 0)
-            pool.results[state.root_key] = (mask, accepted)
-            outcomes.append((mask, accepted, state.ops))
-        return outcomes, pool.hits, pool.misses
+            pool.results[state.root_key] = accepted
+            accepted_lists.append(accepted)
+            operations.append(state.ops)
+        return EntryBatch(accepted_lists, operations, pool.hits, pool.misses)
 
     def _walk(self, state: _MatchState, accepted: list[_Entry]) -> None:
         """Traverse the spine for one document, appending every accepted
@@ -1326,10 +1177,8 @@ class PatternTrie:
         AssertionError on any inconsistency (test support).
 
         Every mask — spine ``own_mask`` / ``req_mask``, constraint and
-        gate masks, each cached plan's group ANDs and child-mask set,
-        each entry's ``dest_mask`` — is recomputed from the patterns and
-        destinations alone and compared, as are the rank registry and
-        its rank-indexed destination list.
+        gate masks, each cached plan's group ANDs and child-mask set —
+        is recomputed from the patterns alone and compared.
         """
         # Walk the spine trie, collecting nodes and recomputing refcounts.
         reachable: list[_SpineNode] = []
@@ -1450,29 +1299,6 @@ class PatternTrie:
             assert node.plan is None or node.plan == _plan_of(node), (
                 "cached plan stale"
             )
-
-        # Destination ranks: the rank-indexed list, the holder counts and
-        # every entry's destination mask.
-        holders: dict[Destination, int] = {}
-        for entry in self._entries.values():
-            for destination in entry.destinations:
-                holders[destination] = holders.get(destination, 0) + 1
-        assert holders.keys() == self._ranks.keys(), "live ranks drifted"
-        assert len(self._ranked) == len(self._holders)
-        assert len(self._ranked) == len(self._ranks) + self._retired
-        for destination, rank in self._ranks.items():
-            assert self._ranked[rank] == destination, "rank list drifted"
-            assert self._holders[rank] == holders[destination], (
-                "rank holders drifted"
-            )
-        assert (
-            sum(1 for slot in self._ranked if slot is _RETIRED) == self._retired
-        ), "retired ranks miscounted"
-        assert self._retired <= len(self._ranks), "sparse ranks not compacted"
-        for entry in self._entries.values():
-            assert entry.dest_mask == sum(
-                1 << self._ranks[d] for d in entry.destinations
-            ), "dest_mask drifted"
 
     def __repr__(self) -> str:
         return (

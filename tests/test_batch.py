@@ -117,10 +117,16 @@ class TestTableBatch:
             table.destinations_for_batch(documents, excludes=[()])
 
     def test_stats_fields(self):
-        stats = TableBatchMatch([0b1, 0], [3, 1], memo_hits=2, memo_misses=6)
+        stats = TableBatchMatch(
+            [frozenset({7}), frozenset()],
+            [(), (2,)],
+            [3, 1],
+            memo_hits=2,
+            memo_misses=6,
+        )
         assert stats.total_operations == 4
         assert stats.hit_rate == 0.25
-        assert TableBatchMatch([], []).hit_rate == 0.0
+        assert TableBatchMatch([], [], []).hit_rate == 0.0
 
     def test_batch_feeds_match_operations_counter(self, documents):
         table = RoutingTable()

@@ -19,10 +19,8 @@ grows with the broker; from the second pair on, nothing does.
 
 The routing table keeps each trie entry's deliver members beside the
 trie, so a pair takes its member out of one entry's members and puts
-the fresh one into one entry's, and the next publish at its broker
-reads no rank list: the table's delivery view holds only the forward
-links, so rebuilding it after the pair moved the ranks costs the links,
-not the broker's thousands of deliver ranks.
+the fresh one into one entry's; the next publish reads the accepted
+entries' members as they stand, with nothing to rebuild.
 
 The probe subscription is the last one homed on broker 0, behind the
 population, in three layouts of the neighbouring broker's table:
@@ -71,7 +69,6 @@ from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityIndex
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import CommunityPolicy, PerSubscriptionPolicy
-from repro.routing.trie import PatternTrie
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 
@@ -225,24 +222,6 @@ def test_resubscribe_pair_updates_one_member_set_each_way():
             overlay.unsubscribe(probe)
             overlay.subscribe(0, parse_xpath(layout.probe))
         assert calls == Counter(_add_members=1, _remove_members=1), population
-
-
-def test_publish_after_a_resubscribe_reads_no_rank_list():
-    layout = LAYOUTS["unique"]
-    # Matches the population's /a and the probe's /a/e.
-    document = XMLTree.from_nested(("a", ["e"]), doc_id=0)
-    for population in POPULATIONS:
-        overlay, probe = deployed(layout, population, shared=True)
-        overlay.route(document, 0)  # every broker's view is current
-        overlay.unsubscribe(probe)
-        fresh = overlay.subscribe(0, parse_xpath(layout.probe))
-        calls: Counter = Counter()
-        name = "ranked_destinations"
-        wrapped = counting(calls, name, getattr(PatternTrie, name))
-        with mock.patch.object(PatternTrie, name, wrapped):
-            delivered, _, _ = overlay.route(document, 0)
-        assert fresh in delivered and probe not in delivered
-        assert calls[name] == 0, population
 
 
 def test_a_burst_still_takes_the_full_path():

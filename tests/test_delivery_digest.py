@@ -8,8 +8,8 @@ sha256:
   per-subscription NITF patterns), every ``route()`` outcome of 40
   documents published at every broker — sorted delivered ids, per-broker
   operations and forwards — with 20 resubscribe pairs, one broker join
-  and one broker leave interleaved, so decoded steps cross every kind of
-  destination-rank change;
+  and one broker leave interleaved, so steps cross every kind of table
+  change: a destination created, dropped or renamed;
 * the same outcomes on a smaller ``CommunityPolicy(0.5)`` overlay scored
   against the document corpus, whose deliver groups have many members;
 * one batched :class:`~repro.routing.engine.DeliveryEngine` run of the 40

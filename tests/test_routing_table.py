@@ -1,14 +1,12 @@
 """Covering-aware broker routing tables."""
 
-from itertools import compress
-
 import pytest
 
 from repro.core.containment import contains
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.table import DELIVER, FORWARD, RoutingTable, TableEntry
-from repro.routing.trie import rank_selectors
 from repro.xmltree.tree import XMLTree
+from tests.test_broker_step_properties import reference_step
 
 
 @pytest.fixture()
@@ -186,6 +184,18 @@ class TestMaintenance:
         assert parse_xpath("/a/b") not in table
         assert parse_xpath("/z") not in table
         assert "not a pattern" not in table
+
+    def test_contains_follows_the_active_registrations(self):
+        table = RoutingTable()
+        table.add(parse_xpath("/a/b"), "link-1")
+        table.add(parse_xpath("/a"), "link-2")
+        table.add(parse_xpath("/a/b"), "link-2")  # absorbed under /a
+        assert parse_xpath("/a/b") in table
+        table.remove_pattern(parse_xpath("/a/b"), "link-1")
+        # Still absorbed for link-2, but active nowhere.
+        assert table.patterns_for("link-2") == [parse_xpath("/a")]
+        assert parse_xpath("/a/b") not in table
+        assert parse_xpath("/a") in table
 
     def test_clear_resets_entries_and_counters(self, document):
         table = RoutingTable()
@@ -647,36 +657,13 @@ class TestTrieModeOrdering:
         assert found == self.legacy_order(table, set(found))
         assert found == ["link-3", "link-1", "link-9", "link-2"]
 
-    def test_rank_index_mirrors_destination_keys(self, document):
-        table = RoutingTable()
-        for name in ("b", "a", "c"):
-            table.add(parse_xpath("//e"), name)
-        table.rename_destination("b", "z")
-        table.remove_destination("a")
-        ranks = table._trie._ranks
-        assert sorted(ranks) == sorted(table._by_destination)
-        ranked = sorted(ranks, key=ranks.__getitem__)
-        assert ranked == list(table._by_destination)
-
-
-def mask_decode(table, match):
-    """The broker step read off *match*'s rank mask rank by rank — every
-    matched deliver group's members united, the matched forward links in
-    rank order — the reference the per-entry member sets are held to."""
-    deliveries, forwards = set(), []
-    ranked = table._trie.ranked_destinations()
-    for kind, payload in compress(ranked, rank_selectors(match.mask)):
-        if kind == DELIVER:
-            deliveries.update(payload)
-        elif kind == FORWARD:
-            forwards.append(payload)
-    return frozenset(deliveries), tuple(forwards)
 
 
 @pytest.mark.parametrize("mode", ["trie", "linear"])
 class TestDeliverMembers:
     """Broker steps of deliver groups at the edges of member upkeep, in
-    both matching modes, against the rank-by-rank mask decode."""
+    both matching modes, against the step read off the table-order
+    destination list."""
 
     DOCUMENT = XMLTree.from_nested(("a", ["b"]), doc_id=0)
 
@@ -684,8 +671,9 @@ class TestDeliverMembers:
         match = table.destinations_for(
             self.DOCUMENT, exclude=exclude, matching=mode
         )
-        step = match.split()
-        assert step == mask_decode(table, match)
+        expected = reference_step(match.destinations, match.operations)
+        step = match.deliveries, match.forwards
+        assert step == (expected.deliveries, expected.forwards)
         return step
 
     def test_an_excluded_deliver_group_delivers_none_of_its_members(
@@ -732,19 +720,15 @@ class TestDeliverMembers:
         assert self.step(table, mode) == (frozenset({5, 6}), (7,))
 
     def test_compaction_keeps_every_group_its_members(self, mode):
+        # Most of the groups on one entry leave, one by one.
         table = RoutingTable()
         table.add(parse_xpath("/a"), (FORWARD, 9))
         for member in range(8):
             table.add(parse_xpath("/a/b"), (DELIVER, (member,)))
         table.add(parse_xpath("/a"), (DELIVER, (8, 9)))
-        epoch = table._trie.rank_epoch
-        allocated = len(table._trie.ranked_destinations())
         for member in range(1, 7):
             table.remove_pattern(parse_xpath("/a/b"), (DELIVER, (member,)))
             assert self.step(table, mode)[0] == frozenset(
                 {0, *range(member + 1, 10)}
             )
-        assert table._trie.rank_epoch != epoch
-        # Retired ranks outnumbered the live ones, so they were renumbered.
-        assert len(table._trie.ranked_destinations()) < allocated
         assert self.step(table, mode) == (frozenset({0, 7, 8, 9}), (9,))

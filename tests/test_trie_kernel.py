@@ -1,12 +1,11 @@
-"""The bit-parallel trie kernel's own state: masks, plans, ranks, depth.
+"""The bit-parallel trie kernel's own state: masks, plans, depth.
 
-* **audit** — ``PatternTrie.check()`` recomputes every tag mask, cached
-  visit plan, destination mask and the rank registry from the patterns
-  and destinations alone; corrupting any one of them must fail it;
-* **long churn** — thousands of resubscribes keep the destination ranks
-  dense (retired ranks are compacted away once they outnumber live
-  ones), the rank order equal to table order, and trie-mode lists equal
-  to linear-mode lists;
+* **audit** — ``PatternTrie.check()`` recomputes every tag mask and
+  cached visit plan from the patterns alone; corrupting any one of them
+  must fail it;
+* **long churn** — through thousands of resubscribes, trie-mode
+  destination lists stay equal to linear-mode lists, table order
+  included;
 * **depth** — a ``//`` branch descends the document without one Python
   frame per level, so a 10⁴-deep chain matches, and trie == linear
   where the linear oracle's recursion still reaches.
@@ -114,24 +113,6 @@ def corrupt_child_masks(trie):
     node.plan = groups, frozenset(), width
 
 
-def corrupt_dest_mask(trie):
-    next(iter(trie._entries.values())).dest_mask |= 1 << 40
-
-
-def corrupt_rank_list(trie):
-    trie._ranked[0], trie._ranked[1] = trie._ranked[1], trie._ranked[0]
-
-
-def corrupt_holders(trie):
-    trie._holders[0] += 1
-
-
-def skip_compaction(trie):
-    trie._ranked.extend([object()] * (len(trie._ranks) + 1))
-    trie._holders.extend([0] * (len(trie._ranks) + 1))
-    trie._retired += len(trie._ranks) + 1
-
-
 class TestCheckAuditsMaskState:
     @pytest.mark.parametrize(
         "corrupt",
@@ -142,10 +123,6 @@ class TestCheckAuditsMaskState:
             corrupt_gate,
             corrupt_group_and,
             corrupt_child_masks,
-            corrupt_dest_mask,
-            corrupt_rank_list,
-            corrupt_holders,
-            skip_compaction,
         ],
     )
     def test_corruption_is_caught(self, corrupt):
@@ -178,10 +155,10 @@ class TestCheckAuditsMaskState:
         assert trie.match(document).destinations == {"y"}
 
 
-class TestRanksUnderLongChurn:
+class TestTableOrderUnderLongChurn:
     STEPS = 5000
 
-    def test_ranks_stay_dense_and_in_table_order(self):
+    def test_trie_lists_equal_linear_lists(self):
         dtd = nitf_dtd()
         overlay = BrokerOverlay.random_tree(4, seed=3)
         live = overlay.attach_round_robin(
@@ -193,7 +170,6 @@ class TestRanksUnderLongChurn:
         fresh = PatternGenerator(dtd, seed=6).stream()
         rng = random.Random(9)
         brokers = sorted(overlay.brokers)
-        widest = 0
         for step in range(self.STEPS):
             position = rng.randrange(len(live))
             overlay.unsubscribe(live[position])
@@ -201,13 +177,6 @@ class TestRanksUnderLongChurn:
             document = documents[step % len(documents)]
             for broker_id in brokers:
                 table = overlay.brokers[broker_id].table
-                trie = table._trie
-                # Live plus retired ranks: the width a mask can reach.
-                allocated = len(trie._ranked)
-                assert allocated <= 2 * len(table.destinations())
-                widest = max(widest, allocated)
-                ranks = trie._ranks
-                assert sorted(ranks, key=ranks.__getitem__) == table.destinations()
                 via_trie = table.destinations_for(
                     document, matching="trie"
                 ).destinations
@@ -225,17 +194,14 @@ class TestRanksUnderLongChurn:
                             other, matching="linear"
                         ).destinations
                         assert via_trie == via_linear, step
-        # Without compaction the deliver ranks alone would reach
-        # thousands; with it the widest mask stays near the live count.
-        assert widest < 100
 
-    def test_rank_order_survives_restoration(self):
+    def test_table_order_survives_restoration(self):
         table = RoutingTable()
         table.add(parse_xpath("/a/b"), "early")
         table.add(parse_xpath("/a/b/c"), "mid")
         table.add(parse_xpath("/a"), "mid")  # evicts /a/b/c
         table.add(parse_xpath("/a/d"), "late")
-        # Retiring /a restores /a/b/c: "mid" keeps its rank throughout.
+        # Retiring /a restores /a/b/c: "mid" keeps its place throughout.
         table.remove_pattern(parse_xpath("/a"), "mid")
         table._trie.check()
         document = XMLTree.from_nested(("a", [("b", ["c"]), "d"]))
