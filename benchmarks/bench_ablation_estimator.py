@@ -23,7 +23,6 @@ import pytest
 from repro.core.errors import average_relative_error
 from repro.core.selectivity import SelectivityEstimator
 from repro.experiments.harness import build_synopsis, prepare
-from repro.xmltree.matcher import CompiledPattern
 
 from common import RESULTS_DIR
 
@@ -36,7 +35,7 @@ def _estimate_all(prepared, strategy: str) -> list[float]:
     root_view = synopsis.full_view(synopsis.root)
     values = []
     for pattern in prepared.positive:
-        view = estimator._sel_root_view(CompiledPattern(pattern))
+        view = estimator.matching_view(pattern)
         if strategy == "aligned-ratio":
             level = max(view.level, root_view.level)
             root_ids = root_view.at_level(level)

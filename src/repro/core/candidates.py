@@ -1,16 +1,17 @@
 """Candidate-pair generation for similarity evaluation past the O(n²) wall.
 
-Community formation (``leader_clustering``, ``agglomerative_clustering``,
+Community formation (``leader_clustering`` and
 ``advertise(CommunityPolicy)``) is gated on pairwise pattern similarity,
 and every similarity evaluation costs a joint-selectivity probe — the
 dominant cost the :class:`~repro.core.similarity.SimilarityIndex` memo
-amortises but cannot avoid.  Enumerating *all* pairs is quadratic in the
-subscription population, which is infeasible at the 10⁵–10⁶ scale the
-paper's routing results target.  This module makes the candidate set a
-first-class, swappable stage:
+amortises but cannot avoid.  Comparing every pattern with every other is
+quadratic in the subscription population, which is infeasible at the
+10⁵–10⁶ scale the paper's routing results target.  This module makes the
+candidate set a first-class, swappable stage, queried one pattern at a
+time — never enumerated as all pairs:
 
-* :class:`ExactCandidates` — the all-pairs oracle (today's behaviour),
-  optionally prefiltered by label-set overlap;
+* :class:`ExactCandidates` — the all-pairs oracle (every pair is a
+  candidate), optionally prefiltered by label-set overlap;
 * :class:`LSHCandidates` — banded MinHash locality-sensitive hashing
   (as in "Similarity Search and Locality Sensitive Hashing using
   TCAMs"): each pattern is shingled into its tag *label set* plus its
@@ -29,8 +30,8 @@ recomputing signatures.
 
 Consumers: ``SimilarityIndex(candidates=...)`` answers non-candidate
 pairs 0.0 without touching the provider (``IndexStats.candidate_pruned``
-accounts the skips), both clustering functions accept ``candidates=`` to
-restrict which pairs they evaluate at all, and
+accounts the skips), ``leader_clustering(candidates=...)`` compares a
+pattern only against the leaders among its candidates, and
 ``CommunityPolicy(candidates=...)`` carries a template into every
 broker of an overlay.
 """
@@ -125,8 +126,7 @@ class CandidateGenerator(Protocol):
     clustering positions, subscriber ids); the generator never interprets
     them.  ``is_candidate`` must be symmetric, must hold for equal
     patterns, and must be a pure function of the two patterns — the
-    population only feeds the query-side methods ``candidates_of`` and
-    ``pairs``.
+    population only feeds the query-side method ``candidates_of``.
     """
 
     def spawn(self) -> "CandidateGenerator":
@@ -147,10 +147,6 @@ class CandidateGenerator(Protocol):
 
     def candidates_of(self, pattern: TreePattern) -> set:
         """Keys of the population members that are candidates of *pattern*."""
-        ...
-
-    def pairs(self) -> list[tuple]:
-        """All candidate key pairs over the population, deduplicated."""
         ...
 
     def describe(self) -> str:
@@ -174,7 +170,7 @@ class ExactCandidates:
 
     def __init__(self, prefilter_labels: bool = False) -> None:
         self.prefilter_labels = prefilter_labels
-        #: key -> pattern, insertion-ordered: ``pairs()`` follows it.
+        #: key -> pattern.
         self._patterns: dict[Hashable, TreePattern] = {}
 
     def spawn(self) -> "ExactCandidates":
@@ -213,23 +209,6 @@ class ExactCandidates:
             for key, candidate in self._patterns.items()
             if self._labels_overlap(pattern, candidate)
         }
-
-    def pairs(self) -> list[tuple]:
-        """Every unordered candidate pair, in insertion order."""
-        keys = list(self._patterns)
-        if not self.prefilter_labels:
-            return [
-                (keys[i], keys[j])
-                for i in range(len(keys))
-                for j in range(i + 1, len(keys))
-            ]
-        patterns = list(self._patterns.values())
-        return [
-            (keys[i], keys[j])
-            for i in range(len(keys))
-            for j in range(i + 1, len(keys))
-            if self._labels_overlap(patterns[i], patterns[j])
-        ]
 
     def describe(self) -> str:
         """Short configuration label for benchmark output."""
@@ -314,8 +293,7 @@ class LSHCandidates:
         self._shared = _shared
         self._params: Sequence[tuple[int, int]] = _shared[0]
         self._signature_memo: dict[TreePattern, tuple[int, ...]] = _shared[1]
-        #: band bucket -> keys, with dict-as-ordered-set buckets so
-        #: ``pairs()`` is deterministic without requiring orderable keys.
+        #: band bucket -> its keys, in a dict used as an ordered set.
         self._buckets: dict[tuple[int, tuple[int, ...]], dict[Hashable, None]] = {}
         #: key -> its band bucket ids, for O(bands) removal.
         self._bucket_ids: dict[Hashable, tuple[tuple[int, tuple[int, ...]], ...]] = {}
@@ -420,22 +398,6 @@ class LSHCandidates:
                 found.update(bucket)
         return found
 
-    def pairs(self) -> list[tuple]:
-        """Every colliding pair, deduplicated across buckets."""
-        emitted: set = set()
-        out: list[tuple] = []
-        for bucket in self._buckets.values():
-            if len(bucket) < 2:
-                continue
-            members = list(bucket)
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pair = (members[i], members[j])
-                    if pair not in emitted and (pair[1], pair[0]) not in emitted:
-                        emitted.add(pair)
-                        out.append(pair)
-        return out
-
     def bucket_sizes(self) -> list[int]:
         """Occupied-bucket sizes, for load diagnostics and benchmarks."""
         return sorted((len(bucket) for bucket in self._buckets.values()), reverse=True)
@@ -457,15 +419,3 @@ class LSHCandidates:
             f"population={len(self._bucket_ids)}, buckets={len(self._buckets)})"
         )
 
-
-def candidate_pairs(
-    patterns: Iterable[TreePattern], generator: CandidateGenerator
-) -> list[tuple[int, int]]:
-    """Candidate index pairs over *patterns* under a fresh spawn of
-    *generator* — the convenience entry benchmarks and offline builds
-    use to measure candidate-set size without touching the template's
-    population."""
-    fresh = generator.spawn()
-    for index, pattern in enumerate(patterns):
-        fresh.add(index, pattern)
-    return fresh.pairs()

@@ -3,9 +3,7 @@
 Module map:
 
 * :mod:`repro.routing.community` — semantic communities:
-  :func:`leader_clustering` (online, greedy) and
-  :func:`agglomerative_clustering` (offline, average-linkage with
-  incremental linkage maintenance), both gateable by a
+  :func:`leader_clustering` (online, greedy), gateable by a
   :class:`~repro.core.candidates.CandidateGenerator` (``candidates=``)
   so only colliding pairs are ever evaluated;
 * :mod:`repro.routing.broker` — the engine's latency report,
@@ -81,11 +79,7 @@ from repro.routing.broker import (
     percentile,
 )
 from repro.routing.builder import OverlayBuilder
-from repro.routing.community import (
-    Community,
-    agglomerative_clustering,
-    leader_clustering,
-)
+from repro.routing.community import Community, leader_clustering
 from repro.routing.engine import (
     BatchServiceModel,
     ClosedLoopSource,
@@ -127,7 +121,6 @@ from repro.routing.trie import BatchMatch, PatternTrie, TrieMatch
 __all__ = [
     "Community",
     "leader_clustering",
-    "agglomerative_clustering",
     "RoutingTable",
     "TableEntry",
     "TableMatch",

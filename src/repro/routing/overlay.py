@@ -62,20 +62,20 @@ unsubscribe    subscription  ``(pattern, (member,))`` entry,        ``test_resub
                              aggregation built or diffed, and one
                              trie entry's member set gains or
                              loses the member
-subscribe      community,    one first-fit placement against the    ``test_community_pair_pays_for_its_community_only``
-               leader        current leaders, a gate test and at
+subscribe      community     one first-fit placement against the    ``test_community_pair_pays_for_its_community_only``
+                             current leaders, a gate test and at
                              most one similarity lookup each; a
                              joiner is compared by selectivity
                              with its community's elected member,
                              and that community's aggregate alone
                              is rebuilt and replaced
-unsubscribe,   community,    no similarity lookup; its community,   ``test_community_pair_pays_for_its_community_only``,
-non-leader     leader        found by bisection, is elected again   ``test_retiring_the_elected_member_reelects_its_community_alone``
+unsubscribe,   community     no similarity lookup; its community,   ``test_community_pair_pays_for_its_community_only``,
+non-leader                   found by bisection, is elected again   ``test_retiring_the_elected_member_reelects_its_community_alone``
                              only if it was the elected member,
                              and its aggregate alone is rebuilt
                              and replaced
-unsubscribe,   community,    a local repair: its followers are      ``test_leader_departure_pays_for_the_members_it_moves``
-leader         leader        placed again, and a leader founded
+unsubscribe,   community     a local repair: its followers are      ``test_leader_departure_pays_for_the_members_it_moves``
+leader                       placed again, and a leader founded
                              on the way tests the later members
                              the gate admits; only communities
                              whose membership changed are elected
@@ -84,25 +84,23 @@ leader         leader        placed again, and a leader founded
                              changed are withdrawn or installed;
                              a community founded ahead of the last
                              one re-sorts the aggregation record
-any single     community,    the whole broker is clustered and      none
-event          average       elected again
 any single     hybrid        at or under the cutoff, the per-       none
 event                        subscription aggregation; above it,
-                             leader linkage's placement or
-                             repair; either way the aggregation
-                             is built and diffed in full
+                             the community placement or repair;
+                             either way the aggregation is built
+                             and diffed in full
 burst,         every         one aggregation and one diff; under    ``test_a_burst_still_takes_the_full_path``
-topology       policy        leader linkage, one
+topology       policy        the community policy, one
 surgery                      ``leader_clustering`` of the broker
                              and an election of every community
 =============  ============  =====================================  ==========================================================
 
-None of the per-subscription and leader-linkage rows builds or diffs an
+None of the per-subscription and community rows builds or diffs an
 aggregation of the broker.  The full path does: the policy aggregates
 the broker's whole advertised record and the overlay diffs that against
 the live aggregation, entry by entry under each leader, with no pattern
-hashed.  It serves average linkage, the hybrid policy, a broker left
-stale by :meth:`BrokerOverlay.detach`, bursts and topology surgery.
+hashed.  It serves the hybrid policy, a broker left stale by
+:meth:`BrokerOverlay.detach`, bursts and topology surgery.
 
 The *topology* is dynamic too: :meth:`BrokerOverlay.add_broker` grafts a
 new broker (as a leaf, or splitting an existing edge) and seeds it with
@@ -223,7 +221,7 @@ class BrokerNode:
     index: Optional[SimilarityIndex] = None
     #: subscriber id -> similarity-index handle (community regime only).
     handles: dict[int, int] = field(default_factory=dict)
-    #: The last leader-linkage clustering of the advertised subscriptions
+    #: The last leader clustering of the advertised subscriptions
     #: and each community's elected member, which
     #: :class:`~repro.routing.policy.CommunityPolicy` updates in place
     #: under churn at the costs of the module docstring's churn table.
@@ -1056,9 +1054,9 @@ class BrokerOverlay:
         """A from-scratch overlay over this one's topology and
         membership.
 
-        Brokers and subscriptions are re-created in rank order and the
-        live policy and provider (or explicit overrides) advertise from
-        nothing — the oracle every incremental-lifecycle guarantee is
+        Brokers and subscriptions are re-created in rank order, in this
+        overlay's matching mode, and the live policy and provider (or
+        explicit overrides) advertise from nothing — the oracle every incremental-lifecycle guarantee is
         checked against: after any churn,
         ``overlay.topology_signature() ==
         overlay.rebuilt().topology_signature()``.  With no routing
@@ -1073,7 +1071,7 @@ class BrokerOverlay:
                 for b in self.brokers[a].neighbors
             }
         )
-        fresh = BrokerOverlay(len(ids), edges)
+        fresh = BrokerOverlay(len(ids), edges, matching=self.matching)
         for home_id, pattern in self.subscriptions.values():
             fresh.attach(broker_rank[home_id], pattern)
         if policy is None:

@@ -12,10 +12,9 @@ Advertisement policies (consumed by ``BrokerOverlay.advertise``):
 * :class:`PerSubscriptionPolicy` — every subscription advertised on its
   own: exact delivery, maximal routing state (the baseline);
 * :class:`CommunityPolicy` — each broker clusters its local subscriptions
-  into semantic communities over a live
-  :class:`~repro.core.similarity.SimilarityIndex` and advertises one
-  pattern per community; ``linkage`` selects greedy leader clustering
-  (online) or average-linkage agglomerative clustering (offline quality);
+  into semantic communities by greedy leader clustering over a live
+  :class:`~repro.core.similarity.SimilarityIndex`, keeps the clustering
+  in place under churn, and advertises one pattern per community;
 * :class:`HybridPolicy` — per-subscription precision at lightly loaded
   brokers, community aggregation only where it pays: a broker aggregates
   once its live subscription count exceeds ``aggregate_above``.
@@ -57,8 +56,8 @@ from typing import ClassVar, Iterable, Mapping, Optional, Protocol, Sequence
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
-from repro.core.similarity import SelectivityProvider, SimilarityIndex
-from repro.routing.community import agglomerative_clustering, leader_clustering
+from repro.core.similarity import METRICS, SelectivityProvider, SimilarityIndex
+from repro.routing.community import leader_clustering
 
 __all__ = [
     "AdvertisementPolicy",
@@ -73,7 +72,6 @@ __all__ = [
     "WeightedFairScheduling",
     "QueuedJob",
     "QueuePolicy",
-    "LINKAGES",
     "OVERFLOW_MODES",
 ]
 
@@ -88,19 +86,17 @@ Aggregate = tuple[TreePattern, tuple[int, ...]]
 #: longer leads one.  An aggregate's leader is its first member.
 Edit = dict[int, Optional[Aggregate]]
 
-#: The communities one event touched under leader linkage: each leader,
-#: mapped to its community's member list after the event, or to None
-#: where its community dissolved.
+#: The communities one event touched: each leader, mapped to its
+#: community's member list after the event, or to None where its
+#: community dissolved.
 _Touched = dict[int, Optional[list[int]]]
-
-LINKAGES = ("leader", "average")
 
 _leader = itemgetter(0)
 
 
 @dataclass
 class LeaderClusters:
-    """One broker's last leader-linkage clustering, kept across churn.
+    """One broker's last leader clustering, kept across churn.
 
     ``communities`` holds its communities in creation order, each as
     member subscriber ids with the leader first and joiners in placement
@@ -265,22 +261,21 @@ class CommunityPolicy(AdvertisementPolicy):
     routing state shrinks to one entry per community, delivery quality is
     governed by community coherence (i.e. by the similarity metric).
 
-    ``linkage`` selects the clustering: ``"leader"`` is the one-pass
-    greedy threshold clustering an online broker can afford;
-    ``"average"`` is average-linkage agglomerative clustering that keeps
-    merging while the best inter-community linkage stays above
-    *threshold* — a better optimiser for offline re-organisation.  With
-    ``elect_by_selectivity`` the advertised pattern is the community
-    member with the highest selectivity (recall over precision);
-    otherwise the clustering's own leader is advertised.
+    Communities are formed by
+    :func:`~repro.routing.community.leader_clustering`, the one-pass
+    greedy threshold clustering an online broker can afford: a
+    subscription joins the first community whose leader's similarity to
+    it reaches *threshold* under *metric*, one of the paper's ``M1``,
+    ``M2`` and ``M3`` (any other name raises :class:`ValueError` here).
+    With ``elect_by_selectivity`` the advertised pattern is the
+    community member with the highest selectivity (recall over
+    precision); otherwise the clustering's own leader is advertised.
 
-    ``ratio_prefilter`` (leader linkage only) hands *threshold* to each
-    broker's index as its selectivity-ratio bound: pairs whose metric
-    provably cannot reach the clustering threshold skip the
-    joint-selectivity call.  Average linkage sums similarity values
-    instead of thresholding them, so the bound never applies there.
-    Synopsis estimators whose joint estimates may break the
-    ``min(P(p), P(q))`` bound should pass ``ratio_prefilter=False``.
+    ``ratio_prefilter`` hands *threshold* to each broker's index as its
+    selectivity-ratio bound: pairs whose metric provably cannot reach
+    the clustering threshold skip the joint-selectivity call.  Synopsis
+    estimators whose joint estimates may break the ``min(P(p), P(q))``
+    bound should pass ``ratio_prefilter=False``.
 
     ``candidates`` restricts which pattern pairs are evaluated at all: a
     :class:`~repro.core.candidates.CandidateGenerator` template is spawned
@@ -291,24 +286,22 @@ class CommunityPolicy(AdvertisementPolicy):
     behaviour.  Placing one arrival against a broker's current leaders
     asks the template's pairwise ``is_candidate`` per leader instead.
 
-    Churn is incremental under leader linkage: the broker's
-    :class:`LeaderClusters` record, elected members included, is updated
-    in place, exactly as a from-scratch clustering and election over the
-    new member sequence would come out.  One arrival is placed first-fit
-    against the current leaders, one departing non-leader leaves its
-    community, and one departing leader's community is repaired locally
-    (:meth:`_repair`); :meth:`single_change` then elects and aggregates
-    only the communities the event touched.  Any other change to the
-    member sequence (bursts, topology surgery, a :class:`HybridPolicy`
-    regime flip) re-clusters and re-elects the whole broker, and average
-    linkage does so on every call.  What each event costs is the churn
-    table in :mod:`repro.routing.overlay`.
+    Churn is incremental: the broker's :class:`LeaderClusters` record,
+    elected members included, is updated in place, exactly as a
+    from-scratch clustering and election over the new member sequence
+    would come out.  One arrival is placed first-fit against the current
+    leaders, one departing non-leader leaves its community, and one
+    departing leader's community is repaired locally (:meth:`_repair`);
+    :meth:`single_change` then elects and aggregates only the
+    communities the event touched.  Any other change to the member
+    sequence (bursts, topology surgery, a :class:`HybridPolicy` regime
+    flip) re-clusters and re-elects the whole broker.  What each event
+    costs is the churn table in :mod:`repro.routing.overlay`.
     """
 
     uses_similarity = True
 
     threshold: float
-    linkage: str = "leader"
     metric: str = "M3"
     elect_by_selectivity: bool = True
     ratio_prefilter: bool = True
@@ -317,31 +310,24 @@ class CommunityPolicy(AdvertisementPolicy):
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
-        if self.linkage not in LINKAGES:
+        if self.metric not in METRICS:
             raise ValueError(
-                f"unknown linkage {self.linkage!r}; choose from {LINKAGES}"
+                f"unknown metric {self.metric!r}; choose from {sorted(METRICS)}"
             )
 
     def mode_label(self) -> str:
         """The ``BrokerOverlay.mode`` string advertised state reports."""
         parts = [f"threshold={self.threshold}"]
-        if self.linkage != "leader":
-            parts.append(f"linkage={self.linkage}")
         if self.candidates is not None:
             parts.append(f"candidates={self.candidates.describe()}")
         return f"community({', '.join(parts)})"
 
     def make_index(self, provider: SelectivityProvider) -> SimilarityIndex:
         """A fresh per-broker similarity index under this policy's knobs."""
-        prune = (
-            self.threshold
-            if self.ratio_prefilter and self.linkage == "leader"
-            else None
-        )
         return SimilarityIndex(
             provider,
             metric=self.metric,
-            prune_below=prune,
+            prune_below=self.threshold if self.ratio_prefilter else None,
             candidates=(
                 self.candidates.spawn() if self.candidates is not None else None
             ),
@@ -607,13 +593,11 @@ class CommunityPolicy(AdvertisementPolicy):
     ) -> Optional[Edit]:
         """The aggregates of the communities one event touched.
 
-        Under leader linkage the broker's *clusters* record is brought up
-        to date in place (:meth:`_place`, :meth:`_depart`), and only the
-        communities the event touched are elected, if they lack an
-        election, and aggregated; average linkage answers None.
+        The broker's *clusters* record is brought up to date in place
+        (:meth:`_place`, :meth:`_depart`), and only the communities the
+        event touched are elected, if they lack an election, and
+        aggregated.
         """
-        if self.linkage != "leader":
-            return None
         assert index is not None, "community aggregation needs a live index"
         event = self._place if arrived else self._depart
         touched = event(member, advertised, index, clusters)
@@ -634,30 +618,13 @@ class CommunityPolicy(AdvertisementPolicy):
     ) -> list[Aggregate]:
         """One advertisement per community over the broker's live index.
 
-        Under leader linkage the broker's *clusters* record is brought up
-        to date in place, and only communities without an election on
-        record are elected; the churn table in
-        :mod:`repro.routing.overlay` states what each event costs.
+        The broker's *clusters* record is brought up to date in place,
+        and only communities without an election on record are elected;
+        the churn table in :mod:`repro.routing.overlay` states what each
+        event costs.
         """
         assert index is not None, "community aggregation needs a live index"
         pattern_of = dict(zip(members, patterns, strict=True))
-        if self.linkage == "average":
-            return [
-                self._aggregate(
-                    members[community.leader],
-                    [members[i] for i in community.members],
-                    pattern_of,
-                    index,
-                    {},
-                )
-                for community in agglomerative_clustering(
-                    patterns,
-                    index,
-                    1,
-                    min_similarity=self.threshold,
-                    candidates=self.candidates,
-                )
-            ]
         if clusters is None:
             clusters = LeaderClusters()
         self._recluster(list(members), pattern_of, index, clusters)
@@ -667,10 +634,8 @@ class CommunityPolicy(AdvertisementPolicy):
         ]
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(threshold={self.threshold}, "
-            f"linkage={self.linkage!r}, metric={self.metric!r})"
-        )
+        name = type(self).__name__
+        return f"{name}(threshold={self.threshold}, metric={self.metric!r})"
 
 
 @dataclass(frozen=True)

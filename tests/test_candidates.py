@@ -10,12 +10,7 @@ accounting, the ``prune_label_overlap`` heuristic, and the heap-based
 
 import pytest
 
-from repro.core.candidates import (
-    ExactCandidates,
-    LSHCandidates,
-    candidate_pairs,
-    pattern_tokens,
-)
+from repro.core.candidates import ExactCandidates, LSHCandidates, pattern_tokens
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityEstimator, SimilarityIndex
 from repro.xmltree.corpus import DocumentCorpus
@@ -38,18 +33,10 @@ class TestExactCandidates:
             generator.add(key, pattern)
         assert len(generator) == len(PATTERNS)
         n = len(PATTERNS)
-        assert generator.pairs() == [
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        ]
+        for pattern in PATTERNS:
+            assert generator.candidates_of(pattern) == set(range(n))
         assert generator.candidates_of(P("/z")) == set(range(n))
         assert generator.is_candidate(P("/a"), P("/z"))
-
-    def test_pairs_follow_insertion_order(self):
-        generator = ExactCandidates()
-        generator.add("z", P("/a"))
-        generator.add("a", P("/b"))
-        generator.add("m", P("/c"))
-        assert generator.pairs() == [("z", "a"), ("z", "m"), ("a", "m")]
 
     def test_duplicate_key_rejected(self):
         generator = ExactCandidates()
@@ -76,7 +63,9 @@ class TestExactCandidates:
         generator.add("ab", P("//a/b"))
         generator.add("cd", P("//c/d"))
         generator.add("bx", P("//b"))
-        assert generator.pairs() == [("ab", "bx")]
+        assert generator.candidates_of(P("//a/b")) == {"ab", "bx"}
+        assert generator.candidates_of(P("//b")) == {"ab", "bx"}
+        assert generator.candidates_of(P("//c/d")) == {"cd"}
         assert generator.candidates_of(P("//d")) == {"cd"}
         assert not generator.is_candidate(P("//a"), P("//c"))
 
@@ -84,7 +73,10 @@ class TestExactCandidates:
         generator = ExactCandidates(prefilter_labels=True)
         generator.add("star", P("//*"))
         generator.add("cd", P("//c/d"))
-        assert generator.pairs() == [("star", "cd")]
+        assert generator.candidates_of(P("//*")) == {"star", "cd"}
+        assert generator.candidates_of(P("//c/d")) == {"star", "cd"}
+        # A vocabulary disjoint from //c/d still pairs with the wildcard.
+        assert generator.candidates_of(P("//e")) == {"star"}
         assert generator.is_candidate(P("//*"), P("//c/d"))
 
     def test_equal_patterns_always_candidates(self):
@@ -119,11 +111,12 @@ class TestLSHCandidates:
         generator.add("y", P("/a/b"))
         generator.add("z", P("//q/r/s"))
         # Identical patterns share every band bucket.
-        assert "y" in generator.candidates_of(P("/a/b"))
-        assert ("x", "y") in generator.pairs() or ("y", "x") in generator.pairs()
+        assert {"x", "y"} <= generator.candidates_of(P("/a/b"))
         assert generator.discard("y") is True
         assert generator.discard("y") is False
+        assert "x" in generator.candidates_of(P("/a/b"))
         assert "y" not in generator.candidates_of(P("/a/b"))
+        assert "y" not in generator.candidates_of(P("//q/r/s"))
         assert len(generator) == 2
         # Buckets hold no retired keys.
         assert all(
@@ -160,16 +153,6 @@ class TestLSHCandidates:
                 )
             }
 
-    def test_pairs_deduplicated_and_sound(self):
-        generator = LSHCandidates(bands=6, rows=1, seed=3)
-        population = {key: pattern for key, pattern in enumerate(PATTERNS)}
-        for key, pattern in population.items():
-            generator.add(key, pattern)
-        pairs = generator.pairs()
-        assert len(pairs) == len({frozenset(pair) for pair in pairs})
-        for i, j in pairs:
-            assert generator.is_candidate(population[i], population[j])
-
     def test_spawn_shares_signature_memo(self):
         template = LSHCandidates(bands=8, rows=2, seed=7)
         clone = template.spawn()
@@ -183,9 +166,11 @@ class TestLSHCandidates:
         for key, pattern in enumerate(PATTERNS):
             generator.add(key, pattern)
         n = len(PATTERNS)
-        assert sorted(map(sorted, generator.pairs())) == [
-            [i, j] for i in range(n) for j in range(i + 1, n)
-        ]
+        for pattern in PATTERNS + [P("//zz")]:
+            assert generator.candidates_of(pattern) == set(range(n))
+        for p in PATTERNS:
+            for q in PATTERNS:
+                assert generator.is_candidate(p, q)
         assert generator.is_candidate(P("/a"), P("//zz"))
 
     def test_signature_fn_length_validated(self):
@@ -232,16 +217,6 @@ class TestLSHCandidates:
         assert generator.is_candidate(P("/a"), P("/b"))
 
 
-class TestCandidatePairs:
-    def test_candidate_pairs_convenience(self):
-        template = ExactCandidates()
-        template.add("pre", P("/zz"))
-        pairs = candidate_pairs(PATTERNS[:3], template)
-        assert pairs == [(0, 1), (0, 2), (1, 2)]
-        # The template's own population is untouched.
-        assert len(template) == 1
-
-
 class TestIndexCandidateGate:
     class NothingCollides:
         """A generator under which no distinct pair is a candidate."""
@@ -260,9 +235,6 @@ class TestIndexCandidateGate:
 
         def candidates_of(self, pattern):
             return set()
-
-        def pairs(self):
-            return []
 
         def describe(self):
             return "nothing"

@@ -1,19 +1,19 @@
 """Incremental re-clustering under subscription churn equals clustering
 from scratch.
 
-Under leader linkage, a broker keeps its last clustering, with the
-member each community elected to advertise, and updates both in place:
-an arrival is placed first-fit against the current leaders and takes
-over its community's election only with a strictly higher selectivity,
-a departing non-leader just leaves its community (which elects again if
+A broker keeps its last leader clustering, with the member each
+community elected to advertise, and updates both in place: an arrival
+is placed first-fit against the current leaders and takes over its
+community's election only with a strictly higher selectivity, a
+departing non-leader just leaves its community (which elects again if
 it was the elected member), and a departing leader's community
 dissolves and is repaired locally: its followers are placed again, a
 leader founded on the way may capture later members, and every
 community whose membership changed elects again.  Hypothesis drives
 random interleavings of ``subscribe`` / ``unsubscribe`` (plus bursts,
 which take the full path) over a multi-broker overlay under every
-candidate gate, linkage and regime, and resubscribe pairs over one
-broker holding every ring pattern, and after every event checks that
+candidate gate and regime, and resubscribe pairs over one broker
+holding every ring pattern, and after every event checks that
 
 * each broker's advertised communities equal a from-scratch aggregation
   of its current members through a fresh similarity index, and
@@ -51,9 +51,6 @@ POLICIES = {
     ),
     "leader-lsh-degenerate": lambda threshold, metric: CommunityPolicy(
         threshold, metric=metric, candidates=LSHCandidates.degenerate()
-    ),
-    "average": lambda threshold, metric: CommunityPolicy(
-        threshold, linkage="average", metric=metric
     ),
     "hybrid": lambda threshold, metric: HybridPolicy(
         threshold, metric=metric, aggregate_above=2
@@ -217,7 +214,7 @@ class TestIncrementalEqualsFromScratch:
 
 
 class TestChurnCost:
-    """What one churn event costs under leader linkage, in clusterings."""
+    """What one churn event costs, in clusterings."""
 
     @pytest.fixture
     def calls(self, monkeypatch):

@@ -37,11 +37,11 @@ In each, a scan of the cover records would compare the probe's pattern
 with every instance of the population before reaching the one it
 retires.
 
-Under leader-linkage :class:`~repro.routing.policy.CommunityPolicy` a
-broker keeps its clustering and each community's elected representative
-across events, and a single event hands the overlay the aggregates of
-the communities it touched, so neither a pair that retires an ordinary
-member nor one that retires a leader ahead of the population calls
+Under :class:`~repro.routing.policy.CommunityPolicy` a broker keeps its
+clustering and each community's elected representative across events,
+and a single event hands the overlay the aggregates of the communities
+it touched, so neither a pair that retires an ordinary member nor one
+that retires a leader ahead of the population calls
 ``CommunityPolicy.aggregate`` or the aggregation diff, at 300
 subscribers per broker or at 3,000.  A pair that neither retires a
 leader or an elected member nor founds a community makes as many
@@ -258,7 +258,7 @@ ELECTION_BODY = ("//b", "//a", "//c")
 
 def community_deployed(population: int) -> tuple[BrokerOverlay, int]:
     """A two-broker chain homing *population* subscribers per broker
-    under leader-linkage :class:`CommunityPolicy`, and a ``//b`` probe
+    under :class:`CommunityPolicy`, and a ``//b`` probe
     homed last on broker 0: neither a leader nor the elected member."""
     overlay = BrokerOverlay.chain(2)
     parsed = {xpath: parse_xpath(xpath) for xpath in ELECTION_BODY}
@@ -370,8 +370,8 @@ CASCADE_DOCUMENTS = [
 
 
 def cascade_deployed(population: int) -> tuple[BrokerOverlay, list[int]]:
-    """A two-broker chain under leader-linkage :class:`CommunityPolicy`
-    with the label prefilter.  Broker 0 homes ``/r/a`` and ``/r/b``,
+    """A two-broker chain under :class:`CommunityPolicy` with the label
+    prefilter.  Broker 0 homes ``/r/a`` and ``/r/b``,
     then *population* ``/s/x``, then ``/r/c``; broker 1 homes
     *population* ``/s/x``.  ``/r/b`` follows ``/r/a`` and ``/r/c`` leads
     a community of its own.  Returns the overlay and broker 0's three

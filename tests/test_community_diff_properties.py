@@ -3,8 +3,8 @@
 On every churn event ``BrokerOverlay._reaggregate`` changes a broker's
 deliver entries and advertisements by the difference between its
 aggregation before and after the event.  It gets that difference one of
-two ways: a single event under the per-subscription policy or under
-leader-linkage communities has its policy name the aggregates it
+two ways: a single event under the per-subscription policy or the
+community policy has its policy name the aggregates it
 changes (``_edited_record``), and any other event compares the previous
 aggregation record with a fresh one under each leader, a group's first
 member (``_aggregation_diff``).  This suite pins that the departed and

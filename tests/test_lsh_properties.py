@@ -3,10 +3,10 @@
 The headline guarantees of the LSH candidate-generation PR:
 
 * the **degenerate** LSH configuration (one band, one row, constant
-  signature — every pair collides) reproduces exact clustering
-  bit-for-bit, for both leader and agglomerative linkage;
-* :class:`~repro.core.candidates.ExactCandidates`-gated clustering is
-  identical to the un-gated historical code path;
+  signature — every pair collides) reproduces exact leader clustering
+  bit-for-bit;
+* :class:`~repro.core.candidates.ExactCandidates`-gated leader
+  clustering is identical to the un-gated code path;
 * :class:`~repro.core.candidates.LSHCandidates` maintained **under
   churn** (any interleaving of adds and removes) ends in exactly the
   state of a fresh build over the survivors;
@@ -14,7 +14,7 @@ The headline guarantees of the LSH candidate-generation PR:
   two signatures band slice by band slice.
 
 Similarity here is label-set Jaccard — deterministic, cheap, and enough
-to exercise every tie-break the clusterings make.
+to exercise every tie-break the clustering makes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.candidates import ExactCandidates, LSHCandidates
 from repro.core.pattern_parser import parse_xpath
-from repro.routing.community import agglomerative_clustering, leader_clustering
+from repro.routing.community import leader_clustering
 from tests.strategies import property_max_examples, tree_patterns
 
 
@@ -63,27 +63,6 @@ class TestDegenerateLshEqualsExact:
         )
         assert shape(degenerate) == shape(exact)
 
-    @settings(max_examples=property_max_examples(25), deadline=None)
-    @given(
-        patterns=pattern_lists,
-        n_communities=st.integers(min_value=1, max_value=4),
-        min_similarity=st.sampled_from((0.0, 0.4)),
-    )
-    def test_agglomerative_clustering(
-        self, patterns, n_communities, min_similarity
-    ):
-        exact = agglomerative_clustering(
-            patterns, label_jaccard, n_communities, min_similarity
-        )
-        degenerate = agglomerative_clustering(
-            patterns,
-            label_jaccard,
-            n_communities,
-            min_similarity,
-            candidates=LSHCandidates.degenerate(),
-        )
-        assert shape(degenerate) == shape(exact)
-
 
 class TestExactGateIsIdentity:
     @settings(max_examples=property_max_examples(40), deadline=None)
@@ -95,23 +74,6 @@ class TestExactGateIsIdentity:
         ungated = leader_clustering(patterns, label_jaccard, threshold)
         gated = leader_clustering(
             patterns, label_jaccard, threshold, candidates=ExactCandidates()
-        )
-        assert shape(gated) == shape(ungated)
-
-    @settings(max_examples=property_max_examples(25), deadline=None)
-    @given(
-        patterns=pattern_lists,
-        n_communities=st.integers(min_value=1, max_value=4),
-    )
-    def test_agglomerative_clustering(self, patterns, n_communities):
-        ungated = agglomerative_clustering(
-            patterns, label_jaccard, n_communities
-        )
-        gated = agglomerative_clustering(
-            patterns,
-            label_jaccard,
-            n_communities,
-            candidates=ExactCandidates(),
         )
         assert shape(gated) == shape(ungated)
 
@@ -149,9 +111,6 @@ class TestLshChurnEqualsRebuild:
 
         assert len(churned) == len(fresh)
         assert churned._buckets == fresh._buckets
-        assert set(map(frozenset, churned.pairs())) == set(
-            map(frozenset, fresh.pairs())
-        )
         for _, pattern in survivors:
             assert churned.candidates_of(pattern) == fresh.candidates_of(
                 pattern
@@ -167,7 +126,6 @@ class TestLshChurnEqualsRebuild:
             assert generator.discard(key) is True
         assert len(generator) == 0
         assert generator._buckets == {}
-        assert generator.pairs() == []
         # The drained generator accepts the population again unchanged.
         for key, pattern in enumerate(patterns):
             generator.add(key, pattern)

@@ -867,6 +867,22 @@ class TestTopologyLifecycle:
         with pytest.raises(ValueError):
             single.remove_broker(0)
 
+    def test_rebuilt_keeps_the_matching_mode(
+        self, figure2_documents, subscriptions
+    ):
+        # A linear overlay's rebuild matches pattern by pattern too, so a
+        # document costs the same operations at every broker of both.
+        overlay = BrokerOverlay.chain(3, matching="linear")
+        overlay.attach_round_robin(subscriptions[:4])
+        overlay.advertise(PerSubscriptionPolicy())
+        rebuilt = overlay.rebuilt()
+        assert rebuilt.matching == "linear"
+        assert all(
+            node.table.matching == "linear" for node in rebuilt.brokers.values()
+        )
+        for document in figure2_documents:
+            assert rebuilt.route(document, 0) == overlay.route(document, 0)
+
     def test_membership_only_surgery_keeps_tables_empty(self, subscriptions):
         overlay = BrokerOverlay.chain(2)
         overlay.attach(1, subscriptions[0])

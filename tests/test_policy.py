@@ -54,8 +54,10 @@ class TestAdvertise:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             CommunityPolicy(1.5)
-        with pytest.raises(ValueError):
-            CommunityPolicy(0.5, linkage="single")
+        with pytest.raises(ValueError, match="unknown metric"):
+            CommunityPolicy(0.5, metric="M4")
+        with pytest.raises(ValueError, match="unknown metric"):
+            HybridPolicy(0.5, metric="M4")
         with pytest.raises(ValueError):
             HybridPolicy(0.5, aggregate_above=-1)
 
@@ -64,9 +66,6 @@ class TestAdvertise:
         assert (
             CommunityPolicy(0.5).mode_label() == "community(threshold=0.5)"
         )
-        assert "linkage=average" in CommunityPolicy(
-            0.5, linkage="average"
-        ).mode_label()
         assert (
             HybridPolicy(0.5, aggregate_above=4).mode_label()
             == "hybrid(threshold=0.5, aggregate_above=4)"
@@ -87,20 +86,6 @@ class TestAdvertise:
         assert overlay.provider is corpus
         overlay.reset_routing()
         assert overlay.policy is None and overlay.provider is None
-
-    def test_average_linkage_clusters(self, corpus, patterns):
-        overlay = BrokerOverlay.chain(1)
-        overlay.attach_round_robin(patterns)
-        overlay.advertise(
-            CommunityPolicy(0.3, linkage="average"), provider=corpus
-        )
-        communities = overlay.brokers[0].communities
-        members = sorted(
-            member for _, group in communities for member in group
-        )
-        assert members == list(range(len(patterns)))
-        # Average linkage never arms the thresholded ratio bound.
-        assert overlay.brokers[0].index.prune_below is None
 
 
 class TestHybridPolicy:

@@ -1,16 +1,10 @@
 """Semantic communities and single-broker content-based routing."""
 
-from typing import Optional
-
 import pytest
 
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityEstimator, SimilarityIndex
-from repro.routing.community import (
-    Community,
-    agglomerative_clustering,
-    leader_clustering,
-)
+from repro.routing.community import Community, leader_clustering
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import (
     CommunityPolicy,
@@ -85,39 +79,9 @@ class TestLeaderClustering:
         assert leader_clustering([], similarity, threshold=0.5) == []
 
 
-class TestAgglomerativeClustering:
-    def test_target_community_count(self, subscriptions, similarity):
-        communities = agglomerative_clustering(
-            subscriptions, similarity, n_communities=2
-        )
-        assert len(communities) == 2
-
-    def test_merges_most_similar_first(self, subscriptions, similarity):
-        communities = agglomerative_clustering(
-            subscriptions, similarity, n_communities=3
-        )
-        groups = [sorted(c.members) for c in communities]
-        # The b-family {0,1,2} must end up together before unrelated merges.
-        assert any(set([0, 1, 2]) <= set(g) for g in groups)
-
-    def test_min_similarity_stops_merging(self, subscriptions, similarity):
-        communities = agglomerative_clustering(
-            subscriptions, similarity, n_communities=1, min_similarity=0.99
-        )
-        # Only the perfect-similarity families can merge.
-        assert len(communities) == 3
-
-    def test_invalid_count(self, subscriptions, similarity):
-        with pytest.raises(ValueError):
-            agglomerative_clustering(subscriptions, similarity, n_communities=0)
-
-    def test_empty(self, similarity):
-        assert agglomerative_clustering([], similarity, 3) == []
-
-
 #: A 30-pattern workload over the Figure 2 corpus mixing plain paths,
 #: descendant steps, wildcards and matches-nothing patterns — wide enough
-#: to exercise many merges and plenty of linkage ties.
+#: to exercise many placements and plenty of similarity ties.
 WORKLOAD_30 = [
     "/a", "/a/b", "/a/b/e", "/a/b/e/k", "/a/b/e/m", "/a/b/f",
     "/a/b/g", "/a/b/g/n", "/a/c", "/a/c/e", "/a/c/f", "/a/c/f/o",
@@ -129,51 +93,6 @@ WORKLOAD_30 = [
 
 def _communities_as_tuples(communities):
     return [(c.leader, tuple(c.members)) for c in communities]
-
-
-def _reference_agglomerative(patterns, similarity, n_communities,
-                             min_similarity=0.0):
-    """The seed's O(n³) implementation, kept verbatim as the oracle for the
-    incremental linkage maintenance."""
-    n = len(patterns)
-    if n == 0:
-        return []
-    sims = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        sims[i][i] = 1.0
-        for j in range(i + 1, n):
-            value = similarity(patterns[i], patterns[j])
-            sims[i][j] = value
-            sims[j][i] = value
-    clusters = [[i] for i in range(n)]
-
-    def average_linkage(a, b):
-        total = sum(sims[i][j] for i in a for j in b)
-        return total / (len(a) * len(b))
-
-    while len(clusters) > n_communities:
-        best_pair: Optional[tuple[int, int]] = None
-        best_score = -1.0
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                score = average_linkage(clusters[a], clusters[b])
-                if score > best_score:
-                    best_score = score
-                    best_pair = (a, b)
-        if best_pair is None or best_score < min_similarity:
-            break
-        a, b = best_pair
-        clusters[a].extend(clusters[b])
-        del clusters[b]
-
-    communities = []
-    for members in clusters:
-        leader = max(
-            members,
-            key=lambda i, members=members: sum(sims[i][j] for j in members),
-        )
-        communities.append(Community(leader=leader, members=list(members)))
-    return communities
 
 
 class TestClusteringDeterminism:
@@ -199,18 +118,6 @@ class TestClusteringDeterminism:
         ]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_agglomerative_deterministic_across_runs(self, corpus, workload):
-        def similarity(p, q):
-            return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
-
-        runs = [
-            _communities_as_tuples(
-                agglomerative_clustering(workload, similarity, n_communities=5)
-            )
-            for _ in range(3)
-        ]
-        assert runs[0] == runs[1] == runs[2]
-
     def test_leader_clustering_matrix_matches_direct(self, corpus, workload):
         def direct(p, q):
             return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
@@ -222,55 +129,6 @@ class TestClusteringDeterminism:
             ) == _communities_as_tuples(
                 leader_clustering(workload, direct, threshold)
             )
-
-    def test_agglomerative_matrix_matches_direct(self, corpus, workload):
-        def direct(p, q):
-            return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
-
-        matrix = SimilarityIndex(corpus, workload, prune_disjoint=False)
-        for n_communities in (1, 4, 10):
-            assert _communities_as_tuples(
-                agglomerative_clustering(workload, matrix, n_communities)
-            ) == _communities_as_tuples(
-                agglomerative_clustering(workload, direct, n_communities)
-            )
-
-
-class TestIncrementalLinkage:
-    """The incremental pair-sum maintenance must reproduce the seed's
-    rescan-everything implementation exactly."""
-
-    @pytest.fixture()
-    def workload(self):
-        return [parse_xpath(x) for x in WORKLOAD_30]
-
-    @pytest.mark.parametrize("n_communities", [1, 2, 5, 12, 29])
-    def test_identical_output_on_30_pattern_workload(
-        self, corpus, workload, n_communities
-    ):
-        def similarity(p, q):
-            return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
-
-        assert _communities_as_tuples(
-            agglomerative_clustering(workload, similarity, n_communities)
-        ) == _communities_as_tuples(
-            _reference_agglomerative(workload, similarity, n_communities)
-        )
-
-    @pytest.mark.parametrize("min_similarity", [0.2, 0.5, 0.99])
-    def test_identical_early_stopping(self, corpus, workload, min_similarity):
-        def similarity(p, q):
-            return SimilarityEstimator(corpus).similarity(p, q, metric="M2")
-
-        assert _communities_as_tuples(
-            agglomerative_clustering(
-                workload, similarity, 1, min_similarity=min_similarity
-            )
-        ) == _communities_as_tuples(
-            _reference_agglomerative(
-                workload, similarity, 1, min_similarity=min_similarity
-            )
-        )
 
 
 def one_broker(subscriptions, policy, provider=None):

@@ -174,23 +174,6 @@ class TestFixedPopulationIndex:
         assert counting.max_selectivity_calls_per_pattern == 1
         assert index.distinct_joint_pairs == len(counting.joint_calls)
 
-    def test_agglomerative_over_60_patterns_no_duplicate_provider_calls(
-        self, corpus
-    ):
-        from repro.routing.community import agglomerative_clustering
-
-        patterns = _sixty_patterns()
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns, prune_disjoint=False)
-        communities = agglomerative_clustering(
-            patterns, index, n_communities=8
-        )
-        assert sorted(m for c in communities for m in c.members) == list(
-            range(60)
-        )
-        assert counting.max_joint_calls_per_pair == 1
-        assert counting.max_selectivity_calls_per_pattern == 1
-
     def test_leader_clustering_through_index_no_duplicate_calls(self, corpus):
         from repro.routing.community import leader_clustering
 

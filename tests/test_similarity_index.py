@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pattern_parser import parse_xpath
-from repro.core.similarity import METRICS, SimilarityEstimator, SimilarityIndex
+from repro.core.similarity import METRICS, SimilarityIndex
 from repro.xmltree.corpus import DocumentCorpus
 from tests.test_similarity import CountingProvider
 
@@ -135,26 +135,6 @@ class TestLazyRows:
 
 
 class TestClusteringIntegration:
-    def test_agglomerative_reads_aligned_index(self, corpus):
-        from repro.routing.community import agglomerative_clustering
-
-        patterns = [
-            parse_xpath("//b"),
-            parse_xpath("//e"),
-            parse_xpath("//o"),
-            parse_xpath("//q"),
-        ]
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns)
-        via_index = agglomerative_clustering(patterns, index, n_communities=2)
-        direct = agglomerative_clustering(
-            patterns, SimilarityEstimator(corpus).similarity, n_communities=2
-        )
-        assert [
-            (community.leader, community.members) for community in via_index
-        ] == [(community.leader, community.members) for community in direct]
-        assert counting.max_joint_calls_per_pair == 1
-
     def test_leader_clustering_through_live_index_after_churn(self, corpus):
         from repro.routing.community import leader_clustering
 
