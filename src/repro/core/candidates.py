@@ -170,7 +170,6 @@ class ExactCandidates:
 
     def __init__(self, prefilter_labels: bool = False) -> None:
         self.prefilter_labels = prefilter_labels
-        #: key -> pattern.
         self._patterns: dict[Hashable, TreePattern] = {}
 
     def spawn(self) -> "ExactCandidates":
