@@ -14,8 +14,10 @@ the same clustering twice over one NITF workload:
 Both clusterings are compared community by community, then the same
 generator is threaded through the deployment surface:
 ``advertise(CommunityPolicy(..., candidates=generator))``, where every
-broker's live similarity index consults the generator before paying for
-a selectivity probe (``IndexStats.candidate_pruned`` counts the skips).
+broker's clustering consults the generator before it asks its live
+similarity index, which then pays a joint-selectivity probe only for the
+candidate pairs it has not decided before (``IndexStats.joint_evaluated``
+counts the probes).
 Finally the overlay is churned: resubscribe pairs retire a community
 leader, an elected member (the one whose pattern its community
 advertises) and an ordinary member, and the churned routing state must
@@ -145,7 +147,7 @@ def main() -> None:
         print(
             f"  broker {broker_id}: {len(node.local_subscribers):5d} "
             f"subscriptions -> {len(node.communities):3d} advertisements "
-            f"(candidate-pruned pairs: {stats.candidate_pruned})"
+            f"(joint-selectivity probes: {stats.joint_evaluated})"
         )
 
     print("\nchurning the overlay: one resubscribe pair per kind of member ...")

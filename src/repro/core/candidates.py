@@ -28,12 +28,12 @@ which depends only on the configuration), which is how each broker of an
 overlay — and each clustering pass — gets a private population without
 recomputing signatures.
 
-Consumers: ``SimilarityIndex(candidates=...)`` answers non-candidate
-pairs 0.0 without touching the provider (``IndexStats.candidate_pruned``
-accounts the skips), ``leader_clustering(candidates=...)`` compares a
-pattern only against the leaders among its candidates, and
+Consumers: ``leader_clustering(candidates=...)`` compares a pattern
+only against the leaders among its candidates, and
 ``CommunityPolicy(candidates=...)`` carries a template into every
-broker of an overlay.
+broker of an overlay, where it also gates each arrival's placement.
+Those two decide which pairs are compared; the similarity index they
+ask is never asked about any other pair.
 """
 
 from __future__ import annotations
@@ -127,6 +127,11 @@ class CandidateGenerator(Protocol):
     them.  ``is_candidate`` must be symmetric, must hold for equal
     patterns, and must be a pure function of the two patterns — the
     population only feeds the query-side method ``candidates_of``.
+    ``candidates_of(p)`` returns exactly the keys whose pattern *q*
+    passes ``is_candidate(p, q)``: ``leader_clustering`` gates by the
+    first, a broker placing one arrival by the second, and nothing
+    filters the pairs again, so the two must agree for a churned broker
+    to cluster as a from-scratch one does.
     """
 
     def spawn(self) -> "CandidateGenerator":
@@ -146,7 +151,8 @@ class CandidateGenerator(Protocol):
         ...
 
     def candidates_of(self, pattern: TreePattern) -> set:
-        """Keys of the population members that are candidates of *pattern*."""
+        """Keys of the population members whose pattern passes
+        ``is_candidate(pattern, ·)`` — exactly those."""
         ...
 
     def describe(self) -> str:
@@ -163,9 +169,10 @@ class ExactCandidates:
     ground truth LSH recall is measured against.  With
     ``prefilter_labels=True`` the generator additionally drops pairs
     whose label sets are disjoint — the synopsis-overlap heuristic
-    generalising the ``//``-free tag-disjointness prune; see
-    ``SimilarityIndex(prune_label_overlap=...)`` for why a pattern with
-    an *empty* label set (pure wildcards) is never pruned.
+    generalising the ``//``-free tag-disjointness prune.  It is a
+    heuristic: two label-disjoint ``//``-patterns can share matching
+    documents.  A pattern with an *empty* label set (pure wildcards)
+    asserts nothing about vocabulary and is never pruned.
     """
 
     def __init__(self, prefilter_labels: bool = False) -> None:

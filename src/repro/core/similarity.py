@@ -17,16 +17,16 @@ Canonically equal patterns short-circuit: their similarity is exactly 1.0
 under every metric whenever they match anything at all, without paying for
 a joint-selectivity evaluation.
 
-:class:`SimilarityIndex` amortises the dominant joint-selectivity cost
-across queries over a *mutable* population under subscription churn
-(handle-based ``add``/``remove``, lazily evaluated rows, a
-tag-disjointness prefilter with :class:`IndexStats` accounting).
+:class:`SimilarityIndex` memoises one metric over one provider for a
+*mutable* population under subscription churn (handle-based
+``add``/``remove``, lazily evaluated rows, a root-anchor prefilter and an
+optional selectivity-ratio bound, with :class:`IndexStats` accounting).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol
 
 from repro.core.candidates import CandidateGenerator
@@ -168,23 +168,20 @@ class IndexStats:
     """Provider-call accounting of one :class:`SimilarityIndex`.
 
     ``joint_evaluated`` counts the distinct unordered pattern pairs whose
-    joint selectivity actually reached the provider; ``joint_pruned`` the
-    distinct pairs the tag-disjointness prefilter answered with 0 instead;
+    joint selectivity reached the provider; ``joint_pruned`` the distinct
+    pairs the root-anchor prefilter answered with 0 instead;
     ``joint_ratio_pruned`` the distinct pairs the selectivity-ratio bound
-    skipped (their metric provably cannot reach the configured threshold),
-    broken down per metric in ``ratio_pruned_by_metric`` — M1 counts
-    *directed* pairs, because its bound depends on the conditioning side.
-    Pruned versus evaluated is exactly the sparse-evaluation saving.
-    ``label_overlap_pruned`` counts the distinct pairs the opt-in
-    label-overlap heuristic (``prune_label_overlap=True``) answered 0
-    instead of probing; ``candidate_pruned`` the distinct pairs a
-    configured :class:`~repro.core.candidates.CandidateGenerator`
-    declared non-candidates, skipped before any selectivity work at all.
-    ``memo_evicted`` counts memo entries dropped because their pattern
-    left the live population (see :meth:`SimilarityIndex.compact`);
-    ``memo_lru_evicted`` counts joint entries dropped by the optional
-    ``memo_capacity`` LRU cap instead (an LRU-evicted pair may recompute
-    later, so ``joint_evaluated`` then counts it again).
+    skipped (their metric provably cannot reach ``prune_below``).  Under
+    M1 that bound depends on the conditioning side, so there it counts
+    *directed* pairs.  Pruned versus evaluated is exactly the
+    sparse-evaluation saving.
+
+    ``label_overlap_pruned`` and ``candidate_pruned`` are never
+    incremented and always read 0: the index prunes by neither label
+    overlap nor candidate generation, because the clustering gates every
+    pair before it asks.  They stay because the pipeline benchmark's
+    per-layer report (``benchmarks/pipeline/pipeline_workloads.py``)
+    reads both.
     """
 
     joint_evaluated: int = 0
@@ -195,23 +192,11 @@ class IndexStats:
     selectivity_evaluated: int = 0
     adds: int = 0
     removes: int = 0
-    memo_evicted: int = 0
-    memo_lru_evicted: int = 0
-    ratio_pruned_by_metric: dict[str, int] = field(default_factory=dict)
 
     @property
     def prune_ratio(self) -> float:
-        """Fraction of decided joint pairs a prefilter answered.
-
-        Counts the joint-level prefilters (tag-disjointness, label
-        overlap, selectivity ratio); ``candidate_pruned`` pairs never
-        became joint decisions and are accounted separately.
-        """
-        pruned = (
-            self.joint_pruned
-            + self.joint_ratio_pruned
-            + self.label_overlap_pruned
-        )
+        """Fraction of decided joint pairs a prefilter answered."""
+        pruned = self.joint_pruned + self.joint_ratio_pruned
         decided = self.joint_evaluated + pruned
         if decided == 0:
             return 0.0
@@ -224,8 +209,8 @@ class SimilarityIndex:
     A live broker sees a *churning* subscription population — patterns
     arrive (:meth:`add`) and leave (:meth:`remove`) one at a time, and
     rebuilding an n×n matrix per event would waste the O(n²)
-    joint-selectivity work that dominates the cost.  This index keeps that
-    work incremental:
+    joint-selectivity work that dominates the cost.  This index keeps
+    that work incremental, for one provider and one *metric*:
 
     * **handles** — :meth:`add` returns a monotonically increasing integer
       handle; :meth:`remove` retires it.  The live population is the
@@ -236,16 +221,17 @@ class SimilarityIndex:
       *by pattern*, so only pairs never seen before reach the provider:
       adding a pattern to an n-pattern population costs at most n new joint
       evaluations, removing one costs zero, and re-adding a previously seen
-      pattern costs nothing.  A full rebuild never happens.
-    * **tag-disjointness prefilter** — for ``//``-free patterns every
+      pattern costs nothing.  A full rebuild never happens.  The memos
+      are never evicted, so they grow with every distinct pattern and
+      pair decided (:attr:`memo_size`).
+    * **root-anchor prefilter** — for ``//``-free patterns every
       root-level tag child pins the *document root's* tag (Section 2 root
       semantics), so two such patterns anchored at disjoint tag sets can
       never match a common document: ``P(p ∧ q)`` is provably 0 and the
-      provider call is skipped.  :attr:`stats` exposes pruned versus
-      evaluated pair counts.  The prefilter is sound for exact providers by
-      construction; for synopsis estimators it can only *sharpen* a pair
-      the estimator would have scored ≥ 0 (pass ``prune_disjoint=False``
-      to reproduce raw estimator output bit-for-bit).
+      provider call is skipped (``stats.joint_pruned``).  Always on: it
+      is sound for exact providers by construction, and for a synopsis
+      estimator it answers the true 0 where the estimate could only err
+      above it.
     * **selectivity-ratio prefilter** (``prune_below``) — every metric is
       capped by a function of the marginal selectivities alone, because
       ``P(p ∧ q) ≤ min(P(p), P(q))``:
@@ -262,40 +248,14 @@ class SimilarityIndex:
       anyway.  Sound for providers whose joint estimates respect the min
       bound (exact providers by construction); pairs whose joint value is
       already memoised return the exact value instead.  Accounted in
-      ``stats.joint_ratio_pruned`` and per metric in
-      ``stats.ratio_pruned_by_metric``.
-    * **memo eviction** — the pattern-keyed memos deliberately survive
-      churn (a re-add is free), so under sustained churn dead patterns
-      accumulate.  :meth:`compact` drops every memo row whose pattern no
-      longer appears in any live handle (``stats.memo_evicted`` counts the
-      dropped entries); constructing with ``evict_dead_memos=True`` does
-      this automatically whenever a pattern's last live handle is removed,
-      trading re-add cost for bounded memory.
-    * **LRU memo cap** (``memo_capacity``) — :meth:`compact` bounds the
-      memos only as tightly as the live population; an index whose *live*
-      population itself keeps growing still grows O(n²) joint entries.
-      ``memo_capacity=k`` caps the joint memo at the *k* most recently
-      used pairs (least-recently-used entries are dropped as new pairs
-      arrive, counted in ``stats.memo_lru_evicted``); an evicted pair
-      simply recomputes if demanded again.  The O(n) selectivity and
-      anchor memos are never capped — they are the cheap primitives the
-      prefilters rely on.
-    * **label-overlap prefilter** (``prune_label_overlap``) — the
-      tag-disjointness prune generalised to ``//``-patterns: a pair
-      whose plain-tag label *sets* are disjoint (and both non-empty —
-      pure-wildcard patterns assert nothing about vocabulary) is
-      answered 0 without a provider call, counted in
-      ``stats.label_overlap_pruned``.  Unlike the root-anchor prune this
-      is a *heuristic*: two label-disjoint ``//``-patterns can share
-      matching documents, so the prune deliberately trades exactness for
-      probe count and is off by default.
-    * **candidate generation** (``candidates``) — a
-      :class:`~repro.core.candidates.CandidateGenerator` consulted
-      *before* any selectivity work: a non-candidate pair's similarity
-      is answered 0.0 outright (``stats.candidate_pruned``), which is
-      what makes LSH-backed community formation sublinear.  The index
-      keeps the generator's population in sync with its own under
-      :meth:`add` / :meth:`remove` churn, keyed by handle.
+      ``stats.joint_ratio_pruned``.
+    * **candidate population** (``candidates``) — a
+      :class:`~repro.core.candidates.CandidateGenerator` kept in sync
+      with the live population under :meth:`add` / :meth:`remove`,
+      keyed by handle.  The index never consults it: which pairs are
+      compared at all is decided before the index is asked, by
+      :func:`~repro.routing.community.leader_clustering` and
+      :class:`~repro.routing.policy.CommunityPolicy`.
 
     The index implements the :class:`SelectivityProvider` protocol
     (memoising, pruning pass-through) so the M1/M2/M3 callables evaluate
@@ -313,11 +273,7 @@ class SimilarityIndex:
         provider: SelectivityProvider,
         patterns: Iterable[TreePattern] = (),
         metric: str = "M3",
-        prune_disjoint: bool = True,
-        evict_dead_memos: bool = False,
         prune_below: Optional[float] = None,
-        memo_capacity: Optional[int] = None,
-        prune_label_overlap: bool = False,
         candidates: Optional[CandidateGenerator] = None,
     ) -> None:
         if metric not in METRICS:
@@ -326,26 +282,15 @@ class SimilarityIndex:
             )
         if prune_below is not None and not 0.0 <= prune_below <= 1.0:
             raise ValueError("prune_below must be in [0, 1]")
-        if memo_capacity is not None and memo_capacity < 1:
-            raise ValueError("memo_capacity must be >= 1")
         self.provider = provider
         self.metric = metric
-        self.prune_disjoint = prune_disjoint
         self.prune_below = prune_below
-        self.memo_capacity = memo_capacity
-        self.evict_dead_memos = evict_dead_memos
-        self.prune_label_overlap = prune_label_overlap
         self.candidates = candidates
         self.stats = IndexStats()
         self._metric_fn = METRICS[metric]
         self._population: dict[int, TreePattern] = {}
         self._next_handle = 0
-        #: Live handles per distinct pattern — the population eviction is
-        #: tied to (a dead pattern is one whose count reached zero).
-        self._live_counts: dict[TreePattern, int] = {}
         self._selectivity_memo: dict[TreePattern, float] = {}
-        #: Insertion/recency-ordered (dicts preserve order; hits under a
-        #: memo_capacity cap are moved to the back, so the front is LRU).
         self._joint_memo: dict[frozenset[TreePattern], float] = {}
         #: Pairs the selectivity-ratio bound answered, so the stats
         #: counters stay distinct-pair counts like the others.  Keys are
@@ -355,11 +300,6 @@ class SimilarityIndex:
         #: Root-anchor cache: frozenset of root tag labels for prunable
         #: (``//``-free, tag-anchored) patterns, None for unprunable ones.
         self._anchor_memo: dict[TreePattern, Optional[frozenset[str]]] = {}
-        #: Plain-tag label sets for the label-overlap prefilter.
-        self._label_memo: dict[TreePattern, frozenset[str]] = {}
-        #: Distinct pairs the candidate generator answered, keeping
-        #: ``stats.candidate_pruned`` a distinct-pair count.
-        self._candidate_pruned: set[frozenset[TreePattern]] = set()
         for pattern in patterns:
             self.add(pattern)
 
@@ -374,7 +314,6 @@ class SimilarityIndex:
         handle = self._next_handle
         self._next_handle += 1
         self._population[handle] = pattern
-        self._live_counts[pattern] = self._live_counts.get(pattern, 0) + 1
         if self.candidates is not None:
             self.candidates.add(handle, pattern)
         self.stats.adds += 1
@@ -384,10 +323,7 @@ class SimilarityIndex:
         """Retire *handle*; returns the pattern it referenced.
 
         O(1): rows referencing the pattern simply stop being produced; the
-        pattern-keyed memos survive, so a later re-add is free — unless the
-        index was built with ``evict_dead_memos=True``, in which case the
-        departing pattern's memo rows are dropped as soon as its last live
-        handle goes (one pass over the joint memo).
+        pattern-keyed memos survive, so a later re-add is free.
         """
         try:
             pattern = self._population.pop(handle)
@@ -396,82 +332,12 @@ class SimilarityIndex:
         if self.candidates is not None:
             self.candidates.discard(handle)
         self.stats.removes += 1
-        remaining = self._live_counts.get(pattern, 0) - 1
-        if remaining > 0:
-            self._live_counts[pattern] = remaining
-        else:
-            self._live_counts.pop(pattern, None)
-            if self.evict_dead_memos:
-                self._evict({pattern})
         return pattern
-
-    def compact(self) -> int:
-        """Drop memo rows whose pattern no longer has any live handle.
-
-        The population-tied eviction for long-running churn workloads: the
-        selectivity, root-anchor and joint-selectivity memos are scanned
-        once and every entry mentioning a dead pattern is dropped (a later
-        re-add simply recomputes).  Returns the number of entries evicted,
-        which is also accumulated in ``stats.memo_evicted``.
-        """
-        dead = {
-            pattern
-            for pattern in self._selectivity_memo
-            if pattern not in self._live_counts
-        }
-        dead.update(
-            pattern
-            for pattern in self._anchor_memo
-            if pattern not in self._live_counts
-        )
-        dead.update(
-            pattern
-            for pattern in self._label_memo
-            if pattern not in self._live_counts
-        )
-        for key in self._joint_memo:
-            for pattern in key:
-                if pattern not in self._live_counts:
-                    dead.add(pattern)
-        return self._evict(dead)
-
-    def _evict(self, dead: set[TreePattern]) -> int:
-        """Drop every memo entry mentioning a pattern in *dead*."""
-        if not dead:
-            return 0
-        evicted = 0
-        for pattern in dead:
-            if self._selectivity_memo.pop(pattern, None) is not None:
-                evicted += 1
-            self._anchor_memo.pop(pattern, None)
-            self._label_memo.pop(pattern, None)
-        stale = [
-            key for key in self._joint_memo if not dead.isdisjoint(key)
-        ]
-        for key in stale:
-            del self._joint_memo[key]
-        evicted += len(stale)
-        self._ratio_pruned = {
-            key for key in self._ratio_pruned if dead.isdisjoint(key)
-        }
-        self._candidate_pruned = {
-            key for key in self._candidate_pruned if dead.isdisjoint(key)
-        }
-        self.stats.memo_evicted += evicted
-        return evicted
 
     @property
     def memo_size(self) -> int:
         """Memoised entries held: selectivities plus joint pairs."""
         return len(self._selectivity_memo) + len(self._joint_memo)
-
-    def _trim_joint_memo(self) -> None:
-        """Enforce the LRU cap after a joint-memo insertion."""
-        if self.memo_capacity is None:
-            return
-        while len(self._joint_memo) > self.memo_capacity:
-            del self._joint_memo[next(iter(self._joint_memo))]
-            self.stats.memo_lru_evicted += 1
 
     def pattern(self, handle: int) -> TreePattern:
         """The pattern a live handle references."""
@@ -527,32 +393,18 @@ class SimilarityIndex:
         self._anchor_memo[pattern] = anchors
         return anchors
 
-    def _labels(self, pattern: TreePattern) -> frozenset[str]:
-        """The pattern's plain tag labels, cached per distinct pattern."""
-        cached = self._label_memo.get(pattern)
-        if cached is None:
-            cached = pattern.tags()
-            self._label_memo[pattern] = cached
-        return cached
-
     def joint_selectivity(self, p: TreePattern, q: TreePattern) -> float:
         """``P(p ∧ q)``, computed once per unordered distinct pattern pair.
 
         Pairs of ``//``-free patterns whose root tag anchors are disjoint
         are answered 0 without a provider call: the document root would
-        have to carry two different tags at once.  With
-        ``prune_label_overlap=True``, pairs whose plain-tag label sets
-        are disjoint (both non-empty) are answered 0 heuristically too.
+        have to carry two different tags at once.
         """
         key = frozenset((p, q))
         cached = self._joint_memo.get(key)
         if cached is not None:
-            if self.memo_capacity is not None:
-                # Touch for recency: re-append so the LRU front stays cold.
-                del self._joint_memo[key]
-                self._joint_memo[key] = cached
             return cached
-        if self.prune_disjoint and p != q:
+        if p != q:
             anchors_p = self._root_anchors(p)
             anchors_q = self._root_anchors(q)
             if (
@@ -562,20 +414,10 @@ class SimilarityIndex:
             ):
                 self.stats.joint_pruned += 1
                 self._joint_memo[key] = 0.0
-                self._trim_joint_memo()
-                return 0.0
-        if self.prune_label_overlap and p != q:
-            labels_p = self._labels(p)
-            labels_q = self._labels(q)
-            if labels_p and labels_q and labels_p.isdisjoint(labels_q):
-                self.stats.label_overlap_pruned += 1
-                self._joint_memo[key] = 0.0
-                self._trim_joint_memo()
                 return 0.0
         self.stats.joint_evaluated += 1
         value = self.provider.joint_selectivity(p, q)
         self._joint_memo[key] = value
-        self._trim_joint_memo()
         return value
 
     # -- metric evaluation ---------------------------------------------------
@@ -605,24 +447,12 @@ class SimilarityIndex:
     def _evaluate(self, p: TreePattern, q: TreePattern) -> float:
         """The configured metric on *p*, *q*, through the prefilters.
 
-        A configured candidate generator is consulted first: a
-        non-candidate pair is answered 0.0 before any selectivity work
-        (``stats.candidate_pruned``).  With ``prune_below`` set, a
-        never-seen pair whose marginal bound (:meth:`_marginal_bound`)
-        already pins the metric below the threshold is answered 0.0
-        without touching the joint memo or the provider; an
-        already-memoised pair keeps returning its exact value.
+        With ``prune_below`` set, a never-seen pair whose marginal bound
+        (:meth:`_marginal_bound`) already pins the metric below the
+        threshold is answered 0.0 without touching the joint memo or the
+        provider; an already-memoised pair keeps returning its exact
+        value.
         """
-        if (
-            self.candidates is not None
-            and p != q
-            and not self.candidates.is_candidate(p, q)
-        ):
-            key = frozenset((p, q))
-            if key not in self._candidate_pruned:
-                self._candidate_pruned.add(key)
-                self.stats.candidate_pruned += 1
-            return 0.0
         if self.prune_below is not None and p != q:
             key = frozenset((p, q))
             if (
@@ -635,10 +465,6 @@ class SimilarityIndex:
                 if pruned_key not in self._ratio_pruned:
                     self._ratio_pruned.add(pruned_key)
                     self.stats.joint_ratio_pruned += 1
-                    by_metric = self.stats.ratio_pruned_by_metric
-                    by_metric[self.metric] = (
-                        by_metric.get(self.metric, 0) + 1
-                    )
                 return 0.0
         return self._metric_fn(self, p, q)
 
@@ -702,12 +528,6 @@ class SimilarityIndex:
         return found
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def distinct_joint_pairs(self) -> int:
-        """Distinct unordered pattern pairs whose joint selectivity reached
-        the provider so far — pruned pairs are not counted."""
-        return self.stats.joint_evaluated
 
     def __repr__(self) -> str:
         return (

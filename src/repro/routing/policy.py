@@ -277,14 +277,18 @@ class CommunityPolicy(AdvertisementPolicy):
     estimators whose joint estimates may break the ``min(P(p), P(q))``
     bound should pass ``ratio_prefilter=False``.
 
-    ``candidates`` restricts which pattern pairs are evaluated at all: a
-    :class:`~repro.core.candidates.CandidateGenerator` template is spawned
-    per broker — one population inside the broker's similarity index,
-    one leaders-only population inside each clustering pass — so
-    LSH-backed community formation stays sublinear in the broker's
-    subscription count.  ``None`` keeps the historical all-pairs
-    behaviour.  Placing one arrival against a broker's current leaders
-    asks the template's pairwise ``is_candidate`` per leader instead.
+    ``candidates`` restricts which pattern pairs are evaluated at all,
+    and this policy is the one place that applies it: a clustering pass
+    asks a leaders-only spawn of the
+    :class:`~repro.core.candidates.CandidateGenerator` template for each
+    pattern's candidate leaders, and placing one arrival against a
+    broker's current leaders asks the template's pairwise
+    ``is_candidate`` per leader.  The broker's similarity index is asked
+    only about the pairs that pass, so LSH-backed community formation
+    stays sublinear in the broker's subscription count.  ``None`` keeps
+    the historical all-pairs behaviour.  Each broker's index also keeps
+    a spawn populated with the broker's subscriptions, which no policy
+    queries.
 
     Churn is incremental: the broker's :class:`LeaderClusters` record,
     elected members included, is updated in place, exactly as a
@@ -317,10 +321,21 @@ class CommunityPolicy(AdvertisementPolicy):
 
     def mode_label(self) -> str:
         """The ``BrokerOverlay.mode`` string advertised state reports."""
-        parts = [f"threshold={self.threshold}"]
+        return self._label("community", [])
+
+    def _label(self, prefix: str, extra: list[str]) -> str:
+        """*prefix*, then the threshold, *extra* and every other field
+        off its default, in parentheses."""
+        parts = [f"threshold={self.threshold}", *extra]
+        if self.metric != "M3":
+            parts.append(f"metric={self.metric}")
+        if not self.elect_by_selectivity:
+            parts.append("elect_by_selectivity=False")
+        if not self.ratio_prefilter:
+            parts.append("ratio_prefilter=False")
         if self.candidates is not None:
             parts.append(f"candidates={self.candidates.describe()}")
-        return f"community({', '.join(parts)})"
+        return f"{prefix}({', '.join(parts)})"
 
     def make_index(self, provider: SelectivityProvider) -> SimilarityIndex:
         """A fresh per-broker similarity index under this policy's knobs."""
@@ -633,10 +648,6 @@ class CommunityPolicy(AdvertisementPolicy):
             for group in clusters.communities
         ]
 
-    def __repr__(self) -> str:
-        name = type(self).__name__
-        return f"{name}(threshold={self.threshold}, metric={self.metric!r})"
-
 
 @dataclass(frozen=True)
 class HybridPolicy(CommunityPolicy):
@@ -666,13 +677,7 @@ class HybridPolicy(CommunityPolicy):
 
     def mode_label(self) -> str:
         """The ``BrokerOverlay.mode`` string advertised state reports."""
-        parts = [
-            f"threshold={self.threshold}",
-            f"aggregate_above={self.aggregate_above}",
-        ]
-        if self.candidates is not None:
-            parts.append(f"candidates={self.candidates.describe()}")
-        return f"hybrid({', '.join(parts)})"
+        return self._label("hybrid", [f"aggregate_above={self.aggregate_above}"])
 
     def single_change(
         self,
@@ -700,12 +705,6 @@ class HybridPolicy(CommunityPolicy):
                 for member, pattern in zip(members, patterns, strict=True)
             ]
         return super().aggregate(members, patterns, index, clusters)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(threshold={self.threshold}, "
-            f"aggregate_above={self.aggregate_above})"
-        )
 
 
 # ----------------------------------------------------------------------

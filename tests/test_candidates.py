@@ -3,9 +3,8 @@
 Covers the generator contract (population lifecycle, symmetry,
 duplicate-key rejection), the label-overlap prefilter semantics (empty
 label sets are never pruned), the LSH bucket-table maintenance under
-churn, and the integration points: ``SimilarityIndex(candidates=...)``
-accounting, the ``prune_label_overlap`` heuristic, and the heap-based
-``top_k``.
+churn, and the integration points: the ``SimilarityIndex(candidates=...)``
+population, and the heap-based ``top_k``.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.core.candidates import ExactCandidates, LSHCandidates, pattern_tokens
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityEstimator, SimilarityIndex
 from repro.xmltree.corpus import DocumentCorpus
-from tests.test_similarity import CountingProvider
 
 P = parse_xpath
 
@@ -218,44 +216,6 @@ class TestLSHCandidates:
 
 
 class TestIndexCandidateGate:
-    class NothingCollides:
-        """A generator under which no distinct pair is a candidate."""
-
-        def spawn(self):
-            return type(self)()
-
-        def add(self, key, pattern):
-            pass
-
-        def discard(self, key):
-            return False
-
-        def is_candidate(self, p, q):
-            return p == q
-
-        def candidates_of(self, pattern):
-            return set()
-
-        def describe(self):
-            return "nothing"
-
-        def __len__(self):
-            return 0
-
-    def test_non_candidate_pair_skips_provider(self, corpus):
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, candidates=self.NothingCollides())
-        index.add(P("//b"))
-        index.add(P("//e"))
-        for handle in index.handles():
-            index.row(handle)
-        assert counting.joint_calls == {}
-        assert index.stats.candidate_pruned == 1
-        # Distinct-pair semantics: re-evaluating does not recount.
-        for handle in index.handles():
-            index.row(handle)
-        assert index.stats.candidate_pruned == 1
-
     def test_population_stays_in_sync(self, corpus):
         generator = LSHCandidates(bands=4, rows=2)
         index = SimilarityIndex(corpus, candidates=generator)
@@ -274,52 +234,6 @@ class TestIndexCandidateGate:
         for p, g in zip(plain.handles(), gated.handles(), strict=True):
             assert plain.row(p) == gated.row(g)
         assert gated.stats.candidate_pruned == 0
-
-    def test_compact_keeps_accounting_consistent(self, corpus):
-        index = SimilarityIndex(
-            corpus, candidates=self.NothingCollides()
-        )
-        first = index.add(P("//b"))
-        index.add(P("//e"))
-        for handle in index.handles():
-            index.row(handle)
-        assert index.stats.candidate_pruned == 1
-        index.remove(first)
-        index.compact()
-        # The dead pattern's pruned-pair record is dropped; a fresh pair
-        # with a new pattern counts again.
-        index.add(P("/a/d"))
-        for handle in index.handles():
-            index.row(handle)
-        assert index.stats.candidate_pruned == 2
-
-
-class TestLabelOverlapPrune:
-    def test_disjoint_descendant_patterns_pruned(self, corpus):
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, prune_label_overlap=True)
-        assert index.joint_selectivity(P("//b"), P("//e")) == 0.0
-        assert index.stats.label_overlap_pruned == 1
-        assert counting.joint_calls == {}
-
-    def test_wildcard_pattern_never_pruned(self, corpus):
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, prune_label_overlap=True)
-        index.joint_selectivity(P("//*"), P("//e"))
-        assert index.stats.label_overlap_pruned == 0
-        assert len(counting.joint_calls) == 1
-
-    def test_off_by_default(self, corpus):
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting)
-        index.joint_selectivity(P("//b"), P("//zz"))
-        assert index.stats.label_overlap_pruned == 0
-        assert len(counting.joint_calls) == 1
-
-    def test_prune_ratio_folds_in_label_prunes(self, corpus):
-        index = SimilarityIndex(corpus, prune_label_overlap=True)
-        index.joint_selectivity(P("//b"), P("//e"))
-        assert index.stats.prune_ratio == 1.0
 
 
 class TestHeapTopK:

@@ -17,11 +17,16 @@ holding every ring pattern, and after every event checks that
 
 * each broker's advertised communities equal a from-scratch aggregation
   of its current members through a fresh similarity index, and
-* the overlay's routing state equals a from-scratch rebuild.
+* the overlay's routing state equals a from-scratch rebuild;
+
+and, under every candidate gate, that no similarity index is ever
+asked about a pair the gate rules out: the index has no gate of its
+own, so the clustering and the placement are the only ones.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -29,8 +34,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.routing.policy as policy_module
-from repro.core.candidates import ExactCandidates, LSHCandidates
+from repro.core.candidates import CandidateGenerator, ExactCandidates, LSHCandidates
 from repro.core.pattern_parser import parse_xpath
+from repro.core.similarity import SimilarityIndex
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import CommunityPolicy, HybridPolicy
 from repro.xmltree.corpus import DocumentCorpus
@@ -86,6 +92,34 @@ def workloads(draw):
         )
         return RING_DOCUMENTS, pool
     return draw(corpora()), draw(st.lists(tree_patterns(), min_size=2, max_size=5))
+
+
+class GateCheckedIndex(SimilarityIndex):
+    """A similarity index that fails on each pair it is asked about
+    which its policy's candidate gate rules out."""
+
+    gate: CandidateGenerator
+
+    def __call__(self, p, q):
+        assert self.gate.is_candidate(p, q), ("ruled-out pair asked", p, q)
+        return super().__call__(p, q)
+
+
+@contextmanager
+def gate_checked_indexes():
+    """Every index a gated community policy makes checks each pair it
+    is asked about against the policy's gate."""
+    make_index = CommunityPolicy.make_index
+
+    def checked(policy, provider):
+        index = make_index(policy, provider)
+        if policy.candidates is not None:
+            index.__class__ = GateCheckedIndex
+            index.gate = policy.candidates
+        return index
+
+    with mock.patch.object(CommunityPolicy, "make_index", checked):
+        yield
 
 
 def from_scratch(overlay: BrokerOverlay, broker_id: int) -> list:
@@ -180,9 +214,10 @@ class TestIncrementalEqualsFromScratch:
                 st.lists(st.sampled_from(pool), max_size=12), label="initial"
             )
         )
-        overlay.advertise(POLICIES[name](threshold, metric), DocumentCorpus(docs))
-        assert_matches_from_scratch(overlay)
-        churn(overlay, pool, data, data.draw(st.integers(1, 10), label="steps"))
+        with gate_checked_indexes():
+            overlay.advertise(POLICIES[name](threshold, metric), DocumentCorpus(docs))
+            assert_matches_from_scratch(overlay)
+            churn(overlay, pool, data, data.draw(st.integers(1, 10), label="steps"))
 
     def test_equivalent_advertisements_match_the_rebuild(self):
         # /a and /.[a][a] contain each other.  The departure splits

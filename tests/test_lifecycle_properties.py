@@ -56,9 +56,7 @@ class TestIndexMatrixEquivalence:
                 )
                 index.remove(victim)
         survivors = index.patterns
-        matrix = SimilarityIndex(
-            corpus, survivors, metric=metric, prune_disjoint=False
-        )
+        matrix = SimilarityIndex(corpus, survivors, metric=metric)
         handles = index.handles()
         for i, handle in enumerate(handles):
             row = index.row(handle)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.candidates import ExactCandidates
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.builder import OverlayBuilder
 from repro.routing.engine import DeliveryEngine, LinkModel, ServiceModel
@@ -69,6 +70,18 @@ class TestAdvertise:
         assert (
             HybridPolicy(0.5, aggregate_above=4).mode_label()
             == "hybrid(threshold=0.5, aggregate_above=4)"
+        )
+        # Every field off its default is named, in the label and the repr.
+        assert CommunityPolicy(
+            0.5, metric="M1", elect_by_selectivity=False, ratio_prefilter=False
+        ).mode_label() == (
+            "community(threshold=0.5, metric=M1, "
+            "elect_by_selectivity=False, ratio_prefilter=False)"
+        )
+        assert repr(HybridPolicy(0.5, metric="M1", candidates=ExactCandidates())) == (
+            "HybridPolicy(threshold=0.5, metric='M1', elect_by_selectivity=True, "
+            "ratio_prefilter=True, candidates=ExactCandidates(population=0), "
+            "aggregate_above=8)"
         )
 
     def test_similarity_policy_requires_provider(self, patterns):

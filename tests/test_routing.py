@@ -122,7 +122,7 @@ class TestClusteringDeterminism:
         def direct(p, q):
             return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
 
-        matrix = SimilarityIndex(corpus, workload, prune_disjoint=False)
+        matrix = SimilarityIndex(corpus, workload)
         for threshold in (0.3, 0.5, 0.8, 1.0):
             assert _communities_as_tuples(
                 leader_clustering(workload, matrix, threshold)

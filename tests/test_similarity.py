@@ -153,14 +153,14 @@ class TestFixedPopulationIndex:
 
     def test_callable_protocol(self, corpus):
         patterns = [parse_xpath("//b"), parse_xpath("//e")]
-        index = SimilarityIndex(corpus, patterns, prune_disjoint=False)
+        index = SimilarityIndex(corpus, patterns)
         assert index(*patterns) == m3_joint_over_union(corpus, *patterns)
         assert len(index) == 2
 
     def test_each_joint_pair_computed_at_most_once(self, corpus):
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns, prune_disjoint=False)
+        index = SimilarityIndex(counting, patterns)
         # Query everything twice; the memo must absorb the second pass.
         for _ in range(2):
             for handle in index.handles():
@@ -172,14 +172,14 @@ class TestFixedPopulationIndex:
                 index.similarity(p, q)
         assert counting.max_joint_calls_per_pair == 1
         assert counting.max_selectivity_calls_per_pattern == 1
-        assert index.distinct_joint_pairs == len(counting.joint_calls)
+        assert index.stats.joint_evaluated == len(counting.joint_calls)
 
     def test_leader_clustering_through_index_no_duplicate_calls(self, corpus):
         from repro.routing.community import leader_clustering
 
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns, prune_disjoint=False)
+        index = SimilarityIndex(counting, patterns)
         leader_clustering(patterns, index, threshold=0.5)
         leader_clustering(patterns, index, threshold=0.3)
         assert counting.max_joint_calls_per_pair == 1

@@ -87,9 +87,7 @@ class TestLazyRows:
         patterns = [parse_xpath("//b"), parse_xpath("//e"), parse_xpath("//o")]
         for metric in METRICS:
             index = SimilarityIndex(corpus, patterns, metric=metric)
-            matrix = SimilarityIndex(
-                corpus, patterns, metric=metric, prune_disjoint=False
-            )
+            matrix = SimilarityIndex(corpus, patterns, metric=metric)
             handles = index.handles()
             for i, handle in enumerate(handles):
                 row = index.row(handle)
@@ -181,18 +179,20 @@ class TestDisjointnessPruning:
 
     def test_pruning_agrees_with_exact_provider(self, corpus):
         # Sound prefilter: on an exact provider the pruned value is the truth.
-        pruned = SimilarityIndex(corpus, prune_disjoint=True)
-        raw = SimilarityIndex(corpus, prune_disjoint=False)
         pairs = [
             (parse_xpath("/a/b"), parse_xpath("/b")),
             (parse_xpath("/a/b/e"), parse_xpath("/c/d")),
             (parse_xpath("/a/b"), parse_xpath("/a/d")),
             (parse_xpath("//b"), parse_xpath("/a/d")),
         ]
-        for p, q in pairs:
-            assert pruned.joint_selectivity(p, q) == raw.joint_selectivity(p, q)
-            assert pruned.similarity(p, q) == raw.similarity(p, q)
-        assert pruned.stats.joint_pruned > 0
+        for metric in METRICS:
+            pruned = SimilarityIndex(corpus, metric=metric)
+            for p, q in pairs:
+                assert pruned.joint_selectivity(p, q) == corpus.joint_selectivity(
+                    p, q
+                )
+                assert pruned(p, q) == METRICS[metric](corpus, p, q), (metric, p, q)
+            assert pruned.stats.joint_pruned > 0
 
     def test_prune_ratio(self, corpus):
         index = SimilarityIndex(corpus)
@@ -279,7 +279,6 @@ class TestRatioPrefilter:
         assert index(p, q) == 0.0
         assert counting.joint_calls == {}
         assert index.stats.joint_ratio_pruned == 1
-        assert index.stats.ratio_pruned_by_metric == {"M2": 1}
         # ... but not below 0.6: the bound steps aside and evaluates.
         counting = CountingProvider(skewed_corpus)
         index = SimilarityIndex(counting, metric="M2", prune_below=0.6)
@@ -295,7 +294,6 @@ class TestRatioPrefilter:
         b, c = parse_xpath("/a/b"), parse_xpath("/a/c")
         assert index(b, c) == 0.0
         assert counting.joint_calls == {}
-        assert index.stats.ratio_pruned_by_metric == {"M1": 1}
         exact = SimilarityIndex(skewed_corpus, metric="M1")
         assert index(c, b) == exact(c, b)
         assert len(counting.joint_calls) == 1
@@ -326,153 +324,8 @@ class TestRatioPrefilter:
     def test_per_metric_counters_fold_into_totals(self, skewed_corpus):
         index = SimilarityIndex(skewed_corpus, prune_below=0.5)
         index(parse_xpath("/a/b"), parse_xpath("/a/c"))
-        assert index.stats.ratio_pruned_by_metric == {"M3": 1}
         assert index.stats.joint_ratio_pruned == 1
         assert index.stats.prune_ratio == 1.0
-
-
-class TestMemoCapacity:
-    """The LRU cap layered on top of population-tied compaction."""
-
-    @pytest.fixture()
-    def patterns(self):
-        return [parse_xpath(f"//{tag}") for tag in ("b", "e", "o", "k")]
-
-    def test_capacity_validation(self, corpus):
-        with pytest.raises(ValueError):
-            SimilarityIndex(corpus, memo_capacity=0)
-
-    def test_joint_memo_stays_bounded(self, corpus, patterns):
-        index = SimilarityIndex(corpus, patterns, memo_capacity=3)
-        materialize(index)  # 6 distinct pairs through a 3-entry memo
-        assert len(index._joint_memo) <= 3
-        assert index.stats.memo_lru_evicted >= 3
-
-    def test_uncapped_index_never_lru_evicts(self, corpus, patterns):
-        index = SimilarityIndex(corpus, patterns)
-        materialize(index)
-        assert index.stats.memo_lru_evicted == 0
-
-    def test_eviction_recomputes_same_values(self, corpus, patterns):
-        capped = SimilarityIndex(corpus, patterns, memo_capacity=2)
-        free = SimilarityIndex(corpus, patterns)
-        for p in patterns:
-            for q in patterns:
-                assert capped(p, q) == free(p, q)
-        # A second sweep re-pays provider calls for evicted pairs but
-        # still agrees.
-        for p in patterns:
-            for q in patterns:
-                assert capped(p, q) == free(p, q)
-
-    def test_recently_used_pairs_survive(self, corpus):
-        counting = CountingProvider(corpus)
-        b, e, o = (parse_xpath(f"//{t}") for t in ("b", "e", "o"))
-        index = SimilarityIndex(counting, memo_capacity=2)
-        index(b, e)
-        index(b, o)
-        index(b, e)  # touch: (b, e) is now the most recent
-        calls_before = dict(counting.joint_calls)
-        index(e, o)  # evicts the LRU entry (b, o)
-        index(b, e)  # still memoised: no new provider call
-        assert counting.joint_calls.keys() - calls_before.keys() == {
-            frozenset((e, o))
-        }
-        index(b, o)  # evicted: recomputes
-        assert index.stats.memo_lru_evicted >= 1
-
-    def test_capacity_counts_distinct_pairs_not_calls(self, corpus, patterns):
-        index = SimilarityIndex(corpus, patterns, memo_capacity=100)
-        materialize(index)
-        assert index.stats.memo_lru_evicted == 0
-        assert len(index._joint_memo) == 6
-
-    def test_compact_layers_under_capacity(self, corpus, patterns):
-        index = SimilarityIndex(corpus, patterns, memo_capacity=10)
-        materialize(index)
-        victim = index.handles()[-1]
-        index.remove(victim)
-        evicted = index.compact()
-        assert evicted > 0
-        assert index.stats.memo_evicted == evicted
-        # Both eviction counters are reported independently.
-        assert index.stats.memo_lru_evicted == 0
-
-
-class TestMemoEviction:
-    @pytest.fixture()
-    def patterns(self):
-        return [parse_xpath("//b"), parse_xpath("//e"), parse_xpath("//o")]
-
-    def test_compact_drops_dead_rows_only(self, corpus, patterns):
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns)
-        materialize(index)
-        assert index.memo_size == 3 + 3  # selectivities + joint pairs
-        victim = index.handles()[-1]
-        index.remove(victim)
-        assert index.memo_size == 6  # eviction is explicit by default
-        evicted = index.compact()
-        assert evicted == 1 + 2  # //o's selectivity + its two joint rows
-        assert index.stats.memo_evicted == 3
-        assert index.memo_size == 2 + 1
-        # Survivors stayed memoised: re-materialising costs nothing new.
-        decided = dict(counting.joint_calls)
-        materialize(index)
-        assert counting.joint_calls == decided
-
-    def test_compact_on_clean_index_is_a_no_op(self, corpus, patterns):
-        index = SimilarityIndex(corpus, patterns)
-        materialize(index)
-        assert index.compact() == 0
-        assert index.stats.memo_evicted == 0
-
-    def test_auto_eviction_on_remove(self, corpus, patterns):
-        index = SimilarityIndex(corpus, patterns, evict_dead_memos=True)
-        materialize(index)
-        before = index.memo_size
-        index.remove(index.handles()[-1])
-        assert index.memo_size == before - 3
-        assert index.stats.memo_evicted == 3
-        # Values over the survivors are unchanged.
-        fresh = SimilarityIndex(corpus, index.patterns, prune_disjoint=False)
-        handles = index.handles()
-        for i, handle in enumerate(handles):
-            row = index.row(handle)
-            for j, other in enumerate(handles):
-                assert row[other] == fresh.row(i)[j]
-
-    def test_duplicate_live_pattern_blocks_eviction(self, corpus):
-        index = SimilarityIndex(
-            corpus,
-            [parse_xpath("//b"), parse_xpath("//b"), parse_xpath("//e")],
-            evict_dead_memos=True,
-        )
-        materialize(index)
-        before = index.memo_size
-        index.remove(index.handles()[0])  # the other //b handle survives
-        assert index.memo_size == before
-        index.remove(index.handles()[0])  # last //b leaves
-        assert index.memo_size < before
-
-    def test_evicted_pattern_readd_recomputes_correctly(self, corpus, patterns):
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns, evict_dead_memos=True)
-        materialize(index)
-        victim = index.handles()[-1]
-        removed = index.remove(victim)
-        index.add(removed)
-        materialize(index)
-        # The evicted pairs were re-decided (eviction trades re-add cost
-        # for bounded memory)...
-        assert counting.max_joint_calls_per_pair == 2
-        # ...and agree with a fresh frozen build.
-        fresh = SimilarityIndex(corpus, index.patterns, prune_disjoint=False)
-        handles = index.handles()
-        for i, handle in enumerate(handles):
-            row = index.row(handle)
-            for j, other in enumerate(handles):
-                assert row[other] == fresh.row(i)[j]
 
 
 class TestIncrementalCostAccounting:

@@ -90,9 +90,7 @@ class TestMatrixAgreement:
         corpus = DocumentCorpus(docs)
         patterns = [p, q, r]
         for name, metric in METRICS.items():
-            engine = SimilarityIndex(
-                corpus, patterns, metric=name, prune_disjoint=False
-            )
+            engine = SimilarityIndex(corpus, patterns, metric=name)
             for i in range(3):
                 row = engine.row(i)
                 for j in range(3):
@@ -115,7 +113,7 @@ class TestMatrixAgreement:
                 calls[key] = calls.get(key, 0) + 1
                 return corpus.joint_selectivity(a, b)
 
-        engine = SimilarityIndex(Counting(), [p, q], prune_disjoint=False)
+        engine = SimilarityIndex(Counting(), [p, q])
         for handle in engine.handles():
             engine.row(handle)
         engine.similarity(p, q)
