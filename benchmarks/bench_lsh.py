@@ -30,7 +30,12 @@ The exact oracle is only run up to ``EXACT_CAP`` subscriptions; above
 it the exact cell is reported as *not run* with a growth extrapolation,
 and the LSH cells run end-to-end through
 ``advertise(CommunityPolicy(candidates=...))`` to show interactive
-community formation at 10⁵.
+community formation at 10⁵.  The advertised overlay then takes
+``CHURN_PAIRS`` seeded resubscribe pairs, must still equal its
+from-scratch rebuild, and reports the ``LSHCandidates`` lookups
+(``candidates_of``) and pairwise tests (``is_candidate``) each pair
+made: churn placement asks each broker's leader index once per placed
+member instead of testing every leader.
 
 The standalone run prints an ``lsh=…`` key=value line which CI publishes
 as a step output::
@@ -41,7 +46,7 @@ as a step output::
 from __future__ import annotations
 
 import argparse
-
+import random
 import time
 from collections import Counter
 
@@ -76,6 +81,11 @@ CONFIGS = (
 DEFAULT_CONFIG = ("synopsis", 16, 2)
 #: Acceptance floor for the default config wherever recall is measured.
 RECALL_FLOOR = 0.9
+#: Resubscribe pairs run on the end-to-end overlay, and their seed.
+CHURN_PAIRS = 20
+CHURN_SEED = 5
+#: The ``LSHCandidates`` calls the churn pairs count.
+CHURN_CALLS = ("candidates_of", "is_candidate")
 
 
 class MemoSimilarity:
@@ -231,12 +241,14 @@ def run_sweep(sizes=SIZES, exact_cap: int = EXACT_CAP) -> list[SizeRow]:
     return rows
 
 
-def run_end_to_end(size: int, n_brokers: int = N_BROKERS) -> float:
-    """Wall-clock of a full LSH-gated advertise() at *size* subscriptions."""
+def run_end_to_end(size: int, n_brokers: int = N_BROKERS) -> tuple[float, Counter]:
+    """Wall-clock of a full LSH-gated advertise() at *size* subscriptions,
+    and the ``LSHCandidates`` calls of :func:`churn_pairs` on the overlay
+    it built, which must then equal its from-scratch rebuild."""
     patterns, estimator = prepare_workload(size)
     template = LSHCandidates(tokens=make_synopsis_tokens(estimator))
     started = time.perf_counter()
-    (
+    overlay = (
         OverlayBuilder()
         .topology("random_tree", n_brokers=n_brokers, seed=11)
         .subscriptions(patterns)
@@ -244,7 +256,41 @@ def run_end_to_end(size: int, n_brokers: int = N_BROKERS) -> float:
         .advertisement(CommunityPolicy(threshold=THRESHOLD, candidates=template))
         .build_overlay()
     )
-    return time.perf_counter() - started
+    seconds = time.perf_counter() - started
+    calls = churn_pairs(overlay)
+    assert overlay.topology_signature() == overlay.rebuilt().topology_signature(), (
+        "churned overlay differs from its from-scratch rebuild"
+    )
+    return seconds, calls
+
+
+def churn_pairs(overlay, pairs: int = CHURN_PAIRS, seed: int = CHURN_SEED) -> Counter:
+    """Resubscribe *pairs* seeded random subscriptions of *overlay*, each
+    at its home with its own pattern, counting the ``LSHCandidates``
+    calls (:data:`CHURN_CALLS`) the pairs make."""
+    rng = random.Random(seed)
+    calls: Counter = Counter()
+    originals = {name: vars(LSHCandidates)[name] for name in CHURN_CALLS}
+
+    def counted(name, method):
+        def count(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return count
+
+    try:
+        for name, method in originals.items():
+            setattr(LSHCandidates, name, counted(name, method))
+        for _ in range(pairs):
+            victim = rng.choice(list(overlay.subscriptions))
+            home, pattern = overlay.subscriptions[victim]
+            overlay.unsubscribe(victim)
+            overlay.subscribe(home, pattern)
+    finally:
+        for name, method in originals.items():
+            setattr(LSHCandidates, name, method)
+    return calls
 
 
 def render(rows: list[SizeRow]) -> str:
@@ -324,12 +370,18 @@ def _run(args: argparse.Namespace) -> None:
     print(render(rows))
     check_acceptance(rows)
     end_to_end_size = sizes[-1]
-    end_to_end = run_end_to_end(
+    end_to_end, churn_calls = run_end_to_end(
         end_to_end_size, n_brokers=4 if args.smoke else N_BROKERS
     )
+    per_pair = {name: churn_calls[name] / CHURN_PAIRS for name in CHURN_CALLS}
     print(
         f"end-to-end advertise(CommunityPolicy, candidates=lsh) at "
         f"{end_to_end_size} subscriptions: {end_to_end:.1f}s"
+    )
+    print(
+        f"{CHURN_PAIRS} resubscribe pairs: churned overlay == from-scratch "
+        f"rebuild; per pair {per_pair['candidates_of']:.2f} candidates_of, "
+        f"{per_pair['is_candidate']:.2f} is_candidate"
     )
     print("acceptance checks passed")
     row, cell = default_cell(rows)
@@ -341,7 +393,9 @@ def _run(args: argparse.Namespace) -> None:
         f"{row.size} patterns ({cell.bands}x{cell.rows} synopsis shingles, "
         f"{cell.calls} vs {row.exact_calls} sim evals, "
         f"{speedup:.1f}x wall-clock; advertise at {end_to_end_size}: "
-        f"{end_to_end:.1f}s)"
+        f"{end_to_end:.1f}s; per resubscribe pair "
+        f"{per_pair['candidates_of']:.2f} candidates_of, "
+        f"{per_pair['is_candidate']:.2f} is_candidate)"
     )
 
 

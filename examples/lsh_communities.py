@@ -21,7 +21,9 @@ counts the probes).
 Finally the overlay is churned: resubscribe pairs retire a community
 leader, an elected member (the one whose pattern its community
 advertises) and an ordinary member, and the churned routing state must
-equal a from-scratch rebuild.
+equal a from-scratch rebuild.  Churn places members through the same
+gate: each broker keeps a spawn of the generator holding its current
+leaders, and placing one member asks it once.
 
 Run:  PYTHONPATH=src python examples/lsh_communities.py
 """

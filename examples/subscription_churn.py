@@ -125,7 +125,7 @@ def main() -> None:
     for node in overlay.brokers.values():
         if node.index is None:
             continue
-        population = len(node.index)
+        population = len(node.advertised)
         pairs += population * (population - 1) // 2
         evaluated += node.index.stats.joint_evaluated
         pruned += node.index.stats.joint_pruned

@@ -31,9 +31,10 @@ recomputing signatures.
 Consumers: ``leader_clustering(candidates=...)`` compares a pattern
 only against the leaders among its candidates, and
 ``CommunityPolicy(candidates=...)`` carries a template into every
-broker of an overlay, where it also gates each arrival's placement.
-Those two decide which pairs are compared; the similarity index they
-ask is never asked about any other pair.
+broker of an overlay, where a spawn holding the broker's current
+leaders answers each churn placement with one ``candidates_of``
+lookup.  Those two decide which pairs are compared; the similarity
+index they ask is never asked about any other pair.
 """
 
 from __future__ import annotations
@@ -122,14 +123,15 @@ def pattern_tokens(pattern: TreePattern) -> list[tuple]:
 class CandidateGenerator(Protocol):
     """The pluggable candidate-pair stage of similarity evaluation.
 
-    Keys are caller-chosen hashable handles (similarity-index handles,
-    clustering positions, subscriber ids); the generator never interprets
-    them.  ``is_candidate`` must be symmetric, must hold for equal
-    patterns, and must be a pure function of the two patterns — the
-    population only feeds the query-side method ``candidates_of``.
+    Keys are caller-chosen hashable handles (clustering positions,
+    leader subscriber ids); the generator never interprets them.
+    ``is_candidate`` must be symmetric, must hold for equal patterns,
+    and must be a pure function of the two patterns — the population
+    only feeds the query-side method ``candidates_of``.
     ``candidates_of(p)`` returns exactly the keys whose pattern *q*
-    passes ``is_candidate(p, q)``: ``leader_clustering`` gates by the
-    first, a broker placing one arrival by the second, and nothing
+    passes ``is_candidate(p, q)``: ``leader_clustering`` and a broker
+    placing a member under churn gate by the first, a leader founded by
+    a broker's repair tests the later members by the second, and nothing
     filters the pairs again, so the two must agree for a churned broker
     to cluster as a from-scratch one does.
     """

@@ -29,7 +29,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol
 
-from repro.core.candidates import CandidateGenerator
 from repro.core.labels import is_tag
 from repro.core.pattern import TreePattern
 
@@ -249,13 +248,10 @@ class SimilarityIndex:
       bound (exact providers by construction); pairs whose joint value is
       already memoised return the exact value instead.  Accounted in
       ``stats.joint_ratio_pruned``.
-    * **candidate population** (``candidates``) — a
-      :class:`~repro.core.candidates.CandidateGenerator` kept in sync
-      with the live population under :meth:`add` / :meth:`remove`,
-      keyed by handle.  The index never consults it: which pairs are
-      compared at all is decided before the index is asked, by
-      :func:`~repro.routing.community.leader_clustering` and
-      :class:`~repro.routing.policy.CommunityPolicy`.
+
+    Which pairs are compared at all is decided before the index is
+    asked, by :func:`~repro.routing.community.leader_clustering` and
+    :class:`~repro.routing.policy.CommunityPolicy`.
 
     The index implements the :class:`SelectivityProvider` protocol
     (memoising, pruning pass-through) so the M1/M2/M3 callables evaluate
@@ -274,7 +270,6 @@ class SimilarityIndex:
         patterns: Iterable[TreePattern] = (),
         metric: str = "M3",
         prune_below: Optional[float] = None,
-        candidates: Optional[CandidateGenerator] = None,
     ) -> None:
         if metric not in METRICS:
             raise ValueError(
@@ -285,7 +280,6 @@ class SimilarityIndex:
         self.provider = provider
         self.metric = metric
         self.prune_below = prune_below
-        self.candidates = candidates
         self.stats = IndexStats()
         self._metric_fn = METRICS[metric]
         self._population: dict[int, TreePattern] = {}
@@ -314,8 +308,6 @@ class SimilarityIndex:
         handle = self._next_handle
         self._next_handle += 1
         self._population[handle] = pattern
-        if self.candidates is not None:
-            self.candidates.add(handle, pattern)
         self.stats.adds += 1
         return handle
 
@@ -329,8 +321,6 @@ class SimilarityIndex:
             pattern = self._population.pop(handle)
         except KeyError:
             raise KeyError(f"unknown or already removed handle {handle}") from None
-        if self.candidates is not None:
-            self.candidates.discard(handle)
         self.stats.removes += 1
         return pattern
 
@@ -468,22 +458,9 @@ class SimilarityIndex:
                 return 0.0
         return self._metric_fn(self, p, q)
 
-    def similarity(
-        self, p: TreePattern, q: TreePattern, metric: str | None = None
-    ) -> float:
-        """Proximity of two (arbitrary) patterns through the memo."""
-        if metric is None or metric == self.metric:
-            return self._evaluate(p, q)
-        try:
-            fn = METRICS[metric]
-        except KeyError:
-            raise ValueError(
-                f"unknown metric {metric!r}; choose from {sorted(METRICS)}"
-            ) from None
-        return fn(self, p, q)
-
     def __call__(self, p: TreePattern, q: TreePattern) -> float:
-        """Make the index a drop-in ``SimilarityFn`` for the routing layer."""
+        """Proximity of two (arbitrary) patterns through the memo: the
+        index is a drop-in ``SimilarityFn`` for the routing layer."""
         return self._evaluate(p, q)
 
     # -- live-population queries ---------------------------------------------

@@ -62,22 +62,27 @@ unsubscribe    subscription  ``(pattern, (member,))`` entry,        ``test_resub
                              aggregation built or diffed, and one
                              trie entry's member set gains or
                              loses the member
-subscribe      community     one first-fit placement against the    ``test_community_pair_pays_for_its_community_only``
-                             current leaders, a gate test and at
-                             most one similarity lookup each; a
-                             joiner is compared by selectivity
-                             with its community's elected member,
-                             and that community's aggregate alone
-                             is rebuilt and replaced
+subscribe      community     one lookup in the broker's leader      ``test_community_pair_pays_for_its_community_only``,
+                             index, then a first-fit placement      ``test_lsh_community_pair_asks_the_leader_index_once``
+                             against the leaders it returns
+                             (every leader, ungated), at most one
+                             similarity lookup each; a joiner is
+                             compared by selectivity with its
+                             community's elected member, and that
+                             community's aggregate alone is
+                             rebuilt and replaced
 unsubscribe,   community     no similarity lookup; its community,   ``test_community_pair_pays_for_its_community_only``,
 non-leader                   found by bisection, is elected again   ``test_retiring_the_elected_member_reelects_its_community_alone``
                              only if it was the elected member,
                              and its aggregate alone is rebuilt
                              and replaced
-unsubscribe,   community     a local repair: its followers are      ``test_leader_departure_pays_for_the_members_it_moves``
-leader                       placed again, and a leader founded
-                             on the way tests the later members
-                             the gate admits; only communities
+unsubscribe,   community     a local repair: the leader leaves      ``test_leader_departure_pays_for_the_members_it_moves``
+leader                       the leader index, its followers are
+                             placed again, one leader-index
+                             lookup each, and a leader founded on
+                             the way joins the index and tests
+                             each later member with the gate's
+                             ``is_candidate``; only communities
                              whose membership changed are elected
                              again, and only the aggregates of the
                              communities dissolved, founded or
@@ -91,8 +96,9 @@ event                        subscription aggregation; above it,
                              and diffed in full
 burst,         every         one aggregation and one diff; under    ``test_a_burst_still_takes_the_full_path``
 topology       policy        the community policy, one
-surgery                      ``leader_clustering`` of the broker
-                             and an election of every community
+surgery                      ``leader_clustering`` of the broker,
+                             its leader index rebuilt, and an
+                             election of every community
 =============  ============  =====================================  ==========================================================
 
 None of the per-subscription and community rows builds or diffs an
@@ -215,14 +221,13 @@ class BrokerNode:
     #: withdraws it, :attr:`aggregation` is not the policy's aggregation
     #: of the advertised subscriptions, so no single-event change applies.
     stale: bool = False
-    #: Live pairwise-similarity engine over the local subscriptions
-    #: (community regime only; populated by :meth:`BrokerOverlay.advertise`
-    #: and maintained by subscribe/unsubscribe).
+    #: Live pairwise-similarity engine the policy scores the advertised
+    #: subscriptions with (similarity-based policies only; made by
+    #: :meth:`BrokerOverlay.advertise` and :meth:`BrokerOverlay.add_broker`).
     index: Optional[SimilarityIndex] = None
-    #: subscriber id -> similarity-index handle (community regime only).
-    handles: dict[int, int] = field(default_factory=dict)
-    #: The last leader clustering of the advertised subscriptions
-    #: and each community's elected member, which
+    #: The last leader clustering of the advertised subscriptions,
+    #: each community's elected member and, under a candidate gate, the
+    #: index of its leaders, which
     #: :class:`~repro.routing.policy.CommunityPolicy` updates in place
     #: under churn at the costs of the module docstring's churn table.
     clusters: LeaderClusters = field(default_factory=LeaderClusters)
@@ -558,10 +563,10 @@ class BrokerOverlay:
         The membership-only inverse of :meth:`attach`: routing tables keep
         whatever state the subscriber's advertisements installed (useful
         for modelling stale tables).  Broker-internal bookkeeping that is
-        not routing state — the live similarity-index population in the
-        community regime — is still retired, so churn through ``detach``
-        does not grow the index without bound.  Use :meth:`unsubscribe`
-        for the event-driven path.  Returns the forgotten pattern.
+        not routing state — the live policy's advertised record — is
+        still retired, so churn through ``detach`` does not grow it
+        without bound.  Use :meth:`unsubscribe` for the event-driven
+        path.  Returns the forgotten pattern.
         """
         home_id, pattern, advertised = self._forget(subscription_id)
         if advertised:
@@ -572,7 +577,7 @@ class BrokerOverlay:
 
     def _forget(self, subscription_id: int) -> tuple[int, TreePattern, bool]:
         """Drop a subscriber from its home's membership and from the live
-        policy's advertised record (and index).
+        policy's advertised record.
 
         Returns its home broker id, its pattern and whether the live
         policy had advertised it.  :attr:`BrokerNode.local_subscribers`
@@ -595,9 +600,6 @@ class BrokerOverlay:
             )
         del subscribers[slot]
         advertised = node.advertised.pop(subscription_id, None) is not None
-        handle = node.handles.pop(subscription_id, None)
-        if handle is not None:
-            node.index.remove(handle)
         return home_id, pattern, advertised
 
     def reset_routing(self) -> None:
@@ -608,7 +610,6 @@ class BrokerOverlay:
             node.aggregation = {}
             node.stale = False
             node.index = None
-            node.handles = {}
             node.clusters = LeaderClusters()
         self.advertisement_messages = 0
         self.mode = None
@@ -623,10 +624,8 @@ class BrokerOverlay:
         self, node: BrokerNode, subscription_id: int, pattern: TreePattern
     ) -> None:
         """Admit one subscription into the live policy's advertised
-        record (and index)."""
+        record."""
         node.advertised[subscription_id] = pattern
-        if node.index is not None:
-            node.handles[subscription_id] = node.index.add(pattern)
 
     def subscribe(
         self, broker_id: int, pattern: TreePattern
@@ -635,10 +634,9 @@ class BrokerOverlay:
 
         * no policy yet (``mode is None``) — membership only, exactly like
           :meth:`attach`;
-        * otherwise the arrival joins the home broker's advertised record
-          (and its live :class:`~repro.core.similarity.SimilarityIndex`,
-          for similarity-based policies), the broker re-aggregates, and
-          only the advertisement *diff* travels the overlay.
+        * otherwise the arrival joins the home broker's advertised record,
+          the broker re-aggregates, and only the advertisement *diff*
+          travels the overlay.
 
         Its cost at the home broker, by policy, is the churn cost table
         in this module's docstring.
@@ -654,7 +652,7 @@ class BrokerOverlay:
         """Retire a subscription and withdraw its advertisements.
 
         The inverse of :meth:`subscribe`: the home broker drops the
-        subscription from its advertised record (and index), re-aggregates,
+        subscription from its advertised record, re-aggregates,
         and the advertisement diff walks the reverse advertisement paths
         — under a per-subscription policy that unadvertises exactly the
         departing pattern, resurrecting (and re-advertising) entries it
@@ -947,10 +945,9 @@ class BrokerOverlay:
           :meth:`RoutingTable.seed`, one message per instance) — so
           reversible covering keeps working across the splice;
         * the retiring broker's subscriptions are re-homed onto the
-          target (advertised ones join its live index under
-          similarity-based policies) and **one** re-aggregation folds
-          them into the target's advertisements, flooding only the
-          resulting diff.
+          target (advertised ones join its advertised record) and
+          **one** re-aggregation folds them into the target's
+          advertisements, flooding only the resulting diff.
 
         Every policy stays incremental: after the merge, every routing
         table equals a from-scratch rebuild of the new topology (the
@@ -1000,9 +997,6 @@ class BrokerOverlay:
             target.local_subscribers + node.local_subscribers
         )
         adopted = node.advertised
-        if target.index is not None:
-            for subscription_id, pattern in adopted.items():
-                target.handles[subscription_id] = target.index.add(pattern)
         target.advertised = dict(
             sorted({**target.advertised, **adopted}.items())
         )
@@ -1290,10 +1284,6 @@ class BrokerOverlay:
             }
             if policy.uses_similarity:
                 node.index = policy.make_index(provider)
-                node.handles = {
-                    subscriber_id: node.index.add(pattern)
-                    for subscriber_id, pattern in node.advertised.items()
-                }
             node.aggregation = _aggregation_record(self._aggregate_node(node))
             for advertised, members in node.communities:
                 node.table.add(advertised, (DELIVER, members))

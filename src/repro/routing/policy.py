@@ -108,8 +108,14 @@ class LeaderClusters:
     community's leader to the member it advertises under
     ``elect_by_selectivity``: the first member, in placement order, with
     the highest selectivity.  A community without an entry is elected
-    when its aggregate is next built.  The overlay keeps one record per
-    broker beside its similarity index and hands it to
+    when its aggregate is next built.  Under a candidate gate,
+    ``leader_index`` is a spawn of the policy's
+    :class:`~repro.core.candidates.CandidateGenerator` template holding
+    each leader's pattern under the leader's id, exactly the leaders of
+    ``communities``, so one ``candidates_of`` lookup names the leaders a
+    placement compares; it is None for an ungated policy, and for a
+    record no gated clustering or placement has reached yet.  The overlay keeps one
+    record per broker beside its similarity index and hands it to
     :meth:`AdvertisementPolicy.single_change` and
     :meth:`AdvertisementPolicy.aggregate`; :class:`CommunityPolicy`
     brings it up to date in place, at the costs of the churn table in
@@ -120,6 +126,7 @@ class LeaderClusters:
     communities: list[list[int]] = field(default_factory=list)
     leader_of: dict[int, int] = field(default_factory=dict)
     elected: dict[int, int] = field(default_factory=dict)
+    leader_index: Optional[CandidateGenerator] = None
 
 
 def _departure(old: list[int], new: list[int]) -> Optional[int]:
@@ -198,9 +205,9 @@ class AdvertisementPolicy:
 
         *member* has just joined (*arrived*) or left *advertised*, the
         broker's live member -> pattern record in home order, which
-        already includes or lacks it, as does *index*, the broker's live
-        similarity index; *clusters*, the broker's clustering record, is
-        up to date for everything but the event.  A policy whose
+        already includes or lacks it; *index* is the broker's live
+        similarity index, and *clusters*, the broker's clustering record,
+        is up to date for everything but the event.  A policy whose
         :meth:`aggregate` lists its aggregates in ascending leader order
         may bring its own state up to date and return the :data:`Edit`
         from the aggregation before the event to the one after it: the
@@ -281,14 +288,12 @@ class CommunityPolicy(AdvertisementPolicy):
     and this policy is the one place that applies it: a clustering pass
     asks a leaders-only spawn of the
     :class:`~repro.core.candidates.CandidateGenerator` template for each
-    pattern's candidate leaders, and placing one arrival against a
-    broker's current leaders asks the template's pairwise
-    ``is_candidate`` per leader.  The broker's similarity index is asked
+    pattern's candidate leaders, and each broker keeps such a spawn of
+    its current leaders (:attr:`LeaderClusters.leader_index`), which a
+    churn placement asks once.  The broker's similarity index is asked
     only about the pairs that pass, so LSH-backed community formation
     stays sublinear in the broker's subscription count.  ``None`` keeps
-    the historical all-pairs behaviour.  Each broker's index also keeps
-    a spawn populated with the broker's subscriptions, which no policy
-    queries.
+    the historical all-pairs behaviour.
 
     Churn is incremental: the broker's :class:`LeaderClusters` record,
     elected members included, is updated in place, exactly as a
@@ -343,9 +348,6 @@ class CommunityPolicy(AdvertisementPolicy):
             provider,
             metric=self.metric,
             prune_below=self.threshold if self.ratio_prefilter else None,
-            candidates=(
-                self.candidates.spawn() if self.candidates is not None else None
-            ),
         )
 
     def _leader_groups(
@@ -365,25 +367,52 @@ class CommunityPolicy(AdvertisementPolicy):
             )
         ]
 
+    def _index_leaders(
+        self,
+        communities: Iterable[list[int]],
+        pattern_of: Mapping[int, TreePattern],
+    ) -> Optional[CandidateGenerator]:
+        """A spawn of the candidate template holding each leader of
+        *communities* under its id, or None when this policy does not
+        gate."""
+        if self.candidates is None:
+            return None
+        leaders = self.candidates.spawn()
+        for group in communities:
+            leaders.add(group[0], pattern_of[group[0]])
+        return leaders
+
+    def _leader_index(
+        self, pattern_of: Mapping[int, TreePattern], clusters: LeaderClusters
+    ) -> Optional[CandidateGenerator]:
+        """*clusters*' leader index, built from its leaders first if it
+        has none, or None when this policy does not gate."""
+        if clusters.leader_index is None:
+            clusters.leader_index = self._index_leaders(
+                clusters.communities, pattern_of
+            )
+        return clusters.leader_index
+
     def _first_fit(
         self,
         pattern: TreePattern,
         groups: Iterable[list[int]],
+        admitted: Optional[set],
         pattern_of: Mapping[int, TreePattern],
         index: SimilarityIndex,
     ) -> Optional[list[int]]:
         """The first of *groups* whose leader *pattern* joins.
 
         The placement step of :func:`leader_clustering`, candidate gate
-        included: a leader the generator rules out is never compared,
-        even where the threshold is 0.
+        included: *admitted* holds the leaders the broker's leader index
+        returned for *pattern*, and no other leader is compared, even
+        where the threshold is 0; None compares every leader.
         """
-        generator = self.candidates
         for group in groups:
-            leader = pattern_of[group[0]]
-            if generator is not None and not generator.is_candidate(leader, pattern):
+            leader = group[0]
+            if admitted is not None and leader not in admitted:
                 continue
-            if index(leader, pattern) >= self.threshold:
+            if index(pattern_of[leader], pattern) >= self.threshold:
                 return group
         return None
 
@@ -402,10 +431,16 @@ class CommunityPolicy(AdvertisementPolicy):
         founded.
         """
         pattern = pattern_of[member]
-        group = self._first_fit(pattern, clusters.communities, pattern_of, index)
+        leaders = self._leader_index(pattern_of, clusters)
+        admitted = None if leaders is None else leaders.candidates_of(pattern)
+        group = self._first_fit(
+            pattern, clusters.communities, admitted, pattern_of, index
+        )
         if group is None:
             group = [member]
             clusters.communities.append(group)
+            if leaders is not None:
+                leaders.add(member, pattern)
         else:
             group.append(member)
             elected = clusters.elected.get(group[0])
@@ -442,6 +477,8 @@ class CommunityPolicy(AdvertisementPolicy):
             return {leader: group}
         del communities[at]
         elected.pop(member, None)
+        if clusters.leader_index is not None:
+            clusters.leader_index.discard(member)
         return self._repair(group, pattern_of, index, clusters)
 
     def _repair(
@@ -478,14 +515,20 @@ class CommunityPolicy(AdvertisementPolicy):
         elected = clusters.elected
         leader_of = clusters.leader_of
         generator = self.candidates
+        leaders = self._leader_index(pattern_of, clusters)
 
         def first_fit(
-            member: int, groups: Iterable[list[int]], stop: int
+            member: int,
+            admitted: Optional[set],
+            groups: Iterable[list[int]],
+            stop: int,
         ) -> Optional[list[int]]:
             """The first of *groups* led ahead of *stop* that *member*
-            joins."""
+            joins, among the *admitted* leaders."""
             ahead = takewhile(lambda group: group[0] < stop, groups)
-            return self._first_fit(pattern_of[member], ahead, pattern_of, index)
+            return self._first_fit(
+                pattern_of[member], ahead, admitted, pattern_of, index
+            )
 
         worklist: list[tuple[int, list[int]]] = []
         queued: set[int] = set()
@@ -508,6 +551,8 @@ class CommunityPolicy(AdvertisementPolicy):
             touched[member] = communities[later]
             leader_of[member] = member
             pattern = pattern_of[member]
+            if leaders is not None:
+                leaders.add(member, pattern)
             for group in communities[later + 1 :]:
                 for candidate in group:
                     other = pattern_of[candidate]
@@ -519,13 +564,18 @@ class CommunityPolicy(AdvertisementPolicy):
         while worklist:
             member, group = heappop(worklist)
             leader = group[0]
-            target = first_fit(member, founded, leader)
+            admitted = (
+                None if leaders is None else leaders.candidates_of(pattern_of[member])
+            )
+            target = first_fit(member, admitted, founded, leader)
             if leader not in dissolved:
                 if target is None:
                     continue
                 if leader == member:
                     del communities[bisect_left(communities, member, key=_leader)]
                     dissolved.add(member)
+                    if leaders is not None:
+                        leaders.discard(member)
                     for follower in group[1:]:
                         enqueue(follower, group)
                 else:
@@ -534,7 +584,9 @@ class CommunityPolicy(AdvertisementPolicy):
                 elected.pop(leader, None)
             elif target is None:
                 resume = bisect_right(communities, leader, key=_leader)
-                target = first_fit(member, islice(communities, resume, None), member)
+                target = first_fit(
+                    member, admitted, islice(communities, resume, None), member
+                )
                 if target is None:
                     found(member)
                     continue
@@ -571,6 +623,7 @@ class CommunityPolicy(AdvertisementPolicy):
             clusters.communities = communities
             clusters.leader_of = leader_of
             clusters.elected = {}
+            clusters.leader_index = self._index_leaders(communities, pattern_of)
 
     def _elect(
         self,

@@ -3,8 +3,7 @@
 Covers the generator contract (population lifecycle, symmetry,
 duplicate-key rejection), the label-overlap prefilter semantics (empty
 label sets are never pruned), the LSH bucket-table maintenance under
-churn, and the integration points: the ``SimilarityIndex(candidates=...)``
-population, and the heap-based ``top_k``.
+churn, and the heap-based ``top_k`` of the similarity layer.
 """
 
 import pytest
@@ -213,27 +212,6 @@ class TestLSHCandidates:
         generator = LSHCandidates(bands=2, rows=2, tokens=lambda p: [])
         assert generator.signature(P("/a")) == generator.signature(P("/b"))
         assert generator.is_candidate(P("/a"), P("/b"))
-
-
-class TestIndexCandidateGate:
-    def test_population_stays_in_sync(self, corpus):
-        generator = LSHCandidates(bands=4, rows=2)
-        index = SimilarityIndex(corpus, candidates=generator)
-        first = index.add(P("//b"))
-        index.add(P("//e"))
-        assert len(generator) == 2
-        index.remove(first)
-        assert len(generator) == 1
-
-    def test_exact_candidates_change_nothing(self, corpus):
-        patterns = [P("//b"), P("//e"), P("/a/d")]
-        plain = SimilarityIndex(corpus, patterns)
-        gated = SimilarityIndex(
-            corpus, patterns, candidates=ExactCandidates()
-        )
-        for p, g in zip(plain.handles(), gated.handles(), strict=True):
-            assert plain.row(p) == gated.row(g)
-        assert gated.stats.candidate_pruned == 0
 
 
 class TestHeapTopK:

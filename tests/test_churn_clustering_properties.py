@@ -16,8 +16,11 @@ candidate gate and regime, and resubscribe pairs over one broker
 holding every ring pattern, and after every event checks that
 
 * each broker's advertised communities equal a from-scratch aggregation
-  of its current members through a fresh similarity index, and
-* the overlay's routing state equals a from-scratch rebuild;
+  of its current members through a fresh similarity index,
+* the overlay's routing state equals a from-scratch rebuild, and
+* under a candidate gate, each broker's leader index holds exactly the
+  leaders of its clustering record, each found by a lookup of its own
+  pattern;
 
 and, under every candidate gate, that no similarity index is ever
 asked about a pair the gate rules out: the index has no gate of its
@@ -61,6 +64,15 @@ POLICIES = {
     "hybrid": lambda threshold, metric: HybridPolicy(
         threshold, metric=metric, aggregate_above=2
     ),
+}
+
+#: The candidate gates a policy can carry, by name; None compares every
+#: leader.
+GATES = {
+    "none": lambda: None,
+    "exact-prefilter": lambda: ExactCandidates(prefilter_labels=True),
+    "lsh": LSHCandidates,
+    "lsh-degenerate": LSHCandidates.degenerate,
 }
 
 THRESHOLDS = (0.0, 0.3, 0.5, 0.7, 1.0)
@@ -126,19 +138,49 @@ def from_scratch(overlay: BrokerOverlay, broker_id: int) -> list:
     """The broker's aggregation recomputed with no clustering record and
     a fresh index."""
     node = overlay.brokers[broker_id]
-    members = [member for member in node.local_subscribers if member in node.handles]
+    members = [
+        member for member in node.local_subscribers if member in node.advertised
+    ]
     patterns = [overlay.subscriptions[member][1] for member in members]
     policy = overlay.policy
-    index = policy.make_index(overlay.provider)
-    for pattern in patterns:
-        index.add(pattern)
-    return policy.aggregate(members, patterns, index)
+    return policy.aggregate(members, patterns, policy.make_index(overlay.provider))
+
+
+def assert_leader_indexes_hold_the_leaders(overlay: BrokerOverlay) -> None:
+    """Under a gated policy, each clustered broker's leader index holds
+    exactly the leaders of its clustering record: its size is their
+    count, and a lookup of each leader's own pattern finds it among
+    them.  A hybrid broker at or under its cutoff keeps no live
+    clustering and is skipped."""
+    policy = overlay.policy
+    if policy.candidates is None:
+        return
+    for broker_id, node in overlay.brokers.items():
+        if (
+            isinstance(policy, HybridPolicy)
+            and len(node.advertised) <= policy.aggregate_above
+        ):
+            continue
+        clusters = node.clusters
+        assert list(clusters.leader_of) == list(node.advertised), broker_id
+        leaders = {group[0] for group in clusters.communities}
+        index = clusters.leader_index
+        if index is None:
+            # Only a broker no placement has reached yet lacks one.
+            assert not leaders, broker_id
+            continue
+        assert len(index) == len(clusters.communities), broker_id
+        for leader in leaders:
+            found = index.candidates_of(overlay.subscriptions[leader][1])
+            assert leader in found, (broker_id, leader)
+            assert found <= leaders, (broker_id, leader)
 
 
 def assert_matches_from_scratch(overlay: BrokerOverlay) -> None:
     for broker_id, node in overlay.brokers.items():
         assert node.communities == from_scratch(overlay, broker_id), broker_id
     assert overlay.topology_signature() == overlay.rebuilt().topology_signature()
+    assert_leader_indexes_hold_the_leaders(overlay)
 
 
 def pick_victim(overlay: BrokerOverlay, data: st.DataObject) -> int:
@@ -240,12 +282,42 @@ class TestIncrementalEqualsFromScratch:
         # Two subscriptions per broker sit at the cutoff: every single
         # event moves a broker across it in one direction or the other.
         docs, pool = workload
+        gate = GATES[data.draw(st.sampled_from(sorted(GATES)), label="gate")]
         overlay = BrokerOverlay.chain(2)
         overlay.attach_round_robin(
             [data.draw(st.sampled_from(pool), label="initial") for _ in range(4)]
         )
-        overlay.advertise(HybridPolicy(threshold, aggregate_above=2), DocumentCorpus(docs))
+        overlay.advertise(
+            HybridPolicy(threshold, candidates=gate(), aggregate_above=2),
+            DocumentCorpus(docs),
+        )
         churn(overlay, pool, data, data.draw(st.integers(2, 12), label="steps"))
+
+    @pytest.mark.parametrize("gate", sorted(set(GATES) - {"none"}))
+    def test_brokers_that_start_empty_get_a_leader_index(self, gate):
+        # Broker 1 homes nothing when the policy is advertised, and
+        # broker 2 is grafted after it: each record has no leader index
+        # until its first placement builds one.
+        ring = {tag: parse_xpath(f"//{tag}") for tag in RING}
+        overlay = BrokerOverlay.chain(2)
+        for tag in "abc":
+            overlay.attach(0, ring[tag])
+        overlay.advertise(
+            CommunityPolicy(0.3, candidates=GATES[gate]()),
+            DocumentCorpus(RING_DOCUMENTS),
+        )
+        grafted = overlay.add_broker(1)
+        for broker_id in (1, grafted):
+            assert overlay.brokers[broker_id].clusters.leader_index is None
+        for broker_id in (1, grafted):
+            first = overlay.subscribe(broker_id, ring["a"])
+            assert len(overlay.brokers[broker_id].clusters.leader_index) == 1
+            assert_matches_from_scratch(overlay)
+            for tag in "bcd":
+                overlay.subscribe(broker_id, ring[tag])
+                assert_matches_from_scratch(overlay)
+            overlay.unsubscribe(first)
+            assert_matches_from_scratch(overlay)
 
 
 class TestChurnCost:
@@ -335,11 +407,12 @@ class TestRingOnOneBroker:
         st.data(),
     )
     def test_resubscribe_pairs(self, order, threshold, metric, data):
+        gate = GATES[data.draw(st.sampled_from(sorted(GATES)), label="gate")]
         overlay = BrokerOverlay.chain(2)
         for pattern in order:
             overlay.attach(0, pattern)
         overlay.advertise(
-            CommunityPolicy(threshold, metric=metric),
+            CommunityPolicy(threshold, metric=metric, candidates=gate()),
             DocumentCorpus(RING_DOCUMENTS),
         )
         assert_matches_from_scratch(overlay)
@@ -376,10 +449,16 @@ class TestRingOnOneBroker:
         ],
     )
     def test_retiring_the_first_leader(self, order):
+        for gate in GATES.values():
+            self.retire_the_first_leader(order, gate())
+
+    def retire_the_first_leader(self, order, gate):
         overlay = BrokerOverlay.chain(2)
         for xpath in order:
             overlay.attach(0, parse_xpath(xpath))
-        overlay.advertise(CommunityPolicy(0.3), DocumentCorpus(RING_DOCUMENTS))
+        overlay.advertise(
+            CommunityPolicy(0.3, candidates=gate), DocumentCorpus(RING_DOCUMENTS)
+        )
         before = overlay.brokers[0].communities
         applied = []
         apply_change = BrokerOverlay._apply_change

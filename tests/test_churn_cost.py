@@ -46,8 +46,10 @@ that retires a leader ahead of the population calls
 subscribers per broker or at 3,000.  A pair that neither retires a
 leader or an elected member nor founds a community makes as many
 ``SimilarityIndex.selectivity`` calls at 3,000 subscribers per broker as
-at 300, and a pair that retires the elected member elects its community
-again and no other.  A pair that retires a leader ahead of the
+at 300, and under an ``LSHCandidates`` gate it asks the broker's leader
+index once (``candidates_of``) and calls ``is_candidate`` not at all; a
+pair that retires the elected member elects its community again and no
+other.  A pair that retires a leader ahead of the
 population re-places only the members that leader's departure can move,
 so its ``SimilarityIndex`` calls do not grow with the broker either.
 """
@@ -57,13 +59,14 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import Optional
 from unittest import mock
 
 import pytest
 
 import repro.routing.overlay as overlay_module
 import repro.routing.table as table_module
-from repro.core.candidates import ExactCandidates
+from repro.core.candidates import CandidateGenerator, ExactCandidates, LSHCandidates
 from repro.core.pattern import TreePattern
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityIndex
@@ -256,10 +259,13 @@ ELECTION_DOCUMENTS = [
 ELECTION_BODY = ("//b", "//a", "//c")
 
 
-def community_deployed(population: int) -> tuple[BrokerOverlay, int]:
+def community_deployed(
+    population: int, candidates: Optional[CandidateGenerator] = None
+) -> tuple[BrokerOverlay, int]:
     """A two-broker chain homing *population* subscribers per broker
-    under :class:`CommunityPolicy`, and a ``//b`` probe
-    homed last on broker 0: neither a leader nor the elected member."""
+    under :class:`CommunityPolicy` gated by *candidates*, and a ``//b``
+    probe homed last on broker 0: neither a leader nor the elected
+    member."""
     overlay = BrokerOverlay.chain(2)
     parsed = {xpath: parse_xpath(xpath) for xpath in ELECTION_BODY}
     for broker_id in sorted(overlay.brokers):
@@ -269,7 +275,8 @@ def community_deployed(population: int) -> tuple[BrokerOverlay, int]:
             )
     probe = overlay.attach(0, parse_xpath("//b"))
     overlay.advertise(
-        CommunityPolicy(0.5), DocumentCorpus(ELECTION_DOCUMENTS)
+        CommunityPolicy(0.5, candidates=candidates),
+        DocumentCorpus(ELECTION_DOCUMENTS),
     )
     return overlay, probe
 
@@ -279,6 +286,7 @@ def community_pair_calls(
 ) -> tuple[Counter, list[tuple[int, ...]], int]:
     """Calls one resubscribe pair of *victim* on broker 0 makes — of
     ``SimilarityIndex`` (``selectivity`` and ``__call__``), of
+    ``LSHCandidates`` (``candidates_of`` and ``is_candidate``), of
     ``CommunityPolicy.aggregate`` and of the aggregation diff — and the
     groups it elects; returns them and the fresh id."""
     calls: Counter = Counter()
@@ -293,6 +301,8 @@ def community_pair_calls(
         for owner, name in (
             (SimilarityIndex, "selectivity"),
             (SimilarityIndex, "__call__"),
+            (LSHCandidates, "candidates_of"),
+            (LSHCandidates, "is_candidate"),
             (CommunityPolicy, "aggregate"),
             (overlay_module, "_aggregation_diff"),
         ):
@@ -314,26 +324,54 @@ def first_community(overlay: BrokerOverlay) -> tuple[TreePattern, tuple[int, ...
     )
 
 
+def probe_pair_calls(overlay: BrokerOverlay, probe: int, population: int) -> Counter:
+    """The calls of one ``//b`` resubscribe pair of *probe*, checking
+    that the fresh ``//b`` joined the first community, that its election
+    stood, and that neither event aggregated the broker or diffed its
+    aggregation."""
+    calls, elections, fresh = community_pair_calls(overlay, probe, "//b")
+    advertised, members = first_community(overlay)
+    assert fresh in members
+    assert advertised == parse_xpath("//a")
+    assert elections == []
+    assert calls["aggregate"] == calls["_aggregation_diff"] == 0
+    if population == POPULATIONS[0]:
+        assert (
+            overlay.topology_signature() == overlay.rebuilt().topology_signature()
+        )
+    return calls
+
+
 def test_community_pair_pays_for_its_community_only():
     counts: dict[int, int] = {}
     for population in POPULATIONS:
         overlay, probe = community_deployed(population)
-        calls, elections, fresh = community_pair_calls(overlay, probe, "//b")
-        # The fresh //b joined the first community and the election stood.
-        advertised, members = first_community(overlay)
-        assert fresh in members
-        assert advertised == parse_xpath("//a")
-        assert elections == []
-        # Neither event aggregated the broker or diffed its aggregation.
-        assert calls["aggregate"] == calls["_aggregation_diff"] == 0
-        counts[population] = calls["selectivity"]
-        if population == POPULATIONS[0]:
-            assert (
-                overlay.topology_signature()
-                == overlay.rebuilt().topology_signature()
-            )
+        counts[population] = probe_pair_calls(overlay, probe, population)[
+            "selectivity"
+        ]
     small, large = POPULATIONS
     assert counts[large] == counts[small]
+
+
+def election_tokens(pattern: TreePattern) -> list[tuple]:
+    """Shingle *pattern* by the election documents it matches, so that
+    LSH pairs ``//a`` with ``//b`` and neither with ``//c``."""
+    matched = DocumentCorpus(ELECTION_DOCUMENTS).match_set(pattern)
+    return [("doc", position) for position in sorted(matched)]
+
+
+def test_lsh_community_pair_asks_the_leader_index_once():
+    for population in POPULATIONS:
+        overlay, probe = community_deployed(
+            population, LSHCandidates(tokens=election_tokens)
+        )
+        calls = probe_pair_calls(overlay, probe, population)
+        # The departure placed nothing; the arrival asked the broker's
+        # leader index once, tested no leader pairwise and compared the
+        # one leader the index returned.
+        assert calls["candidates_of"] == 1, population
+        assert calls["is_candidate"] == 0, population
+        assert calls["__call__"] == 1, population
 
 
 def test_retiring_the_elected_member_reelects_its_community_alone():

@@ -582,7 +582,7 @@ class TestSubscriptionLifecycle:
         overlay = build_overlay("chain", subscriptions)
         overlay.advertise(CommunityPolicy(0.5), corpus)
         node = overlay.brokers[1]
-        population_before = len(node.index)
+        population_before = len(node.advertised)
         tables_before = {
             broker_id: frozenset(
                 (entry.pattern, entry.destination) for entry in n.table
@@ -592,8 +592,8 @@ class TestSubscriptionLifecycle:
         victim = node.local_subscribers[0]
         overlay.detach(victim)
         # Broker-internal state shrinks; routing tables stay (stale).
-        assert len(node.index) == population_before - 1
-        assert victim not in node.handles
+        assert len(node.advertised) == population_before - 1
+        assert victim not in node.advertised
         assert {
             broker_id: frozenset(
                 (entry.pattern, entry.destination) for entry in n.table
@@ -768,16 +768,15 @@ class TestBatchChurn:
         overlay = build_overlay("chain", subscriptions)
         overlay.advertise(CommunityPolicy(0.5), corpus)
         node = overlay.brokers[1]
-        adds_before = node.index.stats.adds
+        advertised_before = len(node.advertised)
         burst = [parse_xpath("/a/b/e"), parse_xpath("/a/b/e/k")]
         overlay.subscribe_many(1, burst)
-        # Both arrivals joined the live index; other brokers untouched.
-        assert node.index.stats.adds == adds_before + len(burst)
+        # Both arrivals joined the advertised record; other brokers
+        # untouched.
+        assert len(node.advertised) == advertised_before + len(burst)
         for broker_id in (0, 2):
             other = overlay.brokers[broker_id]
-            assert other.index.stats.adds == len(
-                other.local_subscribers
-            )
+            assert list(other.advertised) == other.local_subscribers
 
     def test_unadvertised_attachments_skip_batch_reaggregation(
         self, corpus, subscriptions
@@ -935,10 +934,10 @@ class TestTopologyLifecycle:
         node = overlay.brokers[2]
         for subscription_id in moved:
             assert overlay.subscriptions[subscription_id][0] == 2
-            assert subscription_id in node.handles
+            assert subscription_id in node.advertised
         assert node.local_subscribers == sorted(node.local_subscribers)
-        # The adopted patterns joined the target's live index.
-        assert len(node.index) == len(node.local_subscribers)
+        # The adopted patterns joined the target's advertised record.
+        assert list(node.advertised) == node.local_subscribers
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_join_leave_matches_rebuild_per_subscription(

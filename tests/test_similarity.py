@@ -169,7 +169,7 @@ class TestFixedPopulationIndex:
         index.neighbors(3, 0.2)
         for p in patterns[:10]:
             for q in patterns[:10]:
-                index.similarity(p, q)
+                index(p, q)
         assert counting.max_joint_calls_per_pair == 1
         assert counting.max_selectivity_calls_per_pattern == 1
         assert index.stats.joint_evaluated == len(counting.joint_calls)

@@ -56,10 +56,6 @@ class TestPopulationLifecycle:
     def test_unknown_metric_rejected(self, corpus):
         with pytest.raises(ValueError):
             SimilarityIndex(corpus, metric="M9")
-        with pytest.raises(ValueError):
-            SimilarityIndex(corpus).similarity(
-                parse_xpath("/a"), parse_xpath("/a"), metric="M9"
-            )
 
 
 class TestLazyRows:

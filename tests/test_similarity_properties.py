@@ -116,7 +116,7 @@ class TestMatrixAgreement:
         engine = SimilarityIndex(Counting(), [p, q])
         for handle in engine.handles():
             engine.row(handle)
-        engine.similarity(p, q)
-        engine.similarity(q, p)
+        engine(p, q)
+        engine(q, p)
         engine.top_k(0, 1)
         assert all(count == 1 for count in calls.values()), calls
