@@ -1,8 +1,7 @@
 """Latency/throughput benchmark: discrete-event delivery under load.
 
 Two sweeps over the default NITF quick workload on a fixed 4-broker
-random tree, both assembled through the
-:class:`~repro.routing.builder.OverlayBuilder` façade:
+random tree:
 
 * **advertisement sweep** — publish rate × advertisement policy ×
   community threshold.  Every cell replays the same document stream
@@ -42,18 +41,18 @@ import argparse
 
 from common import (
     RESULTS_DIR,
+    build_overlay,
     overlay_argument_parser,
     run_with_profile,
-    overlay_builder,
     prepare_quick,
     prepare_smoke,
 )
 from repro.experiments.harness import prepare
 from repro.routing.broker import LatencyStats
-from repro.routing.builder import OverlayBuilder
-from repro.routing.engine import LinkModel, ServiceModel
+from repro.routing.engine import DeliveryEngine, LinkModel, ServiceModel
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import (
+    AdvertisementPolicy,
     CommunityPolicy,
     DeadlineScheduling,
     FifoScheduling,
@@ -85,20 +84,22 @@ SCHEDULING_POLICIES: tuple[tuple[str, SchedulingPolicy], ...] = (
 )
 
 
-def base_builder(prepared, n_subscribers: int, n_brokers: int) -> OverlayBuilder:
-    """The sweep's shared recipe: topology, homes, timing models.
+def base_overlay(
+    prepared, n_subscribers: int, n_brokers: int, policy: AdvertisementPolicy
+) -> BrokerOverlay:
+    """The sweep's shared deployment: topology and homes, advertised
+    under *policy* with the exact corpus as the selectivity provider.
 
     Matching runs in ``linear`` (per-pattern scan) mode so service time
     scales with table size — the queueing effect the paper's latency
     claims are about.  Trie matching amortises shared prefixes across
     entries and flattens that signal at smoke scale.
     """
-    return (
-        overlay_builder(n_brokers, prepared.positive[:n_subscribers])
-        .matching("linear")
-        .service(SERVICE)
-        .links(LINKS)
+    overlay = build_overlay(
+        n_brokers, prepared.positive[:n_subscribers], matching="linear"
     )
+    overlay.advertise(policy, prepared.corpus)
+    return overlay
 
 
 def sync_reference(
@@ -114,16 +115,16 @@ def sync_reference(
 
 
 def run_cell(
-    builder: OverlayBuilder,
     overlay: BrokerOverlay,
     corpus,
     rate: float,
     reference: dict[int, frozenset[int]],
+    scheduling=None,
     classes=None,
     deadline_slack=None,
 ) -> LatencyStats:
     """One engine run at *rate*, checked against the synchronous path."""
-    engine = builder.build_engine(overlay)
+    engine = DeliveryEngine(overlay, SERVICE, LINKS, scheduling)
     engine.publish_corpus(
         corpus, rate=rate, classes=classes, deadline_slack=deadline_slack
     )
@@ -147,22 +148,18 @@ def run_sweep(
     error (bench_routing.py covers the estimated-similarity side).
     """
     corpus = prepared.corpus
-    builder = base_builder(prepared, n_subscribers, n_brokers)
     rows: list[tuple[float, object, LatencyStats]] = []
     for threshold in (None, *thresholds):
-        if threshold is None:
-            builder.advertisement(PerSubscriptionPolicy())
-        else:
-            builder.advertisement(CommunityPolicy(threshold)).provider(corpus)
-        overlay = builder.build_overlay()
+        policy = (
+            PerSubscriptionPolicy()
+            if threshold is None
+            else CommunityPolicy(threshold)
+        )
+        overlay = base_overlay(prepared, n_subscribers, n_brokers, policy)
         reference = sync_reference(overlay, corpus)
         for rate in rates:
             rows.append(
-                (
-                    rate,
-                    threshold,
-                    run_cell(builder, overlay, corpus, rate, reference),
-                )
+                (rate, threshold, run_cell(overlay, corpus, rate, reference))
             )
     regime_rank = {threshold: rank for rank, threshold in enumerate(thresholds)}
     rows.sort(
@@ -186,29 +183,26 @@ def run_scheduling_sweep(
     subscriber sets; only the timing may move.
     """
     corpus = prepared.corpus
-    builder = base_builder(prepared, n_subscribers, n_brokers).advertisement(
-        PerSubscriptionPolicy()
+    overlay = base_overlay(
+        prepared, n_subscribers, n_brokers, PerSubscriptionPolicy()
     )
-    overlay = builder.build_overlay()
     reference = sync_reference(overlay, corpus)
     rows: list[tuple[str, LatencyStats]] = []
     for name, policy in policies:
-        builder.scheduling(policy)
         rows.append(
             (
                 name,
                 run_cell(
-                    builder,
                     overlay,
                     corpus,
                     rate,
                     reference,
+                    scheduling=policy,
                     classes=CLASSES,
                     deadline_slack=DEADLINE_SLACK,
                 ),
             )
         )
-    builder.scheduling(FifoScheduling())
     return rows
 
 
@@ -318,16 +312,12 @@ def check_determinism(prepared, n_subscribers: int, n_brokers: int) -> None:
     """Two identical engine runs must agree bit for bit — including under
     seeded Poisson arrivals and non-FIFO scheduling."""
     corpus = prepared.corpus
-    builder = (
-        base_builder(prepared, n_subscribers, n_brokers)
-        .advertisement(CommunityPolicy(ACCEPTANCE_THRESHOLD))
-        .provider(corpus)
-        .scheduling(PriorityScheduling())
+    overlay = base_overlay(
+        prepared, n_subscribers, n_brokers, CommunityPolicy(ACCEPTANCE_THRESHOLD)
     )
-    overlay = builder.build_overlay()
     outcomes = []
     for _ in range(2):
-        engine = builder.build_engine(overlay)
+        engine = DeliveryEngine(overlay, SERVICE, LINKS, PriorityScheduling())
         engine.publish_corpus(
             corpus, rate=2.0, arrivals="poisson", seed=7, classes=CLASSES
         )

@@ -57,8 +57,8 @@ from repro.core.similarity import m3_joint_over_union
 from repro.dtd.builtin import nitf_dtd
 from repro.generators.docgen import DocumentGenerator
 from repro.generators.querygen import PatternGenConfig, PatternGenerator
-from repro.routing.builder import OverlayBuilder
 from repro.routing.community import leader_clustering
+from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import CommunityPolicy
 from repro.synopsis.synopsis import DocumentSynopsis
 
@@ -248,13 +248,10 @@ def run_end_to_end(size: int, n_brokers: int = N_BROKERS) -> tuple[float, Counte
     patterns, estimator = prepare_workload(size)
     template = LSHCandidates(tokens=make_synopsis_tokens(estimator))
     started = time.perf_counter()
-    overlay = (
-        OverlayBuilder()
-        .topology("random_tree", n_brokers=n_brokers, seed=11)
-        .subscriptions(patterns)
-        .provider(estimator)
-        .advertisement(CommunityPolicy(threshold=THRESHOLD, candidates=template))
-        .build_overlay()
+    overlay = BrokerOverlay.random_tree(n_brokers, seed=11)
+    overlay.attach_round_robin(patterns)
+    overlay.advertise(
+        CommunityPolicy(threshold=THRESHOLD, candidates=template), estimator
     )
     seconds = time.perf_counter() - started
     calls = churn_pairs(overlay)

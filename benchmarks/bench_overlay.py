@@ -24,9 +24,9 @@ import argparse
 from common import (
     RESULTS_DIR,
     TOPOLOGY,
+    build_overlay,
     overlay_argument_parser,
     run_with_profile,
-    overlay_builder,
     prepare_quick,
     prepare_smoke,
 )
@@ -64,12 +64,10 @@ def run_sweep(
     corpus = prepared.corpus
     rows: list[tuple[int, object, OverlayStats]] = []
     for n_brokers in broker_counts:
-        overlay = (
-            overlay_builder(n_brokers, subscriptions, topology=topology)
-            .matching("linear")
-            .advertisement(PerSubscriptionPolicy())
-            .build_overlay()
+        overlay = build_overlay(
+            n_brokers, subscriptions, topology=topology, matching="linear"
         )
+        overlay.advertise(PerSubscriptionPolicy())
         rows.append((n_brokers, None, overlay.route_corpus(corpus)))
         for threshold in thresholds:
             overlay.advertise(CommunityPolicy(threshold), provider=corpus)

@@ -2,12 +2,11 @@
 
 Sweeps the publish rate past the saturation knee on the family's fixed
 random tree and replays the same stream under each queue policy
-(unbounded baseline, drop-new, drop-oldest, NACK — all through the
-:class:`~repro.routing.builder.OverlayBuilder` façade), then runs two
-focused cells at the saturating rate: a weighted-fair scheduling cell
-scoring per-class completion shares, and a closed-loop AIMD source cell
-where the publisher reacts to NACK back-pressure instead of publishing
-open-loop.
+(unbounded baseline, drop-new, drop-oldest, NACK — each a fresh engine
+over one advertised overlay), then runs two focused cells at the
+saturating rate: a weighted-fair scheduling cell scoring per-class
+completion shares, and a closed-loop AIMD source cell where the
+publisher reacts to NACK back-pressure instead of publishing open-loop.
 
 The headline claims asserted here:
 
@@ -38,18 +37,26 @@ import argparse
 
 from common import (
     RESULTS_DIR,
+    build_overlay,
     overlay_argument_parser,
     run_with_profile,
-    overlay_builder,
     prepare_quick,
     prepare_smoke,
 )
 from repro.experiments.harness import prepare
 from repro.routing.broker import LatencyStats
-from repro.routing.builder import OverlayBuilder
-from repro.routing.engine import ClosedLoopSource, LinkModel, ServiceModel
+from repro.routing.engine import (
+    ClosedLoopSource,
+    DeliveryEngine,
+    LinkModel,
+    ServiceModel,
+)
 from repro.routing.overlay import BrokerOverlay
-from repro.routing.policy import QueuePolicy, WeightedFairScheduling
+from repro.routing.policy import (
+    PerSubscriptionPolicy,
+    QueuePolicy,
+    WeightedFairScheduling,
+)
 
 N_BROKERS = 4
 N_SUBSCRIBERS = 60
@@ -82,20 +89,20 @@ FAIR_RATE = 6.0
 FAIR_MIN_PUBLICATIONS = 400
 
 
-def base_builder(
+def base_overlay(
     prepared, n_subscribers: int, n_brokers: int
-) -> OverlayBuilder:
-    """The sweep's shared recipe: topology, homes, timing models.
+) -> BrokerOverlay:
+    """The sweep's shared deployment: topology, homes, per-subscription
+    advertisement.
 
     Linear matching keeps service time affine in table size, the regime
     where queues actually build (see bench_latency.py).
     """
-    return (
-        overlay_builder(n_brokers, prepared.positive[:n_subscribers])
-        .matching("linear")
-        .service(SERVICE)
-        .links(LINKS)
+    overlay = build_overlay(
+        n_brokers, prepared.positive[:n_subscribers], matching="linear"
     )
+    overlay.advertise(PerSubscriptionPolicy())
+    return overlay
 
 
 def sync_reference(
@@ -120,7 +127,6 @@ def assert_conserved(stats: LatencyStats, cell: object) -> None:
 
 
 def run_cell(
-    builder: OverlayBuilder,
     overlay: BrokerOverlay,
     corpus,
     rate: float,
@@ -128,7 +134,7 @@ def run_cell(
     reference: dict[int, frozenset[int]],
 ) -> LatencyStats:
     """One engine run at *rate* under *policy*, ledger-checked."""
-    engine = builder.queue_policy(policy).build_engine(overlay)
+    engine = DeliveryEngine(overlay, SERVICE, LINKS, queue_policy=policy)
     engine.publish_corpus(corpus, rate=rate)
     stats = engine.run()
     assert_conserved(stats, (policy, rate))
@@ -153,8 +159,7 @@ def run_sweep(
 ) -> list[tuple[str, float, LatencyStats]]:
     """Drive the stream through every (queue policy, rate) cell."""
     corpus = prepared.corpus
-    builder = base_builder(prepared, n_subscribers, n_brokers)
-    overlay = builder.build_overlay()
+    overlay = base_overlay(prepared, n_subscribers, n_brokers)
     reference = sync_reference(overlay, corpus)
     rows: list[tuple[str, float, LatencyStats]] = []
     for name, policy in QUEUE_CELLS:
@@ -163,9 +168,7 @@ def run_sweep(
                 (
                     name,
                     rate,
-                    run_cell(
-                        builder, overlay, corpus, rate, policy, reference
-                    ),
+                    run_cell(overlay, corpus, rate, policy, reference),
                 )
             )
     return rows
@@ -185,12 +188,13 @@ def run_fairness_cell(prepared) -> LatencyStats:
     allows a loose band around the provisioned split.
     """
     corpus = prepared.corpus
-    builder = (
-        base_builder(prepared, FAIR_SUBSCRIBERS, n_brokers=1)
-        .scheduling(WeightedFairScheduling(FAIR_WEIGHTS))
-        .queue_policy(QueuePolicy(CAPACITY, "drop-oldest"))
+    engine = DeliveryEngine(
+        base_overlay(prepared, FAIR_SUBSCRIBERS, n_brokers=1),
+        SERVICE,
+        LINKS,
+        WeightedFairScheduling(FAIR_WEIGHTS),
+        QueuePolicy(CAPACITY, "drop-oldest"),
     )
-    engine = builder.build_engine(builder.build_overlay())
     per_pass = len(corpus.documents)
     passes = max(1, -(-FAIR_MIN_PUBLICATIONS // per_pass))
     for repeat in range(passes):
@@ -216,20 +220,21 @@ def run_closed_loop_cell(
     view (window trajectory endpoint, clean/dirty ack split).
     """
     corpus = prepared.corpus
-    builder = (
-        base_builder(prepared, n_subscribers, n_brokers)
-        .queue_policy(QueuePolicy(2, "nack"))
-        .sources(
-            ClosedLoopSource(
-                corpus,
-                at_broker=0,
-                initial_window=4.0,
-                feedback_delay=0.5,
-                seed=3,
-            )
+    engine = DeliveryEngine(
+        base_overlay(prepared, n_subscribers, n_brokers),
+        SERVICE,
+        LINKS,
+        queue_policy=QueuePolicy(2, "nack"),
+    )
+    engine.attach_source(
+        ClosedLoopSource(
+            corpus,
+            at_broker=0,
+            initial_window=4.0,
+            feedback_delay=0.5,
+            seed=3,
         )
     )
-    engine = builder.build_engine(builder.build_overlay())
     stats = engine.run()
     assert_conserved(stats, "closed_loop")
     report = engine.source_report(0)

@@ -7,10 +7,9 @@ same seeded broker topology; this module holds that setup once so the
 tables stay comparable cell for cell — and so a CI smoke run means the
 same thing in every benchmark.
 
-Overlays are assembled through the
-:class:`~repro.routing.builder.OverlayBuilder` façade: one builder per
-sweep captures topology, placement and timing models, and each cell
-resolves its advertisement / scheduling policy object through it.
+Every overlay starts from :func:`build_overlay` (the family's seeded
+topology, subscriptions homed round-robin); each cell then advertises
+its own policy and builds its own engine.
 
 It also holds the results directory and figure helpers every benchmark
 writes through (kept out of conftest so imports are unambiguous when
@@ -28,7 +27,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FigureResult
 from repro.experiments.harness import PreparedExperiment, prepare
 from repro.experiments.report import figure_to_csv, render_figure
-from repro.routing.builder import OverlayBuilder
 from repro.routing.overlay import BrokerOverlay
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -109,35 +107,18 @@ def prepare_smoke(dtd: str = "nitf") -> PreparedExperiment:
     )
 
 
-def overlay_builder(
-    n_brokers: int,
-    patterns,
-    topology: str = TOPOLOGY,
-    seed: int = TOPOLOGY_SEED,
-) -> OverlayBuilder:
-    """The family's shared recipe: seeded topology, round-robin homes.
-
-    Cells layer their advertisement / scheduling policies and timing
-    models on top before building.
-    """
-    return (
-        OverlayBuilder()
-        .topology(topology, n_brokers, seed=seed)
-        .subscriptions(patterns)
-    )
-
-
 def build_overlay(
     n_brokers: int,
     patterns,
     topology: str = TOPOLOGY,
     seed: int = TOPOLOGY_SEED,
+    matching: str = "trie",
 ) -> BrokerOverlay:
     """A topology-seeded overlay with *patterns* attached round-robin.
 
     Membership only — for call sites that drive the advertisement sweep
     themselves by calling ``overlay.advertise(policy, ...)`` per cell.
     """
-    overlay = BrokerOverlay.build(topology, n_brokers, seed=seed)
+    overlay = BrokerOverlay.build(topology, n_brokers, seed=seed, matching=matching)
     overlay.attach_round_robin(patterns)
     return overlay

@@ -24,8 +24,8 @@ from __future__ import annotations
 from repro import (
     BrokerOverlay,
     CommunityPolicy,
+    DeliveryEngine,
     LinkModel,
-    OverlayBuilder,
     PerSubscriptionPolicy,
     ServiceModel,
 )
@@ -40,16 +40,13 @@ N_SUBSCRIBERS = 40
 N_BROKERS = 5
 THRESHOLD = 0.5
 RATES = (0.25, 4.0)
+SERVICE = ServiceModel(base=0.2, per_match=0.05)
+LINKS = LinkModel(default=1.0)
 
 
-def replay(
-    builder: OverlayBuilder,
-    overlay: BrokerOverlay,
-    corpus: DocumentCorpus,
-    rate: float,
-):
+def replay(overlay: BrokerOverlay, corpus: DocumentCorpus, rate: float):
     """One engine run; returns (stats, delivered sets)."""
-    engine = builder.build_engine(overlay)
+    engine = DeliveryEngine(overlay, SERVICE, LINKS)
     engine.publish_corpus(corpus, rate=rate)
     return engine.run(), engine.delivered_sets()
 
@@ -77,14 +74,6 @@ def main() -> None:
         n_positive=N_SUBSCRIBERS, n_negative=0
     )
 
-    builder = (
-        OverlayBuilder()
-        .topology("random_tree", N_BROKERS, seed=43)
-        .subscriptions(workload.positive)
-        .provider(corpus)
-        .service(ServiceModel(base=0.2, per_match=0.05))
-        .links(LinkModel(default=1.0))
-    )
     print(f"overlay: {N_BROKERS} brokers in a random tree\n")
 
     policies = {
@@ -93,7 +82,9 @@ def main() -> None:
     }
     outcomes: dict[str, dict[float, object]] = {}
     for regime, policy in policies.items():
-        overlay = builder.advertisement(policy).build_overlay()
+        overlay = BrokerOverlay.random_tree(N_BROKERS, seed=43)
+        overlay.attach_round_robin(workload.positive)
+        overlay.advertise(policy, corpus)
         table_entries = sum(
             len(node.table) for node in overlay.brokers.values()
         )
@@ -106,7 +97,7 @@ def main() -> None:
         }
         outcomes[regime] = {}
         for rate in RATES:
-            stats, delivered = replay(builder, overlay, corpus, rate)
+            stats, delivered = replay(overlay, corpus, rate)
             outcomes[regime][rate] = stats
             # Whatever the load, the engine must agree with the
             # synchronous path on the full per-document delivery sets.

@@ -24,8 +24,9 @@ import random
 
 from repro import (
     BatchServiceModel,
+    BrokerOverlay,
+    DeliveryEngine,
     LinkModel,
-    OverlayBuilder,
     PerSubscriptionPolicy,
     ServiceModel,
 )
@@ -61,9 +62,13 @@ def skewed_corpus(dtd) -> DocumentCorpus:
     return DocumentCorpus(documents)
 
 
-def replay(builder: OverlayBuilder, corpus: DocumentCorpus):
-    """One engine run; returns (stats, delivered sets)."""
-    overlay, engine = builder.build()
+def replay(patterns, service: ServiceModel, corpus: DocumentCorpus):
+    """One engine run over a freshly advertised overlay; returns (stats,
+    delivered sets)."""
+    overlay = BrokerOverlay.random_tree(N_BROKERS, seed=43)
+    overlay.attach_round_robin(patterns)
+    overlay.advertise(PerSubscriptionPolicy())
+    engine = DeliveryEngine(overlay, service, LinkModel(default=0.5))
     engine.publish_corpus(corpus, rate=RATE)
     return engine.run(), engine.delivered_sets()
 
@@ -79,23 +84,15 @@ def main() -> None:
         N_SUBSCRIBERS, distinct=False
     )
 
-    builder = (
-        OverlayBuilder()
-        .topology("random_tree", N_BROKERS, seed=43)
-        .subscriptions(patterns)
-        .advertisement(PerSubscriptionPolicy())
-        .links(LinkModel(default=0.5))
-    )
     print(f"overlay: {N_BROKERS} brokers in a random tree\n")
 
     unbatched_stats, unbatched_sets = replay(
-        builder.service(ServiceModel(base=0.3, per_match=0.01)), corpus
+        patterns, ServiceModel(base=0.3, per_match=0.01), corpus
     )
     batched_stats, batched_sets = replay(
-        builder.service(
-            BatchServiceModel(
-                base=0.3, per_match=0.01, per_doc=0.05, max_batch=MAX_BATCH
-            )
+        patterns,
+        BatchServiceModel(
+            base=0.3, per_match=0.01, per_doc=0.05, max_batch=MAX_BATCH
         ),
         corpus,
     )

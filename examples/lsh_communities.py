@@ -31,10 +31,10 @@ Run:  PYTHONPATH=src python examples/lsh_communities.py
 from __future__ import annotations
 
 from repro import (
+    BrokerOverlay,
     CommunityPolicy,
     DocumentSynopsis,
     LSHCandidates,
-    OverlayBuilder,
     SelectivityEstimator,
 )
 from repro.core.similarity import m3_joint_over_union
@@ -135,13 +135,10 @@ def main() -> None:
     print(f"largest lsh communities:   {gated_sizes}")
 
     print("\nthreading the generator through a broker overlay ...")
-    overlay = (
-        OverlayBuilder()
-        .topology("random_tree", n_brokers=N_BROKERS, seed=11)
-        .subscriptions(patterns)
-        .provider(estimator)
-        .advertisement(CommunityPolicy(threshold=THRESHOLD, candidates=generator))
-        .build_overlay()
+    overlay = BrokerOverlay.random_tree(N_BROKERS, seed=11)
+    overlay.attach_round_robin(patterns)
+    overlay.advertise(
+        CommunityPolicy(threshold=THRESHOLD, candidates=generator), estimator
     )
     print(f"overlay mode: {overlay.mode}")
     for broker_id, node in sorted(overlay.brokers.items()):

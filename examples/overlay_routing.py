@@ -15,8 +15,7 @@ The full scalable-routing story of the paper, end to end:
 5. route the document stream end-to-end and compare filtering cost,
    routing state and delivery quality.
 
-The overlay is assembled through the :class:`OverlayBuilder` façade and
-the regimes are first-class policy objects — switching regime is
+The regimes are first-class policy objects — switching regime is
 ``overlay.advertise(policy, provider)``, not a different code path.
 
 Run:  PYTHONPATH=src python examples/overlay_routing.py
@@ -25,9 +24,9 @@ Run:  PYTHONPATH=src python examples/overlay_routing.py
 from __future__ import annotations
 
 from repro import (
+    BrokerOverlay,
     CommunityPolicy,
     DocumentSynopsis,
-    OverlayBuilder,
     PerSubscriptionPolicy,
     SelectivityEstimator,
 )
@@ -55,13 +54,9 @@ def main() -> None:
         n_positive=N_SUBSCRIBERS, n_negative=0
     )
 
-    overlay = (
-        OverlayBuilder()
-        .topology("random_tree", N_BROKERS, seed=33)
-        .subscriptions(workload.positive)
-        .advertisement(PerSubscriptionPolicy())
-        .build_overlay()
-    )
+    overlay = BrokerOverlay.random_tree(N_BROKERS, seed=33)
+    overlay.attach_round_robin(workload.positive)
+    overlay.advertise(PerSubscriptionPolicy())
     print(f"\noverlay: {N_BROKERS} brokers in a random tree")
     for node in overlay.brokers.values():
         print(

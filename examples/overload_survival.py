@@ -30,9 +30,11 @@ Run:  PYTHONPATH=src python examples/overload_survival.py
 from __future__ import annotations
 
 from repro import (
+    BrokerOverlay,
     ClosedLoopSource,
+    DeliveryEngine,
     LinkModel,
-    OverlayBuilder,
+    PerSubscriptionPolicy,
     QueuePolicy,
     ServiceModel,
     WeightedFairScheduling,
@@ -49,6 +51,8 @@ N_BROKERS = 4
 RATE = 8.0
 CAPACITY = 6
 FAIR_WEIGHTS = {0: 3.0, 1: 1.0}
+SERVICE = ServiceModel(base=0.2, per_match=0.05)
+LINKS = LinkModel(default=1.0)
 
 
 def ledger(stats) -> str:
@@ -82,15 +86,9 @@ def main() -> None:
         n_positive=N_SUBSCRIBERS, n_negative=0
     )
 
-    builder = (
-        OverlayBuilder()
-        .topology("random_tree", N_BROKERS, seed=43)
-        .subscriptions(workload.positive)
-        .matching("linear")
-        .service(ServiceModel(base=0.2, per_match=0.05))
-        .links(LinkModel(default=1.0))
-    )
-    overlay = builder.build_overlay()
+    overlay = BrokerOverlay.random_tree(N_BROKERS, seed=43, matching="linear")
+    overlay.attach_round_robin(workload.positive)
+    overlay.advertise(PerSubscriptionPolicy())
     print(
         f"overlay: {N_BROKERS} brokers; publishing at {RATE:g} docs/t — "
         "well past the saturation knee\n"
@@ -105,7 +103,7 @@ def main() -> None:
     }
     outcomes = {}
     for label, policy in policies.items():
-        engine = builder.queue_policy(policy).build_engine(overlay)
+        engine = DeliveryEngine(overlay, SERVICE, LINKS, queue_policy=policy)
         engine.publish_corpus(corpus, rate=RATE)
         stats = engine.run()
         # The conservation ledger: every copy born is accounted dead.
@@ -118,15 +116,14 @@ def main() -> None:
     print()
 
     print("closed-loop AIMD publisher against the NACK policy:")
-    engine = (
-        builder.queue_policy(QueuePolicy(CAPACITY, "nack"))
-        .sources(
-            ClosedLoopSource(
-                corpus, at_broker=0, initial_window=4.0,
-                feedback_delay=0.5, seed=3,
-            )
+    engine = DeliveryEngine(
+        overlay, SERVICE, LINKS, queue_policy=QueuePolicy(CAPACITY, "nack")
+    )
+    engine.attach_source(
+        ClosedLoopSource(
+            corpus, at_broker=0, initial_window=4.0,
+            feedback_delay=0.5, seed=3,
         )
-        .build_engine(overlay)
     )
     stats = engine.run()
     report = engine.source_report(0)
@@ -139,16 +136,15 @@ def main() -> None:
     print()
 
     print(f"weighted-fair shares under sustained overload ({FAIR_WEIGHTS}):")
-    fair_builder = (
-        OverlayBuilder()
-        .topology("chain", 1)
-        .subscriptions(workload.positive[:8])
-        .matching("linear")
-        .service(ServiceModel(base=0.2, per_match=0.05))
-        .scheduling(WeightedFairScheduling(FAIR_WEIGHTS))
-        .queue_policy(QueuePolicy(CAPACITY, "drop-oldest"))
+    single = BrokerOverlay.chain(1, matching="linear")
+    single.attach_round_robin(workload.positive[:8])
+    single.advertise(PerSubscriptionPolicy())
+    engine = DeliveryEngine(
+        single,
+        SERVICE,
+        scheduling=WeightedFairScheduling(FAIR_WEIGHTS),
+        queue_policy=QueuePolicy(CAPACITY, "drop-oldest"),
     )
-    engine = fair_builder.build_engine(fair_builder.build_overlay())
     span = len(corpus.documents) / RATE
     for repeat in range(3):
         engine.publish_corpus(

@@ -1,11 +1,15 @@
-"""Policy-driven overlay composition with the OverlayBuilder façade.
+"""Policy-driven overlay composition: one deployment, swappable policies.
 
 Everything the routing layer can vary is a first-class policy object
-here, composed declaratively in one expression:
+here, handed to the part it configures:
 
 1. build an NITF corpus and subscriber population;
-2. assemble topology, placement, advertisement policy, timing models and
-   scheduling through :class:`~repro.routing.builder.OverlayBuilder`;
+2. assemble the deployment from its parts: a broker tree
+   (``BrokerOverlay.random_tree``), round-robin homes
+   (``attach_round_robin``), an advertisement policy scored by a
+   selectivity provider (``advertise(policy, provider)``), and a
+   :class:`~repro.routing.engine.DeliveryEngine` with its timing models
+   and scheduling policy;
 3. compare three advertisement policies on the same membership —
    per-subscription, community, and the hybrid that aggregates only the
    brokers holding enough subscriptions to be worth it;
@@ -21,11 +25,12 @@ Run:  PYTHONPATH=src python examples/policy_builder.py
 from __future__ import annotations
 
 from repro import (
+    BrokerOverlay,
     CommunityPolicy,
+    DeliveryEngine,
     FifoScheduling,
     HybridPolicy,
     LinkModel,
-    OverlayBuilder,
     PerSubscriptionPolicy,
     PriorityScheduling,
     ServiceModel,
@@ -42,6 +47,8 @@ N_BROKERS = 5
 THRESHOLD = 0.5
 RATE = 4.0
 CLASSES = (0, 1, 2)
+SERVICE = ServiceModel(base=0.2, per_match=0.05)
+LINKS = LinkModel(default=1.0)
 
 
 def main() -> None:
@@ -57,14 +64,12 @@ def main() -> None:
     patterns = workload.positive[:N_SUBSCRIBERS]
     burst = workload.positive[N_SUBSCRIBERS:]
 
-    builder = (
-        OverlayBuilder()
-        .topology("random_tree", N_BROKERS, seed=63)
-        .subscriptions(patterns)
-        .provider(corpus)
-        .service(ServiceModel(base=0.2, per_match=0.05))
-        .links(LinkModel(default=1.0))
-    )
+    def deploy(policy):
+        """A fresh overlay: the tree, the homes and *policy*'s tables."""
+        overlay = BrokerOverlay.random_tree(N_BROKERS, seed=63)
+        overlay.attach_round_robin(patterns)
+        overlay.advertise(policy, corpus)
+        return overlay
 
     # --- one membership, three advertisement policies -------------------
     print("\nadvertisement policies on the same membership:")
@@ -76,7 +81,7 @@ def main() -> None:
         CommunityPolicy(THRESHOLD),
         HybridPolicy(THRESHOLD, aggregate_above=8),
     ):
-        overlay = builder.advertisement(policy).build_overlay()
+        overlay = deploy(policy)
         stats = overlay.route_corpus(corpus)
         print(
             f"  {overlay.mode:44s} {stats.total_table_entries:6d} "
@@ -84,13 +89,13 @@ def main() -> None:
         )
 
     # --- one overlay, two scheduling policies ---------------------------
-    overlay = builder.advertisement(PerSubscriptionPolicy()).build_overlay()
+    overlay = deploy(PerSubscriptionPolicy())
     print(
         f"\nscheduling at rate {RATE:g}/t (classes cycle {CLASSES}, "
         "class 2 is the paying tier):"
     )
     for scheduling in (FifoScheduling(), PriorityScheduling()):
-        engine = builder.scheduling(scheduling).build_engine(overlay)
+        engine = DeliveryEngine(overlay, SERVICE, LINKS, scheduling)
         engine.publish_corpus(corpus, rate=RATE, classes=CLASSES)
         stats = engine.run()
         digest = ", ".join(
@@ -100,9 +105,7 @@ def main() -> None:
         print(f"  {scheduling!r:28} {digest}")
 
     # --- batch churn ----------------------------------------------------
-    overlay = (
-        builder.advertisement(CommunityPolicy(THRESHOLD)).build_overlay()
-    )
+    overlay = deploy(CommunityPolicy(THRESHOLD))
     before = overlay.advertisement_messages
     subscription_ids = overlay.subscribe_many(0, burst)
     print(

@@ -27,7 +27,6 @@ from repro import (
     BrokerOverlay,
     CommunityPolicy,
     DocumentSynopsis,
-    OverlayBuilder,
     SelectivityEstimator,
 )
 from repro.dtd.builtin import nitf_dtd
@@ -79,14 +78,9 @@ def main() -> None:
     # selectivity-ratio prefilter relies on; keep the estimator's raw
     # clustering.
     policy = CommunityPolicy(THRESHOLD, ratio_prefilter=False)
-    overlay = (
-        OverlayBuilder()
-        .topology("random_tree", N_BROKERS, seed=44)
-        .subscriptions(initial)
-        .provider(estimator)
-        .advertisement(policy)
-        .build_overlay()
-    )
+    overlay = BrokerOverlay.random_tree(N_BROKERS, seed=44)
+    overlay.attach_round_robin(initial)
+    overlay.advertise(policy, estimator)
     stats = overlay.route_corpus(corpus)
     print(
         f"day 0: {len(overlay.subscriptions)} subscribers, "

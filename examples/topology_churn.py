@@ -28,7 +28,7 @@ Run:  PYTHONPATH=src python examples/topology_churn.py
 
 from __future__ import annotations
 
-from repro import BrokerOverlay, CommunityPolicy, OverlayBuilder
+from repro import BrokerOverlay, CommunityPolicy, DeliveryEngine
 from repro.dtd.builtin import nitf_dtd
 from repro.experiments.config import DOC_GENERATOR_PRESETS
 from repro.generators.docgen import generate_documents
@@ -61,15 +61,9 @@ def main() -> None:
     patterns = workload.positive
     initial, reserve = patterns[:N_INITIAL], patterns[N_INITIAL:]
 
-    policy = CommunityPolicy(THRESHOLD)
-    overlay = (
-        OverlayBuilder()
-        .topology("random_tree", N_BROKERS, seed=53)
-        .subscriptions(initial)
-        .provider(corpus)
-        .advertisement(policy)
-        .build_overlay()
-    )
+    overlay = BrokerOverlay.random_tree(N_BROKERS, seed=53)
+    overlay.attach_round_robin(initial)
+    overlay.advertise(CommunityPolicy(THRESHOLD), corpus)
     settled = overlay.advertisement_messages
     print(
         f"day 0: {len(overlay.brokers)} brokers, "
@@ -134,16 +128,13 @@ def main() -> None:
     )
 
     # -- a leave in the middle of a live simulation --------------------
-    overlay, engine = (
-        OverlayBuilder()
-        .topology("chain", 4, seed=54)
-        .subscriptions(initial)
-        .provider(corpus)
-        .advertisement(CommunityPolicy(THRESHOLD))
-        .service(ServiceModel(base=0.3, per_match=0.02))
-        .links(LinkModel(default=1.0))
-        .allow_topology_churn()
-        .build()
+    overlay = BrokerOverlay.chain(4)
+    overlay.attach_round_robin(initial)
+    overlay.advertise(CommunityPolicy(THRESHOLD), corpus)
+    engine = DeliveryEngine(
+        overlay,
+        ServiceModel(base=0.3, per_match=0.02),
+        LinkModel(default=1.0),
     )
     engine.publish_corpus(corpus, rate=4.0)
     retiring = 1

@@ -44,7 +44,6 @@ from repro.routing import (
     HybridPolicy,
     LatencyStats,
     LinkModel,
-    OverlayBuilder,
     OverlayStats,
     PatternTrie,
     PerSubscriptionPolicy,
@@ -74,7 +73,6 @@ __all__ = [
     "BrokerId",
     "BrokerOverlay",
     "OverlayStats",
-    "OverlayBuilder",
     "RoutingTable",
     "PatternTrie",
     "TopologyEvent",

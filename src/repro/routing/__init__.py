@@ -51,10 +51,6 @@ Module map:
   aging, deadline, weighted-fair) consumed by the delivery engine, and
   :class:`QueuePolicy` bounding broker queues with drop-new /
   drop-oldest / nack overflow;
-* :mod:`repro.routing.builder` — :class:`OverlayBuilder`, the fluent
-  façade composing topology, membership, estimator provider,
-  advertisement policy, candidate generator, service/link models and
-  scheduling into a ready ``(BrokerOverlay, DeliveryEngine)`` pair;
 * :mod:`repro.routing.engine` — the discrete-event delivery engine:
   seeded, wall-clock-free simulation of the overlay under load, with
   per-broker service queues drained by a swappable
@@ -78,7 +74,6 @@ from repro.routing.broker import (
     ordered_percentile,
     percentile,
 )
-from repro.routing.builder import OverlayBuilder
 from repro.routing.community import Community, leader_clustering
 from repro.routing.engine import (
     BatchServiceModel,
@@ -156,5 +151,4 @@ __all__ = [
     "DeadlineScheduling",
     "WeightedFairScheduling",
     "QueuePolicy",
-    "OverlayBuilder",
 ]

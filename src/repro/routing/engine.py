@@ -44,8 +44,7 @@ scheduling policy trades on.
 
 The broker tree itself may churn mid-simulation: a :class:`TopologyEvent`
 (scheduled through :meth:`DeliveryEngine.schedule_join` /
-:meth:`DeliveryEngine.schedule_leave`, gated by the explicit
-``allow_topology_churn`` opt-in) applies ``BrokerOverlay.add_broker`` /
+:meth:`DeliveryEngine.schedule_leave`) applies ``BrokerOverlay.add_broker`` /
 ``remove_broker`` at its simulated instant, in the same deterministic
 ``(time, seq)`` order as every other event.  A leave re-routes the
 retiring broker's in-flight documents to its merge target — queued and
@@ -473,7 +472,6 @@ class DeliveryEngine:
         links: Optional[LinkModel] = None,
         scheduling: Optional[SchedulingPolicy] = None,
         queue_policy: Optional[QueuePolicy] = None,
-        allow_topology_churn: bool = False,
     ) -> None:
         if overlay.mode is None:
             raise ValueError(
@@ -487,12 +485,6 @@ class DeliveryEngine:
         #: replays the pre-overload engine byte-identically; a capacity
         #: activates the drop-new / drop-oldest / nack overflow path.
         self.queue_policy = queue_policy or QueuePolicy()
-        #: Whether :meth:`schedule_join` / :meth:`schedule_leave` are
-        #: permitted.  Topology churn mid-simulation re-routes in-flight
-        #: documents (their timing restarts at the merge target), so it
-        #: is an explicit opt-in — see
-        #: ``OverlayBuilder.allow_topology_churn``.
-        self.allow_topology_churn = allow_topology_churn
         #: Retired broker id -> its merge target, for translating
         #: forwards whose filtering step pre-dates a leave event.
         self._retired: dict[int, int] = {}
@@ -542,8 +534,9 @@ class DeliveryEngine:
         self._nacked_by_class: dict[int, int] = {}
         self._dropped_by_broker: dict[int, int] = {}
         #: Per-broker, per-class count of service starts — the share
-        #: history :class:`~repro.routing.policy.WeightedFairScheduling`
-        #: reads.  Engine-owned so frozen policies stay replay-safe.
+        #: history every scheduling selection receives (and
+        #: :class:`~repro.routing.policy.WeightedFairScheduling` reads).
+        #: Engine-owned so frozen policies stay replay-safe.
         self._class_service: dict[int, dict[int, int]] = {
             broker_id: {} for broker_id in overlay.brokers
         }
@@ -806,22 +799,13 @@ class DeliveryEngine:
     def schedule_topology(self, time: float, event: TopologyEvent) -> None:
         """Queue a broker join/leave for simulated instant *time*.
 
-        Requires ``allow_topology_churn=True`` (see
-        ``OverlayBuilder.allow_topology_churn``): applying a leave
-        mid-simulation re-routes the retiring broker's queued and
-        in-service documents to the merge target — nothing is lost, but
-        their service restarts there, which is a timing semantics the
-        caller must opt into.  The event is applied by :meth:`run` in
-        ``(time, seq)`` order like any other event; the outcome (for a
-        join, the minted broker id) is recorded in
+        Applying a leave mid-simulation re-routes the retiring broker's
+        queued and in-service documents to the merge target — nothing is
+        lost, but their service restarts there.  The event is applied by
+        :meth:`run` in ``(time, seq)`` order like any other event; the
+        outcome (for a join, the minted broker id) is recorded in
         :attr:`topology_log`.
         """
-        if not self.allow_topology_churn:
-            raise ValueError(
-                "topology churn is disabled for this engine; construct "
-                "it with allow_topology_churn=True (or via "
-                "OverlayBuilder.allow_topology_churn())"
-            )
         _require_finite("topology event time", time)
         if time < 0.0:
             raise ValueError("topology event time must be >= 0")
@@ -985,19 +969,16 @@ class DeliveryEngine:
 
         Delegates to the engine's
         :class:`~repro.routing.policy.SchedulingPolicy` — the queue is
-        presented oldest-arrival-first and the policy answers with the
-        position to service next, so disciplines never touch the event
-        loop.
+        presented oldest-arrival-first, with the broker's per-class
+        service counts, and the policy answers with the position to
+        service next, so disciplines never touch the event loop.
         """
         queue = self._queues[broker_id]
         if not queue:
             return None
-        if self.scheduling.uses_service_shares:
-            choice = self.scheduling.select_shares(
-                queue, now, self._class_service.setdefault(broker_id, {})
-            )
-        else:
-            choice = self.scheduling.select(queue, now)
+        choice = self.scheduling.select(
+            queue, now, self._class_service.setdefault(broker_id, {})
+        )
         if not 0 <= choice < len(queue):
             raise ValueError(
                 f"{type(self.scheduling).__name__}.select returned "
@@ -1010,7 +991,7 @@ class DeliveryEngine:
 
     def _account_service(self, broker_id: int, job: _Job) -> None:
         """Charge one service start to the broker's per-class share
-        history (what :meth:`_next_job` hands share-aware policies);
+        history (what :meth:`_next_job` hands the scheduling policy);
         selections within one batched drain see each other's charges."""
         shares = self._class_service.setdefault(broker_id, {})
         shares[job.priority_class] = shares.get(job.priority_class, 0) + 1

@@ -30,7 +30,7 @@ Scheduling policies (consumed by ``DeliveryEngine``):
 * :class:`WeightedFairScheduling` — long-run class throughput shares
   proportional to configured weights: each selection serves the backlogged
   class furthest below its weighted fair share of the broker's service
-  history (which the engine supplies to :meth:`SchedulingPolicy.select_shares`).
+  history (which the engine supplies to every :meth:`SchedulingPolicy.select`).
 
 Queue admission is a third axis, orthogonal to service order:
 :class:`QueuePolicy` bounds each broker's service queue (``capacity=``)
@@ -47,12 +47,13 @@ unbounded queue, byte-identical in replay.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import islice, takewhile
 from operator import itemgetter
-from typing import ClassVar, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Iterable, Mapping, Optional, Protocol, Sequence
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
@@ -751,8 +752,17 @@ class HybridPolicy(CommunityPolicy):
         index: Optional[SimilarityIndex],
         clusters: Optional[LeaderClusters] = None,
     ) -> list[Aggregate]:
-        """Per-subscription under the cutoff, community aggregation above."""
+        """Per-subscription under the cutoff, community aggregation above.
+
+        Under the cutoff no event brings *clusters* up to date, so it is
+        emptied: it names no departed leader and holds no leader index.
+        """
         if len(members) <= self.aggregate_above:
+            if clusters is not None:
+                clusters.communities = []
+                clusters.leader_of = {}
+                clusters.elected = {}
+                clusters.leader_index = None
             return [
                 (pattern, (member,))
                 for member, pattern in zip(members, patterns, strict=True)
@@ -782,42 +792,28 @@ class QueuedJob(Protocol):
 class SchedulingPolicy:
     """Strategy picking the next document a busy broker services.
 
-    :meth:`select` receives the broker's queue (oldest arrival first)
-    and the current simulated time, and returns the *queue position* of
-    the job to service next.  Policies must be pure functions of their
-    arguments — the engine's bit-for-bit replay determinism rests on it.
-
-    Fair-share disciplines additionally need to know how much service
-    each class has already received at this broker; a policy that sets
-    ``uses_service_shares`` is called through :meth:`select_shares`
-    instead, with the engine supplying that history as a read-only
-    mapping.  History is engine-owned and reset per run, so the policy
-    object itself stays stateless (and frozen) — replays are unaffected.
+    :meth:`select` receives the broker's queue (oldest arrival first),
+    the current simulated time and the broker's service history, and
+    returns the *queue position* of the job to service next.  Policies
+    must be pure functions of their arguments — the engine's bit-for-bit
+    replay determinism rests on it.  History is engine-owned and reset
+    per run, so the policy object itself stays stateless (and frozen) —
+    replays are unaffected.
     """
 
-    #: Whether the engine should call :meth:`select_shares` (passing the
-    #: broker's per-class serviced-document counts) instead of
-    #: :meth:`select`.
-    uses_service_shares: ClassVar[bool] = False
-
-    def select(self, queue: Sequence[QueuedJob], now: float) -> int:
-        """The index (into *queue*) of the job to service next."""
-        raise NotImplementedError
-
-    def select_shares(
+    def select(
         self,
         queue: Sequence[QueuedJob],
         now: float,
         shares: Mapping[int, int],
     ) -> int:
-        """Like :meth:`select`, with the broker's service history.
+        """The index (into *queue*) of the job to service next.
 
         ``shares`` maps ``priority_class`` to the number of documents of
-        that class this broker has already started servicing.  The
-        default delegates to :meth:`select`, so history-blind policies
-        never see it.
+        that class this broker has already started servicing, as a
+        read-only mapping; fair-share disciplines read it.
         """
-        return self.select(queue, now)
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -827,7 +823,12 @@ class SchedulingPolicy:
 class FifoScheduling(SchedulingPolicy):
     """First come, first served — the engine's historical discipline."""
 
-    def select(self, queue: Sequence[QueuedJob], now: float) -> int:
+    def select(
+        self,
+        queue: Sequence[QueuedJob],
+        now: float,
+        shares: Mapping[int, int],
+    ) -> int:
         """Always the head of the queue (oldest arrival)."""
         return 0
 
@@ -857,9 +858,14 @@ class PriorityScheduling(SchedulingPolicy):
     aging: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.aging < 0.0:
-            raise ValueError("aging rate must be >= 0")
-        object.__setattr__(self, "weights", dict(self.weights or {}))
+        # NaN fails every comparison, and an infinite rate times a zero
+        # wait is NaN: either would serve another order silently.
+        if not 0.0 <= self.aging < math.inf:
+            raise ValueError("aging rate must be finite and >= 0")
+        weights = dict(self.weights or {})
+        if any(map(math.isnan, weights.values())):
+            raise ValueError("priority weights must not be NaN")
+        object.__setattr__(self, "weights", weights)
 
     def weight(self, priority_class: int) -> float:
         """The scheduling weight of one subscriber class."""
@@ -874,7 +880,12 @@ class PriorityScheduling(SchedulingPolicy):
             0.0, now - job.arrived_at
         )
 
-    def select(self, queue: Sequence[QueuedJob], now: float) -> int:
+    def select(
+        self,
+        queue: Sequence[QueuedJob],
+        now: float,
+        shares: Mapping[int, int],
+    ) -> int:
         """The queue position carrying the highest effective weight."""
         # enumerate, not indexing: the engine queues are deques, where
         # positional access is O(position).
@@ -908,7 +919,8 @@ class DeadlineScheduling(SchedulingPolicy):
     default_slack: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.default_slack < 0.0:
+        # Written so that NaN, which fails every comparison, is refused.
+        if not self.default_slack >= 0.0:
             raise ValueError("default_slack must be >= 0")
 
     def _deadline(self, job: QueuedJob) -> float:
@@ -916,7 +928,12 @@ class DeadlineScheduling(SchedulingPolicy):
             return job.deadline
         return job.published_at + self.default_slack
 
-    def select(self, queue: Sequence[QueuedJob], now: float) -> int:
+    def select(
+        self,
+        queue: Sequence[QueuedJob],
+        now: float,
+        shares: Mapping[int, int],
+    ) -> int:
         """The queue position with the earliest effective deadline."""
         best = 0
         best_deadline: Optional[float] = None
@@ -946,8 +963,8 @@ class WeightedFairScheduling(SchedulingPolicy):
 
     ``weights`` maps ``priority_class`` to its fair share weight (> 0);
     classes not listed use ``default_weight``.  Service history is
-    engine-owned and passed per call (``uses_service_shares``), so the
-    policy object itself stays stateless and replays stay bit-identical.
+    engine-owned and passed to every :meth:`select`, so the policy
+    object itself stays stateless and replays stay bit-identical.
     Ties — equal normalised shares — serve the earliest queue position,
     which is arrival order, i.e. ``(time, seq)`` order.
     """
@@ -955,14 +972,13 @@ class WeightedFairScheduling(SchedulingPolicy):
     weights: Optional[dict[int, float]] = None
     default_weight: float = 1.0
 
-    uses_service_shares: ClassVar[bool] = True
-
     def __post_init__(self) -> None:
-        if self.default_weight <= 0.0:
+        # Written so that NaN, which fails every comparison, is refused.
+        if not self.default_weight > 0.0:
             raise ValueError("default_weight must be positive")
         normalised = dict(self.weights or {})
         for priority_class, weight in normalised.items():
-            if weight <= 0.0:
+            if not weight > 0.0:
                 raise ValueError(
                     f"fair-share weight of class {priority_class} must be "
                     "positive"
@@ -974,16 +990,7 @@ class WeightedFairScheduling(SchedulingPolicy):
         assert self.weights is not None  # normalised in __post_init__
         return self.weights.get(priority_class, self.default_weight)
 
-    def select(self, queue: Sequence[QueuedJob], now: float) -> int:
-        """History-blind fallback: fair selection over an empty history.
-
-        Every queued class then has normalised share 0, so the head of
-        the queue (earliest arrival) is served — FIFO.  Engines that
-        track shares call :meth:`select_shares` instead.
-        """
-        return self.select_shares(queue, now, {})
-
-    def select_shares(
+    def select(
         self,
         queue: Sequence[QueuedJob],
         now: float,

@@ -144,7 +144,6 @@ def batched_engine(overlay, rate, corpus, leave=None):
             base=0.4, per_match=0.05, per_doc=0.1, max_batch=3
         ),
         links=LinkModel(default=0.5),
-        allow_topology_churn=leave is not None,
     )
     engine.publish_corpus(corpus, rate=rate)
     if leave is not None:

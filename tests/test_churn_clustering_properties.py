@@ -20,7 +20,8 @@ holding every ring pattern, and after every event checks that
 * the overlay's routing state equals a from-scratch rebuild, and
 * under a candidate gate, each broker's leader index holds exactly the
   leaders of its clustering record, each found by a lookup of its own
-  pattern;
+  pattern, and a hybrid broker at or under its cutoff keeps an empty
+  record;
 
 and, under every candidate gate, that no similarity index is ever
 asked about a pair the gate rules out: the index has no gate of its
@@ -41,7 +42,7 @@ from repro.core.candidates import CandidateGenerator, ExactCandidates, LSHCandid
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityIndex
 from repro.routing.overlay import BrokerOverlay
-from repro.routing.policy import CommunityPolicy, HybridPolicy
+from repro.routing.policy import CommunityPolicy, HybridPolicy, LeaderClusters
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 from tests.strategies import property_max_examples, tree_patterns
@@ -150,18 +151,19 @@ def assert_leader_indexes_hold_the_leaders(overlay: BrokerOverlay) -> None:
     """Under a gated policy, each clustered broker's leader index holds
     exactly the leaders of its clustering record: its size is their
     count, and a lookup of each leader's own pattern finds it among
-    them.  A hybrid broker at or under its cutoff keeps no live
-    clustering and is skipped."""
+    them.  A hybrid broker at or under its cutoff, gated or not, keeps
+    an empty record."""
     policy = overlay.policy
-    if policy.candidates is None:
-        return
     for broker_id, node in overlay.brokers.items():
+        clusters = node.clusters
         if (
             isinstance(policy, HybridPolicy)
             and len(node.advertised) <= policy.aggregate_above
         ):
+            assert clusters == LeaderClusters(), broker_id
             continue
-        clusters = node.clusters
+        if policy.candidates is None:
+            continue
         assert list(clusters.leader_of) == list(node.advertised), broker_id
         leaders = {group[0] for group in clusters.communities}
         index = clusters.leader_index

@@ -134,7 +134,7 @@ class TestNonFiniteTimingInputs:
 
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_topology_event_time(self, chain3, value):
-        engine = DeliveryEngine(chain3, allow_topology_churn=True)
+        engine = DeliveryEngine(chain3)
         with pytest.raises(ValueError, match="finite"):
             engine.schedule_join(value, 0)
 
@@ -396,7 +396,7 @@ class TestSchedulingPolicies:
     def test_malformed_policy_selection_rejected(self, single_broker):
         @dataclass(frozen=True)
         class Broken(SchedulingPolicy):
-            def select(self, queue, now):
+            def select(self, queue, now, shares):
                 return len(queue)
 
         engine = DeliveryEngine(
@@ -450,30 +450,17 @@ class TestDeterminism:
 class TestTopologyEvents:
     """Mid-simulation broker join/leave through the event queue."""
 
-    def _churn_engine(self, overlay, **kwargs):
-        kwargs.setdefault("allow_topology_churn", True)
-        return DeliveryEngine(overlay, **kwargs)
-
-    def test_churn_is_gated_by_opt_in(self, chain3):
+    def test_default_engine_applies_churn_at_its_instants(self, chain3):
+        # Scheduling a join or a leave is the whole opt-in.
         engine = DeliveryEngine(chain3)
-        with pytest.raises(ValueError):
-            engine.schedule_leave(1.0, 2)
-        with pytest.raises(ValueError):
-            engine.schedule_join(1.0, parent=0)
-
-    def test_builder_opt_in_enables_churn(self):
-        from repro.routing.builder import OverlayBuilder
-
-        overlay, engine = (
-            OverlayBuilder()
-            .topology("chain", 3)
-            .subscriptions([parse_xpath("/a/b")])
-            .allow_topology_churn()
-            .build()
-        )
-        engine.schedule_leave(1.0, 2)  # accepted
+        engine.schedule_join(1.0, parent=0)
+        engine.schedule_leave(2.0, 2)
         engine.run()
-        assert 2 not in overlay.brokers
+        assert [
+            (when, event.action, broker_id)
+            for when, event, broker_id in engine.topology_log
+        ] == [(1.0, "join", 3), (2.0, "leave", 1)]
+        assert sorted(chain3.brokers) == [0, 1, 3]
 
     def test_event_validation(self):
         from repro.routing.engine import TopologyEvent
@@ -488,12 +475,12 @@ class TestTopologyEvents:
         assert engine_event.parent == 0 and engine_event.split == 1
 
     def test_negative_event_time_rejected(self, chain3):
-        engine = self._churn_engine(chain3)
+        engine = DeliveryEngine(chain3)
         with pytest.raises(ValueError):
             engine.schedule_leave(-0.5, 2)
 
     def test_join_equips_newcomer_mid_run(self, chain3):
-        engine = self._churn_engine(chain3)
+        engine = DeliveryEngine(chain3)
         engine.publish(doc("<a><b/></a>"), at_broker=0, time=0.0)
         engine.schedule_join(0.5, parent=2)
         stats = engine.run()
@@ -512,7 +499,7 @@ class TestTopologyEvents:
         for broker_id in range(3):
             overlay.attach(broker_id, parse_xpath("/a/b"))
         overlay.advertise(PerSubscriptionPolicy())
-        engine = self._churn_engine(
+        engine = DeliveryEngine(
             overlay,
             service=ServiceModel(base=5.0, per_match=0.0),
             links=LinkModel(default=0.1),
@@ -537,7 +524,7 @@ class TestTopologyEvents:
         overlay = BrokerOverlay.chain(3)
         overlay.attach(2, parse_xpath("/a/b"))
         overlay.advertise(PerSubscriptionPolicy())
-        engine = self._churn_engine(
+        engine = DeliveryEngine(
             overlay,
             service=ServiceModel(base=2.0, per_match=0.0),
             links=LinkModel(default=0.1),
@@ -549,7 +536,7 @@ class TestTopologyEvents:
         assert sorted(overlay.brokers) == [0, 2]
 
     def test_leave_of_publish_broker_rehomes_its_queue(self, chain3):
-        engine = self._churn_engine(
+        engine = DeliveryEngine(
             chain3, service=ServiceModel(base=3.0, per_match=0.0)
         )
         for index in range(2):
@@ -575,7 +562,7 @@ class TestTopologyEvents:
             for broker_id in range(3):
                 overlay.attach(broker_id, parse_xpath("/a/b"))
             overlay.advertise(PerSubscriptionPolicy())
-            engine = self._churn_engine(
+            engine = DeliveryEngine(
                 overlay,
                 service=ServiceModel(base=0.4, per_match=0.1),
                 links=LinkModel(default=0.7),
@@ -646,7 +633,7 @@ class TestStaleTopologyEvents:
     def test_join_under_retired_parent_lands_at_merge_target(
         self, churn_chain
     ):
-        engine = DeliveryEngine(churn_chain, allow_topology_churn=True)
+        engine = DeliveryEngine(churn_chain)
         engine.schedule_leave(1.0, 1, merge_into=0)
         engine.schedule_join(2.0, parent=1)  # parent retires first
         engine.publish(doc("<a><b/></a>"), at_broker=0, time=3.0)
@@ -656,7 +643,7 @@ class TestStaleTopologyEvents:
         assert engine.delivered_sets() == {0: frozenset({0, 1, 2})}
 
     def test_second_leave_of_same_broker_is_recorded_noop(self, churn_chain):
-        engine = DeliveryEngine(churn_chain, allow_topology_churn=True)
+        engine = DeliveryEngine(churn_chain)
         engine.schedule_leave(1.0, 1)
         engine.schedule_leave(2.0, 1)
         engine.run()
@@ -665,7 +652,7 @@ class TestStaleTopologyEvents:
         assert [entry[2] for entry in engine.topology_log] == [0, 0]
 
     def test_stale_merge_target_falls_back_to_default(self, churn_chain):
-        engine = DeliveryEngine(churn_chain, allow_topology_churn=True)
+        engine = DeliveryEngine(churn_chain)
         engine.schedule_leave(1.0, 0)
         # Broker 0 is gone by t=2; retiring 1 "into 0" resolves/falls back.
         engine.schedule_leave(2.0, 1, merge_into=0)
@@ -673,7 +660,7 @@ class TestStaleTopologyEvents:
         assert len(churn_chain.brokers) == 1
 
     def test_retired_split_resolves_to_spliced_edge(self, churn_chain):
-        engine = DeliveryEngine(churn_chain, allow_topology_churn=True)
+        engine = DeliveryEngine(churn_chain)
         engine.schedule_leave(1.0, 1, merge_into=2)
         # "Split the link towards broker 1" follows the merge: that
         # link's successor is the spliced edge 0 — 2.
@@ -685,7 +672,7 @@ class TestStaleTopologyEvents:
     def test_split_merged_into_parent_degrades_to_leaf_graft(
         self, churn_chain
     ):
-        engine = DeliveryEngine(churn_chain, allow_topology_churn=True)
+        engine = DeliveryEngine(churn_chain)
         engine.schedule_leave(1.0, 1, merge_into=0)
         # Broker 1 collapsed into the would-be parent: there is no edge
         # left to split, so the join grafts a plain leaf instead of
@@ -707,7 +694,6 @@ class TestStaleTopologyEvents:
             overlay,
             service=ServiceModel(base=1.0, per_match=0.0),
             links=LinkModel(default=0.1),
-            allow_topology_churn=True,
         )
         engine.publish(doc("<a><b/></a>"), at_broker=0, time=0.0)
         engine.schedule_leave(1.5, 1, merge_into=0)

@@ -124,6 +124,13 @@ class TestSubscriptions:
         ids = [overlay.attach(0, p) for p in subscriptions]
         assert ids == list(range(len(subscriptions)))
 
+    def test_attach_homes_on_the_named_broker(self, subscriptions):
+        overlay = BrokerOverlay(3, [(0, 1), (1, 2)])
+        overlay.attach(2, subscriptions[0])
+        overlay.attach(0, subscriptions[1])
+        assert overlay.brokers[2].local_subscribers == [0]
+        assert overlay.brokers[0].local_subscribers == [1]
+
     def test_attach_unknown_broker(self, subscriptions):
         overlay = BrokerOverlay.chain(2)
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.broker import ClassLatency, LatencyStats
-from repro.routing.builder import OverlayBuilder
 from repro.routing.engine import (
     BatchServiceModel,
     ClosedLoopSource,
@@ -345,6 +344,27 @@ class TestClosedLoopSource:
         # Exactly one clean absorption grew the window from 3.0.
         assert report.window == pytest.approx(3.0 + 1.0 / 3.0)
 
+    def test_engines_over_one_overlay_replay_one_source_identically(self):
+        overlay = BrokerOverlay.chain(2)
+        overlay.attach_round_robin([parse_xpath("//b"), parse_xpath("/a")])
+        overlay.advertise(PerSubscriptionPolicy())
+        corpus = DocumentCorpus([doc("<b/>", doc_id=i) for i in range(5)])
+        source = ClosedLoopSource(corpus, at_broker=0, seed=3)
+        engines = []
+        for _ in range(2):
+            engine = DeliveryEngine(
+                overlay,
+                service=ServiceModel(base=0.5, per_match=0.0),
+                queue_policy=QueuePolicy(1, "nack"),
+            )
+            engine.attach_source(source)
+            conserved(engine.run())
+            assert engine.source_report(0).published == 5
+            engines.append(engine)
+        # Fresh engines, independent loops: both replay identically.
+        first, second = engines
+        assert first.source_report(0) == second.source_report(0)
+
 
 class TestAging:
     @dataclass
@@ -364,10 +384,10 @@ class TestAging:
             self.Job(arrived_at=9.5, priority_class=0),
         ]
         heavy = PriorityScheduling({0: 5.0, 1: 1.0})
-        assert heavy.select(queue, 10.0) == 1
+        assert heavy.select(queue, 10.0, {}) == 1
         aged = PriorityScheduling({0: 5.0, 1: 1.0}, aging=0.5)
         # 1 + 0.5*10 = 6 beats 5 + 0.5*0.5
-        assert aged.select(queue, 10.0) == 0
+        assert aged.select(queue, 10.0, {}) == 0
 
     def test_effective_weight_ties_break_by_arrival_order(self):
         # Queue position order *is* (time, seq) order: equal effective
@@ -378,7 +398,7 @@ class TestAging:
             self.Job(arrived_at=1.0, priority_class=0),
             self.Job(arrived_at=1.0, priority_class=0),
         ]
-        assert PriorityScheduling({0: 2.0}, aging=1.0).select(queue, 5.0) == 0
+        assert PriorityScheduling({0: 2.0}, aging=1.0).select(queue, 5.0, {}) == 0
         # A later arrival of a heavier class ties an aged lighter one
         # exactly: the earlier *position* wins.
         tie = [
@@ -387,7 +407,7 @@ class TestAging:
         ]
         policy = PriorityScheduling({0: 3.0, 1: 1.0}, aging=1.0)
         # effective: 1 + 2.0 = 3.0 vs 3 + 0.0 = 3.0 -> position 0
-        assert policy.select(tie, 2.0) == 0
+        assert policy.select(tie, 2.0, {}) == 0
 
     def test_aging_raises_low_class_share_under_overload(self):
         corpus = DocumentCorpus(
@@ -434,18 +454,12 @@ class TestWeightedFairScheduling:
         ]
         policy = WeightedFairScheduling({0: 3.0, 1: 1.0})
         # No history: all shares zero, earliest position wins.
-        assert policy.select_shares(queue, 1.0, {}) == 0
+        assert policy.select(queue, 1.0, {}) == 0
         # Class 0 already got 3 services per its weight 3 (share 1.0);
         # class 1 has share 0 -> its first job is due.
-        assert policy.select_shares(queue, 1.0, {0: 3, 1: 0}) == 2
+        assert policy.select(queue, 1.0, {0: 3, 1: 0}) == 2
         # FIFO within a class: position 0 before position 1.
-        assert policy.select_shares(queue, 1.0, {0: 0, 1: 5}) == 0
-
-    def test_select_defers_to_share_form(self):
-        queue = [self.Job(arrived_at=0.0, priority_class=4)]
-        policy = WeightedFairScheduling()
-        assert policy.uses_service_shares
-        assert policy.select(queue, 0.0) == 0
+        assert policy.select(queue, 1.0, {0: 0, 1: 5}) == 0
 
     def test_long_run_shares_lean_towards_weights(self):
         corpus = DocumentCorpus(
@@ -525,43 +539,3 @@ class TestZeroDenominatorGuards:
         assert stats.admission_ratio == 1.0
         assert stats.completed_share_by_class == {}
         conserved(stats)
-
-
-class TestBuilderFluency:
-    def patterns(self):
-        return [parse_xpath("//b"), parse_xpath("/a")]
-
-    def test_queue_policy_reaches_every_built_engine(self):
-        policy = QueuePolicy(4, "nack")
-        builder = (
-            OverlayBuilder()
-            .topology("chain", 3)
-            .subscriptions(self.patterns())
-            .queue_policy(policy)
-        )
-        overlay, engine = builder.build()
-        assert engine.queue_policy is policy
-        builder.queue_policy(QueuePolicy(2, "drop-oldest"))
-        assert builder.build_engine(overlay).queue_policy == QueuePolicy(
-            2, "drop-oldest"
-        )
-
-    def test_sources_attach_to_every_built_engine(self):
-        corpus = DocumentCorpus([doc("<b/>", doc_id=i) for i in range(5)])
-        builder = (
-            OverlayBuilder()
-            .topology("chain", 2)
-            .subscriptions(self.patterns())
-            .service(ServiceModel(base=0.5, per_match=0.0))
-            .queue_policy(QueuePolicy(1, "nack"))
-            .sources(ClosedLoopSource(corpus, at_broker=0, seed=3))
-        )
-        overlay = builder.build_overlay()
-        first = builder.build_engine(overlay)
-        second = builder.build_engine(overlay)
-        for engine in (first, second):
-            stats = engine.run()
-            conserved(stats)
-            assert engine.source_report(0).published == 5
-        # Fresh engines, independent loops: both replay identically.
-        assert first.source_report(0) == second.source_report(0)

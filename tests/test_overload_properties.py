@@ -343,7 +343,6 @@ class TestConservation:
             service=ServiceModel(base=0.4, per_match=0.1),
             links=LinkModel(default=1.0),
             queue_policy=QueuePolicy(capacity, overflow),
-            allow_topology_churn=True,
         )
         engine.publish_corpus(corpus, rate=3.0, classes=(0, 1))
         retiring = data.draw(st.integers(0, 3), label="retiring")

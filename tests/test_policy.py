@@ -1,19 +1,21 @@
-"""The policy layer: advertisement/scheduling strategies and the builder."""
+"""The policy layer: advertisement and scheduling strategies."""
+
+import math
 
 import pytest
 
 from repro.core.candidates import ExactCandidates
 from repro.core.pattern_parser import parse_xpath
-from repro.routing.builder import OverlayBuilder
-from repro.routing.engine import DeliveryEngine, LinkModel, ServiceModel
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import (
     CommunityPolicy,
     DeadlineScheduling,
     FifoScheduling,
     HybridPolicy,
+    LeaderClusters,
     PerSubscriptionPolicy,
     PriorityScheduling,
+    WeightedFairScheduling,
 )
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
@@ -139,11 +141,13 @@ class TestHybridPolicy:
         overlay.subscribe(0, patterns[1])
         ((advertised, members),) = overlay.brokers[0].communities
         assert sorted(members) == [0, 1]
-        # Dropping back under the cutoff flips back.
+        # Dropping back under the cutoff flips back, and the broker
+        # keeps no clustering record there.
         overlay.unsubscribe(1)
         assert overlay.brokers[0].communities == [
             (patterns[0], (0,))
         ]
+        assert overlay.brokers[0].clusters == LeaderClusters()
 
 
 class TestSchedulingResolution:
@@ -154,6 +158,31 @@ class TestSchedulingResolution:
         with pytest.raises(ValueError):
             DeadlineScheduling(default_slack=-1.0)
         assert DeadlineScheduling(default_slack=0.0).default_slack == 0.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PriorityScheduling(aging=math.nan),
+            lambda: PriorityScheduling(aging=math.inf),
+            lambda: PriorityScheduling({1: math.nan}),
+            lambda: DeadlineScheduling(default_slack=math.nan),
+            lambda: WeightedFairScheduling(default_weight=math.nan),
+            lambda: WeightedFairScheduling({1: math.nan}),
+        ],
+        ids=[
+            "aging-nan",
+            "aging-inf",
+            "priority-weight-nan",
+            "default-slack-nan",
+            "default-weight-nan",
+            "fair-weight-nan",
+        ],
+    )
+    def test_nan_inputs_and_infinite_aging_are_refused(self, build):
+        # Each would serve another order silently: NaN fails every
+        # comparison, and infinite aging times a zero wait is NaN.
+        with pytest.raises(ValueError):
+            build()
 
 
 class _StubJob:
@@ -168,20 +197,20 @@ class _StubJob:
 class TestSchedulingSelection:
     def test_fifo_picks_head(self):
         queue = [_StubJob(), _StubJob(priority_class=9)]
-        assert FifoScheduling().select(queue, 0.0) == 0
+        assert FifoScheduling().select(queue, 0.0, {}) == 0
 
     def test_priority_picks_heaviest_class(self):
         queue = [_StubJob(0), _StubJob(2), _StubJob(1)]
-        assert PriorityScheduling().select(queue, 0.0) == 1
+        assert PriorityScheduling().select(queue, 0.0, {}) == 1
 
     def test_priority_respects_explicit_weights(self):
         queue = [_StubJob(0), _StubJob(2), _StubJob(1)]
         inverted = PriorityScheduling({0: 10.0, 1: 5.0, 2: 0.0})
-        assert inverted.select(queue, 0.0) == 0
+        assert inverted.select(queue, 0.0, {}) == 0
 
     def test_priority_ties_keep_arrival_order(self):
         queue = [_StubJob(1), _StubJob(1), _StubJob(1)]
-        assert PriorityScheduling().select(queue, 0.0) == 0
+        assert PriorityScheduling().select(queue, 0.0, {}) == 0
 
     def test_deadline_picks_earliest(self):
         queue = [
@@ -189,7 +218,7 @@ class TestSchedulingSelection:
             _StubJob(deadline=4.0),
             _StubJob(deadline=6.0),
         ]
-        assert DeadlineScheduling().select(queue, 0.0) == 1
+        assert DeadlineScheduling().select(queue, 0.0, {}) == 1
 
     def test_deadline_default_slack_orders_unset_jobs(self):
         queue = [
@@ -198,88 +227,9 @@ class TestSchedulingSelection:
             _StubJob(deadline=100.0),
         ]
         # Finite slack: unset jobs compete on published_at + slack.
-        assert DeadlineScheduling(default_slack=10.0).select(queue, 0.0) == 1
+        assert DeadlineScheduling(default_slack=10.0).select(queue, 0.0, {}) == 1
         # Infinite slack: any explicit deadline wins.
-        assert DeadlineScheduling().select(queue, 0.0) == 2
-
-
-class TestOverlayBuilder:
-    def build_base(self, patterns):
-        return (
-            OverlayBuilder()
-            .topology("chain", 3)
-            .subscriptions(patterns)
-        )
-
-    def test_requires_topology(self, patterns):
-        with pytest.raises(ValueError):
-            OverlayBuilder().subscriptions(patterns).build_overlay()
-
-    def test_rejects_unknown_topology(self):
-        with pytest.raises(ValueError):
-            OverlayBuilder().topology("hypercube", 4)
-
-    def test_default_policy_is_per_subscription(self, patterns):
-        overlay = self.build_base(patterns).build_overlay()
-        assert overlay.mode == "per_subscription"
-
-    def test_build_matches_manual_assembly(self, corpus, patterns):
-        overlay, engine = (
-            self.build_base(patterns)
-            .provider(corpus)
-            .advertisement(CommunityPolicy(0.5))
-            .service(ServiceModel(base=0.3, per_match=0.1))
-            .links(LinkModel(default=2.0))
-            .scheduling(PriorityScheduling())
-            .build()
-        )
-        manual = BrokerOverlay.chain(3)
-        manual.attach_round_robin(patterns)
-        manual.advertise(CommunityPolicy(0.5), corpus)
-        assert table_snapshot(overlay) == table_snapshot(manual)
-        assert isinstance(engine, DeliveryEngine)
-        assert isinstance(engine.scheduling, PriorityScheduling)
-        assert engine.service.base == 0.3
-        assert engine.links.latency(0, 1) == 2.0
-
-    def test_explicit_edges_and_placement(self, patterns):
-        overlay = (
-            OverlayBuilder()
-            .edges(3, [(0, 1), (1, 2)])
-            .subscribe(2, patterns[0])
-            .subscribe(0, patterns[1])
-            .build_overlay()
-        )
-        assert overlay.brokers[2].local_subscribers == [0]
-        assert overlay.brokers[0].local_subscribers == [1]
-
-    def test_builder_is_reusable(self, corpus, patterns):
-        builder = self.build_base(patterns).provider(corpus).advertisement(
-            CommunityPolicy(0.5)
-        )
-        first = builder.build_overlay()
-        second = builder.build_overlay()
-        assert first is not second
-        assert table_snapshot(first) == table_snapshot(second)
-
-    def test_build_engine_reuses_overlay(self, patterns):
-        builder = self.build_base(patterns)
-        overlay = builder.build_overlay()
-        engine_a = builder.build_engine(overlay)
-        engine_b = builder.build_engine(overlay)
-        assert engine_a is not engine_b
-        assert engine_a.overlay is overlay and engine_b.overlay is overlay
-
-    def test_missing_provider_fails_at_build(self, patterns):
-        builder = self.build_base(patterns).advertisement(
-            CommunityPolicy(0.5)
-        )
-        with pytest.raises(ValueError):
-            builder.build_overlay()
-
-    def test_repr_mentions_policies(self, patterns):
-        builder = self.build_base(patterns).advertisement(CommunityPolicy(0.5))
-        assert "CommunityPolicy" in repr(builder)
+        assert DeadlineScheduling().select(queue, 0.0, {}) == 2
 
 
 class TestDeadlineTieBreaking:
@@ -291,33 +241,33 @@ class TestDeadlineTieBreaking:
             _StubJob(deadline=5.0),
             _StubJob(deadline=5.0),
         ]
-        assert DeadlineScheduling().select(queue, 0.0) == 0
+        assert DeadlineScheduling().select(queue, 0.0, {}) == 0
 
     def test_strictly_earlier_deadline_beats_arrival_order(self):
         queue = [_StubJob(deadline=5.0), _StubJob(deadline=5.0 - 1e-9)]
-        assert DeadlineScheduling().select(queue, 0.0) == 1
+        assert DeadlineScheduling().select(queue, 0.0, {}) == 1
 
     def test_deadline_ties_fallback_jobs_keep_arrival_order(self):
         # With infinite default slack every no-deadline job ties at +inf;
         # the head of the queue must win, making EDF a drop-in FIFO.
         queue = [_StubJob(), _StubJob(), _StubJob()]
-        assert DeadlineScheduling().select(queue, 0.0) == 0
+        assert DeadlineScheduling().select(queue, 0.0, {}) == 0
 
     def test_explicit_deadline_ties_with_fallback_deadline(self):
         # published_at + slack == the explicit deadline: arrival order
         # decides, so the earlier-queued fallback job is served first.
         queue = [_StubJob(published_at=2.0), _StubJob(deadline=12.0)]
-        assert DeadlineScheduling(default_slack=10.0).select(queue, 0.0) == 0
+        assert DeadlineScheduling(default_slack=10.0).select(queue, 0.0, {}) == 0
         # Swap the arrival order and the explicit deadline wins the tie.
         swapped = [_StubJob(deadline=12.0), _StubJob(published_at=2.0)]
         assert (
-            DeadlineScheduling(default_slack=10.0).select(swapped, 0.0) == 0
+            DeadlineScheduling(default_slack=10.0).select(swapped, 0.0, {}) == 0
         )
 
     def test_past_deadlines_still_order_most_overdue_first(self):
         queue = [_StubJob(deadline=4.0), _StubJob(deadline=1.0)]
         # Both are overdue at now=9; the most overdue job is served first.
-        assert DeadlineScheduling().select(queue, 9.0) == 1
+        assert DeadlineScheduling().select(queue, 9.0, {}) == 1
 
     def test_default_slack_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,6 @@
 """Property-based equivalence of the policy layer's entry points.
 
-For any random workload and topology, an overlay assembled through
-:class:`~repro.routing.builder.OverlayBuilder` must produce **identical
-routing tables and delivered subscriber sets** to one advertised by hand
-(the "legacy" assembly), :class:`~repro.routing.policy.HybridPolicy` at
+For any random workload, :class:`~repro.routing.policy.HybridPolicy` at
 its extreme cutoffs must recover both base regimes, and a churn burst
 must converge whether applied event by event or as one batch.  The
 scheduling policies get the complementary guarantee: they reorder
@@ -15,7 +12,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.builder import OverlayBuilder
 from repro.routing.engine import DeliveryEngine, LinkModel, ServiceModel
 from repro.routing.overlay import TOPOLOGIES, BrokerOverlay
 from repro.routing.policy import (
@@ -57,33 +53,6 @@ def membership_overlay(topology, n_brokers, patterns):
 
 
 class TestPolicyEqualsLegacy:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        corpora(),
-        st.lists(tree_patterns(), min_size=1, max_size=5),
-        st.sampled_from(sorted(TOPOLOGIES)),
-        st.integers(min_value=1, max_value=4),
-        st.sampled_from([0.3, 0.7]),
-    )
-    def test_builder_matches_legacy(
-        self, docs, patterns, topology, n_brokers, threshold
-    ):
-        corpus = DocumentCorpus(docs)
-        legacy = membership_overlay(topology, n_brokers, patterns)
-        legacy.advertise(CommunityPolicy(threshold), corpus)
-        built = (
-            OverlayBuilder()
-            .topology(topology, n_brokers, seed=5)
-            .subscriptions(patterns)
-            .provider(corpus)
-            .advertisement(CommunityPolicy(threshold))
-            .build_overlay()
-        )
-        assert table_snapshot(built) == table_snapshot(legacy)
-        assert delivered_sets(built, corpus) == delivered_sets(
-            legacy, corpus
-        )
-
     @settings(max_examples=20, deadline=None)
     @given(
         corpora(),

@@ -324,7 +324,7 @@ class TestFrozenModel:
             '"""doc."""\nfrom repro.routing.policy import SchedulingPolicy\n\n\n'
             "class Greedy(SchedulingPolicy):\n"
             '    """doc."""\n\n'
-            "    def select(self, queue, now):\n"
+            "    def select(self, queue, now, shares):\n"
             '        """doc."""\n'
             "        return 0\n",
             rules=[FrozenModelRule()],
@@ -340,7 +340,7 @@ class TestFrozenModel:
             "@dataclass(frozen=True)\n"
             "class Greedy(SchedulingPolicy):\n"
             '    """doc."""\n\n'
-            "    def select(self, queue, now):\n"
+            "    def select(self, queue, now, shares):\n"
             '        """doc."""\n'
             "        return 0\n",
             rules=[FrozenModelRule()],

@@ -349,7 +349,6 @@ class TestMidSimulationChurn:
             overlay,
             service=ServiceModel(base=0.4, per_match=0.1),
             links=LinkModel(default=1.0),
-            allow_topology_churn=True,
         )
         engine.publish_corpus(corpus, rate=rate)
         retiring = data.draw(st.integers(0, 3), label="retiring")
@@ -399,7 +398,7 @@ class TestMidSimulationChurn:
         staged = seeded_overlay(
             "chain", 3, patterns, policy, provider, data, seeds=seeds
         )
-        engine = DeliveryEngine(staged, allow_topology_churn=True)
+        engine = DeliveryEngine(staged)
         engine.schedule_join(0.0, retiring)
         engine.schedule_leave(0.0, retiring)
         engine.publish_corpus(corpus, rate=2.0, start=0.5)
