@@ -42,6 +42,7 @@ from common import (
     run_with_profile,
     prepare_quick,
     prepare_smoke,
+    sync_reference,
 )
 from repro.experiments.harness import prepare
 from repro.routing.broker import LatencyStats
@@ -103,18 +104,6 @@ def base_overlay(
     )
     overlay.advertise(PerSubscriptionPolicy())
     return overlay
-
-
-def sync_reference(
-    overlay: BrokerOverlay, corpus
-) -> dict[int, frozenset[int]]:
-    """Per published document, the synchronous path's delivery sets."""
-    return {
-        index: frozenset(
-            overlay.route(document, index % len(overlay.brokers))[0]
-        )
-        for index, document in enumerate(corpus.documents)
-    }
 
 
 def assert_conserved(stats: LatencyStats, cell: object) -> None:

@@ -9,7 +9,9 @@ same thing in every benchmark.
 
 Every overlay starts from :func:`build_overlay` (the family's seeded
 topology, subscriptions homed round-robin); each cell then advertises
-its own policy and builds its own engine.
+its own policy and builds its own engine, and ``bench_latency.py`` and
+``bench_overload.py`` check each engine run against the synchronous
+path's deliveries (:func:`sync_reference`).
 
 It also holds the results directory and figure helpers every benchmark
 writes through (kept out of conftest so imports are unambiguous when
@@ -122,3 +124,17 @@ def build_overlay(
     overlay = BrokerOverlay.build(topology, n_brokers, seed=seed, matching=matching)
     overlay.attach_round_robin(patterns)
     return overlay
+
+
+def sync_reference(
+    overlay: BrokerOverlay, corpus
+) -> dict[int, frozenset[int]]:
+    """Per published document, the synchronous path's delivery set,
+    publishing document *i* at broker ``i % len(overlay.brokers)``: what
+    the engine-driven benchmarks check each run against."""
+    return {
+        index: frozenset(
+            overlay.route(document, index % len(overlay.brokers))[0]
+        )
+        for index, document in enumerate(corpus.documents)
+    }

@@ -13,11 +13,13 @@ Run:  python examples/broker_lifecycle.py
 
 from __future__ import annotations
 
+import heapq
 import os
 import tempfile
 
-from repro import DocumentSynopsis, SelectivityEstimator, SimilarityEstimator
+from repro import DocumentSynopsis, SelectivityEstimator
 from repro.core.pattern_parser import parse_xpath, to_xpath
+from repro.core.similarity import m3_joint_over_union
 from repro.dtd.builtin import nitf_dtd
 from repro.experiments.config import DOC_GENERATOR_PRESETS
 from repro.generators.docgen import DocumentGenerator
@@ -44,10 +46,10 @@ def main() -> None:
         n_positive=25, n_negative=0
     ).positive
 
-    similarity = SimilarityEstimator(SelectivityEstimator(synopsis))
+    estimator = SelectivityEstimator(synopsis)
     communities = leader_clustering(
         subscriptions,
-        lambda p, q: similarity.similarity(p, q, metric="M3"),
+        lambda p, q: m3_joint_over_union(estimator, p, q),
         threshold=0.7,
     )
     print(f"day 1: {len(documents)} documents, {len(subscriptions)} subscribers, "
@@ -76,10 +78,12 @@ def main() -> None:
 
     # --- a new subscriber arrives ----------------------------------------
     new_subscriber = parse_xpath("//body.content//p")
-    restored_similarity = SimilarityEstimator(restored_estimator)
-    ranked = restored_similarity.top_k(
-        new_subscriber, subscriptions, k=3, metric="M3"
+    scored = (
+        (index, m3_joint_over_union(restored_estimator, new_subscriber, pattern))
+        for index, pattern in enumerate(subscriptions)
     )
+    # Most similar first; among equals, the earlier subscription.
+    ranked = heapq.nlargest(3, scored, key=lambda pair: (pair[1], -pair[0]))
     print(f"\nnew subscription {to_xpath(new_subscriber)!r}: closest existing")
     for index, score in ranked:
         print(f"  M3={score:5.3f}  {to_xpath(subscriptions[index])}")

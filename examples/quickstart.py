@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 
 from repro import (
+    METRICS,
     DocumentSynopsis,
     SelectivityEstimator,
-    SimilarityEstimator,
     parse_xml,
     parse_xpath,
 )
@@ -92,11 +92,10 @@ def main() -> None:
     pa = parse_xpath("/media/CD/*/last/Mozart")     # rigid structure
     pd = parse_xpath("//composer[last/Mozart]")     # different shape...
     pb = parse_xpath("//CD/Mozart")                 # ...and a dead pattern
-    similarity = SimilarityEstimator(estimator)
     print()
     for name, p, q in (("pa ~ pd", pa, pd), ("pa ~ pb", pa, pb)):
         for metric in ("M1", "M2", "M3"):
-            value = similarity.similarity(p, q, metric=metric)
+            value = METRICS[metric](estimator, p, q)
             print(f"{name}  {metric} = {value:5.3f}")
         print()
 

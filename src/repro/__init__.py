@@ -20,10 +20,10 @@ subpackages for the full surface:
 """
 
 from repro.core import (
+    METRICS,
     ExactCandidates,
     LSHCandidates,
     SelectivityEstimator,
-    SimilarityEstimator,
     SimilarityIndex,
     TreePattern,
     average_relative_error,
@@ -66,7 +66,7 @@ __all__ = [
     "to_xpath",
     "merge_patterns",
     "SelectivityEstimator",
-    "SimilarityEstimator",
+    "METRICS",
     "SimilarityIndex",
     "ExactCandidates",
     "LSHCandidates",

@@ -21,7 +21,6 @@ from repro.core.selectivity import SelectivityEstimator
 from repro.core.similarity import (
     METRICS,
     IndexStats,
-    SimilarityEstimator,
     SimilarityIndex,
     m1_conditional,
     m2_mean_conditional,
@@ -53,7 +52,6 @@ __all__ = [
     "LSHCandidates",
     "METRICS",
     "IndexStats",
-    "SimilarityEstimator",
     "SimilarityIndex",
     "m1_conditional",
     "m2_mean_conditional",

@@ -282,10 +282,10 @@ class LSHCandidates:
         signature_fn: Optional[Callable[[TreePattern], Sequence[int]]] = None,
         _shared: Optional[tuple] = None,
     ) -> None:
-        if bands < 1:
-            raise ValueError("bands must be >= 1")
-        if rows < 1:
-            raise ValueError("rows must be >= 1")
+        if not isinstance(bands, int) or bands < 1:
+            raise ValueError("bands must be an integer >= 1")
+        if not isinstance(rows, int) or rows < 1:
+            raise ValueError("rows must be an integer >= 1")
         self.bands = bands
         self.rows = rows
         self.seed = seed

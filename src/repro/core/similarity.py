@@ -17,17 +17,17 @@ Canonically equal patterns short-circuit: their similarity is exactly 1.0
 under every metric whenever they match anything at all, without paying for
 a joint-selectivity evaluation.
 
-:class:`SimilarityIndex` memoises one metric over one provider for a
-*mutable* population under subscription churn (handle-based
-``add``/``remove``, lazily evaluated rows, a root-anchor prefilter and an
-optional selectivity-ratio bound, with :class:`IndexStats` accounting).
+The metric functions in :data:`METRICS` score one pair; a broker scores
+its pairs through a :class:`SimilarityIndex`, which evaluates one metric
+over one provider with memoised selectivities, a root-anchor prefilter
+and an optional selectivity-ratio bound, with :class:`IndexStats`
+accounting.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from repro.core.labels import is_tag
 from repro.core.pattern import TreePattern
@@ -38,7 +38,6 @@ __all__ = [
     "m2_mean_conditional",
     "m3_joint_over_union",
     "METRICS",
-    "SimilarityEstimator",
     "IndexStats",
     "SimilarityIndex",
 ]
@@ -115,53 +114,6 @@ METRICS: dict[str, Callable[[SelectivityProvider, TreePattern, TreePattern], flo
 _UNSET = object()
 
 
-class SimilarityEstimator:
-    """Convenience wrapper evaluating proximity metrics over one provider.
-
-    >>> # with `est` a SelectivityEstimator or GroundTruth:
-    >>> # SimilarityEstimator(est).similarity(p, q, metric="M3")
-    """
-
-    def __init__(self, provider: SelectivityProvider) -> None:
-        self.provider = provider
-
-    def similarity(
-        self, p: TreePattern, q: TreePattern, metric: str = "M3"
-    ) -> float:
-        """Proximity of *p* and *q* under the chosen metric."""
-        try:
-            fn = METRICS[metric]
-        except KeyError:
-            raise ValueError(
-                f"unknown metric {metric!r}; choose from {sorted(METRICS)}"
-            ) from None
-        return fn(self.provider, p, q)
-
-    def top_k(
-        self,
-        pattern: TreePattern,
-        candidates: list[TreePattern],
-        k: int,
-        metric: str = "M3",
-    ) -> list[tuple[int, float]]:
-        """The *k* most similar candidates to *pattern*.
-
-        Returns ``(candidate index, similarity)`` pairs in decreasing
-        similarity — the primitive an online broker uses to place a newly
-        arriving subscription into its best-fitting semantic community.
-        """
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        scored = (
-            (index, self.similarity(pattern, candidate, metric))
-            for index, candidate in enumerate(candidates)
-        )
-        # A bounded heap instead of a full sort: k ≪ n queries pay
-        # O(n log k), with ties resolved exactly as the sort did
-        # (descending similarity, ascending index).
-        return heapq.nlargest(k, scored, key=lambda pair: (pair[1], -pair[0]))
-
-
 @dataclass
 class IndexStats:
     """Provider-call accounting of one :class:`SimilarityIndex`.
@@ -189,8 +141,6 @@ class IndexStats:
     label_overlap_pruned: int = 0
     candidate_pruned: int = 0
     selectivity_evaluated: int = 0
-    adds: int = 0
-    removes: int = 0
 
     @property
     def prune_ratio(self) -> float:
@@ -203,26 +153,18 @@ class IndexStats:
 
 
 class SimilarityIndex:
-    """A mutable, incrementally maintained pairwise-similarity engine.
+    """One broker's memoising, pruning evaluator of one *metric*.
 
-    A live broker sees a *churning* subscription population — patterns
-    arrive (:meth:`add`) and leave (:meth:`remove`) one at a time, and
-    rebuilding an n×n matrix per event would waste the O(n²)
-    joint-selectivity work that dominates the cost.  This index keeps
-    that work incremental, for one provider and one *metric*:
+    A broker clusters a churning subscription population, and the joint
+    selectivities its clusterings ask for dominate the cost.  This index
+    answers ``index(p, q)`` for one provider and one *metric*, and keeps
+    that work from repeating:
 
-    * **handles** — :meth:`add` returns a monotonically increasing integer
-      handle; :meth:`remove` retires it.  The live population is the
-      insertion-ordered set of surviving handles.
-    * **lazy rows** — nothing is evaluated at mutation time.  A similarity
-      value is computed when first demanded (:meth:`row`, :meth:`top_k`,
-      :meth:`neighbors`, or plain calls), and both primitives are memoised
-      *by pattern*, so only pairs never seen before reach the provider:
-      adding a pattern to an n-pattern population costs at most n new joint
-      evaluations, removing one costs zero, and re-adding a previously seen
-      pattern costs nothing.  A full rebuild never happens.  The memos
-      are never evicted, so they grow with every distinct pattern and
-      pair decided (:attr:`memo_size`).
+    * **memos** — selectivities are memoised per distinct pattern and
+      joint selectivities per unordered distinct pattern pair, so only
+      pairs never seen before reach the provider, across clustering runs
+      and churn events alike.  The memos are never evicted, so they grow
+      with every distinct pattern and pair decided (:attr:`memo_size`).
     * **root-anchor prefilter** — for ``//``-free patterns every
       root-level tag child pins the *document root's* tag (Section 2 root
       semantics), so two such patterns anchored at disjoint tag sets can
@@ -258,16 +200,14 @@ class SimilarityIndex:
     through it unchanged, and it is directly usable as the
     ``similarity(p, q)`` callable expected by :mod:`repro.routing.community`.
 
-    >>> # index = SimilarityIndex(provider, metric="M3")
-    >>> # h = index.add(pattern)      # O(1); no provider calls yet
-    >>> # index.row(h)                # lazily evaluates this row only
-    >>> # index.remove(h)             # O(1); memo survives for re-adds
+    >>> # index = SimilarityIndex(provider, metric="M3", prune_below=0.5)
+    >>> # index(p, q)                 # evaluates the pair once
+    >>> # index(q, p)                 # answered from the memos
     """
 
     def __init__(
         self,
         provider: SelectivityProvider,
-        patterns: Iterable[TreePattern] = (),
         metric: str = "M3",
         prune_below: Optional[float] = None,
     ) -> None:
@@ -282,8 +222,6 @@ class SimilarityIndex:
         self.prune_below = prune_below
         self.stats = IndexStats()
         self._metric_fn = METRICS[metric]
-        self._population: dict[int, TreePattern] = {}
-        self._next_handle = 0
         self._selectivity_memo: dict[TreePattern, float] = {}
         self._joint_memo: dict[frozenset[TreePattern], float] = {}
         #: Pairs the selectivity-ratio bound answered, so the stats
@@ -294,62 +232,11 @@ class SimilarityIndex:
         #: Root-anchor cache: frozenset of root tag labels for prunable
         #: (``//``-free, tag-anchored) patterns, None for unprunable ones.
         self._anchor_memo: dict[TreePattern, Optional[frozenset[str]]] = {}
-        for pattern in patterns:
-            self.add(pattern)
-
-    # -- population lifecycle ------------------------------------------------
-
-    def add(self, pattern: TreePattern) -> int:
-        """Admit *pattern* and return its handle.
-
-        O(1): no similarity is evaluated until a row is demanded, and pairs
-        already seen (for this or an equal pattern) never recompute.
-        """
-        handle = self._next_handle
-        self._next_handle += 1
-        self._population[handle] = pattern
-        self.stats.adds += 1
-        return handle
-
-    def remove(self, handle: int) -> TreePattern:
-        """Retire *handle*; returns the pattern it referenced.
-
-        O(1): rows referencing the pattern simply stop being produced; the
-        pattern-keyed memos survive, so a later re-add is free.
-        """
-        try:
-            pattern = self._population.pop(handle)
-        except KeyError:
-            raise KeyError(f"unknown or already removed handle {handle}") from None
-        self.stats.removes += 1
-        return pattern
 
     @property
     def memo_size(self) -> int:
         """Memoised entries held: selectivities plus joint pairs."""
         return len(self._selectivity_memo) + len(self._joint_memo)
-
-    def pattern(self, handle: int) -> TreePattern:
-        """The pattern a live handle references."""
-        try:
-            return self._population[handle]
-        except KeyError:
-            raise KeyError(f"unknown or already removed handle {handle}") from None
-
-    def handles(self) -> list[int]:
-        """Live handles in insertion order."""
-        return list(self._population)
-
-    @property
-    def patterns(self) -> list[TreePattern]:
-        """Live patterns in insertion order."""
-        return list(self._population.values())
-
-    def __len__(self) -> int:
-        return len(self._population)
-
-    def __contains__(self, handle: int) -> bool:
-        return handle in self._population
 
     # -- memoised, pruning SelectivityProvider protocol ----------------------
 
@@ -434,8 +321,10 @@ class SimilarityIndex:
             return (1.0 + ratio) / 2.0
         return ratio
 
-    def _evaluate(self, p: TreePattern, q: TreePattern) -> float:
-        """The configured metric on *p*, *q*, through the prefilters.
+    def __call__(self, p: TreePattern, q: TreePattern) -> float:
+        """The configured metric on *p*, *q*, through the memos and the
+        prefilters: the index is a drop-in ``SimilarityFn`` for the
+        routing layer.
 
         With ``prune_below`` set, a never-seen pair whose marginal bound
         (:meth:`_marginal_bound`) already pins the metric below the
@@ -458,58 +347,11 @@ class SimilarityIndex:
                 return 0.0
         return self._metric_fn(self, p, q)
 
-    def __call__(self, p: TreePattern, q: TreePattern) -> float:
-        """Proximity of two (arbitrary) patterns through the memo: the
-        index is a drop-in ``SimilarityFn`` for the routing layer."""
-        return self._evaluate(p, q)
-
-    # -- live-population queries ---------------------------------------------
-
-    def row(self, handle: int) -> dict[int, float]:
-        """Similarity of *handle*'s pattern to every live pattern.
-
-        ``row(h)[g]`` is ``metric(pattern(h), pattern(g))``, so under M1
-        the row conditions on the *other* pattern.  Only this row's
-        never-seen pairs are evaluated.
-        """
-        pattern = self.pattern(handle)
-        return {
-            other: self._evaluate(pattern, candidate)
-            for other, candidate in self._population.items()
-        }
-
-    def top_k(self, handle: int, k: int) -> list[tuple[int, float]]:
-        """The *k* most similar live handles to *handle* (excluding
-        itself), as ``(handle, similarity)`` in decreasing similarity with
-        handle order as tie-break."""
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        scored = (
-            (other, score)
-            for other, score in self.row(handle).items()
-            if other != handle
-        )
-        return heapq.nlargest(k, scored, key=lambda pair: (pair[1], -pair[0]))
-
-    def neighbors(self, handle: int, threshold: float) -> list[tuple[int, float]]:
-        """All live handles with similarity ``>= threshold`` to *handle*
-        (excluding itself), in decreasing similarity."""
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-        found = [
-            (other, score)
-            for other, score in self.row(handle).items()
-            if other != handle and score >= threshold
-        ]
-        found.sort(key=lambda pair: (-pair[1], pair[0]))
-        return found
-
     # -- introspection -------------------------------------------------------
 
     def __repr__(self) -> str:
         return (
-            f"SimilarityIndex(patterns={len(self._population)}, "
-            f"metric={self.metric!r}, "
+            f"SimilarityIndex(metric={self.metric!r}, "
             f"joint_pairs={self.stats.joint_evaluated}, "
             f"pruned={self.stats.joint_pruned})"
         )

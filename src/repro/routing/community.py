@@ -40,7 +40,7 @@ a measured amount of recall for sublinear candidate generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
@@ -93,34 +93,22 @@ def leader_clustering(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    communities: list[Community] = []
-    if candidates is None:
-        for index, pattern in enumerate(patterns):
-            placed = False
-            for community in communities:
-                if similarity(patterns[community.leader], pattern) >= threshold:
-                    community.members.append(index)
-                    placed = True
-                    break
-            if not placed:
-                communities.append(Community(leader=index))
-        return communities
-    generator = candidates.spawn()
+    generator = None if candidates is None else candidates.spawn()
     #: leader pattern-index -> its community, in creation order.  Keys
     #: ascend with creation, so sorting candidate leader indices
     #: reproduces the oracle's first-fit order.
     by_leader: dict[int, Community] = {}
     for index, pattern in enumerate(patterns):
-        placed = False
-        for leader in sorted(generator.candidates_of(pattern)):
+        leaders: Iterable[int] = by_leader
+        if generator is not None:
+            leaders = sorted(generator.candidates_of(pattern))
+        for leader in leaders:
             if similarity(patterns[leader], pattern) >= threshold:
                 by_leader[leader].members.append(index)
-                placed = True
                 break
-        if not placed:
-            community = Community(leader=index)
-            communities.append(community)
-            by_leader[index] = community
-            generator.add(index, pattern)
-    return communities
+        else:
+            by_leader[index] = Community(leader=index)
+            if generator is not None:
+                generator.add(index, pattern)
+    return list(by_leader.values())
 

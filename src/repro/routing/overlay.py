@@ -89,11 +89,13 @@ leader                       the leader index, its followers are
                              changed are withdrawn or installed;
                              a community founded ahead of the last
                              one re-sorts the aggregation record
-any single     hybrid        at or under the cutoff, the per-       none
-event                        subscription aggregation; above it,
-                             the community placement or repair;
-                             either way the aggregation is built
-                             and diffed in full
+any single     hybrid        while the broker stays above the       ``test_hybrid_pair_above_the_cutoff_takes_the_community_rows``
+event                        cutoff, the community rows; an event
+                             at or under the cutoff, or across
+                             it, builds and diffs the aggregation
+                             in full, with one
+                             ``leader_clustering`` of the broker
+                             when it crosses above
 burst,         every         one aggregation and one diff; under    ``test_a_burst_still_takes_the_full_path``
 topology       policy        the community policy, one
 surgery                      ``leader_clustering`` of the broker,
@@ -105,8 +107,9 @@ None of the per-subscription and community rows builds or diffs an
 aggregation of the broker.  The full path does: the policy aggregates
 the broker's whole advertised record and the overlay diffs that against
 the live aggregation, entry by entry under each leader, with no pattern
-hashed.  It serves the hybrid policy, a broker left stale by
-:meth:`BrokerOverlay.detach`, bursts and topology surgery.
+hashed.  It serves a hybrid broker at, under or across its cutoff, a
+broker left stale by :meth:`BrokerOverlay.detach`, bursts and topology
+surgery.
 
 The *topology* is dynamic too: :meth:`BrokerOverlay.add_broker` grafts a
 new broker (as a leaf, or splitting an existing edge) and seeds it with

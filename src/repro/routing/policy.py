@@ -130,17 +130,6 @@ class LeaderClusters:
     leader_index: Optional[CandidateGenerator] = None
 
 
-def _departure(old: list[int], new: list[int]) -> Optional[int]:
-    """The member *new* lacks, when it is *old* with exactly one removed."""
-    if len(new) != len(old) - 1:
-        return None
-    position = next(
-        (i for i, (was, kept) in enumerate(zip(old, new)) if was != kept),
-        len(new),
-    )
-    return old[position] if old[position + 1 :] == new[position:] else None
-
-
 class AdvertisementPolicy:
     """Strategy deciding how a broker advertises its local subscriptions.
 
@@ -607,24 +596,20 @@ class CommunityPolicy(AdvertisementPolicy):
     ) -> None:
         """Bring *clusters* to the leader clustering of *members*.
 
-        One arrival at the end of the recorded sequence or one departure
-        from it is applied in place; any other difference re-clusters
-        from scratch and drops every election.
+        A record of another member sequence is re-clustered from
+        scratch, dropping every election; a single event is applied in
+        place by :meth:`single_change` instead.
         """
-        old = list(clusters.leader_of)
-        if len(members) == len(old) + 1 and members[:-1] == old:
-            self._place(members[-1], pattern_of, index, clusters)
-        elif (departed := _departure(old, members)) is not None:
-            self._depart(departed, pattern_of, index, clusters)
-        elif members != old:
-            communities = self._leader_groups(members, pattern_of, index)
-            leader_of = dict.fromkeys(members, 0)
-            for group in communities:
-                leader_of.update(dict.fromkeys(group, group[0]))
-            clusters.communities = communities
-            clusters.leader_of = leader_of
-            clusters.elected = {}
-            clusters.leader_index = self._index_leaders(communities, pattern_of)
+        if members == list(clusters.leader_of):
+            return
+        communities = self._leader_groups(members, pattern_of, index)
+        leader_of = dict.fromkeys(members, 0)
+        for group in communities:
+            leader_of.update(dict.fromkeys(group, group[0]))
+        clusters.communities = communities
+        clusters.leader_of = leader_of
+        clusters.elected = {}
+        clusters.leader_index = self._index_leaders(communities, pattern_of)
 
     def _elect(
         self,
@@ -726,8 +711,8 @@ class HybridPolicy(CommunityPolicy):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.aggregate_above < 0:
-            raise ValueError("aggregate_above must be >= 0")
+        if not isinstance(self.aggregate_above, int) or self.aggregate_above < 0:
+            raise ValueError("aggregate_above must be an integer >= 0")
 
     def mode_label(self) -> str:
         """The ``BrokerOverlay.mode`` string advertised state reports."""
@@ -741,9 +726,15 @@ class HybridPolicy(CommunityPolicy):
         index: Optional[SimilarityIndex],
         clusters: LeaderClusters,
     ) -> Optional[Edit]:
-        """Always None: an event may carry the broker across its cutoff,
-        and under it the broker keeps no clustering to edit."""
-        return None
+        """The community edit while the broker stays above its cutoff,
+        else None: at or under the cutoff the broker keeps no clustering
+        to edit, so an event there, or one that crosses the cutoff, takes
+        the full path."""
+        # The broker's size before an arrival, or after a departure.
+        smaller = len(advertised) - 1 if arrived else len(advertised)
+        if smaller <= self.aggregate_above:
+            return None
+        return super().single_change(member, arrived, advertised, index, clusters)
 
     def aggregate(
         self,

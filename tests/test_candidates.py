@@ -2,25 +2,18 @@
 
 Covers the generator contract (population lifecycle, symmetry,
 duplicate-key rejection), the label-overlap prefilter semantics (empty
-label sets are never pruned), the LSH bucket-table maintenance under
-churn, and the heap-based ``top_k`` of the similarity layer.
+label sets are never pruned), and the LSH bucket-table maintenance under
+churn.
 """
 
 import pytest
 
 from repro.core.candidates import ExactCandidates, LSHCandidates, pattern_tokens
 from repro.core.pattern_parser import parse_xpath
-from repro.core.similarity import SimilarityEstimator, SimilarityIndex
-from repro.xmltree.corpus import DocumentCorpus
 
 P = parse_xpath
 
 PATTERNS = [P("/a/b"), P("/a/c/e"), P("//d/e"), P("/a/b[c]"), P("//*")]
-
-
-@pytest.fixture()
-def corpus(figure2_documents):
-    return DocumentCorpus(figure2_documents)
 
 
 class TestExactCandidates:
@@ -181,6 +174,12 @@ class TestLSHCandidates:
         with pytest.raises(ValueError):
             LSHCandidates(rows=0)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, float("nan")])
+    @pytest.mark.parametrize("name", ["bands", "rows"])
+    def test_non_integer_band_shape_is_refused(self, name, count):
+        with pytest.raises(ValueError, match=name):
+            LSHCandidates(**{name: count})
+
     def test_bucket_sizes_and_describe(self):
         generator = LSHCandidates(bands=4, rows=2)
         generator.add(1, P("/a/b"))
@@ -212,29 +211,3 @@ class TestLSHCandidates:
         generator = LSHCandidates(bands=2, rows=2, tokens=lambda p: [])
         assert generator.signature(P("/a")) == generator.signature(P("/b"))
         assert generator.is_candidate(P("/a"), P("/b"))
-
-
-class TestHeapTopK:
-    def baseline(self, scored, k):
-        ordered = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
-        return ordered[:k]
-
-    def test_index_top_k_matches_full_sort(self, corpus):
-        patterns = [P("//b"), P("//e"), P("/a/d"), P("/a/c"), P("//m")]
-        index = SimilarityIndex(corpus, patterns)
-        anchor = index.handles()[0]
-        row = index.row(anchor)
-        scored = [(h, v) for h, v in row.items() if h != anchor]
-        for k in (1, 2, len(patterns) + 5):
-            assert index.top_k(anchor, k) == self.baseline(scored, k)
-
-    def test_estimator_top_k_matches_full_sort(self, corpus):
-        estimator = SimilarityEstimator(corpus)
-        candidates = [P("//e"), P("/a/d"), P("/a/c"), P("//m")]
-        scored = [
-            (index, estimator.similarity(P("//b"), candidate))
-            for index, candidate in enumerate(candidates)
-        ]
-        assert estimator.top_k(P("//b"), candidates, k=3) == self.baseline(
-            scored, 3
-        )

@@ -52,6 +52,11 @@ pair that retires the elected member elects its community again and no
 other.  A pair that retires a leader ahead of the
 population re-places only the members that leader's departure can move,
 so its ``SimilarityIndex`` calls do not grow with the broker either.
+
+A :class:`~repro.routing.policy.HybridPolicy` broker that stays above
+its cutoff takes the community path, calling neither
+``HybridPolicy.aggregate`` nor ``leader_clustering``; a pair that
+carries it across its cutoff and back aggregates it in full both ways.
 """
 
 from __future__ import annotations
@@ -65,13 +70,14 @@ from unittest import mock
 import pytest
 
 import repro.routing.overlay as overlay_module
+import repro.routing.policy as policy_module
 import repro.routing.table as table_module
-from repro.core.candidates import CandidateGenerator, ExactCandidates, LSHCandidates
+from repro.core.candidates import ExactCandidates, LSHCandidates
 from repro.core.pattern import TreePattern
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityIndex
 from repro.routing.overlay import BrokerOverlay
-from repro.routing.policy import CommunityPolicy, PerSubscriptionPolicy
+from repro.routing.policy import CommunityPolicy, HybridPolicy, PerSubscriptionPolicy
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 
@@ -260,10 +266,10 @@ ELECTION_BODY = ("//b", "//a", "//c")
 
 
 def community_deployed(
-    population: int, candidates: Optional[CandidateGenerator] = None
+    population: int, policy: Optional[CommunityPolicy] = None
 ) -> tuple[BrokerOverlay, int]:
     """A two-broker chain homing *population* subscribers per broker
-    under :class:`CommunityPolicy` gated by *candidates*, and a ``//b``
+    under *policy*, ``CommunityPolicy(0.5)`` by default, and a ``//b``
     probe homed last on broker 0: neither a leader nor the elected
     member."""
     overlay = BrokerOverlay.chain(2)
@@ -275,8 +281,7 @@ def community_deployed(
             )
     probe = overlay.attach(0, parse_xpath("//b"))
     overlay.advertise(
-        CommunityPolicy(0.5, candidates=candidates),
-        DocumentCorpus(ELECTION_DOCUMENTS),
+        policy or CommunityPolicy(0.5), DocumentCorpus(ELECTION_DOCUMENTS)
     )
     return overlay, probe
 
@@ -362,8 +367,9 @@ def election_tokens(pattern: TreePattern) -> list[tuple]:
 
 def test_lsh_community_pair_asks_the_leader_index_once():
     for population in POPULATIONS:
+        gate = LSHCandidates(tokens=election_tokens)
         overlay, probe = community_deployed(
-            population, LSHCandidates(tokens=election_tokens)
+            population, CommunityPolicy(0.5, candidates=gate)
         )
         calls = probe_pair_calls(overlay, probe, population)
         # The departure placed nothing; the arrival asked the broker's
@@ -390,6 +396,49 @@ def test_retiring_the_elected_member_reelects_its_community_alone():
     assert (
         overlay.topology_signature() == overlay.rebuilt().topology_signature()
     )
+
+
+# ----------------------------------------------------------------------
+# hybrid brokers
+# ----------------------------------------------------------------------
+
+
+def hybrid_pair_calls(overlay: BrokerOverlay, probe: int) -> tuple[Counter, int]:
+    """The ``HybridPolicy.aggregate`` and ``leader_clustering`` calls of
+    one ``//b`` resubscribe pair of *probe* on broker 0; returns them and
+    the fresh id."""
+    calls: Counter = Counter()
+    with ExitStack() as stack:
+        for owner, name in (
+            (HybridPolicy, "aggregate"),
+            (policy_module, "leader_clustering"),
+        ):
+            wrapped = counting(calls, name, getattr(owner, name))
+            stack.enter_context(mock.patch.object(owner, name, wrapped))
+        overlay.unsubscribe(probe)
+        fresh = overlay.subscribe(0, parse_xpath("//b"))
+    return calls, fresh
+
+
+def test_hybrid_pair_above_the_cutoff_takes_the_community_rows():
+    population = POPULATIONS[0]
+    # The pair takes broker 0 from the population and the probe down to
+    # the population and back up: above a cutoff one under the
+    # population it stays a community broker throughout, while at a
+    # cutoff equal to the population it crosses down and back.
+    for cutoff, expected in (
+        (population - 1, Counter()),
+        (population, Counter(aggregate=2, leader_clustering=1)),
+    ):
+        overlay, probe = community_deployed(
+            population, HybridPolicy(0.5, aggregate_above=cutoff)
+        )
+        calls, fresh = hybrid_pair_calls(overlay, probe)
+        assert calls == expected, cutoff
+        assert fresh in first_community(overlay)[1]
+        assert (
+            overlay.topology_signature() == overlay.rebuilt().topology_signature()
+        )
 
 
 # ----------------------------------------------------------------------

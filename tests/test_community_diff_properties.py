@@ -104,8 +104,6 @@ def full_aggregation(overlay, broker_id):
     index = None
     if overlay.policy.uses_similarity:
         index = overlay.policy.make_index(overlay.provider)
-        for pattern in patterns:
-            index.add(pattern)
     return overlay.policy.aggregate(members, patterns, index)
 
 

@@ -64,6 +64,13 @@ class TestAdvertise:
         with pytest.raises(ValueError):
             HybridPolicy(0.5, aggregate_above=-1)
 
+    @pytest.mark.parametrize("cutoff", [float("nan"), 2.5, 8.0])
+    def test_non_integer_cutoff_is_refused(self, cutoff):
+        # A NaN cutoff would aggregate every broker whatever its size:
+        # no count compares at or under NaN.
+        with pytest.raises(ValueError, match="aggregate_above"):
+            HybridPolicy(0.5, aggregate_above=cutoff)
+
     def test_mode_labels(self):
         assert PerSubscriptionPolicy().mode_label() == "per_subscription"
         assert (

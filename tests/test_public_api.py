@@ -38,9 +38,9 @@ class TestTopLevelExports:
     def test_quickstart_flow(self):
         """The README quickstart in one test."""
         from repro import (
+            METRICS,
             DocumentSynopsis,
             SelectivityEstimator,
-            SimilarityEstimator,
             parse_xml,
             parse_xpath,
         )
@@ -55,8 +55,7 @@ class TestTopLevelExports:
         p = parse_xpath("/a/b/d")
         q = parse_xpath("/a//d")
         assert 0.0 <= estimator.selectivity(p) <= 1.0
-        sim = SimilarityEstimator(estimator)
-        assert 0.0 <= sim.similarity(p, q, metric="M3") <= 1.0
+        assert 0.0 <= METRICS["M3"](estimator, p, q) <= 1.0
 
 
 class TestCommandLine:

@@ -1,9 +1,11 @@
 """Semantic communities and single-broker content-based routing."""
 
+from functools import partial
+
 import pytest
 
 from repro.core.pattern_parser import parse_xpath
-from repro.core.similarity import SimilarityEstimator, SimilarityIndex
+from repro.core.similarity import SimilarityIndex, m3_joint_over_union
 from repro.routing.community import Community, leader_clustering
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import (
@@ -34,12 +36,7 @@ def subscriptions():
 
 @pytest.fixture()
 def similarity(corpus):
-    estimator = SimilarityEstimator(corpus)
-
-    def fn(p, q):
-        return estimator.similarity(p, q, metric="M3")
-
-    return fn
+    return partial(m3_joint_over_union, corpus)
 
 
 class TestCommunity:
@@ -110,7 +107,7 @@ class TestClusteringDeterminism:
             _communities_as_tuples(
                 leader_clustering(
                     workload,
-                    SimilarityEstimator(corpus).similarity,
+                    partial(m3_joint_over_union, corpus),
                     threshold=0.5,
                 )
             )
@@ -119,10 +116,8 @@ class TestClusteringDeterminism:
         assert runs[0] == runs[1] == runs[2]
 
     def test_leader_clustering_matrix_matches_direct(self, corpus, workload):
-        def direct(p, q):
-            return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
-
-        matrix = SimilarityIndex(corpus, workload)
+        direct = partial(m3_joint_over_union, corpus)
+        matrix = SimilarityIndex(corpus)
         for threshold in (0.3, 0.5, 0.8, 1.0):
             assert _communities_as_tuples(
                 leader_clustering(workload, matrix, threshold)

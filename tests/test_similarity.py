@@ -7,7 +7,6 @@ from repro.core.pattern_parser import parse_xpath
 from repro.core.selectivity import SelectivityEstimator
 from repro.core.similarity import (
     METRICS,
-    SimilarityEstimator,
     SimilarityIndex,
     m1_conditional,
     m2_mean_conditional,
@@ -67,24 +66,6 @@ class TestMetricValues:
         assert m1_conditional(corpus, b, nothing) == 0.0
         assert m2_mean_conditional(corpus, b, nothing) == 0.0
         assert m3_joint_over_union(corpus, nothing, nothing) == 0.0
-
-
-class TestSimilarityEstimatorWrapper:
-    def test_metric_dispatch(self, corpus):
-        estimator = SimilarityEstimator(corpus)
-        b, e = parse_xpath("//b"), parse_xpath("//e")
-        assert estimator.similarity(b, e, metric="M1") == m1_conditional(
-            corpus, b, e
-        )
-        assert estimator.similarity(b, e, metric="M3") == m3_joint_over_union(
-            corpus, b, e
-        )
-
-    def test_unknown_metric(self, corpus):
-        with pytest.raises(ValueError):
-            SimilarityEstimator(corpus).similarity(
-                parse_xpath("/a"), parse_xpath("/a"), metric="M9"
-            )
 
 
 class TestEstimatedVsExact:
@@ -148,28 +129,24 @@ def _sixty_patterns():
 
 
 class TestFixedPopulationIndex:
-    """A :class:`SimilarityIndex` built over a fixed population, as the
-    offline clusterings use it."""
+    """A :class:`SimilarityIndex` asked about a fixed population, as the
+    clusterings ask a broker's index."""
 
     def test_callable_protocol(self, corpus):
         patterns = [parse_xpath("//b"), parse_xpath("//e")]
-        index = SimilarityIndex(corpus, patterns)
+        index = SimilarityIndex(corpus)
         assert index(*patterns) == m3_joint_over_union(corpus, *patterns)
-        assert len(index) == 2
 
     def test_each_joint_pair_computed_at_most_once(self, corpus):
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns)
-        # Query everything twice; the memo must absorb the second pass.
+        index = SimilarityIndex(counting)
+        # Query everything twice, both ways round; the memo must absorb
+        # every repeat.
         for _ in range(2):
-            for handle in index.handles():
-                index.row(handle)
-        index.top_k(0, 10)
-        index.neighbors(3, 0.2)
-        for p in patterns[:10]:
-            for q in patterns[:10]:
-                index(p, q)
+            for p in patterns:
+                for q in patterns:
+                    index(p, q)
         assert counting.max_joint_calls_per_pair == 1
         assert counting.max_selectivity_calls_per_pattern == 1
         assert index.stats.joint_evaluated == len(counting.joint_calls)
@@ -179,7 +156,7 @@ class TestFixedPopulationIndex:
 
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns)
+        index = SimilarityIndex(counting)
         leader_clustering(patterns, index, threshold=0.5)
         leader_clustering(patterns, index, threshold=0.3)
         assert counting.max_joint_calls_per_pair == 1

@@ -1,8 +1,10 @@
-"""The mutable SimilarityIndex: lifecycle, laziness, and pruning accounting."""
+"""The broker's SimilarityIndex: memos, pruning and their accounting."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.core.pattern_parser import parse_xpath
+from repro.core.pattern_parser import parse_xpath, to_xpath
 from repro.core.similarity import METRICS, SimilarityIndex
 from repro.xmltree.corpus import DocumentCorpus
 from tests.test_similarity import CountingProvider
@@ -13,133 +15,17 @@ def corpus(figure2_documents):
     return DocumentCorpus(figure2_documents)
 
 
-def materialize(index):
-    """Force every live row, i.e. every live pairwise value."""
-    for handle in index.handles():
-        index.row(handle)
+def decide_all(index, patterns):
+    """Ask *index* about every unordered pair of distinct *patterns*."""
+    for i, p in enumerate(patterns):
+        for q in patterns[i + 1 :]:
+            index(p, q)
 
 
-class TestPopulationLifecycle:
-    def test_add_returns_monotonic_handles(self, corpus):
-        index = SimilarityIndex(corpus)
-        first = index.add(parse_xpath("//b"))
-        second = index.add(parse_xpath("//e"))
-        assert second > first
-        assert len(index) == 2
-        assert index.handles() == [first, second]
-        assert index.patterns == [parse_xpath("//b"), parse_xpath("//e")]
-
-    def test_remove_returns_pattern_and_frees_handle(self, corpus):
-        index = SimilarityIndex(corpus)
-        handle = index.add(parse_xpath("//b"))
-        assert index.remove(handle) == parse_xpath("//b")
-        assert len(index) == 0
-        assert handle not in index
-        with pytest.raises(KeyError):
-            index.remove(handle)
-        with pytest.raises(KeyError):
-            index.pattern(handle)
-
-    def test_handles_never_reused(self, corpus):
-        index = SimilarityIndex(corpus)
-        handle = index.add(parse_xpath("//b"))
-        index.remove(handle)
-        again = index.add(parse_xpath("//b"))
-        assert again != handle
-
-    def test_constructor_population(self, corpus):
-        patterns = [parse_xpath("//b"), parse_xpath("//e")]
-        index = SimilarityIndex(corpus, patterns)
-        assert index.patterns == patterns
-        assert index.stats.adds == 2
-
+class TestConfiguration:
     def test_unknown_metric_rejected(self, corpus):
         with pytest.raises(ValueError):
             SimilarityIndex(corpus, metric="M9")
-
-
-class TestLazyRows:
-    def test_mutations_cost_no_provider_calls(self, corpus):
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, metric="M3")
-        handles = [
-            index.add(parse_xpath(f"/a/{tag}")) for tag in ("b", "d", "e")
-        ]
-        index.remove(handles[1])
-        assert counting.joint_calls == {}
-        assert counting.selectivity_calls == {}
-
-    def test_row_evaluates_only_its_own_pairs(self, corpus):
-        counting = CountingProvider(corpus)
-        patterns = [parse_xpath("//b"), parse_xpath("//e"), parse_xpath("//o")]
-        index = SimilarityIndex(counting, patterns)
-        first = index.handles()[0]
-        row = index.row(first)
-        assert set(row) == set(index.handles())
-        # Only pairs involving the first pattern were decided: 2 of 3.
-        assert len(counting.joint_calls) == 2
-
-    def test_row_values_match_matrix(self, corpus):
-        patterns = [parse_xpath("//b"), parse_xpath("//e"), parse_xpath("//o")]
-        for metric in METRICS:
-            index = SimilarityIndex(corpus, patterns, metric=metric)
-            matrix = SimilarityIndex(corpus, patterns, metric=metric)
-            handles = index.handles()
-            for i, handle in enumerate(handles):
-                row = index.row(handle)
-                for j, other in enumerate(handles):
-                    assert row[other] == matrix.row(i)[j], (metric, i, j)
-
-    def test_top_k_and_neighbors_over_live_population(self, corpus):
-        patterns = [
-            parse_xpath("//b"),
-            parse_xpath("//o"),
-            parse_xpath("//e"),
-            parse_xpath("//q"),
-        ]
-        index = SimilarityIndex(corpus, patterns)
-        b, o, e, q = index.handles()
-        # //b: sim 1/2 with //e, 1/4 with //o, 0 with //q.
-        assert index.top_k(b, 2) == [
-            (e, pytest.approx(0.5)),
-            (o, pytest.approx(0.25)),
-        ]
-        assert [h for h, _ in index.neighbors(b, 0.25)] == [e, o]
-        index.remove(e)
-        assert index.top_k(b, 2) == [
-            (o, pytest.approx(0.25)),
-            (q, 0.0),
-        ]
-        with pytest.raises(ValueError):
-            index.top_k(b, 0)
-        with pytest.raises(ValueError):
-            index.neighbors(b, 1.5)
-
-    def test_removed_pattern_readd_is_free(self, corpus):
-        counting = CountingProvider(corpus)
-        patterns = [parse_xpath("//b"), parse_xpath("//e")]
-        index = SimilarityIndex(counting, patterns)
-        materialize(index)
-        decided = dict(counting.joint_calls)
-        handle = index.handles()[1]
-        index.remove(handle)
-        index.add(parse_xpath("//e"))
-        materialize(index)
-        assert counting.joint_calls == decided
-
-
-class TestClusteringIntegration:
-    def test_leader_clustering_through_live_index_after_churn(self, corpus):
-        from repro.routing.community import leader_clustering
-
-        index = SimilarityIndex(corpus)
-        for xpath in ("//b", "//q", "//e"):
-            index.add(parse_xpath(xpath))
-        index.remove(index.handles()[1])  # //q leaves
-        survivors = index.patterns
-        communities = leader_clustering(survivors, index, threshold=0.4)
-        # //b and //e (similarity 0.5) collapse into one community.
-        assert len(communities) == 1
 
 
 class TestDisjointnessPruning:
@@ -325,9 +211,10 @@ class TestRatioPrefilter:
 
 
 class TestIncrementalCostAccounting:
-    """The ISSUE acceptance bound: adding one pattern to an n-pattern
-    population costs exactly n new joint-selectivity provider calls minus
-    the tag-disjoint pruned pairs."""
+    """Asking about one new pattern against an n-pattern population
+    costs exactly n joint decisions, the root-anchor-pruned ones
+    answered without a provider call; a pair already decided costs
+    nothing."""
 
     @pytest.fixture()
     def patterns(self):
@@ -343,8 +230,8 @@ class TestIncrementalCostAccounting:
 
     def test_build_decides_every_distinct_pair_once(self, corpus, patterns):
         counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns)
-        materialize(index)
+        index = SimilarityIndex(counting)
+        decide_all(index, patterns)
         n = len(patterns)
         stats = index.stats
         assert stats.joint_evaluated + stats.joint_pruned == n * (n - 1) // 2
@@ -352,22 +239,27 @@ class TestIncrementalCostAccounting:
         assert stats.joint_pruned > 0
         assert counting.max_joint_calls_per_pair == 1
         assert counting.max_selectivity_calls_per_pattern == 1
+        # The memos are keyed by pattern, not by object: the same
+        # population parsed again, in reverse, reaches the provider no
+        # further, pruned pairs included.
+        decided = dict(counting.joint_calls)
+        before = replace(stats)
+        decide_all(index, [parse_xpath(to_xpath(p)) for p in reversed(patterns)])
+        assert counting.joint_calls == decided
+        assert index.stats == before
 
     def test_add_costs_exactly_n_minus_pruned(self, corpus, patterns):
         counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns)
-        materialize(index)
+        index = SimilarityIndex(counting)
+        decide_all(index, patterns)
         n = len(patterns)
         evaluated_before = index.stats.joint_evaluated
         pruned_before = index.stats.joint_pruned
         provider_before = len(counting.joint_calls)
 
-        index.add(parse_xpath("/a/b/e/k"))
-        # Mutation alone decides nothing.
-        assert index.stats.joint_evaluated == evaluated_before
-        assert index.stats.joint_pruned == pruned_before
-
-        materialize(index)
+        newcomer = parse_xpath("/a/b/e/k")
+        for pattern in patterns:
+            index(newcomer, pattern)
         new_evaluated = index.stats.joint_evaluated - evaluated_before
         new_pruned = index.stats.joint_pruned - pruned_before
         assert new_evaluated + new_pruned == n
@@ -376,15 +268,3 @@ class TestIncrementalCostAccounting:
         assert new_pruned == 2
         assert len(counting.joint_calls) - provider_before == new_evaluated
         assert counting.max_joint_calls_per_pair == 1
-
-    def test_remove_costs_nothing_and_readding_population_is_free(
-        self, corpus, patterns
-    ):
-        counting = CountingProvider(corpus)
-        index = SimilarityIndex(counting, patterns)
-        materialize(index)
-        decided = dict(counting.joint_calls)
-        victim = index.handles()[2]
-        index.remove(victim)
-        materialize(index)
-        assert counting.joint_calls == decided

@@ -90,11 +90,10 @@ class TestMatrixAgreement:
         corpus = DocumentCorpus(docs)
         patterns = [p, q, r]
         for name, metric in METRICS.items():
-            engine = SimilarityIndex(corpus, patterns, metric=name)
+            index = SimilarityIndex(corpus, metric=name)
             for i in range(3):
-                row = engine.row(i)
                 for j in range(3):
-                    assert row[j] == metric(
+                    assert index(patterns[i], patterns[j]) == metric(
                         corpus, patterns[i], patterns[j]
                     ), (name, i, j)
 
@@ -113,10 +112,9 @@ class TestMatrixAgreement:
                 calls[key] = calls.get(key, 0) + 1
                 return corpus.joint_selectivity(a, b)
 
-        engine = SimilarityIndex(Counting(), [p, q])
-        for handle in engine.handles():
-            engine.row(handle)
-        engine(p, q)
-        engine(q, p)
-        engine.top_k(0, 1)
+        index = SimilarityIndex(Counting())
+        for _ in range(2):
+            for a in (p, q):
+                for b in (p, q):
+                    index(a, b)
         assert all(count == 1 for count in calls.values()), calls

@@ -89,30 +89,3 @@ class TestWindowedEstimation:
         assert estimator.selectivity(parse_xpath("/a/b")) == pytest.approx(
             1.0, abs=0.3
         )
-
-
-class TestTopK:
-    def test_top_k_orders_by_similarity(self, figure2_documents):
-        from repro.core.similarity import SimilarityEstimator
-        from repro.xmltree.corpus import DocumentCorpus
-
-        corpus = DocumentCorpus(figure2_documents)
-        estimator = SimilarityEstimator(corpus)
-        target = parse_xpath("/a/b")
-        candidates = [
-            parse_xpath("/a/b/e"),   # same match set -> similarity 1
-            parse_xpath("/a/d"),     # disjoint -> 0
-            parse_xpath("/a"),       # superset -> 1/2 under M3
-        ]
-        ranked = estimator.top_k(target, candidates, k=2)
-        assert ranked[0][0] == 0
-        assert ranked[0][1] == pytest.approx(1.0)
-        assert ranked[1][0] == 2
-
-    def test_top_k_validates_k(self, figure2_documents):
-        from repro.core.similarity import SimilarityEstimator
-        from repro.xmltree.corpus import DocumentCorpus
-
-        estimator = SimilarityEstimator(DocumentCorpus(figure2_documents))
-        with pytest.raises(ValueError):
-            estimator.top_k(parse_xpath("/a"), [parse_xpath("/a")], k=0)
