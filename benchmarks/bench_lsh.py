@@ -30,7 +30,9 @@ The exact oracle is only run up to ``EXACT_CAP`` subscriptions; above
 it the exact cell is reported as *not run* with a growth extrapolation,
 and the LSH cells run end-to-end through
 ``advertise(CommunityPolicy(candidates=...))`` to show interactive
-community formation at 10⁵.  The advertised overlay then takes
+community formation at 10⁵; the advertisement must fill each broker's
+leader index once, one ``LSHCandidates.add`` per community leader, and
+the ``lsh=`` line reports the count.  The advertised overlay then takes
 ``CHURN_PAIRS`` seeded resubscribe pairs, must still equal its
 from-scratch rebuild, and reports the ``LSHCandidates`` lookups
 (``candidates_of``) and pairwise tests (``is_candidate``) each pair
@@ -49,6 +51,8 @@ import argparse
 import random
 import time
 from collections import Counter
+from contextlib import contextmanager
+from typing import Iterator
 
 from common import overlay_argument_parser, run_with_profile
 from repro.core.candidates import LSHCandidates
@@ -131,7 +135,7 @@ def make_synopsis_tokens(estimator: SelectivityEstimator):
 def community_labels(communities, n: int) -> list[int]:
     labels = [0] * n
     for cid, community in enumerate(communities):
-        for member in community.members:
+        for member in community:
             labels[member] = cid
     return labels
 
@@ -204,12 +208,12 @@ def run_sweep(sizes=SIZES, exact_cap: int = EXACT_CAP) -> list[SizeRow]:
     rows = []
     for size in sizes:
         row = SizeRow(size)
-        population = patterns[:size]
+        population = dict(enumerate(patterns[:size]))
         exact_labels = None
         if size <= exact_cap:
             similarity = MemoSimilarity(estimator)
             started = time.perf_counter()
-            exact = leader_clustering(population, similarity, THRESHOLD)
+            exact = leader_clustering(population, similarity, THRESHOLD).communities
             row.exact_seconds = time.perf_counter() - started
             row.exact_calls = similarity.calls
             row.exact_communities = len(exact)
@@ -226,7 +230,7 @@ def run_sweep(sizes=SIZES, exact_cap: int = EXACT_CAP) -> list[SizeRow]:
             started = time.perf_counter()
             clustered = leader_clustering(
                 population, similarity, THRESHOLD, candidates=template
-            )
+            ).communities
             cell.seconds = time.perf_counter() - started
             cell.calls = similarity.calls
             cell.communities = len(clustered)
@@ -241,33 +245,41 @@ def run_sweep(sizes=SIZES, exact_cap: int = EXACT_CAP) -> list[SizeRow]:
     return rows
 
 
-def run_end_to_end(size: int, n_brokers: int = N_BROKERS) -> tuple[float, Counter]:
+def run_end_to_end(
+    size: int, n_brokers: int = N_BROKERS
+) -> tuple[float, int, Counter]:
     """Wall-clock of a full LSH-gated advertise() at *size* subscriptions,
-    and the ``LSHCandidates`` calls of :func:`churn_pairs` on the overlay
-    it built, which must then equal its from-scratch rebuild."""
+    its ``LSHCandidates.add`` calls, which must be one per community
+    leader, and the ``LSHCandidates`` calls of :func:`churn_pairs` on the
+    overlay it built, which must then equal its from-scratch rebuild."""
     patterns, estimator = prepare_workload(size)
     template = LSHCandidates(tokens=make_synopsis_tokens(estimator))
     started = time.perf_counter()
     overlay = BrokerOverlay.random_tree(n_brokers, seed=11)
     overlay.attach_round_robin(patterns)
-    overlay.advertise(
-        CommunityPolicy(threshold=THRESHOLD, candidates=template), estimator
-    )
+    with lsh_calls(("add",)) as advertised:
+        overlay.advertise(
+            CommunityPolicy(threshold=THRESHOLD, candidates=template), estimator
+        )
     seconds = time.perf_counter() - started
+    leaders = sum(len(node.clusters.communities) for node in overlay.brokers.values())
+    assert advertised["add"] == leaders, (
+        f"advertise made {advertised['add']} LSHCandidates.add calls for "
+        f"{leaders} leaders"
+    )
     calls = churn_pairs(overlay)
     assert overlay.topology_signature() == overlay.rebuilt().topology_signature(), (
         "churned overlay differs from its from-scratch rebuild"
     )
-    return seconds, calls
+    return seconds, advertised["add"], calls
 
 
-def churn_pairs(overlay, pairs: int = CHURN_PAIRS, seed: int = CHURN_SEED) -> Counter:
-    """Resubscribe *pairs* seeded random subscriptions of *overlay*, each
-    at its home with its own pattern, counting the ``LSHCandidates``
-    calls (:data:`CHURN_CALLS`) the pairs make."""
-    rng = random.Random(seed)
+@contextmanager
+def lsh_calls(names) -> Iterator[Counter]:
+    """Count the calls of the ``LSHCandidates`` methods *names* made in
+    the block."""
     calls: Counter = Counter()
-    originals = {name: vars(LSHCandidates)[name] for name in CHURN_CALLS}
+    originals = {name: vars(LSHCandidates)[name] for name in names}
 
     def counted(name, method):
         def count(self, *args):
@@ -279,14 +291,23 @@ def churn_pairs(overlay, pairs: int = CHURN_PAIRS, seed: int = CHURN_SEED) -> Co
     try:
         for name, method in originals.items():
             setattr(LSHCandidates, name, counted(name, method))
+        yield calls
+    finally:
+        for name, method in originals.items():
+            setattr(LSHCandidates, name, method)
+
+
+def churn_pairs(overlay, pairs: int = CHURN_PAIRS, seed: int = CHURN_SEED) -> Counter:
+    """Resubscribe *pairs* seeded random subscriptions of *overlay*, each
+    at its home with its own pattern, counting the ``LSHCandidates``
+    calls (:data:`CHURN_CALLS`) the pairs make."""
+    rng = random.Random(seed)
+    with lsh_calls(CHURN_CALLS) as calls:
         for _ in range(pairs):
             victim = rng.choice(list(overlay.subscriptions))
             home, pattern = overlay.subscriptions[victim]
             overlay.unsubscribe(victim)
             overlay.subscribe(home, pattern)
-    finally:
-        for name, method in originals.items():
-            setattr(LSHCandidates, name, method)
     return calls
 
 
@@ -367,7 +388,7 @@ def _run(args: argparse.Namespace) -> None:
     print(render(rows))
     check_acceptance(rows)
     end_to_end_size = sizes[-1]
-    end_to_end, churn_calls = run_end_to_end(
+    end_to_end, leader_adds, churn_calls = run_end_to_end(
         end_to_end_size, n_brokers=4 if args.smoke else N_BROKERS
     )
     per_pair = {name: churn_calls[name] / CHURN_PAIRS for name in CHURN_CALLS}
@@ -390,7 +411,8 @@ def _run(args: argparse.Namespace) -> None:
         f"{row.size} patterns ({cell.bands}x{cell.rows} synopsis shingles, "
         f"{cell.calls} vs {row.exact_calls} sim evals, "
         f"{speedup:.1f}x wall-clock; advertise at {end_to_end_size}: "
-        f"{end_to_end:.1f}s; per resubscribe pair "
+        f"{end_to_end:.1f}s, {leader_adds} LSHCandidates.add, one per leader; "
+        f"per resubscribe pair "
         f"{per_pair['candidates_of']:.2f} candidates_of, "
         f"{per_pair['is_candidate']:.2f} is_candidate)"
     )

@@ -47,13 +47,13 @@ def main() -> None:
     ).positive
 
     estimator = SelectivityEstimator(synopsis)
-    communities = leader_clustering(
-        subscriptions,
+    clusters = leader_clustering(
+        dict(enumerate(subscriptions)),
         lambda p, q: m3_joint_over_union(estimator, p, q),
         threshold=0.7,
     )
     print(f"day 1: {len(documents)} documents, {len(subscriptions)} subscribers, "
-          f"{len(communities)} semantic communities")
+          f"{len(clusters.communities)} semantic communities")
 
     # --- maintenance window: persist and restart -------------------------
     path = os.path.join(tempfile.mkdtemp(), "synopsis.json")
@@ -89,7 +89,7 @@ def main() -> None:
         print(f"  M3={score:5.3f}  {to_xpath(subscriptions[index])}")
 
     best_index, best_score = ranked[0]
-    community = next(c for c in communities if best_index in c.members)
+    community = clusters.group_of[best_index]
     print(
         f"\nplaced next to subscription #{best_index} "
         f"(similarity {best_score:.3f}) in a community of "

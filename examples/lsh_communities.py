@@ -117,12 +117,13 @@ def main() -> None:
 
     generator = LSHCandidates(tokens=matching_sample_tokens)
 
+    pattern_of = dict(enumerate(patterns))
     exact_sim = CountingSimilarity(estimator)
-    exact = leader_clustering(patterns, exact_sim, THRESHOLD)
+    exact = leader_clustering(pattern_of, exact_sim, THRESHOLD).communities
     lsh_sim = CountingSimilarity(estimator)
     gated = leader_clustering(
-        patterns, lsh_sim, THRESHOLD, candidates=generator
-    )
+        pattern_of, lsh_sim, THRESHOLD, candidates=generator
+    ).communities
 
     print(f"\nexact:     {len(exact):3d} communities, "
           f"{exact_sim.calls} similarity evaluations")

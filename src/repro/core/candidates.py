@@ -29,12 +29,13 @@ overlay — and each clustering pass — gets a private population without
 recomputing signatures.
 
 Consumers: ``leader_clustering(candidates=...)`` compares a pattern
-only against the leaders among its candidates, and
-``CommunityPolicy(candidates=...)`` carries a template into every
-broker of an overlay, where a spawn holding the broker's current
-leaders answers each churn placement with one ``candidates_of``
-lookup.  Those two decide which pairs are compared; the similarity
-index they ask is never asked about any other pair.
+only against the leaders among its candidates, held by a spawn it
+fills with the leaders it founds, and ``CommunityPolicy(candidates=...)``
+carries a template into every broker of an overlay, whose clustering
+record keeps that spawn of the broker's current leaders to answer each
+churn placement with one ``candidates_of`` lookup.  Those two decide
+which pairs are compared; the similarity index they ask is never asked
+about any other pair.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ Module map:
 * :mod:`repro.routing.community` — semantic communities:
   :func:`leader_clustering` (online, greedy), gateable by a
   :class:`~repro.core.candidates.CandidateGenerator` (``candidates=``)
-  so only colliding pairs are ever evaluated;
+  so only colliding pairs are ever evaluated, builds the
+  :class:`LeaderClusters` record that a broker's churn edits in place;
 * :mod:`repro.routing.broker` — the engine's latency report,
   :class:`LatencyStats`;
 * :mod:`repro.routing.table` — covering-aware broker routing tables:
@@ -74,7 +75,7 @@ from repro.routing.broker import (
     ordered_percentile,
     percentile,
 )
-from repro.routing.community import Community, leader_clustering
+from repro.routing.community import LeaderClusters, leader_clustering
 from repro.routing.engine import (
     BatchServiceModel,
     ClosedLoopSource,
@@ -114,7 +115,7 @@ from repro.routing.table import (
 from repro.routing.trie import BatchMatch, PatternTrie, TrieMatch
 
 __all__ = [
-    "Community",
+    "LeaderClusters",
     "leader_clustering",
     "RoutingTable",
     "TableEntry",

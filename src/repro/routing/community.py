@@ -17,14 +17,15 @@ dominant joint-selectivity work across clustering runs (and with the
 overlay layer).  It stays lazy on purpose: it only ever needs
 O(n · #communities) of the n² pairs.
 
-Churn-facing brokers do not re-run the clustering per event.  Leader
-clustering is first-fit in creation order and each decision depends only
-on the pair compared, so
-:class:`~repro.routing.policy.CommunityPolicy` keeps each broker's last
-leader clustering, with the member each community elected to advertise,
-and updates both in place; bursts and topology surgery re-cluster and
-re-elect the whole broker.  The churn table in
-:mod:`repro.routing.overlay` states what each event costs.
+The clustering is a :class:`LeaderClusters` record, and :func:`place`,
+its one placement rule, builds it member by member.  Churn-facing
+brokers do not re-run the clustering per event.  Leader clustering is
+first-fit in creation order and each decision depends only on the pair
+compared, so :class:`~repro.routing.policy.CommunityPolicy` keeps each
+broker's record, with the member each community elected to advertise,
+places an arrival with the same :func:`place` and updates the rest in
+place; other changes to a broker's members re-cluster it.  The churn
+table in :mod:`repro.routing.overlay` states what each event costs.
 
 A ``candidates=`` template — a
 :class:`~repro.core.candidates.CandidateGenerator` such as
@@ -40,47 +41,120 @@ a measured amount of recall for sublinear candidate generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from operator import ge
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
 
-__all__ = ["Community", "leader_clustering"]
+__all__ = ["LeaderClusters", "first_fit", "leader_clustering", "place"]
 
 SimilarityFn = Callable[[TreePattern, TreePattern], float]
 
 
 @dataclass
-class Community:
-    """A group of subscription indices with a designated leader."""
+class LeaderClusters:
+    """A leader clustering, kept across churn by each broker.
 
-    leader: int
-    members: list[int] = field(default_factory=list)
+    ``communities`` holds its communities in creation order, each as a
+    list of member keys with the leader first and joiners in placement
+    order.  Members are placed in ascending key order, so each community
+    ascends, and the communities ascend by leader.  ``group_of`` maps
+    each member, in placement order, to its community's list, so a
+    placement or a departure finds a community by lookup.  ``elected``
+    maps a community's leader to the member it advertises under
+    :class:`~repro.routing.policy.CommunityPolicy`'s
+    ``elect_by_selectivity``: the first member, in placement order, with
+    the highest selectivity; a community without an entry is elected
+    when its aggregate is next built.  Under a candidate gate,
+    ``leader_index`` is a spawn of the gate's
+    :class:`~repro.core.candidates.CandidateGenerator` template holding
+    each leader's pattern under the leader's key, exactly the leaders of
+    ``communities``, so one ``candidates_of`` lookup names the leaders a
+    placement compares; it is None where every leader is compared.  The
+    overlay keeps one record per broker beside its similarity index and
+    hands it to the advertisement policy, which brings it up to date in
+    place at the costs of the churn table in
+    :mod:`repro.routing.overlay`.  Policies never own one: they are
+    frozen and shared across brokers.
+    """
 
-    def __post_init__(self) -> None:
-        if self.leader not in self.members:
-            self.members.append(self.leader)
+    communities: list[list[int]] = field(default_factory=list)
+    group_of: dict[int, list[int]] = field(default_factory=dict)
+    elected: dict[int, int] = field(default_factory=dict)
+    leader_index: Optional[CandidateGenerator] = None
 
-    def __len__(self) -> int:
-        return len(self.members)
+    def leaders_for(self, pattern: TreePattern) -> Iterable[int]:
+        """The leaders a placement of *pattern* compares, in creation
+        order: those the leader index returns for it, or, without one,
+        every leader, read lazily so a first fit stops the walk."""
+        if self.leader_index is None:
+            return (group[0] for group in self.communities)
+        return sorted(self.leader_index.candidates_of(pattern))
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.members
+
+def first_fit(
+    pattern: TreePattern,
+    leaders: Iterable[int],
+    pattern_of: Mapping[int, TreePattern],
+    similarity: SimilarityFn,
+    threshold: float,
+) -> Optional[int]:
+    """The first of *leaders* whose pattern *pattern* joins, or None."""
+    for leader in leaders:
+        if similarity(pattern_of[leader], pattern) >= threshold:
+            return leader
+    return None
+
+
+def place(
+    member: int,
+    pattern_of: Mapping[int, TreePattern],
+    similarity: SimilarityFn,
+    threshold: float,
+    clusters: LeaderClusters,
+) -> list[int]:
+    """Place *member* first-fit in *clusters*; returns the community it
+    joined or founded.
+
+    *member* follows every member of *clusters* in key order.  It joins
+    the first community, among the leaders the record compares
+    (:meth:`LeaderClusters.leaders_for`), whose leader's pattern has
+    ``similarity >= threshold`` to its own; when none has, it founds a
+    community, last in creation order, and joins the leader index.
+    """
+    pattern = pattern_of[member]
+    leader = first_fit(
+        pattern, clusters.leaders_for(pattern), pattern_of, similarity, threshold
+    )
+    if leader is None:
+        group = [member]
+        clusters.communities.append(group)
+        if clusters.leader_index is not None:
+            clusters.leader_index.add(member, pattern)
+    else:
+        group = clusters.group_of[leader]
+        group.append(member)
+    clusters.group_of[member] = group
+    return group
 
 
 def leader_clustering(
-    patterns: Sequence[TreePattern],
+    pattern_of: Mapping[int, TreePattern],
     similarity: SimilarityFn,
     threshold: float,
     candidates: Optional[CandidateGenerator] = None,
-) -> list[Community]:
-    """Greedy threshold clustering of *patterns*.
+) -> LeaderClusters:
+    """Greedy threshold clustering of *pattern_of*'s patterns, by key.
 
-    Each pattern is compared against existing community leaders in creation
-    order and joins the first community with ``similarity >= threshold``;
-    otherwise it becomes the leader of a new community.  ``threshold=1.0``
-    therefore yields (near-)equivalence classes and ``threshold=0.0`` a
-    single community.
+    Each member is placed (:func:`place`) in key order: it is compared
+    against the existing community leaders in creation order and joins
+    the first community with ``similarity >= threshold``; otherwise it
+    becomes the leader of a new community.  ``threshold=1.0`` therefore
+    yields (near-)equivalence classes and ``threshold=0.0`` a single
+    community.  The keys must ascend in mapping order, the order
+    communities are created and compared in; :class:`ValueError`
+    otherwise.
 
     With a *candidates* template, only the leaders the generator reports
     as candidates of the incoming pattern are compared — still in
@@ -89,26 +163,17 @@ def leader_clustering(
     is every leader) reproduces the un-gated clustering exactly, while
     :class:`~repro.core.candidates.LSHCandidates` makes placement cost
     independent of the total community count.  The template itself is
-    never mutated: a fresh spawn holds the leaders-only population.
+    never mutated: a fresh spawn holds the leaders-only population and
+    is the record's ``leader_index``.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    generator = None if candidates is None else candidates.spawn()
-    #: leader pattern-index -> its community, in creation order.  Keys
-    #: ascend with creation, so sorting candidate leader indices
-    #: reproduces the oracle's first-fit order.
-    by_leader: dict[int, Community] = {}
-    for index, pattern in enumerate(patterns):
-        leaders: Iterable[int] = by_leader
-        if generator is not None:
-            leaders = sorted(generator.candidates_of(pattern))
-        for leader in leaders:
-            if similarity(patterns[leader], pattern) >= threshold:
-                by_leader[leader].members.append(index)
-                break
-        else:
-            by_leader[index] = Community(leader=index)
-            if generator is not None:
-                generator.add(index, pattern)
-    return list(by_leader.values())
-
+    members = list(pattern_of)
+    if any(map(ge, members, members[1:])):
+        raise ValueError("leader clustering needs keys that ascend in order")
+    clusters = LeaderClusters(
+        leader_index=None if candidates is None else candidates.spawn()
+    )
+    for member in members:
+        place(member, pattern_of, similarity, threshold, clusters)
+    return clusters

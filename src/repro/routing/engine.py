@@ -200,8 +200,10 @@ class BatchServiceModel(ServiceModel):
             raise ValueError("service-time coefficients must be >= 0")
         if self.base <= 0.0 and self.per_match <= 0.0 and self.per_doc <= 0.0:
             raise ValueError("service time must be positive")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        # A float would pass the bound yet never equal a batch length:
+        # NaN strands every queue, 2.5 drains batches of 3.
+        if not isinstance(self.max_batch, int) or self.max_batch < 1:
+            raise ValueError("max_batch must be an integer >= 1")
 
     def service_time_batch(self, match_operations: int, documents: int) -> float:
         """Simulated time to service *documents* jobs in one interval."""

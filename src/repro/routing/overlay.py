@@ -40,7 +40,8 @@ advertisement had covered.
 :meth:`BrokerOverlay.subscribe_many` /
 :meth:`BrokerOverlay.unsubscribe_many` coalesce a churn burst into one
 re-aggregation and one advertisement diff per touched broker, under
-every policy, as does topology surgery.  The bulk path
+every policy, as does topology surgery; a broker's share of one member
+is that member's single event.  The bulk path
 (:meth:`BrokerOverlay.attach` followed by one :meth:`advertise` call)
 and the event path converge to the same routing state.
 
@@ -72,7 +73,8 @@ subscribe      community     one lookup in the broker's leader      ``test_commu
                              community's aggregate alone is
                              rebuilt and replaced
 unsubscribe,   community     no similarity lookup; its community,   ``test_community_pair_pays_for_its_community_only``,
-non-leader                   found by bisection, is elected again   ``test_retiring_the_elected_member_reelects_its_community_alone``
+non-leader                   found by a lookup in the broker's      ``test_retiring_the_elected_member_reelects_its_community_alone``
+                             clustering record, is elected again
                              only if it was the elected member,
                              and its aggregate alone is rebuilt
                              and replaced
@@ -99,8 +101,11 @@ event                        cutoff, the community rows; an event
 burst,         every         one aggregation and one diff; under    ``test_a_burst_still_takes_the_full_path``
 topology       policy        the community policy, one
 surgery                      ``leader_clustering`` of the broker,
-                             its leader index rebuilt, and an
-                             election of every community
+                             which fills its leader index once,
+                             and an election of every community
+burst of one   every         the row of its single event            ``test_a_burst_of_one_member_per_broker_is_a_single_event``
+member per     policy
+broker
 =============  ============  =====================================  ==========================================================
 
 None of the per-subscription and community rows builds or diffs an
@@ -146,7 +151,8 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
-from repro.routing.policy import AdvertisementPolicy, LeaderClusters
+from repro.routing.community import LeaderClusters
+from repro.routing.policy import AdvertisementPolicy
 from repro.routing.table import DELIVER, FORWARD, RoutingTable
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
@@ -683,7 +689,8 @@ class BrokerOverlay:
         broker re-aggregates **once** and advertises one diff — so a
         burst costs one re-clustering and never floods the transient
         community shapes the per-event loop would have announced and
-        withdrawn between arrivals.  Returns the new subscription ids in
+        withdrawn between arrivals.  A burst of one is the single event
+        :meth:`subscribe` makes.  Returns the new subscription ids in
         argument order.
         """
         subscription_ids = [
@@ -696,7 +703,8 @@ class BrokerOverlay:
             self._register(
                 node, subscription_id, self.subscriptions[subscription_id][1]
             )
-        self._reaggregate(broker_id)
+        single = (subscription_ids[0], True) if len(subscription_ids) == 1 else None
+        self._reaggregate(broker_id, single)
         return subscription_ids
 
     def unsubscribe_many(
@@ -707,8 +715,10 @@ class BrokerOverlay:
         The batch equivalent of looping :meth:`unsubscribe`: every
         departure is detached first, then each touched broker
         re-aggregates **once** and advertises one diff.  The ids may span
-        brokers; each broker still pays exactly one re-aggregation.
-        Returns the retired patterns in argument order.
+        brokers; each broker still pays exactly one re-aggregation, and a
+        broker that loses exactly one advertised member takes the single
+        event :meth:`unsubscribe` makes.  Returns the retired patterns in
+        argument order.
         """
         subscription_ids = list(subscription_ids)
         missing = [
@@ -729,16 +739,17 @@ class BrokerOverlay:
             raise ValueError(
                 f"subscription ids repeated in one batch: {duplicated}"
             )
-        touched: set[int] = set()
+        departed: dict[int, list[int]] = {}
         patterns: list[TreePattern] = []
         for subscription_id in subscription_ids:
             home_id, pattern, advertised = self._forget(subscription_id)
             if advertised:
-                touched.add(home_id)
+                departed.setdefault(home_id, []).append(subscription_id)
             patterns.append(pattern)
         if self.policy is not None:
-            for home_id in sorted(touched):
-                self._reaggregate(home_id)
+            for home_id, members in sorted(departed.items()):
+                single = (members[0], False) if len(members) == 1 else None
+                self._reaggregate(home_id, single)
         return patterns
 
     # ------------------------------------------------------------------
@@ -1165,18 +1176,13 @@ class BrokerOverlay:
 
         Hands the policy the broker's :attr:`BrokerNode.advertised`
         record in home order, with its live index and its
-        :class:`~repro.routing.policy.LeaderClusters` record for a
+        :class:`~repro.routing.community.LeaderClusters` record for a
         similarity-based policy to update in place.  Members that merely
         :meth:`attach`\\ -ed after the bulk advertisement are not in the
         record, whatever the policy.
         """
         assert self.policy is not None
-        return self.policy.aggregate(
-            list(node.advertised),
-            list(node.advertised.values()),
-            node.index,
-            node.clusters,
-        )
+        return self.policy.aggregate(node.advertised, node.index, node.clusters)
 
     def _reaggregate(
         self,
@@ -1186,7 +1192,8 @@ class BrokerOverlay:
         """Refresh one broker's advertisements after churn.
 
         *change* names a single event, ``(member, arrived)``, when the
-        caller made exactly one; bursts and topology surgery pass none.
+        caller made exactly one, a burst of one included; larger bursts
+        and topology surgery pass none.
         For a single event the policy may name the aggregates it changes
         (its ``single_change``), and only those are installed or
         withdrawn (:func:`_edited_record`): the same calls, in the same

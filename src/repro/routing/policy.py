@@ -49,23 +49,26 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import islice, takewhile
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Iterator, Mapping, Optional, Protocol, Sequence
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
 from repro.core.similarity import METRICS, SelectivityProvider, SimilarityIndex
-from repro.routing.community import leader_clustering
+from repro.routing.community import (
+    LeaderClusters,
+    first_fit,
+    leader_clustering,
+    place,
+)
 
 __all__ = [
     "AdvertisementPolicy",
     "PerSubscriptionPolicy",
     "CommunityPolicy",
     "HybridPolicy",
-    "LeaderClusters",
     "SchedulingPolicy",
     "FifoScheduling",
     "PriorityScheduling",
@@ -95,51 +98,17 @@ _Touched = dict[int, Optional[list[int]]]
 _leader = itemgetter(0)
 
 
-@dataclass
-class LeaderClusters:
-    """One broker's last leader clustering, kept across churn.
-
-    ``communities`` holds its communities in creation order, each as
-    member subscriber ids with the leader first and joiners in placement
-    order.  Placement follows the broker's home order, ascending
-    subscriber id, so a member's id is its position: each community
-    ascends, and the communities ascend by leader.  ``leader_of`` maps
-    each member, in placement order, to its community's leader, so one
-    departure finds its community by bisection.  ``elected`` maps a
-    community's leader to the member it advertises under
-    ``elect_by_selectivity``: the first member, in placement order, with
-    the highest selectivity.  A community without an entry is elected
-    when its aggregate is next built.  Under a candidate gate,
-    ``leader_index`` is a spawn of the policy's
-    :class:`~repro.core.candidates.CandidateGenerator` template holding
-    each leader's pattern under the leader's id, exactly the leaders of
-    ``communities``, so one ``candidates_of`` lookup names the leaders a
-    placement compares; it is None for an ungated policy, and for a
-    record no gated clustering or placement has reached yet.  The overlay keeps one
-    record per broker beside its similarity index and hands it to
-    :meth:`AdvertisementPolicy.single_change` and
-    :meth:`AdvertisementPolicy.aggregate`; :class:`CommunityPolicy`
-    brings it up to date in place, at the costs of the churn table in
-    :mod:`repro.routing.overlay`.  Policies never own one: they are
-    frozen and shared across brokers.
-    """
-
-    communities: list[list[int]] = field(default_factory=list)
-    leader_of: dict[int, int] = field(default_factory=dict)
-    elected: dict[int, int] = field(default_factory=dict)
-    leader_index: Optional[CandidateGenerator] = None
-
-
 class AdvertisementPolicy:
     """Strategy deciding how a broker advertises its local subscriptions.
 
     The overlay hands every policy the same inputs — the broker's
-    advertised subscriber ids, their patterns, and (for similarity-based
-    policies) the broker's live index — and installs whatever
-    ``(advertised pattern, member ids)`` entries :meth:`aggregate`
-    returns.  Because the overlay diffs successive aggregations, a policy
-    is automatically incremental under churn: it only describes the
-    *target* state, never the advertisement traffic to reach it.  That
+    advertised subscriber ids mapped to their patterns, and (for
+    similarity-based policies) the broker's live index — and installs
+    whatever ``(advertised pattern, member ids)`` entries
+    :meth:`aggregate` returns.  Because the overlay diffs successive
+    aggregations, a policy is automatically incremental under churn: it
+    only describes the *target* state, never the advertisement traffic
+    to reach it.  That
     covers *topology* churn too — when ``BrokerOverlay.remove_broker``
     re-homes a retiring broker's subscriptions onto its merge target,
     the target re-aggregates through the same diff lifecycle (under
@@ -163,18 +132,18 @@ class AdvertisementPolicy:
 
     def aggregate(
         self,
-        members: Sequence[int],
-        patterns: Sequence[TreePattern],
+        advertised: Mapping[int, TreePattern],
         index: Optional[SimilarityIndex],
         clusters: Optional[LeaderClusters] = None,
     ) -> list[Aggregate]:
         """Turn one broker's advertised subscriptions into advertisements.
 
-        ``members[i]`` subscribes with ``patterns[i]``; both follow the
-        broker's home order.  Returns the full target advertisement state
-        for the broker — the overlay applies the diff.  *clusters* is the
-        broker's clustering record, which a clustering policy may read
-        and update in place; without one, it clusters from scratch.
+        *advertised* maps each member to its pattern in the broker's
+        home order (ascending id).  Returns the full target
+        advertisement state for the broker — the overlay applies the
+        diff.  *clusters* is the broker's clustering record, which a
+        clustering policy may read and update in place; without one, it
+        clusters from scratch.
 
         Each member may lead (come first in) at most one aggregate: the
         overlay records a broker's aggregation keyed by leader and
@@ -237,16 +206,12 @@ class PerSubscriptionPolicy(AdvertisementPolicy):
 
     def aggregate(
         self,
-        members: Sequence[int],
-        patterns: Sequence[TreePattern],
+        advertised: Mapping[int, TreePattern],
         index: Optional[SimilarityIndex],
         clusters: Optional[LeaderClusters] = None,
     ) -> list[Aggregate]:
         """One advertisement per subscription, in home order."""
-        return [
-            (pattern, (member,))
-            for member, pattern in zip(members, patterns, strict=True)
-        ]
+        return [(pattern, (member,)) for member, pattern in advertised.items()]
 
 
 @dataclass(frozen=True)
@@ -275,27 +240,29 @@ class CommunityPolicy(AdvertisementPolicy):
     bound should pass ``ratio_prefilter=False``.
 
     ``candidates`` restricts which pattern pairs are evaluated at all,
-    and this policy is the one place that applies it: a clustering pass
-    asks a leaders-only spawn of the
-    :class:`~repro.core.candidates.CandidateGenerator` template for each
-    pattern's candidate leaders, and each broker keeps such a spawn of
-    its current leaders (:attr:`LeaderClusters.leader_index`), which a
-    churn placement asks once.  The broker's similarity index is asked
-    only about the pairs that pass, so LSH-backed community formation
-    stays sublinear in the broker's subscription count.  ``None`` keeps
-    the historical all-pairs behaviour.
+    and this policy is the one place that applies it: each broker's
+    clustering record keeps a leaders-only spawn of the
+    :class:`~repro.core.candidates.CandidateGenerator` template
+    (:attr:`~repro.routing.community.LeaderClusters.leader_index`),
+    which a placement asks once for the leaders it compares.  The
+    broker's similarity index is asked only about the pairs that pass,
+    so LSH-backed community formation stays sublinear in the broker's
+    subscription count.  ``None`` keeps the historical all-pairs
+    behaviour.
 
-    Churn is incremental: the broker's :class:`LeaderClusters` record,
-    elected members included, is updated in place, exactly as a
-    from-scratch clustering and election over the new member sequence
-    would come out.  One arrival is placed first-fit against the current
-    leaders, one departing non-leader leaves its community, and one
-    departing leader's community is repaired locally (:meth:`_repair`);
-    :meth:`single_change` then elects and aggregates only the
-    communities the event touched.  Any other change to the member
-    sequence (bursts, topology surgery, a :class:`HybridPolicy` regime
-    flip) re-clusters and re-elects the whole broker.  What each event
-    costs is the churn table in :mod:`repro.routing.overlay`.
+    Churn is incremental: the broker's
+    :class:`~repro.routing.community.LeaderClusters` record, elected
+    members included, is updated in place, exactly as a from-scratch
+    clustering and election over the new member sequence would come
+    out.  One arrival is placed first-fit against the current leaders
+    (:func:`~repro.routing.community.place`), one departing non-leader
+    leaves its community, and one departing leader's community is
+    repaired locally (:meth:`_repair`); :meth:`single_change` then
+    elects and aggregates only the communities the event touched.  Any
+    other change to the member sequence (bursts, topology surgery, a
+    :class:`HybridPolicy` regime flip) re-clusters and re-elects the
+    whole broker.  What each event costs is the churn table in
+    :mod:`repro.routing.overlay`.
     """
 
     uses_similarity = True
@@ -340,72 +307,6 @@ class CommunityPolicy(AdvertisementPolicy):
             prune_below=self.threshold if self.ratio_prefilter else None,
         )
 
-    def _leader_groups(
-        self,
-        members: Sequence[int],
-        pattern_of: Mapping[int, TreePattern],
-        index: SimilarityIndex,
-    ) -> list[list[int]]:
-        """:func:`leader_clustering` of *members*, as member-id lists."""
-        return [
-            [members[i] for i in community.members]
-            for community in leader_clustering(
-                [pattern_of[member] for member in members],
-                index,
-                self.threshold,
-                candidates=self.candidates,
-            )
-        ]
-
-    def _index_leaders(
-        self,
-        communities: Iterable[list[int]],
-        pattern_of: Mapping[int, TreePattern],
-    ) -> Optional[CandidateGenerator]:
-        """A spawn of the candidate template holding each leader of
-        *communities* under its id, or None when this policy does not
-        gate."""
-        if self.candidates is None:
-            return None
-        leaders = self.candidates.spawn()
-        for group in communities:
-            leaders.add(group[0], pattern_of[group[0]])
-        return leaders
-
-    def _leader_index(
-        self, pattern_of: Mapping[int, TreePattern], clusters: LeaderClusters
-    ) -> Optional[CandidateGenerator]:
-        """*clusters*' leader index, built from its leaders first if it
-        has none, or None when this policy does not gate."""
-        if clusters.leader_index is None:
-            clusters.leader_index = self._index_leaders(
-                clusters.communities, pattern_of
-            )
-        return clusters.leader_index
-
-    def _first_fit(
-        self,
-        pattern: TreePattern,
-        groups: Iterable[list[int]],
-        admitted: Optional[set],
-        pattern_of: Mapping[int, TreePattern],
-        index: SimilarityIndex,
-    ) -> Optional[list[int]]:
-        """The first of *groups* whose leader *pattern* joins.
-
-        The placement step of :func:`leader_clustering`, candidate gate
-        included: *admitted* holds the leaders the broker's leader index
-        returned for *pattern*, and no other leader is compared, even
-        where the threshold is 0; None compares every leader.
-        """
-        for group in groups:
-            leader = group[0]
-            if admitted is not None and leader not in admitted:
-                continue
-            if index(pattern_of[leader], pattern) >= self.threshold:
-                return group
-        return None
-
     def _place(
         self,
         member: int,
@@ -413,32 +314,24 @@ class CommunityPolicy(AdvertisementPolicy):
         index: SimilarityIndex,
         clusters: LeaderClusters,
     ) -> _Touched:
-        """First-fit placement of one arrival against the current leaders.
+        """First-fit placement of one arrival
+        (:func:`~repro.routing.community.place`).
 
         A joiner takes over its community's election only with a
         strictly higher selectivity: it is the last member, and ``max``
         keeps the first of equals.  Returns the community it joined or
         founded.
         """
-        pattern = pattern_of[member]
-        leaders = self._leader_index(pattern_of, clusters)
-        admitted = None if leaders is None else leaders.candidates_of(pattern)
-        group = self._first_fit(
-            pattern, clusters.communities, admitted, pattern_of, index
-        )
-        if group is None:
-            group = [member]
-            clusters.communities.append(group)
-            if leaders is not None:
-                leaders.add(member, pattern)
-        else:
-            group.append(member)
-            elected = clusters.elected.get(group[0])
-            if elected is not None:
-                standing = index.selectivity(pattern_of[elected])
-                if index.selectivity(pattern) > standing:
-                    clusters.elected[group[0]] = member
-        clusters.leader_of[member] = group[0]
+        if clusters.leader_index is None and self.candidates is not None:
+            # Only the empty record of a broker no clustering reached yet
+            # lacks its leader index.
+            clusters.leader_index = self.candidates.spawn()
+        group = place(member, pattern_of, index, self.threshold, clusters)
+        elected = clusters.elected.get(group[0])
+        if elected is not None:
+            standing = index.selectivity(pattern_of[elected])
+            if index.selectivity(pattern_of[member]) > standing:
+                clusters.elected[group[0]] = member
         return {group[0]: group}
 
     def _depart(
@@ -457,15 +350,14 @@ class CommunityPolicy(AdvertisementPolicy):
         """
         communities = clusters.communities
         elected = clusters.elected
-        leader = clusters.leader_of.pop(member)
-        at = bisect_left(communities, leader, key=_leader)
-        group = communities[at]
+        group = clusters.group_of.pop(member)
+        leader = group[0]
         if leader != member:
             group.remove(member)
             if elected.get(leader) == member:
                 del elected[leader]
             return {leader: group}
-        del communities[at]
+        del communities[bisect_left(communities, member, key=_leader)]
         elected.pop(member, None)
         if clusters.leader_index is not None:
             clusters.leader_index.discard(member)
@@ -494,36 +386,25 @@ class CommunityPolicy(AdvertisementPolicy):
 
         A worklist visits those members in placement order (ascending
         id), so every earlier placement is final when one is decided.
-        *orphaned*'s followers seed it, and each new leader adds the
-        later members that the candidate gate admits and whose community
-        was founded after it.  A moved member joins its group in
-        placement order, and every community whose membership changed is
-        elected again.  Returns the communities touched: the dissolved
-        ones, the founded ones and those whose membership changed.
+        Each asks :func:`~repro.routing.community.first_fit` about the
+        leaders the record compares for it, in creation order, that it
+        may move to.  *orphaned*'s followers seed the worklist, and each
+        new leader adds the later members that the candidate gate admits
+        and whose community was founded after it.  A moved member joins
+        its group in placement order, and every community whose
+        membership changed is elected again.  Returns the communities
+        touched: the dissolved ones, the founded ones and those whose
+        membership changed.
         """
         communities = clusters.communities
+        group_of = clusters.group_of
         elected = clusters.elected
-        leader_of = clusters.leader_of
         generator = self.candidates
-        leaders = self._leader_index(pattern_of, clusters)
-
-        def first_fit(
-            member: int,
-            admitted: Optional[set],
-            groups: Iterable[list[int]],
-            stop: int,
-        ) -> Optional[list[int]]:
-            """The first of *groups* led ahead of *stop* that *member*
-            joins, among the *admitted* leaders."""
-            ahead = takewhile(lambda group: group[0] < stop, groups)
-            return self._first_fit(
-                pattern_of[member], ahead, admitted, pattern_of, index
-            )
-
+        leaders = clusters.leader_index
         worklist: list[tuple[int, list[int]]] = []
         queued: set[int] = set()
         dissolved = {orphaned[0]}
-        founded: list[list[int]] = []
+        founded: set[int] = set()
         touched: _Touched = {}
 
         def enqueue(member: int, group: list[int]) -> None:
@@ -536,31 +417,48 @@ class CommunityPolicy(AdvertisementPolicy):
             """Make *member* a leader and queue the later members the gate
             admits for it."""
             later = bisect_right(communities, member, key=_leader)
-            communities.insert(later, [member])
-            founded.append(communities[later])
-            touched[member] = communities[later]
-            leader_of[member] = member
+            group = [member]
+            communities.insert(later, group)
+            founded.add(member)
+            touched[member] = group_of[member] = group
             pattern = pattern_of[member]
             if leaders is not None:
                 leaders.add(member, pattern)
-            for group in communities[later + 1 :]:
-                for candidate in group:
+            for after in communities[later + 1 :]:
+                for candidate in after:
                     other = pattern_of[candidate]
                     if generator is None or generator.is_candidate(pattern, other):
-                        enqueue(candidate, group)
+                        enqueue(candidate, after)
+
+        def movable(member: int, leader: int, lost: bool) -> Iterator[int]:
+            """The leaders *member*, led by *leader*, may move to, in
+            creation order: those founded here ahead of *leader* and, once
+            *lost*, every leader between *leader* and *member*."""
+            stop = member if lost else leader
+            for other in clusters.leaders_for(pattern_of[member]):
+                if other >= stop:
+                    return
+                if other in founded or (lost and other > leader):
+                    yield other
 
         for follower in orphaned[1:]:
             enqueue(follower, orphaned)
         while worklist:
             member, group = heappop(worklist)
             leader = group[0]
-            admitted = (
-                None if leaders is None else leaders.candidates_of(pattern_of[member])
+            lost = leader in dissolved
+            target = first_fit(
+                pattern_of[member],
+                movable(member, leader, lost),
+                pattern_of,
+                index,
+                self.threshold,
             )
-            target = first_fit(member, admitted, founded, leader)
-            if leader not in dissolved:
-                if target is None:
-                    continue
+            if target is None:
+                if lost:
+                    found(member)
+                continue
+            if not lost:
                 if leader == member:
                     del communities[bisect_left(communities, member, key=_leader)]
                     dissolved.add(member)
@@ -572,44 +470,33 @@ class CommunityPolicy(AdvertisementPolicy):
                     group.remove(member)
                     touched[leader] = group
                 elected.pop(leader, None)
-            elif target is None:
-                resume = bisect_right(communities, leader, key=_leader)
-                target = first_fit(
-                    member, admitted, islice(communities, resume, None), member
-                )
-                if target is None:
-                    found(member)
-                    continue
-            insort(target, member)
-            leader_of[member] = target[0]
-            touched[target[0]] = target
-            elected.pop(target[0], None)
+            joined = group_of[target]
+            insort(joined, member)
+            touched[target] = group_of[member] = joined
+            elected.pop(target, None)
         touched.update(dict.fromkeys(dissolved))
         return touched
 
     def _recluster(
         self,
-        members: list[int],
         pattern_of: Mapping[int, TreePattern],
         index: SimilarityIndex,
         clusters: LeaderClusters,
     ) -> None:
-        """Bring *clusters* to the leader clustering of *members*.
+        """Bring *clusters* to the leader clustering of *pattern_of*.
 
-        A record of another member sequence is re-clustered from
-        scratch, dropping every election; a single event is applied in
-        place by :meth:`single_change` instead.
+        A record of another member sequence takes over a fresh
+        :func:`leader_clustering`, leader index included, dropping every
+        election; a single event is applied in place by
+        :meth:`single_change` instead.
         """
-        if members == list(clusters.leader_of):
+        # Both ascend, so equal key sets are equal member sequences.
+        if clusters.group_of.keys() == pattern_of.keys():
             return
-        communities = self._leader_groups(members, pattern_of, index)
-        leader_of = dict.fromkeys(members, 0)
-        for group in communities:
-            leader_of.update(dict.fromkeys(group, group[0]))
-        clusters.communities = communities
-        clusters.leader_of = leader_of
-        clusters.elected = {}
-        clusters.leader_index = self._index_leaders(communities, pattern_of)
+        fresh = leader_clustering(
+            pattern_of, index, self.threshold, candidates=self.candidates
+        )
+        vars(clusters).update(vars(fresh))
 
     def _elect(
         self,
@@ -622,15 +509,15 @@ class CommunityPolicy(AdvertisementPolicy):
 
     def _aggregate(
         self,
-        leader: int,
         group: list[int],
         pattern_of: Mapping[int, TreePattern],
         index: SimilarityIndex,
         elected: dict[int, int],
     ) -> Aggregate:
         """*group*'s advertisement: its elected member's pattern, elected
-        now if *elected* holds none for *leader*, or else its leader's."""
-        chosen = leader
+        now if *elected* holds none for its leader, or else its
+        leader's."""
+        chosen = leader = group[0]
         if self.elect_by_selectivity:
             if leader not in elected:
                 elected[leader] = self._elect(group, pattern_of, index)
@@ -659,14 +546,13 @@ class CommunityPolicy(AdvertisementPolicy):
         for leader, group in touched.items():
             if group is not None:
                 edit[leader] = self._aggregate(
-                    leader, group, advertised, index, clusters.elected
+                    group, advertised, index, clusters.elected
                 )
         return edit
 
     def aggregate(
         self,
-        members: Sequence[int],
-        patterns: Sequence[TreePattern],
+        advertised: Mapping[int, TreePattern],
         index: Optional[SimilarityIndex],
         clusters: Optional[LeaderClusters] = None,
     ) -> list[Aggregate]:
@@ -678,12 +564,11 @@ class CommunityPolicy(AdvertisementPolicy):
         event costs.
         """
         assert index is not None, "community aggregation needs a live index"
-        pattern_of = dict(zip(members, patterns, strict=True))
         if clusters is None:
             clusters = LeaderClusters()
-        self._recluster(list(members), pattern_of, index, clusters)
+        self._recluster(advertised, index, clusters)
         return [
-            self._aggregate(group[0], group, pattern_of, index, clusters.elected)
+            self._aggregate(group, advertised, index, clusters.elected)
             for group in clusters.communities
         ]
 
@@ -738,8 +623,7 @@ class HybridPolicy(CommunityPolicy):
 
     def aggregate(
         self,
-        members: Sequence[int],
-        patterns: Sequence[TreePattern],
+        advertised: Mapping[int, TreePattern],
         index: Optional[SimilarityIndex],
         clusters: Optional[LeaderClusters] = None,
     ) -> list[Aggregate]:
@@ -748,17 +632,11 @@ class HybridPolicy(CommunityPolicy):
         Under the cutoff no event brings *clusters* up to date, so it is
         emptied: it names no departed leader and holds no leader index.
         """
-        if len(members) <= self.aggregate_above:
+        if len(advertised) <= self.aggregate_above:
             if clusters is not None:
-                clusters.communities = []
-                clusters.leader_of = {}
-                clusters.elected = {}
-                clusters.leader_index = None
-            return [
-                (pattern, (member,))
-                for member, pattern in zip(members, patterns, strict=True)
-            ]
-        return super().aggregate(members, patterns, index, clusters)
+                vars(clusters).update(vars(LeaderClusters()))
+            return [(pattern, (member,)) for member, pattern in advertised.items()]
+        return super().aggregate(advertised, index, clusters)
 
 
 # ----------------------------------------------------------------------
@@ -1051,8 +929,12 @@ class QueuePolicy:
     overflow: str = "drop-new"
 
     def __post_init__(self) -> None:
-        if self.capacity is not None and self.capacity < 0:
-            raise ValueError("queue capacity must be >= 0 (or None)")
+        # NaN would refuse every arrival at a busy broker, and 2.5 admit
+        # a third waiting document.
+        if self.capacity is not None and (
+            not isinstance(self.capacity, int) or self.capacity < 0
+        ):
+            raise ValueError("queue capacity must be an integer >= 0 (or None)")
         if self.overflow not in OVERFLOW_MODES:
             raise ValueError(
                 f"unknown overflow behaviour {self.overflow!r}; choose "

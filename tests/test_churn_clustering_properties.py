@@ -17,7 +17,9 @@ holding every ring pattern, and after every event checks that
 
 * each broker's advertised communities equal a from-scratch aggregation
   of its current members through a fresh similarity index,
-* the overlay's routing state equals a from-scratch rebuild, and
+* the overlay's routing state equals a from-scratch rebuild,
+* each broker's clustering record maps every member, in home order, to
+  the community list holding it, and
 * under a candidate gate, each broker's leader index holds exactly the
   leaders of its clustering record, each found by a lookup of its own
   pattern, and a hybrid broker at or under its cutoff keeps an empty
@@ -41,8 +43,9 @@ import repro.routing.policy as policy_module
 from repro.core.candidates import CandidateGenerator, ExactCandidates, LSHCandidates
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityIndex
+from repro.routing.community import LeaderClusters
 from repro.routing.overlay import BrokerOverlay
-from repro.routing.policy import CommunityPolicy, HybridPolicy, LeaderClusters
+from repro.routing.policy import CommunityPolicy, HybridPolicy
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 from tests.strategies import property_max_examples, tree_patterns
@@ -139,20 +142,22 @@ def from_scratch(overlay: BrokerOverlay, broker_id: int) -> list:
     """The broker's aggregation recomputed with no clustering record and
     a fresh index."""
     node = overlay.brokers[broker_id]
-    members = [
-        member for member in node.local_subscribers if member in node.advertised
-    ]
-    patterns = [overlay.subscriptions[member][1] for member in members]
+    advertised = {
+        member: overlay.subscriptions[member][1]
+        for member in node.local_subscribers
+        if member in node.advertised
+    }
     policy = overlay.policy
-    return policy.aggregate(members, patterns, policy.make_index(overlay.provider))
+    return policy.aggregate(advertised, policy.make_index(overlay.provider))
 
 
 def assert_leader_indexes_hold_the_leaders(overlay: BrokerOverlay) -> None:
-    """Under a gated policy, each clustered broker's leader index holds
-    exactly the leaders of its clustering record: its size is their
-    count, and a lookup of each leader's own pattern finds it among
-    them.  A hybrid broker at or under its cutoff, gated or not, keeps
-    an empty record."""
+    """Each clustered broker's record maps every advertised member, in
+    home order, to the community list that holds it.  Under a gated
+    policy, its leader index holds exactly the leaders of the record:
+    its size is their count, and a lookup of each leader's own pattern
+    finds it among them.  A hybrid broker at or under its cutoff, gated
+    or not, keeps an empty record."""
     policy = overlay.policy
     for broker_id, node in overlay.brokers.items():
         clusters = node.clusters
@@ -162,9 +167,12 @@ def assert_leader_indexes_hold_the_leaders(overlay: BrokerOverlay) -> None:
         ):
             assert clusters == LeaderClusters(), broker_id
             continue
+        assert list(clusters.group_of) == list(node.advertised), broker_id
+        for group in clusters.communities:
+            for member in group:
+                assert clusters.group_of[member] is group, (broker_id, member)
         if policy.candidates is None:
             continue
-        assert list(clusters.leader_of) == list(node.advertised), broker_id
         leaders = {group[0] for group in clusters.communities}
         index = clusters.leader_index
         if index is None:
@@ -330,9 +338,9 @@ class TestChurnCost:
         counted: list[int] = []
         original = policy_module.leader_clustering
 
-        def counting(patterns, *args, **kwargs):
-            counted.append(len(patterns))
-            return original(patterns, *args, **kwargs)
+        def counting(pattern_of, *args, **kwargs):
+            counted.append(len(pattern_of))
+            return original(pattern_of, *args, **kwargs)
 
         monkeypatch.setattr(policy_module, "leader_clustering", counting)
         return counted
@@ -376,6 +384,15 @@ class TestChurnCost:
         calls.clear()
         overlay.subscribe_many(0, [parse_xpath("/a/b"), parse_xpath("/a/d")])
         assert calls == [8]
+
+    def test_burst_of_one_reclusters_nothing(self, calls, overlay):
+        calls.clear()
+        (fresh,) = overlay.subscribe_many(0, [parse_xpath("/a/b")])
+        assert calls == []
+        assert fresh in self.groups(overlay)[0]
+        overlay.unsubscribe_many([fresh])
+        assert calls == []
+        assert_matches_from_scratch(overlay)
 
 
 def elected_members(overlay: BrokerOverlay, broker_id: int) -> list[int]:

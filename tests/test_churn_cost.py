@@ -49,9 +49,15 @@ leader or an elected member nor founds a community makes as many
 at 300, and under an ``LSHCandidates`` gate it asks the broker's leader
 index once (``candidates_of``) and calls ``is_candidate`` not at all; a
 pair that retires the elected member elects its community again and no
-other.  A pair that retires a leader ahead of the
-population re-places only the members that leader's departure can move,
-so its ``SimilarityIndex`` calls do not grow with the broker either.
+other.  That leader index is the one ``leader_clustering`` filled when
+the policy was advertised, one ``LSHCandidates.add`` per leader.  A
+pair that retires a leader ahead of the population re-places only the
+members that leader's departure can move, so its ``SimilarityIndex``
+calls do not grow with the broker either.
+
+A burst that brings or takes one advertised member per broker is
+that member's single event and builds no aggregation; a larger burst
+builds one per broker.
 
 A :class:`~repro.routing.policy.HybridPolicy` broker that stays above
 its cutoff takes the community path, calling neither
@@ -76,6 +82,7 @@ from repro.core.candidates import ExactCandidates, LSHCandidates
 from repro.core.pattern import TreePattern
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityIndex
+from repro.routing.community import leader_clustering
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import CommunityPolicy, HybridPolicy, PerSubscriptionPolicy
 from repro.xmltree.corpus import DocumentCorpus
@@ -233,18 +240,39 @@ def test_resubscribe_pair_updates_one_member_set_each_way():
         assert calls == Counter(_add_members=1, _remove_members=1), population
 
 
-def test_a_burst_still_takes_the_full_path():
-    layout = LAYOUTS["unique"]
-    overlay, probe = deployed(layout, 8, shared=True)
+def burst_aggregations(population: int, burst) -> int:
+    """The ``PerSubscriptionPolicy.aggregate`` calls *burst* makes on a
+    ``unique`` layout of *population* subscribers per broker, which it
+    leaves equal to its rebuild; *burst* takes the overlay and the
+    probe's id."""
+    overlay, probe = deployed(LAYOUTS["unique"], population, shared=True)
     calls: Counter = Counter()
     aggregate = counting(calls, "aggregate", PerSubscriptionPolicy.aggregate)
     with mock.patch.object(PerSubscriptionPolicy, "aggregate", aggregate):
-        overlay.unsubscribe_many([probe])
-        overlay.subscribe_many(0, [parse_xpath(layout.probe)])
-    assert calls["aggregate"] == 2
+        burst(overlay, probe)
     assert (
         overlay.topology_signature() == overlay.rebuilt().topology_signature()
     )
+    return calls["aggregate"]
+
+
+def test_a_burst_still_takes_the_full_path():
+    def twice(overlay, probe):
+        pattern = overlay.subscriptions[probe][1]
+        overlay.unsubscribe_many([probe, overlay.brokers[0].local_subscribers[0]])
+        overlay.subscribe_many(0, [pattern, pattern])
+
+    assert burst_aggregations(8, twice) == 2
+
+
+def test_a_burst_of_one_member_per_broker_is_a_single_event():
+    def singly(overlay, probe):
+        pattern = overlay.subscriptions[probe][1]
+        # One departure on each of two brokers, then one arrival.
+        overlay.unsubscribe_many([probe, overlay.brokers[1].local_subscribers[0]])
+        overlay.subscribe_many(0, [pattern])
+
+    assert burst_aggregations(8, singly) == 0
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +406,42 @@ def test_lsh_community_pair_asks_the_leader_index_once():
         assert calls["candidates_of"] == 1, population
         assert calls["is_candidate"] == 0, population
         assert calls["__call__"] == 1, population
+
+
+def test_a_gated_advertisement_indexes_each_leader_once():
+    calls: Counter = Counter()
+    add = counting(calls, "add", LSHCandidates.add)
+    with mock.patch.object(LSHCandidates, "add", add):
+        overlay, _ = community_deployed(
+            30, CommunityPolicy(0.5, candidates=LSHCandidates(tokens=election_tokens))
+        )
+    records = [node.clusters for node in overlay.brokers.values()]
+    leaders = sum(len(clusters.communities) for clusters in records)
+    assert leaders == 4
+    # The clustering's own leader index is the broker's: one add each.
+    assert calls["add"] == leaders
+    assert [len(clusters.leader_index) for clusters in records] == [2, 2]
+
+
+def test_a_gated_clustering_returns_the_index_of_its_leaders():
+    pattern_of = {
+        member: parse_xpath(xpath)
+        for member, xpath in enumerate(ELECTION_BODY * 3 + ("//d",))
+    }
+    clusters = leader_clustering(
+        pattern_of,
+        SimilarityIndex(DocumentCorpus(ELECTION_DOCUMENTS)),
+        0.5,
+        candidates=LSHCandidates(tokens=election_tokens),
+    )
+    leaders = [group[0] for group in clusters.communities]
+    assert leaders == [0, 2, 9]
+    index = clusters.leader_index
+    assert len(index) == len(leaders)
+    for leader in leaders:
+        assert leader in index.candidates_of(pattern_of[leader])
+    found = set().union(*map(index.candidates_of, pattern_of.values()))
+    assert found == set(leaders)
 
 
 def test_retiring_the_elected_member_reelects_its_community_alone():

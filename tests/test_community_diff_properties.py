@@ -99,12 +99,14 @@ def full_aggregation(overlay, broker_id):
     and no clustering record."""
     # Every subscription of this suite is advertised: the seeds before
     # the bulk advertisement, the rest through the live policy.
-    members = list(overlay.brokers[broker_id].local_subscribers)
-    patterns = [overlay.subscriptions[member][1] for member in members]
+    advertised = {
+        member: overlay.subscriptions[member][1]
+        for member in overlay.brokers[broker_id].local_subscribers
+    }
     index = None
     if overlay.policy.uses_similarity:
         index = overlay.policy.make_index(overlay.provider)
-    return overlay.policy.aggregate(members, patterns, index)
+    return overlay.policy.aggregate(advertised, index)
 
 
 def full_aggregations(overlay):

@@ -54,6 +54,14 @@ class TestServiceModel:
         with pytest.raises(ValueError):
             ServiceModel(base=0.0, per_match=0.0)
 
+    @pytest.mark.parametrize("max_batch", [math.nan, 2.5, 2.0])
+    def test_batch_model_refuses_a_non_integer_max_batch(self, max_batch):
+        # No batch length equals a float: NaN left every copy after the
+        # first drain in flight, and 2.5 drained batches of 3.
+        with pytest.raises(ValueError, match="max_batch"):
+            BatchServiceModel(max_batch=max_batch)
+        assert BatchServiceModel(max_batch=3).max_batch == 3
+
 
 class TestLinkModel:
     def test_default_and_overrides_are_undirected(self):

@@ -37,11 +37,11 @@ def label_jaccard(p, q) -> float:
     return len(tags_p & tags_q) / len(union)
 
 
-def shape(communities):
-    return [
-        (community.leader, sorted(community.members))
-        for community in communities
-    ]
+def shape(patterns, threshold, candidates=None):
+    """The communities of *patterns*, keyed by position."""
+    return leader_clustering(
+        dict(enumerate(patterns)), label_jaccard, threshold, candidates
+    ).communities
 
 
 pattern_lists = st.lists(tree_patterns(), min_size=0, max_size=10)
@@ -54,14 +54,8 @@ class TestDegenerateLshEqualsExact:
         threshold=st.sampled_from((0.0, 0.3, 0.5, 0.8, 1.0)),
     )
     def test_leader_clustering(self, patterns, threshold):
-        exact = leader_clustering(patterns, label_jaccard, threshold)
-        degenerate = leader_clustering(
-            patterns,
-            label_jaccard,
-            threshold,
-            candidates=LSHCandidates.degenerate(),
-        )
-        assert shape(degenerate) == shape(exact)
+        degenerate = shape(patterns, threshold, LSHCandidates.degenerate())
+        assert degenerate == shape(patterns, threshold)
 
 
 class TestExactGateIsIdentity:
@@ -71,11 +65,8 @@ class TestExactGateIsIdentity:
         threshold=st.sampled_from((0.0, 0.3, 0.5, 0.8, 1.0)),
     )
     def test_leader_clustering(self, patterns, threshold):
-        ungated = leader_clustering(patterns, label_jaccard, threshold)
-        gated = leader_clustering(
-            patterns, label_jaccard, threshold, candidates=ExactCandidates()
-        )
-        assert shape(gated) == shape(ungated)
+        gated = shape(patterns, threshold, ExactCandidates())
+        assert gated == shape(patterns, threshold)
 
 
 class TestLshChurnEqualsRebuild:

@@ -321,26 +321,21 @@ class TestCommunityRouting:
         from repro.core.similarity import SimilarityIndex
         from repro.routing.community import leader_clustering
 
-        def shapes(communities):
-            return [
-                (community.leader, community.members)
-                for community in communities
-            ]
-
         for threshold in (0.3, 0.5, 0.7):
             overlay = build_overlay("chain", subscriptions)
             overlay.advertise(CommunityPolicy(threshold), corpus)
             for node in overlay.brokers.values():
-                local = [
-                    overlay.subscriptions[subscriber][1]
+                local = {
+                    subscriber: overlay.subscriptions[subscriber][1]
                     for subscriber in node.local_subscribers
-                ]
+                }
                 expected = leader_clustering(
                     local, SimilarityIndex(corpus), threshold
                 )
-                assert shapes(
-                    leader_clustering(local, node.index, threshold)
-                ) == shapes(expected)
+                assert (
+                    leader_clustering(local, node.index, threshold).communities
+                    == expected.communities
+                )
 
 
 class TestSubscriptionLifecycle:
@@ -669,11 +664,9 @@ class TestSubscriptionLifecycle:
             def single_change(self, *event):
                 return None  # always re-aggregate
 
-            def aggregate(self, members, patterns, index, clusters=None):
-                aggregates = super().aggregate(
-                    members, patterns, index, clusters
-                )
-                if repeated in patterns:
+            def aggregate(self, advertised, index, clusters=None):
+                aggregates = super().aggregate(advertised, index, clusters)
+                if repeated in advertised.values():
                     aggregates.append(aggregates[0])
                 return aggregates
 

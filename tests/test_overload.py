@@ -8,6 +8,7 @@ multi-destination documents, aging promotion and its ties, and the
 zero-denominator stats states bounded queues can now reach.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,6 +75,13 @@ class TestQueuePolicy:
         with pytest.raises(ValueError):
             QueuePolicy(4, "spill")
         assert set(OVERFLOW_MODES) == {"drop-new", "drop-oldest", "nack"}
+
+    @pytest.mark.parametrize("capacity", [math.nan, 2.5, 2.0])
+    def test_rejects_a_non_integer_capacity(self, capacity):
+        # NaN admitted no waiting document, so a busy broker dropped
+        # every arrival, and 2.5 admitted a third.
+        with pytest.raises(ValueError, match="capacity"):
+            QueuePolicy(capacity)
 
 
 class TestBoundedQueues:

@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.candidates import ExactCandidates
 from repro.core.pattern_parser import parse_xpath
+from repro.routing.community import LeaderClusters
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import (
     CommunityPolicy,
     DeadlineScheduling,
     FifoScheduling,
     HybridPolicy,
-    LeaderClusters,
     PerSubscriptionPolicy,
     PriorityScheduling,
     WeightedFairScheduling,

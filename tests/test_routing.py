@@ -4,9 +4,10 @@ from functools import partial
 
 import pytest
 
+from repro.core.candidates import ExactCandidates
 from repro.core.pattern_parser import parse_xpath
 from repro.core.similarity import SimilarityIndex, m3_joint_over_union
-from repro.routing.community import Community, leader_clustering
+from repro.routing.community import leader_clustering
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import (
     CommunityPolicy,
@@ -39,41 +40,54 @@ def similarity(corpus):
     return partial(m3_joint_over_union, corpus)
 
 
-class TestCommunity:
-    def test_leader_always_member(self):
-        community = Community(leader=3, members=[1, 2])
-        assert 3 in community
-        assert len(community) == 3
+def communities_of(patterns, similarity, threshold, **options):
+    """:func:`leader_clustering` of *patterns* keyed by position."""
+    return leader_clustering(
+        dict(enumerate(patterns)), similarity, threshold, **options
+    ).communities
 
 
 class TestLeaderClustering:
     def test_invalid_threshold(self, subscriptions, similarity):
         with pytest.raises(ValueError):
-            leader_clustering(subscriptions, similarity, threshold=1.5)
+            communities_of(subscriptions, similarity, threshold=1.5)
+
+    @pytest.mark.parametrize("gate", [None, ExactCandidates()], ids=["none", "exact"])
+    def test_keys_must_ascend(self, subscriptions, similarity, gate):
+        # Communities are created in key order, and a gated placement
+        # compares its candidate leaders sorted by key.
+        descending = dict(reversed(list(enumerate(subscriptions))))
+        swapped = dict(zip((0, 2, 1), subscriptions, strict=False))
+        for pattern_of in (descending, swapped):
+            with pytest.raises(ValueError, match="ascend"):
+                leader_clustering(pattern_of, similarity, 0.5, candidates=gate)
+        gaps = {2 * key: pattern for key, pattern in enumerate(subscriptions)}
+        clusters = leader_clustering(gaps, similarity, 0.5, candidates=gate)
+        assert list(clusters.group_of) == list(gaps)
 
     def test_zero_threshold_single_community(self, subscriptions, similarity):
-        communities = leader_clustering(subscriptions, similarity, threshold=0.0)
-        assert len(communities) == 1
-        assert len(communities[0]) == len(subscriptions)
+        communities = communities_of(subscriptions, similarity, threshold=0.0)
+        assert communities == [list(range(len(subscriptions)))]
 
     def test_exact_threshold_groups_equivalents(self, subscriptions, similarity):
         # /a/b, /a/b/e and /a/b/e/k all match exactly {1,2,3}: M3 = 1.
-        communities = leader_clustering(subscriptions, similarity, threshold=1.0)
-        by_member = {}
-        for index, community in enumerate(communities):
-            for member in community.members:
-                by_member[member] = index
-        assert by_member[0] == by_member[1] == by_member[2]
-        assert by_member[3] == by_member[4]
-        assert by_member[5] not in (by_member[0], by_member[3])
+        clusters = leader_clustering(
+            dict(enumerate(subscriptions)), similarity, threshold=1.0
+        )
+        group_of = clusters.group_of
+        assert group_of[0] is group_of[1] is group_of[2]
+        assert group_of[3] is group_of[4]
+        assert group_of[5] is not group_of[0]
+        assert group_of[5] is not group_of[3]
+        assert all(group_of[member] in clusters.communities for member in group_of)
 
     def test_partition_covers_everything(self, subscriptions, similarity):
-        communities = leader_clustering(subscriptions, similarity, threshold=0.5)
-        members = sorted(m for c in communities for m in c.members)
+        communities = communities_of(subscriptions, similarity, threshold=0.5)
+        members = sorted(m for c in communities for m in c)
         assert members == list(range(len(subscriptions)))
 
     def test_empty_input(self, similarity):
-        assert leader_clustering([], similarity, threshold=0.5) == []
+        assert communities_of([], similarity, threshold=0.5) == []
 
 
 #: A 30-pattern workload over the Figure 2 corpus mixing plain paths,
@@ -88,8 +102,6 @@ WORKLOAD_30 = [
 ]
 
 
-def _communities_as_tuples(communities):
-    return [(c.leader, tuple(c.members)) for c in communities]
 
 
 class TestClusteringDeterminism:
@@ -104,12 +116,8 @@ class TestClusteringDeterminism:
         self, corpus, workload
     ):
         runs = [
-            _communities_as_tuples(
-                leader_clustering(
-                    workload,
-                    partial(m3_joint_over_union, corpus),
-                    threshold=0.5,
-                )
+            communities_of(
+                workload, partial(m3_joint_over_union, corpus), threshold=0.5
             )
             for _ in range(3)
         ]
@@ -119,10 +127,8 @@ class TestClusteringDeterminism:
         direct = partial(m3_joint_over_union, corpus)
         matrix = SimilarityIndex(corpus)
         for threshold in (0.3, 0.5, 0.8, 1.0):
-            assert _communities_as_tuples(
-                leader_clustering(workload, matrix, threshold)
-            ) == _communities_as_tuples(
-                leader_clustering(workload, direct, threshold)
+            assert communities_of(workload, matrix, threshold) == communities_of(
+                workload, direct, threshold
             )
 
 

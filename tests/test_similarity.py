@@ -157,8 +157,8 @@ class TestFixedPopulationIndex:
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
         index = SimilarityIndex(counting)
-        leader_clustering(patterns, index, threshold=0.5)
-        leader_clustering(patterns, index, threshold=0.3)
+        leader_clustering(dict(enumerate(patterns)), index, threshold=0.5)
+        leader_clustering(dict(enumerate(patterns)), index, threshold=0.3)
         assert counting.max_joint_calls_per_pair == 1
         assert counting.max_selectivity_calls_per_pattern == 1
 
