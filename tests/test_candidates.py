@@ -16,6 +16,81 @@ P = parse_xpath
 PATTERNS = [P("/a/b"), P("/a/c/e"), P("//d/e"), P("/a/b[c]"), P("//*")]
 
 
+#: ``LSHCandidates(seed=0).signature`` of NITF patterns under the default
+#: structural tokens (label set plus trie spine prefixes).
+STRUCTURAL_SIGNATURES = {
+    "/nitf/head/title": (
+        473370426010310636, 351000415356809021, 373521480254169859,
+        147707944025931092, 388548938236430141, 449223529674438266,
+        260213446148268683, 392374601837382264, 62405889883530396,
+        298096734721742540, 328074053254224551, 22884225867336661,
+        502950590878549626, 264499325660734183, 39580611556355296,
+        822348758985012719, 132660516098214651, 111337974095837046,
+        322912628274953255, 797314986191249210, 271951035076460964,
+        43692286844342015, 656538729075490751, 549179742995305780,
+        531483172687447797, 842227179265567896, 19197725826197923,
+        314899146547662914, 251996540566417757, 293479473306147619,
+        141803590708842093, 46293783535646887,
+    ),
+    "//body.content//p": (
+        371893108601656391, 28045102809842787, 405617445059425798,
+        42832831360356639, 479656650169514880, 191341903235156158,
+        101005458082634108, 132998475393247393, 244577189276534519,
+        749890512591638872, 129224371583918036, 783792124482349876,
+        133707929390519454, 416687981381522742, 1622345756585611681,
+        204283311796680189, 171974787729881671, 101462389382966610,
+        116223573294758531, 27758756613502174, 838900645601311478,
+        744086048153341175, 341398594576074349, 751140687342727237,
+        257654136690630066, 382661503902222684, 227015001112555631,
+        314287079531823156, 699347761129636320, 315283631714036729,
+        1040989150771858357, 1037063084969832985,
+    ),
+    "/nitf[head/meta]/body/body.head/hl1": (
+        387860021214704856, 332239068815411806, 193245244814308638,
+        10775487308110469, 388548938236430141, 446406833162985051,
+        260213446148268683, 288346689137617285, 151560876628086482,
+        58503192675828622, 328074053254224551, 21328993390961720,
+        130088511214257167, 180888369357058866, 39580611556355296,
+        56449544935655232, 233010175379757704, 111337974095837046,
+        150003809984911452, 45602834174658068, 75979995148318606,
+        114852854010925225, 143648871156481317, 120959688784910898,
+        192568413064736521, 21562651672165514, 5212808882601104,
+        125553595085693081, 72879410244570146, 47363526207557614,
+        74992337057215048, 9522707529568690,
+    ),
+}
+
+#: The same signature of ``/nitf/head/title`` shingled by its tag names.
+TAG_SIGNATURE = (
+    724568100376752443, 376922719228623270, 1114868513224688487,
+    871127754447523742, 262061578494911467, 931716237984026970,
+    90432039252478658, 438017572765953988, 10804698260961481,
+    1408950252723882144, 172369104153757493, 268002763757489967,
+    718016982484692793, 317828938364786604, 79267532494378190,
+    258656353615456966, 719916827260950954, 2082874467454863778,
+    1519995327496419547, 588066787373810529, 575773739052998278,
+    223753164089229670, 1970298238192748354, 391109580285643809,
+    237008326798526155, 727625388652954426, 654610377106163398,
+    26100519393336112, 455212395290979174, 400315042992585549,
+    1701907267128059849, 1919177091389460239,
+)
+
+#: The signature every token-free pattern shares.
+SENTINEL_SIGNATURE = (
+    1269528115305292993, 1929377977348127727, 263474135420402673,
+    682479590207769084, 494878343373558632, 1789510055663467595,
+    46967978326059687, 2218808376867245353, 2165373404337670907,
+    843169730305863335, 311482882521725204, 319301674362355583,
+    1563283824972095181, 1673251460305377946, 1110345555590125778,
+    46720176851806848, 1278231571878050414, 156110854887975410,
+    1410800079396211810, 1710260636387688202, 525157969499508958,
+    427374722866952142, 2134026470892891204, 1376535918368132749,
+    2248837096535772034, 1959213525613063360, 9241073390380118,
+    541958664625552097, 398500436204954610, 52833479077040080,
+    1782604377182799186, 1722513603197680190,
+)
+
+
 class TestExactCandidates:
     def test_every_pair_is_a_candidate(self):
         generator = ExactCandidates()
@@ -211,3 +286,17 @@ class TestLSHCandidates:
         generator = LSHCandidates(bands=2, rows=2, tokens=lambda p: [])
         assert generator.signature(P("/a")) == generator.signature(P("/b"))
         assert generator.is_candidate(P("/a"), P("/b"))
+
+    @pytest.mark.parametrize(
+        ("tokens", "xpath", "expected"),
+        [(None, xpath, values) for xpath, values in STRUCTURAL_SIGNATURES.items()]
+        + [
+            (lambda p: sorted(p.tags()), "/nitf/head/title", TAG_SIGNATURE),
+            (lambda p: [], "/nitf", SENTINEL_SIGNATURE),
+        ],
+        ids=["structural-title", "structural-p", "structural-hl1", "tags", "sentinel"],
+    )
+    def test_signature_values_are_pinned(self, tokens, xpath, expected):
+        # Communities are placed by these values, so a rewrite of the
+        # MinHash must reproduce them, not just stay deterministic.
+        assert LSHCandidates(seed=0, tokens=tokens).signature(P(xpath)) == expected
