@@ -32,7 +32,11 @@ and the LSH cells run end-to-end through
 ``advertise(CommunityPolicy(candidates=...))`` to show interactive
 community formation at 10⁵; the advertisement must fill each broker's
 leader index once, one ``LSHCandidates.add`` per community leader, and
-the ``lsh=`` line reports the count.  The advertised overlay then takes
+the ``lsh=`` line reports the count.  It also reports the routing
+tables' covering tests (``contains`` calls) during the advertisement
+and how many of them the tag test rejected: the container names a tag
+the other pattern lacks, so no homomorphism search runs.  Both counts
+repeat exactly for the fixed seeds.  The advertised overlay then takes
 ``CHURN_PAIRS`` seeded resubscribe pairs, must still equal its
 from-scratch rebuild, and reports the ``LSHCandidates`` lookups
 (``candidates_of``) and pairwise tests (``is_candidate``) each pair
@@ -54,6 +58,7 @@ from collections import Counter
 from contextlib import contextmanager
 from typing import Iterator
 
+import repro.routing.table as table_module
 from common import overlay_argument_parser, run_with_profile
 from repro.core.candidates import LSHCandidates
 from repro.core.selectivity import SelectivityEstimator
@@ -247,17 +252,18 @@ def run_sweep(sizes=SIZES, exact_cap: int = EXACT_CAP) -> list[SizeRow]:
 
 def run_end_to_end(
     size: int, n_brokers: int = N_BROKERS
-) -> tuple[float, int, Counter]:
+) -> tuple[float, int, Counter, Counter]:
     """Wall-clock of a full LSH-gated advertise() at *size* subscriptions,
     its ``LSHCandidates.add`` calls, which must be one per community
-    leader, and the ``LSHCandidates`` calls of :func:`churn_pairs` on the
-    overlay it built, which must then equal its from-scratch rebuild."""
+    leader, its :func:`covering_calls`, and the ``LSHCandidates`` calls
+    of :func:`churn_pairs` on the overlay it built, which must then
+    equal its from-scratch rebuild."""
     patterns, estimator = prepare_workload(size)
     template = LSHCandidates(tokens=make_synopsis_tokens(estimator))
     started = time.perf_counter()
     overlay = BrokerOverlay.random_tree(n_brokers, seed=11)
     overlay.attach_round_robin(patterns)
-    with lsh_calls(("add",)) as advertised:
+    with lsh_calls(("add",)) as advertised, covering_calls() as covering:
         overlay.advertise(
             CommunityPolicy(threshold=THRESHOLD, candidates=template), estimator
         )
@@ -271,7 +277,7 @@ def run_end_to_end(
     assert overlay.topology_signature() == overlay.rebuilt().topology_signature(), (
         "churned overlay differs from its from-scratch rebuild"
     )
-    return seconds, advertised["add"], calls
+    return seconds, advertised["add"], covering, calls
 
 
 @contextmanager
@@ -295,6 +301,27 @@ def lsh_calls(names) -> Iterator[Counter]:
     finally:
         for name, method in originals.items():
             setattr(LSHCandidates, name, method)
+
+
+@contextmanager
+def covering_calls() -> Iterator[Counter]:
+    """Count the routing tables' covering tests made in the block:
+    ``contains`` calls, and ``rejected``, those whose container names a
+    tag the other pattern lacks, which the tag test answers."""
+    calls: Counter = Counter()
+    original = table_module.contains
+
+    def count(p, q):
+        calls["contains"] += 1
+        if not p.tags() <= q.tags():
+            calls["rejected"] += 1
+        return original(p, q)
+
+    try:
+        table_module.contains = count
+        yield calls
+    finally:
+        table_module.contains = original
 
 
 def churn_pairs(overlay, pairs: int = CHURN_PAIRS, seed: int = CHURN_SEED) -> Counter:
@@ -388,7 +415,7 @@ def _run(args: argparse.Namespace) -> None:
     print(render(rows))
     check_acceptance(rows)
     end_to_end_size = sizes[-1]
-    end_to_end, leader_adds, churn_calls = run_end_to_end(
+    end_to_end, leader_adds, covering, churn_calls = run_end_to_end(
         end_to_end_size, n_brokers=4 if args.smoke else N_BROKERS
     )
     per_pair = {name: churn_calls[name] / CHURN_PAIRS for name in CHURN_CALLS}
@@ -411,8 +438,9 @@ def _run(args: argparse.Namespace) -> None:
         f"{row.size} patterns ({cell.bands}x{cell.rows} synopsis shingles, "
         f"{cell.calls} vs {row.exact_calls} sim evals, "
         f"{speedup:.1f}x wall-clock; advertise at {end_to_end_size}: "
-        f"{end_to_end:.1f}s, {leader_adds} LSHCandidates.add, one per leader; "
-        f"per resubscribe pair "
+        f"{end_to_end:.1f}s, {leader_adds} LSHCandidates.add, one per leader, "
+        f"{covering['contains']} covering contains, {covering['rejected']} "
+        f"rejected by tags; per resubscribe pair "
         f"{per_pair['candidates_of']:.2f} candidates_of, "
         f"{per_pair['is_candidate']:.2f} is_candidate)"
     )

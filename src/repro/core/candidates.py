@@ -57,36 +57,6 @@ __all__ = [
 #: Modulus of the universal hash family: the Mersenne prime 2^61 - 1.
 _MERSENNE = (1 << 61) - 1
 
-#: Stable 64-bit token hashes, shared process-wide (tokens are values).
-_TOKEN_HASHES: dict = {}
-
-#: Pattern label sets, shared process-wide (patterns are immutable).
-_LABEL_SETS: dict[TreePattern, frozenset[str]] = {}
-
-
-def _token_hash(token: tuple) -> int:
-    """A stable (process- and seed-independent) 64-bit hash of one token.
-
-    Python's builtin ``hash`` is salted per process for strings, which
-    would make signatures — and therefore communities — irreproducible
-    across runs; blake2b is stable and cached per distinct token.
-    """
-    cached = _TOKEN_HASHES.get(token)
-    if cached is None:
-        digest = blake2b(repr(token).encode(), digest_size=8).digest()
-        cached = int.from_bytes(digest, "big")
-        _TOKEN_HASHES[token] = cached
-    return cached
-
-
-def _label_set(pattern: TreePattern) -> frozenset[str]:
-    """The pattern's plain tag labels, cached per distinct pattern."""
-    cached = _LABEL_SETS.get(pattern)
-    if cached is None:
-        cached = pattern.tags()
-        _LABEL_SETS[pattern] = cached
-    return cached
-
 
 def _spine_prefix_tokens(pattern: TreePattern) -> list[tuple]:
     """One token per prefix of the pattern's merged-trie spine.
@@ -116,7 +86,7 @@ def pattern_tokens(pattern: TreePattern) -> list[tuple]:
     tokens capture *how it is shaped*; their union makes both a shared
     vocabulary and a shared structure raise collision probability.
     """
-    tokens: list[tuple] = [("label", tag) for tag in sorted(_label_set(pattern))]
+    tokens: list[tuple] = [("label", tag) for tag in sorted(pattern.tags())]
     tokens.extend(_spine_prefix_tokens(pattern))
     return tokens
 
@@ -197,8 +167,8 @@ class ExactCandidates:
         return self._patterns.pop(key, None) is not None
 
     def _labels_overlap(self, p: TreePattern, q: TreePattern) -> bool:
-        labels_p = _label_set(p)
-        labels_q = _label_set(q)
+        labels_p = p.tags()
+        labels_q = q.tags()
         # An empty label set (pure wildcard/descendant pattern) asserts
         # nothing about vocabulary, so it overlaps everything.
         return not labels_p or not labels_q or not labels_p.isdisjoint(labels_q)
@@ -271,7 +241,12 @@ class LSHCandidates:
     Signatures depend only on the configuration, never on the
     population, so :meth:`spawn` shares the signature memo between a
     template and all its spawns (each broker's generator reuses
-    signatures any other broker already computed).
+    signatures any other broker already computed).  The shared memo
+    also keeps each distinct token's *row*, its ``(a·h + b) mod M``
+    value under every hash parameter, so a signature is the
+    column-wise minimum of its tokens' rows, one C-level ``min`` per
+    parameter: the precomputed-row lookup of "Similarity Search and
+    Locality Sensitive Hashing using TCAMs".
     """
 
     def __init__(
@@ -298,10 +273,11 @@ class LSHCandidates:
                 (rng.randrange(1, _MERSENNE), rng.randrange(_MERSENNE))
                 for _ in range(bands * rows)
             )
-            _shared = (params, {})
+            _shared = (params, {}, {})
         self._shared = _shared
         self._params: Sequence[tuple[int, int]] = _shared[0]
         self._signature_memo: dict[TreePattern, tuple[int, ...]] = _shared[1]
+        self._token_rows: dict[Hashable, tuple[int, ...]] = _shared[2]
         #: band bucket -> its keys, in a dict used as an ordered set.
         self._buckets: dict[tuple[int, tuple[int, ...]], dict[Hashable, None]] = {}
         #: key -> its band bucket ids, for O(bands) removal.
@@ -342,17 +318,27 @@ class LSHCandidates:
                 )
         else:
             source = self.tokens if self.tokens is not None else pattern_tokens
-            token_hashes = [_token_hash(token) for token in source(pattern)]
-            if not token_hashes:
-                # A token-free pattern still needs a well-defined
-                # signature; the sentinel collides all such patterns.
-                token_hashes = [_token_hash(("no-tokens",))]
-            cached = tuple(
-                min((a * h + b) % _MERSENNE for h in token_hashes)
-                for a, b in self._params
-            )
+            # A token-free pattern still needs a well-defined signature;
+            # the sentinel collides all such patterns.
+            rows = [self._row(token) for token in source(pattern)] or [
+                self._row(("no-tokens",))
+            ]
+            cached = tuple(map(min, zip(*rows, strict=True)))
         self._signature_memo[pattern] = cached
         return cached
+
+    def _row(self, token: Hashable) -> tuple[int, ...]:
+        """The token's value under every hash parameter, memoised."""
+        row = self._token_rows.get(token)
+        if row is None:
+            # A stable 64-bit hash of the token: the builtin ``hash`` is
+            # salted per process for strings, which would make
+            # signatures, and so communities, differ from run to run.
+            digest = blake2b(repr(token).encode(), digest_size=8).digest()
+            h = int.from_bytes(digest, "big")
+            row = tuple([(a * h + b) % _MERSENNE for a, b in self._params])
+            self._token_rows[token] = row
+        return row
 
     def _band_ids(
         self, pattern: TreePattern

@@ -16,6 +16,17 @@ Suciu): map every node of p to a node of q such that labels subsume
 homomorphism test is sound but not complete (containment for XP^{/,//,*,[]}
 is coNP-hard); :func:`contains` documents this and errs on the side of
 *not* containing.  On the ``//``-free, ``*``-free fragment it is exact.
+
+Two shortcuts run before the search and change no answer.  The **tag
+test** answers False when p names a tag q does not (``p.tags() <=
+q.tags()`` fails): a homomorphism maps each tag node of p onto a node
+with an equal tag, since only ``*`` maps onto another label, so every
+tag of p occurs in q.  Tag sets are cached on the patterns, and most
+covering tests between unrelated subscriptions end here.  Canonically
+equal patterns then answer True, because the identity map is a
+homomorphism.  The search walks a ``//`` descent through q with an
+explicit stack, so a deep q costs no interpreter recursion; it still
+recurses once per level of p.
 """
 
 from __future__ import annotations
@@ -50,9 +61,8 @@ def _embeds(p_node: PatternNode, q_node: PatternNode, memo: dict) -> bool:
     if p_node.label == DESCENDANT:
         # '//' maps to any downward path of length >= 0 in q: anchor its
         # single child here or below (a '//' edge in q absorbs it too).
-        target = p_node.children[0]
-        result = _embeds(target, q_node, memo) or any(
-            _embeds(p_node, q_child, memo) for q_child in q_node.children
+        result = _embeds(p_node.children[0], q_node, memo) or _embeds_below(
+            p_node, q_node, memo
         )
     elif q_node.label == DESCENDANT:
         # q is less specific here than any tag/wildcard p requires.
@@ -68,14 +78,57 @@ def _embeds(p_node: PatternNode, q_node: PatternNode, memo: dict) -> bool:
     return result
 
 
+def _embeds_below(p_node: PatternNode, q_node: PatternNode, memo: dict) -> bool:
+    """Whether the ``//`` node *p_node* embeds at some child of *q_node*.
+
+    ``_embeds(p_node, c)`` for each child c, which anchors p_node's
+    child at c or descends further, walked with an explicit stack: the
+    recursion would take one frame per level of q.  Every node visited
+    gets the memo entry ``_embeds`` would give it.
+    """
+    target = p_node.children[0]
+    levels = [iter(q_node.children)]
+    keys: list[tuple[int, int]] = []  # memo key of each level's q parent
+    while levels:
+        child = next(levels[-1], None)
+        if child is None:
+            levels.pop()
+            if keys:
+                memo[keys.pop()] = False
+            continue
+        # reprolint: disable=RL003 -- transient per-call memo key, never persisted
+        key = (id(p_node), id(child))
+        found = memo.get(key)
+        if found is None:
+            if not _embeds(target, child, memo):
+                keys.append(key)
+                levels.append(iter(child.children))
+                continue
+            found = True
+        if found:
+            keys.append(key)
+            for on_path in keys:
+                memo[on_path] = True
+            return True
+    return False
+
+
 def contains(p: TreePattern, q: TreePattern) -> bool:
     """Sound containment test: True implies every document matching *q*
     matches *p* (``q ⊑ p``).
 
     Complete on patterns without ``*``/``//`` interactions; in the general
     case a False answer may be a false negative (homomorphism is a
-    sufficient condition only).
+    sufficient condition only).  The tag test and the equality shortcut
+    (see the module docstring) answer first.
     """
+    if not p.tags() <= q.tags():
+        return False
+    return p == q or _homomorphic(p, q)
+
+
+def _homomorphic(p: TreePattern, q: TreePattern) -> bool:
+    """The homomorphism search of :func:`contains`, without its shortcuts."""
     memo: dict = {}
     # Pattern-root children anchor at the document root, so each root
     # constraint of p must embed into some root constraint of q with the
@@ -99,7 +152,7 @@ def _root_embeds(p_node: PatternNode, q_node: PatternNode, memo: dict) -> bool:
             return _embeds(p_node, q_node.children[0], memo) or _root_embeds(
                 p_node, q_node.children[0], memo
             )
-        return any(_embeds(p_node, q_child, memo) for q_child in q_node.children)
+        return _embeds_below(p_node, q_node, memo)
     if q_node.label == DESCENDANT:
         return False
     if not _label_subsumes(p_node.label, q_node.label):

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator
 from repro.core.labels import (
     DESCENDANT,
     ROOT_LABEL,
+    SPECIAL_LABELS,
     WILDCARD,
     is_tag,
     validate_label,
@@ -36,6 +37,11 @@ __all__ = ["PatternNode", "TreePattern", "PatternError"]
 
 class PatternError(ValueError):
     """Raised when a structurally invalid tree pattern is constructed."""
+
+
+#: One object per distinct set :meth:`TreePattern.tags` has returned,
+#: shared process-wide: patterns over one vocabulary hold one set.
+_TAG_SETS: dict[frozenset[str], frozenset[str]] = {}
 
 
 def _compare_keys(a: tuple, b: tuple) -> int:
@@ -192,7 +198,7 @@ class TreePattern:
     anywhere in the document, including at the root.
     """
 
-    __slots__ = ("root_children", "_key", "_hash")
+    __slots__ = ("root_children", "_key", "_hash", "_tags")
 
     def __init__(self, children: tuple[PatternNode, ...] | list[PatternNode]) -> None:
         children = tuple(children)
@@ -203,6 +209,7 @@ class TreePattern:
             self, "_key", _sorted_keys(child._key for child in children)
         )
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_tags", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TreePattern is immutable")
@@ -231,12 +238,28 @@ class TreePattern:
         """All plain tag names occurring anywhere in the pattern.
 
         Any document matching the pattern must contain every one of these
-        tags, which makes this set useful for candidate pruning.
+        tags, which makes this set useful for candidate pruning and for
+        containment's tag test.  The set is computed on first use and
+        cached on the pattern, as the hash is, and equal sets are
+        interned process-wide, so patterns with one vocabulary share one
+        set object.
         """
-        result: frozenset[str] = frozenset()
-        for child in self.root_children:
-            result |= child.tags()
-        return result
+        cached = self._tags
+        if cached is None:
+            stack = list(self.root_children)
+            tags: set[str] = set()
+            while stack:
+                node = stack.pop()
+                tags.add(node.label)
+                stack.extend(node.children)
+            tags -= SPECIAL_LABELS
+            # Copied from a set, a frozenset's table is sized for its
+            # members instead of grown by insertion: for most tag sets,
+            # half the slots.
+            found = frozenset(tags)
+            cached = _TAG_SETS.setdefault(found, found)
+            object.__setattr__(self, "_tags", cached)
+        return cached
 
     def has_descendant_ops(self) -> bool:
         """True when the pattern uses ``//`` anywhere."""

@@ -4,8 +4,14 @@ from hypothesis import given, settings
 
 from repro.core.containment import containment_order, contains, equivalent
 from repro.core.pattern_parser import parse_xpath
+from repro.routing.overlay import BrokerOverlay
+from repro.routing.policy import PerSubscriptionPolicy
 from repro.xmltree.matcher import matches
 from tests.strategies import tree_patterns, xml_trees
+
+#: ``/a/…/a/b`` with 400 ``a`` steps: deeper than the interpreter lets a
+#: walk recurse once per level.
+DEEP = parse_xpath("/a" * 400 + "/b")
 
 
 class TestKnownCases:
@@ -93,3 +99,35 @@ class TestSoundness:
             # on the instances it certifies... composition gives an
             # embedding, which the test finds (it searches exhaustively).
             assert contains(p, r)
+
+
+def advertised_chain(xpaths: list[str]) -> BrokerOverlay:
+    """A three-broker chain holding *xpaths* round-robin, advertised per
+    subscription."""
+    overlay = BrokerOverlay.chain(3)
+    overlay.attach_round_robin([parse_xpath(xpath) for xpath in xpaths])
+    overlay.advertise(PerSubscriptionPolicy())
+    return overlay
+
+
+class TestDeepPatterns:
+    def test_descendant_covers_walk_a_deep_pattern(self):
+        # Covering asks whether //b and //a//b contain the chain: their
+        # '//' descends the chain's 400 levels.
+        assert contains(parse_xpath("//b"), DEEP)
+        assert contains(parse_xpath("//a//b"), DEEP)
+        assert not contains(parse_xpath("//c"), DEEP)
+        overlay = advertised_chain(["//b", "/a", "//a//b"])
+        subscriber = overlay.subscribe(0, DEEP)
+        assert overlay.subscriptions[subscriber] == (0, DEEP)
+        assert overlay.topology_signature() == overlay.rebuilt().topology_signature()
+
+    def test_a_deep_pattern_subscribes_twice(self):
+        # The second subscription's covering test compares the chain
+        # with its own first entry.
+        assert contains(DEEP, parse_xpath("/a" * 400 + "/b"))
+        overlay = advertised_chain(["/x", "/y", "/z"])
+        first = overlay.subscribe(0, DEEP)
+        second = overlay.subscribe(0, DEEP)
+        assert first != second
+        assert overlay.topology_signature() == overlay.rebuilt().topology_signature()
