@@ -24,9 +24,8 @@ with an equal tag, since only ``*`` maps onto another label, so every
 tag of p occurs in q.  Tag sets are cached on the patterns, and most
 covering tests between unrelated subscriptions end here.  Canonically
 equal patterns then answer True, because the identity map is a
-homomorphism.  The search walks a ``//`` descent through q with an
-explicit stack, so a deep q costs no interpreter recursion; it still
-recurses once per level of p.
+homomorphism.  The search walks p and q with an explicit stack, so
+neither a deep p nor a deep q costs interpreter recursion.
 """
 
 from __future__ import annotations
@@ -48,69 +47,68 @@ def _label_subsumes(container_label: str, contained_label: str) -> bool:
 
 def _embeds(p_node: PatternNode, q_node: PatternNode, memo: dict) -> bool:
     """Is there a homomorphism of ``Subtree(p_node)`` into
-    ``Subtree(q_node)`` anchored at q_node?"""
-    # Per-call embedding memo: keys die with this call, never persist or
-    # cross a process, and the verdict is id-independent.
-    # reprolint: disable=RL003 -- transient per-call memo key, never persisted
-    key = (id(p_node), id(q_node))
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    ``Subtree(q_node)`` anchored at q_node?
 
-    result: bool
-    if p_node.label == DESCENDANT:
-        # '//' maps to any downward path of length >= 0 in q: anchor its
-        # single child here or below (a '//' edge in q absorbs it too).
-        result = _embeds(p_node.children[0], q_node, memo) or _embeds_below(
-            p_node, q_node, memo
-        )
-    elif q_node.label == DESCENDANT:
-        # q is less specific here than any tag/wildcard p requires.
-        result = False
-    elif not _label_subsumes(p_node.label, q_node.label):
-        result = False
-    else:
-        result = all(
-            any(_embeds(p_child, q_child, memo) for q_child in q_node.children)
-            for p_child in p_node.children
-        )
-    memo[key] = result
-    return result
-
-
-def _embeds_below(p_node: PatternNode, q_node: PatternNode, memo: dict) -> bool:
-    """Whether the ``//`` node *p_node* embeds at some child of *q_node*.
-
-    ``_embeds(p_node, c)`` for each child c, which anchors p_node's
-    child at c or descends further, walked with an explicit stack: the
-    recursion would take one frame per level of q.  Every node visited
-    gets the memo entry ``_embeds`` would give it.
+    The recursion — a ``//`` node of p anchors its child at q_node or
+    embeds itself at some child of q_node (a ``//`` edge of q absorbs it
+    too); any other node needs a subsuming label and, for each of its
+    children, some child of q_node that child embeds at — walked with an
+    explicit stack of open pairs, so neither a deep p nor a deep q costs
+    one Python frame per level.  It tries the alternatives in the
+    recursion's order, stops where it stops and leaves the memo entries
+    it leaves.
     """
-    target = p_node.children[0]
-    levels = [iter(q_node.children)]
-    keys: list[tuple[int, int]] = []  # memo key of each level's q parent
-    while levels:
-        child = next(levels[-1], None)
-        if child is None:
-            levels.pop()
-            if keys:
-                memo[keys.pop()] = False
-            continue
+    # An open pair: [memo key, p node, q node, p child index, q child
+    # index].  A '//' pair has p child index -1 and tries the q child at
+    # its q child index next.
+    stack: list[list] = []
+    p, q = p_node, q_node
+    while True:
+        # Per-call embedding memo: keys die with this call, never persist
+        # or cross a process, and the verdict is id-independent.
         # reprolint: disable=RL003 -- transient per-call memo key, never persisted
-        key = (id(p_node), id(child))
-        found = memo.get(key)
-        if found is None:
-            if not _embeds(target, child, memo):
-                keys.append(key)
-                levels.append(iter(child.children))
+        key = (id(p), id(q))
+        result = memo.get(key)
+        if result is None:
+            if p.label == DESCENDANT:
+                # Anchor its child here first.
+                stack.append([key, p, q, -1, 0])
+                p = p.children[0]
                 continue
-            found = True
-        if found:
-            keys.append(key)
-            for on_path in keys:
-                memo[on_path] = True
-            return True
-    return False
+            if q.label == DESCENDANT or not _label_subsumes(p.label, q.label):
+                # q is less specific here than any tag/wildcard p requires.
+                result = memo[key] = False
+            elif not p.children or not q.children:
+                result = memo[key] = not p.children
+            else:
+                stack.append([key, p, q, 0, 0])
+                p, q = p.children[0], q.children[0]
+                continue
+        # Hand the answer to the open pairs, closing each it decides.
+        while stack:
+            frame = stack[-1]
+            _, open_p, open_q, p_index, q_index = frame
+            if p_index < 0:
+                if not result and q_index < len(open_q.children):
+                    frame[4] = q_index + 1
+                    p, q = open_p, open_q.children[q_index]
+                    break
+            elif result:
+                p_index += 1
+                if p_index < len(open_p.children):
+                    frame[3], frame[4] = p_index, 0
+                    p, q = open_p.children[p_index], open_q.children[0]
+                    break
+            else:
+                q_index += 1
+                if q_index < len(open_q.children):
+                    frame[4] = q_index
+                    p, q = open_p.children[p_index], open_q.children[q_index]
+                    break
+            memo[frame[0]] = result
+            stack.pop()
+        else:
+            return result
 
 
 def contains(p: TreePattern, q: TreePattern) -> bool:
@@ -152,7 +150,7 @@ def _root_embeds(p_node: PatternNode, q_node: PatternNode, memo: dict) -> bool:
             return _embeds(p_node, q_node.children[0], memo) or _root_embeds(
                 p_node, q_node.children[0], memo
             )
-        return _embeds_below(p_node, q_node, memo)
+        return any(_embeds(p_node, child, memo) for child in q_node.children)
     if q_node.label == DESCENDANT:
         return False
     if not _label_subsumes(p_node.label, q_node.label):

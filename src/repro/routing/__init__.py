@@ -19,7 +19,7 @@ Module map:
   (``destinations_for_batch``) so one memo pool is shared across a
   queue drain; a match comes back as a :class:`TableMatch`, the broker
   step set from the trie's accepted entries when the match is made —
-  the member ids their member sets name, united, and the matched
+  their member collections, united only when read, and the matched
   forward links in table order — whose table-order destination list is
   decoded only when read;
 * :mod:`repro.routing.trie` — :class:`PatternTrie`, the merged pattern

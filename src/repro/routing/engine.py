@@ -1134,13 +1134,14 @@ class DeliveryEngine:
         # A document re-routed by topology churn may revisit a broker;
         # only the first delivery to each subscriber counts — in the sets
         # and in the latency samples, which all equal this job's latency
-        # and are kept as one run.
-        fresh = step.deliveries - delivered
+        # and are kept as one run of as many as the set grew by.
+        before = len(delivered)
+        delivered.update(*step.members)
+        fresh = len(delivered) - before
         if fresh:
-            delivered |= fresh
             self._latency_runs_by_class.setdefault(
                 job.priority_class, []
-            ).append((now - job.published_at, len(fresh)))
+            ).append((now - job.published_at, fresh))
         for neighbor in step.forwards:
             self._forwards += 1
             # A filtering step computed before a leave event may still

@@ -57,12 +57,14 @@ retires through the table's retirement index.
 =============  ============  =====================================  ==========================================================
 event          policy        cost at the home broker                pinned by
 =============  ============  =====================================  ==========================================================
-subscribe,     per           O(1): the policy names the one         ``test_resubscribe_pair_cost_does_not_grow_with_the_broker``,
+subscribe,     per           the policy names the one               ``test_resubscribe_pair_cost_does_not_grow_with_the_broker``,
 unsubscribe    subscription  ``(pattern, (member,))`` entry,        ``test_resubscribe_pair_updates_one_member_set_each_way``
                              installed or withdrawn without an
                              aggregation built or diffed, and one
-                             trie entry's member set gains or
-                             loses the member
+                             trie entry's member counts gain or
+                             lose the member in a copy of the
+                             entry's count dict: O(1), but O(k)
+                             for an entry k subscribers share
 subscribe      community     one lookup in the broker's leader      ``test_community_pair_pays_for_its_community_only``,
                              index, then a first-fit placement      ``test_lsh_community_pair_asks_the_leader_index_once``
                              against the leaders it returns
@@ -132,13 +134,15 @@ Routing is a walk of broker steps (:class:`BrokerStep`).  A broker's
 trie answers a document with its accepted entries, and the table turns
 them into the step when the match is made
 (:class:`~repro.routing.table.TableMatch`): the table keeps each trie
-entry's deliver members, and the match unites those of its accepted
-entries in one C-level pass, so a step costs what it delivers, not the
-broker's count of deliver groups; each of the broker's few
-``(FORWARD, link)`` destinations is tested against the accepted
-entries' destination sets, in table order.  No list of destination
-tuples is built on the way.  The destination encoding itself is
-defined in :mod:`repro.routing.table`.
+entry's deliver members, and the step holds those of its accepted
+entries, so a step costs what it delivers, not the broker's count of
+deliver groups; each of the broker's few ``(FORWARD, link)``
+destinations is tested against the accepted entries' destination sets,
+in table order.  :meth:`BrokerOverlay.route` and the delivery engine
+add the members straight into the document's delivered set, so each
+delivery enters a set once.  No list of destination tuples is built on
+the way.  The destination encoding itself is defined in
+:mod:`repro.routing.table`.
 """
 
 from __future__ import annotations
@@ -153,7 +157,7 @@ from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
 from repro.routing.community import LeaderClusters
 from repro.routing.policy import AdvertisementPolicy
-from repro.routing.table import DELIVER, FORWARD, RoutingTable
+from repro.routing.table import DELIVER, FORWARD, Members, RoutingTable
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 
@@ -260,7 +264,6 @@ class BrokerNode:
         )
 
 
-@dataclass(frozen=True)
 class BrokerStep:
     """Outcome of one broker-local filtering step on one document.
 
@@ -272,21 +275,65 @@ class BrokerStep:
 
     A step is the broker table's match
     (:class:`~repro.routing.table.TableMatch`), whose two halves are set
-    when the match is made: the deliveries united from its accepted
-    entries' member sets, and the forward links some accepted entry
-    holds, without building the table-order destination list.  So a
-    step stays valid across later routing-state changes.
+    when the match is made: the member collections of its accepted
+    entries, and the forward links some accepted entry holds, without
+    building the table-order destination list.  The table never mutates
+    a member collection once made, so a step stays valid across later
+    routing-state changes.  A walk updates its delivered set from
+    ``members`` directly, so each delivery is inserted into a set once;
+    ``deliveries`` unites them on first read.
+
+    ``BrokerStep(deliveries, forwards, match_operations)`` builds a step
+    from its deliveries, ``members=`` from member collections; steps are
+    equal when their deliveries, forwards and operations are.
     """
 
-    #: Subscriber ids the document is delivered to at this broker.
-    deliveries: frozenset[int]
-    #: Neighbour broker ids the document is forwarded to, in table order
-    #: (deterministic across runs).
-    forwards: tuple[int, ...]
-    #: Filtering operations the step spent — trie operations in the
-    #: default merged-trie mode, pattern-vs-document evaluations in
-    #: ``"linear"`` mode — the input of a service-time model.
-    match_operations: int
+    __slots__ = ("members", "forwards", "match_operations", "_deliveries")
+
+    def __init__(
+        self,
+        deliveries: Collection[int] = (),
+        forwards: tuple[int, ...] = (),
+        match_operations: int = 0,
+        *,
+        members: Optional[Members] = None,
+    ) -> None:
+        #: The member collections whose union is the step's deliveries.
+        self.members: Members = (deliveries,) if members is None else members
+        #: Neighbour broker ids the document is forwarded to, in table
+        #: order (deterministic across runs).
+        self.forwards = forwards
+        #: Filtering operations the step spent — trie operations in the
+        #: default merged-trie mode, pattern-vs-document evaluations in
+        #: ``"linear"`` mode — the input of a service-time model.
+        self.match_operations = match_operations
+        self._deliveries: Optional[frozenset[int]] = None
+
+    @property
+    def deliveries(self) -> frozenset[int]:
+        """Subscriber ids the document is delivered to at this broker,
+        united on first read."""
+        if self._deliveries is None:
+            self._deliveries = frozenset().union(*self.members)
+        return self._deliveries
+
+    def _key(self) -> tuple[frozenset[int], tuple[int, ...], int]:
+        return self.deliveries, self.forwards, self.match_operations
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BrokerStep):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"BrokerStep(deliveries={self.deliveries!r}, "
+            f"forwards={self.forwards!r}, "
+            f"match_operations={self.match_operations!r})"
+        )
 
 
 def _aggregation_diff(
@@ -1329,7 +1376,11 @@ class BrokerOverlay:
             () if arrived_from is None else ((FORWARD, arrived_from),)
         )
         match = node.table.destinations_for(document, exclude=exclude)
-        return BrokerStep(match.deliveries, match.forwards, match.operations)
+        return BrokerStep(
+            forwards=match.forwards,
+            match_operations=match.operations,
+            members=match.members,
+        )
 
     def process_batch_at(
         self,
@@ -1368,9 +1419,9 @@ class BrokerOverlay:
         ]
         batch = node.table.destinations_for_batch(documents, excludes)
         return [
-            BrokerStep(deliveries, forwards, operations)
-            for deliveries, forwards, operations in zip(
-                batch.deliveries, batch.forwards, batch.operations, strict=True
+            BrokerStep(forwards=forwards, match_operations=operations, members=members)
+            for members, forwards, operations in zip(
+                batch.members, batch.forwards, batch.operations, strict=True
             )
         ]
 
@@ -1395,7 +1446,7 @@ class BrokerOverlay:
             operations[broker_id] = (
                 operations.get(broker_id, 0) + step.match_operations
             )
-            delivered.update(step.deliveries)
+            delivered.update(*step.members)
             forwards += len(step.forwards)
             frontier.extend(
                 (neighbor, broker_id) for neighbor in step.forwards

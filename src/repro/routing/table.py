@@ -64,25 +64,28 @@ never rebuilt from scratch.
 
 A trie match is its accepted entries, and a match result is a broker
 step set when the match is made: :class:`TableMatch` (and
-:class:`TableBatchMatch`, per document) holds the member ids of every
-matched deliver group, united, and the links of the matched
-``(FORWARD, link)`` destinations in table order.  The table keeps, in
-each trie entry's ``members`` slot, the member ids of the entry's
-active ``(DELIVER, members)`` destinations — the one destination's own
-member tuple, or, once a second arrives, each member's count of the
-destinations naming it — and updates them beside the trie wherever an
-entry gains or loses a deliver destination, at the cost of that
-destination's members alone.  A trie match unites its accepted
-entries' members in one C-level ``frozenset().union``, and tests each
-of the table's few forward destinations against the accepted entries'
-destination sets; the linear scan unites the members of the deliver
-destinations it found and keeps the forward ones.  Both modes build the
-same result, at a cost that follows what matched and the broker's
-links rather than how many deliver destinations the table holds.
-Excluded destinations take part in neither half: when ``exclude`` names
-a deliver destination (an overlay step never does), the matched deliver
-destinations other than it are united, as the linear scan unites the
-ones it finds.
+:class:`TableBatchMatch`, per document) holds the member collections of
+every matched deliver group, not yet united, and the links of the
+matched ``(FORWARD, link)`` destinations in table order.  The table
+keeps, in each trie entry's ``members`` slot, the member ids of the
+entry's active ``(DELIVER, members)`` destinations — the one
+destination's own member tuple, or, once a second arrives, each
+member's count of the destinations naming it — and updates them beside
+the trie wherever an entry gains or loses a deliver destination.  A
+step may hold the collection it read, so an update never mutates one:
+the entry gets an updated copy of its count dict, at a cost that
+follows the entry's member count.  A trie match keeps its accepted
+entries' members, and tests each of the table's few forward
+destinations against the accepted entries' destination sets; the
+linear scan keeps the member tuples of the deliver destinations it
+found and the forward ones' links.  Both modes build the same result,
+at a cost that follows what matched and the broker's links rather than
+how many deliver destinations the table holds.  Whoever reads a match
+unites its members once: ``deliveries`` on first read, or a walk into
+the delivered set it already keeps.  Excluded destinations take part
+in neither half: when ``exclude`` names a deliver destination (an
+overlay step never does), the matched deliver destinations other than
+it give their member tuples, as the linear scan's do.
 
 Table order is the key order of the per-destination entry lists:
 first-advertised first, and a renamed destination goes last.  The
@@ -111,7 +114,16 @@ from functools import cached_property, partial
 from itertools import count, repeat
 from operator import attrgetter
 from operator import contains as _holds
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+)
 
 from repro.core.containment import contains
 from repro.core.pattern import TreePattern
@@ -141,6 +153,12 @@ _DESTINATIONS = attrgetter("destinations")
 #: A match's table-order destination list, decoded when first called.
 _Decode = Callable[[], list[Destination]]
 
+#: A broker step's deliveries before they are united: the member
+#: collections of what it matched — deliver groups' member tuples, or
+#: trie entries' member -> count dicts, which are never mutated once
+#: made (see :func:`_add_members`).
+Members = tuple[Collection[int], ...]
+
 
 def _parts(destination: Destination) -> tuple[Any, Any]:
     """A ``(kind, payload)`` destination's two parts; ``(None, None)``
@@ -162,10 +180,10 @@ def _group(destination: Destination) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _united(destinations: Iterable[Destination]) -> frozenset[int]:
-    """The member ids of the deliver destinations among *destinations*,
-    united."""
-    return frozenset().union(*filter(None, map(_group, destinations)))
+def _groups(destinations: Iterable[Destination]) -> Members:
+    """The member tuples of the deliver destinations among
+    *destinations*."""
+    return tuple(filter(None, map(_group, destinations)))
 
 
 def _matched(
@@ -179,7 +197,10 @@ def _add_members(entry: _Entry, group: tuple[int, ...]) -> None:
     """Count the ids of *group*, a deliver destination *entry* just
     gained, into *entry*'s members: the group's own tuple while it is
     the entry's only one, else member -> number of the entry's deliver
-    destinations naming it."""
+    destinations naming it.
+
+    A step made earlier may hold the members it read, so they are never
+    mutated: the entry gets an updated copy, O(k) for k members."""
     held = entry.members
     if held is None:
         entry.members = group
@@ -188,27 +209,30 @@ def _add_members(entry: _Entry, group: tuple[int, ...]) -> None:
         counts: dict[int, int] = {}
         for member in held:
             counts[member] = counts.get(member, 0) + 1
-        held = entry.members = counts
+    else:
+        counts = held.copy()
     for member in group:
-        held[member] = held.get(member, 0) + 1
+        counts[member] = counts.get(member, 0) + 1
+    entry.members = counts
 
 
 def _remove_members(entry: _Entry, group: tuple[int, ...]) -> None:
     """Count the ids of *group*, a deliver destination *entry* just
-    lost, out of *entry*'s members (None once none is left)."""
+    lost, out of *entry*'s members (None once none is left), into an
+    updated copy, as :func:`_add_members` does."""
     held = entry.members
     if isinstance(held, tuple):
         # Held as a tuple, *group* was the entry's one destination.
         entry.members = None
         return
+    counts: dict[int, int] = held.copy()
     for member in group:
-        left = held[member] - 1
+        left = counts[member] - 1
         if left:
-            held[member] = left
+            counts[member] = left
         else:
-            del held[member]
-    if not held:
-        entry.members = None
+            del counts[member]
+    entry.members = counts or None
 
 
 @dataclass(frozen=True)
@@ -225,21 +249,29 @@ class TableMatch:
     """Outcome of one :meth:`RoutingTable.destinations_for` call, as a
     broker step set when the match was made.
 
-    ``deliveries`` holds the member ids of every matched ``(DELIVER,
-    members)`` destination, united; ``forwards`` the links of the
-    matched ``(FORWARD, link)`` destinations in table order;
-    ``operations`` the filtering work spent deciding.  Excluded
-    destinations take part in neither.  The table-order
-    ``destinations`` list of a trie match is decoded on first read, and
-    only while the table is unchanged since the match: after a change a
-    first read raises :class:`ValueError`.  A linear scan finds the list
-    in table order when it matches, so it has nothing left to decode.
+    ``members`` holds the member collections of what matched (see
+    :data:`Members`), whose union ``deliveries`` — the member ids of
+    every matched ``(DELIVER, members)`` destination — is built on first
+    read; ``forwards`` the links of the matched ``(FORWARD, link)``
+    destinations in table order; ``operations`` the filtering work spent
+    deciding.  Excluded destinations take part in neither.  The
+    collections are never mutated, so both halves stay as the match made
+    them.  The table-order ``destinations`` list of a trie match is
+    decoded on first read, and only while the table is unchanged since
+    the match: after a change a first read raises :class:`ValueError`.
+    A linear scan finds the list in table order when it matches, so it
+    has nothing left to decode.
     """
 
-    deliveries: frozenset[int]
+    members: Members
     forwards: tuple[int, ...]
     operations: int
     _decode: _Decode = field(repr=False, compare=False)
+
+    @cached_property
+    def deliveries(self) -> frozenset[int]:
+        """The matched member ids, united on first read."""
+        return frozenset().union(*self.members)
 
     @cached_property
     def destinations(self) -> list[Destination]:
@@ -252,9 +284,10 @@ class TableMatch:
 class TableBatchMatch:
     """Outcome of one :meth:`RoutingTable.destinations_for_batch` call.
 
-    ``deliveries`` / ``forwards`` / ``operations`` are aligned with the
+    ``members`` / ``forwards`` / ``operations`` are aligned with the
     input batch: one broker step per document, as in
-    :class:`TableMatch`, and its attributed operation count.
+    :class:`TableMatch`, and its attributed operation count;
+    ``deliveries`` unites each document's members on first read.
     ``destinations`` decodes each document's table-order list on first
     read, under the same rule as :class:`TableMatch` (a batch built
     outside a table has none).  ``memo_hits`` / ``memo_misses`` report
@@ -262,12 +295,17 @@ class TableBatchMatch:
     has no cross-document sharing).
     """
 
-    deliveries: list[frozenset[int]]
+    members: list[Members]
     forwards: list[tuple[int, ...]]
     operations: list[int]
     memo_hits: int = 0
     memo_misses: int = 0
     _decodes: Sequence[_Decode] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def deliveries(self) -> list[frozenset[int]]:
+        """Per document, the matched member ids, united on first read."""
+        return [frozenset().union(*members) for members in self.members]
 
     @cached_property
     def destinations(self) -> list[list[Destination]]:
@@ -833,15 +871,15 @@ class RoutingTable:
 
     def _trie_step(
         self, accepted: list[_Entry], exclude: Iterable[Destination]
-    ) -> tuple[frozenset[int], tuple[int, ...], _Decode]:
+    ) -> tuple[Members, tuple[int, ...], _Decode]:
         """A trie match's broker step and its destination decode.
 
-        The member ids its *accepted* entries deliver, united in one
-        C-level pass — or, when *exclude* names a deliver destination,
-        the matched deliver destinations other than *exclude*'s, united
-        as the linear scan unites the ones it finds — and the link of
-        each forward destination not excluded that some accepted entry
-        holds, in table order.
+        The members its *accepted* entries hold — or, when *exclude*
+        names a deliver destination, the member tuples of the matched
+        deliver destinations other than *exclude*'s, as the linear scan
+        keeps the ones it finds — and the link of each forward
+        destination not excluded that some accepted entry holds, in
+        table order.
         """
         skip = tuple(exclude)
         forwards = tuple(
@@ -855,11 +893,11 @@ class RoutingTable:
             ]
         )
         if any(map(_group, skip)):
-            deliveries = _united(_matched(accepted, skip))
+            members = _groups(_matched(accepted, skip))
         else:
-            deliveries = frozenset().union(*filter(None, map(_MEMBERS, accepted)))
+            members = tuple(filter(None, map(_MEMBERS, accepted)))
         decode = partial(self._decode, self._version, accepted, skip)
-        return deliveries, forwards, decode
+        return members, forwards, decode
 
     def _decode(
         self, version: int, accepted: list[_Entry], skip: tuple[Destination, ...]
@@ -914,7 +952,7 @@ class RoutingTable:
         if mode == "trie":
             result = self._trie.match_entries((document,))
             operations = result.operations[0]
-            deliveries, forwards, decode = self._trie_step(
+            members, forwards, decode = self._trie_step(
                 result.accepted[0], exclude
             )
         else:
@@ -929,12 +967,12 @@ class RoutingTable:
                     if self._matcher(pattern).matches(document):
                         found.append(destination)
                         break
-            deliveries = _united(found)
+            members = _groups(found)
             links = self._links
             forwards = tuple([links[d] for d in found if d in links])
             decode = found.copy
         self.match_operations += operations
-        return TableMatch(deliveries, forwards, operations, decode)
+        return TableMatch(members, forwards, operations, decode)
 
     def destinations_for_batch(
         self,
@@ -974,7 +1012,7 @@ class RoutingTable:
             ]
             self.match_operations += sum(batch.operations)
             return TableBatchMatch(
-                [deliveries for deliveries, _, _ in steps],
+                [members for members, _, _ in steps],
                 [forwards for _, forwards, _ in steps],
                 batch.operations,
                 batch.memo_hits,
@@ -986,7 +1024,7 @@ class RoutingTable:
             for document, skip in zip(documents, skips, strict=True)
         ]
         return TableBatchMatch(
-            [match.deliveries for match in matches],
+            [match.members for match in matches],
             [match.forwards for match in matches],
             [match.operations for match in matches],
             _decodes=[match._decode for match in matches],

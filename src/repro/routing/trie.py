@@ -84,11 +84,19 @@ node then costs:
   linked or unlinked or a child's ``req_mask`` changes;
 * one AND per group: a group whose shared tags the document lacks is
   dropped whole, otherwise one AND per member picks the live ones;
-* one set union of the plan's mask set into the tag set's pool of
-  tested requirements.  Every visit looks up every child, so its
-  aliveness lookups are the number of children and its misses are the
-  masks the union adds — exactly the counts the per-child memo lookups
-  of a dict-keyed test would give;
+* its candidates.  Most visits have one anchor (79% of the walk's
+  visits on the pipeline benchmark's ``publish-persub`` stream), and
+  such a visit builds no list for a child step: its candidates are the
+  anchor's list in the document index (its children, for ``*``).  A
+  ``//`` step keeps the label's positions strictly inside the anchor's
+  pre-order interval (below).  A visit with several anchors gathers
+  their candidates into a list, and their descendant scope into a set;
+* one append of the plan's mask set.  Every visit looks up every
+  child, so its aliveness lookups are the number of children; the
+  walk's misses are the masks that one set union of the appended sets
+  into the tag set's pool of tested requirements adds, after the walk —
+  exactly the counts the per-child memo lookups of a dict-keyed test
+  would give;
 * for each accepted entry, one append.
 
 The spine is walked with an explicit stack, and a ``//`` constraint
@@ -107,8 +115,12 @@ Per-document index
 Candidate generation reads the document through one
 :class:`~repro.xmltree.tree.TreeIndex`: its label positions, its label
 → parent → children map, and a pre-order walk in which every node's
-subtree is one contiguous slice, so a descendant scope is the union of
-its anchors' slices.  The index is linear in the document size, built
+subtree is one contiguous slice ``[start, end)``.  A node lies strictly
+below an anchor exactly when its own ``start`` lies strictly inside the
+anchor's interval, ``start[anchor] < start[node] < end[anchor]``, which
+is how a one-anchor ``//`` step keeps its candidates; the descendant
+scope of several anchors is the union of their slices.  The index is
+linear in the document size, built
 with an explicit stack from parents and children alone (it assumes no
 pre-order numbering), and cached on the
 :class:`~repro.xmltree.tree.XMLTree` next to its tag set on the first
@@ -151,7 +163,7 @@ that, per document of a batch, with the pool's memo hits and misses.
 ``match`` and ``match_batch`` build sets from it — the union of the
 accepted entries' destination sets and the set of their patterns.  An
 owner that needs something else reads it off the entries: the routing
-table unites their deliver members and tests its few forward links
+table keeps their deliver members and tests its few forward links
 against their destination sets, without building either set.
 
 Incremental-maintenance invariants
@@ -869,17 +881,24 @@ class PatternTrie:
 
         An explicit stack of (spine node, anchors) visits replaces the
         recursion; the counts cannot depend on the visit order because
-        every memo key is computed once (see the module docstring).
+        every memo key is computed once (see the module docstring).  A
+        visit with one anchor reads its candidates off the document's
+        index without building a list, except for a ``//`` step's, kept
+        by the anchor's pre-order interval.
         """
         missing = state.missing
-        seen = state.seen
         tree_children = state.tree.children
-        children_by_label = state.index.children_by_label
+        index = state.index
+        children_by_label = index.children_by_label
+        positions = index.positions
+        preorder, start, end = index.preorder, index.start, index.end
         branch_sat = self._branch_sat
         gate_sat = self._gate_sat
-        # Aliveness lookups and their misses, and the child steps'
+        # Aliveness lookups, the child-mask sets they tested (united into
+        # the tag set's pool once, after the walk) and the child steps'
         # candidate operations, settled once per walk.
-        lookups = misses = ops = 0
+        lookups = ops = 0
+        tested: list[frozenset[int]] = []
         stack: list[tuple[_SpineNode, Sequence[int]]] = [(self._root, ())]
         while stack:
             parent, anchors = stack.pop()
@@ -891,10 +910,12 @@ class PatternTrie:
             # ones this tag set has not met yet in the pool are misses,
             # one operation each.
             lookups += width
-            before = len(seen)
-            seen |= child_masks
-            misses += len(seen) - before
-            # The descendant scope of these anchors, shared by every
+            tested.append(child_masks)
+            # Only the root is visited with no anchor, so a one-anchor
+            # visit's steps are child and descendant steps.
+            single = len(anchors) == 1
+            anchor = anchors[0] if single else -1
+            # The descendant scope of several anchors, shared by every
             # descendant group of this visit.
             scope: set[int] | None = None
             for axis, label, shared, members, uniform in groups:
@@ -909,7 +930,37 @@ class PatternTrie:
                 if not live:
                     continue
                 candidates: Sequence[int]
-                if axis == _CHILD:
+                if single:
+                    if axis == _CHILD:
+                        # One op for the anchor looked up, one per
+                        # candidate surfaced.
+                        if label == WILDCARD:
+                            candidates = tree_children[anchor]
+                        else:
+                            by_parent = children_by_label.get(label)
+                            candidates = (
+                                by_parent.get(anchor, ())
+                                if by_parent is not None
+                                else ()
+                            )
+                        ops += 1 + len(candidates)
+                    else:
+                        # The anchor's strict descendants are the nodes
+                        # inside its pre-order interval; one op per node
+                        # examined.
+                        low, high = start[anchor], end[anchor]
+                        if label == WILDCARD:
+                            ops += high - low
+                            candidates = sorted(preorder[low + 1 : high])
+                        else:
+                            labelled = positions.get(label, ())
+                            ops += len(labelled)
+                            candidates = [
+                                position
+                                for position in labelled
+                                if low < start[position] < high
+                            ]
+                elif axis == _CHILD:
                     # One op per anchor looked up, one per candidate
                     # surfaced — the (label, parent) index is shared by
                     # the whole table.
@@ -931,7 +982,7 @@ class PatternTrie:
                     ops += len(anchors) + len(candidates)
                 elif axis == _DESCENDANT:
                     if scope is None:
-                        scope = state.index.scope(anchors)
+                        scope = index.scope(anchors)
                     candidates = self._descendants(label, scope, state)
                 else:
                     candidates = self._root_candidates(axis, label, state)
@@ -942,12 +993,12 @@ class PatternTrie:
                     branches = member.branches
                     if branches:
                         kept: list[int] = []
-                        for anchor in candidates:
+                        for candidate in candidates:
                             for branch in branches:
-                                if not branch_sat(branch, anchor, state):
+                                if not branch_sat(branch, candidate, state):
                                     break
                             else:
-                                kept.append(anchor)
+                                kept.append(candidate)
                         if not kept:
                             continue
                         member_anchors = kept
@@ -959,6 +1010,10 @@ class PatternTrie:
                             accepted.append(entry)
                     if member.child_order:
                         stack.append((member, member_anchors))
+        seen = state.seen
+        before = len(seen)
+        seen.update(*tested)
+        misses = len(seen) - before
         pool = state.pool
         pool.hits += lookups - misses
         pool.misses += misses

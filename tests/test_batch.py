@@ -118,12 +118,13 @@ class TestTableBatch:
 
     def test_stats_fields(self):
         stats = TableBatchMatch(
-            [frozenset({7}), frozenset()],
+            [(frozenset({7}),), ()],
             [(), (2,)],
             [3, 1],
             memo_hits=2,
             memo_misses=6,
         )
+        assert stats.deliveries == [frozenset({7}), frozenset()]
         assert stats.total_operations == 4
         assert stats.hit_rate == 0.25
         assert TableBatchMatch([], [], []).hit_rate == 0.0

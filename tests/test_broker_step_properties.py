@@ -20,11 +20,19 @@ in trie and in linear mode:
   list, and the overlay's ``process_at`` / ``process_batch_at`` steps
   and the fields of ``destinations_for_batch`` equal the reference
   steps;
-* a step taken before the event is unchanged after it, and so are the
-  two halves of a match made before it;
+* a step taken before the event — by ``process_at``, by
+  ``process_batch_at`` and by ``destinations_for_batch`` — is unchanged
+  after it, and so are the two halves of a match made before it;
 * a trie match made before the event refuses to decode its
   ``destinations`` (``ValueError``) once the event changed the table,
   and decodes as a fresh match does when the event left it alone.
+
+A step holds the member collections of what it matched and unites them
+only when read, so :class:`TestStepsOutliveChanges` reads steps for the
+first time after the changes that touch those collections: an
+unsubscribe from a pattern two subscribers share, a new subscription to
+it, a broker leave that re-homes a third, and a leave in the middle of
+an engine batch's service.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pattern_parser import parse_xpath
+from repro.routing.engine import BatchServiceModel, DeliveryEngine, LinkModel
 from repro.routing.overlay import BrokerOverlay, BrokerStep
 from repro.routing.policy import PerSubscriptionPolicy
 from repro.routing.table import DELIVER, FORWARD
@@ -133,8 +142,10 @@ def assert_steps_match_reference(overlay, documents):
 
 def pending_steps(overlay, document):
     """Per broker, arrival link and mode, before an event: a match whose
-    ``destinations`` is left unread, a ``process_at`` step (trie mode),
-    the reference step of a second match, and what the table holds."""
+    ``destinations`` is left unread, a ``process_at`` and a
+    ``process_batch_at`` step (trie mode), a one-document
+    ``destinations_for_batch``, the reference step of a second match,
+    and what the table holds.  None of the steps is read yet."""
     pending = []
     for broker_id in sorted(overlay.brokers):
         table = overlay.brokers[broker_id].table
@@ -144,10 +155,16 @@ def pending_steps(overlay, document):
                     document, exclude=excluded(origin), matching=mode
                 )
                 expected = reference_step(probe.destinations, probe.operations)
-                step = (
-                    overlay.process_at(broker_id, document, origin)
+                steps = (
+                    (
+                        overlay.process_at(broker_id, document, origin),
+                        overlay.process_batch_at(broker_id, [document], [origin])[0],
+                    )
                     if mode == "trie"
-                    else None
+                    else ()
+                )
+                batch = table.destinations_for_batch(
+                    [document], [excluded(origin)], matching=mode
                 )
                 match = table.destinations_for(
                     document, exclude=excluded(origin), matching=mode
@@ -159,7 +176,8 @@ def pending_steps(overlay, document):
                         table._version,
                         (document, origin, mode),
                         match,
-                        step,
+                        steps,
+                        batch,
                         expected,
                         probe.destinations,
                     )
@@ -174,14 +192,16 @@ def assert_pending_steps(pending):
         version,
         (document, origin, mode),
         match,
-        step,
+        steps,
+        batch,
         expected,
         listed,
     ) in pending:
         # Set when they were made: the event cannot move them.
         assert halves(match) == halves(expected)
-        if step is not None:
+        for step in steps:
             assert step == expected
+        assert (batch.deliveries[0], batch.forwards[0]) == halves(expected)
         if mode == "linear":
             # The scan found its list when it matched.
             assert match.destinations == listed
@@ -305,3 +325,102 @@ class TestTableChanges:
         with pytest.raises(ValueError):
             _ = unread.destinations
         assert unread.deliveries == match.deliveries == {keep, victim}
+
+
+#: Two subscribers at broker 1 share this pattern, so the table keeps
+#: its trie entry's members as a member -> count dict.
+SHARED = parse_xpath("/a")
+
+
+class TestStepsOutliveChanges:
+    """Steps made before a change to the member collections they hold,
+    and first read after it."""
+
+    DOCUMENT = parse_xml("<a><b/></a>")
+
+    @staticmethod
+    def deployment():
+        """A chain 0 — 1 — 2: two subscribers of :data:`SHARED` and one
+        of ``//b`` at broker 1, one of :data:`SHARED` at broker 2."""
+        overlay = BrokerOverlay.chain(3)
+        shared = [overlay.attach(1, SHARED), overlay.attach(1, SHARED)]
+        other = [overlay.attach(1, parse_xpath("//b")), overlay.attach(2, SHARED)]
+        overlay.advertise(PerSubscriptionPolicy())
+        return overlay, shared, other
+
+    def unread_steps(self, overlay):
+        """At broker 1: a ``process_at`` step, a ``process_batch_at``
+        step and a ``destinations_for_batch`` match, none read yet."""
+        return (
+            overlay.process_at(1, self.DOCUMENT),
+            overlay.process_batch_at(1, [self.DOCUMENT])[0],
+            overlay.brokers[1].table.destinations_for_batch([self.DOCUMENT]),
+        )
+
+    def delivered(self, overlay):
+        return overlay.process_at(1, self.DOCUMENT).deliveries
+
+    def assert_kept(self, steps, deliveries):
+        step, batched, batch = steps
+        assert step.deliveries == batched.deliveries == deliveries
+        assert batch.deliveries == [deliveries]
+
+    def test_steps_keep_their_deliveries_across_member_changes(self):
+        overlay, (first, second), (third, fourth) = self.deployment()
+        before = self.delivered(overlay)
+        assert before == {first, second, third}
+
+        steps = self.unread_steps(overlay)
+        overlay.unsubscribe(first)
+        self.assert_kept(steps, before)
+        before = self.delivered(overlay)
+        assert before == {second, third}
+
+        steps = self.unread_steps(overlay)
+        fifth = overlay.subscribe(1, SHARED)
+        self.assert_kept(steps, before)
+        before = self.delivered(overlay)
+        assert before == {second, third, fifth}
+
+        # Broker 2 leaves into broker 1, which takes its subscriber of
+        # the shared pattern over.
+        steps = self.unread_steps(overlay)
+        overlay.remove_broker(2, merge_into=1)
+        self.assert_kept(steps, before)
+        assert self.delivered(overlay) == {second, third, fourth, fifth}
+
+    def test_a_leave_during_a_batch_delivers_as_eager_steps_do(self):
+        """Broker 2 leaves into broker 1 while broker 1 services the
+        document.  Broker 1's step was made before the leave, so it
+        delivers to its two subscribers and forwards to broker 2's
+        merge target, itself, where the second visit reaches the
+        subscriber it took over — as in an engine whose steps unite
+        their deliveries when they are made."""
+
+        def run(eager):
+            overlay, shared, other = self.deployment()
+            if eager:
+                batch_at = overlay.process_batch_at
+
+                def process_batch_at(broker_id, documents, arrived_from=None):
+                    return [
+                        BrokerStep(
+                            step.deliveries, step.forwards, step.match_operations
+                        )
+                        for step in batch_at(broker_id, documents, arrived_from)
+                    ]
+
+                overlay.process_batch_at = process_batch_at
+            engine = DeliveryEngine(
+                overlay,
+                service=BatchServiceModel(base=5.0, max_batch=4),
+                links=LinkModel(default=1.0),
+            )
+            engine.publish(self.DOCUMENT, at_broker=1, time=0.0)
+            engine.schedule_leave(1.0, 2, merge_into=1)
+            stats = engine.run()
+            return engine.delivered_sets(), stats, sorted(shared + other)
+
+        delivered, stats, subscribers = run(eager=False)
+        assert delivered == {0: frozenset(subscribers)}
+        assert (delivered, stats) == run(eager=True)[:2]

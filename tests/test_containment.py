@@ -131,3 +131,23 @@ class TestDeepPatterns:
         second = overlay.subscribe(0, DEEP)
         assert first != second
         assert overlay.topology_signature() == overlay.rebuilt().topology_signature()
+
+    def test_chains_of_two_depths_contain_neither_way(self):
+        # The search descends 200 levels of p before it fails.
+        shorter = parse_xpath("/a" * 200 + "/b")
+        longer = parse_xpath("/a" * 201 + "/b")
+        assert not contains(shorter, longer)
+        assert not contains(longer, shorter)
+
+    def test_chains_of_two_depths_subscribe_beside_each_other(self):
+        # The covering test between the two runs at broker 0.
+        shorter = "/a" * 200 + "/b"
+        longer = "/a" * 201 + "/b"
+        for held, fresh in ((shorter, longer), (longer, shorter)):
+            overlay = advertised_chain([held])
+            subscriber = overlay.subscribe(0, parse_xpath(fresh))
+            assert overlay.subscriptions[subscriber] == (0, parse_xpath(fresh))
+            assert (
+                overlay.topology_signature()
+                == overlay.rebuilt().topology_signature()
+            )

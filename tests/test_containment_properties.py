@@ -6,7 +6,8 @@ shortcut may change an answer, so over hypothesis pattern pairs and over
 every ordered pair of a seeded 150-pattern NITF sample the suite checks:
 
 * ``contains`` equals the homomorphism search with the shortcuts
-  bypassed;
+  bypassed, and the search, which walks the pattern pairs with an
+  explicit stack and a memo, answers what the plain recursion answers;
 * a containment implies the tag subset;
 * ``TreePattern.tags()`` equals a fresh walk of the pattern, and equal
   tag sets are one shared object.
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.containment import _homomorphic, contains
-from repro.core.labels import is_tag
+from repro.core.labels import DESCENDANT, WILDCARD, is_tag
 from repro.core.pattern import PatternNode, TreePattern
 from repro.dtd.builtin import nitf_dtd
 from repro.generators.querygen import PatternGenerator
@@ -39,10 +40,45 @@ def rebuilt(pattern: TreePattern) -> TreePattern:
     return TreePattern(tuple(map(node, pattern.root_children[::-1])))
 
 
+def recursive_embeds(p: PatternNode, q: PatternNode) -> bool:
+    """The homomorphism recursion anchored at *q*, unmemoised."""
+    if p.label == DESCENDANT:
+        return recursive_embeds(p.children[0], q) or any(
+            recursive_embeds(p, child) for child in q.children
+        )
+    if q.label == DESCENDANT or p.label not in (WILDCARD, q.label):
+        return False
+    return all(
+        any(recursive_embeds(p_child, q_child) for q_child in q.children)
+        for p_child in p.children
+    )
+
+
+def recursive_root_embeds(p: PatternNode, q: PatternNode) -> bool:
+    """:func:`recursive_embeds` for two root constraints."""
+    if p.label == DESCENDANT:
+        if recursive_root_embeds(p.children[0], q):
+            return True
+        if q.label == DESCENDANT:
+            return recursive_embeds(p, q.children[0]) or recursive_root_embeds(
+                p, q.children[0]
+            )
+        return any(recursive_embeds(p, child) for child in q.children)
+    return q.label != DESCENDANT and recursive_embeds(p, q)
+
+
+def recursive_homomorphic(p: TreePattern, q: TreePattern) -> bool:
+    """The homomorphism search as a plain recursion."""
+    return all(
+        any(recursive_root_embeds(p_child, q_child) for q_child in q.root_children)
+        for p_child in p.root_children
+    )
+
+
 def check_pair(p: TreePattern, q: TreePattern) -> bool:
     """Assert the shortcut properties on (p, q); return the answer."""
     answer = contains(p, q)
-    assert answer == _homomorphic(p, q)
+    assert answer == _homomorphic(p, q) == recursive_homomorphic(p, q)
     if answer:
         assert p.tags() <= q.tags()
     return answer
