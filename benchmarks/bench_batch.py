@@ -132,7 +132,7 @@ def measure_batched(table: RoutingTable, documents, batch_size: int):
         operations += result.total_operations
         hits += result.memo_hits
         misses += result.memo_misses
-        delivered.extend(result.destinations)
+        delivered.extend(step.destinations for step in result.steps)
     return operations, hits, misses, time.perf_counter() - started, delivered
 
 

@@ -17,11 +17,12 @@ Module map:
   runs on a merged :class:`~repro.routing.trie.PatternTrie` by default,
   with the per-pattern linear scan retained as the oracle, and batched
   (``destinations_for_batch``) so one memo pool is shared across a
-  queue drain; a match comes back as a :class:`TableMatch`, the broker
-  step set from the trie's accepted entries when the match is made —
-  their member collections, united only when read, and the matched
-  forward links in table order — whose table-order destination list is
-  decoded only when read;
+  queue drain; each document's match is a :class:`TableMatch`, the one
+  broker step type, set from the trie's accepted entries when the match
+  is made — their member collections, united only when read, the
+  matched forward links in table order and the operations spent —
+  which the overlay's ``route`` and the delivery engine apply, and
+  whose table-order destination list is decoded only when read;
 * :mod:`repro.routing.trie` — :class:`PatternTrie`, the merged pattern
   trie: every active pattern of a broker shares one degree-sorted
   structure, so one document traversal yields all matching destinations
@@ -102,7 +103,6 @@ from repro.routing.overlay import (
     BrokerId,
     BrokerNode,
     BrokerOverlay,
-    BrokerStep,
     OverlayStats,
     SubscriptionId,
 )
@@ -127,7 +127,6 @@ __all__ = [
     "BrokerId",
     "BrokerNode",
     "BrokerOverlay",
-    "BrokerStep",
     "OverlayStats",
     "SubscriptionId",
     "TOPOLOGIES",

@@ -3,8 +3,9 @@
 The synchronous :meth:`~repro.routing.overlay.BrokerOverlay.route` walk
 answers *where* documents go; under heavy traffic the operational question
 is *when* they arrive.  This module replays the exact same broker-local
-filtering steps (:meth:`~repro.routing.overlay.BrokerOverlay.process_at`)
-through a deterministic discrete-event simulation:
+filtering steps — each broker table's match,
+:class:`~repro.routing.table.TableMatch` — through a deterministic
+discrete-event simulation:
 
 * a single global event queue, ordered by ``(time, sequence number)`` so
   ties resolve in scheduling order — replays are bit-identical under a
@@ -102,8 +103,9 @@ from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
 from repro.routing.broker import ClassLatency, LatencyStats, ordered_percentile
-from repro.routing.overlay import BrokerOverlay, BrokerStep
+from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import FifoScheduling, QueuePolicy, SchedulingPolicy
+from repro.routing.table import TableMatch
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 
@@ -324,7 +326,7 @@ class _Batch:
     """
 
     jobs: list[_Job]
-    steps: list[BrokerStep]
+    steps: list[TableMatch]
 
 
 @dataclass(frozen=True)
@@ -1026,7 +1028,7 @@ class DeliveryEngine:
             [job.document for job in jobs],
             [job.origin for job in jobs],
         )
-        operations = sum(step.match_operations for step in steps)
+        operations = sum(step.operations for step in steps)
         self._match_operations += operations
         duration = self.service.service_time_batch(operations, len(jobs))
         self._busy_time[broker_id] += duration
@@ -1126,7 +1128,7 @@ class DeliveryEngine:
         )
 
     def _deliver_and_forward(
-        self, broker_id: int, job: _Job, step: BrokerStep, now: float
+        self, broker_id: int, job: _Job, step: TableMatch, now: float
     ) -> None:
         """Apply one job's completed filtering step: local deliveries
         and forwarded copies."""

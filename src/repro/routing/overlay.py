@@ -130,19 +130,20 @@ working across the splice.  The headline guarantee, property-tested in
 join/leave and subscription churn, under any policy, every routing table
 equals a from-scratch rebuild of the final topology.
 
-Routing is a walk of broker steps (:class:`BrokerStep`).  A broker's
-trie answers a document with its accepted entries, and the table turns
-them into the step when the match is made
-(:class:`~repro.routing.table.TableMatch`): the table keeps each trie
-entry's deliver members, and the step holds those of its accepted
-entries, so a step costs what it delivers, not the broker's count of
-deliver groups; each of the broker's few ``(FORWARD, link)``
-destinations is tested against the accepted entries' destination sets,
-in table order.  :meth:`BrokerOverlay.route` and the delivery engine
-add the members straight into the document's delivered set, so each
-delivery enters a set once.  No list of destination tuples is built on
-the way.  The destination encoding itself is defined in
-:mod:`repro.routing.table`.
+Routing is a walk of broker steps, and a broker's step is its table's
+match (:class:`~repro.routing.table.TableMatch`), set when the match is
+made: the table keeps each trie entry's deliver members, and the step
+holds those of the entries the trie accepted, so a step costs what it
+delivers, not the broker's count of deliver groups; each of the
+broker's few ``(FORWARD, link)`` destinations is tested against the
+accepted entries' destination sets, in table order.  The synchronous
+:meth:`BrokerOverlay.route` walk and the delivery engine apply the same
+steps, so they deliver to identical subscriber sets by construction and
+differ only in *when* each step runs; both read ``members``,
+``forwards`` and ``operations`` off the step and add the members
+straight into the document's delivered set, so each delivery enters a
+set once.  No list of destination tuples is built on the way.  The
+destination encoding itself is defined in :mod:`repro.routing.table`.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
 from repro.routing.community import LeaderClusters
 from repro.routing.policy import AdvertisementPolicy
-from repro.routing.table import DELIVER, FORWARD, Members, RoutingTable
+from repro.routing.table import DELIVER, FORWARD, RoutingTable, TableMatch
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 
@@ -165,7 +166,6 @@ __all__ = [
     "BrokerId",
     "BrokerNode",
     "BrokerOverlay",
-    "BrokerStep",
     "OverlayStats",
     "SubscriptionId",
     "TOPOLOGIES",
@@ -264,76 +264,10 @@ class BrokerNode:
         )
 
 
-class BrokerStep:
-    """Outcome of one broker-local filtering step on one document.
-
-    The pure unit of work shared by every delivery discipline: the
-    synchronous :meth:`BrokerOverlay.route` walk and the discrete-event
-    :class:`~repro.routing.engine.DeliveryEngine` both apply it, so they
-    deliver to identical subscriber sets by construction and differ only
-    in *when* each step runs.
-
-    A step is the broker table's match
-    (:class:`~repro.routing.table.TableMatch`), whose two halves are set
-    when the match is made: the member collections of its accepted
-    entries, and the forward links some accepted entry holds, without
-    building the table-order destination list.  The table never mutates
-    a member collection once made, so a step stays valid across later
-    routing-state changes.  A walk updates its delivered set from
-    ``members`` directly, so each delivery is inserted into a set once;
-    ``deliveries`` unites them on first read.
-
-    ``BrokerStep(deliveries, forwards, match_operations)`` builds a step
-    from its deliveries, ``members=`` from member collections; steps are
-    equal when their deliveries, forwards and operations are.
-    """
-
-    __slots__ = ("members", "forwards", "match_operations", "_deliveries")
-
-    def __init__(
-        self,
-        deliveries: Collection[int] = (),
-        forwards: tuple[int, ...] = (),
-        match_operations: int = 0,
-        *,
-        members: Optional[Members] = None,
-    ) -> None:
-        #: The member collections whose union is the step's deliveries.
-        self.members: Members = (deliveries,) if members is None else members
-        #: Neighbour broker ids the document is forwarded to, in table
-        #: order (deterministic across runs).
-        self.forwards = forwards
-        #: Filtering operations the step spent — trie operations in the
-        #: default merged-trie mode, pattern-vs-document evaluations in
-        #: ``"linear"`` mode — the input of a service-time model.
-        self.match_operations = match_operations
-        self._deliveries: Optional[frozenset[int]] = None
-
-    @property
-    def deliveries(self) -> frozenset[int]:
-        """Subscriber ids the document is delivered to at this broker,
-        united on first read."""
-        if self._deliveries is None:
-            self._deliveries = frozenset().union(*self.members)
-        return self._deliveries
-
-    def _key(self) -> tuple[frozenset[int], tuple[int, ...], int]:
-        return self.deliveries, self.forwards, self.match_operations
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BrokerStep):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"BrokerStep(deliveries={self.deliveries!r}, "
-            f"forwards={self.forwards!r}, "
-            f"match_operations={self.match_operations!r})"
-        )
+def _arrival(origin: Optional[int]) -> tuple[tuple[str, int], ...]:
+    """What a step excludes for a document that arrived from *origin*:
+    the link back to it, or nothing for a local publish."""
+    return () if origin is None else ((FORWARD, origin),)
 
 
 def _aggregation_diff(
@@ -1355,31 +1289,21 @@ class BrokerOverlay:
         broker_id: int,
         document: XMLTree,
         arrived_from: Optional[int] = None,
-    ) -> BrokerStep:
+    ) -> TableMatch:
         """One broker-local filtering step: match *document* against
-        *broker_id*'s routing table and report the outcome.
+        *broker_id*'s routing table, whose match is the step.
 
         ``arrived_from`` is the neighbour the document came in over (None
         for a locally published document); its link is excluded so the
         document never travels back the way it arrived.  The step is pure
         with respect to delivery semantics — it reads routing state and
         counts match operations, but schedules nothing — which is what
-        lets the synchronous walk and the event engine share it.  It is
-        the table match's two halves, set when the match was made
-        (:class:`~repro.routing.table.TableMatch`): the members its
-        accepted entries name, and the matched forward links.
+        lets the synchronous walk and the event engine share it.
         """
         if broker_id not in self.brokers:
             raise ValueError(f"no broker {broker_id}")
-        node = self.brokers[broker_id]
-        exclude = (
-            () if arrived_from is None else ((FORWARD, arrived_from),)
-        )
-        match = node.table.destinations_for(document, exclude=exclude)
-        return BrokerStep(
-            forwards=match.forwards,
-            match_operations=match.operations,
-            members=match.members,
+        return self.brokers[broker_id].table.destinations_for(
+            document, exclude=_arrival(arrived_from)
         )
 
     def process_batch_at(
@@ -1387,43 +1311,25 @@ class BrokerOverlay:
         broker_id: int,
         documents: Sequence[XMLTree],
         arrived_from: Optional[Sequence[Optional[int]]] = None,
-    ) -> list[BrokerStep]:
+    ) -> list[TableMatch]:
         """One broker-local filtering pass over a whole queue drain.
 
         The batched counterpart of :meth:`process_at`: every document of
         the drain is matched through one shared trie memo pool (see
         :meth:`RoutingTable.destinations_for_batch`), so structure
         repeated across the batch is filtered once, and each document
-        still gets its own :class:`BrokerStep` — per-document deliveries,
-        table-order forwards and *attributed* match operations — equal to
-        what :meth:`process_at` would have produced.  ``arrived_from``
+        still gets its own step — per-document deliveries, table-order
+        forwards and *attributed* match operations — equal to what
+        :meth:`process_at` would have produced.  ``arrived_from``
         carries one origin link per document (the documents of one drain
         may have arrived over different links); ``None`` means every
         document was published locally.
         """
         if broker_id not in self.brokers:
             raise ValueError(f"no broker {broker_id}")
-        node = self.brokers[broker_id]
-        documents = list(documents)
-        if arrived_from is None:
-            origins: list[Optional[int]] = [None] * len(documents)
-        else:
-            origins = list(arrived_from)
-            if len(origins) != len(documents):
-                raise ValueError(
-                    f"{len(documents)} documents but {len(origins)} origins"
-                )
-        excludes = [
-            () if origin is None else ((FORWARD, origin),)
-            for origin in origins
-        ]
-        batch = node.table.destinations_for_batch(documents, excludes)
-        return [
-            BrokerStep(forwards=forwards, match_operations=operations, members=members)
-            for members, forwards, operations in zip(
-                batch.members, batch.forwards, batch.operations, strict=True
-            )
-        ]
+        excludes = None if arrived_from is None else list(map(_arrival, arrived_from))
+        table = self.brokers[broker_id].table
+        return table.destinations_for_batch(documents, excludes).steps
 
     def route(
         self, document: XMLTree, publish_at: int = 0
@@ -1444,7 +1350,7 @@ class BrokerOverlay:
             broker_id, origin = frontier.pop(0)
             step = self.process_at(broker_id, document, origin)
             operations[broker_id] = (
-                operations.get(broker_id, 0) + step.match_operations
+                operations.get(broker_id, 0) + step.operations
             )
             delivered.update(*step.members)
             forwards += len(step.forwards)

@@ -62,11 +62,16 @@ retained as the oracle the trie is pinned against.  The trie is maintained
 incrementally at every admission, eviction, restoration and surgery step —
 never rebuilt from scratch.
 
-A trie match is its accepted entries, and a match result is a broker
-step set when the match is made: :class:`TableMatch` (and
-:class:`TableBatchMatch`, per document) holds the member collections of
-every matched deliver group, not yet united, and the links of the
-matched ``(FORWARD, link)`` destinations in table order.  The table
+A trie match is its accepted entries, and each document's match is the
+broker step, set when the match is made: a :class:`TableMatch` holds
+the member collections of every matched deliver group, not yet united,
+the links of the matched ``(FORWARD, link)`` destinations in table
+order and the operations spent.  One call matches one document or a
+batch (:class:`TableBatchMatch`, one step per document), through one
+body per matching mode, a single document being a batch of one.  The
+overlay's ``process_at`` / ``process_batch_at`` return these steps as
+they are, and its ``route`` and the delivery engine apply them.  The
+table
 keeps, in each trie entry's ``members`` slot, the member ids of the
 entry's active ``(DELIVER, members)`` destinations — the one
 destination's own member tuple, or, once a second arrives, each
@@ -109,8 +114,8 @@ in a broker step.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 from itertools import count, repeat
 from operator import attrgetter
 from operator import contains as _holds
@@ -244,85 +249,97 @@ class TableEntry:
     destination: Destination
 
 
-@dataclass(frozen=True)
 class TableMatch:
-    """Outcome of one :meth:`RoutingTable.destinations_for` call, as a
-    broker step set when the match was made.
+    """One document's match against a table: the broker step, set when
+    the match is made.
 
     ``members`` holds the member collections of what matched (see
     :data:`Members`), whose union ``deliveries`` — the member ids of
     every matched ``(DELIVER, members)`` destination — is built on first
     read; ``forwards`` the links of the matched ``(FORWARD, link)``
     destinations in table order; ``operations`` the filtering work spent
-    deciding.  Excluded destinations take part in neither.  The
-    collections are never mutated, so both halves stay as the match made
-    them.  The table-order ``destinations`` list of a trie match is
-    decoded on first read, and only while the table is unchanged since
-    the match: after a change a first read raises :class:`ValueError`.
-    A linear scan finds the list in table order when it matches, so it
-    has nothing left to decode.
+    deciding (trie operations, or pattern-vs-document evaluations in
+    linear mode), the input of a service-time model.  Excluded
+    destinations take part in neither.  The collections are never
+    mutated, so both halves stay as the match made them across later
+    routing-state changes.  The table-order ``destinations`` list of a
+    trie match is decoded on first read, and only while the table is
+    unchanged since the match: after a change a first read raises
+    :class:`ValueError`.  A linear scan finds the list in table order
+    when it matches, so it has nothing left to decode.
     """
 
-    members: Members
-    forwards: tuple[int, ...]
-    operations: int
-    _decode: _Decode = field(repr=False, compare=False)
+    __slots__ = (
+        "members",
+        "forwards",
+        "operations",
+        "_decode",
+        "_deliveries",
+        "_destinations",
+    )
 
-    @cached_property
+    def __init__(
+        self,
+        members: Members,
+        forwards: tuple[int, ...],
+        operations: int,
+        decode: _Decode,
+    ) -> None:
+        self.members = members
+        self.forwards = forwards
+        self.operations = operations
+        self._decode = decode
+        self._deliveries: Optional[frozenset[int]] = None
+        self._destinations: Optional[list[Destination]] = None
+
+    @property
     def deliveries(self) -> frozenset[int]:
         """The matched member ids, united on first read."""
-        return frozenset().union(*self.members)
+        if self._deliveries is None:
+            self._deliveries = frozenset().union(*self.members)
+        return self._deliveries
 
-    @cached_property
+    @property
     def destinations(self) -> list[Destination]:
         """The matched destinations in table order, decoded on first
         read."""
-        return self._decode()
+        if self._destinations is None:
+            self._destinations = self._decode()
+        return self._destinations
 
 
 @dataclass(frozen=True)
 class TableBatchMatch:
     """Outcome of one :meth:`RoutingTable.destinations_for_batch` call.
 
-    ``members`` / ``forwards`` / ``operations`` are aligned with the
-    input batch: one broker step per document, as in
-    :class:`TableMatch`, and its attributed operation count;
-    ``deliveries`` unites each document's members on first read.
-    ``destinations`` decodes each document's table-order list on first
-    read, under the same rule as :class:`TableMatch` (a batch built
-    outside a table has none).  ``memo_hits`` / ``memo_misses`` report
-    the shared trie pool's amortisation (both zero in linear mode, which
-    has no cross-document sharing).
+    ``steps`` holds one :class:`TableMatch` per input document, in
+    order, each with the operations attributed to it.  ``memo_hits`` /
+    ``memo_misses`` report the shared trie pool's amortisation (both
+    zero in linear mode, which has no cross-document sharing).
     """
 
-    members: list[Members]
-    forwards: list[tuple[int, ...]]
-    operations: list[int]
+    steps: list[TableMatch]
     memo_hits: int = 0
     memo_misses: int = 0
-    _decodes: Sequence[_Decode] = field(default=(), repr=False, compare=False)
-
-    @cached_property
-    def deliveries(self) -> list[frozenset[int]]:
-        """Per document, the matched member ids, united on first read."""
-        return [frozenset().union(*members) for members in self.members]
-
-    @cached_property
-    def destinations(self) -> list[list[Destination]]:
-        """Per document, the matched destinations in table order,
-        decoded on first read."""
-        return [decode() for decode in self._decodes]
 
     @property
     def total_operations(self) -> int:
         """Match operations summed over all documents."""
-        return sum(self.operations)
+        return sum(step.operations for step in self.steps)
 
     @property
     def hit_rate(self) -> float:
         """Fraction of trie-pool lookups answered without recomputation."""
         lookups = self.memo_hits + self.memo_misses
         return self.memo_hits / lookups if lookups else 0.0
+
+
+def _checked_mode(matching: str) -> str:
+    """*matching*, once it names a matching mode: ``"trie"`` or
+    ``"linear"``."""
+    if matching not in ("trie", "linear"):
+        raise ValueError(f"unknown matching mode: {matching!r}")
+    return matching
 
 
 def _supersedes(pattern: TreePattern, existing: TreePattern) -> bool:
@@ -358,9 +375,7 @@ class RoutingTable:
     """
 
     def __init__(self, matching: str = "trie") -> None:
-        if matching not in ("trie", "linear"):
-            raise ValueError(f"unknown matching mode: {matching!r}")
-        self.matching = matching
+        self.matching = _checked_mode(matching)
         self._by_destination: dict[Destination, list[TreePattern]] = {}
         #: Per destination: active entry -> its :class:`_CoverRecord`, the
         #: advertisement instances it absorbed (duplicates kept; a number
@@ -390,10 +405,6 @@ class RoutingTable:
         #: Moved by every change to the active entries; a match decodes
         #: its destinations only while it has not moved.
         self._version = 0
-        self.match_operations = 0
-        self.covered_inserts = 0
-        self.evicted_entries = 0
-        self.restored_entries = 0
 
     # ------------------------------------------------------------------
     # active-set bookkeeping
@@ -465,7 +476,6 @@ class RoutingTable:
             self._place(destination)
         for existing in patterns:
             if contains(existing, pattern) and not _supersedes(pattern, existing):
-                self.covered_inserts += 1
                 number = next(self._numbers)
                 record = self._absorbed.setdefault(destination, {}).setdefault(
                     existing, _CoverRecord()
@@ -486,7 +496,6 @@ class RoutingTable:
                 absorbed_here.update(dest_absorbed.pop(existing, {}))
             else:
                 survivors.append(existing)
-        self.evicted_entries += len(evicted_active)
         survivors.append(pattern)
         self._by_destination[destination] = survivors
         self._activate(pattern, destination)
@@ -684,10 +693,8 @@ class RoutingTable:
         for candidate, resume_flood in self._restore_order(
             list(resurrected.values())
         ):
-            if self._admit(candidate, destination, resume_flood):
-                self.restored_entries += 1
-                if resume_flood:
-                    restored.append(candidate)
+            if self._admit(candidate, destination, resume_flood) and resume_flood:
+                restored.append(candidate)
         self._deactivate(active, destination)
         if not self._by_destination.get(destination):
             self._by_destination.pop(destination, None)
@@ -852,7 +859,7 @@ class RoutingTable:
             self._matchers.pop(pattern, None)
 
     def clear(self) -> None:
-        """Drop all entries, bookkeeping, and cost counters."""
+        """Drop all entries and their bookkeeping."""
         self._by_destination.clear()
         self._absorbed.clear()
         self._matchers.clear()
@@ -860,26 +867,22 @@ class RoutingTable:
         self._positions.clear()
         self._links.clear()
         self._version += 1
-        self.match_operations = 0
-        self.covered_inserts = 0
-        self.evicted_entries = 0
-        self.restored_entries = 0
 
     # ------------------------------------------------------------------
     # matching
     # ------------------------------------------------------------------
 
     def _trie_step(
-        self, accepted: list[_Entry], exclude: Iterable[Destination]
-    ) -> tuple[Members, tuple[int, ...], _Decode]:
-        """A trie match's broker step and its destination decode.
+        self, accepted: list[_Entry], operations: int, exclude: Iterable[Destination]
+    ) -> TableMatch:
+        """The broker step of a trie match that accepted *accepted* and
+        spent *operations*.
 
-        The members its *accepted* entries hold — or, when *exclude*
-        names a deliver destination, the member tuples of the matched
-        deliver destinations other than *exclude*'s, as the linear scan
-        keeps the ones it finds — and the link of each forward
-        destination not excluded that some accepted entry holds, in
-        table order.
+        The members its accepted entries hold — or, when *exclude* names
+        a deliver destination, the member tuples of the matched deliver
+        destinations other than *exclude*'s, as the linear scan keeps
+        the ones it finds — and the link of each forward destination not
+        excluded that some accepted entry holds, in table order.
         """
         skip = tuple(exclude)
         forwards = tuple(
@@ -897,7 +900,7 @@ class RoutingTable:
         else:
             members = tuple(filter(None, map(_MEMBERS, accepted)))
         decode = partial(self._decode, self._version, accepted, skip)
-        return members, forwards, decode
+        return TableMatch(members, forwards, operations, decode)
 
     def _decode(
         self, version: int, accepted: list[_Entry], skip: tuple[Destination, ...]
@@ -918,6 +921,59 @@ class RoutingTable:
             self._matchers[pattern] = matcher
         return matcher
 
+    def _trie_batch(
+        self, documents: list[XMLTree], skips: list[Iterable[Destination]]
+    ) -> TableBatchMatch:
+        """Match *documents* through one merged-trie memo pool."""
+        batch = self._trie.match_entries(documents)
+        return TableBatchMatch(
+            [
+                self._trie_step(accepted, operations, skip)
+                for accepted, operations, skip in zip(
+                    batch.accepted, batch.operations, skips, strict=True
+                )
+            ],
+            batch.memo_hits,
+            batch.memo_misses,
+        )
+
+    def _linear_batch(
+        self, documents: list[XMLTree], skips: list[Iterable[Destination]]
+    ) -> TableBatchMatch:
+        """Match *documents* one by one, destination by destination in
+        table order, each destination decided by its first matching
+        pattern."""
+        links = self._links
+        steps = []
+        for document, exclude in zip(documents, skips, strict=True):
+            skip = set(exclude)
+            found = []
+            operations = 0
+            for destination, patterns in self._by_destination.items():
+                if destination in skip:
+                    continue
+                for pattern in patterns:
+                    operations += 1
+                    if self._matcher(pattern).matches(document):
+                        found.append(destination)
+                        break
+            forwards = tuple([links[d] for d in found if d in links])
+            steps.append(TableMatch(_groups(found), forwards, operations, found.copy))
+        return TableBatchMatch(steps)
+
+    def _match(
+        self,
+        documents: list[XMLTree],
+        skips: list[Iterable[Destination]],
+        matching: Optional[str],
+    ) -> TableBatchMatch:
+        """Match *documents*, each less its *skips* entry, in the table's
+        mode or in *matching*."""
+        mode = self.matching if matching is None else _checked_mode(matching)
+        if mode == "trie":
+            return self._trie_batch(documents, skips)
+        return self._linear_batch(documents, skips)
+
     def destinations_for(
         self,
         document: XMLTree,
@@ -925,7 +981,8 @@ class RoutingTable:
         matching: Optional[str] = None,
     ) -> TableMatch:
         """Destinations *document* must be sent to, plus the filtering
-        operations spent deciding, as a :class:`TableMatch`.
+        operations spent deciding, as a :class:`TableMatch`: a batch of
+        one (see :meth:`destinations_for_batch`).
 
         In trie mode (the default) one merged-trie traversal answers all
         destinations at once and the count is *trie operations*; in
@@ -933,7 +990,9 @@ class RoutingTable:
         hit short-circuits) and the count is per-pattern match
         operations.  ``matching`` overrides the table's mode for this
         call — both structures are always maintained, which is how the
-        property suite pins ``trie == per-pattern`` on the same table.
+        property suite pins ``trie == per-pattern`` on the same table —
+        and an unknown mode raises :class:`ValueError`, as the
+        constructor does.
 
         The result is the broker step — the member ids the matched
         deliver destinations name and the matched forward links — which
@@ -948,31 +1007,7 @@ class RoutingTable:
         ``exclude`` destinations are skipped entirely (a broker never
         forwards a document back over the link it arrived on).
         """
-        mode = self.matching if matching is None else matching
-        if mode == "trie":
-            result = self._trie.match_entries((document,))
-            operations = result.operations[0]
-            members, forwards, decode = self._trie_step(
-                result.accepted[0], exclude
-            )
-        else:
-            skip = set(exclude)
-            found = []
-            operations = 0
-            for destination, patterns in self._by_destination.items():
-                if destination in skip:
-                    continue
-                for pattern in patterns:
-                    operations += 1
-                    if self._matcher(pattern).matches(document):
-                        found.append(destination)
-                        break
-            members = _groups(found)
-            links = self._links
-            forwards = tuple([links[d] for d in found if d in links])
-            decode = found.copy
-        self.match_operations += operations
-        return TableMatch(members, forwards, operations, decode)
+        return self._match([document], [exclude], matching).steps[0]
 
     def destinations_for_batch(
         self,
@@ -996,39 +1031,14 @@ class RoutingTable:
         """
         documents = list(documents)
         if excludes is None:
-            skips: list[Iterable[Destination]] = [() for _ in documents]
+            skips: list[Iterable[Destination]] = [()] * len(documents)
         else:
             skips = list(excludes)
             if len(skips) != len(documents):
                 raise ValueError(
                     f"{len(documents)} documents but {len(skips)} excludes"
                 )
-        mode = self.matching if matching is None else matching
-        if mode == "trie":
-            batch = self._trie.match_entries(documents)
-            steps = [
-                self._trie_step(accepted, skip)
-                for accepted, skip in zip(batch.accepted, skips, strict=True)
-            ]
-            self.match_operations += sum(batch.operations)
-            return TableBatchMatch(
-                [members for members, _, _ in steps],
-                [forwards for _, forwards, _ in steps],
-                batch.operations,
-                batch.memo_hits,
-                batch.memo_misses,
-                [decode for _, _, decode in steps],
-            )
-        matches = [
-            self.destinations_for(document, exclude=skip, matching=mode)
-            for document, skip in zip(documents, skips, strict=True)
-        ]
-        return TableBatchMatch(
-            [match.members for match in matches],
-            [match.forwards for match in matches],
-            [match.operations for match in matches],
-            _decodes=[match._decode for match in matches],
-        )
+        return self._match(documents, skips, matching)
 
     # ------------------------------------------------------------------
     # introspection

@@ -15,16 +15,26 @@ the paper's matching definition directly:
 
 Matching is memoised per (pattern node, document node) pair, giving the
 standard ``O(|T|·|p|)`` bound, and patterns are *compiled* once into integer
-arrays so one compiled pattern can be matched against a whole corpus.
+arrays so one compiled pattern can be matched against a whole corpus.  Both
+compiling and matching walk with an explicit stack rather than one Python
+frame per level, so neither a deep document nor a deep pattern meets the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
+
+from typing import Generator, Optional
 
 from repro.core.labels import DESCENDANT, WILDCARD, is_tag
 from repro.core.pattern import PatternNode, TreePattern
 from repro.xmltree.tree import XMLTree
 
 __all__ = ["CompiledPattern", "PatternMatcher", "matches"]
+
+#: One pair's frame of :meth:`PatternMatcher._walk`: it yields the
+#: ``(document node, pattern node, root-anchored?)`` pairs it needs, is
+#: sent None to start and then each one's verdict, and returns its own.
+_Frame = Generator[tuple[int, int, bool], Optional[bool], bool]
 
 
 class CompiledPattern:
@@ -37,17 +47,18 @@ class CompiledPattern:
         self.labels: list[str] = []
         self.children: list[list[int]] = []
         self.root_children: list[int] = []
-
-        def compile_node(node: PatternNode) -> int:
-            index = len(self.labels)
+        # Pre-order numbering: each node, then its subtrees in order.
+        stack: list[tuple[PatternNode, list[int]]] = [
+            (child, self.root_children)
+            for child in reversed(pattern.root_children)
+        ]
+        while stack:
+            node, siblings = stack.pop()
+            siblings.append(len(self.labels))
             self.labels.append(node.label)
-            self.children.append([])
-            kids = [compile_node(child) for child in node.children]
-            self.children[index] = kids
-            return index
-
-        for child in pattern.root_children:
-            self.root_children.append(compile_node(child))
+            kids: list[int] = []
+            self.children.append(kids)
+            stack.extend((child, kids) for child in reversed(node.children))
         self.required_tags = frozenset(
             label for label in self.labels if is_tag(label)
         )
@@ -75,86 +86,116 @@ class PatternMatcher:
 
     def matches(self, tree: XMLTree) -> bool:
         """Decide ``tree ⊨ pattern``."""
-        cp = self.compiled
         # Every tag label in the pattern must label some document node;
         # this cheap filter rejects most non-matching documents outright.
-        if not cp.required_tags <= tree.tag_set:
+        if not self.compiled.required_tags <= tree.tag_set:
             return False
-        memo: dict[int, bool] = {}
-        root_memo: dict[int, bool] = {}
-        return all(
-            self._root_sat(tree, tree.root, u, memo, root_memo)
-            for u in cp.root_children
-        )
+        return self._walk(tree, {}, {})
 
-    # -- internal recursion ---------------------------------------------------
+    # -- internal walk --------------------------------------------------------
     #
     # Memo keys pack (pattern node, document node) into one int; pattern
     # count is small so ``u * n + t`` stays well within machine ints.
 
-    def _sat(
-        self, tree: XMLTree, t: int, u: int, memo: dict[int, bool]
+    def _walk(
+        self, tree: XMLTree, memo: dict[int, bool], root_memo: dict[int, bool]
     ) -> bool:
-        """(T, t) ⊨ Subtree(u): the constraint of u holds below node t."""
-        key = u * len(tree.labels) + t
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        cp = self.compiled
-        label = cp.labels[u]
-        pattern_kids = cp.children[u]
-        doc_labels = tree.labels
-        result = False
-        if label == DESCENDANT:
-            # Zero-length: u's children hold at t itself; otherwise recurse
-            # into some document child (memoisation bounds the re-visits).
-            memo[key] = False  # cycle-safe placeholder; tree has no cycles
-            result = all(self._sat(tree, t, ku, memo) for ku in pattern_kids)
-            if not result:
-                result = any(
-                    self._sat(tree, kid, u, memo) for kid in tree.children[t]
-                )
-        elif label == WILDCARD:
-            result = any(
-                all(self._sat(tree, kid, ku, memo) for ku in pattern_kids)
-                for kid in tree.children[t]
-            )
-        else:
-            result = any(
-                doc_labels[kid] == label
-                and all(self._sat(tree, kid, ku, memo) for ku in pattern_kids)
-                for kid in tree.children[t]
-            )
-        memo[key] = result
-        return result
+        """Whether every pattern-root child holds at the document root,
+        filling *memo* with the verdict of each (pattern node, document
+        node) constraint it decides and *root_memo* with that of each
+        root-anchored ``//`` pair.
 
-    def _root_sat(
-        self,
-        tree: XMLTree,
-        t: int,
-        u: int,
-        memo: dict[int, bool],
-        root_memo: dict[int, bool],
-    ) -> bool:
-        """Root semantics: pattern-root child u holds with t as the anchor."""
+        Each pair is a frame on an explicit stack: a generator that
+        yields ``(document node, pattern node, root-anchored?)`` for each
+        pair it needs, in the order a recursion would ask, and is sent
+        back the verdict, read from a memo when the pair was decided
+        before.  Frames short-circuit as ``any`` / ``all`` do, so the
+        walk decides exactly the pairs the plain recursion decides.
+        """
         cp = self.compiled
-        label = cp.labels[u]
-        if label == DESCENDANT:
-            key = u * len(tree.labels) + t
-            cached = root_memo.get(key)
-            if cached is not None:
-                return cached
-            root_memo[key] = False
-            target = cp.children[u][0]
-            result = self._root_sat(tree, t, target, memo, root_memo) or any(
-                self._root_sat(tree, kid, u, memo, root_memo)
-                for kid in tree.children[t]
-            )
-            root_memo[key] = result
+        labels = cp.labels
+        pattern_children = cp.children
+        doc_labels = tree.labels
+        doc_children = tree.children
+        width = len(doc_labels)
+
+        def sat(t: int, u: int) -> _Frame:
+            """(T, t) ⊨ Subtree(u): the constraint of u holds below t."""
+            label = labels[u]
+            kids = pattern_children[u]
+            result = False
+            if label == DESCENDANT:
+                # Zero-length: u's children hold at t itself; otherwise
+                # descend into some document child.
+                result = True
+                for ku in kids:
+                    if not (yield t, ku, False):
+                        result = False
+                        break
+                if not result:
+                    for kid in doc_children[t]:
+                        if (yield kid, u, False):
+                            result = True
+                            break
+            else:
+                for kid in doc_children[t]:
+                    if label != WILDCARD and doc_labels[kid] != label:
+                        continue
+                    for ku in kids:
+                        if not (yield kid, ku, False):
+                            break
+                    else:
+                        result = True
+                        break
+            memo[u * width + t] = result
             return result
-        if label != WILDCARD and tree.labels[t] != label:
-            return False
-        return all(self._sat(tree, t, ku, memo) for ku in cp.children[u])
+
+        def anchored(t: int, u: int) -> _Frame:
+            """Root semantics: pattern-root child u holds with t as the
+            anchor."""
+            label = labels[u]
+            if label == DESCENDANT:
+                result = bool((yield t, pattern_children[u][0], True))
+                if not result:
+                    for kid in doc_children[t]:
+                        if (yield kid, u, True):
+                            result = True
+                            break
+                root_memo[u * width + t] = result
+                return result
+            if label != WILDCARD and doc_labels[t] != label:
+                return False
+            for ku in pattern_children[u]:
+                if not (yield t, ku, False):
+                    return False
+            return True
+
+        def whole() -> _Frame:
+            for u in cp.root_children:
+                if not (yield tree.root, u, True):
+                    return False
+            return True
+
+        stack = [whole()]
+        value: Optional[bool] = None
+        while stack:
+            try:
+                t, u, at_root = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+                continue
+            if at_root:
+                value = None
+                if labels[u] == DESCENDANT:
+                    value = root_memo.get(u * width + t)
+                if value is None:
+                    stack.append(anchored(t, u))
+            else:
+                value = memo.get(u * width + t)
+                if value is None:
+                    stack.append(sat(t, u))
+        return bool(value)
 
 
 def matches(tree: XMLTree, pattern: TreePattern) -> bool:

@@ -6,7 +6,7 @@ from repro.core.pattern_parser import parse_xpath
 from repro.routing.engine import BatchServiceModel, DeliveryEngine, ServiceModel
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import PerSubscriptionPolicy
-from repro.routing.table import RoutingTable, TableBatchMatch
+from repro.routing.table import RoutingTable, TableBatchMatch, TableMatch
 from repro.routing.trie import PatternTrie
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
@@ -92,14 +92,17 @@ class TestTableBatch:
         table.add(parse_xpath("/a"), "link-3")
         expected = [table.destinations_for(d).destinations for d in documents]
         batch = table.destinations_for_batch(documents)
-        assert batch.destinations == expected
+        assert [step.destinations for step in batch.steps] == expected
 
     def test_linear_mode_has_no_sharing(self, documents):
         table = RoutingTable(matching="linear")
         table.add(parse_xpath("/a/b"), "link-1")
         batch = table.destinations_for_batch(documents)
         assert batch.memo_hits == 0 and batch.memo_misses == 0
-        assert batch.total_operations == sum(batch.operations)
+        # Each document pays for its own scan.
+        assert [step.operations for step in batch.steps] == [
+            table.destinations_for(d).operations for d in documents
+        ]
 
     def test_excludes_are_per_document(self, documents):
         table = RoutingTable()
@@ -108,8 +111,8 @@ class TestTableBatch:
         batch = table.destinations_for_batch(
             documents[:2], excludes=[("link-1",), ()]
         )
-        assert batch.destinations[0] == ["link-2"]
-        assert batch.destinations[1] == ["link-1", "link-2"]
+        assert batch.steps[0].destinations == ["link-2"]
+        assert batch.steps[1].destinations == ["link-1", "link-2"]
 
     def test_excludes_length_mismatch_rejected(self, documents):
         table = RoutingTable()
@@ -118,22 +121,32 @@ class TestTableBatch:
 
     def test_stats_fields(self):
         stats = TableBatchMatch(
-            [(frozenset({7}),), ()],
-            [(), (2,)],
-            [3, 1],
+            [
+                TableMatch((frozenset({7}),), (), 3, list),
+                TableMatch((), (2,), 1, list),
+            ],
             memo_hits=2,
             memo_misses=6,
         )
-        assert stats.deliveries == [frozenset({7}), frozenset()]
+        assert [step.deliveries for step in stats.steps] == [
+            frozenset({7}),
+            frozenset(),
+        ]
         assert stats.total_operations == 4
         assert stats.hit_rate == 0.25
-        assert TableBatchMatch([], [], []).hit_rate == 0.0
+        assert TableBatchMatch([]).hit_rate == 0.0
 
-    def test_batch_feeds_match_operations_counter(self, documents):
+    def test_batch_total_sums_its_steps_operations(self, documents):
         table = RoutingTable()
         table.add(parse_xpath("//e"), "link-1")
         batch = table.destinations_for_batch(documents)
-        assert table.match_operations == batch.total_operations
+        assert batch.total_operations == sum(
+            step.operations for step in batch.steps
+        )
+        # The shared pool never costs more than one call per document.
+        assert batch.total_operations <= sum(
+            table.destinations_for(d).operations for d in documents
+        )
 
 
 class TestOverlayBatch:

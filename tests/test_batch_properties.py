@@ -133,7 +133,7 @@ class TestTableBatchEquivalence:
             for document in documents
         )
         batch = table.destinations_for_batch(documents)
-        assert batch.destinations == expected
+        assert [step.destinations for step in batch.steps] == expected
         assert batch.total_operations <= sequential_ops
 
 

@@ -1,11 +1,12 @@
 """Property suite for broker steps: table matches against the reference.
 
-A broker step is set when its table match is made: the member ids the
-accepted trie entries name, united, and the link of each forward
-destination some accepted entry holds, in table order.  This suite pins
-both halves against :func:`reference_step`, the step read off the
-match's table-order destination list: the union of the matched deliver
-groups and the forward links in list order.
+A broker step is its table's match, set when the match is made: the
+member ids the accepted trie entries name, united, and the link of each
+forward destination some accepted entry holds, in table order.  This
+suite pins both halves against :func:`reference_step`, the step read
+off the match's table-order destination list: the union of the matched
+deliver groups and the forward links in list order, compared as
+``(deliveries, forwards, operations)`` tuples.
 
 Hypothesis interleaves subscribe / unsubscribe with broker joins and
 leaves under all three advertisement policies (a corpus as the
@@ -18,7 +19,7 @@ in trie and in linear mode:
 * the match's ``deliveries`` and ``forwards`` equal the reference step
   of its ``destinations``, the trie-mode list equals the linear-mode
   list, and the overlay's ``process_at`` / ``process_batch_at`` steps
-  and the fields of ``destinations_for_batch`` equal the reference
+  and the steps of ``destinations_for_batch`` equal the reference
   steps;
 * a step taken before the event — by ``process_at``, by
   ``process_batch_at`` and by ``destinations_for_batch`` — is unchanged
@@ -45,9 +46,9 @@ from hypothesis import strategies as st
 
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.engine import BatchServiceModel, DeliveryEngine, LinkModel
-from repro.routing.overlay import BrokerOverlay, BrokerStep
+from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import PerSubscriptionPolicy
-from repro.routing.table import DELIVER, FORWARD
+from repro.routing.table import DELIVER, FORWARD, TableMatch
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
 from tests.strategies import property_max_examples, tree_patterns
@@ -61,19 +62,17 @@ WIDE_LEAVES = 7
 
 
 def reference_step(destinations, operations):
-    """Split a broker's table-order destinations into its step: the
-    union of the matched deliver groups, and the forward links in
-    table order."""
-    return BrokerStep(
-        deliveries=frozenset(
+    """Split a broker's table-order destinations into its step, as
+    ``(deliveries, forwards, operations)``: the union of the matched
+    deliver groups, and the forward links in table order."""
+    return (
+        frozenset(
             chain.from_iterable(
                 [members for kind, members in destinations if kind == DELIVER]
             )
         ),
-        forwards=tuple(
-            [link for kind, link in destinations if kind == FORWARD]
-        ),
-        match_operations=operations,
+        tuple([link for kind, link in destinations if kind == FORWARD]),
+        operations,
     )
 
 
@@ -91,6 +90,12 @@ def halves(step):
     return step.deliveries, step.forwards
 
 
+def fields(step):
+    """*step* as ``(deliveries, forwards, operations)``, the shape of
+    :func:`reference_step`."""
+    return step.deliveries, step.forwards, step.operations
+
+
 def assert_steps_match_reference(overlay, documents):
     for broker_id in sorted(overlay.brokers):
         table = overlay.brokers[broker_id].table
@@ -105,7 +110,7 @@ def assert_steps_match_reference(overlay, documents):
                     expected = reference_step(
                         match.destinations, match.operations
                     )
-                    assert halves(match) == halves(expected), (
+                    assert halves(match) == expected[:2], (
                         broker_id,
                         origin,
                         mode,
@@ -113,7 +118,7 @@ def assert_steps_match_reference(overlay, documents):
                     lists.append(match.destinations)
                     if mode == "trie":
                         step = overlay.process_at(broker_id, document, origin)
-                        assert step == expected, (broker_id, origin)
+                        assert fields(step) == expected, (broker_id, origin)
                 assert lists[0] == lists[1], (broker_id, origin)
             excludes = [excluded(origin) for origin in origins]
             for mode in MODES:
@@ -124,11 +129,13 @@ def assert_steps_match_reference(overlay, documents):
                     table.destinations_for(document, exclude=skip, matching=mode)
                     for skip in excludes
                 ]
-                assert batch.destinations == [m.destinations for m in singles]
+                assert [m.destinations for m in batch.steps] == [
+                    m.destinations for m in singles
+                ]
                 # A batch attributes repeated work to its first document,
                 # so only the step halves are compared per document.
-                assert list(zip(batch.deliveries, batch.forwards)) == [
-                    halves(reference_step(m.destinations, m.operations))
+                assert [halves(m) for m in batch.steps] == [
+                    reference_step(m.destinations, m.operations)[:2]
                     for m in singles
                 ], (broker_id, mode)
             steps = overlay.process_batch_at(
@@ -198,10 +205,10 @@ def assert_pending_steps(pending):
         listed,
     ) in pending:
         # Set when they were made: the event cannot move them.
-        assert halves(match) == halves(expected)
+        assert halves(match) == expected[:2]
         for step in steps:
-            assert step == expected
-        assert (batch.deliveries[0], batch.forwards[0]) == halves(expected)
+            assert fields(step) == expected
+        assert halves(batch.steps[0]) == expected[:2]
         if mode == "linear":
             # The scan found its list when it matched.
             assert match.destinations == listed
@@ -222,6 +229,14 @@ def run_churn(overlay, patterns, documents, data):
         assert_pending_steps(pending)
         assert_steps_match_reference(overlay, documents)
         pending = pending_steps(overlay, documents[0])
+
+
+def united(step):
+    """*step* with its deliveries united now, as its one member
+    collection."""
+    return TableMatch(
+        (step.deliveries,), step.forwards, step.operations, lambda: step.destinations
+    )
 
 
 class TestBrokerSteps:
@@ -292,8 +307,8 @@ class TestTableChanges:
         document = parse_xml("<a/>")
         match = overlay.brokers[0].table.destinations_for(document)
         expected = reference_step(match.destinations, match.operations)
-        assert expected.forwards == (2, 3, joined)
-        assert overlay.process_at(0, document) == expected
+        assert expected[1] == (2, 3, joined)
+        assert fields(overlay.process_at(0, document)) == expected
 
     def test_forwards_follow_table_order_not_link_ids(self):
         # Link 1's first advertisement reaches the hub after links 2
@@ -307,7 +322,7 @@ class TestTableChanges:
         match = overlay.brokers[0].table.destinations_for(document)
         assert match.forwards == (2, 3, 1)
         expected = reference_step(match.destinations, match.operations)
-        assert overlay.process_at(0, document) == expected
+        assert fields(overlay.process_at(0, document)) == expected
 
     def test_a_list_read_before_a_change_outlives_it(self):
         overlay = BrokerOverlay(1, [])
@@ -363,7 +378,7 @@ class TestStepsOutliveChanges:
     def assert_kept(self, steps, deliveries):
         step, batched, batch = steps
         assert step.deliveries == batched.deliveries == deliveries
-        assert batch.deliveries == [deliveries]
+        assert [m.deliveries for m in batch.steps] == [deliveries]
 
     def test_steps_keep_their_deliveries_across_member_changes(self):
         overlay, (first, second), (third, fourth) = self.deployment()
@@ -404,9 +419,7 @@ class TestStepsOutliveChanges:
 
                 def process_batch_at(broker_id, documents, arrived_from=None):
                     return [
-                        BrokerStep(
-                            step.deliveries, step.forwards, step.match_operations
-                        )
+                        united(step)
                         for step in batch_at(broker_id, documents, arrived_from)
                     ]
 

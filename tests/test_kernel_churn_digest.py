@@ -70,8 +70,8 @@ def churn_kernel_digest() -> str:
                 batch = table.destinations_for_batch(batch_documents)
                 outcomes.append(
                     (
-                        batch.destinations,
-                        batch.operations,
+                        [step.destinations for step in batch.steps],
+                        [step.operations for step in batch.steps],
                         batch.memo_hits,
                         batch.memo_misses,
                     )

@@ -44,8 +44,8 @@ def kernel_digest() -> str:
             )
             outcomes.append(
                 (
-                    batch.destinations,
-                    batch.operations,
+                    [step.destinations for step in batch.steps],
+                    [step.operations for step in batch.steps],
                     batch.memo_hits,
                     batch.memo_misses,
                 )

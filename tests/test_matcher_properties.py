@@ -2,15 +2,20 @@
 
 The reference implementation computes, bottom-up over the pattern, the full
 *satisfaction sets* ``Sat(u) = {t : (T, t) ⊨ Subtree(u)}`` — a structurally
-different algorithm from the matcher's memoised top-down recursion, so
+different algorithm from the matcher's memoised top-down walk, so
 agreement between the two is meaningful evidence for both.
+
+The walk itself keeps its frames on an explicit stack;
+:class:`RecursiveMatcher` is the plain recursion it replaced, and on
+shallow inputs the two must decide the same pairs with the same verdicts,
+so the oracle does the work it did before.
 """
 
 from hypothesis import given, settings
 
 from repro.core.labels import DESCENDANT, WILDCARD
 from repro.core.pattern import PatternNode, TreePattern
-from repro.xmltree.matcher import PatternMatcher, matches
+from repro.xmltree.matcher import CompiledPattern, PatternMatcher, matches
 from repro.xmltree.skeleton import skeleton
 from repro.xmltree.tree import XMLTree
 from tests.strategies import tree_patterns, xml_trees
@@ -113,15 +118,86 @@ def test_descendant_tag_pattern_iff_tag_present(tree):
 
 
 def matches_without_prefilter(tree: XMLTree, pattern: TreePattern) -> bool:
-    """The exact ``PatternMatcher.matches`` recursion, with the
+    """The exact ``PatternMatcher.matches`` walk, with the
     ``required_tags`` rejection short-circuit disabled."""
-    matcher = PatternMatcher(pattern)
-    memo: dict[int, bool] = {}
-    root_memo: dict[int, bool] = {}
-    return all(
-        matcher._root_sat(tree, tree.root, u, memo, root_memo)
-        for u in matcher.compiled.root_children
-    )
+    return PatternMatcher(pattern)._walk(tree, {}, {})
+
+
+class RecursiveMatcher:
+    """``PatternMatcher``'s walk as the plain recursion it was, one
+    Python frame per (pattern node, document node) pair and its
+    ``any`` / ``all`` generators, filling the same two memos."""
+
+    def __init__(self, pattern: TreePattern):
+        self.compiled = CompiledPattern(pattern)
+
+    def walk(self, tree, memo, root_memo):
+        return all(
+            self._root_sat(tree, tree.root, u, memo, root_memo)
+            for u in self.compiled.root_children
+        )
+
+    def _sat(self, tree, t, u, memo):
+        key = u * len(tree.labels) + t
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        cp = self.compiled
+        label = cp.labels[u]
+        pattern_kids = cp.children[u]
+        doc_labels = tree.labels
+        if label == DESCENDANT:
+            memo[key] = False
+            result = all(self._sat(tree, t, ku, memo) for ku in pattern_kids)
+            if not result:
+                result = any(
+                    self._sat(tree, kid, u, memo) for kid in tree.children[t]
+                )
+        elif label == WILDCARD:
+            result = any(
+                all(self._sat(tree, kid, ku, memo) for ku in pattern_kids)
+                for kid in tree.children[t]
+            )
+        else:
+            result = any(
+                doc_labels[kid] == label
+                and all(self._sat(tree, kid, ku, memo) for ku in pattern_kids)
+                for kid in tree.children[t]
+            )
+        memo[key] = result
+        return result
+
+    def _root_sat(self, tree, t, u, memo, root_memo):
+        cp = self.compiled
+        label = cp.labels[u]
+        if label == DESCENDANT:
+            key = u * len(tree.labels) + t
+            cached = root_memo.get(key)
+            if cached is not None:
+                return cached
+            root_memo[key] = False
+            target = cp.children[u][0]
+            result = self._root_sat(tree, t, target, memo, root_memo) or any(
+                self._root_sat(tree, kid, u, memo, root_memo)
+                for kid in tree.children[t]
+            )
+            root_memo[key] = result
+            return result
+        if label != WILDCARD and tree.labels[t] != label:
+            return False
+        return all(self._sat(tree, t, ku, memo) for ku in cp.children[u])
+
+
+@settings(max_examples=300, deadline=None)
+@given(xml_trees(), tree_patterns())
+def test_the_stack_walk_decides_what_the_recursion_decides(tree, pattern):
+    """Same verdict, and the same memos: every pair the recursion
+    decided, and no other, with the same verdict each."""
+    walked: tuple[dict[int, bool], dict[int, bool]] = ({}, {})
+    recursed: tuple[dict[int, bool], dict[int, bool]] = ({}, {})
+    verdict = PatternMatcher(pattern)._walk(tree, *walked)
+    assert verdict == RecursiveMatcher(pattern).walk(tree, *recursed)
+    assert walked == recursed
 
 
 @settings(max_examples=300, deadline=None)

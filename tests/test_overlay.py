@@ -209,7 +209,7 @@ class TestProcessAt:
         overlay.advertise(PerSubscriptionPolicy())
         document = figure2_documents[0]
         step = overlay.process_at(1, document)
-        assert step.match_operations > 0
+        assert step.operations > 0
         assert all(isinstance(s, int) for s in step.deliveries)
         assert set(step.forwards) <= set(overlay.brokers[1].neighbors)
 
@@ -237,7 +237,7 @@ class TestProcessAt:
                 broker_id, origin = frontier.pop()
                 step = overlay.process_at(broker_id, document, origin)
                 seen |= step.deliveries
-                total_operations += step.match_operations
+                total_operations += step.operations
                 total_forwards += len(step.forwards)
                 frontier.extend(
                     (neighbor, broker_id) for neighbor in step.forwards

@@ -29,7 +29,11 @@ class TestCoveringInsert:
         # /a/b ⊑ /a: anything matching /a/b already routes over link-1.
         assert not table.add(parse_xpath("/a/b"), "link-1")
         assert len(table) == 1
-        assert table.covered_inserts == 1
+        # The dropped insert is absorbed under /a, its flood stopped here.
+        assert table.export_destination("link-1") == [
+            (parse_xpath("/a"), False),
+            (parse_xpath("/a/b"), True),
+        ]
 
     def test_general_insert_evicts_covered(self):
         table = RoutingTable()
@@ -37,8 +41,13 @@ class TestCoveringInsert:
         table.add(parse_xpath("/a/b/f"), "link-1")
         assert table.add(parse_xpath("/a/b"), "link-1")
         assert len(table) == 1
-        assert table.evicted_entries == 2
         assert table.patterns_for("link-1") == [parse_xpath("/a/b")]
+        # Both evicted entries are absorbed under /a/b, having flooded.
+        assert table.export_destination("link-1") == [
+            (parse_xpath("/a/b"), False),
+            (parse_xpath("/a/b/e"), False),
+            (parse_xpath("/a/b/f"), False),
+        ]
 
     def test_duplicate_pattern_same_destination_dropped(self):
         table = RoutingTable()
@@ -82,7 +91,6 @@ class TestMatching:
         match = table.destinations_for(document)
         assert match.destinations == ["link-1"]
         assert match.operations == 2
-        assert table.match_operations == 2
 
     def test_trie_mode_counts_trie_operations(self, document):
         table = RoutingTable()
@@ -92,7 +100,6 @@ class TestMatching:
         match = table.destinations_for(document)
         assert match.destinations == ["link-1"]
         assert match.operations > 0
-        assert table.match_operations == match.operations
 
     def test_trie_and_linear_agree_per_call(self, document):
         table = RoutingTable()
@@ -110,6 +117,15 @@ class TestMatching:
     def test_unknown_matching_mode_rejected(self):
         with pytest.raises(ValueError):
             RoutingTable(matching="bloom")
+
+    def test_unknown_per_call_matching_mode_rejected(self, document):
+        # Misspelt, neither entry point falls back to the linear scan.
+        table = RoutingTable()
+        table.add(parse_xpath("/a"), "link-1")
+        with pytest.raises(ValueError, match="unknown matching mode: 'tire'"):
+            table.destinations_for(document, matching="tire")
+        with pytest.raises(ValueError, match="unknown matching mode: 'Trie'"):
+            table.destinations_for_batch([document], matching="Trie")
 
     def test_short_circuit_within_destination(self, document):
         table = RoutingTable(matching="linear")
@@ -197,7 +213,7 @@ class TestMaintenance:
         assert parse_xpath("/a/b") not in table
         assert parse_xpath("/a") in table
 
-    def test_clear_resets_entries_and_counters(self, document):
+    def test_clear_drops_entries_and_absorbed_instances(self, document):
         table = RoutingTable()
         table.add(parse_xpath("/a"), "link-1")
         table.add(parse_xpath("/a/b"), "link-1")
@@ -205,10 +221,10 @@ class TestMaintenance:
         table.clear()
         assert len(table) == 0
         assert table.destinations() == []
-        assert table.match_operations == 0
-        assert table.covered_inserts == 0
-        assert table.evicted_entries == 0
-        assert table.restored_entries == 0
+        assert table.export_destination("link-1") == []
+        assert parse_xpath("/a") not in table
+        match = table.destinations_for(document)
+        assert match.destinations == [] and match.operations == 0
 
     def test_iteration_yields_entries(self):
         table = RoutingTable()
@@ -247,7 +263,7 @@ class TestRemovePattern:
         removed, restored = table.remove_pattern(parse_xpath("/a"), "link-1")
         assert removed and restored == [parse_xpath("/a/b")]
         assert table.patterns_for("link-1") == [parse_xpath("/a/b")]
-        assert table.restored_entries == 1
+        assert table.export_destination("link-1") == [(parse_xpath("/a/b"), False)]
 
     def test_removing_cover_restores_evicted_entries(self):
         table = RoutingTable()
@@ -263,7 +279,7 @@ class TestRemovePattern:
         assert sorted(table.patterns_for("link-1"), key=repr) == sorted(
             [parse_xpath("/a/b/e"), parse_xpath("/a/b/f")], key=repr
         )
-        assert table.restored_entries == 2
+        assert len(table.export_destination("link-1")) == 2
 
     def test_superseded_equivalent_returns_when_its_keeper_leaves(self):
         plain, doubled = parse_xpath("/a"), parse_xpath("/.[a][a]")
@@ -273,7 +289,7 @@ class TestRemovePattern:
         table = RoutingTable()
         table.add(other, "link-1")
         assert table.add(keeper, "link-1")  # takes the active slot
-        assert table.evicted_entries == 1
+        assert table.export_destination("link-1") == [(keeper, False), (other, False)]
         removed, restored = table.remove_pattern(keeper, "link-1")
         # The superseded entry had already flooded onward: it comes back
         # active without being re-advertised.
@@ -673,7 +689,7 @@ class TestDeliverMembers:
         )
         expected = reference_step(match.destinations, match.operations)
         step = match.deliveries, match.forwards
-        assert step == (expected.deliveries, expected.forwards)
+        assert step == expected[:2]
         return step
 
     def test_an_excluded_deliver_group_delivers_none_of_its_members(

@@ -6,9 +6,10 @@
 * **long churn** — through thousands of resubscribes, trie-mode
   destination lists stay equal to linear-mode lists, table order
   included;
-* **depth** — a ``//`` branch descends the document without one Python
-  frame per level, so a 10⁴-deep chain matches, and trie == linear
-  where the linear oracle's recursion still reaches.
+* **depth** — neither the trie nor the linear oracle spends a Python
+  frame per level, so a 10⁴-deep chain matches, and trie == linear ==
+  ``DocumentCorpus.match_set`` on it, under ``//`` and along a child
+  path of 10⁴ steps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.routing.overlay import BrokerOverlay
 from repro.routing.policy import PerSubscriptionPolicy
 from repro.routing.table import RoutingTable
 from repro.routing.trie import PatternTrie
+from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree, XMLTreeBuilder
 
 AUDITED = [
@@ -39,14 +41,53 @@ AUDITED = [
 ]
 
 
-def chain(depth: int) -> XMLTree:
+def chain(depth: int, doc_id: int = -1) -> XMLTree:
     """``<a>…<a><leaf/></a>…</a>``: *depth* nested ``a`` over one leaf."""
     builder = XMLTreeBuilder()
     parent = -1
     for _ in range(depth):
         parent = builder.add("a", parent)
     builder.add("leaf", parent)
-    return builder.build()
+    return builder.build(doc_id=doc_id)
+
+
+def branch(depth: int, doc_id: int) -> XMLTree:
+    """``<r><a>…<a><leaf/></a>…</a><z/></r>``: *depth* nested ``a`` over
+    one leaf, beside a ``z``, under an ``r`` root."""
+    builder = XMLTreeBuilder()
+    root = parent = builder.add("r", -1)
+    for _ in range(depth):
+        parent = builder.add("a", parent)
+    builder.add("leaf", parent)
+    builder.add("z", root)
+    return builder.build(doc_id=doc_id)
+
+
+def a_steps(steps: int) -> PatternNode:
+    """``a/…/a``: *steps* child steps."""
+    node = PatternNode("a")
+    for _ in range(steps - 1):
+        node = PatternNode("a", (node,))
+    return node
+
+
+def assert_every_oracle_agrees(patterns, documents):
+    """Per pattern, the documents one table's trie, its linear scan and
+    :meth:`DocumentCorpus.match_set` find it in are the same; returns
+    them, in document order."""
+    table = RoutingTable(matching="linear")
+    for index, pattern in enumerate(patterns):
+        table.add(pattern, index)
+    found = [[] for _ in patterns]
+    for document in documents:
+        via_linear = table.destinations_for(document).destinations
+        via_trie = table.destinations_for(document, matching="trie").destinations
+        assert via_trie == via_linear, document.doc_id
+        for index in via_linear:
+            found[index].append(document.doc_id)
+    corpus = DocumentCorpus(documents)
+    assert [sorted(corpus.match_set(pattern)) for pattern in patterns] == found
+    return found
 
 
 #: ``/a/b`` gated by a root-level ``//g``: a pattern with two root children.
@@ -224,13 +265,13 @@ class TestDeepDocuments:
         batch = trie.match_batch([chain(10_000), chain(9_999)])
         assert [r.destinations for r in batch.results] == [set(self.PATTERNS)] * 2
 
-    def test_trie_equals_linear_at_depth_300(self):
+    def test_trie_equals_linear_at_depth_10_300(self):
         table = RoutingTable()
         for index, xpath in enumerate(
             [*self.PATTERNS, "/a[.//absent]/a", "//a[.//leaf]/leaf", "/a//leaf"]
         ):
             table.add(parse_xpath(xpath), f"d{index}")
-        for depth in (1, 2, 300):
+        for depth in (1, 2, 10_300):
             document = chain(depth)
             via_trie = table.destinations_for(
                 document, matching="trie"
@@ -240,3 +281,29 @@ class TestDeepDocuments:
             ).destinations
             assert via_trie == via_linear, depth
         assert via_trie == ["d0", "d1", "d3", "d4"]
+
+    def test_descendant_patterns_at_depth_450_and_10_000(self):
+        patterns = [
+            parse_xpath(xpath)
+            for xpath in ("//a//leaf", "//leaf", "/a//leaf", "/a[.//leaf]", "//leaf/a")
+        ]
+        documents = [chain(450, doc_id=0), chain(10_000, doc_id=1)]
+        assert assert_every_oracle_agrees(patterns, documents) == [
+            [0, 1],
+            [0, 1],
+            [0, 1],
+            [0, 1],
+            [],
+        ]
+
+    def test_child_paths_of_10_250_steps(self):
+        steps = a_steps(10_250)
+        path = TreePattern((steps,))
+        fork = TreePattern((PatternNode("r", (steps, PatternNode("z"))),))
+        documents = [
+            chain(10_250, doc_id=0),
+            chain(10_249, doc_id=1),
+            branch(10_250, doc_id=2),
+            branch(10_249, doc_id=3),
+        ]
+        assert assert_every_oracle_agrees([path, fork], documents) == [[0], [2]]
